@@ -2,8 +2,9 @@
 """Run the full verification sweep and collect the JSON reports.
 
 Covers the calibration sizes, the Grassmannian shapes, the iterated-Laplacian
-orders, both flag partitions, and the indefinite duals; writes one report per
-run into the output directory and prints a summary table.
+orders p = 2, 3, 4, both flag partitions, and the indefinite duals at p = 2
+and 4; writes one report per run into the output directory and prints a
+summary table.
 
 Usage:
   python scripts/run_verification_suite.py            # full sweep
@@ -43,7 +44,7 @@ def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
             (f"grassmann_{m}_{n}", RunConfig("grassmann", m=m, n=n, samples=samples))
         )
     for m, n in ((1, 2), (2, 2)):
-        for p in (2, 3):
+        for p in (2, 3, 4):
             runs.append(
                 (
                     f"pharmonic_{m}_{n}_p{p}",
@@ -60,6 +61,12 @@ def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
             (
                 f"dual_{m}_{n}",
                 RunConfig("dual", m=m, n=n, p=2, radius=0.5, samples=max(10, samples // 2)),
+            )
+        )
+        runs.append(
+            (
+                f"dual_{m}_{n}_p4",
+                RunConfig("dual", m=m, n=n, p=4, radius=0.5, samples=max(10, samples // 2)),
             )
         )
     return runs

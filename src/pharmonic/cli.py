@@ -6,8 +6,9 @@ configuration (seed included) reproduces the same report byte for byte,
 apart from the wall-clock field.
 
 Exit codes: 0 all checks passed, 2 a verification check failed, 3 a usage
-or configuration error, 4 a numerical-domain failure (sampling near the
-branch cut could not be avoided).  The environment variable
+or configuration error, 4 a numerical-domain failure (well-conditioned
+sample points could not be found, or jet arithmetic hit a branch cut or a
+non-finite value during the run).  The environment variable
 GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold, for CI on
 heterogeneous hardware.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +29,7 @@ from . import expressions as ex
 from . import operators as ops
 from . import symcalc as sym
 from .group import minkowski_form, sample_block_diagonal, sample_so, sample_so_mn
-from .jets import BranchCutError
+from .jets import BranchCutError, JetError
 from .reports import (
     REPORT_SCHEMA,
     VerificationReport,
@@ -41,6 +43,11 @@ EXIT_USAGE = 3
 EXIT_DOMAIN = 4
 
 PROPERNESS_FLOOR = 1e-3
+
+# Largest spectral norm radius * sqrt(m n / 2) of a sampled boost: beyond it
+# roundoff in x = k exp(a), growing like exp(2 |a|), approaches the group
+# relation tolerance of the sampler.
+MAX_BOOST_NORM = 4.0
 
 DEFAULT_TOLS = {
     "calibrate": 1e-9,
@@ -105,6 +112,13 @@ def _validate_common(config: RunConfig) -> None:
         raise UsageError("need at least one sample")
     if config.blocks is not None and any(b < 1 for b in config.blocks):
         raise UsageError("block sizes must be positive")
+    if config.seed < 0:
+        raise UsageError("need seed >= 0")
+    if not (math.isfinite(config.radius) and config.radius >= 0):
+        raise UsageError("need a finite radius >= 0")
+    for name, value in (("tol", config.tol), ("tolerance scale", config.tol_scale)):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise UsageError(f"need a finite {name} >= 0")
 
 
 def _threshold(config: RunConfig, default: float) -> float:
@@ -119,19 +133,30 @@ def _tau_p_tol(config: RunConfig) -> float:
 
 
 def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
+    """The coefficient matrix from --A, --w or the default vector; unreadable,
+    non-finite or zero input is a configuration error."""
     N = config.m + config.n
+    source = f"--A {config.a_file}" if config.a_file else f"--w {config.w}"
+    try:
+        if config.a_file:
+            values = ex.load_matrix(config.a_file)
+        elif config.w:
+            values = ex.parse_vector(config.w)
+        else:
+            values = np.arange(1, N, dtype=float)
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {source}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{source} holds non-finite entries")
     if config.a_file:
-        mat = ex.load_matrix(config.a_file)
-        if mat.shape != (N, N):
-            raise UsageError(f"matrix file has shape {mat.shape}, expected {(N, N)}")
-        return ex.EigenMatrix(mat, (config.m, config.n))
-    if config.w:
-        w = ex.parse_vector(config.w)
-    else:
-        w = np.arange(1, N, dtype=float)
-    if w.size != N - 1:
-        raise UsageError(f"w must have length {N - 1}, got {w.size}")
-    return ex.rank_one_from_vector(w, (config.m, config.n))
+        if values.shape != (N, N):
+            raise UsageError(f"matrix file has shape {values.shape}, expected {(N, N)}")
+        return ex.EigenMatrix(values, (config.m, config.n))
+    if values.size != N - 1:
+        raise UsageError(f"w must have length {N - 1}, got {values.size}")
+    if not np.any(values):
+        raise UsageError("w must be nonzero")
+    return ex.rank_one_from_vector(values, (config.m, config.n))
 
 
 def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
@@ -233,6 +258,7 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
     p = config.p
     if p > ops.DEPTH_CAP:
         raise UsageError(f"p = {p} exceeds the iteration depth cap {ops.DEPTH_CAP}")
+    A = _coefficient_matrix(config)
     notes = []
     records = []
 
@@ -249,7 +275,6 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
                 lower_check("symbolic_proper_c1", 0, 1.0 if verdict.proper else 0.0, 0.5)
             )
 
-    A = _coefficient_matrix(config)
     phi = ex.projector_form(A)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
     ctx = ops.quotient_context(m, n)
@@ -362,6 +387,12 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     p = config.p
     if p > ops.DEPTH_CAP:
         raise UsageError(f"p = {p} exceeds the iteration depth cap {ops.DEPTH_CAP}")
+    if config.radius * math.sqrt(m * n / 2) > MAX_BOOST_NORM:
+        raise UsageError(
+            f"radius {config.radius} too large: boost norm bound "
+            f"radius * sqrt(m n / 2) must stay <= {MAX_BOOST_NORM}"
+        )
+    A = _coefficient_matrix(config)
     notes = []
     records = []
 
@@ -372,7 +403,6 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     )
     records.append(lower_check("symbolic_proper_dual", 0, 1.0 if verdict.proper else 0.0, 0.5))
 
-    A = _coefficient_matrix(config)
     A_dual = ex.dual_matrix(A, m, n)
     matrix_tol = _threshold(config, DEFAULT_TOLS["matrix"])
     validation = ex.validate_eigen_matrix(A_dual, matrix_tol, form=minkowski_form(m, n))
@@ -509,7 +539,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainExhausted as exc:
+    except (DomainExhausted, JetError) as exc:
         print(f"numerical domain failure: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     report.timing_seconds = time.perf_counter() - start

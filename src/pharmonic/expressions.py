@@ -3,7 +3,8 @@ for the eigenfunctions and p-harmonic compositions studied here.
 
 An :class:`ExprNode` tree is scalar-generic: evaluating it substitutes the
 entries of whatever matrix is supplied, so one tree serves plain complex
-evaluation, jet evaluation, and nested-jet evaluation.  Powers with integer
+evaluation, jet and nested-jet evaluation, and forward-Laplacian evaluation
+(:class:`pharmonic.jets.LaplacianJet` entries).  Powers with integer
 exponent are taken by repeated multiplication (no branch cut); fractional
 powers and logarithms use principal branches and may raise
 :class:`pharmonic.jets.BranchCutError`.
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import JetScalar, ipow, jlog, jpow
+from .jets import ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 MATRIX_TOL = 1e-10
@@ -79,41 +80,50 @@ def _is_int(e: complex) -> bool:
 
 
 def evaluate(node, matrix):
-    """Evaluate a tree on a matrix of scalars (numpy or nested tuples).
+    """Evaluate a tree on a matrix of scalars (numpy or nested sequences).
 
     Evaluating on plain complex entries agrees exactly, coefficient 0 by
     coefficient 0, with evaluating on jet-lifted entries: both paths run the
-    identical primitive operations.
+    identical primitive operations.  A subtree reached several times (the
+    eigenfunction inside a composition) is evaluated once per call: results
+    are memoised by node identity.
     """
     if hasattr(matrix, "entries"):
         matrix = matrix.entries
-    return _eval(node, matrix)
+    return _eval(node, matrix, {})
 
 
-def _eval(node, m):
+def _eval(node, m, memo: dict):
+    key = id(node)
+    if key not in memo:
+        memo[key] = _node_value(node, m, memo)
+    return memo[key]
+
+
+def _node_value(node, m, memo: dict):
     if isinstance(node, Entry):
         v = m[node.row - 1][node.col - 1]
-        return v if isinstance(v, JetScalar) else complex(v)
+        return complex(v) if isinstance(v, Number) else v
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Sum):
-        acc = _eval(node.terms[0], m)
+        acc = _eval(node.terms[0], m, memo)
         for t in node.terms[1:]:
-            acc = acc + _eval(t, m)
+            acc = acc + _eval(t, m, memo)
         return acc
     if isinstance(node, Product):
-        acc = _eval(node.factors[0], m)
+        acc = _eval(node.factors[0], m, memo)
         for f in node.factors[1:]:
-            acc = acc * _eval(f, m)
+            acc = acc * _eval(f, m, memo)
         return acc
     if isinstance(node, Pow):
-        v = _eval(node.base, m)
+        v = _eval(node.base, m, memo)
         e = complex(node.exponent)
         if _is_int(e):
             return ipow(v, int(round(e.real)))
         return jpow(v, e)
     if isinstance(node, Log):
-        return jlog(_eval(node.child, m))
+        return jlog(_eval(node.child, m, memo))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -11,6 +11,11 @@ Plain ``complex`` is the base scalar.  Values are immutable after
 construction and every operation is pure, so jets can be shared freely
 between concurrent workers.
 
+A :class:`LaplacianJet` of depth ``p`` carries, in one numpy array, what
+``p`` nesting levels of (value, directional first derivatives, summed second
+derivative) produce: the forward-Laplacian algebra and its tensor powers.
+It supports the same ring operations and analytic functions as a jet.
+
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jsqrt`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
 the base value of the argument is within ``BRANCH_FLOOR`` of the origin or
@@ -23,8 +28,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from numbers import Number
 from typing import Union
+
+import numpy as np
 
 Scalar = Union[complex, "JetScalar"]
 
@@ -190,6 +198,128 @@ class JetScalar:
         return f"Jet{self.coeffs!r}"
 
 
+class LaplacianJet:
+    """Element of the p-fold tensor power of the forward-Laplacian algebra.
+
+    One level holds a value v, ``basis_size`` = B directional derivatives g
+    and a Laplacian l, D = B + 2 components, multiplied as
+
+      (v, g, l) (v', g', l') = (v v', v g' + g v', v l' + l v' + 2 g . g'),
+
+    the product rule of a first-order field per direction and of their
+    summed squares.  Depth p is the p-fold tensor power: ``coeffs`` is a
+    flat complex array of D**p components indexed (i_1, ..., i_p) row-major,
+    the outermost level first; index 0 is the value, 1..B the directions and
+    D - 1 the Laplacian at each level.  Component (0, ..., 0) is the point
+    value and (D-1, ..., D-1) the p-fold Laplacian.
+
+    The nilpotent part h (everything but component 0) has h**(2p+1) = 0, so
+    analytic functions are exact Taylor series of ``order`` = 2p in h.
+    Instances are immutable: operations return new arrays.
+    """
+
+    __slots__ = ("basis_size", "depth", "order", "coeffs")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, basis_size: int, depth: int, coeffs):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if basis_size < 1 or depth < 1:
+            raise JetError(f"need basis size and depth >= 1, got {basis_size}, {depth}")
+        if coeffs.shape != ((basis_size + 2) ** depth,):
+            raise JetError(f"expected {(basis_size + 2) ** depth} components, got {coeffs.shape}")
+        self.basis_size = basis_size
+        self.depth = depth
+        self.order = 2 * depth
+        self.coeffs = coeffs
+
+    def constant_value(self) -> complex:
+        return complex(self.coeffs[0])
+
+    def _like(self, coeffs) -> "LaplacianJet":
+        return LaplacianJet(self.basis_size, self.depth, coeffs)
+
+    def _same_shape(self, other: "LaplacianJet"):
+        if (other.basis_size, other.depth) != (self.basis_size, self.depth):
+            raise ShapeMismatch(
+                f"cannot combine Laplacian jets of (basis, depth) "
+                f"({self.basis_size}, {self.depth}) and ({other.basis_size}, {other.depth})"
+            )
+
+    def __add__(self, other):
+        if isinstance(other, LaplacianJet):
+            self._same_shape(other)
+            return self._like(self.coeffs + other.coeffs)
+        if isinstance(other, Number):
+            out = self.coeffs.copy()
+            out[0] += complex(other)
+            return self._like(out)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, LaplacianJet):
+            self._same_shape(other)
+            out = _tensor_product(self.coeffs, other.coeffs, self.basis_size, self.depth)
+            other0 = other.coeffs[0]
+        elif isinstance(other, Number):
+            other0 = complex(other)
+            out = self.coeffs * other0
+        else:
+            return NotImplemented
+        # Vectorised complex products may round differently (fused multiply-add);
+        # the scalar product keeps the value exactly as plain evaluation has it.
+        out[0] = self.coeffs[0] * other0
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"LaplacianJet(basis_size={self.basis_size}, depth={self.depth}, {self.coeffs!r})"
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(B: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right component indices of the 3B + 3 products one level needs:
+    (0, k) for every k, (k, 0) for k >= 1, then (b, b) for each direction."""
+    D = B + 2
+    left = np.array([0] * D + list(range(1, D)) + list(range(1, B + 1)))
+    right = np.array(list(range(D)) + [0] * (D - 1) + list(range(1, B + 1)))
+    left.flags.writeable = right.flags.writeable = False  # shared by every caller
+    return left, right
+
+
+def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
+    """Product of two flat depth-p component arrays.
+
+    Each of the outer p - 1 levels gathers its 3B + 3 component pairs into
+    one batch for the level below; the innermost level multiplies the whole
+    batch by the one-level rule, and the outer levels fold their pairs back
+    on the way up.  Work is O((3B + 3)**(p - 1) (B + 2)).
+    """
+    D = B + 2
+    pick_left, pick_right = _pair_indices(B)
+    G = len(pick_left)
+    left, right, batch = a, b, 1
+    for level in range(p - 1):
+        rest = D ** (p - level - 1)
+        left = left.reshape(batch, D, rest).take(pick_left, axis=1)
+        right = right.reshape(batch, D, rest).take(pick_right, axis=1)
+        batch *= G
+    left, right = left.reshape(batch, D), right.reshape(batch, D)
+    out = left[:, :1] * right + right[:, :1] * left
+    out[:, 0] = left[:, 0] * right[:, 0]
+    out[:, -1] += 2 * (left[:, 1:-1] * right[:, 1:-1]).sum(axis=1)
+    for level in reversed(range(p - 1)):
+        rest = D ** (p - level - 1)
+        batch //= G
+        pairs = out.reshape(batch, G, rest)
+        out = pairs[:, :D].copy()
+        out[:, 1:] += pairs[:, D : 2 * D - 1]
+        out[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
+    return out.reshape(-1)
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -234,8 +364,12 @@ def one_like(value):
     return constant(1.0, shape_of(value))
 
 
-def nilpotent_part(a: JetScalar) -> JetScalar:
+def nilpotent_part(a):
     """Copy of ``a`` with its constant coefficient replaced by zero."""
+    if isinstance(a, LaplacianJet):
+        h = a.coeffs.copy()
+        h[0] = 0j
+        return a._like(h)
     return JetScalar(a.order, (zero(a.shape[1:]),) + a.coeffs[1:])
 
 
@@ -253,15 +387,6 @@ def scalar_value(value) -> complex:
     return complex(value)
 
 
-def assert_finite(value):
-    """Raise :class:`NonFiniteError` if any coefficient is NaN or infinite."""
-    if isinstance(value, JetScalar):
-        for c in value.coeffs:
-            assert_finite(c)
-        return value
-    return _require_finite(value)
-
-
 # -- division and analytic functions ------------------------------------------
 
 
@@ -273,6 +398,11 @@ def reciprocal(value: Scalar) -> Scalar:
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / z
     inv0 = reciprocal(value.coeffs[0])
+    if isinstance(value, LaplacianJet):
+        taylor = [inv0]
+        for _ in range(value.order):
+            taylor.append(taylor[-1] * -inv0)
+        return _compose(value, taylor)
     out = [inv0]
     a = value.coeffs
     for k in range(1, value.order + 1):
@@ -314,7 +444,7 @@ def _check_branch(z: complex, floor: float, angle: float) -> complex:
     return z
 
 
-def _compose(a: JetScalar, taylor):
+def _compose(a, taylor):
     """Evaluate sum taylor[i] * h^i by Horner, h the nilpotent part of a."""
     h = nilpotent_part(a)
     acc = taylor[-1]

@@ -1,18 +1,33 @@
-"""Numerical Laplace-Beltrami and conformality operators via jets.
+"""Numerical Laplace-Beltrami and conformality operators.
 
-The Laplacian of f at x is computed as the sum over an orthonormal basis
-{Z} of second derivatives of f along the curves x . exp(t Z): those curves
-are geodesics through x (one-parameter subgroups for the bi-invariant
-metric; boost directions of the symmetric pair for the quotient-level
-operators), so no connection correction term is needed.  Each second
-derivative is twice the order-2 jet coefficient of f evaluated on the
-jet-valued curve matrix; first derivatives for the conformality pairing use
-order-1 jets.
+The Laplacian of f at x is the sum over an orthonormal basis {Z_b} of
+second derivatives of f along the curves x . exp(t Z_b): those curves are
+geodesics through x (one-parameter subgroups for the bi-invariant metric;
+boost directions of the symmetric pair for the quotient-level operators),
+so no connection correction term is needed.  In terms of the left-invariant
+fields Z_b, L = sum_b Z_b Z_b.
 
-The iterated Laplacian is computed by literal recursion: the order-p value
-needs the order-(p-1) operator evaluated at jet-valued matrices, which
-nests one jet level per iteration and stays exact in the truncated algebra.
-Cost grows as |basis|^p; fine at the matrix sizes used here.
+One primitive, :func:`laplacian_jet`, computes every operator here by a
+single walk of the expression tree per point (the forward Laplacian):
+each node carries its value, its B = |basis| directional derivatives and
+its Laplacian, D = B + 2 components, combined by the product rule
+L(fg) = f Lg + g Lf + 2 sum_b Z_b f Z_b g.  For the p-fold Laplacian the
+walk runs over the p-fold tensor power of that algebra, D**p components
+(:class:`pharmonic.jets.LaplacianJet`).  A matrix entry is lifted with the
+component at multi-index (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc,
+with M_0 = I, M_b = Z_b and M_(D-1) = sum_b Z_b^2: left-invariant fields
+act on entries by right multiplication, outermost level on the left, so
+their non-commutativity is exact.  L^p f is the (D-1, ..., D-1) component
+and the gradient pairing sum_b Z_b f Z_b g is read from the depth-1
+direction components.  Each product in the walk costs
+O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over nested jets of
+3**p coefficients that literal recursion needs.  Log and non-integer powers
+are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.jets.BranchCutError`,
+:class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
+on the point value exactly as plain evaluation does.
+
+The closed-form identity residuals use order-2 jets along each basis curve
+(:func:`pharmonic.group.curve_jets`) on the coordinate functions directly.
 
 For a function invariant under right translation by a subgroup K, every
 K-tangent direction contributes zero, so the full-basis Laplacian agrees
@@ -30,7 +45,7 @@ from scipy.linalg import expm
 
 from .expressions import evaluate
 from .group import BasisVector, GroupPoint, curve_jets, k_basis, m_basis, so_basis
-from .jets import JetScalar, scalar_value
+from .jets import LaplacianJet, scalar_value
 from .reports import CheckRecord, VerificationReport, lower_check, upper_check
 
 DEPTH_CAP = 5
@@ -83,68 +98,59 @@ def _as_matrix(x):
     return x.entries if isinstance(x, GroupPoint) else x
 
 
-def _coeff(value, i: int):
-    """Jet coefficient i; a plain number has no curve dependence, so zero."""
-    if isinstance(value, JetScalar):
-        return value.coefficient(i)
-    return 0j
-
-
 # -- core operators -------------------------------------------------------------
 
 
-def laplacian(f, x, ctx: OperatorContext):
+def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
+    """f evaluated once on the depth-p forward-Laplacian lift of the point x.
+
+    Component (i_1, ..., i_p) of the result is M_i1 ... M_ip f at x, for the
+    operators M_0 = 1, M_b = Z_b and M_(D-1) = sum_b Z_b Z_b over the basis.
+    """
+    X = np.asarray(_as_matrix(x))
+    N = X.shape[0]
+    zs = [b.matrix for b in basis]
+    fields = np.stack([np.eye(N), *zs, sum(z @ z for z in zs)])
+    lifted = X[None]
+    for _ in range(p):
+        lifted = (lifted[:, None] @ fields).reshape(-1, N, N)
+    entries = np.ascontiguousarray(lifted.reshape(-1, N * N).T, dtype=complex)
+    B = len(zs)
+    rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
+    value = evaluate(f, rows)
+    if isinstance(value, LaplacianJet):
+        return value
+    coeffs = np.zeros((B + 2) ** p, dtype=complex)
+    coeffs[0] = value
+    return LaplacianJet(B, p, coeffs)
+
+
+def laplacian(f, x, ctx: OperatorContext) -> complex:
     """Sum over basis directions of the second derivative of f along x.exp(tZ)."""
-    X = _as_matrix(x)
-    total = None
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=2)
-        term = _coeff(evaluate(f, jm), 2) * 2
-        total = term if total is None else total + term
-    return total
+    return complex(laplacian_jet(f, x, ctx.basis, 1).coeffs[-1])
 
 
-def gradient_product(f, g, x, ctx: OperatorContext):
+def gradient_product(f, g, x, ctx: OperatorContext) -> complex:
     """Complex-bilinear pairing of gradients: sum of Z(f) Z(g) over the basis."""
-    X = _as_matrix(x)
-    total = None
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=1)
-        df = _coeff(evaluate(f, jm), 1)
-        dg = df if g is f else _coeff(evaluate(g, jm), 1)
-        term = df * dg
-        total = term if total is None else total + term
-    return total
+    df = laplacian_jet(f, x, ctx.basis, 1).coeffs[1:-1]
+    dg = df if g is f else laplacian_jet(g, x, ctx.basis, 1).coeffs[1:-1]
+    return complex(df @ dg)
 
 
 def iterated_laplacian(f, p: int, x, ctx: OperatorContext, depth_cap: int = DEPTH_CAP):
-    """p-fold Laplacian by recursive jet nesting; p = 0 evaluates f."""
+    """p-fold Laplacian from one depth-p walk; p = 0 evaluates f."""
     if p < 0:
         raise ValueError("need p >= 0")
     if p > depth_cap:
         raise ValueError(f"iteration depth {p} exceeds cap {depth_cap}")
-    return _iterate(f, p, _as_matrix(x), ctx)
-
-
-def _iterate(f, p: int, X, ctx: OperatorContext):
     if p == 0:
-        return evaluate(f, X)
-    total = None
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=2)
-        term = _coeff(_iterate(f, p - 1, jm, ctx), 2) * 2
-        total = term if total is None else total + term
-    return total
+        return evaluate(f, _as_matrix(x))
+    return complex(laplacian_jet(f, x, ctx.basis, p).coeffs[-1])
 
 
 def directional_second_derivatives(f, x, ctx: OperatorContext) -> list[complex]:
     """Per-direction second derivatives (the summands of the Laplacian)."""
-    X = _as_matrix(x)
-    out = []
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=2)
-        out.append(complex(_coeff(evaluate(f, jm), 2) * 2))
-    return out
+    return [complex(laplacian_jet(f, x, (b,), 1).coeffs[-1]) for b in ctx.basis]
 
 
 def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
@@ -467,16 +473,6 @@ def conditioned_sample(
             f"only {len(accepted)}/{count} conditioned samples after {draws} draws"
         )
     return accepted[:count], draws
-
-
-def eigen_residuals(f, lam, mu, x, ctx: OperatorContext) -> tuple[float, float]:
-    """Normalized single-point eigen residuals (laplacian, pairing)."""
-    X = _as_matrix(x)
-    v = complex(evaluate(f, X))
-    t = complex(laplacian(f, x, ctx))
-    k = complex(gradient_product(f, f, x, ctx))
-    denom = 1.0 + abs(v) + abs(v) ** 2
-    return abs(t - complex(lam) * v) / denom, abs(k - complex(mu) * v * v) / denom
 
 
 def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext) -> tuple[float, float]:

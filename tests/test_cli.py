@@ -1,9 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pharmonic.cli import (
+    COMMANDS,
     EXIT_DOMAIN,
     EXIT_FAIL,
     EXIT_PASS,
@@ -16,13 +23,26 @@ from pharmonic.cli import (
     cmd_pharmonic,
     main,
 )
+from pharmonic.jets import NonFiniteError
 from pharmonic.reports import validate_report_dict
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_process(*argv, cwd=None):
+    """The CLI in a fresh interpreter, as a shell user runs it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pharmonic.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+    )
 
 
 # -- commands through the Python API ---------------------------------------------
@@ -223,3 +243,63 @@ def test_tol_override_flag(capsys):
         "calibrate", "--m", "2", "--n", "2", "--samples", "2", "--tol", "1e-18",
     )
     assert code == EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grassmann", "--w", "0,0,0"),
+        ("grassmann", "--w", "1,1j,0"),
+        ("grassmann", "--w", "nan,1,2"),
+        ("grassmann", "--A", "no-such-matrix.csv"),
+        ("dual", "--radius", "1e3"),
+        ("dual", "--radius", "-1"),
+        ("calibrate", "--seed", "-5"),
+        ("calibrate", "--tol", "nan"),
+    ],
+)
+def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
+    proc = run_cli_process(*argv, "--samples", "2", cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert "configuration error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):
+    def overflow(config):
+        raise NonFiniteError("exp overflow")
+
+    monkeypatch.setitem(COMMANDS, "calibrate", overflow)
+    assert main(["calibrate"]) == EXIT_DOMAIN
+    assert "numerical domain failure" in capsys.readouterr().err
+
+
+# -- orders beyond three --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pharmonic", "--m", "2", "--n", "2", "--p", "4", "--samples", "2"),
+        ("dual", "--m", "1", "--n", "2", "--p", "4", "--samples", "2"),
+    ],
+)
+def test_fourth_order_runs_pass(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    residuals = [c for c in doc["checks"] if c["check"] == "tau_p_residual"]
+    assert code == EXIT_PASS, doc["max_residuals"]
+    assert residuals and all(c["passed"] for c in residuals)
+
+
+def test_fifth_order_run_passes_within_time_and_memory_budget():
+    start = time.perf_counter()
+    proc = run_cli_process("pharmonic", "--m", "2", "--n", "2", "--p", "5", "--samples", "1")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_PASS, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    points = {c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"}
+    assert len(points) == 1
+    assert elapsed < 10.0
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 300.0

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,25 @@ def test_plain_evaluation_equals_jet_coefficient_zero_exactly():
         plain = evaluate(node, x)
         jet = evaluate(node, _lifted(x))
         assert jet.coefficient(0) == plain
+
+
+def test_shared_subtrees_are_evaluated_once_per_call():
+    class CountingMatrix:
+        def __init__(self, x):
+            self.x, self.reads = x, 0
+
+        def __getitem__(self, r):
+            self.reads += 1
+            return self.x[r]
+
+    shared = Product((Entry(1, 1), Entry(1, 1)))
+    node = Sum((shared, Product((shared, shared)), Log(shared)))
+    m = CountingMatrix(sample_so(3, 4).entries)
+    value = evaluate(node, m)
+    assert m.reads == 2
+    v = m.x[0, 0] ** 2
+    assert abs(value - (v + v * v + cmath.log(v))) <= 1e-14
+    assert evaluate(node, m) == value and m.reads == 4
 
 
 def test_sum_and_product_nodes():

@@ -1,14 +1,16 @@
 import cmath
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pharmonic.jets import (
     BranchCutError,
     JetError,
     JetScalar,
+    LaplacianJet,
     NonFiniteError,
     ShapeMismatch,
     constant,
@@ -116,13 +118,35 @@ def test_division():
         reciprocal(variable(0, 2))
 
 
+def _absolute(a):
+    return JetScalar(a.order, tuple(complex(abs(c)) for c in a.coeffs))
+
+
+def assert_within_roundoff(lhs, rhs, magnitude, tol=1e-14):
+    """Coefficientwise |lhs - rhs| <= tol * magnitude + (underflow term), where
+    ``magnitude`` is the same expression evaluated on the absolute values of
+    the coefficients.  It is the sum of the term magnitudes, which bounds the
+    rounding error of either side whatever the cancellation (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sections 2.1 and 3.1);
+    the value itself does not.  Subnormal results add an absolute error
+    below the smallest normal number."""
+    for x, y, s in zip(lhs.coeffs, rhs.coeffs, magnitude.coeffs):
+        assert abs(x - y) <= tol * abs(s) + sys.float_info.min
+
+
+@example(  # coefficient 2 of the triple product cancels to ~1e1 from terms ~1e3
+    jet2(6.91 + 3.98j, -1.22 - 8.78j, 3.74 + 3.68j),
+    jet2(9.08 - 8.21j, 0.4 + 1.36j, 4.85 + 3.34j),
+    jet2(7.56 + 4.3j, -2.68 + 1.74j, -7.41 - 9.28j),
+)
 @given(order2_jets(), order2_jets(), order2_jets())
 @settings(max_examples=80, deadline=None)
 def test_ring_axioms(a, b, c):
-    assert_jet_close((a * b) * c, a * (b * c), 1e-14)
-    assert_jet_close(a * (b + c), a * b + a * c, 1e-14)
-    assert_jet_close(a + (b + c), (a + b) + c, 1e-14)
-    assert_jet_close(a * b, b * a, 1e-14)
+    A, B, C = _absolute(a), _absolute(b), _absolute(c)
+    assert_within_roundoff((a * b) * c, a * (b * c), (A * B) * C)
+    assert_within_roundoff(a * (b + c), a * b + a * c, A * (B + C))
+    assert_within_roundoff(a + (b + c), (a + b) + c, A + (B + C))
+    assert_within_roundoff(a * b, b * a, A * B)
 
 
 # -- derivatives ----------------------------------------------------------------
@@ -260,3 +284,77 @@ def test_nilpotent_part_and_scalar_value():
     assert scalar_value(a) == 3 + 0j
     nested = JetScalar(1, (a, zero((2,))))
     assert scalar_value(nested) == 3 + 0j
+
+
+# -- forward-Laplacian algebra ------------------------------------------------------
+
+
+def random_laplacian_jet(rng, B, p, value=None):
+    coeffs = rng.uniform(-1, 1, (B + 2) ** p) + 1j * rng.uniform(-1, 1, (B + 2) ** p)
+    if value is not None:
+        coeffs[0] = value
+    return LaplacianJet(B, p, coeffs)
+
+
+def test_laplacian_jet_depth_one_is_the_product_rule():
+    rng = np.random.default_rng(1)
+    a, b = random_laplacian_jet(rng, 3, 1), random_laplacian_jet(rng, 3, 1)
+    (v, g, l), (w, h, k) = (
+        (x.coeffs[0], x.coeffs[1:-1], x.coeffs[-1]) for x in (a, b)
+    )
+    want = np.concatenate([[v * w], v * h + g * w, [v * k + l * w + 2 * (g @ h)]])
+    np.testing.assert_allclose((a * b).coeffs, want, rtol=1e-15, atol=1e-15)
+
+
+@pytest.mark.parametrize("B, p", [(1, 1), (2, 2), (3, 3), (1, 4)])
+def test_laplacian_jet_ring_axioms(B, p):
+    rng = np.random.default_rng(B * 10 + p)
+    a, b, c = (random_laplacian_jet(rng, B, p) for _ in range(3))
+    A, Bm, C = (LaplacianJet(B, p, np.abs(x.coeffs)) for x in (a, b, c))
+    for lhs, rhs, magnitude in (
+        ((a * b) * c, a * (b * c), (A * Bm) * C),
+        (a * (b + c), a * b + a * c, A * (Bm + C)),
+        (a * b, b * a, A * Bm),
+    ):
+        assert np.all(np.abs(lhs.coeffs - rhs.coeffs) <= 1e-14 * np.abs(magnitude.coeffs))
+
+
+def test_laplacian_jet_nilpotent_part_truncates_at_order_2p():
+    rng = np.random.default_rng(3)
+    for B, p in ((2, 1), (1, 2), (2, 3)):
+        h = nilpotent_part(random_laplacian_jet(rng, B, p))
+        power = h
+        for _ in range(h.order - 1):
+            power = power * h
+        assert np.any(power.coeffs != 0)
+        assert np.all((power * h).coeffs == 0)
+
+
+def test_laplacian_jet_analytic_functions_invert():
+    rng = np.random.default_rng(4)
+    a = random_laplacian_jet(rng, 2, 2, value=1.3 - 0.4j)
+    one = (reciprocal(a) * a).coeffs
+    assert abs(one[0] - 1) <= 1e-15 and np.max(np.abs(one[1:])) <= 1e-13
+    np.testing.assert_allclose(jexp(jlog(a)).coeffs, a.coeffs, rtol=0, atol=1e-13)
+    np.testing.assert_allclose((jsqrt(a) * jsqrt(a)).coeffs, a.coeffs, rtol=0, atol=1e-13)
+    assert ipow(a, -2).constant_value() == ipow(a.constant_value(), -2)
+
+
+def test_laplacian_jet_rejections_match_plain_numbers():
+    rng = np.random.default_rng(5)
+    for value, func, error in (
+        (-1.0, jlog, BranchCutError),
+        (1e-8, jlog, BranchCutError),
+        (-4.0, lambda v: jpow(v, 0.5), BranchCutError),
+        (float("nan"), jlog, NonFiniteError),
+        (800.0, jexp, NonFiniteError),
+        (0.0, reciprocal, JetError),
+    ):
+        with pytest.raises(error):
+            func(complex(value))
+        with pytest.raises(error):
+            func(random_laplacian_jet(rng, 2, 2, value=value))
+    with pytest.raises(ShapeMismatch):
+        random_laplacian_jet(rng, 2, 2) * random_laplacian_jet(rng, 2, 1)
+    with pytest.raises(JetError):
+        LaplacianJet(2, 2, np.zeros(5))

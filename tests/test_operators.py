@@ -4,6 +4,7 @@ import pytest
 from pharmonic.expressions import (
     Const,
     Entry,
+    Pow,
     Product,
     Sum,
     evaluate,
@@ -13,12 +14,15 @@ from pharmonic.expressions import (
     rank_one_from_isotropic,
     rank_one_from_vector,
 )
-from pharmonic.group import sample_block_diagonal, sample_so, sample_so_mn
+from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
+from pharmonic.group import curve_jets, sample_block_diagonal, sample_so, sample_so_mn
+from pharmonic.jets import JetScalar
 from pharmonic.operators import (
     check_eigenfamily,
     check_eigenfunction,
     check_invariance,
     check_product_rule,
+    conditioned_sample,
     coordinate_identity_residuals,
     directional_second_derivatives,
     dual_context,
@@ -28,6 +32,7 @@ from pharmonic.operators import (
     iterated_laplacian,
     k_context,
     laplacian,
+    laplacian_jet,
     non_descent_witness,
     p_harmonic_residuals,
     projector_identity_residuals,
@@ -281,6 +286,78 @@ def test_second_order_composition_is_biharmonic_but_not_harmonic():
 
 
 # -- oracles -----------------------------------------------------------------------------
+
+
+def _nested_jet_iterated_laplacian(f, p, X, basis):
+    """L^p f by literal recursion over nested order-2 jets: |basis|^p tree walks,
+    each the second derivative along one basis curve x . exp(eps Z)."""
+    if p == 0:
+        return evaluate(f, X)
+    total = 0j
+    for b in basis:
+        value = _nested_jet_iterated_laplacian(f, p - 1, curve_jets(X, b.matrix, order=2), basis)
+        if isinstance(value, JetScalar):
+            total = total + value.coefficient(2) * 2
+    return total
+
+
+def _oracle_cases():
+    """(f, context, point) per case: order-3 compositions, so L and L^2 of f are
+    generically nonzero and L^3 f is a true zero."""
+    cases = []
+    for m, n in ((1, 2), (2, 2)):
+        N = m + n
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
+        pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 1, 400)
+        f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
+        cases.append(pytest.param(f, quotient_context(m, n), pts[0], id=f"Gr({m},{n})"))
+    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0], (1, 2))))
+    pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
+    f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
+    cases.append(pytest.param(f, dual_context(1, 2), pts[0], id="dual(1,2)"))
+    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
+    cases.append(pytest.param(f, full_context(4), sample_so(4, 420), id="flag(1,1,2)"))
+    return cases
+
+
+@pytest.mark.parametrize("f, ctx, x", _oracle_cases())
+def test_forward_laplacian_matches_nested_jets(f, ctx, x):
+    tolerances = {1: 1e-12, 2: 1e-9, 3: 1e-9}
+    value = complex(evaluate(f, x))
+    previous = value
+    for p, tol in tolerances.items():
+        got = complex(iterated_laplacian(f, p, x, ctx))
+        want = complex(_nested_jet_iterated_laplacian(f, p, x.entries, ctx.basis))
+        scale = 1.0 + abs(value) + abs(previous)
+        assert abs(got - want) <= tol * scale, (p, got, want)
+        previous = want
+
+
+def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
+    x = sample_so(4, 5)
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    nodes = [
+        phi,
+        p_harmonic_expr(phi, -4, -2, 3, 1, 1),
+        Pow(phi, -0.5),
+        Pow(phi, -2),
+        Product((Const(2 - 1j), Entry(1, 1), Entry(3, 2), phi)),
+    ]
+    for p in (1, 2, 3):
+        for node in nodes:
+            lifted = laplacian_jet(node, x, quotient_context(2, 2).basis, p)
+            assert lifted.constant_value() == evaluate(node, x)
+
+
+def test_forward_laplacian_components_are_the_lifted_fields():
+    # component (i, j) of an entry at depth 2 is (x M_i M_j)_rc, M_(D-1) = sum Z^2
+    ctx = full_context(3)
+    x = sample_so(3, 12)
+    zs = [b.matrix for b in ctx.basis]
+    fields = [np.eye(3), *zs, sum(z @ z for z in zs)]
+    lifted = laplacian_jet(Entry(2, 3), x, ctx.basis, 2).coeffs.reshape(5, 5)
+    want = np.array([[(x.entries @ a @ b)[1, 2] for b in fields] for a in fields])
+    np.testing.assert_allclose(lifted, want, atol=1e-15)
 
 
 def test_jet_laplacian_matches_finite_differences():
