@@ -23,14 +23,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from pharmonic.cli import (
-    RunConfig,
-    cmd_calibrate,
-    cmd_dual,
-    cmd_flag,
-    cmd_grassmann,
-    cmd_pharmonic,
-)
+from pharmonic.cli import COMMANDS, RunConfig
 
 
 def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
@@ -57,28 +50,14 @@ def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
             (f"flag_{tag}", RunConfig("flag", blocks=blocks, p=2, samples=max(5, samples // 4)))
         )
     for m, n in ((1, 2), (2, 2)):
-        runs.append(
-            (
-                f"dual_{m}_{n}",
-                RunConfig("dual", m=m, n=n, p=2, radius=0.5, samples=max(10, samples // 2)),
+        for p, suffix in ((2, ""), (4, "_p4")):
+            runs.append(
+                (
+                    f"dual_{m}_{n}{suffix}",
+                    RunConfig("dual", m=m, n=n, p=p, radius=0.5, samples=max(10, samples // 2)),
+                )
             )
-        )
-        runs.append(
-            (
-                f"dual_{m}_{n}_p4",
-                RunConfig("dual", m=m, n=n, p=4, radius=0.5, samples=max(10, samples // 2)),
-            )
-        )
     return runs
-
-
-COMMANDS = {
-    "calibrate": cmd_calibrate,
-    "grassmann": cmd_grassmann,
-    "pharmonic": cmd_pharmonic,
-    "flag": cmd_flag,
-    "dual": cmd_dual,
-}
 
 
 def main() -> int:

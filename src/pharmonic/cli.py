@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,10 @@ PROPERNESS_FLOOR = 1e-3
 # relation tolerance of the sampler.
 MAX_BOOST_NORM = 4.0
 
+# Nonzero coefficient-matrix scales outside this range make the squared
+# entries in the structure checks underflow to zero or overflow.
+COEFFICIENT_SCALE_RANGE = (1e-150, 1e150)
+
 DEFAULT_TOLS = {
     "calibrate": 1e-9,
     "projector": 1e-9,
@@ -60,9 +64,6 @@ DEFAULT_TOLS = {
 
 class UsageError(ValueError):
     """Configuration rejected before any checks ran."""
-
-
-DomainExhausted = ops.SamplingExhausted
 
 
 @dataclass
@@ -86,28 +87,18 @@ class RunConfig:
     basis_scale: float = 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "m": self.m,
-            "n": self.n,
-            "blocks": list(self.blocks) if self.blocks else None,
-            "p": self.p,
-            "seed": self.seed,
-            "samples": self.samples,
-            "radius": self.radius,
-            "tol": self.tol,
-            "tol_scale": self.tol_scale,
-            "w": self.w,
-            "a_file": self.a_file,
-            "basis_scale": self.basis_scale,
-        }
+        """Every field but the output paths, which do not change the report."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        del out["out"], out["csv"]
+        out["blocks"] = list(self.blocks) if self.blocks else None
+        return out
 
 
 def _validate_common(config: RunConfig) -> None:
     if config.m < 1 or config.n < 1:
         raise UsageError("need m >= 1 and n >= 1")
-    if config.p < 1:
-        raise UsageError("need p >= 1")
+    if not 1 <= config.p <= ops.DEPTH_CAP:
+        raise UsageError(f"need 1 <= p <= {ops.DEPTH_CAP} (the depth cap), got {config.p}")
     if config.samples < 1:
         raise UsageError("need at least one sample")
     if config.blocks is not None and any(b < 1 for b in config.blocks):
@@ -134,7 +125,8 @@ def _tau_p_tol(config: RunConfig) -> float:
 
 def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
     """The coefficient matrix from --A, --w or the default vector; unreadable,
-    non-finite or zero input is a configuration error."""
+    non-finite or zero input, or a scale outside COEFFICIENT_SCALE_RANGE, is a
+    configuration error."""
     N = config.m + config.n
     source = f"--A {config.a_file}" if config.a_file else f"--w {config.w}"
     try:
@@ -151,12 +143,19 @@ def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
     if config.a_file:
         if values.shape != (N, N):
             raise UsageError(f"matrix file has shape {values.shape}, expected {(N, N)}")
-        return ex.EigenMatrix(values, (config.m, config.n))
-    if values.size != N - 1:
-        raise UsageError(f"w must have length {N - 1}, got {values.size}")
-    if not np.any(values):
-        raise UsageError("w must be nonzero")
-    return ex.rank_one_from_vector(values, (config.m, config.n))
+        A = ex.EigenMatrix(values, (config.m, config.n))
+    else:
+        if values.size != N - 1:
+            raise UsageError(f"w must have length {N - 1}, got {values.size}")
+        try:
+            A = ex.rank_one_from_vector(values, (config.m, config.n))
+        except ValueError as exc:  # w is zero, or its squares underflow to zero
+            raise UsageError(f"bad {source}: {exc}") from exc
+    low, high = COEFFICIENT_SCALE_RANGE
+    scale = float(np.max(np.abs(A.matrix)))
+    if scale != 0.0 and not low <= scale <= high:
+        raise UsageError(f"coefficient matrix scale {scale:.3g} outside [{low:g}, {high:g}]")
+    return A
 
 
 def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
@@ -171,6 +170,59 @@ def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
             f"drew {draws} candidate points for {config.samples} conditioned samples"
         )
     return points
+
+
+def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
+    """The four coefficient-matrix structure records."""
+    tol = _threshold(config, DEFAULT_TOLS["matrix"])
+    validation = ex.validate_eigen_matrix(A, tol, form=form)
+    return [
+        upper_check("matrix_symmetry", label, validation.symmetry, tol),
+        upper_check("matrix_trace", label, validation.trace, tol),
+        upper_check("matrix_square", label, validation.square, tol),
+        upper_check("matrix_rank", label, validation.rank_ratio, tol),
+    ]
+
+
+def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -> list:
+    """Exact p-harmonicity (and properness) verdicts as pass/fail records."""
+    verdict = sym.verify_p_harmonic(params, p, c1, c2)
+    records = [
+        upper_check(f"symbolic_p_harmonic_{label}", 0, 0.0 if verdict.p_harmonic else 1.0, 0.5)
+    ]
+    if proper:
+        records.append(
+            lower_check(f"symbolic_proper_{label}", 0, 1.0 if verdict.proper else 0.0, 0.5)
+        )
+    return records
+
+
+def _p_harmonic_records(
+    expr, points, ctx, config: RunConfig, notes: list[str], expect_witness: bool = True
+) -> list:
+    """Order-p residual and order-(p-1) witness records at each sample point.
+
+    A point where the iteration hits a branch cut, or where the witness falls
+    below the properness floor, is dropped with a note.  If every point is
+    dropped and a witness is expected, one failing "all" record stands in.
+    """
+    tau_tol = _tau_p_tol(config)
+    records = []
+    for i, pt in enumerate(points):
+        try:
+            residual, witness = ops.p_harmonic_residuals(expr, config.p, pt, ctx)
+        except BranchCutError:
+            notes.append(f"point {i} rejected during iteration (branch cut)")
+            continue
+        if witness < PROPERNESS_FLOOR:
+            notes.append(f"point {i} resampled: order-(p-1) witness below floor")
+            continue
+        records.append(upper_check("tau_p_residual", i, residual, tau_tol))
+        records.append(lower_check("properness_witness", i, witness, PROPERNESS_FLOOR))
+    if not records and expect_witness:
+        records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
+        notes.append("order-(p-1) image vanished on every sample")
+    return records
 
 
 # -- commands --------------------------------------------------------------------
@@ -188,8 +240,7 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
     for i in range(config.samples):
         point = sample_so(N, config.seed + i)
         res = ops.coordinate_identity_residuals(point, ctx)
-        records.append(upper_check("tau_coordinate", i, res["tau_coordinate"], tol))
-        records.append(upper_check("kappa_coordinate", i, res["kappa_coordinate"], tol))
+        records += [upper_check(check, i, value, tol) for check, value in res.items()]
     notes = []
     if config.basis_scale != 1.0:
         notes.append(f"basis deliberately rescaled by {config.basis_scale} (test hook)")
@@ -204,15 +255,8 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     A = _coefficient_matrix(config)
     notes = []
 
-    matrix_tol = _threshold(config, DEFAULT_TOLS["matrix"])
-    validation = ex.validate_eigen_matrix(A, matrix_tol)
-    records = [
-        upper_check("matrix_symmetry", "A", validation.symmetry, matrix_tol),
-        upper_check("matrix_trace", "A", validation.trace, matrix_tol),
-        upper_check("matrix_square", "A", validation.square, matrix_tol),
-        upper_check("matrix_rank", "A", validation.rank_ratio, matrix_tol),
-    ]
-    if not validation.passed:
+    records = _matrix_records(A, "A", config)
+    if not all(rec.passed for rec in records):
         notes.append("coefficient matrix fails the structure conditions")
 
     proj_tol = _threshold(config, DEFAULT_TOLS["projector"])
@@ -230,8 +274,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
 
     for i, pt in enumerate(points):
         res = ops.projector_identity_residuals(pt, m, full_ctx)
-        records.append(upper_check("tau_projector", i, res["tau_projector"], proj_tol))
-        records.append(upper_check("kappa_projector", i, res["kappa_projector"], proj_tol))
+        records += [upper_check(check, i, value, proj_tol) for check, value in res.items()]
 
     eigen = ops.check_eigenfunction(phi, -N, -2, points, quot_ctx, eigen_tol)
     records.extend(eigen.checks)
@@ -256,48 +299,20 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
     m, n = config.m, config.n
     N = m + n
     p = config.p
-    if p > ops.DEPTH_CAP:
-        raise UsageError(f"p = {p} exceeds the iteration depth cap {ops.DEPTH_CAP}")
     A = _coefficient_matrix(config)
     notes = []
-    records = []
 
     params = sym.EigenParams.of(-N, -2)
     if N == 2:
         notes.append("m + n = 2 gives lam = mu: equal-eigenvalue composition in effect")
-    for label, c1, c2 in (("c1", 1, 0), ("c2", 0, 1)):
-        verdict = sym.verify_p_harmonic(params, p, c1, c2)
-        records.append(
-            upper_check(f"symbolic_p_harmonic_{label}", 0, 0.0 if verdict.p_harmonic else 1.0, 0.5)
-        )
-        if label == "c1":
-            records.append(
-                lower_check("symbolic_proper_c1", 0, 1.0 if verdict.proper else 0.0, 0.5)
-            )
+    records = _symbolic_records(params, p, "c1", 1, 0)
+    records += _symbolic_records(params, p, "c2", 0, 1, proper=False)
 
     phi = ex.projector_form(A)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
     ctx = ops.quotient_context(m, n)
-    tau_tol = _tau_p_tol(config)
-    floor = PROPERNESS_FLOOR
-
     points = _sample_conditioned([phi], lambda s: sample_so(N, s), config, notes)
-    kept = 0
-    for i, pt in enumerate(points):
-        try:
-            residual, witness = ops.p_harmonic_residuals(composed, p, pt, ctx)
-        except BranchCutError:
-            notes.append(f"point {i} rejected during iteration (branch cut)")
-            continue
-        if witness < floor:
-            notes.append(f"point {i} resampled: order-(p-1) witness below floor")
-            continue
-        records.append(upper_check("tau_p_residual", i, residual, tau_tol))
-        records.append(lower_check("properness_witness", i, witness, floor))
-        kept += 1
-    if kept == 0:
-        records.append(lower_check("properness_witness", "all", 0.0, floor))
-        notes.append("order-(p-1) image vanished on every sample")
+    records += _p_harmonic_records(composed, points, ctx, config, notes)
     return VerificationReport("pharmonic", config.as_dict(), records, notes)
 
 
@@ -309,16 +324,12 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     if len(blocks) < 2:
         raise UsageError("need at least two blocks")
     n = sum(blocks)
-    p = config.p
-    if p > ops.DEPTH_CAP:
-        raise UsageError(f"p = {p} exceeds the iteration depth cap {ops.DEPTH_CAP}")
     spec = ex.default_flag_spec(blocks)
     notes = []
     records = []
 
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
-    tau_tol = _tau_p_tol(config)
     ctx = ops.full_context(n)
     points = [sample_so(n, config.seed + i) for i in range(config.samples)]
     block_forms = [
@@ -328,29 +339,11 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
 
     for k, phi_k in enumerate(block_forms):
         fam = ops.check_eigenfamily([phi_k], -n, -2, points, ctx, eigen_tol)
-        for rec in fam.checks:
-            records.append(
-                upper_check(f"block{k}_{rec.check}", rec.point, rec.residual, rec.threshold)
-            )
+        records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam.checks]
 
-    total = ex.flag_sum_expr(spec, p)
+    total = ex.flag_sum_expr(spec, config.p)
     sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
-    kept = 0
-    for i, pt in enumerate(sampled):
-        try:
-            residual, witness = ops.p_harmonic_residuals(total, p, pt, ctx)
-        except BranchCutError:
-            notes.append(f"point {i} rejected during iteration (branch cut)")
-            continue
-        if witness < PROPERNESS_FLOOR:
-            notes.append(f"point {i} resampled: order-(p-1) witness below floor")
-            continue
-        records.append(upper_check("tau_p_residual", i, residual, tau_tol))
-        records.append(lower_check("properness_witness", i, witness, PROPERNESS_FLOOR))
-        kept += 1
-    if kept == 0:
-        records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
-        notes.append("order-(p-1) image vanished on every sample")
+    records += _p_harmonic_records(total, sampled, ctx, config, notes)
 
     invariance = ops.check_invariance(
         total,
@@ -385,8 +378,6 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     m, n = config.m, config.n
     N = m + n
     p = config.p
-    if p > ops.DEPTH_CAP:
-        raise UsageError(f"p = {p} exceeds the iteration depth cap {ops.DEPTH_CAP}")
     if config.radius * math.sqrt(m * n / 2) > MAX_BOOST_NORM:
         raise UsageError(
             f"radius {config.radius} too large: boost norm bound "
@@ -394,27 +385,16 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
         )
     A = _coefficient_matrix(config)
     notes = []
-    records = []
 
     params = sym.EigenParams.of(N, 2)  # compact eigenvalues negated
-    verdict = sym.verify_p_harmonic(params, p, 1, 1)
-    records.append(
-        upper_check("symbolic_p_harmonic_dual", 0, 0.0 if verdict.p_harmonic else 1.0, 0.5)
-    )
-    records.append(lower_check("symbolic_proper_dual", 0, 1.0 if verdict.proper else 0.0, 0.5))
+    records = _symbolic_records(params, p, "dual", 1, 1)
 
     A_dual = ex.dual_matrix(A, m, n)
-    matrix_tol = _threshold(config, DEFAULT_TOLS["matrix"])
-    validation = ex.validate_eigen_matrix(A_dual, matrix_tol, form=minkowski_form(m, n))
-    records.append(upper_check("matrix_symmetry", "A*", validation.symmetry, matrix_tol))
-    records.append(upper_check("matrix_trace", "A*", validation.trace, matrix_tol))
-    records.append(upper_check("matrix_square", "A*", validation.square, matrix_tol))
-    records.append(upper_check("matrix_rank", "A*", validation.rank_ratio, matrix_tol))
+    records += _matrix_records(A_dual, "A*", config, form=minkowski_form(m, n))
 
     phi = ex.projector_form(A_dual)
     ctx = ops.dual_context(m, n)
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
-    tau_tol = _tau_p_tol(config)
 
     points = [sample_so_mn(m, n, config.seed + i, config.radius) for i in range(config.samples)]
     values = [complex(ex.evaluate(phi, pt.entries)) for pt in points]
@@ -432,22 +412,9 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     iter_points = _sample_conditioned(
         [phi], lambda s: sample_so_mn(m, n, s, config.radius), config, notes
     )
-    kept = 0
-    for i, pt in enumerate(iter_points):
-        try:
-            residual, witness = ops.p_harmonic_residuals(composed, p, pt, ctx)
-        except BranchCutError:
-            notes.append(f"point {i} rejected during iteration (branch cut)")
-            continue
-        if witness < PROPERNESS_FLOOR:
-            notes.append(f"point {i} resampled: order-(p-1) witness below floor")
-            continue
-        records.append(upper_check("tau_p_residual", i, residual, tau_tol))
-        records.append(lower_check("properness_witness", i, witness, PROPERNESS_FLOOR))
-        kept += 1
-    if kept == 0 and config.radius > 0:
-        records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
-        notes.append("order-(p-1) image vanished on every sample")
+    records += _p_harmonic_records(
+        composed, iter_points, ctx, config, notes, expect_witness=config.radius > 0
+    )
     return VerificationReport("dual", config.as_dict(), records, notes)
 
 
@@ -485,7 +452,6 @@ def _build_parser() -> _Parser:
         cp.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
         cp.add_argument("--out", type=str, default=None, help="write the JSON report here")
         cp.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
-        cp.add_argument("--basis-scale", type=float, default=1.0, help=argparse.SUPPRESS)
     sub.add_parser("report-schema")
     return parser
 
@@ -502,23 +468,7 @@ def _config_from_args(args) -> RunConfig:
         tol_scale = float(scale_text)
     except ValueError as exc:
         raise UsageError(f"bad GH_VERIFY_TOL_SCALE value {scale_text!r}") from exc
-    return RunConfig(
-        command=args.command,
-        m=args.m,
-        n=args.n,
-        blocks=blocks,
-        p=args.p,
-        seed=args.seed,
-        samples=args.samples,
-        radius=args.radius,
-        tol=args.tol,
-        tol_scale=tol_scale,
-        w=args.w,
-        a_file=args.a_file,
-        out=args.out,
-        csv=args.csv,
-        basis_scale=args.basis_scale,
-    )
+    return RunConfig(**{**vars(args), "blocks": blocks, "tol_scale": tol_scale})
 
 
 def main(argv=None) -> int:
@@ -539,18 +489,22 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainExhausted, JetError) as exc:
+    except (ops.SamplingExhausted, JetError) as exc:
         print(f"numerical domain failure: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     report.timing_seconds = time.perf_counter() - start
 
     text = report.to_json()
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    if config.csv:
-        with open(config.csv, "w") as fh:
-            fh.write(report.to_csv())
+    try:
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(text + "\n")
+        if config.csv:
+            with open(config.csv, "w") as fh:
+                fh.write(report.to_csv())
+    except OSError as exc:
+        print(f"configuration error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     print(text)
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -296,13 +296,14 @@ def dual_matrix(A, m: int | None = None, n: int | None = None) -> EigenMatrix:
 # -- p-harmonic compositions ---------------------------------------------------
 
 
-def _power_log_term(c: complex, phi, a: complex, b: int):
-    """c * phi^a * log(phi)^b with build-time trivial factors dropped."""
+def _power_log_term(c: complex, phi, log_phi, a: complex, b: int):
+    """c * phi^a * log(phi)^b with build-time trivial factors dropped; every
+    term of one composition shares the node log_phi, so a walk evaluates the
+    logarithm once."""
     factors = [Const(complex(c))]
     if a != 0:
         factors.append(phi if a == 1 else Pow(phi, complex(a)))
     if b > 0:
-        log_phi = Log(phi)
         factors.append(log_phi if b == 1 else Pow(log_phi, b))
     if len(factors) == 1:
         return factors[0]
@@ -339,7 +340,8 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
         raise ValueError("eigenvalue pattern (lam = 0, mu != 0) is not supported")
     else:
         terms = [(c1, 1 - lam / mu, p - 1), (c2, 0j, p - 1)]
-    built = [_power_log_term(c, phi, a, b) for c, a, b in terms if c != 0j]
+    log_phi = Log(phi)
+    built = [_power_log_term(c, phi, log_phi, a, b) for c, a, b in terms if c != 0j]
     if not built:
         return Const(0j)
     if len(built) == 1:

@@ -37,7 +37,7 @@ quotient-level identities on group samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -176,6 +176,29 @@ def _coefficient_planes(jm, index: int) -> np.ndarray:
     )
 
 
+def _identity_residuals(
+    X, ctx: OperatorContext, entry_jets, label: str, tau_expected, kappa_expected
+) -> dict[str, float]:
+    """Residual maxima, normalised by 1 + |expected|, of the closed forms for
+    the Laplacian and the gradient pairing of an N x N grid of functions.
+
+    ``entry_jets`` maps the order-2 jets of the entries of x along one basis
+    curve to the jets of the grid's functions along that curve.
+    """
+    N = X.shape[0]
+    tau = np.zeros((N, N), dtype=complex)
+    firsts = []
+    for b in ctx.basis:
+        jets = entry_jets(curve_jets(X, b.matrix, order=2))
+        tau += 2.0 * _coefficient_planes(jets, 2)
+        firsts.append(_coefficient_planes(jets, 1))
+    D = np.stack(firsts)
+    kappa = np.einsum("zja,zkb->jakb", D, D)
+    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
+    r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
+    return {f"tau_{label}": float(r_tau), f"kappa_{label}": float(r_kappa)}
+
+
 def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict[str, float]:
     """Residual maxima of the closed forms for Laplacian and gradient pairing
     of the matrix-entry coordinates on SO(N).
@@ -185,23 +208,13 @@ def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict[str, float]:
     """
     X = np.asarray(_as_matrix(x), dtype=float)
     N = X.shape[0]
-    tau = np.zeros((N, N), dtype=complex)
-    firsts = []
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=2)
-        tau += 2.0 * _coefficient_planes(jm, 2)
-        firsts.append(_coefficient_planes(jm, 1))
-    D = np.stack(firsts)
-    kappa = np.einsum("zja,zkb->jakb", D, D)
-
-    tau_expected = -(N - 1) / 2.0 * X
     eye = np.eye(N)
     kappa_expected = -0.5 * (
         np.einsum("jb,ka->jakb", X, X) - np.einsum("jk,ab->jakb", eye, eye)
     )
-    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
-    r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
-    return {"tau_coordinate": float(r_tau), "kappa_coordinate": float(r_kappa)}
+    return _identity_residuals(
+        X, ctx, lambda jm: jm, "coordinate", -(N - 1) / 2.0 * X, kappa_expected
+    )
 
 
 def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, float]:
@@ -216,29 +229,7 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
     X = np.asarray(_as_matrix(x), dtype=float)
     N = X.shape[0]
     S = X[:, :m] @ X[:, :m].T
-    tau = np.zeros((N, N), dtype=complex)
-    firsts = []
-    for b in ctx.basis:
-        jm = curve_jets(X, b.matrix, order=2)
-        window = [[jm[r][c] for c in range(m)] for r in range(N)]
-        planes0 = np.empty((N, N), dtype=complex)
-        planes1 = np.empty((N, N), dtype=complex)
-        planes2 = np.empty((N, N), dtype=complex)
-        for j in range(N):
-            for a in range(j, N):
-                acc = window[j][0] * window[a][0]
-                for t in range(1, m):
-                    acc = acc + window[j][t] * window[a][t]
-                planes0[j, a] = planes0[a, j] = acc.coefficient(0)
-                planes1[j, a] = planes1[a, j] = acc.coefficient(1)
-                planes2[j, a] = planes2[a, j] = acc.coefficient(2)
-        tau += 2.0 * planes2
-        firsts.append(planes1)
-    D = np.stack(firsts)
-    kappa = np.einsum("zja,zkb->jakb", D, D)
-
     eye = np.eye(N)
-    tau_expected = -N * S + m * eye
     kappa_expected = (
         -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S))
         + 0.5
@@ -249,9 +240,21 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
             + np.einsum("ka,jb->jakb", eye, S)
         )
     )
-    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
-    r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
-    return {"tau_projector": float(r_tau), "kappa_projector": float(r_kappa)}
+
+    def window_products(jm):
+        # entry (j, a) is computed once and mirrored to (a, j)
+        S_jets = [[None] * N for _ in range(N)]
+        for j in range(N):
+            for a in range(j, N):
+                acc = jm[j][0] * jm[a][0]
+                for t in range(1, m):
+                    acc = acc + jm[j][t] * jm[a][t]
+                S_jets[j][a] = S_jets[a][j] = acc
+        return S_jets
+
+    return _identity_residuals(
+        X, ctx, window_products, "projector", -N * S + m * eye, kappa_expected
+    )
 
 
 # -- checkers --------------------------------------------------------------------
@@ -270,8 +273,9 @@ def check_eigenfunction(
     records: list[CheckRecord] = []
     for i, pt in enumerate(points):
         v = complex(evaluate(f, _as_matrix(pt)))
-        t = complex(laplacian(f, pt, ctx))
-        k = complex(gradient_product(f, f, pt, ctx))
+        coeffs = laplacian_jet(f, pt, ctx.basis, 1).coeffs
+        t = complex(coeffs[-1])
+        k = complex(coeffs[1:-1] @ coeffs[1:-1])
         denom = 1.0 + abs(v) + abs(v) ** 2
         records.append(upper_check("tau_eigen", i, abs(t - lam * v) / denom, tol))
         records.append(upper_check("kappa_eigen", i, abs(k - mu * v * v) / denom, tol))
@@ -294,16 +298,7 @@ def check_eigenfamily(
     records: list[CheckRecord] = []
     for idx, f in enumerate(fs):
         member = check_eigenfunction(f, lam, mu, points, ctx, tol)
-        for rec in member.checks:
-            records.append(
-                CheckRecord(
-                    f"member{idx}_{rec.check}",
-                    rec.point,
-                    rec.residual,
-                    rec.threshold,
-                    rec.passed,
-                )
-            )
+        records += [replace(rec, check=f"member{idx}_{rec.check}") for rec in member.checks]
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             for pidx, pt in enumerate(points):

@@ -14,7 +14,7 @@ Most checks are upper bounds (residual <= threshold).  Witness-style checks
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -71,14 +71,7 @@ class CheckRecord:
     kind: str = "upper"
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "point": self.point,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "kind": self.kind,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def upper_check(check: str, point, residual: float, threshold: float) -> CheckRecord:
@@ -144,33 +137,49 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
+}
+
+
+def _is_json_type(value, name: str) -> bool:
+    # bool subclasses int in Python; JSON booleans are not numbers
+    if isinstance(value, bool):
+        return name == "boolean"
+    return isinstance(value, _JSON_TYPES[name])
+
+
+def _check_schema(value, schema: dict, where: str) -> None:
+    """Check value against the JSON-schema keywords REPORT_SCHEMA uses."""
+    if "type" in schema:
+        names = [schema["type"]] if isinstance(schema["type"], str) else schema["type"]
+        if not any(_is_json_type(value, name) for name in names):
+            raise ValueError(f"{where} must be of type {' or '.join(names)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ValueError(f"{where} must be one of {schema['enum']}, got {value!r}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise ValueError(f"{where} is missing field {key!r}")
+    properties = schema.get("properties", {})
+    for key, sub in properties.items():
+        if key in value:
+            _check_schema(value[key], sub, f"{where}.{key}")
+    if "additionalProperties" in schema:
+        for key in value.keys() - properties.keys():
+            _check_schema(value[key], schema["additionalProperties"], f"{where}.{key}")
+    for i, item in enumerate(value if "items" in schema else ()):
+        _check_schema(item, schema["items"], f"{where}[{i}]")
+
+
 def validate_report_dict(doc: dict) -> None:
-    """Structural validation of a report document against the schema."""
-    if not isinstance(doc, dict):
-        raise ValueError("report must be an object")
-    for key in REPORT_SCHEMA["required"]:
-        if key not in doc:
-            raise ValueError(f"report is missing field {key!r}")
-    if not isinstance(doc["command"], str):
-        raise ValueError("command must be a string")
-    if not isinstance(doc["config"], dict):
-        raise ValueError("config must be an object")
-    if not isinstance(doc["passed"], bool):
-        raise ValueError("passed must be a boolean")
-    if not isinstance(doc["notes"], list):
-        raise ValueError("notes must be an array")
-    if not isinstance(doc["checks"], list):
-        raise ValueError("checks must be an array")
-    for rec in doc["checks"]:
-        for key in ("check", "point", "residual", "threshold", "passed", "kind"):
-            if key not in rec:
-                raise ValueError(f"check record missing field {key!r}")
-        if rec["kind"] not in ("upper", "lower"):
-            raise ValueError(f"unknown check kind {rec['kind']!r}")
-        if not isinstance(rec["residual"], (int, float)):
-            raise ValueError("residual must be numeric")
-    if not isinstance(doc["max_residuals"], dict):
-        raise ValueError("max_residuals must be an object")
-    agg_pass = all(rec["passed"] for rec in doc["checks"])
-    if doc["passed"] != agg_pass:
+    """Validate a report document against REPORT_SCHEMA (the output of
+    ``pharmonic report-schema``) and check that the overall verdict agrees
+    with the check records."""
+    _check_schema(doc, REPORT_SCHEMA, "report")
+    if doc["passed"] != all(rec["passed"] for rec in doc["checks"]):
         raise ValueError("overall verdict inconsistent with check records")

@@ -8,13 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pharmonic import operators as ops
 from pharmonic.cli import (
     COMMANDS,
     EXIT_DOMAIN,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    PROPERNESS_FLOOR,
     RunConfig,
     cmd_calibrate,
     cmd_dual,
@@ -23,7 +27,7 @@ from pharmonic.cli import (
     cmd_pharmonic,
     main,
 )
-from pharmonic.jets import NonFiniteError
+from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -256,6 +260,11 @@ def test_tol_override_flag(capsys):
         ("dual", "--radius", "-1"),
         ("calibrate", "--seed", "-5"),
         ("calibrate", "--tol", "nan"),
+        ("calibrate", "--m", "1", "--n", "1", "--out", "no-such-dir/x.json"),
+        ("calibrate", "--m", "1", "--n", "1", "--csv", "no-such-dir/x.csv"),
+        ("grassmann", "--w", "1e-300,0,0"),
+        ("grassmann", "--w", "1e-160,0,0"),
+        ("pharmonic", "--w", "1e200,1,1"),
     ],
 )
 def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
@@ -265,6 +274,15 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["grassmann", "dual"])
+@pytest.mark.parametrize("entry", ["1e308", "1e-170"])
+def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys, command, entry):
+    path = tmp_path / "A.csv"
+    path.write_text("0,0,0,0\n0,0,0,0\n0,0,0,0\n0,0,0," + entry + "\n")
+    assert main([command, "--A", str(path), "--samples", "1"]) == EXIT_USAGE
+    assert "coefficient matrix scale" in capsys.readouterr().err
+
+
 def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):
     def overflow(config):
         raise NonFiniteError("exp overflow")
@@ -272,6 +290,147 @@ def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):
     monkeypatch.setitem(COMMANDS, "calibrate", overflow)
     assert main(["calibrate"]) == EXIT_DOMAIN
     assert "numerical domain failure" in capsys.readouterr().err
+
+
+# -- the exit-code contract over generated argument vectors ------------------------------
+
+_BAD_NUMBERS = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "1e400", "0x10"])
+_CELLS = st.sampled_from(["0", "1", "-2.5", "1:1", "0:-1", "1e308", "1e-300", "1e-9"])
+_BAD_CELLS = st.sampled_from(["nan", "inf", "1j", "x", "", "1:", "1:2:3"])
+
+
+@st.composite
+def _argument_vectors(draw):
+    """(argv, matrix file) for main; half the draws use only well-formed values.
+
+    Runs that get past validation keep --samples <= 2 and p <= 3, and the
+    matrix file, when present, is a (suffix, text) pair for the test to write."""
+    wild = draw(st.booleans())
+
+    def value(valid, invalid):
+        return str(draw(st.one_of(valid, invalid) if wild else valid))
+
+    def option(name, valid, invalid):
+        return [name, value(valid, invalid)] if draw(st.booleans()) else []
+
+    cells = st.one_of(_CELLS, _BAD_CELLS) if wild else _CELLS
+    # --samples is always given: its default of 20 would make a run slow
+    samples = value(st.sampled_from([1, 2]), st.sampled_from([0, -1, "x"]))
+    argv = [draw(st.sampled_from(sorted(COMMANDS))), "--samples", samples]
+    argv += option("--m", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))
+    argv += option("--n", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))
+    bad_p = st.sampled_from([-1, 0, ops.DEPTH_CAP + 1])
+    argv += option("--p", st.integers(1, 3), st.one_of(bad_p, _BAD_NUMBERS))
+    seeds = st.sampled_from([0, 2**31 - 1, 2**32, 2**64 + 3])
+    argv += option("--seed", seeds, st.one_of(st.just(-5), _BAD_NUMBERS))
+    radii = st.sampled_from([0, 1e-300, 0.5, 1.5])
+    argv += option("--radius", radii, st.one_of(st.sampled_from([1e3, -1]), _BAD_NUMBERS))
+    tols = st.sampled_from([0, 1e-18, 1e300])
+    argv += option("--tol", tols, st.one_of(st.just(-1), _BAD_NUMBERS))
+    argv += option(
+        "--w", st.lists(cells, min_size=1, max_size=6).map(",".join), st.text(max_size=12)
+    )
+    argv += option(
+        "--blocks",
+        st.lists(st.integers(1, 2), min_size=1, max_size=3).map(lambda b: ",".join(map(str, b))),
+        st.one_of(st.sampled_from(["a", "1,,2", "2;2", ",", "0,1", "-1,2"]), st.text(max_size=6)),
+    )
+    matrix = st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(cells, min_size=k, max_size=k), min_size=k, max_size=k)
+    ).map(lambda rows: (".csv", "".join(",".join(row) + "\n" for row in rows)))
+    garbage_text = st.sampled_from(["", "{", "[]", "[[1]]", '{"a": 1}', "[[1, [2]]]"])
+    garbage = st.tuples(
+        st.sampled_from([".csv", ".json"]), st.one_of(garbage_text, st.text(max_size=30))
+    )
+    matrix_file = draw(st.one_of(st.none(), st.one_of(matrix, garbage) if wild else matrix))
+    return argv, matrix_file
+
+
+@given(_argument_vectors())
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_exit_code_contract_holds_for_generated_argument_vectors(tmp_path, capsys, case):
+    # the run is in-process, so an exception escaping main fails the test
+    argv, matrix_file = case
+    if matrix_file is not None:
+        suffix, text = matrix_file
+        path = tmp_path / f"matrix{suffix}"
+        path.write_text(text)
+        argv = argv + ["--A", str(path)]
+    assert main(argv) in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_DOMAIN), argv
+    capsys.readouterr()
+
+
+# -- the shared p-harmonic pipeline ------------------------------------------------------
+
+PIPELINE_RUNS = {
+    "pharmonic": ["pharmonic", "--m", "1", "--n", "2", "--samples", "2"],
+    "flag": ["flag", "--blocks", "2,2", "--samples", "2"],
+    "dual": ["dual", "--m", "1", "--n", "2", "--radius", "0.5", "--samples", "2"],
+}
+
+
+def _fake_residuals(monkeypatch, outcomes):
+    """Replace ops.p_harmonic_residuals; outcome k answers the k-th call
+    (the last repeats), an exception class is raised."""
+    calls = []
+
+    def fake(f, p, x, ctx):
+        outcome = outcomes[min(len(calls), len(outcomes) - 1)]
+        calls.append(x)
+        if isinstance(outcome, type):
+            raise outcome("forced by the test")
+        return outcome
+
+    monkeypatch.setattr(ops, "p_harmonic_residuals", fake)
+    return calls
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
+def test_branch_cut_during_iteration_drops_the_point(monkeypatch, capsys, command):
+    _fake_residuals(monkeypatch, [BranchCutError, (0.0, 1.0)])
+    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
+    doc = json.loads(out)
+    assert "point 0 rejected during iteration (branch cut)" in doc["notes"]
+    residual_points = [c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"]
+    assert residual_points == [1]
+    assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
+def test_sub_floor_witness_drops_the_point(monkeypatch, capsys, command):
+    _fake_residuals(monkeypatch, [(0.0, PROPERNESS_FLOOR / 2), (0.0, 1.0)])
+    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
+    doc = json.loads(out)
+    assert "point 0 resampled: order-(p-1) witness below floor" in doc["notes"]
+    witness_points = [c["point"] for c in doc["checks"] if c["check"] == "properness_witness"]
+    assert witness_points == [1]
+    assert code == EXIT_PASS
+
+
+@pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
+def test_every_point_dropped_fails_properness(monkeypatch, capsys, command):
+    calls = _fake_residuals(monkeypatch, [(0.0, 0.0)])
+    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
+    doc = json.loads(out)
+    assert len(calls) == 2
+    assert not [c for c in doc["checks"] if c["check"] == "tau_p_residual"]
+    failing = [c for c in doc["checks"] if not c["passed"]]
+    assert failing == [
+        {"check": "properness_witness", "point": "all", "residual": 0.0,
+         "threshold": PROPERNESS_FLOOR, "passed": False, "kind": "lower"}
+    ]
+    assert "order-(p-1) image vanished on every sample" in doc["notes"]
+    assert code == EXIT_FAIL
+
+
+def test_dual_at_radius_zero_expects_no_witness(monkeypatch, capsys):
+    _fake_residuals(monkeypatch, [(0.0, 0.0)])
+    code, out = run_cli(capsys, "dual", "--m", "1", "--n", "2", "--radius", "0", "--samples", "2")
+    doc = json.loads(out)
+    assert not [c for c in doc["checks"] if c["point"] == "all"]
+    assert "order-(p-1) image vanished on every sample" not in doc["notes"]
 
 
 # -- orders beyond three --------------------------------------------------------------

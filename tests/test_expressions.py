@@ -256,6 +256,27 @@ def test_p_harmonic_case_dispatch_values():
     assert abs(evaluate(node, x) - (complex(v) ** (-1.0) + 4)) <= 1e-12
 
 
+def _subtrees(node):
+    yield node
+    children = {Sum: "terms", Product: "factors"}.get(type(node))
+    if children:
+        for child in getattr(node, children):
+            yield from _subtrees(child)
+    elif isinstance(node, Pow):
+        yield from _subtrees(node.base)
+    elif isinstance(node, Log):
+        yield from _subtrees(node.child)
+
+
+def test_two_term_composition_shares_one_log_node():
+    # one Log node per composition, so the identity memo runs its series once
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    node = p_harmonic_expr(phi, -4, -2, 3, c1=1, c2=1)
+    logs = {id(n) for n in _subtrees(node) if isinstance(n, Log)}
+    assert len(node.terms) == 2
+    assert len(logs) == 1
+
+
 def test_p_harmonic_rejections():
     phi = Entry(1, 1)
     with pytest.raises(ValueError):

@@ -182,6 +182,33 @@ def test_check_eigenfunction_positive():
     assert max(report.max_residuals.values()) <= 1e-12
 
 
+def test_check_eigenfunction_walks_each_point_once(monkeypatch):
+    import pharmonic.operators as ops
+
+    m, n = 2, 2
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (m, n)))
+    pts = [sample_so(m + n, 70 + i) for i in range(3)]
+    ctx = quotient_context(m, n)
+    expected = []
+    for pt in pts:
+        v = complex(evaluate(phi, pt.entries))
+        denom = 1.0 + abs(v) + abs(v) ** 2
+        expected.append(abs(laplacian(phi, pt, ctx) - complex(-4) * v) / denom)
+        expected.append(abs(gradient_product(phi, phi, pt, ctx) - complex(-2) * v * v) / denom)
+
+    depths = []
+    walk = ops.laplacian_jet
+
+    def counting_walk(f, x, basis, p):
+        depths.append(p)
+        return walk(f, x, basis, p)
+
+    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
+    report = check_eigenfunction(phi, -4, -2, pts, ctx, 1e-8)
+    assert depths == [1] * len(pts)
+    assert [r.residual for r in report.checks] == expected
+
+
 def test_check_eigenfunction_negative_control():
     # traceless symmetric rank-2 matrix: the pairing relation must fail visibly
     m, n = 2, 2

@@ -76,3 +76,22 @@ def test_validator_rejects_malformed_documents():
     wrong_kind["checks"][0]["kind"] = "sideways"
     with pytest.raises(ValueError):
         validate_report_dict(wrong_kind)
+
+    # documents that `pharmonic report-schema` forbids; JSON booleans are not numbers
+    for path, value in (
+        (("checks", 0, "threshold"), "1e-9"),
+        (("checks", 0, "point"), [0]),
+        (("checks", 0, "passed"), "true"),
+        (("timing_seconds",), "0.5"),
+        (("version",), 1),
+        (("notes", 0), 3),
+        (("max_residuals", "alpha"), "3e-11"),
+        (("checks", 0, "residual"), False),
+    ):
+        malformed = json.loads(_sample_report().to_json())
+        target = malformed
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError):
+            validate_report_dict(malformed)
