@@ -151,7 +151,9 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
 
     ``A`` may be an :class:`EigenMatrix` or a plain complex matrix (useful
     for negative controls).  The window defaults to the first ``m`` columns,
-    with ``m`` taken from the eigen-matrix dims when not given.
+    with ``m`` taken from the eigen-matrix dims when not given.  Since
+    q_{j,a} = q_{a,j}, the tree holds one term per unordered pair j <= a,
+    with coefficient A[j,a] + A[a,j] off the diagonal: exact for any A.
     """
     if isinstance(A, EigenMatrix):
         if m is None and columns is None and A.dims is not None:
@@ -166,8 +168,8 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
     N = A.shape[0]
     terms = []
     for j in range(1, N + 1):
-        for a in range(1, N + 1):
-            c = complex(A[j - 1, a - 1])
+        for a in range(j, N + 1):
+            c = complex(A[j - 1, a - 1] if a == j else A[j - 1, a - 1] + A[a - 1, j - 1])
             if c != 0j:
                 terms.append(Product((Const(c), window_quadratic(j, a, columns))))
     if not terms:
@@ -261,14 +263,19 @@ def rank_one_from_vector(w, dims: tuple[int, int] | None = None) -> EigenMatrix:
 
     With s the principal square root of sum(w_i^2), the generating isotropic
     vector is (s, i w_1, ..., i w_{N-1}); the result has first row
-    (sum w^2, i w_1 s, ...) and lower block -w_i w_j.
+    (sum w^2, i w_1 s, ...) and lower block -w_i w_j.  A w whose products
+    overflow raises ValueError.
     """
     w = np.asarray(w, dtype=complex).ravel()
     if w.size == 0 or not np.any(w):
         raise ValueError("need a nonzero vector")
-    root = cmath.sqrt(complex(w @ w))
-    u = np.concatenate([[root], 1j * w])
-    return rank_one_from_isotropic(u, dims)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = cmath.sqrt(complex(w @ w))
+        u = np.concatenate([[root], 1j * w])
+        A = rank_one_from_isotropic(u, dims)
+    if not np.all(np.isfinite(A.matrix)):
+        raise ValueError("products of the entries of w overflow")
+    return A
 
 
 def dual_matrix(A, m: int | None = None, n: int | None = None) -> EigenMatrix:

@@ -26,8 +26,12 @@ are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
 
-The closed-form identity residuals use order-2 jets along each basis curve
-(:func:`pharmonic.group.curve_jets`) on the coordinate functions directly.
+The closed-form identity residuals read the same depth-1 lift as plain
+arrays: for the coordinate functions its planes X M_i are the value, the
+gradient and the Laplacian outright, and for the projector quadratics
+S = W W^T (W the window columns of X) one application of the product rule
+gives Z_b S = (X Z_b)_W W^T + W (X Z_b)_W^T and
+L S = (X sum Z^2)_W W^T + W (X sum Z^2)_W^T + 2 sum_b (X Z_b)_W (X Z_b)_W^T.
 
 For a function invariant under right translation by a subgroup K, every
 K-tangent direction contributes zero, so the full-basis Laplacian agrees
@@ -44,7 +48,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .expressions import evaluate
-from .group import BasisVector, GroupPoint, curve_jets, k_basis, m_basis, so_basis
+from .group import BasisVector, GroupPoint, k_basis, m_basis, so_basis
+from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import LaplacianJet, scalar_value
 from .reports import CheckRecord, VerificationReport, lower_check, upper_check
 
@@ -101,6 +106,18 @@ def _as_matrix(x):
 # -- core operators -------------------------------------------------------------
 
 
+def _lift(X: np.ndarray, basis: Sequence[BasisVector], p: int) -> np.ndarray:
+    """The D**p matrices X M_i1 ... M_ip, stacked in multi-index order, for
+    M_0 = I, M_b = Z_b and M_(D-1) = sum_b Z_b Z_b."""
+    N = X.shape[0]
+    zs = [b.matrix for b in basis]
+    fields = np.stack([np.eye(N), *zs, sum(z @ z for z in zs)])
+    lifted = X[None]
+    for _ in range(p):
+        lifted = (lifted[:, None] @ fields).reshape(-1, N, N)
+    return lifted
+
+
 def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
     """f evaluated once on the depth-p forward-Laplacian lift of the point x.
 
@@ -109,13 +126,9 @@ def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
     """
     X = np.asarray(_as_matrix(x))
     N = X.shape[0]
-    zs = [b.matrix for b in basis]
-    fields = np.stack([np.eye(N), *zs, sum(z @ z for z in zs)])
-    lifted = X[None]
-    for _ in range(p):
-        lifted = (lifted[:, None] @ fields).reshape(-1, N, N)
+    lifted = _lift(X, basis, p)
     entries = np.ascontiguousarray(lifted.reshape(-1, N * N).T, dtype=complex)
-    B = len(zs)
+    B = len(basis)
     rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
     value = evaluate(f, rows)
     if isinstance(value, LaplacianJet):
@@ -168,32 +181,11 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
 # -- batch identity residuals ---------------------------------------------------
 
 
-def _coefficient_planes(jm, index: int) -> np.ndarray:
-    N = len(jm)
-    return np.array(
-        [[jm[r][c].coefficient(index) for c in range(N)] for r in range(N)],
-        dtype=complex,
-    )
-
-
-def _identity_residuals(
-    X, ctx: OperatorContext, entry_jets, label: str, tau_expected, kappa_expected
-) -> dict[str, float]:
+def _identity_residuals(tau, grads, label: str, tau_expected, kappa_expected) -> dict[str, float]:
     """Residual maxima, normalised by 1 + |expected|, of the closed forms for
-    the Laplacian and the gradient pairing of an N x N grid of functions.
-
-    ``entry_jets`` maps the order-2 jets of the entries of x along one basis
-    curve to the jets of the grid's functions along that curve.
-    """
-    N = X.shape[0]
-    tau = np.zeros((N, N), dtype=complex)
-    firsts = []
-    for b in ctx.basis:
-        jets = entry_jets(curve_jets(X, b.matrix, order=2))
-        tau += 2.0 * _coefficient_planes(jets, 2)
-        firsts.append(_coefficient_planes(jets, 1))
-    D = np.stack(firsts)
-    kappa = np.einsum("zja,zkb->jakb", D, D)
+    the Laplacian and the gradient pairing of an N x N grid of functions,
+    from its Laplacian plane ``tau`` and its B gradient planes ``grads``."""
+    kappa = np.einsum("zja,zkb->jakb", grads, grads)
     r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
     r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
     return {f"tau_{label}": float(r_tau), f"kappa_{label}": float(r_kappa)}
@@ -212,8 +204,9 @@ def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict[str, float]:
     kappa_expected = -0.5 * (
         np.einsum("jb,ka->jakb", X, X) - np.einsum("jk,ab->jakb", eye, eye)
     )
+    lifted = _lift(X, ctx.basis, 1)
     return _identity_residuals(
-        X, ctx, lambda jm: jm, "coordinate", -(N - 1) / 2.0 * X, kappa_expected
+        lifted[-1], lifted[1:-1], "coordinate", -(N - 1) / 2.0 * X, kappa_expected
     )
 
 
@@ -228,7 +221,8 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
     """
     X = np.asarray(_as_matrix(x), dtype=float)
     N = X.shape[0]
-    S = X[:, :m] @ X[:, :m].T
+    W = X[:, :m]
+    S = W @ W.T
     eye = np.eye(N)
     kappa_expected = (
         -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S))
@@ -240,21 +234,12 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
             + np.einsum("ka,jb->jakb", eye, S)
         )
     )
-
-    def window_products(jm):
-        # entry (j, a) is computed once and mirrored to (a, j)
-        S_jets = [[None] * N for _ in range(N)]
-        for j in range(N):
-            for a in range(j, N):
-                acc = jm[j][0] * jm[a][0]
-                for t in range(1, m):
-                    acc = acc + jm[j][t] * jm[a][t]
-                S_jets[j][a] = S_jets[a][j] = acc
-        return S_jets
-
-    return _identity_residuals(
-        X, ctx, window_products, "projector", -N * S + m * eye, kappa_expected
-    )
+    # product rule on S = W W^T over the window columns of the lifted planes
+    windows = _lift(X, ctx.basis, 1)[:, :, :m]
+    half = windows @ W.T
+    grads = half[1:-1] + half[1:-1].transpose(0, 2, 1)
+    tau = half[-1] + half[-1].T + 2.0 * np.einsum("bjt,bat->ja", windows[1:-1], windows[1:-1])
+    return _identity_residuals(tau, grads, "projector", -N * S + m * eye, kappa_expected)
 
 
 # -- checkers --------------------------------------------------------------------

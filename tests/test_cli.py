@@ -265,6 +265,7 @@ def test_tol_override_flag(capsys):
         ("grassmann", "--w", "1e-300,0,0"),
         ("grassmann", "--w", "1e-160,0,0"),
         ("pharmonic", "--w", "1e200,1,1"),
+        ("grassmann", "--w", "1e308,1e308,1"),
     ],
 )
 def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
@@ -272,6 +273,7 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert "configuration error" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["grassmann", "dual"])

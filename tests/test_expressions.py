@@ -174,6 +174,28 @@ def test_projector_form_linearity():
     assert abs(lhs - rhs) <= 1e-12
 
 
+def test_projector_form_has_one_term_per_unordered_pair():
+    N = 4
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    assert len(projector_form(B + B.T, m=2).terms) == N * (N + 1) // 2
+
+
+def test_projector_form_equals_unfolded_sum_for_nonsymmetric_coefficients():
+    m, n = 2, 3
+    N = m + n
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    x = sample_so(N, 6).entries
+    unfolded = sum(
+        A[j, a] * evaluate(window_quadratic(j + 1, a + 1, range(1, m + 1)), x)
+        for j in range(N)
+        for a in range(N)
+    )
+    folded = evaluate(projector_form(A, m=m), x)
+    assert abs(folded - unfolded) <= 1e-12 * (1 + abs(unfolded))
+
+
 def test_projector_form_needs_window():
     A = rank_one_from_vector([1, 2, 3])
     with pytest.raises(ValueError):

@@ -360,6 +360,82 @@ def test_forward_laplacian_matches_nested_jets(f, ctx, x):
         previous = want
 
 
+def _curve_jet_identity_residuals(x, ctx, m=None):
+    """The closed-form identity residuals from order-2 jets along each basis
+    curve x . exp(eps Z): of the coordinate functions when m is None, else of
+    the projector quadratics of the first m columns, built entry by entry
+    from jet products."""
+    X = x.entries
+    N = X.shape[0]
+    eye = np.eye(N)
+    if m is None:
+        label = "coordinate"
+
+        def entry_jets(jm):
+            return jm
+
+        tau_expected = -(N - 1) / 2.0 * X
+        kappa_expected = -0.5 * (
+            np.einsum("jb,ka->jakb", X, X) - np.einsum("jk,ab->jakb", eye, eye)
+        )
+    else:
+        label = "projector"
+
+        def entry_jets(jm):
+            sums = [[None] * N for _ in range(N)]
+            for j in range(N):
+                for a in range(j, N):
+                    acc = jm[j][0] * jm[a][0]
+                    for t in range(1, m):
+                        acc = acc + jm[j][t] * jm[a][t]
+                    sums[j][a] = sums[a][j] = acc
+            return sums
+
+        S = X[:, :m] @ X[:, :m].T
+        tau_expected = -N * S + m * eye
+        kappa_expected = -(
+            np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S)
+        ) + 0.5 * (
+            np.einsum("jk,ab->jakb", eye, S)
+            + np.einsum("ab,jk->jakb", eye, S)
+            + np.einsum("jb,ka->jakb", eye, S)
+            + np.einsum("ka,jb->jakb", eye, S)
+        )
+
+    def plane(jm, index):
+        return np.array([[jm[r][c].coefficient(index) for c in range(N)] for r in range(N)])
+
+    tau = np.zeros((N, N), dtype=complex)
+    firsts = []
+    for b in ctx.basis:
+        jets = entry_jets(curve_jets(X, b.matrix, order=2))
+        tau += 2.0 * plane(jets, 2)
+        firsts.append(plane(jets, 1))
+    grads = np.stack(firsts)
+    kappa = np.einsum("zja,zkb->jakb", grads, grads)
+    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
+    r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
+    return {f"tau_{label}": float(r_tau), f"kappa_{label}": float(r_kappa)}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.1])
+def test_identity_residuals_match_curve_jets(scale):
+    # a rescaled basis moves every residual to order 0.1, so agreement there
+    # checks the planes themselves, not just that both sides are near zero
+    for N in range(2, 9):
+        ctx = full_context(N, scale=scale)
+        x = sample_so(N, 700 + N)
+        pairs = [(coordinate_identity_residuals(x, ctx), _curve_jet_identity_residuals(x, ctx))]
+        pairs += [
+            (projector_identity_residuals(x, m, ctx), _curve_jet_identity_residuals(x, ctx, m))
+            for m in range(1, N)
+        ]
+        for got, want in pairs:
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-13, (N, key, got[key], value)
+
+
 def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     x = sample_so(4, 5)
     phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))

@@ -95,3 +95,38 @@ def test_validator_rejects_malformed_documents():
         target[path[-1]] = value
         with pytest.raises(ValueError):
             validate_report_dict(malformed)
+
+
+def _sweep_script():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_suite.py"
+    spec = importlib.util.spec_from_file_location("run_verification_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_comparison_names_differing_fields(tmp_path):
+    compare_reports = _sweep_script().compare_reports
+    old = json.loads(_sample_report().to_json())
+    previous = tmp_path / "demo.json"
+    previous.write_text(json.dumps(old))
+
+    moved = json.loads(json.dumps(old))
+    moved["checks"][2]["residual"] += 5e-11
+    moved["timing_seconds"] = 99.0
+    differing, change = compare_reports(moved, previous)
+    assert differing == [] and change == pytest.approx(5e-11)
+
+    flipped = json.loads(json.dumps(old))
+    flipped["checks"][3]["passed"] = False
+    flipped["notes"] = []
+    assert compare_reports(flipped, previous)[0] == ["verdicts", "notes"]
+
+    renamed = json.loads(json.dumps(old))
+    renamed["checks"][0]["point"] = 5
+    differing, change = compare_reports(renamed, previous)
+    assert differing == ["ids"] and change != change
+    assert compare_reports(old, tmp_path / "absent.json")[0] == ["missing"]
