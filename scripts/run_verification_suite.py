@@ -14,8 +14,8 @@ change of any check residual is printed beside it.  Timing is ignored.  Any
 difference makes the sweep exit 2.
 
 Usage:
-  python scripts/run_verification_suite.py            # full sweep
-  python scripts/run_verification_suite.py --quick    # fewer samples
+  python scripts/run_verification_suite.py              # full sweep
+  python scripts/run_verification_suite.py --samples 5  # fewer samples
   python scripts/run_verification_suite.py --out-dir reports
   python scripts/run_verification_suite.py --out-dir new --compare old
 """
@@ -97,14 +97,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="reports_out")
     parser.add_argument("--samples", type=int, default=20)
-    parser.add_argument("--quick", action="store_true", help="use 5 samples per run")
     parser.add_argument("--compare", metavar="DIR", help="compare with the reports in DIR")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples = 5 if args.quick else args.samples
-
     all_ok = all_same = True
     largest_change = 0.0
     header = f"{'run':<24} {'verdict':<8} {'checks':>7} {'worst residual':>15} {'time':>8}"
@@ -112,7 +109,7 @@ def main() -> int:
         header += f"  {'vs ' + args.compare:<24} {'max |dr|':>10}"
     print(header)
     print("-" * len(header))
-    for name, config in build_runs(samples):
+    for name, config in build_runs(args.samples):
         start = time.perf_counter()
         report = COMMANDS[config.command](config)
         report.timing_seconds = time.perf_counter() - start

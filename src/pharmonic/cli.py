@@ -53,6 +53,17 @@ MAX_BOOST_NORM = 4.0
 # entries in the structure checks underflow to zero or overflow.
 COEFFICIENT_SCALE_RANGE = (1e-150, 1e150)
 
+DEFAULT_BLOCKS = (1, 1, 2)
+
+# Largest forward-Laplacian lift, N^2 (|basis| + 2)^d components, a run may
+# build (see _lift_components); anything larger is a configuration error
+# before any basis or sample exists.  Measured on a 2-core x86-64 VM: the
+# largest tested run, flag --blocks 1,1,2 --p 5 (524,288 components), takes
+# 11.5 s and 223 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 7 s and 212 MB;
+# grassmann --m 19 --n 19 (1,018,020) 2.5 s and 185 MB.  Unbounded,
+# calibrate --m 1 --n 199 would first build about 6.4 GB of so(200) basis.
+MAX_LIFT_COMPONENTS = 2**20
+
 DEFAULT_TOLS = {
     "calibrate": 1e-9,
     "projector": 1e-9,
@@ -110,6 +121,27 @@ def _validate_common(config: RunConfig) -> None:
     for name, value in (("tol", config.tol), ("tolerance scale", config.tol_scale)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise UsageError(f"need a finite {name} >= 0")
+    lift = _lift_components(config)
+    if lift > MAX_LIFT_COMPONENTS:
+        raise UsageError(
+            f"group too large: its lift N^2 (|basis| + 2)^d holds {lift:,} components, "
+            f"more than {MAX_LIFT_COMPONENTS:,}"
+        )
+
+
+def _lift_components(config: RunConfig) -> int:
+    """N^2 (|basis| + 2)^d: the size of the largest forward-Laplacian lift the
+    run builds, for its N x N matrices, its widest basis and its depth d."""
+    if config.command == "flag":
+        N = sum(config.blocks or DEFAULT_BLOCKS)
+    else:
+        N = config.m + config.n
+    if config.command in ("pharmonic", "dual"):
+        directions = config.m * config.n
+    else:
+        directions = N * (N - 1) // 2
+    depth = config.p if config.command in ("pharmonic", "flag", "dual") else 1
+    return N * N * (directions + 2) ** depth
 
 
 def _threshold(config: RunConfig, default: float) -> float:
@@ -175,7 +207,7 @@ def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
 def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
     """The four coefficient-matrix structure records."""
     tol = _threshold(config, DEFAULT_TOLS["matrix"])
-    validation = ex.validate_eigen_matrix(A, tol, form=form)
+    validation = ex.validate_eigen_matrix(A, form=form)
     return [
         upper_check("matrix_symmetry", label, validation.symmetry, tol),
         upper_check("matrix_trace", label, validation.trace, tol),
@@ -283,7 +315,6 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
         phi,
         lambda s: sample_block_diagonal((m, n), s),
         points,
-        trials=5,
         tol=inv_tol,
         seed=config.seed,
     )
@@ -320,7 +351,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     """Per-block eigen relations, p-harmonicity of the block sum, invariance,
     and (three or more blocks) the non-descent witness."""
     _validate_common(config)
-    blocks = config.blocks or (1, 1, 2)
+    blocks = config.blocks or DEFAULT_BLOCKS
     if len(blocks) < 2:
         raise UsageError("need at least two blocks")
     n = sum(blocks)
@@ -349,7 +380,6 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
         total,
         lambda s: sample_block_diagonal(blocks, s),
         sampled,
-        trials=5,
         tol=inv_tol,
         seed=config.seed,
     )
@@ -361,8 +391,6 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
             total,
             lambda s: sample_block_diagonal(merged, s),
             sampled[:1],
-            trials=20,
-            floor=1e-6,
             seed=config.seed,
         )
         records.extend(witness_report.checks)
@@ -399,7 +427,8 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     points = [sample_so_mn(m, n, config.seed + i, config.radius) for i in range(config.samples)]
     values = [complex(ex.evaluate(phi, pt.entries)) for pt in points]
     spread = float(np.std(np.abs(values)))
-    if spread < 1e-12 * (1.0 + float(np.mean(np.abs(values)))):
+    # one value has no spread to judge
+    if len(values) >= 2 and spread < 1e-12 * (1.0 + float(np.mean(np.abs(values)))):
         notes.append(
             "degenerate samples: function values constant across points "
             "(radius too small to leave the compact subgroup)"

@@ -32,7 +32,6 @@ import numpy as np
 from .jets import ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
-MATRIX_TOL = 1e-10
 
 
 # -- expression trees ----------------------------------------------------------
@@ -137,15 +136,6 @@ def window_quadratic(j: int, alpha: int, columns: Sequence[int]) -> Sum:
     return Sum(tuple(Product((Entry(j, t), Entry(alpha, t))) for t in columns))
 
 
-def projector_entry(j: int, alpha: int, m: int) -> Sum:
-    """Entry (j, alpha) of the projector onto the first-m-columns span."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if j < 1 or alpha < 1:
-        raise ValueError("indices are 1-based")
-    return window_quadratic(j, alpha, range(1, m + 1))
-
-
 def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None):
     """Quadratic form sum_{j,a} A[j,a] * q_{j,a} over a column window.
 
@@ -190,38 +180,20 @@ class EigenMatrix:
 
 @dataclass(frozen=True)
 class MatrixValidation:
-    """Scale-normalized residuals of the four structure conditions."""
+    """Scale-normalized residuals of the four structure conditions; each is
+    zero for an exact eigenfunction-inducing matrix."""
 
     symmetry: float
     trace: float
     square: float
     rank_ratio: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.symmetry <= self.tol
-            and self.trace <= self.tol
-            and self.square <= self.tol
-            and self.rank_ratio <= self.tol
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "symmetry": self.symmetry,
-            "trace": self.trace,
-            "square": self.square,
-            "rank_ratio": self.rank_ratio,
-            "passed": self.passed,
-        }
 
 
-def validate_eigen_matrix(A, tol: float = MATRIX_TOL, form=None) -> MatrixValidation:
-    """Check symmetry, zero trace, square zero, and rank one.
+def validate_eigen_matrix(A, form=None) -> MatrixValidation:
+    """Residuals of symmetry, zero trace, square zero, and rank one.
 
-    Residuals are normalized by the matrix scale so the verdict is invariant
-    under rescaling; rank uses the ratio of the two largest singular values.
+    Residuals are normalized by the matrix scale so they are invariant under
+    rescaling; rank uses the ratio of the two largest singular values.
 
     ``form`` generalizes the conditions to an indefinite signature: with a
     diagonal form matrix eta the trace condition becomes tr(A eta) = 0 and
@@ -236,24 +208,23 @@ def validate_eigen_matrix(A, tol: float = MATRIX_TOL, form=None) -> MatrixValida
     eta = np.eye(A.shape[0]) if form is None else np.asarray(form)
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
-        return MatrixValidation(0.0, 0.0, 0.0, 1.0, tol)
+        return MatrixValidation(0.0, 0.0, 0.0, 1.0)
     sym = float(np.max(np.abs(A - A.T))) / scale
     tr = abs(complex(np.trace(A @ eta))) / scale
     sq = float(np.max(np.abs(A @ eta @ A))) / scale**2
     s = np.linalg.svd(A, compute_uv=False)
     rank_ratio = float(s[1] / s[0]) if len(s) > 1 else 0.0
-    return MatrixValidation(sym, tr, sq, rank_ratio, tol)
+    return MatrixValidation(sym, tr, sq, rank_ratio)
 
 
-def rank_one_from_isotropic(
-    u, dims: tuple[int, int] | None = None, atol: float = ISOTROPY_TOL
-) -> EigenMatrix:
-    """Coefficient matrix u u^T for an isotropic vector (u . u = 0)."""
+def rank_one_from_isotropic(u, dims: tuple[int, int] | None = None) -> EigenMatrix:
+    """Coefficient matrix u u^T for an isotropic vector (u . u = 0, to
+    ISOTROPY_TOL relative to |u|^2)."""
     u = np.asarray(u, dtype=complex).ravel()
     norm2 = float(np.sum(np.abs(u) ** 2))
     if norm2 == 0.0:
         raise ValueError("isotropic vector must be nonzero")
-    if abs(complex(u @ u)) > atol * norm2:
+    if abs(complex(u @ u)) > ISOTROPY_TOL * norm2:
         raise ValueError(f"vector is not isotropic: u.u = {complex(u @ u)!r}")
     return EigenMatrix(np.outer(u, u), dims)
 
@@ -472,12 +443,3 @@ def load_matrix(path) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     return mat
-
-
-def load_vector(path) -> np.ndarray:
-    """Complex vector from a one-line CSV of 're:im' cells or a JSON array."""
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        cells = json.loads(path.read_text())
-        return np.array([_cell_to_complex(c) for c in cells], dtype=complex)
-    return parse_vector(path.read_text().strip())

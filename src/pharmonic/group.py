@@ -51,10 +51,6 @@ class GroupPoint:
     entries: np.ndarray
     signature: tuple
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
 
 def minkowski_form(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(n)]))
@@ -144,20 +140,6 @@ def m_basis(m: int, n: int, kind: str = "compact") -> list[BasisVector]:
         for j in range(1, m + 1)
         for a in range(m + 1, N + 1)
     ]
-
-
-def gram_matrix(basis: Sequence[BasisVector]) -> np.ndarray:
-    """Gram matrix under the signed trace form (all vectors must share a sign)."""
-    signs = {b.form_sign for b in basis}
-    if len(signs) != 1:
-        raise ValueError("mixed form signs in one basis")
-    sign = signs.pop()
-    k = len(basis)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = sign * np.trace(basis[i].matrix @ basis[j].matrix)
-    return G
 
 
 # -- sampling -----------------------------------------------------------------

@@ -48,55 +48,60 @@ import numpy as np
 from scipy.linalg import expm
 
 from .expressions import evaluate
-from .group import BasisVector, GroupPoint, k_basis, m_basis, so_basis
+from .group import BasisVector, GroupPoint, m_basis, so_basis
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import LaplacianJet, scalar_value
 from .reports import CheckRecord, VerificationReport, lower_check, upper_check
 
 DEPTH_CAP = 5
 
+# Subgroup elements per invariance check; merged-subgroup elements per point,
+# and the change f must show under one of them, for the non-descent witness.
+INVARIANCE_TRIALS = 5
+WITNESS_TRIALS = 20
+WITNESS_FLOOR = 1e-6
+
+# Conditioned sampling.  Iterated-Laplacian checks amplify roundoff like a
+# power of the derivative-to-value ratio, so the small-magnitude tail is
+# mathematically fine but numerically uninformative: a point is kept only
+# when every function's magnitude reaches FLOOR_RATIO times the median of
+# the first batch, which keeps cancellation noise well below the thresholds.
+# ABS_FLOOR and ABS_CEIL bound the magnitudes outright, and CUT_ANGLE keeps
+# values that far (in radians) from the branch cut of log and fractional
+# powers on the negative real axis.
+FLOOR_RATIO = 0.25
+ABS_FLOOR = 1e-6
+ABS_CEIL = 1e6
+CUT_ANGLE = 1e-2
+
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Basis and signature data the operators run against."""
+    """The orthonormal basis the operators sum over."""
 
     basis: tuple[BasisVector, ...]
-    signature: tuple
-    default_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.basis:
             raise ValueError("operator context needs a nonempty basis")
 
 
-def _scaled(basis: Sequence[BasisVector], scale: float) -> tuple[BasisVector, ...]:
-    if scale == 1.0:
-        return tuple(basis)
-    return tuple(
-        BasisVector(b.matrix * scale, b.rows, b.block, b.form_sign) for b in basis
-    )
-
-
 def full_context(N: int, scale: float = 1.0) -> OperatorContext:
-    """All of so(N): the group-level Laplacian."""
-    return OperatorContext(_scaled(so_basis(N), scale), ("compact", N))
-
-
-def quotient_context(m: int, n: int, scale: float = 1.0) -> OperatorContext:
-    """Off-block directions only: the quotient-level operators on SO(m+n)."""
-    return OperatorContext(_scaled(m_basis(m, n, "compact"), scale), ("compact", m + n))
-
-
-def dual_context(m: int, n: int, scale: float = 1.0) -> OperatorContext:
-    """Boost directions of the indefinite group: the dual quotient operators."""
+    """All of so(N): the group-level Laplacian.  A scale other than 1 rescales
+    every basis vector, which breaks the normalization on purpose."""
     return OperatorContext(
-        _scaled(m_basis(m, n, "indefinite"), scale), ("indefinite", m, n)
+        tuple(BasisVector(b.matrix * scale, b.rows, b.block, b.form_sign) for b in so_basis(N))
     )
 
 
-def k_context(m: int, n: int) -> OperatorContext:
-    """Block-diagonal directions (for annihilation checks on invariant f)."""
-    return OperatorContext(tuple(k_basis(m, n)), ("compact", m + n))
+def quotient_context(m: int, n: int) -> OperatorContext:
+    """Off-block directions only: the quotient-level operators on SO(m+n)."""
+    return OperatorContext(tuple(m_basis(m, n, "compact")))
+
+
+def dual_context(m: int, n: int) -> OperatorContext:
+    """Boost directions of the indefinite group: the dual quotient operators."""
+    return OperatorContext(tuple(m_basis(m, n, "indefinite")))
 
 
 def _as_matrix(x):
@@ -150,20 +155,15 @@ def gradient_product(f, g, x, ctx: OperatorContext) -> complex:
     return complex(df @ dg)
 
 
-def iterated_laplacian(f, p: int, x, ctx: OperatorContext, depth_cap: int = DEPTH_CAP):
+def iterated_laplacian(f, p: int, x, ctx: OperatorContext):
     """p-fold Laplacian from one depth-p walk; p = 0 evaluates f."""
     if p < 0:
         raise ValueError("need p >= 0")
-    if p > depth_cap:
-        raise ValueError(f"iteration depth {p} exceeds cap {depth_cap}")
+    if p > DEPTH_CAP:
+        raise ValueError(f"iteration depth {p} exceeds cap {DEPTH_CAP}")
     if p == 0:
         return evaluate(f, _as_matrix(x))
     return complex(laplacian_jet(f, x, ctx.basis, p).coeffs[-1])
-
-
-def directional_second_derivatives(f, x, ctx: OperatorContext) -> list[complex]:
-    """Per-direction second derivatives (the summands of the Laplacian)."""
-    return [complex(laplacian_jet(f, x, (b,), 1).coeffs[-1]) for b in ctx.basis]
 
 
 def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
@@ -246,14 +246,13 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
 
 
 def check_eigenfunction(
-    f, lam, mu, points: Sequence, ctx: OperatorContext, tol: float | None = None
+    f, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
 ) -> VerificationReport:
     """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    tol = ctx.default_tol if tol is None else tol
     lam, mu = complex(lam), complex(mu)
     records: list[CheckRecord] = []
     for i, pt in enumerate(points):
@@ -272,13 +271,12 @@ def check_eigenfunction(
 
 
 def check_eigenfamily(
-    fs: Sequence, lam, mu, points: Sequence, ctx: OperatorContext, tol: float | None = None
+    fs: Sequence, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
 ) -> VerificationReport:
     """Eigen relations for each member plus pairing(f_i, f_j) = mu f_i f_j
     for every unordered pair."""
     if not fs:
         raise ValueError("need at least one family member")
-    tol = ctx.default_tol if tol is None else tol
     lam, mu = complex(lam), complex(mu)
     records: list[CheckRecord] = []
     for idx, f in enumerate(fs):
@@ -304,43 +302,18 @@ def check_eigenfamily(
     )
 
 
-def check_product_rule(
-    f, g, points: Sequence, ctx: OperatorContext, tol: float = 1e-10
-) -> VerificationReport:
-    """Verify laplacian(f g) = laplacian(f) g + 2 pairing(f, g) + f laplacian(g)."""
-    from .expressions import Product
-
-    fg = Product((f, g))
-    records: list[CheckRecord] = []
-    for i, pt in enumerate(points):
-        X = _as_matrix(pt)
-        vf = complex(evaluate(f, X))
-        vg = complex(evaluate(g, X))
-        tf = complex(laplacian(f, pt, ctx))
-        tg = complex(laplacian(g, pt, ctx))
-        kfg = complex(gradient_product(f, g, pt, ctx))
-        tfg = complex(laplacian(fg, pt, ctx))
-        rhs = tf * vg + 2.0 * kfg + vf * tg
-        denom = 1.0 + abs(tfg) + abs(tf * vg) + abs(kfg) + abs(vf * tg)
-        records.append(upper_check("product_rule", i, abs(tfg - rhs) / denom, tol))
-    return VerificationReport(
-        "check_product_rule", {"points": len(points), "tol": tol}, records
-    )
-
-
 def check_invariance(
     f,
     subgroup_sampler: Callable[[int], GroupPoint],
     points: Sequence,
-    trials: int = 5,
     tol: float = 1e-10,
     seed: int = 0,
 ) -> VerificationReport:
-    """Verify f(x k) = f(x) for sampled subgroup elements k.
+    """Verify f(x k) = f(x) for INVARIANCE_TRIALS sampled subgroup elements k.
 
     Records, per point, the worst normalized change over the trials.
     """
-    ks = [subgroup_sampler(seed + 10_000 + j).entries for j in range(trials)]
+    ks = [subgroup_sampler(seed + 10_000 + j).entries for j in range(INVARIANCE_TRIALS)]
     records: list[CheckRecord] = []
     for i, pt in enumerate(points):
         X = _as_matrix(pt)
@@ -351,7 +324,9 @@ def check_invariance(
             worst = max(worst, abs(moved - v) / (1.0 + abs(v)))
         records.append(upper_check("invariance", i, worst, tol))
     return VerificationReport(
-        "check_invariance", {"points": len(points), "trials": trials, "tol": tol}, records
+        "check_invariance",
+        {"points": len(points), "trials": INVARIANCE_TRIALS, "tol": tol},
+        records,
     )
 
 
@@ -359,29 +334,27 @@ def non_descent_witness(
     f,
     merged_sampler: Callable[[int], GroupPoint],
     points: Sequence,
-    trials: int = 20,
-    floor: float = 1e-6,
     seed: int = 0,
 ) -> VerificationReport:
     """Find a merged-subgroup element whose right action visibly moves f.
 
-    Passing means at least one sampled action changed the value by more
-    than the floor (a lower-bound check), witnessing that f does not
-    descend through the merged quotient.
+    Passing means at least one of WITNESS_TRIALS sampled actions per point
+    changed the value by more than WITNESS_FLOOR (a lower-bound check),
+    witnessing that f does not descend through the merged quotient.
     """
     records: list[CheckRecord] = []
     best = 0.0
     for i, pt in enumerate(points):
         X = _as_matrix(pt)
         v = complex(evaluate(f, X))
-        for j in range(trials):
-            k = merged_sampler(seed + 20_000 + i * trials + j).entries
+        for j in range(WITNESS_TRIALS):
+            k = merged_sampler(seed + 20_000 + i * WITNESS_TRIALS + j).entries
             moved = complex(evaluate(f, X @ k))
             best = max(best, abs(moved - v) / (1.0 + abs(v)))
-    records.append(lower_check("non_descent_witness", 0, best, floor))
+    records.append(lower_check("non_descent_witness", 0, best, WITNESS_FLOOR))
     return VerificationReport(
         "non_descent_witness",
-        {"points": len(points), "trials": trials, "floor": floor},
+        {"points": len(points), "trials": WITNESS_TRIALS, "floor": WITNESS_FLOOR},
         records,
     )
 
@@ -395,21 +368,13 @@ def conditioned_sample(
     sampler: Callable[[int], GroupPoint],
     count: int,
     seed: int,
-    *,
-    floor_ratio: float = 0.25,
-    abs_floor: float = 1e-6,
-    abs_ceil: float = 1e6,
-    cut_angle: float = 1e-2,
 ) -> tuple[list[GroupPoint], int]:
     """Draw points where every listed function is numerically trustworthy.
 
     A point qualifies when each function value keeps clear of the branch cut
-    and its magnitude reaches ``floor_ratio`` times the batch median scale.
-    Iterated-Laplacian checks amplify roundoff like a power of the
-    derivative-to-value ratio, so the small-magnitude tail is mathematically
-    fine but numerically uninformative; rejecting it keeps cancellation noise
-    well below the thresholds.  Deterministic for a fixed seed.  Returns the
-    accepted points and the total number of draws.
+    (CUT_ANGLE), lies within [ABS_FLOOR, ABS_CEIL], and its magnitude reaches
+    FLOOR_RATIO times the batch median scale.  Deterministic for a fixed seed.
+    Returns the accepted points and the total number of draws.
     """
     if count < 1:
         raise ValueError("need count >= 1")
@@ -419,9 +384,9 @@ def conditioned_sample(
         for f in funcs:
             v = complex(scalar_value(evaluate(f, point.entries)))
             mag = abs(v)
-            if not (abs_floor <= mag <= abs_ceil):
+            if not (ABS_FLOOR <= mag <= ABS_CEIL):
                 return None
-            if np.pi - abs(np.angle(v)) < cut_angle:
+            if np.pi - abs(np.angle(v)) < CUT_ANGLE:
                 return None
             worst = mag if worst is None else min(worst, mag)
         return worst
@@ -439,7 +404,7 @@ def conditioned_sample(
     if not candidates:
         raise SamplingExhausted("every candidate point violated the branch window")
     scale = float(np.median([m for _, m in candidates]))
-    floor = floor_ratio * scale
+    floor = FLOOR_RATIO * scale
 
     accepted = [pt for pt, mag in candidates if mag >= floor]
     while len(accepted) < count and draws < limit:

@@ -124,8 +124,8 @@ class VerificationReport:
             "version": self.version,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Flat residual dump, one line per check record."""

@@ -193,9 +193,6 @@ class EigenParams:
             raise ValueError("eigenvalues (0, 0) are not allowed")
         return params
 
-    def negated(self) -> "EigenParams":
-        return EigenParams(-self.lam, -self.mu)
-
 
 def apply_laplacian(expr: SymExpr, params: EigenParams) -> SymExpr:
     """One exact application of the Laplacian rewrite, extended linearly."""

@@ -20,11 +20,13 @@ from pharmonic.cli import (
     EXIT_USAGE,
     PROPERNESS_FLOOR,
     RunConfig,
+    UsageError,
     cmd_calibrate,
     cmd_dual,
     cmd_flag,
     cmd_grassmann,
     cmd_pharmonic,
+    _validate_common,
     main,
 )
 from pharmonic.jets import BranchCutError, NonFiniteError
@@ -125,6 +127,12 @@ def test_flag_third_order_two_blocks():
 def test_dual_radius_zero_is_degenerate():
     report = cmd_dual(RunConfig("dual", m=2, n=2, p=2, samples=4, radius=0.0))
     assert any("degenerate" in note for note in report.notes)
+
+
+def test_dual_single_sample_is_not_called_degenerate():
+    # one value has no spread, which says nothing about the radius
+    report = cmd_dual(RunConfig("dual", m=1, n=2, p=2, samples=1, radius=0.5))
+    assert not any("degenerate" in note for note in report.notes)
 
 
 def test_dual_small_radius_passes():
@@ -285,6 +293,43 @@ def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys,
     assert "coefficient matrix scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # N = 39: a lift of 39^2 (741 + 2) = 1,130,103 components, just over the bound
+        ("calibrate", "--m", "1", "--n", "38"),
+        ("grassmann", "--m", "1", "--n", "38"),
+    ],
+)
+def test_group_over_the_lift_bound_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--samples", "1"]) == EXIT_USAGE
+    assert "group too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, allowed",
+    [
+        # the largest tested run: 524,288 components
+        pytest.param(RunConfig("flag", blocks=(1, 1, 2), p=5), True, id="flag-112-p5"),
+        pytest.param(RunConfig("flag", blocks=(1, 1, 1, 2), p=5), False, id="flag-1112-p5"),
+        pytest.param(RunConfig("pharmonic", m=2, n=3, p=5), True, id="pharmonic-2-3-p5"),
+        pytest.param(RunConfig("pharmonic", m=1, n=6, p=5), False, id="pharmonic-1-6-p5"),
+        pytest.param(RunConfig("dual", m=2, n=3, p=5), True, id="dual-2-3-p5"),
+        pytest.param(RunConfig("dual", m=1, n=6, p=5), False, id="dual-1-6-p5"),
+        pytest.param(RunConfig("calibrate", m=1, n=37), True, id="calibrate-N38"),
+        # so(200): 6.4 GB of basis matrices if it were built
+        pytest.param(RunConfig("calibrate", m=1, n=199), False, id="calibrate-N200"),
+    ],
+)
+def test_lift_bound_is_checked_before_anything_is_built(config, allowed):
+    # _validate_common builds nothing, so the oversized cases cost nothing here
+    if allowed:
+        _validate_common(config)
+    else:
+        with pytest.raises(UsageError, match="group too large"):
+            _validate_common(config)
+
+
 def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):
     def overflow(config):
         raise NonFiniteError("exp overflow")
@@ -435,7 +480,7 @@ def test_dual_at_radius_zero_expects_no_witness(monkeypatch, capsys):
     assert "order-(p-1) image vanished on every sample" not in doc["notes"]
 
 
-# -- orders beyond three --------------------------------------------------------------
+# -- every order the CLI accepts ---------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -443,6 +488,10 @@ def test_dual_at_radius_zero_expects_no_witness(monkeypatch, capsys):
     [
         ("pharmonic", "--m", "2", "--n", "2", "--p", "4", "--samples", "2"),
         ("dual", "--m", "1", "--n", "2", "--p", "4", "--samples", "2"),
+        ("flag", "--blocks", "1,1,2", "--p", "1", "--samples", "2"),
+        ("dual", "--m", "1", "--n", "2", "--p", "1", "--samples", "2"),
+        ("flag", "--blocks", "1,1,2", "--p", "4", "--samples", "2"),
+        ("dual", "--m", "1", "--n", "2", "--p", "5", "--samples", "2"),
     ],
 )
 def test_fourth_order_runs_pass(capsys, argv):
@@ -453,14 +502,21 @@ def test_fourth_order_runs_pass(capsys, argv):
     assert residuals and all(c["passed"] for c in residuals)
 
 
-def test_fifth_order_run_passes_within_time_and_memory_budget():
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        pytest.param(("pharmonic", "--m", "2", "--n", "2"), 10.0, id="pharmonic"),
+        pytest.param(("flag", "--blocks", "2,2"), 30.0, id="flag"),
+    ],
+)
+def test_fifth_order_run_passes_within_time_and_memory_budget(argv, seconds):
     start = time.perf_counter()
-    proc = run_cli_process("pharmonic", "--m", "2", "--n", "2", "--p", "5", "--samples", "1")
+    proc = run_cli_process(*argv, "--p", "5", "--samples", "1")
     elapsed = time.perf_counter() - start
     assert proc.returncode == EXIT_PASS, proc.stdout + proc.stderr
     doc = json.loads(proc.stdout)
     points = {c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"}
     assert len(points) == 1
-    assert elapsed < 10.0
+    assert elapsed < seconds
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < 300.0

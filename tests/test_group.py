@@ -6,7 +6,6 @@ from pharmonic.group import (
     GroupPoint,
     curve_jets,
     curve_point,
-    gram_matrix,
     k_basis,
     m_basis,
     minkowski_form,
@@ -17,6 +16,20 @@ from pharmonic.group import (
     validate_group_point,
 )
 from pharmonic.jets import JetScalar, lift, variable
+
+
+def gram_matrix(basis):
+    """Gram matrix under the signed trace form (all vectors must share a sign)."""
+    signs = {b.form_sign for b in basis}
+    if len(signs) != 1:
+        raise ValueError("mixed form signs in one basis")
+    sign = signs.pop()
+    k = len(basis)
+    G = np.empty((k, k))
+    for i in range(k):
+        for j in range(k):
+            G[i, j] = sign * np.trace(basis[i].matrix @ basis[j].matrix)
+    return G
 
 
 # -- bases ---------------------------------------------------------------------
