@@ -55,15 +55,6 @@ COEFFICIENT_SCALE_RANGE = (1e-150, 1e150)
 
 DEFAULT_BLOCKS = (1, 1, 2)
 
-# Largest forward-Laplacian lift, N^2 (|basis| + 2)^d components, a run may
-# build (see _lift_components); anything larger is a configuration error
-# before any basis or sample exists.  Measured on a 2-core x86-64 VM: the
-# largest tested run, flag --blocks 1,1,2 --p 5 (524,288 components), takes
-# 11.5 s and 223 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 7 s and 212 MB;
-# grassmann --m 19 --n 19 (1,018,020) 2.5 s and 185 MB.  Unbounded,
-# calibrate --m 1 --n 199 would first build about 6.4 GB of so(200) basis.
-MAX_LIFT_COMPONENTS = 2**20
-
 DEFAULT_TOLS = {
     "calibrate": 1e-9,
     "projector": 1e-9,
@@ -121,11 +112,13 @@ def _validate_common(config: RunConfig) -> None:
     for name, value in (("tol", config.tol), ("tolerance scale", config.tol_scale)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise UsageError(f"need a finite {name} >= 0")
+    # a single point's lift must fit one walk (ops.MAX_LIFT_COMPONENTS);
+    # anything larger is refused before any basis or sample exists
     lift = _lift_components(config)
-    if lift > MAX_LIFT_COMPONENTS:
+    if lift > ops.MAX_LIFT_COMPONENTS:
         raise UsageError(
             f"group too large: its lift N^2 (|basis| + 2)^d holds {lift:,} components, "
-            f"more than {MAX_LIFT_COMPONENTS:,}"
+            f"more than {ops.MAX_LIFT_COMPONENTS:,}"
         )
 
 
@@ -234,18 +227,31 @@ def _p_harmonic_records(
 ) -> list:
     """Order-p residual and order-(p-1) witness records at each sample point.
 
-    A point where the iteration hits a branch cut, or where the witness falls
-    below the properness floor, is dropped with a note.  If every point is
-    dropped and a witness is expected, one failing "all" record stands in.
+    All points are walked together.  A point where the iteration hits a
+    branch cut is dropped and the rest are walked again; a point whose
+    witness falls below the properness floor is dropped too, each with a
+    note, in point order.  If every point is dropped and a witness is
+    expected, one failing "all" record stands in.
     """
     tau_tol = _tau_p_tol(config)
-    records = []
-    for i, pt in enumerate(points):
+    lanes = list(range(len(points)))
+    cut: set[int] = set()
+    results = ((), ())
+    while lanes:
         try:
-            residual, witness = ops.p_harmonic_residuals(expr, config.p, pt, ctx)
-        except BranchCutError:
+            results = ops.p_harmonic_residuals(expr, config.p, [points[i] for i in lanes], ctx)
+            break
+        except BranchCutError as exc:
+            # no lane named: the failing value is shared by every lane
+            cut.update([lanes[j] for j in exc.lanes] or lanes)
+            lanes = [i for i in lanes if i not in cut]
+    walked = dict(zip(lanes, zip(*results)))
+    records = []
+    for i in range(len(points)):
+        if i in cut:
             notes.append(f"point {i} rejected during iteration (branch cut)")
             continue
+        residual, witness = walked[i]
         if witness < PROPERNESS_FLOOR:
             notes.append(f"point {i} resampled: order-(p-1) witness below floor")
             continue
@@ -299,9 +305,9 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     phi = ex.projector_form(A)
     points = [sample_so(N, config.seed + i) for i in range(config.samples)]
 
-    values = [abs(complex(ex.evaluate(phi, pt.entries))) for pt in points]
-    records.append(lower_check("function_scale", "all", max(values), 1e-12))
-    if max(values) < 1e-12:
+    scale = float(np.max(np.abs(ops.values_at(phi, points))))
+    records.append(lower_check("function_scale", "all", scale, 1e-12))
+    if scale < 1e-12:
         notes.append("function is numerically zero on every sample (degenerate input)")
 
     for i, pt in enumerate(points):
@@ -425,7 +431,7 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
     points = [sample_so_mn(m, n, config.seed + i, config.radius) for i in range(config.samples)]
-    values = [complex(ex.evaluate(phi, pt.entries)) for pt in points]
+    values = ops.values_at(phi, points)
     spread = float(np.std(np.abs(values)))
     # one value has no spread to judge
     if len(values) >= 2 and spread < 1e-12 * (1.0 + float(np.mean(np.abs(values)))):

@@ -4,7 +4,9 @@ for the eigenfunctions and p-harmonic compositions studied here.
 An :class:`ExprNode` tree is scalar-generic: evaluating it substitutes the
 entries of whatever matrix is supplied, so one tree serves plain complex
 evaluation, jet and nested-jet evaluation, and forward-Laplacian evaluation
-(:class:`pharmonic.jets.LaplacianJet` entries).  Powers with integer
+(:class:`pharmonic.jets.LaplacianJet` entries).  A stack of K matrices is
+evaluated in one walk, every node holding one value per matrix (a lane),
+and forward-Laplacian entries may carry such lanes too.  Powers with integer
 exponent are taken by repeated multiplication (no branch cut); fractional
 powers and logarithms use principal branches and may raise
 :class:`pharmonic.jets.BranchCutError`.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Number
 from pathlib import Path
@@ -79,50 +82,86 @@ def _is_int(e: complex) -> bool:
 
 
 def evaluate(node, matrix):
-    """Evaluate a tree on a matrix of scalars (numpy or nested sequences).
+    """Evaluate a tree on a matrix of scalars (numpy or nested sequences), or
+    on a numeric stack of K matrices, shape (K, N, N), in one walk: then every
+    node holds a contiguous array of K lane values, and so does the result.
 
     Evaluating on plain complex entries agrees exactly, coefficient 0 by
     coefficient 0, with evaluating on jet-lifted entries: both paths run the
-    identical primitive operations.  A subtree reached several times (the
-    eigenfunction inside a composition) is evaluated once per call: results
-    are memoised by node identity.
+    identical primitive operations, and a stack agrees the same way with
+    forward-Laplacian entries lifted from it.  A subtree reached several
+    times (the eigenfunction inside a composition) is evaluated once per
+    call: results are memoised by node identity, and each is dropped after
+    its last reader has read it, so a walk holds only the values still due.
     """
     if hasattr(matrix, "entries"):
         matrix = matrix.entries
-    return _eval(node, matrix, {})
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
+        # entry (r, c) of every matrix as one contiguous lane array
+        lanes = np.ascontiguousarray(np.moveaxis(matrix, 0, -1), dtype=complex)
+        value = _eval(node, lanes, {}, _readers(node))
+        return value if isinstance(value, np.ndarray) else np.full(len(matrix), complex(value))
+    return _eval(node, matrix, {}, _readers(node))
 
 
-def _eval(node, m, memo: dict):
+def _children(node) -> tuple:
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Log):
+        return (node.child,)
+    return ()
+
+
+def _readers(root) -> Counter:
+    """How many times a walk from root reads each node: once per reference
+    from each distinct parent, and once for the root itself."""
+    counts = Counter({id(root): 1})
+    stack = [root]
+    while stack:
+        for child in _children(stack.pop()):
+            if not counts[id(child)]:
+                stack.append(child)
+            counts[id(child)] += 1
+    return counts
+
+
+def _eval(node, m, memo: dict, readers: Counter):
     key = id(node)
-    if key not in memo:
-        memo[key] = _node_value(node, m, memo)
-    return memo[key]
+    value = memo.pop(key) if key in memo else _node_value(node, m, memo, readers)
+    readers[key] -= 1
+    if readers[key]:
+        memo[key] = value
+    return value
 
 
-def _node_value(node, m, memo: dict):
+def _node_value(node, m, memo: dict, readers: Counter):
     if isinstance(node, Entry):
         v = m[node.row - 1][node.col - 1]
         return complex(v) if isinstance(v, Number) else v
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Sum):
-        acc = _eval(node.terms[0], m, memo)
+        acc = _eval(node.terms[0], m, memo, readers)
         for t in node.terms[1:]:
-            acc = acc + _eval(t, m, memo)
+            acc = acc + _eval(t, m, memo, readers)
         return acc
     if isinstance(node, Product):
-        acc = _eval(node.factors[0], m, memo)
+        acc = _eval(node.factors[0], m, memo, readers)
         for f in node.factors[1:]:
-            acc = acc * _eval(f, m, memo)
+            acc = acc * _eval(f, m, memo, readers)
         return acc
     if isinstance(node, Pow):
-        v = _eval(node.base, m, memo)
+        v = _eval(node.base, m, memo, readers)
         e = complex(node.exponent)
         if _is_int(e):
             return ipow(v, int(round(e.real)))
         return jpow(v, e)
     if isinstance(node, Log):
-        return jlog(_eval(node.child, m, memo))
+        return jlog(_eval(node.child, m, memo, readers))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -14,14 +14,17 @@ between concurrent workers.
 A :class:`LaplacianJet` of depth ``p`` carries, in one numpy array, what
 ``p`` nesting levels of (value, directional first derivatives, summed second
 derivative) produce: the forward-Laplacian algebra and its tensor powers.
-It supports the same ring operations and analytic functions as a jet.
+It supports the same ring operations and analytic functions as a jet.  Its
+coefficients may carry a leading lane axis, one lane per sample point, so
+one pass over an expression serves a whole stack of points; a 1-D array
+holding one value per lane is then the matching plain scalar.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jsqrt`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
 the base value of the argument is within ``BRANCH_FLOOR`` of the origin or
 within ``BRANCH_ANGLE`` radians of the cut along the negative real axis, so
 callers can reject the sample point and draw another instead of committing
-an ill-conditioned result.
+an ill-conditioned result; on lanes the error names the failing ones.
 """
 
 from __future__ import annotations
@@ -53,7 +56,15 @@ class ShapeMismatch(JetError):
 
 
 class BranchCutError(JetError):
-    """An analytic function was evaluated on or too near its branch cut."""
+    """An analytic function was evaluated on or too near its branch cut.
+
+    ``lanes`` holds the indices of the failing lanes when the argument was a
+    lane array, and is empty when it was one number.
+    """
+
+    def __init__(self, message: str, lanes=()):
+        super().__init__(message)
+        self.lanes = tuple(int(i) for i in lanes)
 
 
 class NonFiniteError(JetError):
@@ -65,7 +76,11 @@ def shape_of(value) -> tuple:
     return value.shape if isinstance(value, JetScalar) else ()
 
 
-def _require_finite(z: complex) -> complex:
+def _require_finite(z):
+    if isinstance(z, np.ndarray):
+        if not np.all(np.isfinite(z)):
+            raise NonFiniteError(f"non-finite value in lanes {np.flatnonzero(~np.isfinite(z)).tolist()}")
+        return z
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteError(f"non-finite scalar {z!r}")
@@ -213,45 +228,55 @@ class LaplacianJet:
     D - 1 the Laplacian at each level.  Component (0, ..., 0) is the point
     value and (D-1, ..., D-1) the p-fold Laplacian.
 
+    ``coeffs`` may also be a (K, D**p) stack: K independent lanes, one per
+    sample point, combined lane by lane.  Numbers act on every lane, and a
+    1-D array of K values acts lane by lane.
+
     The nilpotent part h (everything but component 0) has h**(2p+1) = 0, so
     analytic functions are exact Taylor series of ``order`` = 2p in h.
     Instances are immutable: operations return new arrays.
     """
 
     __slots__ = ("basis_size", "depth", "order", "coeffs")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+    __array_ufunc__ = None  # numpy scalars and lane arrays defer to the reflected operators
 
     def __init__(self, basis_size: int, depth: int, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if basis_size < 1 or depth < 1:
             raise JetError(f"need basis size and depth >= 1, got {basis_size}, {depth}")
-        if coeffs.shape != ((basis_size + 2) ** depth,):
-            raise JetError(f"expected {(basis_size + 2) ** depth} components, got {coeffs.shape}")
+        size = (basis_size + 2) ** depth
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != size:
+            raise JetError(f"expected {size} components per lane, got shape {coeffs.shape}")
         self.basis_size = basis_size
         self.depth = depth
         self.order = 2 * depth
         self.coeffs = coeffs
 
-    def constant_value(self) -> complex:
-        return complex(self.coeffs[0])
+    def constant_value(self):
+        """The point value, or for a stack a contiguous array of one per lane:
+        the operand plain evaluation of the same points holds."""
+        if self.coeffs.ndim == 1:
+            return complex(self.coeffs[0])
+        return np.ascontiguousarray(self.coeffs[:, 0])
 
     def _like(self, coeffs) -> "LaplacianJet":
         return LaplacianJet(self.basis_size, self.depth, coeffs)
 
     def _same_shape(self, other: "LaplacianJet"):
-        if (other.basis_size, other.depth) != (self.basis_size, self.depth):
+        mine = (self.basis_size, self.depth, self.coeffs.shape)
+        theirs = (other.basis_size, other.depth, other.coeffs.shape)
+        if theirs != mine:
             raise ShapeMismatch(
-                f"cannot combine Laplacian jets of (basis, depth) "
-                f"({self.basis_size}, {self.depth}) and ({other.basis_size}, {other.depth})"
+                f"cannot combine Laplacian jets of (basis, depth, shape) {mine} and {theirs}"
             )
 
     def __add__(self, other):
         if isinstance(other, LaplacianJet):
             self._same_shape(other)
             return self._like(self.coeffs + other.coeffs)
-        if isinstance(other, Number):
+        if isinstance(other, (Number, np.ndarray)):
             out = self.coeffs.copy()
-            out[0] += complex(other)
+            out[..., 0] += other
             return self._like(out)
         return NotImplemented
 
@@ -261,21 +286,33 @@ class LaplacianJet:
         if isinstance(other, LaplacianJet):
             self._same_shape(other)
             out = _tensor_product(self.coeffs, other.coeffs, self.basis_size, self.depth)
-            other0 = other.coeffs[0]
-        elif isinstance(other, Number):
-            other0 = complex(other)
-            out = self.coeffs * other0
+            other0 = other.constant_value()
+        elif isinstance(other, (Number, np.ndarray)):
+            out = self.coeffs * _per_lane(other)
+            other0 = other
         else:
             return NotImplemented
-        # Vectorised complex products may round differently (fused multiply-add);
-        # the scalar product keeps the value exactly as plain evaluation has it.
-        out[0] = self.coeffs[0] * other0
+        # Vectorised complex products round differently from scalar ones, and
+        # from each other with the operands swapped (fused multiply-add), so
+        # the value is recomputed as plain evaluation computes it: the same
+        # operands, contiguous, in the same order.
+        out[..., 0] = self.constant_value() * other0
         return self._like(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        if not isinstance(other, (Number, np.ndarray)):
+            return NotImplemented
+        out = _per_lane(other) * self.coeffs
+        out[..., 0] = other * self.constant_value()
+        return self._like(out)
 
     def __repr__(self):
         return f"LaplacianJet(basis_size={self.basis_size}, depth={self.depth}, {self.coeffs!r})"
+
+
+def _per_lane(c):
+    """A number, or lane values as a column against a (K, D**p) stack."""
+    return c[:, None] if isinstance(c, np.ndarray) else c
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +327,7 @@ def _pair_indices(B: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
-    """Product of two flat depth-p component arrays.
+    """Product of two depth-p component arrays, flat or stacked in lanes.
 
     Each of the outer p - 1 levels gathers its 3B + 3 component pairs into
     one batch for the level below; the innermost level multiplies the whole
@@ -300,14 +337,15 @@ def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
     D = B + 2
     pick_left, pick_right = _pair_indices(B)
     G = len(pick_left)
-    left, right, batch = a, b, 1
+    left, right, batch = a, b, a.size // D**p  # lanes fold into the batch axis
     for level in range(p - 1):
         rest = D ** (p - level - 1)
         left = left.reshape(batch, D, rest).take(pick_left, axis=1)
         right = right.reshape(batch, D, rest).take(pick_right, axis=1)
         batch *= G
     left, right = left.reshape(batch, D), right.reshape(batch, D)
-    out = left[:, :1] * right + right[:, :1] * left
+    out = left[:, :1] * right
+    out += right[:, :1] * left
     out[:, 0] = left[:, 0] * right[:, 0]
     out[:, -1] += 2 * (left[:, 1:-1] * right[:, 1:-1]).sum(axis=1)
     for level in reversed(range(p - 1)):
@@ -317,7 +355,7 @@ def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
         out = pairs[:, :D].copy()
         out[:, 1:] += pairs[:, D : 2 * D - 1]
         out[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
-    return out.reshape(-1)
+    return out.reshape(a.shape)
 
 
 # -- constructors ---------------------------------------------------------
@@ -368,7 +406,7 @@ def nilpotent_part(a):
     """Copy of ``a`` with its constant coefficient replaced by zero."""
     if isinstance(a, LaplacianJet):
         h = a.coeffs.copy()
-        h[0] = 0j
+        h[..., 0] = 0j
         return a._like(h)
     return JetScalar(a.order, (zero(a.shape[1:]),) + a.coeffs[1:])
 
@@ -388,6 +426,14 @@ def scalar_value(value) -> complex:
 
 
 # -- division and analytic functions ------------------------------------------
+#
+# Each function takes a number, a 1-D array of lane values, or a jet; a jet
+# is expanded around its constant term, a number or lane array, through the
+# same function, so its value channel is what plain evaluation computes.
+
+
+def _constant_term(value):
+    return value.constant_value() if isinstance(value, LaplacianJet) else value.coeffs[0]
 
 
 def reciprocal(value: Scalar) -> Scalar:
@@ -397,7 +443,11 @@ def reciprocal(value: Scalar) -> Scalar:
         if z == 0j:
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / z
-    inv0 = reciprocal(value.coeffs[0])
+    if isinstance(value, np.ndarray):
+        if np.any(value == 0):
+            raise JetError("division by a scalar with zero constant term")
+        return 1.0 / value
+    inv0 = reciprocal(_constant_term(value))
     if isinstance(value, LaplacianJet):
         taylor = [inv0]
         for _ in range(value.order):
@@ -435,8 +485,17 @@ def ipow(value: Scalar, exponent: int) -> Scalar:
     return result
 
 
-def _check_branch(z: complex, floor: float, angle: float) -> complex:
+def _check_branch(z, floor: float, angle: float):
     z = _require_finite(z)
+    if isinstance(z, np.ndarray):
+        bad = (np.abs(z) < floor) | (math.pi - np.abs(np.angle(z)) < angle)
+        if np.any(bad):
+            lanes = np.flatnonzero(bad)
+            raise BranchCutError(
+                f"lanes {lanes.tolist()} within {floor:.1e} of the origin or {angle:.1e} of the cut",
+                lanes,
+            )
+        return z
     if abs(z) < floor:
         raise BranchCutError(f"magnitude {abs(z):.3e} below branch floor {floor:.1e}")
     if math.pi - abs(cmath.phase(z)) < angle:
@@ -454,11 +513,14 @@ def _compose(a, taylor):
 
 
 def jlog(value: Scalar, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE) -> Scalar:
-    """Principal logarithm of a number or jet."""
+    """Principal logarithm of a number, lane array or jet."""
     if isinstance(value, Number):
         return cmath.log(_check_branch(complex(value), floor, angle))
-    base = jlog(value.coeffs[0], floor, angle)
-    inv = reciprocal(value.coeffs[0])
+    if isinstance(value, np.ndarray):
+        return np.log(_check_branch(value, floor, angle))
+    z = _constant_term(value)
+    base = jlog(z, floor, angle)
+    inv = reciprocal(z)
     taylor = [base]
     power = inv
     sign = 1.0
@@ -471,13 +533,13 @@ def jlog(value: Scalar, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE
 
 
 def jexp(value: Scalar) -> Scalar:
-    """Exponential of a number or jet."""
-    if isinstance(value, Number):
-        z = _require_finite(complex(value))
-        if z.real > _EXP_OVERFLOW:
-            raise NonFiniteError(f"exp overflow at Re(z) = {z.real:.3g}")
-        return cmath.exp(z)
-    e0 = jexp(value.coeffs[0])
+    """Exponential of a number, lane array or jet."""
+    if isinstance(value, (Number, np.ndarray)):
+        z = _require_finite(value)
+        if np.any(z.real > _EXP_OVERFLOW):
+            raise NonFiniteError(f"exp overflow at Re(z) = {np.max(z.real):.3g}")
+        return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
+    e0 = jexp(_constant_term(value))
     taylor = [e0]
     fact = 1.0
     for i in range(1, value.order + 1):

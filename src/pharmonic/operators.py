@@ -8,9 +8,9 @@ so no connection correction term is needed.  In terms of the left-invariant
 fields Z_b, L = sum_b Z_b Z_b.
 
 One primitive, :func:`laplacian_jet`, computes every operator here by a
-single walk of the expression tree per point (the forward Laplacian):
-each node carries its value, its B = |basis| directional derivatives and
-its Laplacian, D = B + 2 components, combined by the product rule
+single walk of the expression tree per batch of points (the forward
+Laplacian): each node carries its value, its B = |basis| directional
+derivatives and its Laplacian, D = B + 2 components, combined by the product rule
 L(fg) = f Lg + g Lf + 2 sum_b Z_b f Z_b g.  For the p-fold Laplacian the
 walk runs over the p-fold tensor power of that algebra, D**p components
 (:class:`pharmonic.jets.LaplacianJet`).  A matrix entry is lifted with the
@@ -25,6 +25,14 @@ O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over nested jets of
 are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.jets.BranchCutError`,
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
+
+The checkers stack their points, shape (K, N, N), and walk the tree once
+per chunk of lanes, the lift of a chunk holding at most
+MAX_LIFT_COMPONENTS components; plain evaluations (invariance, the
+non-descent witness, conditioned sampling) run on stacks the same way.
+One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
+(0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
+stacked walk raises a BranchCutError naming the failing lanes.
 
 The closed-form identity residuals read the same depth-1 lift as plain
 arrays: for the coordinate functions its planes X M_i are the value, the
@@ -41,7 +49,7 @@ quotient-level identities on group samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,10 +58,20 @@ from scipy.linalg import expm
 from .expressions import evaluate
 from .group import BasisVector, GroupPoint, m_basis, so_basis
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
-from .jets import LaplacianJet, scalar_value
+from .jets import BranchCutError, LaplacianJet
 from .reports import CheckRecord, VerificationReport, lower_check, upper_check
 
 DEPTH_CAP = 5
+
+# Largest forward-Laplacian lift, N^2 (|basis| + 2)^p components, one walk
+# may build: the CLI refuses a run whose single-point lift exceeds it, and
+# the checkers walk as many points at once as fit under it.  Measured one
+# point per walk on a 2-core x86-64 VM: the largest tested run, flag --blocks
+# 1,1,2 --p 5 (524,288 components), takes 11.5 s and 223 MB; pharmonic --m 2
+# --n 3 --p 5 (819,200) 7 s and 212 MB; grassmann --m 19 --n 19 (1,018,020)
+# 2.5 s and 185 MB.  Unbounded, calibrate --m 1 --n 199 would first build
+# about 6.4 GB of so(200) basis.
+MAX_LIFT_COMPONENTS = 2**20
 
 # Subgroup elements per invariance check; merged-subgroup elements per point,
 # and the change f must show under one of them, for the non-descent witness.
@@ -108,38 +126,79 @@ def _as_matrix(x):
     return x.entries if isinstance(x, GroupPoint) else x
 
 
+def _stack(points) -> np.ndarray:
+    """The points' matrices as one (K, N, N) array (a stack is kept as is)."""
+    if isinstance(points, np.ndarray):
+        return points
+    return np.stack([_as_matrix(pt) for pt in points])
+
+
+def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
+    """walk over consecutive chunks of the stack X, each of at most
+    MAX_LIFT_COMPONENTS // components lanes (at least one), concatenated.
+    A BranchCutError names its failing lanes by their index in X."""
+    step = max(1, MAX_LIFT_COMPONENTS // components)
+    parts = []
+    for start in range(0, len(X), step):
+        try:
+            parts.append(walk(X[start : start + step]))
+        except BranchCutError as exc:
+            raise BranchCutError(str(exc), [start + i for i in exc.lanes]) from None
+    return np.concatenate(parts)
+
+
+def values_at(f, points) -> np.ndarray:
+    """Plain values of f at each point, one walk per chunk of points."""
+    X = _stack(points)
+    return _by_chunks(lambda chunk: evaluate(f, chunk), X, X[0].size)
+
+
+def _jets_at(f, points, basis, p: int, components=slice(None)) -> np.ndarray:
+    """The chosen components of f's depth-p jet at each point, a (K, ...)
+    array, from one laplacian_jet walk per chunk of points."""
+    X = _stack(points)
+    size = X[0].size * (len(basis) + 2) ** p
+    return _by_chunks(lambda chunk: laplacian_jet(f, chunk, basis, p).coeffs[:, components], X, size)
+
+
 # -- core operators -------------------------------------------------------------
 
 
 def _lift(X: np.ndarray, basis: Sequence[BasisVector], p: int) -> np.ndarray:
-    """The D**p matrices X M_i1 ... M_ip, stacked in multi-index order, for
-    M_0 = I, M_b = Z_b and M_(D-1) = sum_b Z_b Z_b."""
-    N = X.shape[0]
+    """The D**p matrices X M_i1 ... M_ip in multi-index order, for M_0 = I,
+    M_b = Z_b and M_(D-1) = sum_b Z_b Z_b: shape (D**p, N, N) for one
+    matrix X, (K, D**p, N, N) for a stack of K."""
+    N = X.shape[-1]
     zs = [b.matrix for b in basis]
     fields = np.stack([np.eye(N), *zs, sum(z @ z for z in zs)])
-    lifted = X[None]
+    lifted = X[..., None, :, :]
     for _ in range(p):
-        lifted = (lifted[:, None] @ fields).reshape(-1, N, N)
+        lifted = (lifted[..., None, :, :] @ fields).reshape(X.shape[:-2] + (-1, N, N))
     return lifted
 
 
 def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
-    """f evaluated once on the depth-p forward-Laplacian lift of the point x.
+    """f evaluated once on the depth-p forward-Laplacian lift of the point x,
+    or of every matrix of a stack x of shape (K, N, N) at once (K lanes).
 
-    Component (i_1, ..., i_p) of the result is M_i1 ... M_ip f at x, for the
-    operators M_0 = 1, M_b = Z_b and M_(D-1) = sum_b Z_b Z_b over the basis.
+    Component (i_1, ..., i_p) of the result, in each lane, is M_i1 ... M_ip f
+    at the point, for the operators M_0 = 1, M_b = Z_b and
+    M_(D-1) = sum_b Z_b Z_b over the basis.
     """
     X = np.asarray(_as_matrix(x))
-    N = X.shape[0]
-    lifted = _lift(X, basis, p)
-    entries = np.ascontiguousarray(lifted.reshape(-1, N * N).T, dtype=complex)
+    N = X.shape[-1]
+    lanes = X.shape[:-2]
+    # entries[r * N + c] holds the lifted (r, c) entry, lanes first
+    entries = np.ascontiguousarray(
+        np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
+    )
     B = len(basis)
     rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
     value = evaluate(f, rows)
     if isinstance(value, LaplacianJet):
         return value
-    coeffs = np.zeros((B + 2) ** p, dtype=complex)
-    coeffs[0] = value
+    coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)
+    coeffs[..., 0] = value
     return LaplacianJet(B, p, coeffs)
 
 
@@ -245,24 +304,31 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
 # -- checkers --------------------------------------------------------------------
 
 
+def _eigen_records(jets, lam: complex, mu: complex, tol: float, prefix: str = "") -> list[CheckRecord]:
+    """tau and kappa records per point from the (K, D) depth-1 components."""
+    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
+    k = np.einsum("kb,kb->k", grads, grads)
+    denom = 1.0 + np.abs(v) + np.abs(v) ** 2
+    tau = np.abs(t - lam * v) / denom
+    kappa = np.abs(k - mu * v * v) / denom
+    records: list[CheckRecord] = []
+    for i in range(len(v)):
+        records.append(upper_check(f"{prefix}tau_eigen", i, tau[i], tol))
+        records.append(upper_check(f"{prefix}kappa_eigen", i, kappa[i], tol))
+    return records
+
+
 def check_eigenfunction(
     f, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
 ) -> VerificationReport:
-    """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point.
+    """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point,
+    from one depth-1 walk per chunk of points.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
     lam, mu = complex(lam), complex(mu)
-    records: list[CheckRecord] = []
-    for i, pt in enumerate(points):
-        v = complex(evaluate(f, _as_matrix(pt)))
-        coeffs = laplacian_jet(f, pt, ctx.basis, 1).coeffs
-        t = complex(coeffs[-1])
-        k = complex(coeffs[1:-1] @ coeffs[1:-1])
-        denom = 1.0 + abs(v) + abs(v) ** 2
-        records.append(upper_check("tau_eigen", i, abs(t - lam * v) / denom, tol))
-        records.append(upper_check("kappa_eigen", i, abs(k - mu * v * v) / denom, tol))
+    records = _eigen_records(_jets_at(f, points, ctx.basis, 1), lam, mu, tol)
     return VerificationReport(
         "check_eigenfunction",
         {"lam": repr(lam), "mu": repr(mu), "points": len(points), "tol": tol},
@@ -274,32 +340,39 @@ def check_eigenfamily(
     fs: Sequence, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
 ) -> VerificationReport:
     """Eigen relations for each member plus pairing(f_i, f_j) = mu f_i f_j
-    for every unordered pair."""
+    for every unordered pair, read from one depth-1 walk per member per
+    chunk of points."""
     if not fs:
         raise ValueError("need at least one family member")
     lam, mu = complex(lam), complex(mu)
+    jets = [_jets_at(f, points, ctx.basis, 1) for f in fs]
     records: list[CheckRecord] = []
-    for idx, f in enumerate(fs):
-        member = check_eigenfunction(f, lam, mu, points, ctx, tol)
-        records += [replace(rec, check=f"member{idx}_{rec.check}") for rec in member.checks]
+    for idx, member in enumerate(jets):
+        records += _eigen_records(member, lam, mu, tol, prefix=f"member{idx}_")
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            for pidx, pt in enumerate(points):
-                X = _as_matrix(pt)
-                vi = complex(evaluate(fs[i], X))
-                vj = complex(evaluate(fs[j], X))
-                kij = complex(gradient_product(fs[i], fs[j], pt, ctx))
-                denom = 1.0 + abs(vi) + abs(vj) + abs(vi * vj)
-                records.append(
-                    upper_check(
-                        f"kappa_pair_{i}_{j}", pidx, abs(kij - mu * vi * vj) / denom, tol
-                    )
-                )
+            vi, vj = jets[i][:, 0], jets[j][:, 0]
+            kij = np.einsum("kb,kb->k", jets[i][:, 1:-1], jets[j][:, 1:-1])
+            denom = 1.0 + np.abs(vi) + np.abs(vj) + np.abs(vi * vj)
+            residuals = np.abs(kij - mu * vi * vj) / denom
+            records += [
+                upper_check(f"kappa_pair_{i}_{j}", pidx, r, tol) for pidx, r in enumerate(residuals)
+            ]
     return VerificationReport(
         "check_eigenfamily",
         {"lam": repr(lam), "mu": repr(mu), "members": len(fs), "points": len(points), "tol": tol},
         records,
     )
+
+
+def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|) for the (K, T, N, N) actions
+    ks on the (K, N, N) points X, shape (K, T), from one stacked evaluation."""
+    K, T = ks.shape[:2]
+    moved = (X[:, None] @ ks).reshape(K * T, *X.shape[1:])
+    values = values_at(f, np.concatenate([X, moved]))
+    v = values[:K, None]
+    return np.abs(values[K:].reshape(K, T) - v) / (1.0 + np.abs(v))
 
 
 def check_invariance(
@@ -313,16 +386,10 @@ def check_invariance(
 
     Records, per point, the worst normalized change over the trials.
     """
-    ks = [subgroup_sampler(seed + 10_000 + j).entries for j in range(INVARIANCE_TRIALS)]
-    records: list[CheckRecord] = []
-    for i, pt in enumerate(points):
-        X = _as_matrix(pt)
-        v = complex(evaluate(f, X))
-        worst = 0.0
-        for k in ks:
-            moved = complex(evaluate(f, X @ k))
-            worst = max(worst, abs(moved - v) / (1.0 + abs(v)))
-        records.append(upper_check("invariance", i, worst, tol))
+    ks = np.stack([subgroup_sampler(seed + 10_000 + j).entries for j in range(INVARIANCE_TRIALS)])
+    X = _stack(points)
+    worst = _moved_changes(f, X, np.broadcast_to(ks, (len(X),) + ks.shape)).max(axis=1)
+    records = [upper_check("invariance", i, w, tol) for i, w in enumerate(worst)]
     return VerificationReport(
         "check_invariance",
         {"points": len(points), "trials": INVARIANCE_TRIALS, "tol": tol},
@@ -342,16 +409,15 @@ def non_descent_witness(
     changed the value by more than WITNESS_FLOOR (a lower-bound check),
     witnessing that f does not descend through the merged quotient.
     """
-    records: list[CheckRecord] = []
-    best = 0.0
-    for i, pt in enumerate(points):
-        X = _as_matrix(pt)
-        v = complex(evaluate(f, X))
-        for j in range(WITNESS_TRIALS):
-            k = merged_sampler(seed + 20_000 + i * WITNESS_TRIALS + j).entries
-            moved = complex(evaluate(f, X @ k))
-            best = max(best, abs(moved - v) / (1.0 + abs(v)))
-    records.append(lower_check("non_descent_witness", 0, best, WITNESS_FLOOR))
+    X = _stack(points)
+    ks = np.stack(
+        [
+            [merged_sampler(seed + 20_000 + i * WITNESS_TRIALS + j).entries for j in range(WITNESS_TRIALS)]
+            for i in range(len(X))
+        ]
+    )
+    best = float(_moved_changes(f, X, ks).max())
+    records = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
     return VerificationReport(
         "non_descent_witness",
         {"points": len(points), "trials": WITNESS_TRIALS, "floor": WITNESS_FLOOR},
@@ -379,28 +445,25 @@ def conditioned_sample(
     if count < 1:
         raise ValueError("need count >= 1")
 
-    def smallest_safe_value(point):
-        worst = None
+    def smallest_safe_values(pts) -> np.ndarray:
+        """Per point, the smallest magnitude over funcs, or nan where a value
+        leaves the window; one stacked evaluation per function."""
+        X = _stack(pts)
+        worst = np.full(len(X), np.inf)
         for f in funcs:
-            v = complex(scalar_value(evaluate(f, point.entries)))
-            mag = abs(v)
-            if not (ABS_FLOOR <= mag <= ABS_CEIL):
-                return None
-            if np.pi - abs(np.angle(v)) < CUT_ANGLE:
-                return None
-            worst = mag if worst is None else min(worst, mag)
+            v = values_at(f, X)
+            mag = np.abs(v)
+            safe = (ABS_FLOOR <= mag) & (mag <= ABS_CEIL) & (np.pi - np.abs(np.angle(v)) >= CUT_ANGLE)
+            worst = np.where(safe, np.minimum(worst, mag), np.nan)
         return worst
 
     batch_size = max(2 * count, 20)
     limit = 60 * count + batch_size
-    candidates: list[tuple[GroupPoint, float]] = []
-    draws = 0
-    while draws < batch_size:
-        pt = sampler(seed + draws)
-        draws += 1
-        mag = smallest_safe_value(pt)
-        if mag is not None:
-            candidates.append((pt, mag))
+    first = [sampler(seed + i) for i in range(batch_size)]
+    draws = batch_size
+    candidates = [
+        (pt, mag) for pt, mag in zip(first, smallest_safe_values(first)) if not np.isnan(mag)
+    ]
     if not candidates:
         raise SamplingExhausted("every candidate point violated the branch window")
     scale = float(np.median([m for _, m in candidates]))
@@ -408,11 +471,11 @@ def conditioned_sample(
 
     accepted = [pt for pt, mag in candidates if mag >= floor]
     while len(accepted) < count and draws < limit:
-        pt = sampler(seed + draws)
-        draws += 1
-        mag = smallest_safe_value(pt)
-        if mag is not None and mag >= floor:
-            accepted.append(pt)
+        # never more draws than acceptances still needed, so the draw count
+        # is the one a point-by-point loop stopping at `count` makes
+        batch = [sampler(seed + draws + i) for i in range(min(count - len(accepted), limit - draws))]
+        draws += len(batch)
+        accepted += [pt for pt, mag in zip(batch, smallest_safe_values(batch)) if mag >= floor]
     if len(accepted) < count:
         raise SamplingExhausted(
             f"only {len(accepted)}/{count} conditioned samples after {draws} draws"
@@ -420,14 +483,22 @@ def conditioned_sample(
     return accepted[:count], draws
 
 
-def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext) -> tuple[float, float]:
-    """Normalized order-p residual and order-(p-1) witness at one point.
+def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext):
+    """Normalized order-p residual and order-(p-1) witness.
 
-    Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)).
+    Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)):
+    two floats for one point, or two arrays of one value per point for a
+    sequence of points, walked together in chunks (a one-point walk is a
+    one-lane chunk).  f, L^(p-1) f and L^p f are components (0, ..., 0),
+    (D-1, ..., D-1, 0) and (D-1, ..., D-1) of one depth-p jet.  A branch cut
+    raises a BranchCutError naming the failing points by their index.
     """
-    v = scalar_value(evaluate(f, _as_matrix(x)))
-    top = complex(iterated_laplacian(f, p, x, ctx))
-    prev = complex(iterated_laplacian(f, p - 1, x, ctx)) if p >= 1 else v
-    residual = abs(top) / (1.0 + abs(v) + abs(prev))
-    witness = abs(prev) / (1.0 + abs(v))
-    return residual, witness
+    if not 1 <= p <= DEPTH_CAP:
+        raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
+    if isinstance(x, GroupPoint) or np.ndim(x) == 2:
+        residual, witness = p_harmonic_residuals(f, p, [x], ctx)
+        return float(residual[0]), float(witness[0])
+    D = len(ctx.basis) + 2
+    components = [0, D**p - D, D**p - 1]
+    v, prev, top = np.abs(_jets_at(f, x, ctx.basis, p, components)).T
+    return top / (1.0 + v + prev), prev / (1.0 + v)

@@ -26,9 +26,12 @@ from pharmonic.cli import (
     cmd_flag,
     cmd_grassmann,
     cmd_pharmonic,
+    _p_harmonic_records,
     _validate_common,
     main,
 )
+from pharmonic.expressions import Entry, Log, Product
+from pharmonic.group import sample_so
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
 
@@ -419,16 +422,24 @@ PIPELINE_RUNS = {
 
 
 def _fake_residuals(monkeypatch, outcomes):
-    """Replace ops.p_harmonic_residuals; outcome k answers the k-th call
-    (the last repeats), an exception class is raised."""
+    """Replace the batched ops.p_harmonic_residuals; outcome k answers for the
+    k-th sample point (the last repeats), and an exception class makes the
+    call raise it naming those points' lanes.  Returns every point handed to
+    it, one entry per lane."""
     calls = []
+    order = {}
 
-    def fake(f, p, x, ctx):
-        outcome = outcomes[min(len(calls), len(outcomes) - 1)]
-        calls.append(x)
-        if isinstance(outcome, type):
-            raise outcome("forced by the test")
-        return outcome
+    def fake(f, p, points, ctx):
+        calls.extend(points)
+        answers = [
+            outcomes[min(order.setdefault(id(pt), len(order)), len(outcomes) - 1)]
+            for pt in points
+        ]
+        failing = [lane for lane, answer in enumerate(answers) if isinstance(answer, type)]
+        if failing:
+            raise answers[failing[0]]("forced by the test", failing)
+        residuals, witnesses = zip(*answers)
+        return np.array(residuals), np.array(witnesses)
 
     monkeypatch.setattr(ops, "p_harmonic_residuals", fake)
     return calls
@@ -470,6 +481,64 @@ def test_every_point_dropped_fails_properness(monkeypatch, capsys, command):
     ]
     assert "order-(p-1) image vanished on every sample" in doc["notes"]
     assert code == EXIT_FAIL
+
+
+def test_pipeline_drops_only_the_lane_on_the_log_cut():
+    x = sample_so(3, 11).entries
+    points = []
+    for sign in (1.0, -1.0, 1.0, 1.0):  # x11 < 0 at point 1 only
+        y = x.copy()
+        y[0, 0] = sign * abs(x[0, 0])
+        points.append(y)
+    f = Product((Log(Entry(1, 1)), Entry(2, 2)))
+    ctx = ops.full_context(3)
+    notes = []
+    records = _p_harmonic_records(f, points, ctx, RunConfig("pharmonic", p=2), notes)
+    assert notes == ["point 1 rejected during iteration (branch cut)"]
+    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
+    for i in (0, 2, 3):
+        residual, witness = ops.p_harmonic_residuals(f, 2, [points[i]], ctx)
+        got = {r.check: r.residual for r in records if r.point == i}
+        assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
+
+
+@pytest.mark.parametrize(
+    "argv, functions",
+    [
+        (("pharmonic", "--m", "2", "--n", "2", "--samples", "3"), 0),
+        (("dual", "--m", "1", "--n", "2", "--radius", "0.5", "--samples", "3"), 1),
+        (("flag", "--blocks", "1,1,2", "--samples", "3"), 3),
+    ],
+)
+def test_pipeline_walks_each_chunk_once_per_depth(monkeypatch, capsys, argv, functions):
+    walks = _counting_walks(monkeypatch)
+    code, _ = run_cli(capsys, *argv, "--p", "3")
+    assert code == EXIT_PASS
+    # eigen checks: one depth-1 walk per function; p-harmonic: one depth-3 walk
+    assert sorted(walks) == [(1, 3)] * functions + [(3, 3)]
+
+
+def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):
+    # flag (1,1,2) at p = 5 lifts 4^2 * 8^5 = 524,288 components per point, so
+    # two points fill MAX_LIFT_COMPONENTS; a cheap tree stands in at depth 5
+    walks = _counting_walks(monkeypatch, deep=Product((Entry(1, 1), Entry(2, 2))))
+    run_cli(capsys, "flag", "--blocks", "1,1,2", "--p", "5", "--samples", "3")
+    assert [w for w in walks if w[0] == 5] == [(5, 2), (5, 1)]
+    assert all(lanes * 16 * 8**p <= ops.MAX_LIFT_COMPONENTS for p, lanes in walks)
+
+
+def _counting_walks(monkeypatch, deep=None):
+    """Wrap ops.laplacian_jet, walking `deep` in place of f at depths above 1
+    when given; returns the (depth, lanes) of every walk."""
+    walks = []
+    walk = ops.laplacian_jet
+
+    def counting_walk(f, x, basis, p):
+        walks.append((p, len(x)))
+        return walk(deep if deep is not None and p > 1 else f, x, basis, p)
+
+    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
+    return walks
 
 
 def test_dual_at_radius_zero_expects_no_witness(monkeypatch, capsys):
@@ -518,5 +587,19 @@ def test_fifth_order_run_passes_within_time_and_memory_budget(argv, seconds):
     points = {c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"}
     assert len(points) == 1
     assert elapsed < seconds
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    assert peak_mb < 300.0
+
+
+def test_fifth_order_four_point_walk_within_the_same_budget():
+    # 4 x 124,416 components: all four points in one walk
+    start = time.perf_counter()
+    proc = run_cli_process("pharmonic", "--m", "2", "--n", "2", "--p", "5", "--samples", "4")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_PASS, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    points = {c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"}
+    assert points == {0, 1, 2, 3}
+    assert elapsed < 10.0
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     assert peak_mb < 300.0

@@ -4,6 +4,7 @@ import pytest
 from pharmonic.expressions import (
     Const,
     Entry,
+    Log,
     Pow,
     Product,
     Sum,
@@ -16,7 +17,7 @@ from pharmonic.expressions import (
 )
 from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
 from pharmonic.group import curve_jets, k_basis, sample_block_diagonal, sample_so, sample_so_mn
-from pharmonic.jets import JetScalar
+from pharmonic.jets import BranchCutError, JetScalar
 from pharmonic.operators import (
     check_eigenfamily,
     check_eigenfunction,
@@ -179,31 +180,55 @@ def test_check_eigenfunction_positive():
     assert max(report.max_residuals.values()) <= 1e-12
 
 
-def test_check_eigenfunction_walks_each_point_once(monkeypatch):
+def _counting_walks(monkeypatch):
+    """Wrap ops.laplacian_jet; returns the (depth, lanes) of every walk."""
     import pharmonic.operators as ops
 
+    walks = []
+    walk = ops.laplacian_jet
+
+    def counting_walk(f, x, basis, p):
+        walks.append((p, len(x)))
+        return walk(f, x, basis, p)
+
+    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
+    return walks
+
+
+def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
     m, n = 2, 2
     phi = projector_form(rank_one_from_vector([1, 2, 3], (m, n)))
     pts = [sample_so(m + n, 70 + i) for i in range(3)]
     ctx = quotient_context(m, n)
-    expected = []
-    for pt in pts:
-        v = complex(evaluate(phi, pt.entries))
-        denom = 1.0 + abs(v) + abs(v) ** 2
-        expected.append(abs(laplacian(phi, pt, ctx) - complex(-4) * v) / denom)
-        expected.append(abs(gradient_product(phi, phi, pt, ctx) - complex(-2) * v * v) / denom)
+    # wrong eigenvalues give residuals of order one, so agreement with the
+    # one-point operators shows each record reads its own point's lane
+    for lam, mu in ((-4, -2), (-3, -1)):
+        expected = []
+        for pt in pts:
+            v = complex(evaluate(phi, pt.entries))
+            denom = 1.0 + abs(v) + abs(v) ** 2
+            expected.append(abs(laplacian(phi, pt, ctx) - complex(lam) * v) / denom)
+            expected.append(abs(gradient_product(phi, phi, pt, ctx) - complex(mu) * v * v) / denom)
+        walks = _counting_walks(monkeypatch)
+        report = check_eigenfunction(phi, lam, mu, pts, ctx, 1e-8)
+        assert walks == [(1, len(pts))]
+        got = [r.residual for r in report.checks]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+        monkeypatch.undo()
 
-    depths = []
-    walk = ops.laplacian_jet
 
-    def counting_walk(f, x, basis, p):
-        depths.append(p)
-        return walk(f, x, basis, p)
-
-    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
-    report = check_eigenfunction(phi, -4, -2, pts, ctx, 1e-8)
-    assert depths == [1] * len(pts)
-    assert [r.residual for r in report.checks] == expected
+def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
+    # the honest two-member family of the test below
+    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0]), (1, 3)))
+    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j]), (1, 3)))
+    pts = [sample_so(4, 80 + i) for i in range(3)]
+    walks = _counting_walks(monkeypatch)
+    report = check_eigenfamily([fu, fv], -4, -2, pts, quotient_context(1, 3), 1e-8)
+    assert walks == [(1, len(pts))] * 2
+    pairs = [r for r in report.checks if r.check == "kappa_pair_0_1"]
+    assert [r.point for r in pairs] == list(range(len(pts)))
+    assert len(report.checks) == 2 * 2 * len(pts) + len(pts)
+    assert report.passed, report.max_residuals
 
 
 def test_check_eigenfunction_negative_control():
@@ -357,6 +382,87 @@ def test_forward_laplacian_matches_nested_jets(f, ctx, x):
         previous = want
 
 
+def _stack_cases():
+    """(f, context, stack of three points) per case, as in _oracle_cases."""
+    cases = []
+    for m, n in ((1, 2), (2, 2)):
+        N = m + n
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
+        pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 3, 400)
+        f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
+        cases.append(pytest.param(f, quotient_context(m, n), pts, id=f"Gr({m},{n})"))
+    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0], (1, 2))))
+    pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 3, 410)
+    f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
+    cases.append(pytest.param(f, dual_context(1, 2), pts, id="dual(1,2)"))
+    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
+    pts = [sample_so(4, 420 + i) for i in range(3)]
+    cases.append(pytest.param(f, full_context(4), pts, id="flag(1,1,2)"))
+    return cases
+
+
+@pytest.mark.parametrize("f, ctx, points", _stack_cases())
+def test_stacked_walk_equals_one_point_walks(f, ctx, points):
+    stack = np.stack([pt.entries for pt in points])
+    for p in (1, 2, 3):
+        stacked = laplacian_jet(f, stack, ctx.basis, p).coeffs
+        assert stacked.shape == (len(points), (len(ctx.basis) + 2) ** p)
+        for lane, pt in enumerate(points):
+            alone = laplacian_jet(f, pt, ctx.basis, p).coeffs
+            scale = 1.0 + np.max(np.abs(alone))
+            assert np.max(np.abs(stacked[lane] - alone)) <= 1e-11 * scale, (p, lane)
+
+
+def test_stacked_walk_names_the_lane_on_the_log_cut():
+    x = sample_so(3, 11).entries
+    assert abs(x[0, 0]) > 1e-3
+    stack = np.stack([x] * 4)
+    stack[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])  # x11 < 0 in lane 1 only
+    f = Product((Log(Entry(1, 1)), Entry(2, 2)))
+    for p in (1, 2):
+        with pytest.raises(BranchCutError) as caught:
+            laplacian_jet(f, stack, full_context(3).basis, p)
+        assert caught.value.lanes == (1,)
+    with pytest.raises(BranchCutError) as caught:
+        p_harmonic_residuals(f, 2, list(stack), full_context(3))
+    assert caught.value.lanes == (1,)
+
+
+def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
+    ctx = quotient_context(2, 2)
+    pts, _ = conditioned_sample([phi], lambda s: sample_so(4, s), 3, 500)
+    walks = _counting_walks(monkeypatch)
+    residuals, witnesses = p_harmonic_residuals(f, 3, pts, ctx)
+    assert walks == [(3, len(pts))]
+    monkeypatch.undo()
+    for i, pt in enumerate(pts):
+        v = complex(evaluate(f, pt))
+        prev = complex(iterated_laplacian(f, 2, pt, ctx))
+        top = complex(iterated_laplacian(f, 3, pt, ctx))
+        assert abs(witnesses[i] - abs(prev) / (1 + abs(v))) <= 1e-12 * witnesses[i]
+        assert residuals[i] <= 1e-9 and abs(top) / (1 + abs(v) + abs(prev)) <= 1e-9
+
+
+def test_one_deep_walk_releases_values_after_their_last_read():
+    import tracemalloc
+
+    # flag --blocks 2,2 --p 5 at one point: a lift of 8.4 MB, and tensor
+    # products whose innermost level briefly holds about 100 MB; keeping
+    # every node's 0.52 MB jet until the walk ends pushed the peak to 162 MB
+    f = flag_sum_expr(default_flag_spec((2, 2)), 5)
+    ctx = full_context(4)
+    x = sample_so(4, 7)
+    tracemalloc.start()
+    try:
+        laplacian_jet(f, x, ctx.basis, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 125e6, peak
+
+
 def _curve_jet_identity_residuals(x, ctx, m=None):
     """The closed-form identity residuals from order-2 jets along each basis
     curve x . exp(eps Z): of the coordinate functions when m is None, else of
@@ -443,10 +549,13 @@ def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
         Pow(phi, -2),
         Product((Const(2 - 1j), Entry(1, 1), Entry(3, 2), phi)),
     ]
+    stack = np.stack([sample_so(4, 5 + i).entries for i in range(4)])
     for p in (1, 2, 3):
         for node in nodes:
             lifted = laplacian_jet(node, x, quotient_context(2, 2).basis, p)
             assert lifted.constant_value() == evaluate(node, x)
+            stacked = laplacian_jet(node, stack, quotient_context(2, 2).basis, p)
+            assert np.array_equal(stacked.constant_value(), evaluate(node, stack))
 
 
 def test_forward_laplacian_components_are_the_lifted_fields():
