@@ -183,6 +183,11 @@ def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
     return A
 
 
+def _seeds(config: RunConfig) -> range:
+    """The seeds of the run's plain sample points, one per sample."""
+    return range(config.seed, config.seed + config.samples)
+
+
 def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
     """Draw sample points on which the listed functions are trustworthy.
 
@@ -206,6 +211,16 @@ def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
         upper_check("matrix_trace", label, validation.trace, tol),
         upper_check("matrix_square", label, validation.square, tol),
         upper_check("matrix_rank", label, validation.rank_ratio, tol),
+    ]
+
+
+def _identity_records(residuals: dict, tol: float) -> list:
+    """Records of stacked identity residuals, each point's checks in turn."""
+    per_point = zip(*residuals.values())
+    return [
+        upper_check(check, i, value, tol)
+        for i, values in enumerate(per_point)
+        for check, value in zip(residuals, values)
     ]
 
 
@@ -274,11 +289,8 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
         raise UsageError("need m + n >= 2")
     tol = _threshold(config, DEFAULT_TOLS["calibrate"])
     ctx = ops.full_context(N, scale=config.basis_scale)
-    records = []
-    for i in range(config.samples):
-        point = sample_so(N, config.seed + i)
-        res = ops.coordinate_identity_residuals(point, ctx)
-        records += [upper_check(check, i, value, tol) for check, value in res.items()]
+    points = sample_so(N, _seeds(config)).entries
+    records = _identity_records(ops.coordinate_identity_residuals(points, ctx), tol)
     notes = []
     if config.basis_scale != 1.0:
         notes.append(f"basis deliberately rescaled by {config.basis_scale} (test hook)")
@@ -303,16 +315,14 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     full_ctx = ops.full_context(N)
     quot_ctx = ops.quotient_context(m, n)
     phi = ex.projector_form(A)
-    points = [sample_so(N, config.seed + i) for i in range(config.samples)]
+    points = sample_so(N, _seeds(config)).entries
 
     scale = float(np.max(np.abs(ops.values_at(phi, points))))
     records.append(lower_check("function_scale", "all", scale, 1e-12))
     if scale < 1e-12:
         notes.append("function is numerically zero on every sample (degenerate input)")
 
-    for i, pt in enumerate(points):
-        res = ops.projector_identity_residuals(pt, m, full_ctx)
-        records += [upper_check(check, i, value, proj_tol) for check, value in res.items()]
+    records += _identity_records(ops.projector_identity_residuals(points, m, full_ctx), proj_tol)
 
     eigen = ops.check_eigenfunction(phi, -N, -2, points, quot_ctx, eigen_tol)
     records.extend(eigen.checks)
@@ -368,7 +378,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     ctx = ops.full_context(n)
-    points = [sample_so(n, config.seed + i) for i in range(config.samples)]
+    points = sample_so(n, _seeds(config)).entries
     block_forms = [
         ex.projector_form(spec.generators[k], columns=ex.block_columns(blocks, k))
         for k in range(len(blocks))
@@ -430,7 +440,7 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     ctx = ops.dual_context(m, n)
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
-    points = [sample_so_mn(m, n, config.seed + i, config.radius) for i in range(config.samples)]
+    points = sample_so_mn(m, n, _seeds(config), config.radius).entries
     values = ops.values_at(phi, points)
     spread = float(np.std(np.abs(values)))
     # one value has no spread to judge
@@ -471,22 +481,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    # the options every command shares are declared once, on a parent parser
+    # the subcommands copy them from (each add_argument builds a formatter)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--m", type=int, default=2)
+    common.add_argument("--n", type=int, default=2)
+    common.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
+    common.add_argument("--p", type=int, default=2)
+    common.add_argument("--seed", type=int, default=7)
+    common.add_argument("--samples", type=int, default=20)
+    common.add_argument("--radius", type=float, default=0.75)
+    common.add_argument("--tol", type=float, default=None, help="override every threshold")
+    common.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
+    common.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
+    common.add_argument("--out", type=str, default=None, help="write the JSON report here")
+    common.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
     parser = _Parser(prog="pharmonic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        cp = sub.add_parser(name)
-        cp.add_argument("--m", type=int, default=2)
-        cp.add_argument("--n", type=int, default=2)
-        cp.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
-        cp.add_argument("--p", type=int, default=2)
-        cp.add_argument("--seed", type=int, default=7)
-        cp.add_argument("--samples", type=int, default=20)
-        cp.add_argument("--radius", type=float, default=0.75)
-        cp.add_argument("--tol", type=float, default=None, help="override every threshold")
-        cp.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
-        cp.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
-        cp.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        cp.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
+        sub.add_parser(name, parents=[common])
     sub.add_parser("report-schema")
     return parser
 

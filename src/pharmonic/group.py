@@ -12,7 +12,11 @@ has eigenvalue -(N - 1)/2 on matrix entries; the calibration tests pin it.
 
 Sampling takes an explicit integer seed and is deterministic, so
 verification runs over disjoint seeds can proceed concurrently without any
-shared state.
+shared state.  A sampler given a sequence of K seeds returns the K points
+as one (K, N, N) stack, each lane drawn from its own seed's generator in
+the one-seed draw order; the QR factorisations, sign fixes, exponentials
+and group-relation checks then run once per stack.  One seed is the K = 1
+case.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ class BasisVector:
 
 @dataclass(frozen=True, eq=False)
 class GroupPoint:
-    """Group element with its signature tag."""
+    """Group element with its signature tag; ``entries`` is one N x N matrix
+    or a (K, N, N) stack of K elements of the same group."""
 
     entries: np.ndarray
     signature: tuple
@@ -57,22 +62,31 @@ def minkowski_form(m: int, n: int) -> np.ndarray:
 
 
 def validate_group_point(point: GroupPoint, tol: float = POINT_TOL) -> None:
-    """Raise if the matrix fails its defining relations to tolerance."""
+    """Raise ValueError if the matrix fails its defining relations to
+    tolerance; for a (K, N, N) stack, all K are checked at once and the
+    message names the first failing lane."""
     x = point.entries
+    stack = x.reshape(-1, *x.shape[-2:])
     kind = point.signature[0]
+    gram = np.swapaxes(stack, -1, -2)
     if kind == "compact":
-        defect = np.max(np.abs(x.T @ x - np.eye(x.shape[0])))
+        form = np.eye(x.shape[-1])
     elif kind == "indefinite":
         _, m, n = point.signature
-        eta = minkowski_form(m, n)
-        defect = np.max(np.abs(x.T @ eta @ x - eta))
+        form = minkowski_form(m, n)
+        gram = gram @ form
     else:
         raise ValueError(f"unknown signature {point.signature!r}")
-    if defect > tol:
-        raise ValueError(f"matrix violates {kind} relation by {defect:.3e}")
-    det = np.linalg.det(x)
-    if abs(det - 1.0) > max(tol, 1e-9):
-        raise ValueError(f"determinant {det!r} is not 1")
+    defect = np.max(np.abs(gram @ stack - form), axis=(-2, -1))
+    det = np.linalg.det(stack)
+    bad = np.flatnonzero(~(defect <= tol) | ~(np.abs(det - 1.0) <= max(tol, 1e-9)))
+    if not bad.size:
+        return
+    k = bad[0]
+    where = f"lane {k}: " if x.ndim == 3 else ""
+    if not defect[k] <= tol:
+        raise ValueError(f"{where}matrix violates {kind} relation by {defect[k]:.3e}")
+    raise ValueError(f"{where}determinant {det[k]!r} is not 1")
 
 
 # -- Lie-algebra bases -------------------------------------------------------
@@ -145,72 +159,92 @@ def m_basis(m: int, n: int, kind: str = "compact") -> list[BasisVector]:
 # -- sampling -----------------------------------------------------------------
 
 
-def _haar_orthogonal(N: int, rng: np.random.Generator) -> np.ndarray:
-    """Special-orthogonal matrix, Haar-distributed up to the det correction.
+def _rngs(seed) -> list[np.random.Generator]:
+    """One fresh generator per seed: a single seed, or each of a sequence."""
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return [np.random.default_rng(s) for s in seeds]
 
-    QR of a Gaussian matrix with the R-diagonal sign fix; a det of -1 is
+
+def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
+    """Special-orthogonal matrices from a (K, n, n) stack of Gaussian ones,
+    Haar-distributed up to the det correction.
+
+    QR of each Gaussian matrix with the R-diagonal sign fix; a det of -1 is
     repaired by negating the first column.
     """
-    if N == 1:
-        return np.ones((1, 1))
-    A = rng.standard_normal((N, N))
-    Q, R = np.linalg.qr(A)
-    d = np.sign(np.diag(R))
+    Q, R = np.linalg.qr(normals)
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    Q = Q * d
-    if np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, 0] = -Q[:, 0]
+    Q = Q * d[:, None, :]
+    flip = np.linalg.det(Q) < 0
+    Q[flip, :, 0] = -Q[flip, :, 0]
     return Q
 
 
-def sample_so(N: int, seed: int) -> GroupPoint:
-    """Seeded random element of SO(N)."""
+def _haar_blocks(rngs, sizes: Sequence[int]) -> list[np.ndarray]:
+    """One (K, b, b) stack of SO(b) elements per size b, lane k drawn from
+    rngs[k] in block order; a size-1 block draws nothing (SO(1) = {1})."""
+    normals = [[rng.standard_normal((b, b)) if b > 1 else None for b in sizes] for rng in rngs]
+    return [
+        _haar_orthogonal(np.stack([lane[i] for lane in normals])) if b > 1 else np.ones((len(rngs), 1, 1))
+        for i, b in enumerate(sizes)
+    ]
+
+
+def _sampled(x: np.ndarray, signature: tuple, seed) -> GroupPoint:
+    """The validated point of one seed, or the stack x of a seed sequence."""
+    point = GroupPoint(x if np.ndim(seed) else x[0], signature)
+    validate_group_point(point)
+    return point
+
+
+def sample_so(N: int, seed) -> GroupPoint:
+    """Seeded random element of SO(N); a sequence of K seeds gives a
+    (K, N, N) stack, lane k equal to the point of seed k."""
     if N < 1:
         raise ValueError("need N >= 1")
-    rng = np.random.default_rng(seed)
-    point = GroupPoint(_haar_orthogonal(N, rng), ("compact", N))
-    validate_group_point(point)
-    return point
+    (x,) = _haar_blocks(_rngs(seed), (N,))
+    return _sampled(x, ("compact", N), seed)
 
 
-def sample_block_diagonal(blocks: Sequence[int], seed: int) -> GroupPoint:
-    """Seeded block-diagonal element of SO(n1) x ... x SO(nt) inside SO(N)."""
+def sample_block_diagonal(blocks: Sequence[int], seed) -> GroupPoint:
+    """Seeded block-diagonal element of SO(n1) x ... x SO(nt) inside SO(N);
+    a sequence of seeds gives a stack, as in sample_so."""
     if not blocks or any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive")
-    rng = np.random.default_rng(seed)
+    rngs = _rngs(seed)
     N = sum(blocks)
-    x = np.zeros((N, N))
+    x = np.zeros((len(rngs), N, N))
     start = 0
-    for b in blocks:
-        x[start : start + b, start : start + b] = _haar_orthogonal(b, rng)
+    for b, q in zip(blocks, _haar_blocks(rngs, blocks)):
+        x[:, start : start + b, start : start + b] = q
         start += b
-    point = GroupPoint(x, ("compact", N))
-    validate_group_point(point)
-    return point
+    return _sampled(x, ("compact", N), seed)
 
 
-def sample_so_mn(m: int, n: int, seed: int, radius: float = 0.75) -> GroupPoint:
-    """Seeded element of the identity component of the indefinite group.
+def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
+    """Seeded element of the identity component of the indefinite group; a
+    sequence of seeds gives a stack, as in sample_so.
 
     Constructed as k . exp(a): k block-diagonal in SO(m) x SO(n) and a a
     random combination of boost directions with coefficients uniform in
     [-radius, radius].  Membership in the identity component is therefore
-    by construction.
+    by construction.  Each seed's generator draws the SO(m) normals, then
+    the SO(n) normals, then the m n coefficients.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    rng = np.random.default_rng(seed)
+    rngs = _rngs(seed)
     N = m + n
-    k = np.zeros((N, N))
-    k[:m, :m] = _haar_orthogonal(m, rng)
-    k[m:, m:] = _haar_orthogonal(n, rng)
-    a = np.zeros((N, N))
-    for vec in m_basis(m, n, "indefinite"):
-        a += rng.uniform(-radius, radius) * vec.matrix
-    point = GroupPoint(k @ expm(a), ("indefinite", m, n))
-    validate_group_point(point)
-    return point
+    k = np.zeros((len(rngs), N, N))
+    k[:, :m, :m], k[:, m:, m:] = _haar_blocks(rngs, (m, n))
+    coeffs = np.stack([rng.uniform(-radius, radius, size=m * n) for rng in rngs])
+    a = np.zeros((len(rngs), N, N))
+    for j, vec in enumerate(m_basis(m, n, "indefinite")):
+        a += coeffs[:, j, None, None] * vec.matrix
+    return _sampled(k @ expm(a), ("indefinite", m, n), seed)
 
 
 # -- curves -------------------------------------------------------------------

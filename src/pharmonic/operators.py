@@ -30,15 +30,19 @@ The checkers stack their points, shape (K, N, N), and walk the tree once
 per chunk of lanes, the lift of a chunk holding at most
 MAX_LIFT_COMPONENTS components; plain evaluations (invariance, the
 non-descent witness, conditioned sampling) run on stacks the same way.
+Their samplers take a sequence of seeds and return the points as one
+stack (a GroupPoint whose entries are (K, N, N)), so every batch of
+subgroup actions or candidate points is drawn in one call.
 One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
 stacked walk raises a BranchCutError naming the failing lanes.
 
 The closed-form identity residuals read the same depth-1 lift as plain
-arrays: for the coordinate functions its planes X M_i are the value, the
-gradient and the Laplacian outright, and for the projector quadratics
-S = W W^T (W the window columns of X) one application of the product rule
-gives Z_b S = (X Z_b)_W W^T + W (X Z_b)_W^T and
+arrays, for a stack of points at once, and build each point's rank-4
+pairing tensor on its own: for the coordinate functions its planes X M_i
+are the value, the gradient and the Laplacian outright, and for the
+projector quadratics S = W W^T (W the window columns of X) one application
+of the product rule gives Z_b S = (X Z_b)_W W^T + W (X Z_b)_W^T and
 L S = (X sum Z^2)_W W^T + W (X sum Z^2)_W^T + 2 sum_b (X Z_b)_W (X Z_b)_W^T.
 
 For a function invariant under right translation by a subgroup K, every
@@ -131,6 +135,11 @@ def _stack(points) -> np.ndarray:
     if isinstance(points, np.ndarray):
         return points
     return np.stack([_as_matrix(pt) for pt in points])
+
+
+def _one_point(x) -> bool:
+    """Whether x is a single point rather than a sequence or stack of them."""
+    return np.ndim(_as_matrix(x)) == 2
 
 
 def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
@@ -240,37 +249,63 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
 # -- batch identity residuals ---------------------------------------------------
 
 
-def _identity_residuals(tau, grads, label: str, tau_expected, kappa_expected) -> dict[str, float]:
+def _identity_residuals(x, ctx: OperatorContext, label: str, planes) -> dict:
     """Residual maxima, normalised by 1 + |expected|, of the closed forms for
-    the Laplacian and the gradient pairing of an N x N grid of functions,
-    from its Laplacian plane ``tau`` and its B gradient planes ``grads``."""
-    kappa = np.einsum("zja,zkb->jakb", grads, grads)
-    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
-    r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
-    return {f"tau_{label}": float(r_tau), f"kappa_{label}": float(r_kappa)}
+    the Laplacian and the gradient pairing of an N x N grid of functions:
+    two floats for one point x, or one array of values per point for a
+    sequence or stack of points, lifted in chunks under MAX_LIFT_COMPONENTS.
+
+    ``planes(X)`` gives, for a (K, N, N) chunk, the grid's Laplacian planes,
+    their expected values, its (K, B, N, N) gradient planes, and a function
+    of k returning point k's expected N^4 pairing tensor; the pairing
+    tensors are built one point at a time, so only one is held at once.
+    """
+    one = _one_point(x)
+    X = np.asarray(_stack([x] if one else x), dtype=float)
+
+    def residuals(chunk):
+        tau, tau_expected, grads, kappa_expected = planes(chunk)
+        r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)), axis=(-2, -1))
+        r_kappa = np.empty(len(chunk))
+        for k, point_grads in enumerate(grads):
+            kappa = np.einsum("zja,zkb->jakb", point_grads, point_grads)
+            expected = kappa_expected(k)
+            r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
+        return np.stack([r_tau, r_kappa], axis=1)
+
+    r = _by_chunks(residuals, X, X[0].size * (len(ctx.basis) + 2))
+    if one:
+        return {f"tau_{label}": float(r[0, 0]), f"kappa_{label}": float(r[0, 1])}
+    return {f"tau_{label}": r[:, 0], f"kappa_{label}": r[:, 1]}
 
 
-def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict[str, float]:
+def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict:
     """Residual maxima of the closed forms for Laplacian and gradient pairing
-    of the matrix-entry coordinates on SO(N).
+    of the matrix-entry coordinates on SO(N), at one point or at each point
+    of a stack (see _identity_residuals).
 
     Expected: laplacian(x_{ja}) = -(N-1)/2 * x_{ja} and
     pairing(x_{ja}, x_{kb}) = -(x_{jb} x_{ka} - delta_{jk} delta_{ab}) / 2.
     """
-    X = np.asarray(_as_matrix(x), dtype=float)
-    N = X.shape[0]
-    eye = np.eye(N)
-    kappa_expected = -0.5 * (
-        np.einsum("jb,ka->jakb", X, X) - np.einsum("jk,ab->jakb", eye, eye)
-    )
-    lifted = _lift(X, ctx.basis, 1)
-    return _identity_residuals(
-        lifted[-1], lifted[1:-1], "coordinate", -(N - 1) / 2.0 * X, kappa_expected
-    )
+
+    def planes(X):
+        N = X.shape[-1]
+        eye = np.eye(N)
+        delta = np.einsum("jk,ab->jakb", eye, eye)
+        lifted = _lift(X, ctx.basis, 1)
+        return (
+            lifted[:, -1],
+            -(N - 1) / 2.0 * X,
+            lifted[:, 1:-1],
+            lambda k: -0.5 * (np.einsum("jb,ka->jakb", X[k], X[k]) - delta),
+        )
+
+    return _identity_residuals(x, ctx, "coordinate", planes)
 
 
-def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, float]:
-    """Residual maxima of the closed forms for the projector quadratics.
+def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict:
+    """Residual maxima of the closed forms for the projector quadratics, at
+    one point or at each point of a stack (see _identity_residuals).
 
     With S = x P x^T (P the first-m-columns projector) the expected values
     are laplacian(S_{ja}) = -N S_{ja} + m delta_{ja} and
@@ -278,27 +313,33 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict[str, f
       pairing(S_{ja}, S_{kb}) = -(S_{jb} S_{ka} + S_{jk} S_{ab})
           + (d_{jk} S_{ab} + d_{ab} S_{jk} + d_{jb} S_{ka} + d_{ka} S_{jb}) / 2.
     """
-    X = np.asarray(_as_matrix(x), dtype=float)
-    N = X.shape[0]
-    W = X[:, :m]
-    S = W @ W.T
-    eye = np.eye(N)
-    kappa_expected = (
-        -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S))
-        + 0.5
-        * (
+
+    def kappa_expected(S, eye):
+        return -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S)) + 0.5 * (
             np.einsum("jk,ab->jakb", eye, S)
             + np.einsum("ab,jk->jakb", eye, S)
             + np.einsum("jb,ka->jakb", eye, S)
             + np.einsum("ka,jb->jakb", eye, S)
         )
-    )
-    # product rule on S = W W^T over the window columns of the lifted planes
-    windows = _lift(X, ctx.basis, 1)[:, :, :m]
-    half = windows @ W.T
-    grads = half[1:-1] + half[1:-1].transpose(0, 2, 1)
-    tau = half[-1] + half[-1].T + 2.0 * np.einsum("bjt,bat->ja", windows[1:-1], windows[1:-1])
-    return _identity_residuals(tau, grads, "projector", -N * S + m * eye, kappa_expected)
+
+    def planes(X):
+        N = X.shape[-1]
+        eye = np.eye(N)
+        W = X[..., :m]
+        Wt = np.swapaxes(W, -1, -2)
+        S = W @ Wt
+        # product rule on S = W W^T over the window columns of the lifted planes
+        windows = _lift(X, ctx.basis, 1)[..., :m]
+        half = windows @ Wt[:, None]
+        grads = half[:, 1:-1] + np.swapaxes(half[:, 1:-1], -1, -2)
+        tau = (
+            half[:, -1]
+            + np.swapaxes(half[:, -1], -1, -2)
+            + 2.0 * np.einsum("kbjt,kbat->kja", windows[:, 1:-1], windows[:, 1:-1])
+        )
+        return tau, -N * S + m * eye, grads, lambda k: kappa_expected(S[k], eye)
+
+    return _identity_residuals(x, ctx, "projector", planes)
 
 
 # -- checkers --------------------------------------------------------------------
@@ -377,16 +418,17 @@ def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def check_invariance(
     f,
-    subgroup_sampler: Callable[[int], GroupPoint],
+    subgroup_sampler: Callable[[Sequence[int]], GroupPoint],
     points: Sequence,
     tol: float = 1e-10,
     seed: int = 0,
 ) -> VerificationReport:
-    """Verify f(x k) = f(x) for INVARIANCE_TRIALS sampled subgroup elements k.
+    """Verify f(x k) = f(x) for INVARIANCE_TRIALS sampled subgroup elements k,
+    drawn as one stack from seeds seed + 10000, ....
 
     Records, per point, the worst normalized change over the trials.
     """
-    ks = np.stack([subgroup_sampler(seed + 10_000 + j).entries for j in range(INVARIANCE_TRIALS)])
+    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS)).entries
     X = _stack(points)
     worst = _moved_changes(f, X, np.broadcast_to(ks, (len(X),) + ks.shape)).max(axis=1)
     records = [upper_check("invariance", i, w, tol) for i, w in enumerate(worst)]
@@ -399,7 +441,7 @@ def check_invariance(
 
 def non_descent_witness(
     f,
-    merged_sampler: Callable[[int], GroupPoint],
+    merged_sampler: Callable[[Sequence[int]], GroupPoint],
     points: Sequence,
     seed: int = 0,
 ) -> VerificationReport:
@@ -407,15 +449,14 @@ def non_descent_witness(
 
     Passing means at least one of WITNESS_TRIALS sampled actions per point
     changed the value by more than WITNESS_FLOOR (a lower-bound check),
-    witnessing that f does not descend through the merged quotient.
+    witnessing that f does not descend through the merged quotient.  Trial j
+    of point i uses seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn
+    as one stack.
     """
     X = _stack(points)
-    ks = np.stack(
-        [
-            [merged_sampler(seed + 20_000 + i * WITNESS_TRIALS + j).entries for j in range(WITNESS_TRIALS)]
-            for i in range(len(X))
-        ]
-    )
+    start = seed + 20_000
+    ks = merged_sampler(range(start, start + len(X) * WITNESS_TRIALS)).entries
+    ks = ks.reshape(len(X), WITNESS_TRIALS, *X.shape[1:])
     best = float(_moved_changes(f, X, ks).max())
     records = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
     return VerificationReport(
@@ -431,7 +472,7 @@ class SamplingExhausted(RuntimeError):
 
 def conditioned_sample(
     funcs: Sequence,
-    sampler: Callable[[int], GroupPoint],
+    sampler: Callable[[Sequence[int]], GroupPoint],
     count: int,
     seed: int,
 ) -> tuple[list[GroupPoint], int]:
@@ -439,16 +480,17 @@ def conditioned_sample(
 
     A point qualifies when each function value keeps clear of the branch cut
     (CUT_ANGLE), lies within [ABS_FLOOR, ABS_CEIL], and its magnitude reaches
-    FLOOR_RATIO times the batch median scale.  Deterministic for a fixed seed.
-    Returns the accepted points and the total number of draws.
+    FLOOR_RATIO times the batch median scale.  Deterministic for a fixed seed:
+    ``sampler`` maps a sequence of seeds to the stack of their points, and
+    candidate i is the point of seed + i.  Returns the accepted points and
+    the total number of draws.
     """
     if count < 1:
         raise ValueError("need count >= 1")
 
-    def smallest_safe_values(pts) -> np.ndarray:
+    def smallest_safe_values(X: np.ndarray) -> np.ndarray:
         """Per point, the smallest magnitude over funcs, or nan where a value
         leaves the window; one stacked evaluation per function."""
-        X = _stack(pts)
         worst = np.full(len(X), np.inf)
         for f in funcs:
             v = values_at(f, X)
@@ -459,28 +501,29 @@ def conditioned_sample(
 
     batch_size = max(2 * count, 20)
     limit = 60 * count + batch_size
-    first = [sampler(seed + i) for i in range(batch_size)]
+    first = sampler(range(seed, seed + batch_size))
     draws = batch_size
-    candidates = [
-        (pt, mag) for pt, mag in zip(first, smallest_safe_values(first)) if not np.isnan(mag)
-    ]
-    if not candidates:
+    mags = smallest_safe_values(first.entries)
+    safe = ~np.isnan(mags)
+    if not safe.any():
         raise SamplingExhausted("every candidate point violated the branch window")
-    scale = float(np.median([m for _, m in candidates]))
-    floor = FLOOR_RATIO * scale
+    floor = FLOOR_RATIO * float(np.median(mags[safe]))
 
-    accepted = [pt for pt, mag in candidates if mag >= floor]
-    while len(accepted) < count and draws < limit:
+    accepted = [first.entries[mags >= floor]]
+    kept = len(accepted[0])
+    while kept < count and draws < limit:
         # never more draws than acceptances still needed, so the draw count
         # is the one a point-by-point loop stopping at `count` makes
-        batch = [sampler(seed + draws + i) for i in range(min(count - len(accepted), limit - draws))]
-        draws += len(batch)
-        accepted += [pt for pt, mag in zip(batch, smallest_safe_values(batch)) if mag >= floor]
-    if len(accepted) < count:
+        size = min(count - kept, limit - draws)
+        batch = sampler(range(seed + draws, seed + draws + size)).entries
+        draws += size
+        accepted.append(batch[smallest_safe_values(batch) >= floor])
+        kept += len(accepted[-1])
+    if kept < count:
         raise SamplingExhausted(
-            f"only {len(accepted)}/{count} conditioned samples after {draws} draws"
+            f"only {kept}/{count} conditioned samples after {draws} draws"
         )
-    return accepted[:count], draws
+    return [GroupPoint(x, first.signature) for x in np.concatenate(accepted)[:count]], draws
 
 
 def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext):
@@ -495,7 +538,7 @@ def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext):
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
-    if isinstance(x, GroupPoint) or np.ndim(x) == 2:
+    if _one_point(x):
         residual, witness = p_harmonic_residuals(f, p, [x], ctx)
         return float(residual[0]), float(witness[0])
     D = len(ctx.basis) + 2

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pharmonic import cli
 from pharmonic import operators as ops
 from pharmonic.cli import (
     COMMANDS,
@@ -218,6 +219,54 @@ def test_main_exit_code_on_domain_failure(capsys):
         "--w", "1e-9,1e-9,1e-9",
     )
     assert code == EXIT_DOMAIN
+
+
+def _parser_declared_per_command():
+    """The CLI parser with the shared options declared on every subcommand
+    separately: the layout the shared parent parser must reproduce."""
+    parser = cli._Parser(prog="pharmonic", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        cp = sub.add_parser(name)
+        cp.add_argument("--m", type=int, default=2)
+        cp.add_argument("--n", type=int, default=2)
+        cp.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
+        cp.add_argument("--p", type=int, default=2)
+        cp.add_argument("--seed", type=int, default=7)
+        cp.add_argument("--samples", type=int, default=20)
+        cp.add_argument("--radius", type=float, default=0.75)
+        cp.add_argument("--tol", type=float, default=None, help="override every threshold")
+        cp.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
+        cp.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
+        cp.add_argument("--out", type=str, default=None, help="write the JSON report here")
+        cp.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
+    sub.add_parser("report-schema")
+    return parser
+
+
+def _parsed(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of parser.parse_args(argv)."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [*COMMANDS, "report-schema"])
+def test_shared_options_parse_and_print_as_when_declared_per_command(capsys, command):
+    every_option = [
+        "--m", "3", "--n", "1", "--blocks", "1,2", "--p", "4", "--seed", "11",
+        "--samples", "5", "--radius", "0.5", "--tol", "1e-6", "--w", "1,2:1",
+        "--A", "a.csv", "--out", "r.json", "--csv", "r.csv",
+    ]
+    argvs = [[command, "--help"], [command], [command, "--m", "x"], ["--help"]]
+    if command != "report-schema":
+        argvs += [[command, *every_option], [command, "--seed=9", "--p", "1"]]
+    for argv in argvs:
+        got = _parsed(cli._build_parser(), argv, capsys)
+        assert got == _parsed(_parser_declared_per_command(), argv, capsys), argv
 
 
 def test_main_rejects_unknown_command(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from pharmonic.group import (
     GroupPoint,
@@ -144,6 +144,88 @@ def test_sample_block_diagonal():
     validate_group_point(x)
     np.testing.assert_allclose(x.entries[0, 1:], 0, atol=1e-14)
     assert x.entries[0, 0] == 1.0
+
+
+def _reference_haar(N, rng):
+    """One SO(N) element drawn point by point: Gaussian QR with the
+    R-diagonal sign fix and the det repair, nothing drawn for N = 1."""
+    if N == 1:
+        return np.ones((1, 1))
+    Q, R = np.linalg.qr(rng.standard_normal((N, N)))
+    d = np.sign(np.diag(R))
+    d[d == 0] = 1.0
+    Q = Q * d
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def _reference_point(seed, kind, shape, radius=0.75):
+    """The point of one seed, built one draw at a time in the samplers' order."""
+    rng = np.random.default_rng(seed)
+    if kind == "so":
+        return _reference_haar(shape, rng)
+    if kind == "blocks":
+        return block_diag(*[_reference_haar(b, rng) for b in shape])
+    m, n = shape
+    k = block_diag(_reference_haar(m, rng), _reference_haar(n, rng))
+    a = np.zeros((m + n, m + n))
+    for vec in m_basis(m, n, "indefinite"):
+        a += rng.uniform(-radius, radius) * vec.matrix
+    return k @ expm(a)
+
+
+_SAMPLERS = (
+    [pytest.param(lambda s, N=N: sample_so(N, s), ("so", N), id=f"so{N}") for N in range(1, 9)]
+    + [
+        pytest.param(lambda s, b=b: sample_block_diagonal(b, s), ("blocks", b), id=f"blocks{b}")
+        for b in ((1, 1, 2), (2, 1, 1), (2, 2))
+    ]
+    + [
+        pytest.param(
+            lambda s, m=m, n=n, r=r: sample_so_mn(m, n, s, r), ("mn", (m, n), r), id=f"mn{m}{n}r{r}"
+        )
+        for m, n in ((1, 2), (2, 1), (2, 2), (2, 3))
+        for r in (0.0, 0.75)
+    ]
+)
+
+
+@pytest.mark.parametrize("sampler, reference", _SAMPLERS)
+def test_stacked_sampling_equals_one_seed_sampling_exactly(sampler, reference):
+    for seeds in (range(40, 41), range(300, 337)):
+        stack = sampler(seeds)
+        assert stack.entries.shape[0] == len(seeds)
+        for lane, seed in enumerate(seeds):
+            alone = sampler(seed)
+            assert alone.signature == stack.signature
+            assert np.array_equal(stack.entries[lane], alone.entries), (seed, lane)
+            # and both equal the point drawn one number at a time
+            assert np.array_equal(alone.entries, _reference_point(seed, *reference)), seed
+
+
+def test_validation_names_the_corrupted_lane():
+    for stack, lane in (
+        (sample_so(4, range(10)), 6),
+        (sample_so_mn(2, 2, range(5), 0.5), 3),
+    ):
+        validate_group_point(stack)
+        stack.entries[lane, 1, 2] += 1e-7
+        with pytest.raises(ValueError, match=f"^lane {lane}: matrix violates"):
+            validate_group_point(stack)
+    flipped = sample_so(3, range(4))
+    flipped.entries[2, :, 0] *= -1  # orthogonal, but det = -1
+    with pytest.raises(ValueError, match="^lane 2: determinant"):
+        validate_group_point(flipped)
+    one = sample_so(3, 5)
+    one.entries[0, 0] += 1e-7
+    with pytest.raises(ValueError, match="^matrix violates compact relation"):
+        validate_group_point(one)
+
+
+def test_sampler_needs_a_seed():
+    with pytest.raises(ValueError):
+        sample_so(3, [])
 
 
 # -- curves --------------------------------------------------------------------

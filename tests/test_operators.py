@@ -16,7 +16,8 @@ from pharmonic.expressions import (
     window_quadratic,
 )
 from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
-from pharmonic.group import curve_jets, k_basis, sample_block_diagonal, sample_so, sample_so_mn
+from pharmonic import operators as ops
+from pharmonic.group import GroupPoint, curve_jets, k_basis, sample_block_diagonal, sample_so, sample_so_mn
 from pharmonic.jets import BranchCutError, JetScalar
 from pharmonic.operators import (
     check_eigenfamily,
@@ -524,19 +525,51 @@ def _curve_jet_identity_residuals(x, ctx, m=None):
 @pytest.mark.parametrize("scale", [1.0, 1.1])
 def test_identity_residuals_match_curve_jets(scale):
     # a rescaled basis moves every residual to order 0.1, so agreement there
-    # checks the planes themselves, not just that both sides are near zero
+    # checks the planes themselves, not just that both sides are near zero;
+    # the residuals of a stack of three points are compared lane by lane
     for N in range(2, 9):
         ctx = full_context(N, scale=scale)
-        x = sample_so(N, 700 + N)
-        pairs = [(coordinate_identity_residuals(x, ctx), _curve_jet_identity_residuals(x, ctx))]
+        stack = sample_so(N, range(700 + N, 703 + N))
+        lanes = [GroupPoint(x, stack.signature) for x in stack.entries]
+        pairs = [
+            (coordinate_identity_residuals(stack.entries, ctx), [_curve_jet_identity_residuals(x, ctx) for x in lanes])
+        ]
         pairs += [
-            (projector_identity_residuals(x, m, ctx), _curve_jet_identity_residuals(x, ctx, m))
+            (
+                projector_identity_residuals(stack.entries, m, ctx),
+                [_curve_jet_identity_residuals(x, ctx, m) for x in lanes],
+            )
             for m in range(1, N)
         ]
-        for got, want in pairs:
-            assert got.keys() == want.keys()
-            for key, value in want.items():
-                assert abs(got[key] - value) <= 1e-13, (N, key, got[key], value)
+        for got, wants in pairs:
+            for lane, want in enumerate(wants):
+                assert got.keys() == want.keys()
+                for key, value in want.items():
+                    assert abs(got[key][lane] - value) <= 1e-13, (N, lane, key, got[key][lane], value)
+
+
+def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
+    cases = [(N, None) for N in range(2, 9)] + [(m + n, m) for m, n in ((1, 2), (2, 2), (2, 3), (3, 4))]
+    for N, m in cases:
+        ctx = full_context(N)
+        lift = N * N * (len(ctx.basis) + 2)
+        for bound in (ops.MAX_LIFT_COMPONENTS, 2 * lift):  # all lanes, then 2 per lift
+            monkeypatch.setattr(ops, "MAX_LIFT_COMPONENTS", bound)
+            stack = sample_so(N, range(40 * N, 40 * N + 5))
+
+            def residuals(x):
+                if m is None:
+                    return coordinate_identity_residuals(x, ctx)
+                return projector_identity_residuals(x, m, ctx)
+
+            stacked = residuals(stack.entries)
+            for lane, x in enumerate(stack.entries):
+                alone = residuals(x)
+                assert stacked.keys() == alone.keys()
+                for key, value in alone.items():
+                    assert isinstance(value, float)
+                    assert stacked[key].shape == (5,)
+                    assert stacked[key][lane] == value, (N, m, lane, key)
 
 
 def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
@@ -596,6 +629,67 @@ def test_non_descent_witness_found_for_three_blocks():
     pts = [sample_so(4, 190)]
     report = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts)
     assert report.passed
+
+
+def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
+    """conditioned_sample's rule one point at a time: the median scale from
+    the first max(2 count, 20) draws, then single draws until count points
+    are kept or the draw limit is reached."""
+
+    def smallest_safe_value(pt):
+        worst = np.inf
+        for f in funcs:
+            v = complex(evaluate(f, pt.entries))
+            if not (ops.ABS_FLOOR <= abs(v) <= ops.ABS_CEIL and np.pi - abs(np.angle(v)) >= ops.CUT_ANGLE):
+                return None
+            worst = min(worst, abs(v))
+        return worst
+
+    batch_size = max(2 * count, 20)
+    first = [sampler(seed + i) for i in range(batch_size)]
+    mags = [smallest_safe_value(pt) for pt in first]
+    floor = ops.FLOOR_RATIO * float(np.median([mag for mag in mags if mag is not None]))
+    accepted = [pt for pt, mag in zip(first, mags) if mag is not None and mag >= floor]
+    draws = batch_size
+    while len(accepted) < count and draws < 60 * count + batch_size:
+        pt = sampler(seed + draws)
+        draws += 1
+        mag = smallest_safe_value(pt)
+        if mag is not None and mag >= floor:
+            accepted.append(pt)
+    return accepted[:count], draws
+
+
+def test_conditioned_sample_equals_a_point_by_point_loop():
+    # Entry(1, 1) is on the log cut at every point with x11 < 0, so fewer than
+    # half the first draws qualify and single draws have to follow
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    funcs = [phi, Entry(1, 1)]
+    for seed in (300, 301, 302):
+        got, draws = conditioned_sample(funcs, lambda s: sample_so(4, s), 12, seed)
+        want, want_draws = _point_by_point_conditioned_sample(funcs, lambda s: sample_so(4, s), 12, seed)
+        assert draws == want_draws and draws > 24, seed
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            assert a.signature == b.signature
+            assert np.array_equal(a.entries, b.entries), seed
+
+
+def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
+    requested = []
+
+    def sampler(seeds):
+        requested.append(list(seeds))
+        return sample_block_diagonal((2, 2), seeds)
+
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    pts = sample_so(4, range(60, 63)).entries
+    check_invariance(phi, sampler, pts, seed=5)
+    non_descent_witness(phi, sampler, pts, seed=5)
+    assert requested == [
+        [5 + 10_000 + j for j in range(ops.INVARIANCE_TRIALS)],
+        [5 + 20_000 + i * ops.WITNESS_TRIALS + j for i in range(3) for j in range(ops.WITNESS_TRIALS)],
+    ]
 
 
 def test_conditioned_sample_is_deterministic_and_filters_small_values():
