@@ -2,9 +2,10 @@
 """Run the full verification sweep and collect the JSON reports.
 
 Covers the calibration sizes, the Grassmannian shapes, the iterated-Laplacian
-orders p = 2, 3, 4, both flag partitions, and the indefinite duals at p = 2
-and 4; writes one report per run into the output directory and prints a
-summary table.
+orders p = 2, 3, 4, the flag partitions (1,1,2) and (2,1,1) with the (2,2)
+Grassmannian control, and the indefinite duals at p = 2 and 4; writes one
+report per run into the output directory and prints a summary table, ending
+with the sum of the per-run times and the elapsed wall time of the sweep.
 
 With ``--compare DIR`` each report is also compared with the report of the
 same name in DIR, an earlier sweep: the run reads "same" when its check ids,
@@ -100,10 +101,11 @@ def main() -> int:
     parser.add_argument("--compare", metavar="DIR", help="compare with the reports in DIR")
     args = parser.parse_args()
 
+    sweep_start = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_ok = all_same = True
-    largest_change = 0.0
+    largest_change = run_total = 0.0
     header = f"{'run':<24} {'verdict':<8} {'checks':>7} {'worst residual':>15} {'time':>8}"
     if args.compare:
         header += f"  {'vs ' + args.compare:<24} {'max |dr|':>10}"
@@ -113,6 +115,7 @@ def main() -> int:
         start = time.perf_counter()
         report = COMMANDS[config.command](config)
         report.timing_seconds = time.perf_counter() - start
+        run_total += report.timing_seconds
         text = report.to_json() + "\n"
         line = ""
         if args.compare:
@@ -134,6 +137,8 @@ def main() -> int:
             f"{worst:>15.3e} {report.timing_seconds:>7.2f}s" + line
         )
     print("-" * len(header))
+    elapsed = time.perf_counter() - sweep_start
+    print(f"total: {run_total:.2f}s in runs, {elapsed:.2f}s elapsed")
     print(f"reports written to {out_dir}/")
     if args.compare:
         verdict = "every run the same as" if all_same else "SOME RUNS DIFFER FROM"

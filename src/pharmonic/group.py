@@ -17,6 +17,12 @@ as one (K, N, N) stack, each lane drawn from its own seed's generator in
 the one-seed draw order; the QR factorisations, sign fixes, exponentials
 and group-relation checks then run once per stack.  One seed is the K = 1
 case.
+
+The exponential of a boost is read from the SVD of its off-diagonal block
+(the Cartan decomposition of the symmetric pair; Higham, Functions of
+Matrices, 2008), in numpy alone.  scipy's expm is imported only when one of
+the two test oracles runs, curve_point or operators.fd_laplacian; no CLI
+command calls either.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from numbers import Number
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .jets import JetScalar, constant, is_zero, scalar_value, zero_like
 
@@ -224,6 +229,27 @@ def sample_block_diagonal(blocks: Sequence[int], seed) -> GroupPoint:
     return _sampled(x, ("compact", N), seed)
 
 
+def _boost_exp(C: np.ndarray) -> np.ndarray:
+    """exp([[0, C], [C^T, 0]]) for a (K, m, n) stack of off-diagonal blocks.
+
+    With the reduced SVD C = U S V^T, a^2 = diag(C C^T, C^T C) acts as S^2
+    on the singular vectors and as 0 on the rest, so exp(a) =
+    [[I + U (cosh S - I) U^T, U sinh S V^T], [V sinh S U^T, I + V (cosh S - I) V^T]];
+    cosh s - 1 is taken as 2 sinh(s/2)^2, which keeps small boosts accurate
+    and makes C = 0 give the identity exactly.
+    """
+    K, m, n = C.shape
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    V = np.swapaxes(Vt, -1, -2)
+    cosh_m1 = 2.0 * np.sinh(s / 2.0) ** 2
+    out = np.empty((K, m + n, m + n))
+    out[:, :m, :m] = np.eye(m) + (U * cosh_m1[:, None, :]) @ np.swapaxes(U, -1, -2)
+    out[:, :m, m:] = (U * np.sinh(s)[:, None, :]) @ Vt
+    out[:, m:, :m] = np.swapaxes(out[:, :m, m:], -1, -2)
+    out[:, m:, m:] = np.eye(n) + (V * cosh_m1[:, None, :]) @ Vt
+    return out
+
+
 def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
     """Seeded element of the identity component of the indefinite group; a
     sequence of seeds gives a stack, as in sample_so.
@@ -232,8 +258,12 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
     random combination of boost directions with coefficients uniform in
     [-radius, radius].  Membership in the identity component is therefore
     by construction.  Each seed's generator draws the SO(m) normals, then
-    the SO(n) normals, then the m n coefficients.
+    the SO(n) normals, then the m n coefficients, which fill the
+    off-diagonal block C of a = [[0, C], [C^T, 0]] row by row (the order of
+    m_basis); exp(a) comes from the SVD of C (see the module docstring).
     """
+    if m < 1 or n < 1:
+        raise ValueError("need m, n >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     rngs = _rngs(seed)
@@ -241,10 +271,8 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
     k = np.zeros((len(rngs), N, N))
     k[:, :m, :m], k[:, m:, m:] = _haar_blocks(rngs, (m, n))
     coeffs = np.stack([rng.uniform(-radius, radius, size=m * n) for rng in rngs])
-    a = np.zeros((len(rngs), N, N))
-    for j, vec in enumerate(m_basis(m, n, "indefinite")):
-        a += coeffs[:, j, None, None] * vec.matrix
-    return _sampled(k @ expm(a), ("indefinite", m, n), seed)
+    C = coeffs.reshape(-1, m, n) / np.sqrt(2.0)
+    return _sampled(k @ _boost_exp(C), ("indefinite", m, n), seed)
 
 
 # -- curves -------------------------------------------------------------------
@@ -261,11 +289,13 @@ def _as_direction(Z):
 def curve_point(x, direction, t):
     """Point x . exp(t Z) along the one-parameter curve in direction Z.
 
-    For a plain number t this uses the scaling-and-squaring matrix
-    exponential and returns a numpy matrix.  For a jet t the exponential
-    series terminates exactly by nilpotency (after splitting off any
-    constant part of t) and the result is a nested tuple of jet entries.
+    For a plain number t this uses scipy's scaling-and-squaring matrix
+    exponential, imported here, and returns a numpy matrix.  For a jet t the
+    exponential series terminates exactly by nilpotency (after splitting off
+    any constant part of t) and the result is a nested tuple of jet entries.
     """
+    from scipy.linalg import expm
+
     X = _as_matrix(x)
     Z = _as_direction(direction)
     if isinstance(t, Number):

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .expressions import evaluate
 from .group import BasisVector, GroupPoint, m_basis, so_basis
@@ -235,7 +234,10 @@ def iterated_laplacian(f, p: int, x, ctx: OperatorContext):
 
 
 def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
-    """Central-difference Laplacian, an oracle independent of jet arithmetic."""
+    """Central-difference Laplacian, an oracle independent of jet arithmetic
+    (and of the CLI, so scipy is imported here rather than with the module)."""
+    from scipy.linalg import expm
+
     X = np.asarray(_as_matrix(x), dtype=float)
     center = 2.0 * complex(evaluate(f, X))
     total = 0j

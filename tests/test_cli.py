@@ -45,14 +45,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_cli_process(*argv, cwd=None):
-    """The CLI in a fresh interpreter, as a shell user runs it."""
+def run_python(*args, cwd=None):
+    """A fresh interpreter that imports pharmonic from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pharmonic.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
     )
+
+
+def run_cli_process(*argv, cwd=None):
+    """The CLI in a fresh interpreter, as a shell user runs it."""
+    return run_python("-m", "pharmonic.cli", *argv, cwd=cwd)
 
 
 # -- commands through the Python API ---------------------------------------------
@@ -289,6 +293,34 @@ def test_main_report_schema(capsys):
     schema = json.loads(out)
     assert schema["schema_version"]
     assert "checks" in schema["properties"]
+
+
+SCIPY_FREE_RUNS = [
+    ["calibrate", "--m", "1", "--n", "1", "--samples", "2"],
+    ["grassmann", "--m", "1", "--n", "2", "--samples", "2"],
+    ["pharmonic", "--m", "1", "--n", "2", "--p", "1", "--samples", "2"],
+    ["flag", "--blocks", "1,1,1", "--p", "1", "--samples", "2"],
+    ["dual", "--m", "1", "--n", "2", "--p", "1", "--samples", "2"],
+    ["report-schema"],
+]
+
+
+def test_every_command_runs_without_scipy():
+    """scipy serves only the test oracles: with its import blocked, every
+    command still exits 0, and importing the package does not load it."""
+    blocked = run_python(
+        "-c",
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from pharmonic import cli\n"
+        f"codes = [cli.main(argv) for argv in {SCIPY_FREE_RUNS!r}]\n"
+        "print(codes, file=sys.stderr)\n"
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stderr.strip() == str([EXIT_PASS] * len(SCIPY_FREE_RUNS))
+    fresh = run_python("-c", "import sys, pharmonic, pharmonic.cli; print('scipy' in sys.modules)")
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "False"
 
 
 def test_tol_scale_environment_variable(monkeypatch, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+from pharmonic.cli import MAX_BOOST_NORM
 from pharmonic.group import (
     GroupPoint,
+    _boost_exp,
     curve_jets,
     curve_point,
     k_basis,
@@ -160,6 +162,38 @@ def _reference_haar(N, rng):
     return Q
 
 
+def _reference_boost_exp(C):
+    """exp([[0, C], [C^T, 0]]) of one m x n block from its SVD C = U S V^T."""
+    m, n = C.shape
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    cosh_m1 = 2.0 * np.sinh(s / 2.0) ** 2
+    off = (U * np.sinh(s)) @ Vt
+    return np.block(
+        [
+            [np.eye(m) + (U * cosh_m1) @ U.T, off],
+            [off.T, np.eye(n) + (Vt.T * cosh_m1) @ Vt],
+        ]
+    )
+
+
+def _reference_boost_draw(seed, m, n, radius):
+    """k and the boost block C of one seed, drawn one number at a time."""
+    rng = np.random.default_rng(seed)
+    k = block_diag(_reference_haar(m, rng), _reference_haar(n, rng))
+    C = np.zeros((m, n))
+    for vec in m_basis(m, n, "indefinite"):
+        j, a = vec.rows
+        C[j - 1, a - m - 1] = rng.uniform(-radius, radius) / np.sqrt(2.0)
+    return k, C
+
+
+def _boost_matrix(C):
+    m, n = C.shape
+    a = np.zeros((m + n, m + n))
+    a[:m, m:], a[m:, :m] = C, C.T
+    return a
+
+
 def _reference_point(seed, kind, shape, radius=0.75):
     """The point of one seed, built one draw at a time in the samplers' order."""
     rng = np.random.default_rng(seed)
@@ -167,12 +201,8 @@ def _reference_point(seed, kind, shape, radius=0.75):
         return _reference_haar(shape, rng)
     if kind == "blocks":
         return block_diag(*[_reference_haar(b, rng) for b in shape])
-    m, n = shape
-    k = block_diag(_reference_haar(m, rng), _reference_haar(n, rng))
-    a = np.zeros((m + n, m + n))
-    for vec in m_basis(m, n, "indefinite"):
-        a += rng.uniform(-radius, radius) * vec.matrix
-    return k @ expm(a)
+    k, C = _reference_boost_draw(seed, *shape, radius)
+    return k @ _reference_boost_exp(C)
 
 
 _SAMPLERS = (
@@ -202,6 +232,57 @@ def test_stacked_sampling_equals_one_seed_sampling_exactly(sampler, reference):
             assert np.array_equal(stack.entries[lane], alone.entries), (seed, lane)
             # and both equal the point drawn one number at a time
             assert np.array_equal(alone.entries, _reference_point(seed, *reference)), seed
+
+
+def _boost_radii(m, n):
+    """Radii from 0 up to the largest the CLI accepts for (m, n)."""
+    limit = MAX_BOOST_NORM / np.sqrt(m * n / 2)
+    return limit, (0.0, 0.75, limit / 2, limit)
+
+
+def _boost_blocks(m, n, radius, count=10):
+    """Sampled boost blocks at one radius, plus the corner where every
+    coefficient is +radius: a rank-one block whose norm is the CLI bound."""
+    draws = [_reference_boost_draw(seed, m, n, radius)[1] for seed in range(count)]
+    return np.stack(draws + [np.full((m, n), radius / np.sqrt(2.0))])
+
+
+_BOOST_SHAPES = pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (2, 2), (2, 3)])
+
+
+@_BOOST_SHAPES
+def test_boost_exponential_matches_scipy_expm(m, n):
+    # Only up to half the CLI limit: beyond it scipy's expm (scaling and
+    # squaring) itself drifts from the exact exponential by up to ~1e-11,
+    # so the exact oracle below covers the rest of the range.
+    limit, radii = _boost_radii(m, n)
+    for radius in (r for r in radii if r <= limit / 2):
+        C = _boost_blocks(m, n, radius)
+        for block, got in zip(C, _boost_exp(C)):
+            assert np.max(np.abs(got - expm(_boost_matrix(block)))) <= 1e-14, radius
+    zero = _boost_exp(np.zeros((3, m, n)))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(m + n), zero.shape))
+    seeds = range(5)
+    points = sample_so_mn(m, n, seeds, 0.0).entries
+    for seed, point in zip(seeds, points):
+        assert np.array_equal(point, _reference_boost_draw(seed, m, n, 0.0)[0])
+
+
+@_BOOST_SHAPES
+def test_boost_exponential_matches_exact_exponential_up_to_the_cli_limit(m, n):
+    mpmath = pytest.importorskip("mpmath")
+    limit, radii = _boost_radii(m, n)
+    with mpmath.workdps(40):
+        for radius in radii:
+            C = _boost_blocks(m, n, radius, count=4)
+            for block, got in zip(C, _boost_exp(C)):
+                exact = mpmath.expm(mpmath.matrix(_boost_matrix(block).tolist()))
+                expected = np.array(exact.tolist(), dtype=float)
+                # 1e-14 absolute while entries stay below cosh 2; beyond, where
+                # they reach cosh 4 ~ 27 and exp amplifies a rounding of its
+                # argument about ||a|| = 4 times, 2e-15 relative (~9 ulps)
+                bound = 1e-14 if radius <= limit / 2 else 2e-15 * np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= bound, radius
 
 
 def test_validation_names_the_corrupted_lane():
