@@ -24,7 +24,6 @@ from .expressions import (
 )
 from .group import (
     BasisVector,
-    GroupPoint,
     curve_jets,
     curve_point,
     k_basis,
@@ -76,8 +75,6 @@ from .symcalc import (
     GaussianRational,
     SymExpr,
     apply_laplacian,
-    as_expr_node,
-    evaluate_sym,
     iterate_laplacian,
     p_harmonic_combination,
     verify_p_harmonic,

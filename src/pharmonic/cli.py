@@ -240,7 +240,8 @@ def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -
 def _p_harmonic_records(
     expr, points, ctx, config: RunConfig, notes: list[str], expect_witness: bool = True
 ) -> list:
-    """Order-p residual and order-(p-1) witness records at each sample point.
+    """Order-p residual and order-(p-1) witness records at each point of the
+    (K, N, N) stack.
 
     All points are walked together.  A point where the iteration hits a
     branch cut is dropped and the rest are walked again; a point whose
@@ -254,7 +255,7 @@ def _p_harmonic_records(
     results = ((), ())
     while lanes:
         try:
-            results = ops.p_harmonic_residuals(expr, config.p, [points[i] for i in lanes], ctx)
+            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], ctx)
             break
         except BranchCutError as exc:
             # no lane named: the failing value is shared by every lane
@@ -289,7 +290,7 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
         raise UsageError("need m + n >= 2")
     tol = _threshold(config, DEFAULT_TOLS["calibrate"])
     ctx = ops.full_context(N, scale=config.basis_scale)
-    points = sample_so(N, _seeds(config)).entries
+    points = sample_so(N, _seeds(config))
     records = _identity_records(ops.coordinate_identity_residuals(points, ctx), tol)
     notes = []
     if config.basis_scale != 1.0:
@@ -315,7 +316,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     full_ctx = ops.full_context(N)
     quot_ctx = ops.quotient_context(m, n)
     phi = ex.projector_form(A)
-    points = sample_so(N, _seeds(config)).entries
+    points = sample_so(N, _seeds(config))
 
     scale = float(np.max(np.abs(ops.values_at(phi, points))))
     records.append(lower_check("function_scale", "all", scale, 1e-12))
@@ -324,17 +325,14 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
 
     records += _identity_records(ops.projector_identity_residuals(points, m, full_ctx), proj_tol)
 
-    eigen = ops.check_eigenfunction(phi, -N, -2, points, quot_ctx, eigen_tol)
-    records.extend(eigen.checks)
-
-    invariance = ops.check_invariance(
+    records += ops.check_eigenfunction(phi, -N, -2, points, quot_ctx, eigen_tol)
+    records += ops.check_invariance(
         phi,
         lambda s: sample_block_diagonal((m, n), s),
         points,
         tol=inv_tol,
         seed=config.seed,
     )
-    records.extend(invariance.checks)
     if m == 1:
         notes.append(f"m = 1: eigenvalue -(n+1) = {-(n + 1)} (degree-two harmonics)")
     return VerificationReport("grassmann", config.as_dict(), records, notes)
@@ -378,7 +376,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     ctx = ops.full_context(n)
-    points = sample_so(n, _seeds(config)).entries
+    points = sample_so(n, _seeds(config))
     block_forms = [
         ex.projector_form(spec.generators[k], columns=ex.block_columns(blocks, k))
         for k in range(len(blocks))
@@ -386,30 +384,28 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
 
     for k, phi_k in enumerate(block_forms):
         fam = ops.check_eigenfamily([phi_k], -n, -2, points, ctx, eigen_tol)
-        records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam.checks]
+        records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam]
 
     total = ex.flag_sum_expr(spec, config.p)
     sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
     records += _p_harmonic_records(total, sampled, ctx, config, notes)
 
-    invariance = ops.check_invariance(
+    records += ops.check_invariance(
         total,
         lambda s: sample_block_diagonal(blocks, s),
         sampled,
         tol=inv_tol,
         seed=config.seed,
     )
-    records.extend(invariance.checks)
 
     if len(blocks) >= 3:
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
-        witness_report = ops.non_descent_witness(
+        records += ops.non_descent_witness(
             total,
             lambda s: sample_block_diagonal(merged, s),
             sampled[:1],
             seed=config.seed,
         )
-        records.extend(witness_report.checks)
     else:
         notes.append("two blocks: non-descent check skipped (single-window quotient)")
     return VerificationReport("flag", config.as_dict(), records, notes)
@@ -440,7 +436,7 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     ctx = ops.dual_context(m, n)
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
-    points = sample_so_mn(m, n, _seeds(config), config.radius).entries
+    points = sample_so_mn(m, n, _seeds(config), config.radius)
     values = ops.values_at(phi, points)
     spread = float(np.std(np.abs(values)))
     # one value has no spread to judge
@@ -450,8 +446,7 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
             "(radius too small to leave the compact subgroup)"
         )
 
-    eigen = ops.check_eigenfunction(phi, N, 2, points, ctx, eigen_tol)
-    records.extend(eigen.checks)
+    records += ops.check_eigenfunction(phi, N, 2, points, ctx, eigen_tol)
 
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
     iter_points = _sample_conditioned(

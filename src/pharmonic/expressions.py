@@ -94,8 +94,6 @@ def evaluate(node, matrix):
     call: results are memoised by node identity, and each is dropped after
     its last reader has read it, so a walk holds only the values still due.
     """
-    if hasattr(matrix, "entries"):
-        matrix = matrix.entries
     if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
         # entry (r, c) of every matrix as one contiguous lane array
         lanes = np.ascontiguousarray(np.moveaxis(matrix, 0, -1), dtype=complex)

@@ -1,8 +1,10 @@
 """Rotation groups, their indefinite-signature duals, and Lie-algebra bases.
 
-Points are stored as plain numpy matrices tagged with a signature:
-``("compact", N)`` for SO(N) and ``("indefinite", m, n)`` for the identity
-component of the pseudo-orthogonal group preserving diag(I_m, -I_n).
+Points are plain numpy arrays: one N x N matrix, or a (K, N, N) stack of K
+elements of one group.  A signature names the group whose relations
+validate_group_point checks: ``("compact", N)`` for SO(N) and
+``("indefinite", m, n)`` for the identity component of the
+pseudo-orthogonal group preserving diag(I_m, -I_n).
 
 Bases of the Lie algebra are orthonormal for the trace form
 g(X, Y) = -tr(XY) on skew-symmetric (compact) directions and
@@ -16,7 +18,7 @@ shared state.  A sampler given a sequence of K seeds returns the K points
 as one (K, N, N) stack, each lane drawn from its own seed's generator in
 the one-seed draw order; the QR factorisations, sign fixes, exponentials
 and group-relation checks then run once per stack.  One seed is the K = 1
-case.
+case, returned as its one N x N matrix.
 
 The exponential of a boost is read from the SVD of its off-diagonal block
 (the Cartan decomposition of the symmetric pair; Higham, Functions of
@@ -53,35 +55,25 @@ class BasisVector:
     form_sign: int = -1
 
 
-@dataclass(frozen=True, eq=False)
-class GroupPoint:
-    """Group element with its signature tag; ``entries`` is one N x N matrix
-    or a (K, N, N) stack of K elements of the same group."""
-
-    entries: np.ndarray
-    signature: tuple
-
-
 def minkowski_form(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(n)]))
 
 
-def validate_group_point(point: GroupPoint, tol: float = POINT_TOL) -> None:
-    """Raise ValueError if the matrix fails its defining relations to
-    tolerance; for a (K, N, N) stack, all K are checked at once and the
-    message names the first failing lane."""
-    x = point.entries
+def validate_group_point(x: np.ndarray, signature: tuple, tol: float = POINT_TOL) -> None:
+    """Raise ValueError if the matrix x fails the defining relations of the
+    group named by signature to tolerance; for a (K, N, N) stack, all K are
+    checked at once and the message names the first failing lane."""
     stack = x.reshape(-1, *x.shape[-2:])
-    kind = point.signature[0]
+    kind = signature[0]
     gram = np.swapaxes(stack, -1, -2)
     if kind == "compact":
         form = np.eye(x.shape[-1])
     elif kind == "indefinite":
-        _, m, n = point.signature
+        _, m, n = signature
         form = minkowski_form(m, n)
         gram = gram @ form
     else:
-        raise ValueError(f"unknown signature {point.signature!r}")
+        raise ValueError(f"unknown signature {signature!r}")
     defect = np.max(np.abs(gram @ stack - form), axis=(-2, -1))
     det = np.linalg.det(stack)
     bad = np.flatnonzero(~(defect <= tol) | ~(np.abs(det - 1.0) <= max(tol, 1e-9)))
@@ -198,23 +190,23 @@ def _haar_blocks(rngs, sizes: Sequence[int]) -> list[np.ndarray]:
     ]
 
 
-def _sampled(x: np.ndarray, signature: tuple, seed) -> GroupPoint:
+def _sampled(x: np.ndarray, signature: tuple, seed) -> np.ndarray:
     """The validated point of one seed, or the stack x of a seed sequence."""
-    point = GroupPoint(x if np.ndim(seed) else x[0], signature)
-    validate_group_point(point)
+    point = x if np.ndim(seed) else x[0]
+    validate_group_point(point, signature)
     return point
 
 
-def sample_so(N: int, seed) -> GroupPoint:
-    """Seeded random element of SO(N); a sequence of K seeds gives a
-    (K, N, N) stack, lane k equal to the point of seed k."""
+def sample_so(N: int, seed) -> np.ndarray:
+    """Seeded random element of SO(N), one N x N matrix; a sequence of K
+    seeds gives a (K, N, N) stack, lane k equal to the point of seed k."""
     if N < 1:
         raise ValueError("need N >= 1")
     (x,) = _haar_blocks(_rngs(seed), (N,))
     return _sampled(x, ("compact", N), seed)
 
 
-def sample_block_diagonal(blocks: Sequence[int], seed) -> GroupPoint:
+def sample_block_diagonal(blocks: Sequence[int], seed) -> np.ndarray:
     """Seeded block-diagonal element of SO(n1) x ... x SO(nt) inside SO(N);
     a sequence of seeds gives a stack, as in sample_so."""
     if not blocks or any(b < 1 for b in blocks):
@@ -250,7 +242,7 @@ def _boost_exp(C: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
+def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> np.ndarray:
     """Seeded element of the identity component of the indefinite group; a
     sequence of seeds gives a stack, as in sample_so.
 
@@ -278,10 +270,6 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> GroupPoint:
 # -- curves -------------------------------------------------------------------
 
 
-def _as_matrix(x):
-    return x.entries if isinstance(x, GroupPoint) else x
-
-
 def _as_direction(Z):
     return Z.matrix if isinstance(Z, BasisVector) else Z
 
@@ -296,15 +284,14 @@ def curve_point(x, direction, t):
     """
     from scipy.linalg import expm
 
-    X = _as_matrix(x)
     Z = _as_direction(direction)
     if isinstance(t, Number):
         tc = complex(t)
         if tc.imag == 0.0:
-            return np.asarray(X) @ expm(tc.real * Z)
-        return np.asarray(X) @ expm(tc * Z.astype(complex))
+            return np.asarray(x) @ expm(tc.real * Z)
+        return np.asarray(x) @ expm(tc * Z.astype(complex))
     c0 = scalar_value(t)
-    base = np.asarray(X, dtype=float)
+    base = np.asarray(x, dtype=float)
     if c0 != 0j:
         if abs(c0.imag) > 1e-12:
             raise ValueError("constant part of the curve parameter must be real")

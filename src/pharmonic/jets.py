@@ -59,12 +59,14 @@ class BranchCutError(JetError):
     """An analytic function was evaluated on or too near its branch cut.
 
     ``lanes`` holds the indices of the failing lanes when the argument was a
-    lane array, and is empty when it was one number.
+    lane array, and is empty when it was one number; the message names them
+    before the ``reason``.
     """
 
-    def __init__(self, message: str, lanes=()):
-        super().__init__(message)
+    def __init__(self, reason: str, lanes=()):
+        self.reason = reason
         self.lanes = tuple(int(i) for i in lanes)
+        super().__init__(f"lanes {list(self.lanes)} {reason}" if self.lanes else reason)
 
 
 class NonFiniteError(JetError):
@@ -448,19 +450,10 @@ def reciprocal(value: Scalar) -> Scalar:
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / value
     inv0 = reciprocal(_constant_term(value))
-    if isinstance(value, LaplacianJet):
-        taylor = [inv0]
-        for _ in range(value.order):
-            taylor.append(taylor[-1] * -inv0)
-        return _compose(value, taylor)
-    out = [inv0]
-    a = value.coeffs
-    for k in range(1, value.order + 1):
-        acc = a[1] * out[k - 1]
-        for i in range(2, k + 1):
-            acc = acc + a[i] * out[k - i]
-        out.append(-(inv0 * acc))
-    return JetScalar(value.order, out)
+    taylor = [inv0]
+    for _ in range(value.order):
+        taylor.append(taylor[-1] * -inv0)
+    return _compose(value, taylor)
 
 
 def ipow(value: Scalar, exponent: int) -> Scalar:
@@ -490,10 +483,8 @@ def _check_branch(z, floor: float, angle: float):
     if isinstance(z, np.ndarray):
         bad = (np.abs(z) < floor) | (math.pi - np.abs(np.angle(z)) < angle)
         if np.any(bad):
-            lanes = np.flatnonzero(bad)
             raise BranchCutError(
-                f"lanes {lanes.tolist()} within {floor:.1e} of the origin or {angle:.1e} of the cut",
-                lanes,
+                f"within {floor:.1e} of the origin or {angle:.1e} of the cut", np.flatnonzero(bad)
             )
         return z
     if abs(z) < floor:

@@ -26,13 +26,15 @@ are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
 
-The checkers stack their points, shape (K, N, N), and walk the tree once
-per chunk of lanes, the lift of a chunk holding at most
-MAX_LIFT_COMPONENTS components; plain evaluations (invariance, the
-non-descent witness, conditioned sampling) run on stacks the same way.
-Their samplers take a sequence of seeds and return the points as one
-stack (a GroupPoint whose entries are (K, N, N)), so every batch of
-subgroup actions or candidate points is drawn in one call.
+Every checker and residual function takes its points as one (K, N, N)
+stack and walks the tree once per chunk of lanes, the lift of a chunk
+holding at most MAX_LIFT_COMPONENTS components; plain evaluations
+(invariance, the non-descent witness, conditioned sampling) run on stacks
+the same way.  Their samplers take a sequence of seeds and return the
+points as one (K, N, N) array, so every batch of subgroup actions or
+candidate points is drawn in one call.  The checkers return their
+verdicts as lists of CheckRecords, the residual functions as arrays of
+one value per point.
 One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
 stacked walk raises a BranchCutError naming the failing lanes.
@@ -59,10 +61,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expressions import evaluate
-from .group import BasisVector, GroupPoint, m_basis, so_basis
+from .group import BasisVector, m_basis, so_basis
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
-from .reports import CheckRecord, VerificationReport, lower_check, upper_check
+from .reports import CheckRecord, lower_check, upper_check
 
 DEPTH_CAP = 5
 
@@ -125,46 +127,29 @@ def dual_context(m: int, n: int) -> OperatorContext:
     return OperatorContext(tuple(m_basis(m, n, "indefinite")))
 
 
-def _as_matrix(x):
-    return x.entries if isinstance(x, GroupPoint) else x
-
-
-def _stack(points) -> np.ndarray:
-    """The points' matrices as one (K, N, N) array (a stack is kept as is)."""
-    if isinstance(points, np.ndarray):
-        return points
-    return np.stack([_as_matrix(pt) for pt in points])
-
-
-def _one_point(x) -> bool:
-    """Whether x is a single point rather than a sequence or stack of them."""
-    return np.ndim(_as_matrix(x)) == 2
-
-
 def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
     """walk over consecutive chunks of the stack X, each of at most
     MAX_LIFT_COMPONENTS // components lanes (at least one), concatenated.
-    A BranchCutError names its failing lanes by their index in X."""
+    A BranchCutError names its failing lanes, in its message and in .lanes,
+    by their index in X."""
     step = max(1, MAX_LIFT_COMPONENTS // components)
     parts = []
     for start in range(0, len(X), step):
         try:
             parts.append(walk(X[start : start + step]))
         except BranchCutError as exc:
-            raise BranchCutError(str(exc), [start + i for i in exc.lanes]) from None
+            raise BranchCutError(exc.reason, [start + i for i in exc.lanes]) from None
     return np.concatenate(parts)
 
 
-def values_at(f, points) -> np.ndarray:
-    """Plain values of f at each point, one walk per chunk of points."""
-    X = _stack(points)
+def values_at(f, X: np.ndarray) -> np.ndarray:
+    """Plain values of f at each point of the stack X, one walk per chunk."""
     return _by_chunks(lambda chunk: evaluate(f, chunk), X, X[0].size)
 
 
-def _jets_at(f, points, basis, p: int, components=slice(None)) -> np.ndarray:
-    """The chosen components of f's depth-p jet at each point, a (K, ...)
-    array, from one laplacian_jet walk per chunk of points."""
-    X = _stack(points)
+def _jets_at(f, X: np.ndarray, basis, p: int, components=slice(None)) -> np.ndarray:
+    """The chosen components of f's depth-p jet at each point of the stack
+    X, a (K, ...) array, from one laplacian_jet walk per chunk of points."""
     size = X[0].size * (len(basis) + 2) ** p
     return _by_chunks(lambda chunk: laplacian_jet(f, chunk, basis, p).coeffs[:, components], X, size)
 
@@ -193,7 +178,7 @@ def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
     at the point, for the operators M_0 = 1, M_b = Z_b and
     M_(D-1) = sum_b Z_b Z_b over the basis.
     """
-    X = np.asarray(_as_matrix(x))
+    X = np.asarray(x)
     N = X.shape[-1]
     lanes = X.shape[:-2]
     # entries[r * N + c] holds the lifted (r, c) entry, lanes first
@@ -229,7 +214,7 @@ def iterated_laplacian(f, p: int, x, ctx: OperatorContext):
     if p > DEPTH_CAP:
         raise ValueError(f"iteration depth {p} exceeds cap {DEPTH_CAP}")
     if p == 0:
-        return evaluate(f, _as_matrix(x))
+        return evaluate(f, x)
     return complex(laplacian_jet(f, x, ctx.basis, p).coeffs[-1])
 
 
@@ -238,7 +223,7 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
     (and of the CLI, so scipy is imported here rather than with the module)."""
     from scipy.linalg import expm
 
-    X = np.asarray(_as_matrix(x), dtype=float)
+    X = np.asarray(x, dtype=float)
     center = 2.0 * complex(evaluate(f, X))
     total = 0j
     for b in ctx.basis:
@@ -251,19 +236,17 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
 # -- batch identity residuals ---------------------------------------------------
 
 
-def _identity_residuals(x, ctx: OperatorContext, label: str, planes) -> dict:
+def _identity_residuals(points: np.ndarray, ctx: OperatorContext, label: str, planes) -> dict:
     """Residual maxima, normalised by 1 + |expected|, of the closed forms for
     the Laplacian and the gradient pairing of an N x N grid of functions:
-    two floats for one point x, or one array of values per point for a
-    sequence or stack of points, lifted in chunks under MAX_LIFT_COMPONENTS.
+    one array of values per point of the (K, N, N) stack, lifted in
+    chunks under MAX_LIFT_COMPONENTS.
 
     ``planes(X)`` gives, for a (K, N, N) chunk, the grid's Laplacian planes,
     their expected values, its (K, B, N, N) gradient planes, and a function
     of k returning point k's expected N^4 pairing tensor; the pairing
     tensors are built one point at a time, so only one is held at once.
     """
-    one = _one_point(x)
-    X = np.asarray(_stack([x] if one else x), dtype=float)
 
     def residuals(chunk):
         tau, tau_expected, grads, kappa_expected = planes(chunk)
@@ -275,16 +258,14 @@ def _identity_residuals(x, ctx: OperatorContext, label: str, planes) -> dict:
             r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
         return np.stack([r_tau, r_kappa], axis=1)
 
-    r = _by_chunks(residuals, X, X[0].size * (len(ctx.basis) + 2))
-    if one:
-        return {f"tau_{label}": float(r[0, 0]), f"kappa_{label}": float(r[0, 1])}
+    r = _by_chunks(residuals, points, points[0].size * (len(ctx.basis) + 2))
     return {f"tau_{label}": r[:, 0], f"kappa_{label}": r[:, 1]}
 
 
-def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict:
+def coordinate_identity_residuals(points: np.ndarray, ctx: OperatorContext) -> dict:
     """Residual maxima of the closed forms for Laplacian and gradient pairing
-    of the matrix-entry coordinates on SO(N), at one point or at each point
-    of a stack (see _identity_residuals).
+    of the matrix-entry coordinates on SO(N), at each point of a stack (see
+    _identity_residuals).
 
     Expected: laplacian(x_{ja}) = -(N-1)/2 * x_{ja} and
     pairing(x_{ja}, x_{kb}) = -(x_{jb} x_{ka} - delta_{jk} delta_{ab}) / 2.
@@ -302,12 +283,12 @@ def coordinate_identity_residuals(x, ctx: OperatorContext) -> dict:
             lambda k: -0.5 * (np.einsum("jb,ka->jakb", X[k], X[k]) - delta),
         )
 
-    return _identity_residuals(x, ctx, "coordinate", planes)
+    return _identity_residuals(points, ctx, "coordinate", planes)
 
 
-def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict:
-    """Residual maxima of the closed forms for the projector quadratics, at
-    one point or at each point of a stack (see _identity_residuals).
+def projector_identity_residuals(points: np.ndarray, m: int, ctx: OperatorContext) -> dict:
+    """Residual maxima of the closed forms for the projector quadratics at
+    each point of a stack (see _identity_residuals).
 
     With S = x P x^T (P the first-m-columns projector) the expected values
     are laplacian(S_{ja}) = -N S_{ja} + m delta_{ja} and
@@ -341,7 +322,7 @@ def projector_identity_residuals(x, m: int, ctx: OperatorContext) -> dict:
         )
         return tau, -N * S + m * eye, grads, lambda k: kappa_expected(S[k], eye)
 
-    return _identity_residuals(x, ctx, "projector", planes)
+    return _identity_residuals(points, ctx, "projector", planes)
 
 
 # -- checkers --------------------------------------------------------------------
@@ -362,26 +343,20 @@ def _eigen_records(jets, lam: complex, mu: complex, tol: float, prefix: str = ""
 
 
 def check_eigenfunction(
-    f, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
-) -> VerificationReport:
-    """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point,
-    from one depth-1 walk per chunk of points.
+    f, lam, mu, points: np.ndarray, ctx: OperatorContext, tol: float
+) -> list[CheckRecord]:
+    """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point
+    of the stack, from one depth-1 walk per chunk of points.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    lam, mu = complex(lam), complex(mu)
-    records = _eigen_records(_jets_at(f, points, ctx.basis, 1), lam, mu, tol)
-    return VerificationReport(
-        "check_eigenfunction",
-        {"lam": repr(lam), "mu": repr(mu), "points": len(points), "tol": tol},
-        records,
-    )
+    return _eigen_records(_jets_at(f, points, ctx.basis, 1), complex(lam), complex(mu), tol)
 
 
 def check_eigenfamily(
-    fs: Sequence, lam, mu, points: Sequence, ctx: OperatorContext, tol: float
-) -> VerificationReport:
+    fs: Sequence, lam, mu, points: np.ndarray, ctx: OperatorContext, tol: float
+) -> list[CheckRecord]:
     """Eigen relations for each member plus pairing(f_i, f_j) = mu f_i f_j
     for every unordered pair, read from one depth-1 walk per member per
     chunk of points."""
@@ -401,11 +376,7 @@ def check_eigenfamily(
             records += [
                 upper_check(f"kappa_pair_{i}_{j}", pidx, r, tol) for pidx, r in enumerate(residuals)
             ]
-    return VerificationReport(
-        "check_eigenfamily",
-        {"lam": repr(lam), "mu": repr(mu), "members": len(fs), "points": len(points), "tol": tol},
-        records,
-    )
+    return records
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -420,33 +391,27 @@ def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
 
 def check_invariance(
     f,
-    subgroup_sampler: Callable[[Sequence[int]], GroupPoint],
-    points: Sequence,
+    subgroup_sampler: Callable[[Sequence[int]], np.ndarray],
+    points: np.ndarray,
     tol: float = 1e-10,
     seed: int = 0,
-) -> VerificationReport:
+) -> list[CheckRecord]:
     """Verify f(x k) = f(x) for INVARIANCE_TRIALS sampled subgroup elements k,
     drawn as one stack from seeds seed + 10000, ....
 
     Records, per point, the worst normalized change over the trials.
     """
-    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS)).entries
-    X = _stack(points)
-    worst = _moved_changes(f, X, np.broadcast_to(ks, (len(X),) + ks.shape)).max(axis=1)
-    records = [upper_check("invariance", i, w, tol) for i, w in enumerate(worst)]
-    return VerificationReport(
-        "check_invariance",
-        {"points": len(points), "trials": INVARIANCE_TRIALS, "tol": tol},
-        records,
-    )
+    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS))
+    worst = _moved_changes(f, points, np.broadcast_to(ks, (len(points),) + ks.shape)).max(axis=1)
+    return [upper_check("invariance", i, w, tol) for i, w in enumerate(worst)]
 
 
 def non_descent_witness(
     f,
-    merged_sampler: Callable[[Sequence[int]], GroupPoint],
-    points: Sequence,
+    merged_sampler: Callable[[Sequence[int]], np.ndarray],
+    points: np.ndarray,
     seed: int = 0,
-) -> VerificationReport:
+) -> list[CheckRecord]:
     """Find a merged-subgroup element whose right action visibly moves f.
 
     Passing means at least one of WITNESS_TRIALS sampled actions per point
@@ -455,17 +420,11 @@ def non_descent_witness(
     of point i uses seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn
     as one stack.
     """
-    X = _stack(points)
     start = seed + 20_000
-    ks = merged_sampler(range(start, start + len(X) * WITNESS_TRIALS)).entries
-    ks = ks.reshape(len(X), WITNESS_TRIALS, *X.shape[1:])
-    best = float(_moved_changes(f, X, ks).max())
-    records = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
-    return VerificationReport(
-        "non_descent_witness",
-        {"points": len(points), "trials": WITNESS_TRIALS, "floor": WITNESS_FLOOR},
-        records,
-    )
+    ks = merged_sampler(range(start, start + len(points) * WITNESS_TRIALS))
+    ks = ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:])
+    best = float(_moved_changes(f, points, ks).max())
+    return [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
 
 
 class SamplingExhausted(RuntimeError):
@@ -474,18 +433,18 @@ class SamplingExhausted(RuntimeError):
 
 def conditioned_sample(
     funcs: Sequence,
-    sampler: Callable[[Sequence[int]], GroupPoint],
+    sampler: Callable[[Sequence[int]], np.ndarray],
     count: int,
     seed: int,
-) -> tuple[list[GroupPoint], int]:
+) -> tuple[np.ndarray, int]:
     """Draw points where every listed function is numerically trustworthy.
 
     A point qualifies when each function value keeps clear of the branch cut
     (CUT_ANGLE), lies within [ABS_FLOOR, ABS_CEIL], and its magnitude reaches
     FLOOR_RATIO times the batch median scale.  Deterministic for a fixed seed:
     ``sampler`` maps a sequence of seeds to the stack of their points, and
-    candidate i is the point of seed + i.  Returns the accepted points and
-    the total number of draws.
+    candidate i is the point of seed + i.  Returns the accepted points, as
+    one (count, N, N) stack, and the total number of draws.
     """
     if count < 1:
         raise ValueError("need count >= 1")
@@ -505,19 +464,19 @@ def conditioned_sample(
     limit = 60 * count + batch_size
     first = sampler(range(seed, seed + batch_size))
     draws = batch_size
-    mags = smallest_safe_values(first.entries)
+    mags = smallest_safe_values(first)
     safe = ~np.isnan(mags)
     if not safe.any():
         raise SamplingExhausted("every candidate point violated the branch window")
     floor = FLOOR_RATIO * float(np.median(mags[safe]))
 
-    accepted = [first.entries[mags >= floor]]
+    accepted = [first[mags >= floor]]
     kept = len(accepted[0])
     while kept < count and draws < limit:
         # never more draws than acceptances still needed, so the draw count
         # is the one a point-by-point loop stopping at `count` makes
         size = min(count - kept, limit - draws)
-        batch = sampler(range(seed + draws, seed + draws + size)).entries
+        batch = sampler(range(seed + draws, seed + draws + size))
         draws += size
         accepted.append(batch[smallest_safe_values(batch) >= floor])
         kept += len(accepted[-1])
@@ -525,25 +484,21 @@ def conditioned_sample(
         raise SamplingExhausted(
             f"only {kept}/{count} conditioned samples after {draws} draws"
         )
-    return [GroupPoint(x, first.signature) for x in np.concatenate(accepted)[:count]], draws
+    return np.concatenate(accepted)[:count], draws
 
 
-def p_harmonic_residuals(f, p: int, x, ctx: OperatorContext):
+def p_harmonic_residuals(f, p: int, points: np.ndarray, ctx: OperatorContext):
     """Normalized order-p residual and order-(p-1) witness.
 
-    Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)):
-    two floats for one point, or two arrays of one value per point for a
-    sequence of points, walked together in chunks (a one-point walk is a
-    one-lane chunk).  f, L^(p-1) f and L^p f are components (0, ..., 0),
+    Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)) as
+    two arrays of one value per point of the (K, N, N) stack, walked
+    together in chunks.  f, L^(p-1) f and L^p f are components (0, ..., 0),
     (D-1, ..., D-1, 0) and (D-1, ..., D-1) of one depth-p jet.  A branch cut
     raises a BranchCutError naming the failing points by their index.
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
-    if _one_point(x):
-        residual, witness = p_harmonic_residuals(f, p, [x], ctx)
-        return float(residual[0]), float(witness[0])
     D = len(ctx.basis) + 2
     components = [0, D**p - D, D**p - 1]
-    v, prev, top = np.abs(_jets_at(f, x, ctx.basis, p, components)).T
+    v, prev, top = np.abs(_jets_at(f, points, ctx.basis, p, components)).T
     return top / (1.0 + v + prev), prev / (1.0 + v)

@@ -18,16 +18,15 @@ imaginary parts) with exact rational exponents a and natural exponents b, so
 "the iterate is zero" is a theorem about the expression, not a numerical
 statement.  Eigenvalue pairs whose ratio is irrational or non-real are out
 of scope and rejected.  The rewrite itself is cross-checked against the
-jet-based numerical operators in the test suite.
+jet-based numerical operators in the test suite.  This module imports no
+other pharmonic module: the exact route shares no code with the numeric
+one, so their agreement is itself a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .expressions import Const, Log, Pow, Product, Sum
-from .jets import JetScalar, ipow, jlog, jpow, one_like
 
 
 def _frac(value) -> Fraction:
@@ -277,45 +276,3 @@ def verify_p_harmonic(params: EigenParams, p: int, c1, c2) -> TheoremVerdict:
     final = apply_laplacian(previous, params)
     return TheoremVerdict(final.is_zero(), not previous.is_zero(), previous)
 
-
-# -- bridges to the numerical side ----------------------------------------------
-
-
-def evaluate_sym(expr: SymExpr, value):
-    """Evaluate sum coeff * v^a * log(v)^b at a complex number or jet.
-
-    Integer powers avoid the logarithm entirely; fractional powers and any
-    log factor use principal branches.
-    """
-    total = None
-    log_v = None
-    for t in expr.terms():
-        part = t.coeff.to_complex() * one_like(value)
-        if t.a != 0:
-            if t.a.denominator == 1:
-                part = part * ipow(value, int(t.a))
-            else:
-                part = part * jpow(value, float(t.a))
-        if t.b > 0:
-            if log_v is None:
-                log_v = jlog(value)
-            part = part * ipow(log_v, t.b)
-        total = part if total is None else total + part
-    if total is None:
-        return 0j if not isinstance(value, JetScalar) else one_like(value) * 0.0
-    return total
-
-
-def as_expr_node(expr: SymExpr, phi):
-    """Expression tree for the combination composed with a given inner tree."""
-    if expr.is_zero():
-        return Const(0j)
-    parts = []
-    for t in expr.terms():
-        factors = [Const(t.coeff.to_complex())]
-        if t.a != 0:
-            factors.append(Pow(phi, complex(float(t.a))))
-        if t.b > 0:
-            factors.append(Log(phi) if t.b == 1 else Pow(Log(phi), t.b))
-        parts.append(factors[0] if len(factors) == 1 else Product(tuple(factors)))
-    return parts[0] if len(parts) == 1 else Sum(tuple(parts))

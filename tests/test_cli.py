@@ -513,7 +513,7 @@ def _fake_residuals(monkeypatch, outcomes):
     def fake(f, p, points, ctx):
         calls.extend(points)
         answers = [
-            outcomes[min(order.setdefault(id(pt), len(order)), len(outcomes) - 1)]
+            outcomes[min(order.setdefault(pt.tobytes(), len(order)), len(outcomes) - 1)]
             for pt in points
         ]
         failing = [lane for lane, answer in enumerate(answers) if isinstance(answer, type)]
@@ -565,12 +565,9 @@ def test_every_point_dropped_fails_properness(monkeypatch, capsys, command):
 
 
 def test_pipeline_drops_only_the_lane_on_the_log_cut():
-    x = sample_so(3, 11).entries
-    points = []
-    for sign in (1.0, -1.0, 1.0, 1.0):  # x11 < 0 at point 1 only
-        y = x.copy()
-        y[0, 0] = sign * abs(x[0, 0])
-        points.append(y)
+    x = sample_so(3, 11)
+    points = np.stack([x] * 4)
+    points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])  # x11 < 0 at point 1 only
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
     ctx = ops.full_context(3)
     notes = []
@@ -578,7 +575,7 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
     assert notes == ["point 1 rejected during iteration (branch cut)"]
     assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
     for i in (0, 2, 3):
-        residual, witness = ops.p_harmonic_residuals(f, 2, [points[i]], ctx)
+        residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], ctx)
         got = {r.check: r.residual for r in records if r.point == i}
         assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
 

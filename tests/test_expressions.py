@@ -36,7 +36,7 @@ from pharmonic.jets import lift
 
 def test_projector_entry_single_column():
     node = window_quadratic(2, 3, range(1, 2))
-    x = sample_so(4, 0).entries
+    x = sample_so(4, 0)
     assert evaluate(node, x) == complex(x[1, 0] * x[2, 0])
 
 
@@ -49,7 +49,7 @@ def test_projector_entry_at_identity():
 
 
 def test_projector_diagonal_sums_to_window_size():
-    x = sample_so(6, 1).entries
+    x = sample_so(6, 1)
     for m in (1, 2, 3):
         total = sum(evaluate(window_quadratic(j, j, range(1, m + 1)), x) for j in range(1, 7))
         assert abs(total - m) <= 1e-12
@@ -152,7 +152,7 @@ def test_projector_form_at_identity_is_partial_trace():
 def test_projector_form_single_column_square():
     u = np.array([1.0, 1j, 0.0])
     A = rank_one_from_isotropic(u, (1, 2))
-    x = sample_so(3, 3).entries
+    x = sample_so(3, 3)
     direct = (x[0, 0] + 1j * x[1, 0]) ** 2
     assert abs(evaluate(projector_form(A), x) - direct) <= 1e-12
 
@@ -161,7 +161,7 @@ def test_projector_form_linearity():
     m, n = 1, 3
     A = rank_one_from_vector([1, 2, 3], (m, n)).matrix
     B = rank_one_from_vector([2, -1, 1], (m, n)).matrix
-    x = sample_so(4, 4).entries
+    x = sample_so(4, 4)
     lhs = evaluate(projector_form(A + B, m=m), x)
     rhs = evaluate(projector_form(A, m=m), x) + evaluate(projector_form(B, m=m), x)
     assert abs(lhs - rhs) <= 1e-12
@@ -179,7 +179,7 @@ def test_projector_form_equals_unfolded_sum_for_nonsymmetric_coefficients():
     N = m + n
     rng = np.random.default_rng(6)
     A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    x = sample_so(N, 6).entries
+    x = sample_so(N, 6)
     unfolded = sum(
         A[j, a] * evaluate(window_quadratic(j + 1, a + 1, range(1, m + 1)), x)
         for j in range(N)
@@ -203,7 +203,7 @@ def _lifted(x, order=2):
 
 
 def test_plain_evaluation_equals_jet_coefficient_zero_exactly():
-    x = sample_so(4, 5).entries
+    x = sample_so(4, 5)
     A = rank_one_from_vector([1, 2, 3], (2, 2))
     nodes = [
         window_quadratic(1, 2, range(1, 3)),
@@ -229,7 +229,7 @@ def test_shared_subtrees_are_evaluated_once_per_call():
 
     shared = Product((Entry(1, 1), Entry(1, 1)))
     node = Sum((shared, Product((shared, shared)), Log(shared)))
-    m = CountingMatrix(sample_so(3, 4).entries)
+    m = CountingMatrix(sample_so(3, 4))
     value = evaluate(node, m)
     assert m.reads == 2
     v = m.x[0, 0] ** 2
@@ -255,7 +255,7 @@ def _phi_value(x, A):
 def test_p_harmonic_case_dispatch_values():
     A = rank_one_from_vector([1, 2, 3], (2, 2))
     phi = projector_form(A)
-    x = sample_so(4, 6).entries
+    x = sample_so(4, 6)
     v = evaluate(phi, x)
 
     # vanishing conformality eigenvalue: single log power, second coefficient unused
@@ -325,7 +325,7 @@ def test_flag_sum_builds_three_terms():
     spec = default_flag_spec((1, 1, 2))
     node = flag_sum_expr(spec, 2)
     assert isinstance(node, Sum) and len(node.terms) == 3
-    x = sample_so(4, 7).entries
+    x = sample_so(4, 7)
     value = evaluate(node, x)
     assert np.isfinite(value.real) and np.isfinite(value.imag)
 
@@ -335,10 +335,10 @@ def test_flag_sum_invariant_under_block_rotations():
 
     spec = default_flag_spec((1, 1, 2))
     node = flag_sum_expr(spec, 2)
-    x = sample_so(4, 8).entries
+    x = sample_so(4, 8)
     v = evaluate(node, x)
     for seed in range(5):
-        k = sample_block_diagonal((1, 1, 2), seed).entries
+        k = sample_block_diagonal((1, 1, 2), seed)
         assert abs(evaluate(node, x @ k) - v) <= 1e-10 * (1 + abs(v))
 
 
@@ -347,10 +347,10 @@ def test_flag_sum_changes_under_merged_rotation():
 
     spec = default_flag_spec((1, 1, 2))
     node = flag_sum_expr(spec, 2)
-    x = sample_so(4, 9).entries
+    x = sample_so(4, 9)
     v = evaluate(node, x)
     changes = [
-        abs(evaluate(node, x @ sample_block_diagonal((2, 2), seed).entries) - v)
+        abs(evaluate(node, x @ sample_block_diagonal((2, 2), seed)) - v)
         for seed in range(20)
     ]
     assert max(changes) > 1e-6

@@ -4,7 +4,6 @@ from scipy.linalg import block_diag, expm
 
 from pharmonic.cli import MAX_BOOST_NORM
 from pharmonic.group import (
-    GroupPoint,
     _boost_exp,
     curve_jets,
     curve_point,
@@ -98,18 +97,18 @@ def test_indefinite_m_basis_gram():
 
 def test_sample_so_invariants_and_determinism():
     x = sample_so(5, 42)
-    validate_group_point(x)
-    assert abs(np.linalg.det(x.entries) - 1) <= 1e-10
+    validate_group_point(x, ("compact", 5))
+    assert abs(np.linalg.det(x) - 1) <= 1e-10
     y = sample_so(5, 42)
-    np.testing.assert_array_equal(x.entries, y.entries)
+    np.testing.assert_array_equal(x, y)
     z = sample_so(5, 43)
-    assert np.max(np.abs(x.entries - z.entries)) > 1e-3
+    assert np.max(np.abs(x - z)) > 1e-3
 
 
 def test_sample_so_first_entry_second_moment():
     # Haar second moment: E[x_11^2] = 1/N.
     N, count = 3, 10_000
-    vals = np.array([sample_so(N, seed).entries[0, 0] ** 2 for seed in range(count)])
+    vals = np.array([sample_so(N, seed)[0, 0] ** 2 for seed in range(count)])
     se = vals.std() / np.sqrt(count)
     assert abs(vals.mean() - 1.0 / N) <= 5 * se
 
@@ -117,16 +116,16 @@ def test_sample_so_first_entry_second_moment():
 def test_sample_so_mn_invariants():
     for seed in range(5):
         x = sample_so_mn(2, 2, seed, radius=0.75)
-        validate_group_point(x)
+        validate_group_point(x, ("indefinite", 2, 2))
         eta = minkowski_form(2, 2)
-        defect = np.max(np.abs(x.entries.T @ eta @ x.entries - eta))
+        defect = np.max(np.abs(x.T @ eta @ x - eta))
         assert defect <= 1e-10
 
 
 def test_sample_so_mn_radius_zero_is_block_diagonal():
     x = sample_so_mn(2, 3, 0, radius=0.0)
-    np.testing.assert_allclose(x.entries[:2, 2:], 0, atol=1e-14)
-    np.testing.assert_allclose(x.entries[2:, :2], 0, atol=1e-14)
+    np.testing.assert_allclose(x[:2, 2:], 0, atol=1e-14)
+    np.testing.assert_allclose(x[2:, :2], 0, atol=1e-14)
 
 
 def test_expm_matches_series_for_small_arguments():
@@ -143,9 +142,9 @@ def test_expm_matches_series_for_small_arguments():
 
 def test_sample_block_diagonal():
     x = sample_block_diagonal((1, 1, 2), 9)
-    validate_group_point(x)
-    np.testing.assert_allclose(x.entries[0, 1:], 0, atol=1e-14)
-    assert x.entries[0, 0] == 1.0
+    validate_group_point(x, ("compact", 4))
+    np.testing.assert_allclose(x[0, 1:], 0, atol=1e-14)
+    assert x[0, 0] == 1.0
 
 
 def _reference_haar(N, rng):
@@ -225,13 +224,12 @@ _SAMPLERS = (
 def test_stacked_sampling_equals_one_seed_sampling_exactly(sampler, reference):
     for seeds in (range(40, 41), range(300, 337)):
         stack = sampler(seeds)
-        assert stack.entries.shape[0] == len(seeds)
+        assert stack.shape[0] == len(seeds)
         for lane, seed in enumerate(seeds):
             alone = sampler(seed)
-            assert alone.signature == stack.signature
-            assert np.array_equal(stack.entries[lane], alone.entries), (seed, lane)
+            assert np.array_equal(stack[lane], alone), (seed, lane)
             # and both equal the point drawn one number at a time
-            assert np.array_equal(alone.entries, _reference_point(seed, *reference)), seed
+            assert np.array_equal(alone, _reference_point(seed, *reference)), seed
 
 
 def _boost_radii(m, n):
@@ -263,7 +261,7 @@ def test_boost_exponential_matches_scipy_expm(m, n):
     zero = _boost_exp(np.zeros((3, m, n)))
     assert np.array_equal(zero, np.broadcast_to(np.eye(m + n), zero.shape))
     seeds = range(5)
-    points = sample_so_mn(m, n, seeds, 0.0).entries
+    points = sample_so_mn(m, n, seeds, 0.0)
     for seed, point in zip(seeds, points):
         assert np.array_equal(point, _reference_boost_draw(seed, m, n, 0.0)[0])
 
@@ -286,22 +284,22 @@ def test_boost_exponential_matches_exact_exponential_up_to_the_cli_limit(m, n):
 
 
 def test_validation_names_the_corrupted_lane():
-    for stack, lane in (
-        (sample_so(4, range(10)), 6),
-        (sample_so_mn(2, 2, range(5), 0.5), 3),
+    for stack, signature, lane in (
+        (sample_so(4, range(10)), ("compact", 4), 6),
+        (sample_so_mn(2, 2, range(5), 0.5), ("indefinite", 2, 2), 3),
     ):
-        validate_group_point(stack)
-        stack.entries[lane, 1, 2] += 1e-7
+        validate_group_point(stack, signature)
+        stack[lane, 1, 2] += 1e-7
         with pytest.raises(ValueError, match=f"^lane {lane}: matrix violates"):
-            validate_group_point(stack)
+            validate_group_point(stack, signature)
     flipped = sample_so(3, range(4))
-    flipped.entries[2, :, 0] *= -1  # orthogonal, but det = -1
+    flipped[2, :, 0] *= -1  # orthogonal, but det = -1
     with pytest.raises(ValueError, match="^lane 2: determinant"):
-        validate_group_point(flipped)
+        validate_group_point(flipped, ("compact", 3))
     one = sample_so(3, 5)
-    one.entries[0, 0] += 1e-7
+    one[0, 0] += 1e-7
     with pytest.raises(ValueError, match="^matrix violates compact relation"):
-        validate_group_point(one)
+        validate_group_point(one, ("compact", 3))
 
 
 def test_sampler_needs_a_seed():
@@ -318,7 +316,7 @@ def test_curve_point_zero_parameter():
     mat = curve_point(x, Z, lift(0, 2))
     for r in range(3):
         for c in range(3):
-            assert mat[r][c].coefficient(0) == complex(x.entries[r, c])
+            assert mat[r][c].coefficient(0) == complex(x[r, c])
             assert mat[r][c].coefficient(1) == 0j
             assert mat[r][c].coefficient(2) == 0j
 
@@ -329,8 +327,8 @@ def test_curve_point_jet_coefficients():
     mat = curve_point(x, Z, variable(0, 2))
     first = np.array([[mat[r][c].coefficient(1) for c in range(4)] for r in range(4)])
     second = np.array([[mat[r][c].coefficient(2) for c in range(4)] for r in range(4)])
-    np.testing.assert_allclose(first, x.entries @ Z.matrix, atol=1e-14)
-    np.testing.assert_allclose(second, x.entries @ Z.matrix @ Z.matrix / 2, atol=1e-14)
+    np.testing.assert_allclose(first, x @ Z.matrix, atol=1e-14)
+    np.testing.assert_allclose(second, x @ Z.matrix @ Z.matrix / 2, atol=1e-14)
 
 
 def test_curve_point_real_parameter_stays_in_group():
@@ -338,14 +336,14 @@ def test_curve_point_real_parameter_stays_in_group():
     Z = so_basis(4)[1]
     for h in (-1.0, -0.25, 0.5, 1.0):
         y = curve_point(x, Z, h)
-        validate_group_point(GroupPoint(np.real(y), ("compact", 4)))
+        validate_group_point(np.real(y), ("compact", 4))
 
 
 def test_curve_point_with_constant_offset():
     x = sample_so(3, 4)
     Z = so_basis(3)[2]
     mat = curve_point(x, Z, variable(0.1, 2))
-    base = x.entries @ expm(0.1 * Z.matrix)
+    base = x @ expm(0.1 * Z.matrix)
     val = np.array([[mat[r][c].coefficient(0) for c in range(3)] for r in range(3)])
     first = np.array([[mat[r][c].coefficient(1) for c in range(3)] for r in range(3)])
     np.testing.assert_allclose(val, base, atol=1e-12)
@@ -355,7 +353,7 @@ def test_curve_point_with_constant_offset():
 def test_curve_jets_matches_curve_point():
     x = sample_so(3, 5)
     Z = so_basis(3)[0]
-    fast = curve_jets(x.entries, Z.matrix, order=2)
+    fast = curve_jets(x, Z.matrix, order=2)
     via_series = curve_point(x, Z, variable(0, 2))
     for r in range(3):
         for c in range(3):
@@ -366,7 +364,7 @@ def test_curve_jets_matches_curve_point():
 def test_curve_jets_nested_path():
     x = sample_so(3, 6)
     Z1, Z2 = so_basis(3)[0], so_basis(3)[2]
-    level1 = curve_jets(x.entries, Z1.matrix, order=2)
+    level1 = curve_jets(x, Z1.matrix, order=2)
     level2 = curve_jets(level1, Z2.matrix, order=2)
     entry = level2[0][1]
     assert isinstance(entry, JetScalar)
@@ -374,11 +372,11 @@ def test_curve_jets_nested_path():
     # the (eps2 = 0) slice reproduces level 1
     assert entry.coefficient(0) == level1[0][1]
     # the eps2-linear coefficient at eps1 = 0 is (x Z2)[0, 1]
-    assert abs(entry.coefficient(1).coefficient(0) - (x.entries @ Z2.matrix)[0, 1]) <= 1e-14
+    assert abs(entry.coefficient(1).coefficient(0) - (x @ Z2.matrix)[0, 1]) <= 1e-14
 
 
 def test_validate_group_point_rejects_garbage():
     with pytest.raises(ValueError):
-        validate_group_point(GroupPoint(np.eye(3) * 2, ("compact", 3)))
+        validate_group_point(np.eye(3) * 2, ("compact", 3))
     with pytest.raises(ValueError):
-        validate_group_point(GroupPoint(np.eye(4), ("weird", 4)))
+        validate_group_point(np.eye(4), ("weird", 4))

@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +10,18 @@ from hypothesis import strategies as st
 from pharmonic.expressions import evaluate, p_harmonic_expr, projector_form, rank_one_from_vector
 from pharmonic.group import sample_so
 from pharmonic.jets import variable
+from pharmonic import symcalc
 from pharmonic.operators import laplacian, quotient_context
 from pharmonic.symcalc import (
     EigenParams,
     GaussianRational,
     SymExpr,
     apply_laplacian,
-    as_expr_node,
-    evaluate_sym,
     iterate_laplacian,
     p_harmonic_combination,
     verify_p_harmonic,
 )
+from oracles import as_expr_node, evaluate_sym
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -230,7 +232,7 @@ def test_evaluate_sym_on_jets_matches_composition():
 def test_expression_tree_bridge_matches_numeric_builder():
     A = rank_one_from_vector([1, 2, 3], (2, 2))
     phi = projector_form(A)
-    x = sample_so(4, 12).entries
+    x = sample_so(4, 12)
     params = EigenParams.of(-4, -2)
     for p in (1, 2, 3):
         tree = as_expr_node(p_harmonic_combination(params, p, 1, 1), phi)
@@ -257,8 +259,21 @@ def test_symbolic_laplacian_matches_jet_operator():
     ]
     for i in range(10):
         x = sample_so(N, 40 + i)
-        v = complex(evaluate(phi, x.entries))
+        v = complex(evaluate(phi, x))
         for e in exprs:
             numeric = complex(laplacian(as_expr_node(e, phi), x, ctx))
             symbolic = complex(evaluate_sym(apply_laplacian(e, params), v))
             assert abs(numeric - symbolic) <= 1e-7 * (1 + abs(numeric) + abs(symbolic))
+
+
+def test_symcalc_imports_no_pharmonic_module():
+    # the exact route must share no code with the numeric one it is compared with
+    tree = ast.parse(Path(symcalc.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    offending = [name for name in imported if name.startswith(".") or name.split(".")[0] == "pharmonic"]
+    assert not offending, offending
