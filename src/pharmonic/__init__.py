@@ -9,6 +9,7 @@ from .expressions import (
     Log,
     Pow,
     Product,
+    ProjectorForm,
     Sum,
     block_columns,
     default_flag_spec,
@@ -20,7 +21,6 @@ from .expressions import (
     rank_one_from_isotropic,
     rank_one_from_vector,
     validate_eigen_matrix,
-    window_quadratic,
 )
 from .group import (
     BasisVector,

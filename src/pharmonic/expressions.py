@@ -17,6 +17,16 @@ These are invariant under right rotation of the window columns.  Contracting
 them against a symmetric coefficient matrix that is traceless, rank one and
 square-zero produces a simultaneous eigenfunction of the Laplace-Beltrami
 and conformality operators; such matrices arise as u u^T for isotropic u.
+
+Such a contraction is one :class:`ProjectorForm` node, holding a coefficient
+per unordered pair (j, a) and the column window, not a tree of P |C| entry
+products.  Its P |C| products are taken as one batch: one fancy-indexed
+multiply on a numeric stack, and on forward-Laplacian entries one tensor
+product per batch of at most ``jets.PRODUCT_BATCH_COMPONENTS`` expanded
+components (:func:`pharmonic.jets.batched_products`).  They are then summed
+over the window and over the pairs in the order of the expanded tree, so the
+node's value equals that tree's bit for bit, and its value channel equals
+plain evaluation exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import ipow, jlog, jpow
+from .jets import LaplacianJet, batched_products, ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 
@@ -74,7 +84,29 @@ class Log:
     child: object
 
 
-ExprNode = (Entry, Const, Sum, Product, Pow, Log)
+@dataclass(frozen=True)
+class ProjectorForm:
+    """sum over pairs (j, a) of coefficient * sum_{t in columns} x_{jt} x_{at},
+    indices 1-based, one coefficient per pair.
+
+    Its value is, bit for bit, that of the expanded tree: a Sum over the
+    pairs of Product(Const(c), Sum over t of Product(Entry(j, t), Entry(a, t))).
+    The entry products are taken in one batch, then summed over the window
+    and over the pairs in that tree's order.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    coefficients: tuple[complex, ...]
+    columns: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.columns:
+            raise ValueError("empty column window")
+        if len(self.pairs) != len(self.coefficients):
+            raise ValueError("need one coefficient per pair")
+
+
+ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm)
 
 
 def _is_int(e: complex) -> bool:
@@ -136,10 +168,14 @@ def _eval(node, m, memo: dict, readers: Counter):
     return value
 
 
+def _entry(m, row: int, col: int):
+    v = m[row - 1][col - 1]
+    return complex(v) if isinstance(v, Number) else v
+
+
 def _node_value(node, m, memo: dict, readers: Counter):
     if isinstance(node, Entry):
-        v = m[node.row - 1][node.col - 1]
-        return complex(v) if isinstance(v, Number) else v
+        return _entry(m, node.row, node.col)
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Sum):
@@ -160,27 +196,60 @@ def _node_value(node, m, memo: dict, readers: Counter):
         return jpow(v, e)
     if isinstance(node, Log):
         return jlog(_eval(node.child, m, memo, readers))
+    if isinstance(node, ProjectorForm):
+        return _projector_value(node, m)
     raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- projector quadratics ------------------------------------------------------
 
 
-def window_quadratic(j: int, alpha: int, columns: Sequence[int]) -> Sum:
-    """sum over t in columns of x_{jt} x_{alpha t} (all indices 1-based)."""
-    if not columns:
-        raise ValueError("empty column window")
-    return Sum(tuple(Product((Entry(j, t), Entry(alpha, t))) for t in columns))
+def _projector_value(node: ProjectorForm, m):
+    """The form's value: its entry products, pair-major, summed by _fold.
+
+    On a numeric stack (m[r, c] the lane array of entry (r, c)) the factors
+    are fancy-indexed and multiplied at once; on Laplacian jets the products
+    come from batched_products; on any other scalar (nested jets, one plain
+    point) they are single ring products.
+    """
+    if isinstance(m, np.ndarray) and m.ndim == 3:
+        rows, cols = np.array(node.pairs) - 1, np.array(node.columns) - 1
+        lanes = m[rows[:, :1], cols] * m[rows[:, 1:], cols]  # (pairs, window, K)
+        products = iter(lanes.reshape(-1, m.shape[-1]))
+    else:
+        lefts = [_entry(m, j, t) for j, _ in node.pairs for t in node.columns]
+        rights = [_entry(m, a, t) for _, a in node.pairs for t in node.columns]
+        if isinstance(lefts[0], LaplacianJet):
+            products = batched_products(lefts, rights)
+        else:
+            products = (x * y for x, y in zip(lefts, rights))
+    return _fold(node.coefficients, products, len(node.columns))
+
+
+def _fold(coefficients, products, width: int):
+    """sum_i c_i (sum of the next ``width`` products), each sum left to
+    right: the additions, and the constant multiplying on the left, of the
+    expanded tree's Sum and Product nodes."""
+    total = None
+    for c in coefficients:
+        window = next(products)
+        for _ in range(width - 1):
+            window = window + next(products)
+        term = c * window
+        total = term if total is None else total + term
+    return total
 
 
 def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None):
-    """Quadratic form sum_{j,a} A[j,a] * q_{j,a} over a column window.
+    """Quadratic form sum_{j,a} A[j,a] * q_{j,a} over a column window, as
+    one :class:`ProjectorForm` node.
 
     ``A`` may be an :class:`EigenMatrix` or a plain complex matrix (useful
     for negative controls).  The window defaults to the first ``m`` columns,
     with ``m`` taken from the eigen-matrix dims when not given.  Since
-    q_{j,a} = q_{a,j}, the tree holds one term per unordered pair j <= a,
-    with coefficient A[j,a] + A[a,j] off the diagonal: exact for any A.
+    q_{j,a} = q_{a,j}, the node holds one coefficient per unordered pair
+    j <= a with a nonzero one, A[j,a] + A[a,j] off the diagonal: exact for
+    any A.  A form without such a pair is Const(0).
     """
     if isinstance(A, EigenMatrix):
         if m is None and columns is None and A.dims is not None:
@@ -191,17 +260,17 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
         if m is None:
             raise ValueError("need a column window: pass m or columns")
         columns = range(1, m + 1)
-    columns = tuple(columns)
     N = A.shape[0]
-    terms = []
+    pairs, coefficients = [], []
     for j in range(1, N + 1):
         for a in range(j, N + 1):
             c = complex(A[j - 1, a - 1] if a == j else A[j - 1, a - 1] + A[a - 1, j - 1])
             if c != 0j:
-                terms.append(Product((Const(c), window_quadratic(j, a, columns))))
-    if not terms:
+                pairs.append((j, a))
+                coefficients.append(c)
+    if not pairs:
         return Const(0j)
-    return Sum(tuple(terms))
+    return ProjectorForm(tuple(pairs), tuple(coefficients), tuple(columns))
 
 
 # -- coefficient matrices ------------------------------------------------------

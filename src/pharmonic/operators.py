@@ -21,7 +21,11 @@ their non-commutativity is exact.  L^p f is the (D-1, ..., D-1) component
 and the gradient pairing sum_b Z_b f Z_b g is read from the depth-1
 direction components.  Each product in the walk costs
 O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over nested jets of
-3**p coefficients that literal recursion needs.  Log and non-integer powers
+3**p coefficients that literal recursion needs.  The P |window| entry
+products of a projector form (P coefficient pairs) are one batched tensor
+product, or one per batch of at most jets.PRODUCT_BATCH_COMPONENTS expanded
+components, rather than one call each: the arithmetic is unchanged, the
+per-call overhead is paid once per batch.  Log and non-integer powers
 are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.jets.BranchCutError`,
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
@@ -381,10 +385,16 @@ def check_eigenfamily(
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|) for the (K, T, N, N) actions
-    ks on the (K, N, N) points X, shape (K, T), from one stacked evaluation."""
+    ks on the (K, N, N) points X, shape (K, T), from one stacked evaluation
+    of the points and then their moved copies.  A BranchCutError names the
+    points, by their index in X, whose value or moved values hit the cut."""
     K, T = ks.shape[:2]
     moved = (X[:, None] @ ks).reshape(K * T, *X.shape[1:])
-    values = values_at(f, np.concatenate([X, moved]))
+    try:
+        values = values_at(f, np.concatenate([X, moved]))
+    except BranchCutError as exc:
+        points = sorted({lane if lane < K else (lane - K) // T for lane in exc.lanes})
+        raise BranchCutError(exc.reason, points) from None
     v = values[:K, None]
     return np.abs(values[K:].reshape(K, T) - v) / (1.0 + np.abs(v))
 

@@ -1,12 +1,15 @@
-"""Bridges from the exact symbolic calculus to the numeric side, for the
-tests that compare the two routes.
+"""Reference constructions for the tests.
 
-pharmonic.symcalc imports no other pharmonic module; these helpers join
-its combinations to jet arithmetic and expression trees on the test side
-only, so the routes they compare share no code in the package.
+The bridges from the exact symbolic calculus to the numeric side:
+pharmonic.symcalc imports no other pharmonic module, and these helpers
+join its combinations to jet arithmetic and expression trees on the test
+side only, so the routes they compare share no code in the package.
+
+The projector quadratics as trees of Entry products: the expanded form of
+a ProjectorForm node, whose value the node must reproduce bit for bit.
 """
 
-from pharmonic.expressions import Const, Log, Pow, Product, Sum
+from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
 from pharmonic.jets import JetScalar, ipow, jlog, jpow, one_like
 from pharmonic.symcalc import SymExpr
 
@@ -49,3 +52,20 @@ def as_expr_node(expr: SymExpr, phi):
             factors.append(Log(phi) if t.b == 1 else Pow(Log(phi), t.b))
         parts.append(factors[0] if len(factors) == 1 else Product(tuple(factors)))
     return parts[0] if len(parts) == 1 else Sum(tuple(parts))
+
+
+def window_quadratic(j: int, alpha: int, columns) -> Sum:
+    """sum over t in columns of x_{jt} x_{alpha t} (all indices 1-based)."""
+    if not columns:
+        raise ValueError("empty column window")
+    return Sum(tuple(Product((Entry(j, t), Entry(alpha, t))) for t in columns))
+
+
+def expanded_projector_form(form: ProjectorForm) -> Sum:
+    """The form as a tree: one Product(Const(c), window quadratic) per pair."""
+    return Sum(
+        tuple(
+            Product((Const(c), window_quadratic(j, a, form.columns)))
+            for (j, a), c in zip(form.pairs, form.coefficients)
+        )
+    )

@@ -11,6 +11,7 @@ from pharmonic.expressions import (
     Log,
     Pow,
     Product,
+    ProjectorForm,
     Sum,
     block_columns,
     default_flag_spec,
@@ -25,10 +26,12 @@ from pharmonic.expressions import (
     rank_one_from_isotropic,
     rank_one_from_vector,
     validate_eigen_matrix,
-    window_quadratic,
 )
-from pharmonic.group import minkowski_form, sample_so
-from pharmonic.jets import lift
+from pharmonic.group import curve_jets, minkowski_form, sample_so, sample_so_mn
+from pharmonic.jets import JetScalar, LaplacianJet, lift
+from pharmonic.operators import dual_context, full_context, laplacian_jet, quotient_context
+
+from oracles import expanded_projector_form, window_quadratic
 
 
 # -- projector quadratics ---------------------------------------------------------
@@ -58,6 +61,8 @@ def test_projector_diagonal_sums_to_window_size():
 def test_window_quadratic_rejects_empty_window():
     with pytest.raises(ValueError):
         window_quadratic(1, 1, ())
+    with pytest.raises(ValueError):
+        projector_form(np.eye(3), columns=())
 
 
 # -- coefficient matrices -----------------------------------------------------------
@@ -171,7 +176,9 @@ def test_projector_form_has_one_term_per_unordered_pair():
     N = 4
     rng = np.random.default_rng(5)
     B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
-    assert len(projector_form(B + B.T, m=2).terms) == N * (N + 1) // 2
+    form = projector_form(B + B.T, m=2)
+    assert len(form.pairs) == len(form.coefficients) == N * (N + 1) // 2
+    assert form.pairs == tuple((j, a) for j in range(1, N + 1) for a in range(j, N + 1))
 
 
 def test_projector_form_equals_unfolded_sum_for_nonsymmetric_coefficients():
@@ -187,6 +194,71 @@ def test_projector_form_equals_unfolded_sum_for_nonsymmetric_coefficients():
     )
     folded = evaluate(projector_form(A, m=m), x)
     assert abs(folded - unfolded) <= 1e-12 * (1 + abs(unfolded))
+
+
+def _bits(value) -> bytes:
+    """The bytes of a number, a lane array or a jet's coefficients, nested,
+    or of each value of a list in turn."""
+    if isinstance(value, list):
+        return b"".join(_bits(v) for v in value)
+    if isinstance(value, JetScalar):
+        return b"".join(_bits(c) for c in value.coeffs)
+    if isinstance(value, LaplacianJet):
+        return value.coeffs.tobytes()
+    return np.asarray(value, dtype=complex).tobytes()
+
+
+def _form_cases():
+    """(form, basis, stack of three points) for the forms the commands build.
+    The points are scaled by 1 + 0.5j: products of real entries round the
+    same with or without a fused multiply-add, complex ones do not."""
+    gr22 = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    gr23 = projector_form(rank_one_from_vector([1, 2, 3, 4], (2, 3)), columns=(1, 2, 3))
+    dual = projector_form(dual_matrix(rank_one_from_vector([1, 2], (1, 2))))
+    cases = [
+        ("Gr(2,2)", gr22, quotient_context(2, 2), sample_so(4, range(30, 33))),
+        ("Gr(2,3) 3-column window", gr23, quotient_context(2, 3), sample_so(5, range(33, 36))),
+        ("dual(1,2)", dual, dual_context(1, 2), sample_so_mn(1, 2, range(36, 39), 0.5)),
+    ]
+    for blocks in ((1, 1, 2), (2, 2)):
+        spec = default_flag_spec(blocks)
+        for k in range(len(blocks)):
+            form = projector_form(spec.generators[k], columns=block_columns(blocks, k))
+            cases.append((f"flag{blocks} block {k}", form, full_context(4), sample_so(4, range(39, 42))))
+    return [pytest.param(form, ctx.basis, points * (1 + 0.5j), id=name) for name, form, ctx, points in cases]
+
+
+def _form_checks(form, basis, points):
+    """Every value the form and its expanded tree are compared on: a plain
+    stack, each plain point, Laplacian-jet stacks and single-point jets at
+    p = 1..3 in every component, and nested order-2 jets along two basis curves."""
+    yield "stack", lambda f: evaluate(f, points)
+    yield "each point", lambda f: [evaluate(f, x) for x in points]
+    for p in (1, 2, 3):
+        yield f"jet stack p={p}", lambda f, p=p: laplacian_jet(f, points, basis, p)
+        yield f"jet point p={p}", lambda f, p=p: laplacian_jet(f, points[0], basis, p)
+    nested = curve_jets(curve_jets(points[0], basis[0].matrix), basis[-1].matrix)
+    yield "nested jets", lambda f: evaluate(f, nested)
+
+
+@pytest.mark.parametrize("form, basis, points", _form_cases())
+def test_projector_form_equals_its_expanded_tree_bit_for_bit(form, basis, points):
+    tree = expanded_projector_form(form)
+    for name, value in _form_checks(form, basis, points):
+        assert _bits(value(form)) == _bits(value(tree)), name
+
+
+def test_expanded_tree_comparison_sees_a_permuted_sum_order():
+    # the bytes compared above depend on the order of both sums: a tree
+    # summing the window or the pairs in another order differs in each check
+    # (a window of three, since a sum of two terms is the same either way)
+    form, basis, points = next(c.values for c in _form_cases() if c.id == "Gr(2,3) 3-column window")
+    reversed_window = ProjectorForm(form.pairs, form.coefficients, form.columns[::-1])
+    reversed_pairs = ProjectorForm(form.pairs[::-1], form.coefficients[::-1], form.columns)
+    for permuted in (reversed_window, reversed_pairs):
+        tree = expanded_projector_form(permuted)
+        for name, value in _form_checks(form, basis, points):
+            assert _bits(value(form)) != _bits(value(tree)), name
 
 
 def test_projector_form_needs_window():
@@ -208,6 +280,7 @@ def test_plain_evaluation_equals_jet_coefficient_zero_exactly():
     nodes = [
         window_quadratic(1, 2, range(1, 3)),
         projector_form(A),
+        projector_form(A, columns=(1, 2, 3)),
         p_harmonic_expr(projector_form(A), -4, -2, 2, 1, 1),
         Pow(projector_form(A), -0.5),
         Product((Const(2 - 1j), Entry(1, 1), Entry(3, 2))),

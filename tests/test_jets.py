@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pharmonic import jets
 from pharmonic.jets import (
     BranchCutError,
     JetError,
@@ -13,6 +14,7 @@ from pharmonic.jets import (
     LaplacianJet,
     NonFiniteError,
     ShapeMismatch,
+    batched_products,
     constant,
     ipow,
     jexp,
@@ -317,6 +319,25 @@ def test_laplacian_jet_ring_axioms(B, p):
         (a * b, b * a, A * Bm),
     ):
         assert np.all(np.abs(lhs.coeffs - rhs.coeffs) <= 1e-14 * np.abs(magnitude.coeffs))
+
+
+@pytest.mark.parametrize("B, p", [(2, 1), (3, 2), (2, 3)])
+@pytest.mark.parametrize("lanes", [(), (3,)])
+def test_batched_products_equal_pairwise_products_bit_for_bit(monkeypatch, B, p, lanes):
+    rng = np.random.default_rng(B * 10 + p)
+    shape = lanes + ((B + 2) ** p,)
+
+    def jet():
+        return LaplacianJet(B, p, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+
+    lefts, rights = [jet() for _ in range(7)], [jet() for _ in range(7)]
+    want = [(a * b).coeffs.tobytes() for a, b in zip(lefts, rights)]
+    per_pair = (3 * B + 3) ** (p - 1) * (B + 2) * int(np.prod(lanes))
+    # one pair per batch, two pairs per batch, and all seven in one batch
+    for bound in (1, 2 * per_pair, 2**20):
+        monkeypatch.setattr(jets, "PRODUCT_BATCH_COMPONENTS", bound)
+        got = [c.coeffs.tobytes() for c in batched_products(lefts, rights)]
+        assert got == want, bound
 
 
 def test_laplacian_jet_nilpotent_part_truncates_at_order_2p():

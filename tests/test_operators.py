@@ -13,7 +13,6 @@ from pharmonic.expressions import (
     projector_form,
     rank_one_from_isotropic,
     rank_one_from_vector,
-    window_quadratic,
 )
 from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
 from pharmonic import operators as ops
@@ -37,6 +36,7 @@ from pharmonic.operators import (
     projector_identity_residuals,
     quotient_context,
 )
+from oracles import window_quadratic
 from product_rule import check_product_rule
 
 
@@ -596,6 +596,8 @@ def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
     nodes = [
         phi,
+        projector_form(rank_one_from_vector([1, 2, 3], (2, 2)), columns=(1, 2, 3)),
+        projector_form(default_flag_spec((1, 1, 2)).generators[2], columns=(3, 4)),
         p_harmonic_expr(phi, -4, -2, 3, 1, 1),
         Pow(phi, -0.5),
         Pow(phi, -2),
@@ -691,6 +693,33 @@ def test_conditioned_sample_equals_a_point_by_point_loop():
         assert len(got) == len(want) == 12
         for a, b in zip(got, want):
             assert np.array_equal(a, b), seed
+
+
+def test_moved_evaluations_name_the_sample_point_on_a_cut():
+    # x11 > 0 at every point and x12 > 0 at point 1 only; the quarter turn R
+    # in the (1, 2) plane takes x11 to -x12, onto the cut of log x11 at point 1
+    flip_12 = np.diag([-1.0, -1.0, 1.0, 1.0])
+    flip_23 = np.diag([1.0, -1.0, -1.0, 1.0])
+    pts = sample_so(4, range(60, 63))
+    pts = np.where(pts[:, :1, :1] < 0, pts @ flip_12, pts)
+    want_positive = np.array([False, True, False])[:, None, None]
+    pts = np.where((pts[:, :1, 1:2] > 0) != want_positive, pts @ flip_23, pts)
+    R = np.eye(4)
+    R[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    f = Log(Entry(1, 1))
+    ops.values_at(f, pts)  # would raise if a point itself were on the cut
+
+    def one_quarter_turn(seeds):  # R at the second invariance trial only
+        return np.stack([R if s == 10_001 else np.eye(4) for s in seeds])
+
+    def quarter_turns(seeds):
+        return np.stack([R for _ in seeds])
+
+    for check, sampler in ((check_invariance, one_quarter_turn), (non_descent_witness, quarter_turns)):
+        with pytest.raises(BranchCutError) as caught:
+            check(f, sampler, pts)
+        assert caught.value.lanes == (1,), check.__name__
+        assert str(caught.value).startswith("lanes [1] "), str(caught.value)
 
 
 def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
