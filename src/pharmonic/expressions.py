@@ -20,13 +20,12 @@ and conformality operators; such matrices arise as u u^T for isotropic u.
 
 Such a contraction is one :class:`ProjectorForm` node, holding a coefficient
 per unordered pair (j, a) and the column window, not a tree of P |C| entry
-products.  Its P |C| products are taken as one batch: one fancy-indexed
-multiply on a numeric stack, and on forward-Laplacian entries one tensor
-product per batch of at most ``jets.PRODUCT_BATCH_COMPONENTS`` expanded
-components (:func:`pharmonic.jets.batched_products`).  They are then summed
-over the window and over the pairs in the order of the expanded tree, so the
-node's value equals that tree's bit for bit, and its value channel equals
-plain evaluation exactly.
+products.  It is evaluated by its linear rewrite sum_{j, t} x_jt y_jt with
+y = S X_C, S the symmetric coefficient matrix: N |C| entry products for N
+touched rows.  On forward-Laplacian entries y is one linear map of the
+lifted entries and the products are one tensor-product call, followed by one
+ordered sum; the node's value equals its rewrite as a tree bit for bit, and
+its value channel equals plain evaluation exactly.
 """
 
 from __future__ import annotations
@@ -36,13 +35,14 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Number
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .jets import LaplacianJet, batched_products, ipow, jlog, jpow
+from .jets import LaplacianJet, _tensor_product, ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 
@@ -89,10 +89,10 @@ class ProjectorForm:
     """sum over pairs (j, a) of coefficient * sum_{t in columns} x_{jt} x_{at},
     indices 1-based, one coefficient per pair.
 
-    Its value is, bit for bit, that of the expanded tree: a Sum over the
-    pairs of Product(Const(c), Sum over t of Product(Entry(j, t), Entry(a, t))).
-    The entry products are taken in one batch, then summed over the window
-    and over the pairs in that tree's order.
+    It is evaluated by its linear rewrite: with S the symmetric coefficient
+    matrix on the rows the pairs touch (S_jj = c_jj, S_ja = S_aj = c_ja / 2),
+    the value is sum_{j, t} x_jt y_jt, y_jt = sum_a S_ja x_at, so it takes
+    one entry product per row and column instead of one per pair and column.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -104,6 +104,19 @@ class ProjectorForm:
             raise ValueError("empty column window")
         if len(self.pairs) != len(self.coefficients):
             raise ValueError("need one coefficient per pair")
+
+    @cached_property
+    def window_weights(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """The 0-based rows the pairs touch, ascending, and S on them."""
+        rows = sorted({i for pair in self.pairs for i in pair})
+        index = {r: k for k, r in enumerate(rows)}
+        S = [[0j] * len(rows) for _ in rows]
+        for (j, a), c in zip(self.pairs, self.coefficients):
+            j, a = index[j], index[a]
+            S[j][a] = S[a][j] = c if j == a else c / 2
+        weights = np.array(S, dtype=complex)
+        weights.flags.writeable = False  # shared by every evaluation of the node
+        return tuple(r - 1 for r in rows), weights
 
 
 ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm)
@@ -205,39 +218,81 @@ def _node_value(node, m, memo: dict, readers: Counter):
 
 
 def _projector_value(node: ProjectorForm, m):
-    """The form's value: its entry products, pair-major, summed by _fold.
+    """The form as sum_{j, t} x_jt y_jt over the rows j the pairs touch and
+    the window columns t, row-major, with y_jt = sum_a S_ja x_at.
 
-    On a numeric stack (m[r, c] the lane array of entry (r, c)) the factors
-    are fancy-indexed and multiplied at once; on Laplacian jets the products
-    come from batched_products; on any other scalar (nested jets, one plain
-    point) they are single ring products.
+    On a numeric stack (m[r, c] the lane array of entry (r, c)) y is one
+    linear map of the window's lanes; on Laplacian jets see _projector_jets;
+    on any other scalar (one plain point, nested jets) every term is a ring
+    operation on the entries, in the same order.
     """
+    rows, weights = node.window_weights
+    cols = [c - 1 for c in node.columns]
     if isinstance(m, np.ndarray) and m.ndim == 3:
-        rows, cols = np.array(node.pairs) - 1, np.array(node.columns) - 1
-        lanes = m[rows[:, :1], cols] * m[rows[:, 1:], cols]  # (pairs, window, K)
-        products = iter(lanes.reshape(-1, m.shape[-1]))
-    else:
-        lefts = [_entry(m, j, t) for j, _ in node.pairs for t in node.columns]
-        rights = [_entry(m, a, t) for _, a in node.pairs for t in node.columns]
-        if isinstance(lefts[0], LaplacianJet):
-            products = batched_products(lefts, rights)
-        else:
-            products = (x * y for x, y in zip(lefts, rights))
-    return _fold(node.coefficients, products, len(node.columns))
+        x = m[np.ix_(rows, cols)]
+        return _ordered_sum((x * _window_map(weights, x)).reshape(-1, m.shape[-1]))
+    x = [[_entry(m, r + 1, c + 1) for c in cols] for r in rows]
+    if isinstance(x[0][0], LaplacianJet):
+        return _projector_jets(weights, x)
+    _, terms = _ring_terms(weights, x)
+    return _ordered_sum([v for row in terms for v in row])
 
 
-def _fold(coefficients, products, width: int):
-    """sum_i c_i (sum of the next ``width`` products), each sum left to
-    right: the additions, and the constant multiplying on the left, of the
-    expanded tree's Sum and Product nodes."""
-    total = None
-    for c in coefficients:
-        window = next(products)
-        for _ in range(width - 1):
-            window = window + next(products)
-        term = c * window
-        total = term if total is None else total + term
+def _window_map(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y for an (R, W, ...) array x of entry values: y[j] is the sum over a
+    of weights[j, a] x[a], left to right, each term a number times an array
+    as Const * Entry computes it."""
+    column = (len(weights),) + (1,) * (x.ndim - 1)
+    y = weights[:, 0].reshape(column) * x[0]
+    for a in range(1, len(weights)):
+        y = y + weights[:, a].reshape(column) * x[a]
+    return y
+
+
+def _ring_terms(weights: np.ndarray, x: list):
+    """y, as _window_map gives it, and the products x_jt y_jt, for nested
+    lists of entry values, by ring operations."""
+    y = [
+        [_ordered_sum([w * x[a][t] for a, w in enumerate(row)]) for t in range(len(x[0]))]
+        for row in weights.tolist()
+    ]
+    return y, [[a * b for a, b in zip(xs, ys)] for xs, ys in zip(x, y)]
+
+
+def _ordered_sum(terms):
+    """terms[0] + terms[1] + ..., left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
+
+
+def _projector_jets(weights: np.ndarray, x: list) -> LaplacianJet:
+    """The form on Laplacian-jet entries x[j][t]: y by one linear map of the
+    lifted window, the N |W| products x_jt y_jt by one tensor-product call,
+    and one ordered sum.
+
+    Component 0 of y, of each product and of the sum is recomputed as plain
+    evaluation computes it: from contiguous lane arrays for a stack, from
+    Python complex values for one point.  So the value channel equals plain
+    evaluation exactly, and every other component equals that of the same
+    operations taken one jet at a time.
+    """
+    first = x[0][0]
+    lifted = np.stack([[e.coeffs for e in row] for row in x])
+    y = _window_map(weights, lifted)
+    if lifted.ndim == 3:
+        y0, terms0 = _ring_terms(weights, [[e.constant_value() for e in row] for row in x])
+    else:
+        x0 = np.ascontiguousarray(lifted[..., 0])
+        y0 = _window_map(weights, x0)
+        terms0 = x0 * y0
+    y[..., 0] = y0
+    products = _tensor_product(lifted, y, first.basis_size, first.depth)
+    products[..., 0] = terms0
+    total = _ordered_sum(products.reshape((-1,) + first.coeffs.shape))
+    total[..., 0] = _ordered_sum([v for row in terms0 for v in row])
+    return first._like(total)
 
 
 def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None):

@@ -18,8 +18,11 @@ It supports the same ring operations and analytic functions as a jet.  Its
 coefficients may carry a leading lane axis, one lane per sample point, so
 one pass over an expression serves a whole stack of points; a 1-D array
 holding one value per lane is then the matching plain scalar.
-:func:`batched_products` multiplies many pairs of such jets with one tensor
-product per batch, each result equal bit for bit to the pair's own product.
+Its products walk their batch axis (lanes, and any stacked operands) in
+blocks under ``PRODUCT_WORKSPACE_BYTES``, each element computed by the same
+operations whatever its block; its log, reciprocal, exp and powers apply the
+one-level rule g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the
+point value up.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jsqrt`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
@@ -236,9 +239,11 @@ class LaplacianJet:
     sample point, combined lane by lane.  Numbers act on every lane, and a
     1-D array of K values acts lane by lane.
 
-    The nilpotent part h (everything but component 0) has h**(2p+1) = 0, so
-    analytic functions are exact Taylor series of ``order`` = 2p in h.
-    Instances are immutable: operations return new arrays.
+    The nilpotent part h (everything but component 0) has h**(2p+1) = 0:
+    ``order`` = 2p is the order of its Taylor expansions.  Analytic
+    functions are not expanded that way but level by level (see the
+    analytic functions below).  Instances are immutable: operations return
+    new arrays.
     """
 
     __slots__ = ("basis_size", "depth", "order", "coeffs")
@@ -319,39 +324,16 @@ def _per_lane(c):
     return c[:, None] if isinstance(c, np.ndarray) else c
 
 
-# Expanded components one batched_products call may hand to _tensor_product
-# at once, counting (3B + 3)**(p - 1) (B + 2) per lane per product: this
-# bounds the innermost working set of a batch, and a product larger than it
-# runs on its own.  In-process passes of the benchmark's iterated_p3 workload
-# peak 1.1 MB higher at 2**14 than at 2**10 (2-vCPU x86-64 VM).
-PRODUCT_BATCH_COMPONENTS = 2**10
-
-
-def batched_products(lefts, rights):
-    """Yield a * b for each pair of same-shaped Laplacian jets, in order,
-    each bit for bit equal to ``a * b``.
-
-    As many pairs as fit under PRODUCT_BATCH_COMPONENTS are stacked and
-    multiplied by one _tensor_product call, the pairs folded into its batch
-    axis; component 0 is then recomputed as LaplacianJet.__mul__ does, from
-    contiguous lane values, or from Python complex values for a jet without
-    lanes.
-    """
-    first = lefts[0]
-    B, p = first.basis_size, first.depth
-    D = B + 2
-    per_pair = first.coeffs.size // D**p * (3 * B + 3) ** (p - 1) * D
-    step = max(1, PRODUCT_BATCH_COMPONENTS // per_pair)
-    for start in range(0, len(lefts), step):
-        left = np.stack([a.coeffs for a in lefts[start : start + step]])
-        right = np.stack([b.coeffs for b in rights[start : start + step]])
-        out = _tensor_product(left, right, B, p)
-        if left.ndim == 2:
-            out[:, 0] = [a * b for a, b in zip(left[:, 0].tolist(), right[:, 0].tolist())]
-        else:
-            out[..., 0] = np.ascontiguousarray(left[..., 0]) * np.ascontiguousarray(right[..., 0])
-        for coeffs in out:
-            yield first._like(coeffs)
+# Bytes of complex workspace one block of _tensor_product may hold at its
+# innermost level: both gathered operands, the products and one temporary,
+# 64 (3B + 3)**(p - 1) (B + 2) bytes per batch element.  A block is as many
+# batch elements as fit.  An element larger than the budget (one B = 6
+# product at p = 5 takes about 100 MB) is split into the 3B + 3 depth-(p-1)
+# products of its outer level, which are blocked in turn.  A block holds 97
+# elements of a B = 4 product at p = 3 and 37 of a B = 6 one, so no product
+# of the benchmark's runs or of the sweep's at p <= 3 is split (the widest,
+# phi on ten Gr(2,2) points, has 80).
+PRODUCT_WORKSPACE_BYTES = 2**23
 
 
 @lru_cache(maxsize=None)
@@ -365,36 +347,85 @@ def _pair_indices(B: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
-    """Product of two depth-p component arrays, flat or stacked in lanes.
+def _workspace_bytes(B: int, p: int) -> int:
+    """Innermost workspace of one depth-p batch element: four arrays of
+    (3B + 3)**(p - 1) (B + 2) complex components."""
+    return 64 * (3 * B + 3) ** (p - 1) * (B + 2)
 
-    Each of the outer p - 1 levels gathers its 3B + 3 component pairs into
-    one batch for the level below; the innermost level multiplies the whole
-    batch by the one-level rule, and the outer levels fold their pairs back
-    on the way up.  Work is O((3B + 3)**(p - 1) (B + 2)).
+
+def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
+    """Product of two depth-p component arrays of one shape, flat or with
+    leading (lane, batch) axes, which are walked as one batch axis.
+
+    The batch is taken in blocks whose workspace fits
+    PRODUCT_WORKSPACE_BYTES, each written into its slice of one output, by
+    the same operations per element whatever its block; an element over
+    the budget is split into the products of its outer level.
+    """
+    D = B + 2
+    out = np.empty(a.shape, dtype=complex)
+    flat = (-1, D**p)
+    _product_into(a.reshape(flat), b.reshape(flat), out.reshape(flat), B, p)
+    return out
+
+
+def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int):
+    """out[i] = a[i] b[i] for (n, D**p) arrays, in blocks under the budget."""
+    D = B + 2
+    if p > 1 and _workspace_bytes(B, p) > PRODUCT_WORKSPACE_BYTES:
+        pick_left, pick_right = _pair_indices(B)
+        rest = D ** (p - 1)
+        for x, y, target in zip(a, b, out):
+            pairs = np.empty((len(pick_left), rest), dtype=complex)
+            _product_into(x.reshape(D, rest)[pick_left], y.reshape(D, rest)[pick_right], pairs, B, p - 1)
+            _fold_level(pairs[None], target.reshape(1, D, rest))
+        return
+    step = max(1, PRODUCT_WORKSPACE_BYTES // _workspace_bytes(B, p))
+    for start in range(0, len(a), step):
+        block = slice(start, start + step)
+        _block_product(a[block], b[block], out[block], B, p)
+
+
+def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int):
+    """out = a b for (n, D**p) arrays in one pass.
+
+    Each of the outer p - 1 levels gathers its 3B + 3 component pairs, (0, k),
+    (k, 0) and (b, b), into one batch for the level below; the innermost
+    level multiplies the whole batch by the one-level rule, and the outer
+    levels fold their pairs back on the way up, the outermost into out.
+    Work is O((3B + 3)**(p - 1) (B + 2)) per element.
     """
     D = B + 2
     pick_left, pick_right = _pair_indices(B)
     G = len(pick_left)
-    left, right, batch = a, b, a.size // D**p  # lanes fold into the batch axis
+    left, right, batch = a, b, len(a)
     for level in range(p - 1):
         rest = D ** (p - level - 1)
         left = left.reshape(batch, D, rest).take(pick_left, axis=1)
         right = right.reshape(batch, D, rest).take(pick_right, axis=1)
         batch *= G
     left, right = left.reshape(batch, D), right.reshape(batch, D)
-    out = left[:, :1] * right
-    out += right[:, :1] * left
-    out[:, 0] = left[:, 0] * right[:, 0]
-    out[:, -1] += 2 * (left[:, 1:-1] * right[:, 1:-1]).sum(axis=1)
+    inner = out if p == 1 else np.empty((batch, D), dtype=complex)
+    np.multiply(left[:, :1], right, out=inner)
+    inner += right[:, :1] * left
+    inner[:, 0] = left[:, 0] * right[:, 0]
+    inner[:, -1] += 2 * np.einsum("ij,ij->i", left[:, 1:-1], right[:, 1:-1])
+    del left, right
     for level in reversed(range(p - 1)):
         rest = D ** (p - level - 1)
         batch //= G
-        pairs = out.reshape(batch, G, rest)
-        out = pairs[:, :D].copy()
-        out[:, 1:] += pairs[:, D : 2 * D - 1]
-        out[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
-    return out.reshape(a.shape)
+        pairs = inner.reshape(batch, G, rest)
+        inner = out.reshape(batch, D, rest) if level == 0 else np.empty((batch, D, rest), dtype=complex)
+        _fold_level(pairs, inner)
+
+
+def _fold_level(pairs: np.ndarray, target: np.ndarray):
+    """One level of the product from its (n, 3B + 3, rest) pair products,
+    written into the (n, D, rest) target."""
+    D = target.shape[1]
+    target[:] = pairs[:, :D]
+    target[:, 1:] += pairs[:, D : 2 * D - 1]
+    target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
 
 
 # -- constructors ---------------------------------------------------------
@@ -466,13 +497,72 @@ def scalar_value(value) -> complex:
 
 # -- division and analytic functions ------------------------------------------
 #
-# Each function takes a number, a 1-D array of lane values, or a jet; a jet
-# is expanded around its constant term, a number or lane array, through the
-# same function, so its value channel is what plain evaluation computes.
+# Each function takes a number, a 1-D array of lane values, or a jet, and
+# evaluates a jet through the same function at its point value (a number or
+# lane array), so its value channel is what plain evaluation computes.
+#
+# A JetScalar is expanded as the Taylor series around that value, by Horner.
+# A depth-p LaplacianJet u is read as one level (u0, u_b, u_L) over the
+# depth-(p-1) ring, on which
+#
+#   g(u) = (g(u0), g'(u0) u_b, g'(u0) u_L + g''(u0) sum_b u_b u_b),
+#
+# with g, g' and g'' at u0 computed one depth down by the same rule, from the
+# point value up (Griewank & Walther, Evaluating Derivatives, 2nd ed.,
+# ch. 13).  u0 at depth k is the leading D**k components of u, so each depth
+# costs about 2B + 4 products one depth below it: for log and powers g' and g''
+# come from g and one shared chain of reciprocals.
 
 
-def _constant_term(value):
-    return value.constant_value() if isinstance(value, LaplacianJet) else value.coeffs[0]
+def _times(a: np.ndarray, b: np.ndarray, B: int, depth: int) -> np.ndarray:
+    """Product of two component arrays of the given depth; depth 0 holds
+    numbers, one per lane."""
+    return a * b if depth == 0 else _tensor_product(a, b, B, depth)
+
+
+def _level(u: np.ndarray, g, d1, d2, B: int, k: int) -> np.ndarray:
+    """The components of g(u) for u's components at depth k >= 1, given g,
+    g' and g'' at u's leading depth-(k-1) slice; the 2B + 1 products
+    u_b u_b, g' u_b and g' u_L are one batch."""
+    D, inner = B + 2, (B + 2) ** (k - 1)
+    parts = u.reshape(u.shape[:-1] + (D, inner))
+    directions, laplacian = parts[..., 1:-1, :], parts[..., -1:, :]
+    slope = np.broadcast_to(d1[..., None, :], directions.shape[:-2] + (B + 1, inner))
+    products = _times(
+        np.concatenate([directions, slope], axis=-2),
+        np.concatenate([directions, directions, laplacian], axis=-2),
+        B,
+        k - 1,
+    )
+    out = np.empty(parts.shape, dtype=complex)
+    out[..., 0, :] = g
+    out[..., 1:-1, :] = products[..., B : 2 * B, :]
+    out[..., -1, :] = products[..., -1, :] + _times(d2, products[..., :B, :].sum(axis=-2), B, k - 1)
+    return out.reshape(u.shape)
+
+
+def _levels(value: "LaplacianJet", base, derivatives, depth: int) -> list:
+    """g(u) for the leading slices of u = value at depths 0..depth, as
+    component arrays: base is g at the point value, and derivatives(g, k)
+    gives g' and g'' at depth k from g there."""
+    B, coeffs = value.basis_size, value.coeffs
+    g = np.asarray(base, dtype=complex).reshape(coeffs.shape[:-1] + (1,))
+    chain = [g]
+    for k in range(1, depth + 1):
+        g = _level(coeffs[..., : (B + 2) ** k], g, *derivatives(g, k - 1), B, k)
+        chain.append(g)
+    return chain
+
+
+def _reciprocal_levels(value: "LaplacianJet", depth: int) -> list:
+    """1/u at depths 0..depth: g' = -r^2 and g'' = 2 r^3."""
+    B = value.basis_size
+
+    def derivatives(r, k):
+        square = _times(r, r, B, k)
+        return -square, 2 * _times(square, r, B, k)
+
+    return _levels(value, reciprocal(value.constant_value()), derivatives, depth)
 
 
 def reciprocal(value: Scalar) -> Scalar:
@@ -486,7 +576,9 @@ def reciprocal(value: Scalar) -> Scalar:
         if np.any(value == 0):
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / value
-    inv0 = reciprocal(_constant_term(value))
+    if isinstance(value, LaplacianJet):
+        return value._like(_reciprocal_levels(value, value.depth)[-1])
+    inv0 = reciprocal(value.coeffs[0])
     taylor = [inv0]
     for _ in range(value.order):
         taylor.append(taylor[-1] * -inv0)
@@ -531,7 +623,7 @@ def _check_branch(z, floor: float, angle: float):
     return z
 
 
-def _compose(a, taylor):
+def _compose(a: JetScalar, taylor):
     """Evaluate sum taylor[i] * h^i by Horner, h the nilpotent part of a."""
     h = nilpotent_part(a)
     acc = taylor[-1]
@@ -546,7 +638,15 @@ def jlog(value: Scalar, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE
         return cmath.log(_check_branch(complex(value), floor, angle))
     if isinstance(value, np.ndarray):
         return np.log(_check_branch(value, floor, angle))
-    z = _constant_term(value)
+    if isinstance(value, LaplacianJet):
+        # g' = r and g'' = -r^2, r the reciprocal one depth down
+        base = jlog(value.constant_value(), floor, angle)
+        r = _reciprocal_levels(value, value.depth - 1)
+        B = value.basis_size
+        return value._like(
+            _levels(value, base, lambda g, k: (r[k], -_times(r[k], r[k], B, k)), value.depth)[-1]
+        )
+    z = value.coeffs[0]
     base = jlog(z, floor, angle)
     inv = reciprocal(z)
     taylor = [base]
@@ -567,7 +667,10 @@ def jexp(value: Scalar) -> Scalar:
         if np.any(z.real > _EXP_OVERFLOW):
             raise NonFiniteError(f"exp overflow at Re(z) = {np.max(z.real):.3g}")
         return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
-    e0 = jexp(_constant_term(value))
+    if isinstance(value, LaplacianJet):
+        # g' = g'' = g
+        return value._like(_levels(value, jexp(value.constant_value()), lambda g, k: (g, g), value.depth)[-1])
+    e0 = jexp(value.coeffs[0])
     taylor = [e0]
     fact = 1.0
     for i in range(1, value.order + 1):
@@ -577,7 +680,21 @@ def jexp(value: Scalar) -> Scalar:
 
 
 def jpow(value: Scalar, exponent, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE) -> Scalar:
-    """Principal power value**exponent, computed as exp(exponent * log(value))."""
+    """Principal power value**exponent: exp(exponent * log(value)) at a
+    number, lane array or JetScalar.  On a LaplacianJet the levels take
+    g' = a u^(a-1) and g'' = a (a-1) u^(a-2) as a g r and (a-1) g' r, r the
+    reciprocal one depth down."""
+    if isinstance(value, LaplacianJet):
+        a = complex(exponent)
+        base = jpow(value.constant_value(), a, floor, angle)
+        r = _reciprocal_levels(value, value.depth - 1)
+        B = value.basis_size
+
+        def derivatives(g, k):
+            slope = a * _times(g, r[k], B, k)
+            return slope, (a - 1) * _times(slope, r[k], B, k)
+
+        return value._like(_levels(value, base, derivatives, value.depth)[-1])
     return jexp(jlog(value, floor, angle) * complex(exponent))
 
 

@@ -21,12 +21,11 @@ their non-commutativity is exact.  L^p f is the (D-1, ..., D-1) component
 and the gradient pairing sum_b Z_b f Z_b g is read from the depth-1
 direction components.  Each product in the walk costs
 O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over nested jets of
-3**p coefficients that literal recursion needs.  The P |window| entry
-products of a projector form (P coefficient pairs) are one batched tensor
-product, or one per batch of at most jets.PRODUCT_BATCH_COMPONENTS expanded
-components, rather than one call each: the arithmetic is unchanged, the
-per-call overhead is paid once per batch.  Log and non-integer powers
-are Taylor series of order 2p in the nilpotent part and raise :class:`pharmonic.jets.BranchCutError`,
+3**p coefficients that literal recursion needs, in blocks whose workspace
+is bounded by jets.PRODUCT_WORKSPACE_BYTES.  A projector form takes its
+N |window| entry products (N touched rows) as one tensor-product call.  Log,
+reciprocal and non-integer powers apply the one-level rule once per depth,
+from the point value up, and raise :class:`pharmonic.jets.BranchCutError`,
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
 
@@ -75,10 +74,10 @@ DEPTH_CAP = 5
 # Largest forward-Laplacian lift, N^2 (|basis| + 2)^p components, one walk
 # may build: the CLI refuses a run whose single-point lift exceeds it, and
 # the checkers walk as many points at once as fit under it.  Measured one
-# point per walk on a 2-core x86-64 VM: the largest tested run, flag --blocks
-# 1,1,2 --p 5 (524,288 components), takes 11.5 s and 223 MB; pharmonic --m 2
-# --n 3 --p 5 (819,200) 7 s and 212 MB; grassmann --m 19 --n 19 (1,018,020)
-# 2.5 s and 185 MB.  Unbounded, calibrate --m 1 --n 199 would first build
+# sample per run on a 2-core x86-64 VM (peak resident set): flag --blocks
+# 1,1,2 --p 5 (524,288 components) takes 2.1 s and 70 MB; pharmonic --m 2
+# --n 3 --p 5 (819,200) 1.2 s and 76 MB; grassmann --m 19 --n 19 (1,018,020)
+# 1.3 s and 133 MB.  Unbounded, calibrate --m 1 --n 199 would first build
 # about 6.4 GB of so(200) basis.
 MAX_LIFT_COMPONENTS = 2**20
 

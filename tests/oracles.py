@@ -5,12 +5,18 @@ pharmonic.symcalc imports no other pharmonic module, and these helpers
 join its combinations to jet arithmetic and expression trees on the test
 side only, so the routes they compare share no code in the package.
 
-The projector quadratics as trees of Entry products: the expanded form of
-a ProjectorForm node, whose value the node must reproduce bit for bit.
+The order-2p Taylor series of log, reciprocal, exp and powers of a
+LaplacianJet, evaluated by Horner: the expansion the package's level-by-level
+rule replaced, and the reference it is checked against.
+
+The projector quadratics as trees of Entry products: the expanded linear
+rewrite of a ProjectorForm node, whose value the node must reproduce bit
+for bit, and the P |W| pairwise products it replaced, which it must match
+to roundoff.
 """
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
-from pharmonic.jets import JetScalar, ipow, jlog, jpow, one_like
+from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
 from pharmonic.symcalc import SymExpr
 
 
@@ -54,6 +60,55 @@ def as_expr_node(expr: SymExpr, phi):
     return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
 
+def horner(value, taylor):
+    """sum taylor[i] * h^i by Horner, h the nilpotent part of the jet value;
+    h^(2p+1) = 0 at depth p, so order 2p is the whole series."""
+    h = nilpotent_part(value)
+    acc = taylor[-1]
+    for t in reversed(taylor[:-1]):
+        acc = acc * h + t
+    return acc
+
+
+def series_log(value):
+    z = value.constant_value()
+    inv = reciprocal(z)
+    taylor = [jlog(z)]
+    power, sign = inv, 1.0
+    for i in range(1, value.order + 1):
+        taylor.append(power * (sign / i))
+        power, sign = power * inv, -sign
+    return horner(value, taylor)
+
+
+def series_reciprocal(value):
+    inv = reciprocal(value.constant_value())
+    taylor = [inv]
+    for _ in range(value.order):
+        taylor.append(taylor[-1] * -inv)
+    return horner(value, taylor)
+
+
+def series_exp(value):
+    e0 = jexp(value.constant_value())
+    taylor = [e0]
+    fact = 1.0
+    for i in range(1, value.order + 1):
+        fact /= i
+        taylor.append(e0 * fact)
+    return horner(value, taylor)
+
+
+def series_pow(value, a):
+    """u^a = sum_i binom(a, i) z^(a-i) h^i, z the point value."""
+    z = value.constant_value()
+    inv = reciprocal(z)
+    taylor = [jpow(z, a)]
+    for i in range(1, value.order + 1):
+        taylor.append(taylor[-1] * ((a - i + 1) / i) * inv)
+    return horner(value, taylor)
+
+
 def window_quadratic(j: int, alpha: int, columns) -> Sum:
     """sum over t in columns of x_{jt} x_{alpha t} (all indices 1-based)."""
     if not columns:
@@ -61,11 +116,29 @@ def window_quadratic(j: int, alpha: int, columns) -> Sum:
     return Sum(tuple(Product((Entry(j, t), Entry(alpha, t))) for t in columns))
 
 
-def expanded_projector_form(form: ProjectorForm) -> Sum:
-    """The form as a tree: one Product(Const(c), window quadratic) per pair."""
+def pairwise_projector_form(form: ProjectorForm) -> Sum:
+    """The form as P |W| entry products: one Product(Const(c), window
+    quadratic) per pair."""
     return Sum(
         tuple(
             Product((Const(c), window_quadratic(j, a, form.columns)))
             for (j, a), c in zip(form.pairs, form.coefficients)
         )
     )
+
+
+def expanded_projector_form(form: ProjectorForm) -> Sum:
+    """The form's linear rewrite as a tree, whose value the node must
+    reproduce bit for bit: over the rows j the pairs touch and the window
+    columns t, row-major, the Sum of Product(Entry(j, t), y_jt), where y_jt
+    is the Sum over those rows a of Product(Const(S_ja), Entry(a, t)), with
+    S_jj = c_jj and S_ja = S_aj = c_ja / 2."""
+    rows = sorted({i for pair in form.pairs for i in pair})
+    S = {}
+    for (j, a), c in zip(form.pairs, form.coefficients):
+        S[j, a] = S[a, j] = c if j == a else c / 2
+
+    def y(j, t):
+        return Sum(tuple(Product((Const(S.get((j, a), 0j)), Entry(a, t))) for a in rows))
+
+    return Sum(tuple(Product((Entry(j, t), y(j, t))) for j in rows for t in form.columns))

@@ -31,7 +31,7 @@ from pharmonic.group import curve_jets, minkowski_form, sample_so, sample_so_mn
 from pharmonic.jets import JetScalar, LaplacianJet, lift
 from pharmonic.operators import dual_context, full_context, laplacian_jet, quotient_context
 
-from oracles import expanded_projector_form, window_quadratic
+from oracles import expanded_projector_form, pairwise_projector_form, window_quadratic
 
 
 # -- projector quadratics ---------------------------------------------------------
@@ -250,15 +250,37 @@ def test_projector_form_equals_its_expanded_tree_bit_for_bit(form, basis, points
 
 def test_expanded_tree_comparison_sees_a_permuted_sum_order():
     # the bytes compared above depend on the order of both sums: a tree
-    # summing the window or the pairs in another order differs in each check
-    # (a window of three, since a sum of two terms is the same either way)
+    # summing the products x_jt y_jt, or the terms of each y_jt, in reverse
+    # order differs in each check
     form, basis, points = next(c.values for c in _form_cases() if c.id == "Gr(2,3) 3-column window")
-    reversed_window = ProjectorForm(form.pairs, form.coefficients, form.columns[::-1])
-    reversed_pairs = ProjectorForm(form.pairs[::-1], form.coefficients[::-1], form.columns)
-    for permuted in (reversed_window, reversed_pairs):
-        tree = expanded_projector_form(permuted)
+    tree = expanded_projector_form(form)
+    reversed_products = Sum(tree.terms[::-1])
+    reversed_rows = Sum(tuple(Product((x, Sum(y.terms[::-1]))) for x, y in (t.factors for t in tree.terms)))
+    for permuted in (reversed_products, reversed_rows):
         for name, value in _form_checks(form, basis, points):
-            assert _bits(value(form)) != _bits(value(tree)), name
+            assert _bits(value(form)) != _bits(value(permuted)), name
+
+
+def _roundoff_cases():
+    """The forms above, the rank-2 negative control (two rows of four
+    touched) and a random non-symmetric complex A, on Gr(2,2) and Gr(2,3)."""
+    rng = np.random.default_rng(6)
+    control = projector_form(np.diag([1.0, -1.0, 0.0, 0.0]), m=2)
+    nonsymmetric = projector_form(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), m=2)
+    return _form_cases() + [
+        pytest.param(control, quotient_context(2, 2).basis, sample_so(4, range(42, 45)) * (1 + 0.5j), id="control"),
+        pytest.param(nonsymmetric, quotient_context(2, 3).basis, sample_so(5, range(45, 48)) * (1 + 0.5j), id="nonsymmetric"),
+    ]
+
+
+@pytest.mark.parametrize("form, basis, points", _roundoff_cases())
+def test_projector_form_agrees_with_its_pairwise_products_to_roundoff(form, basis, points):
+    # the linear rewrite against the P |W| entry products it replaced: every
+    # value and component within 1e-13 of the largest one of its check
+    tree = pairwise_projector_form(form)
+    for name, value in _form_checks(form, basis, points):
+        got, want = (np.frombuffer(_bits(value(f)), dtype=complex) for f in (form, tree))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_projector_form_needs_window():

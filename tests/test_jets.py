@@ -14,7 +14,6 @@ from pharmonic.jets import (
     LaplacianJet,
     NonFiniteError,
     ShapeMismatch,
-    batched_products,
     constant,
     ipow,
     jexp,
@@ -28,6 +27,7 @@ from pharmonic.jets import (
     variable,
     zero,
 )
+from oracles import series_exp, series_log, series_pow, series_reciprocal
 
 
 def jet2(c0, c1, c2):
@@ -321,23 +321,66 @@ def test_laplacian_jet_ring_axioms(B, p):
         assert np.all(np.abs(lhs.coeffs - rhs.coeffs) <= 1e-14 * np.abs(magnitude.coeffs))
 
 
-@pytest.mark.parametrize("B, p", [(2, 1), (3, 2), (2, 3)])
+@pytest.mark.parametrize("B, p", [(2, 1), (3, 2), (2, 3), (1, 4)])
 @pytest.mark.parametrize("lanes", [(), (3,)])
-def test_batched_products_equal_pairwise_products_bit_for_bit(monkeypatch, B, p, lanes):
+def test_blocked_products_equal_unblocked_products_bit_for_bit(monkeypatch, B, p, lanes):
     rng = np.random.default_rng(B * 10 + p)
+    shape = (7,) + lanes + ((B + 2) ** p,)
+    a, b = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+    monkeypatch.setattr(jets, "PRODUCT_WORKSPACE_BYTES", 2**40)
+    want = jets._tensor_product(a, b, B, p)
+    # each element alone, as LaplacianJet.__mul__ takes it
+    assert all(jets._tensor_product(x, y, B, p).tobytes() == w.tobytes() for x, y, w in zip(a, b, want))
+    per_element = jets._workspace_bytes(B, p)
+    # blocks of two elements, one element split into its outer-level pairs,
+    # and every level split down to single pairs
+    for budget in (2 * per_element, per_element - 1, 1):
+        monkeypatch.setattr(jets, "PRODUCT_WORKSPACE_BYTES", budget)
+        assert jets._tensor_product(a, b, B, p).tobytes() == want.tobytes(), budget
+
+
+LEVEL_FUNCTIONS = [
+    ("log", jlog, series_log),
+    ("reciprocal", reciprocal, series_reciprocal),
+    ("exp", jexp, series_exp),
+    ("pow -0.5", lambda v: jpow(v, -0.5), lambda v: series_pow(v, -0.5)),
+]
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+@pytest.mark.parametrize("B", [1, 2, 4, 6])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_level_rule_matches_the_order_2p_series(B, p, lanes):
+    # every component within 1e-13 of the largest one of the series; the
+    # value channel bit-equal to the function at the point value
+    rng = np.random.default_rng(100 * B + p)
     shape = lanes + ((B + 2) ** p,)
+    coeffs = 0.3 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    values = np.array([1.3 - 0.4j, 0.6 + 0.9j, -0.8 + 0.5j])
+    coeffs[..., 0] = values if lanes else values[0]
+    u = LaplacianJet(B, p, coeffs)
+    for name, level, series in LEVEL_FUNCTIONS:
+        got, want = level(u).coeffs, series(u).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+        plain = np.asarray(level(u.constant_value()), dtype=complex)
+        assert got[..., 0].tobytes() == plain.tobytes(), name
 
-    def jet():
-        return LaplacianJet(B, p, rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
 
-    lefts, rights = [jet() for _ in range(7)], [jet() for _ in range(7)]
-    want = [(a * b).coeffs.tobytes() for a, b in zip(lefts, rights)]
-    per_pair = (3 * B + 3) ** (p - 1) * (B + 2) * int(np.prod(lanes))
-    # one pair per batch, two pairs per batch, and all seven in one batch
-    for bound in (1, 2 * per_pair, 2**20):
-        monkeypatch.setattr(jets, "PRODUCT_BATCH_COMPONENTS", bound)
-        got = [c.coeffs.tobytes() for c in batched_products(lefts, rights)]
-        assert got == want, bound
+@pytest.mark.parametrize("p", [1, 3])
+def test_level_rule_rejects_from_the_point_value(p):
+    rng = np.random.default_rng(p)
+    stack = random_laplacian_jet(rng, 2, p, value=1.0)
+    stack = LaplacianJet(2, p, np.stack([stack.coeffs] * 3))
+    stack.coeffs[1, 0] = -1.0  # lane 1 on the cut of log and powers
+    for func in (jlog, lambda v: jpow(v, -0.5)):
+        with pytest.raises(BranchCutError) as info:
+            func(stack)
+        assert info.value.lanes == (1,) and str(info.value).startswith("lanes [1] ")
+    stack.coeffs[1, 0] = 800.0
+    with pytest.raises(NonFiniteError, match="exp overflow"):
+        jexp(stack)
+    with pytest.raises(NonFiniteError, match="exp overflow"):
+        jexp(random_laplacian_jet(rng, 2, p, value=800.0))
 
 
 def test_laplacian_jet_nilpotent_part_truncates_at_order_2p():

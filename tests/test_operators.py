@@ -15,6 +15,7 @@ from pharmonic.expressions import (
     rank_one_from_vector,
 )
 from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
+from pharmonic import jets
 from pharmonic import operators as ops
 from pharmonic.group import curve_jets, k_basis, sample_block_diagonal, sample_so, sample_so_mn
 from pharmonic.jets import BranchCutError, JetScalar
@@ -470,9 +471,11 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
 def test_one_deep_walk_releases_values_after_their_last_read():
     import tracemalloc
 
-    # flag --blocks 2,2 --p 5 at one point: a lift of 8.4 MB, and tensor
-    # products whose innermost level briefly holds about 100 MB; keeping
-    # every node's 0.52 MB jet until the walk ends pushed the peak to 162 MB
+    # flag --blocks 2,2 --p 5 at one point: a lift of 8.4 MB, the 8 stacked
+    # entry jets of a phi with their linear map and products, 4.2 MB each,
+    # and product blocks of at most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB);
+    # the walk peaks at 30.5 MB, and keeping every node's 0.52 MB jet until
+    # the walk ends pushed it to 34.2 MB
     f = flag_sum_expr(default_flag_spec((2, 2)), 5)
     ctx = full_context(4)
     x = sample_so(4, 7)
@@ -482,7 +485,50 @@ def test_one_deep_walk_releases_values_after_their_last_read():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 125e6, peak
+    assert peak < 33e6, peak
+
+
+def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
+    import tracemalloc
+
+    # flag --blocks 1,1,2 --p 5: a second lane adds its own lift and values,
+    # but its products share the bounded blocks of the first; when each
+    # product held its whole innermost level, two lanes peaked at twice one
+    # (223.4 MB against 111.8 MB)
+    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 5)
+    basis = full_context(4).basis
+    peaks = []
+    for lanes in (1, 2):
+        x = sample_so(4, range(7, 7 + lanes))
+        tracemalloc.start()
+        try:
+            laplacian_jet(f, x, basis, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.85 * peaks[0], peaks
+
+
+def test_walks_up_to_depth_three_take_each_product_in_one_block(monkeypatch):
+    # the sweep's widest walk at p <= 3: Gr(2,2) at p = 3 on ten points
+    # (phi's products are 80 batch elements of a B = 4 product)
+    block_calls = []
+    product_into, block_product = jets._product_into, jets._block_product
+
+    def counting_block(*args):
+        block_calls.append(args[-1])
+        block_product(*args)
+
+    def one_block(a, b, out, B, p):
+        before = len(block_calls)
+        product_into(a, b, out, B, p)
+        assert block_calls[before:] == [p], (len(a), B, p)
+
+    monkeypatch.setattr(jets, "_block_product", counting_block)
+    monkeypatch.setattr(jets, "_product_into", one_block)
+    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    laplacian_jet(p_harmonic_expr(phi, -4, -2, 3, 1, 1), sample_so(4, range(10)), quotient_context(2, 2).basis, 3)
+    assert block_calls
 
 
 def _curve_jet_identity_residuals(X, ctx, m=None):
