@@ -11,8 +11,9 @@ With ``--compare DIR`` each report is also compared with the report of the
 same name in DIR, an earlier sweep: the run reads "same" when its check ids,
 point ids, verdicts, thresholds, notes and config all equal the earlier
 ones, and otherwise names the fields that differ; the largest absolute
-change of any check residual is printed beside it.  Timing is ignored.  Any
-difference makes the sweep exit 2.
+change of any check residual is printed beside it.  Timing is ignored.  A
+run with no report in DIR reads "missing", and a report in DIR that no run
+of this sweep wrote reads "dropped".  Any difference makes the sweep exit 2.
 
 Usage:
   python scripts/run_verification_suite.py              # full sweep
@@ -94,12 +95,12 @@ def compare_reports(new: dict, previous: Path) -> tuple[list[str], float]:
     return differing, max(changes, default=0.0)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default="reports_out")
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--compare", metavar="DIR", help="compare with the reports in DIR")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sweep_start = time.perf_counter()
     out_dir = Path(args.out_dir)
@@ -111,7 +112,8 @@ def main() -> int:
         header += f"  {'vs ' + args.compare:<24} {'max |dr|':>10}"
     print(header)
     print("-" * len(header))
-    for name, config in build_runs(args.samples):
+    runs = build_runs(args.samples)
+    for name, config in runs:
         start = time.perf_counter()
         report = COMMANDS[config.command](config)
         report.timing_seconds = time.perf_counter() - start
@@ -136,6 +138,11 @@ def main() -> int:
             f"{name:<24} {'pass' if ok else 'FAIL':<8} {len(report.checks):>7} "
             f"{worst:>15.3e} {report.timing_seconds:>7.2f}s" + line
         )
+    if args.compare:
+        names = {name for name, _ in runs}
+        for name in sorted({path.stem for path in Path(args.compare).glob("*.json")} - names):
+            all_same = False
+            print(f"{name:<24} {'':<8} {'':>7} {'':>15} {'':>8}  {'dropped':<24} {math.nan:>10.2e}")
     print("-" * len(header))
     elapsed = time.perf_counter() - sweep_start
     print(f"total: {run_total:.2f}s in runs, {elapsed:.2f}s elapsed")

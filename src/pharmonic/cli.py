@@ -11,17 +11,23 @@ sample points could not be found, or jet arithmetic hit a branch cut or a
 non-finite value during the run).  The environment variable
 GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold, for CI on
 heterogeneous hardware.
+
+``main`` may be called any number of times in one process.  It builds its
+argument parser on the first call and reuses it after that, so only
+in-process callers (scripts, tests, benchmarks) save the set-up; a shell
+command still builds the parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,10 +96,21 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """Every field but the output paths, which do not change the report."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        del out["out"], out["csv"]
-        out["blocks"] = list(self.blocks) if self.blocks else None
-        return out
+        return {
+            "command": self.command,
+            "m": self.m,
+            "n": self.n,
+            "blocks": list(self.blocks) if self.blocks else None,
+            "p": self.p,
+            "seed": self.seed,
+            "samples": self.samples,
+            "radius": self.radius,
+            "tol": self.tol,
+            "tol_scale": self.tol_scale,
+            "w": self.w,
+            "a_file": self.a_file,
+            "basis_scale": self.basis_scale,
+        }
 
 
 def _validate_common(config: RunConfig) -> None:
@@ -475,9 +492,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    # the options every command shares are declared once, on a parent parser
-    # the subcommands copy them from (each add_argument builds a formatter)
+    # cached: parse_args leaves the parser unchanged, so one parser serves
+    # every main call; the options every command shares are declared once, on
+    # a parent parser the subcommands copy them from (each add_argument builds
+    # a formatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", type=int, default=2)
     common.add_argument("--n", type=int, default=2)

@@ -14,7 +14,7 @@ Most checks are upper bounds (residual <= threshold).  Witness-style checks
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -71,7 +71,14 @@ class CheckRecord:
     kind: str = "upper"
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {
+            "check": self.check,
+            "point": self.point,
+            "residual": self.residual,
+            "threshold": self.threshold,
+            "passed": self.passed,
+            "kind": self.kind,
+        }
 
 
 def upper_check(check: str, point, residual: float, threshold: float) -> CheckRecord:

@@ -299,6 +299,22 @@ def test_shared_options_parse_and_print_as_when_declared_per_command(capsys, com
         assert got == _parsed(_parser_declared_per_command(), argv, capsys), argv
 
 
+def test_parser_is_built_once_and_reused_across_main_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["pharmonic", "--m", "x"]) == EXIT_USAGE
+    assert main(["--help"]) == EXIT_PASS
+    assert main(["definitely-not-a-command"]) == EXIT_USAGE
+    assert main(["report-schema"]) == EXIT_PASS
+    capsys.readouterr()
+    argv = ["pharmonic", "--m", "1", "--n", "2", "--p", "2", "--samples", "2"]
+    code, out = run_cli(capsys, *argv)
+    proc = run_cli_process(*argv)
+    assert code == proc.returncode == EXIT_PASS
+    in_process, fresh = json.loads(out), json.loads(proc.stdout)
+    in_process.pop("timing_seconds"), fresh.pop("timing_seconds")
+    assert in_process == fresh
+
+
 def test_main_rejects_unknown_command(capsys):
     assert main(["definitely-not-a-command"]) == EXIT_USAGE
 

@@ -1,7 +1,9 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from pharmonic.cli import RunConfig
 from pharmonic.reports import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
@@ -58,6 +60,52 @@ def test_serialization_is_deterministic_modulo_timing():
     da, db = a.as_dict(), b.as_dict()
     da.pop("timing_seconds"), db.pop("timing_seconds")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+
+def _field_dict(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def test_record_dicts_are_the_field_dicts_in_field_order():
+    records = [
+        upper_check("alpha", 3, 2e-12, 1e-9),
+        lower_check("witness", 0, 0.4, 1e-3),
+        upper_check("matrix_symmetric", "all", 0.0, 1e-10),
+        lower_check("properness", "all", 1e-5, 1e-3),
+    ]
+    for rec in records:
+        assert list(rec.as_dict().items()) == list(_field_dict(rec).items())
+
+
+def test_config_dict_is_the_field_dict_without_output_paths():
+    config = RunConfig("flag", blocks=(1, 1, 2), p=3, tol=1e-7, w="1,2:1", out="r.json", csv="r.csv")
+    want = _field_dict(config)
+    del want["out"], want["csv"]
+    want["blocks"] = [1, 1, 2]
+    assert list(config.as_dict().items()) == list(want.items())
+    assert RunConfig("grassmann").as_dict()["blocks"] is None
+
+
+def test_report_json_is_the_field_by_field_dump():
+    config = RunConfig("flag", blocks=(2, 1, 1), samples=3, out="r.json").as_dict()
+    checks = [
+        upper_check("alpha", 0, 1e-12, 1e-9),
+        upper_check("alpha", "all", 3e-11, 1e-9),
+        lower_check("witness", 1, 0.4, 1e-3),
+    ]
+    report = VerificationReport("flag", config, checks, notes=["drew 7", "note 2"])
+    report.timing_seconds = 0.125
+    want = {
+        "command": report.command,
+        "config": report.config,
+        "checks": [_field_dict(c) for c in checks],
+        "max_residuals": report.max_residuals,
+        "passed": report.passed,
+        "notes": report.notes,
+        "timing_seconds": report.timing_seconds,
+        "version": report.version,
+    }
+    assert report.to_json() == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_validator_rejects_malformed_documents():
@@ -130,3 +178,29 @@ def test_sweep_comparison_names_differing_fields(tmp_path):
     differing, change = compare_reports(renamed, previous)
     assert differing == ["ids"] and change != change
     assert compare_reports(old, tmp_path / "absent.json")[0] == ["missing"]
+
+
+def test_sweep_compare_fails_on_dropped_and_missing_runs(tmp_path, monkeypatch, capsys):
+    sweep = _sweep_script()
+    runs = [("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2))]
+    monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
+    base = tmp_path / "base"
+    assert sweep.main(["--out-dir", str(base)]) == 0
+    capsys.readouterr()
+
+    def compare():
+        code = sweep.main(["--out-dir", str(tmp_path / "head"), "--compare", str(base)])
+        return code, {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line}
+
+    code, lines = compare()
+    assert code == 0 and "same" in lines["calibrate_N2"]
+
+    (base / "calibrate_N9.json").write_text((base / "calibrate_N2.json").read_text())
+    code, lines = compare()
+    assert code == 2 and "same" in lines["calibrate_N2"]
+    assert lines["calibrate_N9"].split()[1] == "dropped"
+
+    (base / "calibrate_N9.json").rename(base / "calibrate_N2.json")
+    (base / "calibrate_N2.json").rename(base / "calibrate_N3.json")
+    code, lines = compare()
+    assert code == 2 and "missing" in lines["calibrate_N2"]
