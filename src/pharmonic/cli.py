@@ -13,9 +13,9 @@ GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold, for CI on
 heterogeneous hardware.
 
 ``main`` may be called any number of times in one process.  It builds its
-argument parser on the first call and reuses it after that, so only
-in-process callers (scripts, tests, benchmarks) save the set-up; a shell
-command still builds the parser once.
+argument parser on the first call and reuses it after that.  A shell command
+builds the parser once either way, so only callers that run ``main`` many
+times in one process (the tests, the benchmark) save the set-up.
 """
 
 from __future__ import annotations
@@ -96,21 +96,10 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         """Every field but the output paths, which do not change the report."""
-        return {
-            "command": self.command,
-            "m": self.m,
-            "n": self.n,
-            "blocks": list(self.blocks) if self.blocks else None,
-            "p": self.p,
-            "seed": self.seed,
-            "samples": self.samples,
-            "radius": self.radius,
-            "tol": self.tol,
-            "tol_scale": self.tol_scale,
-            "w": self.w,
-            "a_file": self.a_file,
-            "basis_scale": self.basis_scale,
-        }
+        out = dict(vars(self))
+        del out["out"], out["csv"]
+        out["blocks"] = list(self.blocks) if self.blocks else None
+        return out
 
 
 def _validate_common(config: RunConfig) -> None:

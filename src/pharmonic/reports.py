@@ -71,14 +71,7 @@ class CheckRecord:
     kind: str = "upper"
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "point": self.point,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "kind": self.kind,
-        }
+        return dict(vars(self))
 
 
 def upper_check(check: str, point, residual: float, threshold: float) -> CheckRecord:
