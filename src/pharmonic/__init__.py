@@ -3,7 +3,6 @@ quotients, with exact symbolic and jet-based numerical verification."""
 
 from .expressions import (
     Const,
-    EigenMatrix,
     Entry,
     FlagSpec,
     Log,
@@ -23,7 +22,6 @@ from .expressions import (
     validate_eigen_matrix,
 )
 from .group import (
-    BasisVector,
     curve_jets,
     curve_point,
     k_basis,
@@ -46,28 +44,23 @@ from .jets import (
     jexp,
     jlog,
     jpow,
-    jsqrt,
     lift,
     reciprocal,
     scalar_value,
     variable,
 )
 from .operators import (
-    OperatorContext,
     SamplingExhausted,
     check_eigenfamily,
     check_eigenfunction,
     check_invariance,
     conditioned_sample,
-    dual_context,
     fd_laplacian,
-    full_context,
     gradient_product,
     iterated_laplacian,
     laplacian,
     laplacian_jet,
     non_descent_witness,
-    quotient_context,
 )
 from .reports import ARTIFACT_VERSION, REPORT_SCHEMA, VerificationReport
 from .symcalc import (

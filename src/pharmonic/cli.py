@@ -34,7 +34,7 @@ import numpy as np
 from . import expressions as ex
 from . import operators as ops
 from . import symcalc as sym
-from .group import minkowski_form, sample_block_diagonal, sample_so, sample_so_mn
+from .group import m_basis, minkowski_form, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from .jets import BranchCutError, JetError
 from .reports import (
     REPORT_SCHEMA,
@@ -154,7 +154,7 @@ def _tau_p_tol(config: RunConfig) -> float:
     return _threshold(config, default)
 
 
-def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
+def _coefficient_matrix(config: RunConfig) -> np.ndarray:
     """The coefficient matrix from --A, --w or the default vector; unreadable,
     non-finite or zero input, or a scale outside COEFFICIENT_SCALE_RANGE, is a
     configuration error."""
@@ -174,16 +174,16 @@ def _coefficient_matrix(config: RunConfig) -> ex.EigenMatrix:
     if config.a_file:
         if values.shape != (N, N):
             raise UsageError(f"matrix file has shape {values.shape}, expected {(N, N)}")
-        A = ex.EigenMatrix(values, (config.m, config.n))
+        A = values
     else:
         if values.size != N - 1:
             raise UsageError(f"w must have length {N - 1}, got {values.size}")
         try:
-            A = ex.rank_one_from_vector(values, (config.m, config.n))
+            A = ex.rank_one_from_vector(values)
         except ValueError as exc:  # w is zero, or its squares underflow to zero
             raise UsageError(f"bad {source}: {exc}") from exc
     low, high = COEFFICIENT_SCALE_RANGE
-    scale = float(np.max(np.abs(A.matrix)))
+    scale = float(np.max(np.abs(A)))
     if scale != 0.0 and not low <= scale <= high:
         raise UsageError(f"coefficient matrix scale {scale:.3g} outside [{low:g}, {high:g}]")
     return A
@@ -244,7 +244,7 @@ def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -
 
 
 def _p_harmonic_records(
-    expr, points, ctx, config: RunConfig, notes: list[str], expect_witness: bool = True
+    expr, points, basis, config: RunConfig, notes: list[str], expect_witness: bool = True
 ) -> list:
     """Order-p residual and order-(p-1) witness records at each point of the
     (K, N, N) stack.
@@ -261,7 +261,7 @@ def _p_harmonic_records(
     results = ((), ())
     while lanes:
         try:
-            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], ctx)
+            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis)
             break
         except BranchCutError as exc:
             # no lane named: the failing value is shared by every lane
@@ -295,9 +295,9 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
     if N < 2:
         raise UsageError("need m + n >= 2")
     tol = _threshold(config, DEFAULT_TOLS["calibrate"])
-    ctx = ops.full_context(N, scale=config.basis_scale)
+    basis = so_basis(N) * config.basis_scale
     points = sample_so(N, _seeds(config))
-    records = _identity_records(ops.coordinate_identity_residuals(points, ctx), tol)
+    records = _identity_records(ops.coordinate_identity_residuals(points, basis), tol)
     notes = []
     if config.basis_scale != 1.0:
         notes.append(f"basis deliberately rescaled by {config.basis_scale} (test hook)")
@@ -319,9 +319,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     proj_tol = _threshold(config, DEFAULT_TOLS["projector"])
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
-    full_ctx = ops.full_context(N)
-    quot_ctx = ops.quotient_context(m, n)
-    phi = ex.projector_form(A)
+    phi = ex.projector_form(A, m)
     points = sample_so(N, _seeds(config))
 
     scale = float(np.max(np.abs(ops.values_at(phi, points))))
@@ -329,9 +327,9 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     if scale < 1e-12:
         notes.append("function is numerically zero on every sample (degenerate input)")
 
-    records += _identity_records(ops.projector_identity_residuals(points, m, full_ctx), proj_tol)
+    records += _identity_records(ops.projector_identity_residuals(points, m, so_basis(N)), proj_tol)
 
-    records += ops.check_eigenfunction(phi, -N, -2, points, quot_ctx, eigen_tol)
+    records += ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n), eigen_tol)
     records += ops.check_invariance(
         phi,
         lambda s: sample_block_diagonal((m, n), s),
@@ -359,11 +357,10 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
     records = _symbolic_records(params, p, "c1", 1, 0)
     records += _symbolic_records(params, p, "c2", 0, 1, proper=False)
 
-    phi = ex.projector_form(A)
+    phi = ex.projector_form(A, m)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
-    ctx = ops.quotient_context(m, n)
     points = _sample_conditioned([phi], lambda s: sample_so(N, s), config, notes)
-    records += _p_harmonic_records(composed, points, ctx, config, notes)
+    records += _p_harmonic_records(composed, points, m_basis(m, n), config, notes)
     return VerificationReport("pharmonic", config.as_dict(), records, notes)
 
 
@@ -381,7 +378,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
 
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
-    ctx = ops.full_context(n)
+    basis = so_basis(n)
     points = sample_so(n, _seeds(config))
     block_forms = [
         ex.projector_form(spec.generators[k], columns=ex.block_columns(blocks, k))
@@ -389,12 +386,12 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     ]
 
     for k, phi_k in enumerate(block_forms):
-        fam = ops.check_eigenfamily([phi_k], -n, -2, points, ctx, eigen_tol)
+        fam = ops.check_eigenfamily([phi_k], -n, -2, points, basis, eigen_tol)
         records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam]
 
     total = ex.flag_sum_expr(spec, config.p)
     sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
-    records += _p_harmonic_records(total, sampled, ctx, config, notes)
+    records += _p_harmonic_records(total, sampled, basis, config, notes)
 
     records += ops.check_invariance(
         total,
@@ -438,8 +435,8 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     A_dual = ex.dual_matrix(A, m, n)
     records += _matrix_records(A_dual, "A*", config, form=minkowski_form(m, n))
 
-    phi = ex.projector_form(A_dual)
-    ctx = ops.dual_context(m, n)
+    phi = ex.projector_form(A_dual, m)
+    basis = m_basis(m, n, "indefinite")
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
     points = sample_so_mn(m, n, _seeds(config), config.radius)
@@ -452,14 +449,14 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
             "(radius too small to leave the compact subgroup)"
         )
 
-    records += ops.check_eigenfunction(phi, N, 2, points, ctx, eigen_tol)
+    records += ops.check_eigenfunction(phi, N, 2, points, basis, eigen_tol)
 
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
     iter_points = _sample_conditioned(
         [phi], lambda s: sample_so_mn(m, n, s, config.radius), config, notes
     )
     records += _p_harmonic_records(
-        composed, iter_points, ctx, config, notes, expect_witness=config.radius > 0
+        composed, iter_points, basis, config, notes, expect_witness=config.radius > 0
     )
     return VerificationReport("dual", config.as_dict(), records, notes)
 

@@ -17,6 +17,8 @@ These are invariant under right rotation of the window columns.  Contracting
 them against a symmetric coefficient matrix that is traceless, rank one and
 square-zero produces a simultaneous eigenfunction of the Laplace-Beltrami
 and conformality operators; such matrices arise as u u^T for isotropic u.
+A coefficient matrix is a plain N x N complex array; the column window is
+given beside it, as its width m or as the columns themselves.
 
 Such a contraction is one :class:`ProjectorForm` node, holding a coefficient
 per unordered pair (j, a) and the column window, not a tree of P |C| entry
@@ -299,17 +301,13 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
     """Quadratic form sum_{j,a} A[j,a] * q_{j,a} over a column window, as
     one :class:`ProjectorForm` node.
 
-    ``A`` may be an :class:`EigenMatrix` or a plain complex matrix (useful
-    for negative controls).  The window defaults to the first ``m`` columns,
-    with ``m`` taken from the eigen-matrix dims when not given.  Since
+    ``A`` is an N x N complex matrix, with or without the eigenfunction
+    structure (negative controls pass one without).  The window is the first
+    ``m`` columns, or the 1-based ``columns`` when given.  Since
     q_{j,a} = q_{a,j}, the node holds one coefficient per unordered pair
     j <= a with a nonzero one, A[j,a] + A[a,j] off the diagonal: exact for
     any A.  A form without such a pair is Const(0).
     """
-    if isinstance(A, EigenMatrix):
-        if m is None and columns is None and A.dims is not None:
-            m = A.dims[0]
-        A = A.matrix
     A = np.asarray(A, dtype=complex)
     if columns is None:
         if m is None:
@@ -329,14 +327,6 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
 
 
 # -- coefficient matrices ------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class EigenMatrix:
-    """Symmetric coefficient matrix with eigenfunction-inducing structure."""
-
-    matrix: np.ndarray
-    dims: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -361,8 +351,6 @@ def validate_eigen_matrix(A, form=None) -> MatrixValidation:
     the square condition A eta A = 0.  The default (identity) recovers the
     plain conditions.
     """
-    if isinstance(A, EigenMatrix):
-        A = A.matrix
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
@@ -378,7 +366,7 @@ def validate_eigen_matrix(A, form=None) -> MatrixValidation:
     return MatrixValidation(sym, tr, sq, rank_ratio)
 
 
-def rank_one_from_isotropic(u, dims: tuple[int, int] | None = None) -> EigenMatrix:
+def rank_one_from_isotropic(u) -> np.ndarray:
     """Coefficient matrix u u^T for an isotropic vector (u . u = 0, to
     ISOTROPY_TOL relative to |u|^2)."""
     u = np.asarray(u, dtype=complex).ravel()
@@ -387,10 +375,10 @@ def rank_one_from_isotropic(u, dims: tuple[int, int] | None = None) -> EigenMatr
         raise ValueError("isotropic vector must be nonzero")
     if abs(complex(u @ u)) > ISOTROPY_TOL * norm2:
         raise ValueError(f"vector is not isotropic: u.u = {complex(u @ u)!r}")
-    return EigenMatrix(np.outer(u, u), dims)
+    return np.outer(u, u)
 
 
-def rank_one_from_vector(w, dims: tuple[int, int] | None = None) -> EigenMatrix:
+def rank_one_from_vector(w) -> np.ndarray:
     """Coefficient matrix built from a free complex vector of length N - 1.
 
     With s the principal square root of sum(w_i^2), the generating isotropic
@@ -404,13 +392,13 @@ def rank_one_from_vector(w, dims: tuple[int, int] | None = None) -> EigenMatrix:
     with np.errstate(over="ignore", invalid="ignore"):
         root = cmath.sqrt(complex(w @ w))
         u = np.concatenate([[root], 1j * w])
-        A = rank_one_from_isotropic(u, dims)
-    if not np.all(np.isfinite(A.matrix)):
+        A = rank_one_from_isotropic(u)
+    if not np.all(np.isfinite(A)):
         raise ValueError("products of the entries of w overflow")
     return A
 
 
-def dual_matrix(A, m: int | None = None, n: int | None = None) -> EigenMatrix:
+def dual_matrix(A, m: int, n: int) -> np.ndarray:
     """Coefficient matrix of the companion function on the indefinite group.
 
     Both real forms sit in one complex group, related by conjugation with
@@ -421,15 +409,9 @@ def dual_matrix(A, m: int | None = None, n: int | None = None) -> EigenMatrix:
     plain ones, and its form obeys the sign-flipped eigen relations along
     boost directions.
     """
-    if isinstance(A, EigenMatrix):
-        if m is None and A.dims is not None:
-            m, n = A.dims
-        A = A.matrix
-    if m is None or n is None:
-        raise ValueError("need the signature split (m, n)")
     A = np.asarray(A, dtype=complex)
     c = np.concatenate([np.ones(m), 1j * np.ones(n)])
-    return EigenMatrix(A * np.outer(c, c), (m, n))
+    return A * np.outer(c, c)
 
 
 # -- p-harmonic compositions ---------------------------------------------------
@@ -491,17 +473,18 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
 # -- flag sums -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagSpec:
     """Column-window partition with per-block coefficients and generators.
 
     ``block_sizes`` partitions the n columns into t >= 2 windows; block k
     owns one n x n coefficient matrix and one (c1, c2) coefficient pair.
+    The generators are arrays, so specs compare by identity.
     """
 
     block_sizes: tuple[int, ...]
     coefficients: tuple[tuple[complex, complex], ...]
-    generators: tuple[EigenMatrix, ...]
+    generators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         t = len(self.block_sizes)
@@ -513,7 +496,7 @@ class FlagSpec:
             raise ValueError("need one coefficient pair and one generator per block")
         n = sum(self.block_sizes)
         for g in self.generators:
-            if g.matrix.shape != (n, n):
+            if g.shape != (n, n):
                 raise ValueError("generators must be n x n for n = sum of blocks")
 
     @property

@@ -6,9 +6,10 @@ validate_group_point checks: ``("compact", N)`` for SO(N) and
 ``("indefinite", m, n)`` for the identity component of the
 pseudo-orthogonal group preserving diag(I_m, -I_n).
 
-Bases of the Lie algebra are orthonormal for the trace form
-g(X, Y) = -tr(XY) on skew-symmetric (compact) directions and
-g(X, Y) = +tr(XY) on the symmetric boost directions of the indefinite form.
+A basis of the Lie algebra is a plain (B, N, N) float array, one direction
+per matrix.  Bases are orthonormal for the trace form g(X, Y) = -tr(XY) on
+skew-symmetric (compact) directions and g(X, Y) = +tr(XY) on the symmetric
+boost directions of the indefinite form.
 This normalization is the one under which the coordinate Laplacian on SO(N)
 has eigenvalue -(N - 1)/2 on matrix entries; the calibration tests pin it.
 
@@ -29,7 +30,6 @@ command calls either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Number
 from typing import Sequence
 
@@ -38,21 +38,6 @@ import numpy as np
 from .jets import JetScalar, constant, is_zero, scalar_value, zero_like
 
 POINT_TOL = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class BasisVector:
-    """Lie-algebra direction: a matrix, its index pair, and its block tag.
-
-    ``form_sign`` is the sign s with which g(X, Y) = s * tr(XY) makes the
-    containing basis orthonormal: -1 for skew directions, +1 for symmetric
-    boost directions.
-    """
-
-    matrix: np.ndarray
-    rows: tuple[int, int]
-    block: str  # "full", "k", or "m"
-    form_sign: int = -1
 
 
 def minkowski_form(m: int, n: int) -> np.ndarray:
@@ -103,35 +88,26 @@ def _symmetric_unit(N: int, r: int, s: int) -> np.ndarray:
     return mat
 
 
-def so_basis(N: int) -> list[BasisVector]:
-    """Orthonormal basis of so(N): (E_rs - E_sr)/sqrt(2) for r < s."""
+def so_basis(N: int) -> np.ndarray:
+    """Orthonormal basis of so(N): (E_rs - E_sr)/sqrt(2) for r < s, in
+    row-major order of (r, s)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return [
-        BasisVector(_skew_unit(N, r, s), (r, s), "full")
-        for r in range(1, N + 1)
-        for s in range(r + 1, N + 1)
-    ]
+    return np.array([_skew_unit(N, r, s) for r in range(1, N + 1) for s in range(r + 1, N + 1)])
 
 
-def k_basis(m: int, n: int) -> list[BasisVector]:
-    """Block-diagonal skew directions tangent to SO(m) x SO(n)."""
+def k_basis(m: int, n: int) -> np.ndarray:
+    """Block-diagonal skew directions tangent to SO(m) x SO(n): those of
+    SO(m), then those of SO(n), each in the order of so_basis."""
     N = m + n
-    out = [
-        BasisVector(_skew_unit(N, r, s), (r, s), "k")
-        for r in range(1, m + 1)
-        for s in range(r + 1, m + 1)
-    ]
-    out.extend(
-        BasisVector(_skew_unit(N, r, s), (r, s), "k")
-        for r in range(m + 1, N + 1)
-        for s in range(r + 1, N + 1)
-    )
-    return out
+    pairs = [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)]
+    pairs += [(r, s) for r in range(m + 1, N + 1) for s in range(r + 1, N + 1)]
+    return np.array([_skew_unit(N, r, s) for r, s in pairs]).reshape(-1, N, N)
 
 
-def m_basis(m: int, n: int, kind: str = "compact") -> list[BasisVector]:
-    """Orthonormal complement of the block-diagonal subalgebra.
+def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
+    """Orthonormal complement of the block-diagonal subalgebra, one direction
+    per pair (j, a), j <= m < a, in row-major order.
 
     Compact: skew off-block directions of so(m+n).  Indefinite: symmetric
     boost directions of the pseudo-orthogonal algebra, orthonormal for
@@ -141,16 +117,12 @@ def m_basis(m: int, n: int, kind: str = "compact") -> list[BasisVector]:
         raise ValueError("need m, n >= 1")
     N = m + n
     if kind == "compact":
-        make, sign = _skew_unit, -1
+        make = _skew_unit
     elif kind == "indefinite":
-        make, sign = _symmetric_unit, +1
+        make = _symmetric_unit
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return [
-        BasisVector(make(N, j, a), (j, a), "m", sign)
-        for j in range(1, m + 1)
-        for a in range(m + 1, N + 1)
-    ]
+    return np.array([make(N, j, a) for j in range(1, m + 1) for a in range(m + 1, N + 1)])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -270,12 +242,9 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> np.ndarray:
 # -- curves -------------------------------------------------------------------
 
 
-def _as_direction(Z):
-    return Z.matrix if isinstance(Z, BasisVector) else Z
-
-
-def curve_point(x, direction, t):
-    """Point x . exp(t Z) along the one-parameter curve in direction Z.
+def curve_point(x, Z: np.ndarray, t):
+    """Point x . exp(t Z) along the one-parameter curve in direction Z, an
+    N x N matrix.
 
     For a plain number t this uses scipy's scaling-and-squaring matrix
     exponential, imported here, and returns a numpy matrix.  For a jet t the
@@ -284,7 +253,6 @@ def curve_point(x, direction, t):
     """
     from scipy.linalg import expm
 
-    Z = _as_direction(direction)
     if isinstance(t, Number):
         tc = complex(t)
         if tc.imag == 0.0:
@@ -350,14 +318,14 @@ def _sparse_right_mul(X, cols, scale: float):
     return tuple(rows)
 
 
-def curve_jets(entries, direction, order: int = 2):
-    """Jet-valued matrix of x . exp(eps Z) truncated at the given order.
+def curve_jets(entries, Z: np.ndarray, order: int = 2):
+    """Jet-valued matrix of x . exp(eps Z) truncated at the given order, for
+    an N x N direction matrix Z.
 
     Coefficient i of entry (r, c) is (x Z^i / i!)[r, c].  ``entries`` is a
     numpy matrix or a nested tuple of scalars of one common shape; jets are
     stacked with the new curve parameter outermost.
     """
-    Z = _as_direction(direction)
     if isinstance(entries, np.ndarray):
         mats = [entries.astype(complex)]
         for i in range(1, order + 1):

@@ -24,7 +24,7 @@ operations whatever its block; its log, reciprocal, exp and powers apply the
 one-level rule g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the
 point value up.
 
-Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jsqrt`, :func:`jpow`)
+Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
 the base value of the argument is within ``BRANCH_FLOOR`` of the origin or
 within ``BRANCH_ANGLE`` radians of the cut along the negative real axis, so
@@ -607,19 +607,20 @@ def ipow(value: Scalar, exponent: int) -> Scalar:
     return result
 
 
-def _check_branch(z, floor: float, angle: float):
+def _check_branch(z):
     z = _require_finite(z)
     if isinstance(z, np.ndarray):
-        bad = (np.abs(z) < floor) | (math.pi - np.abs(np.angle(z)) < angle)
+        bad = (np.abs(z) < BRANCH_FLOOR) | (math.pi - np.abs(np.angle(z)) < BRANCH_ANGLE)
         if np.any(bad):
             raise BranchCutError(
-                f"within {floor:.1e} of the origin or {angle:.1e} of the cut", np.flatnonzero(bad)
+                f"within {BRANCH_FLOOR:.1e} of the origin or {BRANCH_ANGLE:.1e} of the cut",
+                np.flatnonzero(bad),
             )
         return z
-    if abs(z) < floor:
-        raise BranchCutError(f"magnitude {abs(z):.3e} below branch floor {floor:.1e}")
-    if math.pi - abs(cmath.phase(z)) < angle:
-        raise BranchCutError(f"argument of {z!r} within {angle:.1e} of the cut")
+    if abs(z) < BRANCH_FLOOR:
+        raise BranchCutError(f"magnitude {abs(z):.3e} below branch floor {BRANCH_FLOOR:.1e}")
+    if math.pi - abs(cmath.phase(z)) < BRANCH_ANGLE:
+        raise BranchCutError(f"argument of {z!r} within {BRANCH_ANGLE:.1e} of the cut")
     return z
 
 
@@ -632,22 +633,22 @@ def _compose(a: JetScalar, taylor):
     return acc
 
 
-def jlog(value: Scalar, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE) -> Scalar:
+def jlog(value: Scalar) -> Scalar:
     """Principal logarithm of a number, lane array or jet."""
     if isinstance(value, Number):
-        return cmath.log(_check_branch(complex(value), floor, angle))
+        return cmath.log(_check_branch(complex(value)))
     if isinstance(value, np.ndarray):
-        return np.log(_check_branch(value, floor, angle))
+        return np.log(_check_branch(value))
     if isinstance(value, LaplacianJet):
         # g' = r and g'' = -r^2, r the reciprocal one depth down
-        base = jlog(value.constant_value(), floor, angle)
+        base = jlog(value.constant_value())
         r = _reciprocal_levels(value, value.depth - 1)
         B = value.basis_size
         return value._like(
             _levels(value, base, lambda g, k: (r[k], -_times(r[k], r[k], B, k)), value.depth)[-1]
         )
     z = value.coeffs[0]
-    base = jlog(z, floor, angle)
+    base = jlog(z)
     inv = reciprocal(z)
     taylor = [base]
     power = inv
@@ -679,14 +680,14 @@ def jexp(value: Scalar) -> Scalar:
     return _compose(value, taylor)
 
 
-def jpow(value: Scalar, exponent, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE) -> Scalar:
+def jpow(value: Scalar, exponent) -> Scalar:
     """Principal power value**exponent: exp(exponent * log(value)) at a
     number, lane array or JetScalar.  On a LaplacianJet the levels take
     g' = a u^(a-1) and g'' = a (a-1) u^(a-2) as a g r and (a-1) g' r, r the
     reciprocal one depth down."""
     if isinstance(value, LaplacianJet):
         a = complex(exponent)
-        base = jpow(value.constant_value(), a, floor, angle)
+        base = jpow(value.constant_value(), a)
         r = _reciprocal_levels(value, value.depth - 1)
         B = value.basis_size
 
@@ -695,9 +696,4 @@ def jpow(value: Scalar, exponent, floor: float = BRANCH_FLOOR, angle: float = BR
             return slope, (a - 1) * _times(slope, r[k], B, k)
 
         return value._like(_levels(value, base, derivatives, value.depth)[-1])
-    return jexp(jlog(value, floor, angle) * complex(exponent))
-
-
-def jsqrt(value: Scalar, floor: float = BRANCH_FLOOR, angle: float = BRANCH_ANGLE) -> Scalar:
-    """Principal square root."""
-    return jpow(value, 0.5, floor, angle)
+    return jexp(jlog(value) * complex(exponent))

@@ -5,7 +5,10 @@ second derivatives of f along the curves x . exp(t Z_b): those curves are
 geodesics through x (one-parameter subgroups for the bi-invariant metric;
 boost directions of the symmetric pair for the quotient-level operators),
 so no connection correction term is needed.  In terms of the left-invariant
-fields Z_b, L = sum_b Z_b Z_b.
+fields Z_b, L = sum_b Z_b Z_b.  Every operator takes its basis as one
+(B, N, N) array of the Z_b: group.so_basis(N) for the group-level operators,
+group.m_basis(m, n) for the quotient-level ones, and
+group.m_basis(m, n, "indefinite") for the dual ones.
 
 One primitive, :func:`laplacian_jet`, computes every operator here by a
 single walk of the expression tree per batch of points (the forward
@@ -58,13 +61,11 @@ quotient-level identities on group samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .expressions import evaluate
-from .group import BasisVector, m_basis, so_basis
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
 from .reports import CheckRecord, lower_check, upper_check
@@ -101,35 +102,6 @@ ABS_CEIL = 1e6
 CUT_ANGLE = 1e-2
 
 
-@dataclass(frozen=True)
-class OperatorContext:
-    """The orthonormal basis the operators sum over."""
-
-    basis: tuple[BasisVector, ...]
-
-    def __post_init__(self):
-        if not self.basis:
-            raise ValueError("operator context needs a nonempty basis")
-
-
-def full_context(N: int, scale: float = 1.0) -> OperatorContext:
-    """All of so(N): the group-level Laplacian.  A scale other than 1 rescales
-    every basis vector, which breaks the normalization on purpose."""
-    return OperatorContext(
-        tuple(BasisVector(b.matrix * scale, b.rows, b.block, b.form_sign) for b in so_basis(N))
-    )
-
-
-def quotient_context(m: int, n: int) -> OperatorContext:
-    """Off-block directions only: the quotient-level operators on SO(m+n)."""
-    return OperatorContext(tuple(m_basis(m, n, "compact")))
-
-
-def dual_context(m: int, n: int) -> OperatorContext:
-    """Boost directions of the indefinite group: the dual quotient operators."""
-    return OperatorContext(tuple(m_basis(m, n, "indefinite")))
-
-
 def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
     """walk over consecutive chunks of the stack X, each of at most
     MAX_LIFT_COMPONENTS // components lanes (at least one), concatenated.
@@ -160,20 +132,21 @@ def _jets_at(f, X: np.ndarray, basis, p: int, components=slice(None)) -> np.ndar
 # -- core operators -------------------------------------------------------------
 
 
-def _lift(X: np.ndarray, basis: Sequence[BasisVector], p: int) -> np.ndarray:
+def _lift(X: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     """The D**p matrices X M_i1 ... M_ip in multi-index order, for M_0 = I,
     M_b = Z_b and M_(D-1) = sum_b Z_b Z_b: shape (D**p, N, N) for one
     matrix X, (K, D**p, N, N) for a stack of K."""
+    if not len(basis):
+        raise ValueError("need a nonempty basis")
     N = X.shape[-1]
-    zs = [b.matrix for b in basis]
-    fields = np.stack([np.eye(N), *zs, sum(z @ z for z in zs)])
+    fields = np.concatenate([np.eye(N)[None], basis, sum(z @ z for z in basis)[None]])
     lifted = X[..., None, :, :]
     for _ in range(p):
         lifted = (lifted[..., None, :, :] @ fields).reshape(X.shape[:-2] + (-1, N, N))
     return lifted
 
 
-def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
+def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
     """f evaluated once on the depth-p forward-Laplacian lift of the point x,
     or of every matrix of a stack x of shape (K, N, N) at once (K lanes).
 
@@ -198,19 +171,19 @@ def laplacian_jet(f, x, basis: Sequence[BasisVector], p: int) -> LaplacianJet:
     return LaplacianJet(B, p, coeffs)
 
 
-def laplacian(f, x, ctx: OperatorContext) -> complex:
+def laplacian(f, x, basis: np.ndarray) -> complex:
     """Sum over basis directions of the second derivative of f along x.exp(tZ)."""
-    return complex(laplacian_jet(f, x, ctx.basis, 1).coeffs[-1])
+    return complex(laplacian_jet(f, x, basis, 1).coeffs[-1])
 
 
-def gradient_product(f, g, x, ctx: OperatorContext) -> complex:
+def gradient_product(f, g, x, basis: np.ndarray) -> complex:
     """Complex-bilinear pairing of gradients: sum of Z(f) Z(g) over the basis."""
-    df = laplacian_jet(f, x, ctx.basis, 1).coeffs[1:-1]
-    dg = df if g is f else laplacian_jet(g, x, ctx.basis, 1).coeffs[1:-1]
+    df = laplacian_jet(f, x, basis, 1).coeffs[1:-1]
+    dg = df if g is f else laplacian_jet(g, x, basis, 1).coeffs[1:-1]
     return complex(df @ dg)
 
 
-def iterated_laplacian(f, p: int, x, ctx: OperatorContext):
+def iterated_laplacian(f, p: int, x, basis: np.ndarray):
     """p-fold Laplacian from one depth-p walk; p = 0 evaluates f."""
     if p < 0:
         raise ValueError("need p >= 0")
@@ -218,10 +191,10 @@ def iterated_laplacian(f, p: int, x, ctx: OperatorContext):
         raise ValueError(f"iteration depth {p} exceeds cap {DEPTH_CAP}")
     if p == 0:
         return evaluate(f, x)
-    return complex(laplacian_jet(f, x, ctx.basis, p).coeffs[-1])
+    return complex(laplacian_jet(f, x, basis, p).coeffs[-1])
 
 
-def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
+def fd_laplacian(f, x, basis: np.ndarray, step: float = 1e-4) -> complex:
     """Central-difference Laplacian, an oracle independent of jet arithmetic
     (and of the CLI, so scipy is imported here rather than with the module)."""
     from scipy.linalg import expm
@@ -229,9 +202,9 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
     X = np.asarray(x, dtype=float)
     center = 2.0 * complex(evaluate(f, X))
     total = 0j
-    for b in ctx.basis:
-        fwd = complex(evaluate(f, X @ expm(step * b.matrix)))
-        bwd = complex(evaluate(f, X @ expm(-step * b.matrix)))
+    for z in basis:
+        fwd = complex(evaluate(f, X @ expm(step * z)))
+        bwd = complex(evaluate(f, X @ expm(-step * z)))
         total += (fwd + bwd - center) / step**2
     return total
 
@@ -239,7 +212,7 @@ def fd_laplacian(f, x, ctx: OperatorContext, step: float = 1e-4) -> complex:
 # -- batch identity residuals ---------------------------------------------------
 
 
-def _identity_residuals(points: np.ndarray, ctx: OperatorContext, label: str, planes) -> dict:
+def _identity_residuals(points: np.ndarray, basis: np.ndarray, label: str, planes) -> dict:
     """Residual maxima, normalised by 1 + |expected|, of the closed forms for
     the Laplacian and the gradient pairing of an N x N grid of functions:
     one array of values per point of the (K, N, N) stack, lifted in
@@ -261,11 +234,11 @@ def _identity_residuals(points: np.ndarray, ctx: OperatorContext, label: str, pl
             r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
         return np.stack([r_tau, r_kappa], axis=1)
 
-    r = _by_chunks(residuals, points, points[0].size * (len(ctx.basis) + 2))
+    r = _by_chunks(residuals, points, points[0].size * (len(basis) + 2))
     return {f"tau_{label}": r[:, 0], f"kappa_{label}": r[:, 1]}
 
 
-def coordinate_identity_residuals(points: np.ndarray, ctx: OperatorContext) -> dict:
+def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> dict:
     """Residual maxima of the closed forms for Laplacian and gradient pairing
     of the matrix-entry coordinates on SO(N), at each point of a stack (see
     _identity_residuals).
@@ -278,7 +251,7 @@ def coordinate_identity_residuals(points: np.ndarray, ctx: OperatorContext) -> d
         N = X.shape[-1]
         eye = np.eye(N)
         delta = np.einsum("jk,ab->jakb", eye, eye)
-        lifted = _lift(X, ctx.basis, 1)
+        lifted = _lift(X, basis, 1)
         return (
             lifted[:, -1],
             -(N - 1) / 2.0 * X,
@@ -286,10 +259,10 @@ def coordinate_identity_residuals(points: np.ndarray, ctx: OperatorContext) -> d
             lambda k: -0.5 * (np.einsum("jb,ka->jakb", X[k], X[k]) - delta),
         )
 
-    return _identity_residuals(points, ctx, "coordinate", planes)
+    return _identity_residuals(points, basis, "coordinate", planes)
 
 
-def projector_identity_residuals(points: np.ndarray, m: int, ctx: OperatorContext) -> dict:
+def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) -> dict:
     """Residual maxima of the closed forms for the projector quadratics at
     each point of a stack (see _identity_residuals).
 
@@ -315,7 +288,7 @@ def projector_identity_residuals(points: np.ndarray, m: int, ctx: OperatorContex
         Wt = np.swapaxes(W, -1, -2)
         S = W @ Wt
         # product rule on S = W W^T over the window columns of the lifted planes
-        windows = _lift(X, ctx.basis, 1)[..., :m]
+        windows = _lift(X, basis, 1)[..., :m]
         half = windows @ Wt[:, None]
         grads = half[:, 1:-1] + np.swapaxes(half[:, 1:-1], -1, -2)
         tau = (
@@ -325,7 +298,7 @@ def projector_identity_residuals(points: np.ndarray, m: int, ctx: OperatorContex
         )
         return tau, -N * S + m * eye, grads, lambda k: kappa_expected(S[k], eye)
 
-    return _identity_residuals(points, ctx, "projector", planes)
+    return _identity_residuals(points, basis, "projector", planes)
 
 
 # -- checkers --------------------------------------------------------------------
@@ -346,7 +319,7 @@ def _eigen_records(jets, lam: complex, mu: complex, tol: float, prefix: str = ""
 
 
 def check_eigenfunction(
-    f, lam, mu, points: np.ndarray, ctx: OperatorContext, tol: float
+    f, lam, mu, points: np.ndarray, basis: np.ndarray, tol: float
 ) -> list[CheckRecord]:
     """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point
     of the stack, from one depth-1 walk per chunk of points.
@@ -354,11 +327,11 @@ def check_eigenfunction(
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    return _eigen_records(_jets_at(f, points, ctx.basis, 1), complex(lam), complex(mu), tol)
+    return _eigen_records(_jets_at(f, points, basis, 1), complex(lam), complex(mu), tol)
 
 
 def check_eigenfamily(
-    fs: Sequence, lam, mu, points: np.ndarray, ctx: OperatorContext, tol: float
+    fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray, tol: float
 ) -> list[CheckRecord]:
     """Eigen relations for each member plus pairing(f_i, f_j) = mu f_i f_j
     for every unordered pair, read from one depth-1 walk per member per
@@ -366,7 +339,7 @@ def check_eigenfamily(
     if not fs:
         raise ValueError("need at least one family member")
     lam, mu = complex(lam), complex(mu)
-    jets = [_jets_at(f, points, ctx.basis, 1) for f in fs]
+    jets = [_jets_at(f, points, basis, 1) for f in fs]
     records: list[CheckRecord] = []
     for idx, member in enumerate(jets):
         records += _eigen_records(member, lam, mu, tol, prefix=f"member{idx}_")
@@ -496,7 +469,7 @@ def conditioned_sample(
     return np.concatenate(accepted)[:count], draws
 
 
-def p_harmonic_residuals(f, p: int, points: np.ndarray, ctx: OperatorContext):
+def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray):
     """Normalized order-p residual and order-(p-1) witness.
 
     Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)) as
@@ -507,7 +480,7 @@ def p_harmonic_residuals(f, p: int, points: np.ndarray, ctx: OperatorContext):
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
-    D = len(ctx.basis) + 2
+    D = len(basis) + 2
     components = [0, D**p - D, D**p - 1]
-    v, prev, top = np.abs(_jets_at(f, points, ctx.basis, p, components)).T
+    v, prev, top = np.abs(_jets_at(f, points, basis, p, components)).T
     return top / (1.0 + v + prev), prev / (1.0 + v)

@@ -109,9 +109,6 @@ class VerificationReport:
                 out[c.check] = min(out.get(c.check, float("inf")), c.residual)
         return out
 
-    def records_for(self, check: str) -> list[CheckRecord]:
-        return [c for c in self.checks if c.check == check]
-
     def as_dict(self) -> dict:
         return {
             "command": self.command,

@@ -96,7 +96,6 @@ class GaussianRational:
 
 
 GR_ZERO = GaussianRational(Fraction(0))
-GR_ONE = GaussianRational(Fraction(1))
 
 
 @dataclass(frozen=True)

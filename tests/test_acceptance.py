@@ -25,7 +25,7 @@ from pharmonic.expressions import (
     rank_one_from_vector,
     validate_eigen_matrix,
 )
-from pharmonic.group import k_basis, sample_block_diagonal, sample_so, sample_so_mn
+from pharmonic.group import k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import BranchCutError
 from pharmonic.operators import (
     check_eigenfamily,
@@ -33,15 +33,12 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
-    dual_context,
     fd_laplacian,
-    full_context,
     laplacian,
     laplacian_jet,
     non_descent_witness,
     p_harmonic_residuals,
     projector_identity_residuals,
-    quotient_context,
 )
 from pharmonic.symcalc import (
     EigenParams,
@@ -65,9 +62,9 @@ def test_criterion_01_calibration():
     worst = 0.0
     worst_time = 0.0
     for N in range(2, 9):
-        ctx = full_context(N)
+        basis = so_basis(N)
         start = time.perf_counter()
-        res = coordinate_identity_residuals(sample_so(N, range(1000 * N, 1000 * N + 20)), ctx)
+        res = coordinate_identity_residuals(sample_so(N, range(1000 * N, 1000 * N + 20)), basis)
         worst = max(worst, res["tau_coordinate"].max(), res["kappa_coordinate"].max())
         worst_time = max(worst_time, time.perf_counter() - start)
     ok = worst <= 1e-9 and worst_time < 5.0
@@ -77,8 +74,8 @@ def test_criterion_01_calibration():
 def test_criterion_02_projector_identities():
     worst = 0.0
     for m, n in GRASSMANN_SHAPES:
-        ctx = full_context(m + n)
-        res = projector_identity_residuals(sample_so(m + n, range(2000, 2020)), m, ctx)
+        basis = so_basis(m + n)
+        res = projector_identity_residuals(sample_so(m + n, range(2000, 2020)), m, basis)
         worst = max(worst, res["tau_projector"].max(), res["kappa_projector"].max())
     verdict(2, "projector identities", worst <= 1e-9, f"max residual {worst:.2e} <= 1e-9")
 
@@ -88,12 +85,12 @@ def test_criterion_03_eigenfunction_theorem():
     rng = np.random.default_rng(3)
     for m, n in GRASSMANN_SHAPES:
         N = m + n
-        ctx = quotient_context(m, n)
+        basis = m_basis(m, n)
         points = sample_so(N, range(3000, 3010))
         for _ in range(5):
             w = rng.uniform(-2, 2, N - 1) + 1j * rng.uniform(-2, 2, N - 1)
-            phi = projector_form(rank_one_from_vector(w, (m, n)))
-            records = check_eigenfunction(phi, -N, -2, points, ctx, 1e-8)
+            phi = projector_form(rank_one_from_vector(w), m)
+            records = check_eigenfunction(phi, -N, -2, points, basis, 1e-8)
             worst = max(worst, max(r.residual for r in records))
             assert all(r.passed for r in records)
 
@@ -102,7 +99,7 @@ def test_criterion_03_eigenfunction_theorem():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi_bad = projector_form(bad, m=2)
     points = sample_so(4, range(3500, 3510))
-    records = check_eigenfunction(phi_bad, -4, -2, points, quotient_context(2, 2), 1e-8)
+    records = check_eigenfunction(phi_bad, -4, -2, points, m_basis(2, 2), 1e-8)
     kappa_worst = max(r.residual for r in records if r.check == "kappa_eigen")
     ok = worst <= 1e-8 and kappa_worst >= 1e-2
     verdict(3, "eigenfunction theorem", ok,
@@ -120,7 +117,7 @@ def test_criterion_04_matrix_validators():
         assert residual <= 1e-10, residual
         worst = max(worst, residual)
 
-        perturbed = A.matrix.copy()
+        perturbed = A.copy()
         perturbed[0, 1] += 1e-3
         assert max(astuple(validate_eigen_matrix(perturbed))) > 1e-10
     verdict(4, "matrix validators", worst <= 1e-10,
@@ -150,8 +147,8 @@ def test_criterion_05_p_harmonicity():
     least_witness = float("inf")
     for m, n in ((1, 2), (2, 2)):
         N = m + n
-        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
-        ctx = quotient_context(m, n)
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
+        basis = m_basis(m, n)
         points, _ = conditioned_sample([phi], lambda s: sample_so(N, s), 20, 5000)
         for p in (2, 3):
             composed = p_harmonic_expr(phi, -N, -2, p, 1, 1)
@@ -160,7 +157,7 @@ def test_criterion_05_p_harmonicity():
                 if accepted >= 10:
                     break
                 try:
-                    (residual,), (witness,) = p_harmonic_residuals(composed, p, x[None], ctx)
+                    (residual,), (witness,) = p_harmonic_residuals(composed, p, x[None], basis)
                 except BranchCutError:
                     continue
                 if witness < 1e-3:
@@ -182,7 +179,7 @@ def test_criterion_06_invariance_and_lift():
     worst_k = 0.0
     for m, n in ((2, 2), (2, 3)):
         N = m + n
-        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         points = sample_so(N, range(6000, 6005))
         records = check_invariance(
             phi, lambda s, m=m, n=n: sample_block_diagonal((m, n), s), points, tol=1e-10
@@ -190,11 +187,11 @@ def test_criterion_06_invariance_and_lift():
         assert all(r.passed for r in records)
         worst_inv = max(worst_inv, max(r.residual for r in records))
         for x in points:
-            full = complex(laplacian(phi, x, full_context(N)))
-            quot = complex(laplacian(phi, x, quotient_context(m, n)))
+            full = complex(laplacian(phi, x, so_basis(N)))
+            quot = complex(laplacian(phi, x, m_basis(m, n)))
             worst_rel = max(worst_rel, abs(full - quot) / (1 + abs(full)))
             for b in k_basis(m, n):
-                worst_k = max(worst_k, abs(laplacian_jet(phi, x, (b,), 1).coeffs[-1]))
+                worst_k = max(worst_k, abs(laplacian_jet(phi, x, b[None], 1).coeffs[-1]))
     ok = worst_inv <= 1e-10 and worst_rel <= 1e-9 and worst_k <= 1e-11
     verdict(6, "invariance and lift", ok,
             f"invariance {worst_inv:.2e} <= 1e-10, basis split {worst_rel:.2e} <= 1e-9, "
@@ -209,12 +206,12 @@ def test_criterion_07_flag_construction():
     for blocks in ((1, 1, 2), (2, 1, 1)):
         n = sum(blocks)
         spec = default_flag_spec(blocks)
-        ctx = full_context(n)
+        basis = so_basis(n)
         points = sample_so(n, range(7000, 7010))
 
         for k in range(len(blocks)):
             phi_k = projector_form(spec.generators[k], columns=block_columns(blocks, k))
-            fam = check_eigenfamily([phi_k], -n, -2, points, ctx, 1e-8)
+            fam = check_eigenfamily([phi_k], -n, -2, points, basis, 1e-8)
             assert all(r.passed for r in fam)
             worst_family = max(worst_family, max(r.residual for r in fam))
 
@@ -229,7 +226,7 @@ def test_criterion_07_flag_construction():
             if len(accepted) >= 10:
                 break
             try:
-                (residual,), (witness,) = p_harmonic_residuals(total, 2, x[None], ctx)
+                (residual,), (witness,) = p_harmonic_residuals(total, 2, x[None], basis)
             except BranchCutError:
                 continue
             if witness < 1e-3:
@@ -261,11 +258,11 @@ def test_criterion_08_duality():
     worst_tau = 0.0
     for m, n in ((1, 2), (2, 2)):
         N = m + n
-        A_dual = dual_matrix(rank_one_from_vector(np.arange(1.0, N), (m, n)))
-        phi = projector_form(A_dual)
-        ctx = dual_context(m, n)
+        A_dual = dual_matrix(rank_one_from_vector(np.arange(1.0, N)), m, n)
+        phi = projector_form(A_dual, m)
+        basis = m_basis(m, n, "indefinite")
         points = sample_so_mn(m, n, range(8000, 8010), radius=0.5)
-        records = check_eigenfunction(phi, N, 2, points, ctx, 1e-8)
+        records = check_eigenfunction(phi, N, 2, points, basis, 1e-8)
         assert all(r.passed for r in records)
         worst_eigen = max(worst_eigen, max(r.residual for r in records))
 
@@ -276,7 +273,7 @@ def test_criterion_08_duality():
         accepted = 0
         for x in iter_points:
             try:
-                (residual,), (witness,) = p_harmonic_residuals(composed, 2, x[None], ctx)
+                (residual,), (witness,) = p_harmonic_residuals(composed, 2, x[None], basis)
             except BranchCutError:
                 continue
             if witness < 1e-3:
@@ -306,20 +303,20 @@ def test_criterion_09_cross_oracles():
     # jets against central differences on polynomial trees
     rng = np.random.default_rng(9)
     N = 4
-    ctx = full_context(N)
+    basis = so_basis(N)
     worst_fd = 0.0
     for i in range(5):
         x = sample_so(N, 9000 + i)
         node = _random_polynomial(rng, N)
-        jet_value = complex(laplacian(node, x, ctx))
-        fd_value = fd_laplacian(node, x, ctx, step=1e-4)
+        jet_value = complex(laplacian(node, x, basis))
+        fd_value = fd_laplacian(node, x, basis, step=1e-4)
         worst_fd = max(worst_fd, abs(jet_value - fd_value) / (1 + abs(jet_value)))
 
     # exact rewrite against the numerical operator through composed trees
     m, n = 1, 2
     params = EigenParams.of(-3, -2)
-    phi = projector_form(rank_one_from_vector([1, 2], (m, n)))
-    ctx_q = quotient_context(m, n)
+    phi = projector_form(rank_one_from_vector([1, 2]), m)
+    quotient = m_basis(m, n)
     exprs = [
         SymExpr.term(1, 1, 0),
         SymExpr.term(1, 0, 1) + SymExpr.term(2, 2, 0),
@@ -330,7 +327,7 @@ def test_criterion_09_cross_oracles():
         x = sample_so(3, 9100 + i)
         v = complex(evaluate(phi, x))
         for e in exprs:
-            numeric = complex(laplacian(as_expr_node(e, phi), x, ctx_q))
+            numeric = complex(laplacian(as_expr_node(e, phi), x, quotient))
             symbolic = complex(evaluate_sym(apply_laplacian(e, params), v))
             worst_sym = max(worst_sym, abs(numeric - symbolic) / (1 + abs(numeric)))
     ok = worst_fd <= 1e-6 and worst_sym <= 1e-7
@@ -341,13 +338,13 @@ def test_criterion_09_cross_oracles():
 def test_criterion_10_product_rule():
     rng = np.random.default_rng(10)
     N = 4
-    ctx = full_context(N)
+    basis = so_basis(N)
     points = sample_so(N, range(10_000, 10_020))
     worst = 0.0
     for _ in range(5):
         f = _random_polynomial(rng, N)
         g = _random_polynomial(rng, N)
-        report = check_product_rule(f, g, points, ctx, 1e-10)
+        report = check_product_rule(f, g, points, basis, 1e-10)
         assert report.passed
         worst = max(worst, report.max_residuals["product_rule"])
     verdict(10, "product rule", worst <= 1e-10, f"max residual {worst:.2e} <= 1e-10")

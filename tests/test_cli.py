@@ -26,12 +26,13 @@ from pharmonic.cli import (
     cmd_flag,
     cmd_grassmann,
     cmd_pharmonic,
+    _lift_components,
     _p_harmonic_records,
     _validate_common,
     main,
 )
 from pharmonic.expressions import Entry, Log, Product
-from pharmonic.group import sample_so
+from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
 
@@ -142,14 +143,14 @@ def test_pharmonic_domain_exhaustion_when_function_is_tiny():
 def test_flag_two_blocks_skips_non_descent():
     report = cmd_flag(RunConfig("flag", blocks=(2, 2), p=2, samples=3))
     assert report.passed
-    assert not report.records_for("non_descent_witness")
+    assert not [c for c in report.checks if c.check == "non_descent_witness"]
     assert any("skipped" in note for note in report.notes)
 
 
 def test_flag_three_blocks_has_witness():
     report = cmd_flag(RunConfig("flag", blocks=(1, 1, 2), p=2, samples=3))
     assert report.passed
-    assert report.records_for("non_descent_witness")
+    assert [c for c in report.checks if c.check == "non_descent_witness"]
 
 
 def test_flag_third_order_two_blocks():
@@ -456,6 +457,32 @@ def test_lift_bound_is_checked_before_anything_is_built(config, allowed):
             _validate_common(config)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(RunConfig("calibrate", m=1, n=3, samples=2), id="calibrate-1-3"),
+        pytest.param(RunConfig("grassmann", m=2, n=3, samples=2), id="grassmann-2-3"),
+        pytest.param(RunConfig("pharmonic", m=1, n=2, p=3, samples=2), id="pharmonic-1-2-p3"),
+        pytest.param(RunConfig("flag", blocks=(1, 1, 2), p=2, samples=2), id="flag-112-p2"),
+        pytest.param(RunConfig("dual", m=1, n=2, p=2, samples=2), id="dual-1-2-p2"),
+        pytest.param(RunConfig("dual", m=2, n=1, p=2, samples=2), id="dual-2-1-p2"),
+    ],
+)
+def test_lift_bound_formula_matches_the_walks_that_run(monkeypatch, config):
+    # _lift_components sizes a run's largest lift from its config alone; the
+    # bases the command really walks must give the same N^2 (|basis| + 2)^p
+    sizes = []
+    lift = ops._lift
+
+    def recording(X, basis, p):
+        sizes.append(X.shape[-1] ** 2 * (len(basis) + 2) ** p)
+        return lift(X, basis, p)
+
+    monkeypatch.setattr(ops, "_lift", recording)
+    COMMANDS[config.command](config)
+    assert max(sizes) == _lift_components(config)
+
+
 def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):
     def overflow(config):
         raise NonFiniteError("exp overflow")
@@ -552,7 +579,7 @@ def _fake_residuals(monkeypatch, outcomes):
     calls = []
     order = {}
 
-    def fake(f, p, points, ctx):
+    def fake(f, p, points, basis):
         calls.extend(points)
         answers = [
             outcomes[min(order.setdefault(pt.tobytes(), len(order)), len(outcomes) - 1)]
@@ -611,13 +638,13 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
     points = np.stack([x] * 4)
     points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])  # x11 < 0 at point 1 only
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
-    ctx = ops.full_context(3)
+    basis = so_basis(3)
     notes = []
-    records = _p_harmonic_records(f, points, ctx, RunConfig("pharmonic", p=2), notes)
+    records = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
     assert notes == ["point 1 rejected during iteration (branch cut)"]
     assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
     for i in (0, 2, 3):
-        residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], ctx)
+        residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], basis)
         got = {r.check: r.residual for r in records if r.point == i}
         assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
 

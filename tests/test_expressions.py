@@ -27,9 +27,9 @@ from pharmonic.expressions import (
     rank_one_from_vector,
     validate_eigen_matrix,
 )
-from pharmonic.group import curve_jets, minkowski_form, sample_so, sample_so_mn
+from pharmonic.group import curve_jets, m_basis, minkowski_form, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import JetScalar, LaplacianJet, lift
-from pharmonic.operators import dual_context, full_context, laplacian_jet, quotient_context
+from pharmonic.operators import laplacian_jet
 
 from oracles import expanded_projector_form, pairwise_projector_form, window_quadratic
 
@@ -69,7 +69,7 @@ def test_window_quadratic_rejects_empty_window():
 
 
 def test_rank_one_from_vector_reproduces_displayed_matrix():
-    A = rank_one_from_vector([1, 0, 0]).matrix
+    A = rank_one_from_vector([1, 0, 0])
     expected = np.array(
         [
             [1, 1j, 0, 0],
@@ -82,7 +82,7 @@ def test_rank_one_from_vector_reproduces_displayed_matrix():
 
 
 def test_rank_one_from_isotropic_hand_example():
-    A = rank_one_from_isotropic([1, 1j, 0, 0]).matrix
+    A = rank_one_from_isotropic([1, 1j, 0, 0])
     expected = np.array(
         [
             [1, 1j, 0, 0],
@@ -104,8 +104,8 @@ def test_rank_one_random_vectors_satisfy_structure():
 
 def test_isotropic_scaling_squares_the_matrix():
     u = np.array([1.0, 1j, 0.0])
-    A = rank_one_from_isotropic(u).matrix
-    B = rank_one_from_isotropic(2.5 * u).matrix
+    A = rank_one_from_isotropic(u)
+    B = rank_one_from_isotropic(2.5 * u)
     np.testing.assert_allclose(B, 2.5**2 * A, atol=1e-14)
 
 
@@ -128,7 +128,7 @@ def test_validator_negative_controls():
 
 
 def test_validator_perturbation_sensitivity():
-    A = rank_one_from_vector([1, 2, 3]).matrix.copy()
+    A = rank_one_from_vector([1, 2, 3]).copy()
     A[0, 1] += 1e-3
     val = validate_eigen_matrix(A)
     assert max(astuple(val)) > 1e-5
@@ -136,8 +136,8 @@ def test_validator_perturbation_sensitivity():
 
 def test_dual_matrix_satisfies_indefinite_conditions():
     m, n = 2, 3
-    A = rank_one_from_vector(np.arange(1.0, 5.0), (m, n))
-    Ad = dual_matrix(A)
+    A = rank_one_from_vector(np.arange(1.0, 5.0))
+    Ad = dual_matrix(A, m, n)
     val = validate_eigen_matrix(Ad, form=minkowski_form(m, n))
     assert max(astuple(val)) <= 1e-10, val
     # the twist breaks the plain square-zero condition in general
@@ -149,23 +149,23 @@ def test_dual_matrix_satisfies_indefinite_conditions():
 
 def test_projector_form_at_identity_is_partial_trace():
     m, n = 2, 2
-    A = rank_one_from_vector([1, 2, 3], (m, n))
-    value = evaluate(projector_form(A), np.eye(4))
-    assert abs(value - np.trace(A.matrix[:m, :m])) <= 1e-12
+    A = rank_one_from_vector([1, 2, 3])
+    value = evaluate(projector_form(A, m), np.eye(4))
+    assert abs(value - np.trace(A[:m, :m])) <= 1e-12
 
 
 def test_projector_form_single_column_square():
     u = np.array([1.0, 1j, 0.0])
-    A = rank_one_from_isotropic(u, (1, 2))
+    A = rank_one_from_isotropic(u)
     x = sample_so(3, 3)
     direct = (x[0, 0] + 1j * x[1, 0]) ** 2
-    assert abs(evaluate(projector_form(A), x) - direct) <= 1e-12
+    assert abs(evaluate(projector_form(A, 1), x) - direct) <= 1e-12
 
 
 def test_projector_form_linearity():
     m, n = 1, 3
-    A = rank_one_from_vector([1, 2, 3], (m, n)).matrix
-    B = rank_one_from_vector([2, -1, 1], (m, n)).matrix
+    A = rank_one_from_vector([1, 2, 3])
+    B = rank_one_from_vector([2, -1, 1])
     x = sample_so(4, 4)
     lhs = evaluate(projector_form(A + B, m=m), x)
     rhs = evaluate(projector_form(A, m=m), x) + evaluate(projector_form(B, m=m), x)
@@ -212,20 +212,20 @@ def _form_cases():
     """(form, basis, stack of three points) for the forms the commands build.
     The points are scaled by 1 + 0.5j: products of real entries round the
     same with or without a fused multiply-add, complex ones do not."""
-    gr22 = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
-    gr23 = projector_form(rank_one_from_vector([1, 2, 3, 4], (2, 3)), columns=(1, 2, 3))
-    dual = projector_form(dual_matrix(rank_one_from_vector([1, 2], (1, 2))))
+    gr22 = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    gr23 = projector_form(rank_one_from_vector([1, 2, 3, 4]), columns=(1, 2, 3))
+    dual = projector_form(dual_matrix(rank_one_from_vector([1, 2]), 1, 2), 1)
     cases = [
-        ("Gr(2,2)", gr22, quotient_context(2, 2), sample_so(4, range(30, 33))),
-        ("Gr(2,3) 3-column window", gr23, quotient_context(2, 3), sample_so(5, range(33, 36))),
-        ("dual(1,2)", dual, dual_context(1, 2), sample_so_mn(1, 2, range(36, 39), 0.5)),
+        ("Gr(2,2)", gr22, m_basis(2, 2), sample_so(4, range(30, 33))),
+        ("Gr(2,3) 3-column window", gr23, m_basis(2, 3), sample_so(5, range(33, 36))),
+        ("dual(1,2)", dual, m_basis(1, 2, "indefinite"), sample_so_mn(1, 2, range(36, 39), 0.5)),
     ]
     for blocks in ((1, 1, 2), (2, 2)):
         spec = default_flag_spec(blocks)
         for k in range(len(blocks)):
             form = projector_form(spec.generators[k], columns=block_columns(blocks, k))
-            cases.append((f"flag{blocks} block {k}", form, full_context(4), sample_so(4, range(39, 42))))
-    return [pytest.param(form, ctx.basis, points * (1 + 0.5j), id=name) for name, form, ctx, points in cases]
+            cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(39, 42))))
+    return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
 
 
 def _form_checks(form, basis, points):
@@ -237,7 +237,7 @@ def _form_checks(form, basis, points):
     for p in (1, 2, 3):
         yield f"jet stack p={p}", lambda f, p=p: laplacian_jet(f, points, basis, p)
         yield f"jet point p={p}", lambda f, p=p: laplacian_jet(f, points[0], basis, p)
-    nested = curve_jets(curve_jets(points[0], basis[0].matrix), basis[-1].matrix)
+    nested = curve_jets(curve_jets(points[0], basis[0]), basis[-1])
     yield "nested jets", lambda f: evaluate(f, nested)
 
 
@@ -268,8 +268,8 @@ def _roundoff_cases():
     control = projector_form(np.diag([1.0, -1.0, 0.0, 0.0]), m=2)
     nonsymmetric = projector_form(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)), m=2)
     return _form_cases() + [
-        pytest.param(control, quotient_context(2, 2).basis, sample_so(4, range(42, 45)) * (1 + 0.5j), id="control"),
-        pytest.param(nonsymmetric, quotient_context(2, 3).basis, sample_so(5, range(45, 48)) * (1 + 0.5j), id="nonsymmetric"),
+        pytest.param(control, m_basis(2, 2), sample_so(4, range(42, 45)) * (1 + 0.5j), id="control"),
+        pytest.param(nonsymmetric, m_basis(2, 3), sample_so(5, range(45, 48)) * (1 + 0.5j), id="nonsymmetric"),
     ]
 
 
@@ -298,13 +298,13 @@ def _lifted(x, order=2):
 
 def test_plain_evaluation_equals_jet_coefficient_zero_exactly():
     x = sample_so(4, 5)
-    A = rank_one_from_vector([1, 2, 3], (2, 2))
+    A = rank_one_from_vector([1, 2, 3])
     nodes = [
         window_quadratic(1, 2, range(1, 3)),
-        projector_form(A),
+        projector_form(A, 2),
         projector_form(A, columns=(1, 2, 3)),
-        p_harmonic_expr(projector_form(A), -4, -2, 2, 1, 1),
-        Pow(projector_form(A), -0.5),
+        p_harmonic_expr(projector_form(A, 2), -4, -2, 2, 1, 1),
+        Pow(projector_form(A, 2), -0.5),
         Product((Const(2 - 1j), Entry(1, 1), Entry(3, 2))),
     ]
     for node in nodes:
@@ -343,13 +343,9 @@ def test_sum_and_product_nodes():
 # -- p-harmonic compositions ------------------------------------------------------------
 
 
-def _phi_value(x, A):
-    return evaluate(projector_form(A), x)
-
-
 def test_p_harmonic_case_dispatch_values():
-    A = rank_one_from_vector([1, 2, 3], (2, 2))
-    phi = projector_form(A)
+    A = rank_one_from_vector([1, 2, 3])
+    phi = projector_form(A, 2)
     x = sample_so(4, 6)
     v = evaluate(phi, x)
 
@@ -380,7 +376,7 @@ def _subtrees(node):
 
 def test_two_term_composition_shares_one_log_node():
     # one Log node per composition, so the identity memo runs its series once
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     node = p_harmonic_expr(phi, -4, -2, 3, c1=1, c2=1)
     logs = {id(n) for n in _subtrees(node) if isinstance(n, Log)}
     assert len(node.terms) == 2
@@ -467,7 +463,7 @@ def test_parse_vector():
 
 
 def test_matrix_file_roundtrip(tmp_path):
-    A = rank_one_from_vector([1, 2, 3]).matrix
+    A = rank_one_from_vector([1, 2, 3])
     path = tmp_path / "a.csv"
     rows = [",".join(f"{v.real}:{v.imag}" for v in row) for row in A]
     path.write_text("\n".join(rows) + "\n")
@@ -477,7 +473,7 @@ def test_matrix_file_roundtrip(tmp_path):
 def test_matrix_json_roundtrip(tmp_path):
     import json
 
-    A = rank_one_from_vector([1, 1]).matrix
+    A = rank_one_from_vector([1, 1])
     path = tmp_path / "a.json"
     path.write_text(json.dumps([[[v.real, v.imag] for v in row] for row in A]))
     np.testing.assert_allclose(load_matrix(path), A, atol=1e-14)

@@ -19,18 +19,10 @@ from pharmonic.group import (
 from pharmonic.jets import JetScalar, lift, variable
 
 
-def gram_matrix(basis):
-    """Gram matrix under the signed trace form (all vectors must share a sign)."""
-    signs = {b.form_sign for b in basis}
-    if len(signs) != 1:
-        raise ValueError("mixed form signs in one basis")
-    sign = signs.pop()
-    k = len(basis)
-    G = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = sign * np.trace(basis[i].matrix @ basis[j].matrix)
-    return G
+def gram_matrix(basis, sign=-1):
+    """Gram matrix sign * tr(Z_i Z_j) of a (B, N, N) basis under the signed
+    trace form: -1 for skew directions, +1 for symmetric boosts."""
+    return sign * np.einsum("iab,jba->ij", basis, basis)
 
 
 # -- bases ---------------------------------------------------------------------
@@ -40,7 +32,7 @@ def test_so2_basis_single_vector():
     basis = so_basis(2)
     assert len(basis) == 1
     expected = np.array([[0, 1], [-1, 0]]) / np.sqrt(2)
-    np.testing.assert_allclose(basis[0].matrix, expected)
+    np.testing.assert_allclose(basis[0], expected)
 
 
 def test_so_basis_counts_and_gram():
@@ -52,15 +44,14 @@ def test_so_basis_counts_and_gram():
 
 def test_unit_trace_normalization():
     for b in so_basis(4):
-        assert abs(np.trace(b.matrix @ b.matrix) + 1.0) <= 1e-12
+        assert abs(np.trace(b @ b) + 1.0) <= 1e-12
 
 
 def test_skewness_and_symmetry():
     for b in so_basis(5):
-        np.testing.assert_allclose(b.matrix, -b.matrix.T, atol=1e-14)
+        np.testing.assert_allclose(b, -b.T, atol=1e-14)
     for b in m_basis(2, 3, "indefinite"):
-        np.testing.assert_allclose(b.matrix, b.matrix.T, atol=1e-14)
-        assert b.form_sign == +1
+        np.testing.assert_allclose(b, b.T, atol=1e-14)
 
 
 def test_m_basis_counts():
@@ -69,7 +60,7 @@ def test_m_basis_counts():
 
 
 def test_k_basis_counts():
-    assert k_basis(1, 1) == []
+    assert k_basis(1, 1).shape == (0, 2, 2)
     assert len(k_basis(2, 2)) == 2
     assert len(k_basis(2, 3)) == 1 + 3
 
@@ -81,15 +72,15 @@ def test_k_and_m_bases_are_orthogonal_and_span():
     mb = m_basis(m, n)
     for kv in kb:
         for mv in mb:
-            assert abs(np.trace(kv.matrix @ mv.matrix)) <= 1e-12
-    stack = np.array([b.matrix.ravel() for b in kb + mb])
-    assert np.linalg.matrix_rank(stack) == N * (N - 1) // 2
-    np.testing.assert_allclose(gram_matrix(kb + mb), np.eye(len(kb) + len(mb)), atol=1e-12)
+            assert abs(np.trace(kv @ mv)) <= 1e-12
+    both = np.concatenate([kb, mb])
+    assert np.linalg.matrix_rank(both.reshape(len(both), -1)) == N * (N - 1) // 2
+    np.testing.assert_allclose(gram_matrix(both), np.eye(len(both)), atol=1e-12)
 
 
 def test_indefinite_m_basis_gram():
     basis = m_basis(2, 2, "indefinite")
-    np.testing.assert_allclose(gram_matrix(basis), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(gram_matrix(basis, sign=+1), np.eye(4), atol=1e-12)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -131,7 +122,7 @@ def test_sample_so_mn_radius_zero_is_block_diagonal():
 def test_expm_matches_series_for_small_arguments():
     rng = np.random.default_rng(0)
     basis = m_basis(2, 2, "indefinite")
-    a = sum(rng.uniform(-0.2, 0.2) * b.matrix for b in basis)
+    a = sum(rng.uniform(-0.2, 0.2) * b for b in basis)
     series = np.zeros_like(a)
     term = np.eye(4)
     for i in range(1, 20):
@@ -180,9 +171,9 @@ def _reference_boost_draw(seed, m, n, radius):
     rng = np.random.default_rng(seed)
     k = block_diag(_reference_haar(m, rng), _reference_haar(n, rng))
     C = np.zeros((m, n))
-    for vec in m_basis(m, n, "indefinite"):
-        j, a = vec.rows
-        C[j - 1, a - m - 1] = rng.uniform(-radius, radius) / np.sqrt(2.0)
+    for j in range(m):  # the order of m_basis: row by row
+        for a in range(n):
+            C[j, a] = rng.uniform(-radius, radius) / np.sqrt(2.0)
     return k, C
 
 
@@ -327,8 +318,8 @@ def test_curve_point_jet_coefficients():
     mat = curve_point(x, Z, variable(0, 2))
     first = np.array([[mat[r][c].coefficient(1) for c in range(4)] for r in range(4)])
     second = np.array([[mat[r][c].coefficient(2) for c in range(4)] for r in range(4)])
-    np.testing.assert_allclose(first, x @ Z.matrix, atol=1e-14)
-    np.testing.assert_allclose(second, x @ Z.matrix @ Z.matrix / 2, atol=1e-14)
+    np.testing.assert_allclose(first, x @ Z, atol=1e-14)
+    np.testing.assert_allclose(second, x @ Z @ Z / 2, atol=1e-14)
 
 
 def test_curve_point_real_parameter_stays_in_group():
@@ -343,17 +334,17 @@ def test_curve_point_with_constant_offset():
     x = sample_so(3, 4)
     Z = so_basis(3)[2]
     mat = curve_point(x, Z, variable(0.1, 2))
-    base = x @ expm(0.1 * Z.matrix)
+    base = x @ expm(0.1 * Z)
     val = np.array([[mat[r][c].coefficient(0) for c in range(3)] for r in range(3)])
     first = np.array([[mat[r][c].coefficient(1) for c in range(3)] for r in range(3)])
     np.testing.assert_allclose(val, base, atol=1e-12)
-    np.testing.assert_allclose(first, base @ Z.matrix, atol=1e-12)
+    np.testing.assert_allclose(first, base @ Z, atol=1e-12)
 
 
 def test_curve_jets_matches_curve_point():
     x = sample_so(3, 5)
     Z = so_basis(3)[0]
-    fast = curve_jets(x, Z.matrix, order=2)
+    fast = curve_jets(x, Z, order=2)
     via_series = curve_point(x, Z, variable(0, 2))
     for r in range(3):
         for c in range(3):
@@ -364,15 +355,15 @@ def test_curve_jets_matches_curve_point():
 def test_curve_jets_nested_path():
     x = sample_so(3, 6)
     Z1, Z2 = so_basis(3)[0], so_basis(3)[2]
-    level1 = curve_jets(x, Z1.matrix, order=2)
-    level2 = curve_jets(level1, Z2.matrix, order=2)
+    level1 = curve_jets(x, Z1, order=2)
+    level2 = curve_jets(level1, Z2, order=2)
     entry = level2[0][1]
     assert isinstance(entry, JetScalar)
     assert entry.shape == (2, 2)
     # the (eps2 = 0) slice reproduces level 1
     assert entry.coefficient(0) == level1[0][1]
     # the eps2-linear coefficient at eps1 = 0 is (x Z2)[0, 1]
-    assert abs(entry.coefficient(1).coefficient(0) - (x @ Z2.matrix)[0, 1]) <= 1e-14
+    assert abs(entry.coefficient(1).coefficient(0) - (x @ Z2)[0, 1]) <= 1e-14
 
 
 def test_validate_group_point_rejects_garbage():

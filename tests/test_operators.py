@@ -17,7 +17,7 @@ from pharmonic.expressions import (
 from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
 from pharmonic import jets
 from pharmonic import operators as ops
-from pharmonic.group import curve_jets, k_basis, sample_block_diagonal, sample_so, sample_so_mn
+from pharmonic.group import curve_jets, k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import BranchCutError, JetScalar
 from pharmonic.operators import (
     check_eigenfamily,
@@ -25,9 +25,7 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
-    dual_context,
     fd_laplacian,
-    full_context,
     gradient_product,
     iterated_laplacian,
     laplacian,
@@ -35,7 +33,6 @@ from pharmonic.operators import (
     non_descent_witness,
     p_harmonic_residuals,
     projector_identity_residuals,
-    quotient_context,
 )
 from oracles import window_quadratic
 from product_rule import check_product_rule
@@ -46,22 +43,22 @@ from product_rule import check_product_rule
 
 def test_coordinate_laplacian_matches_closed_form():
     for N in (2, 4, 6):
-        ctx = full_context(N)
+        basis = so_basis(N)
         x = sample_so(N, N)
         for j, a in ((1, 1), (1, N), (N - 1, 2)):
-            got = laplacian(Entry(j, a), x, ctx)
+            got = laplacian(Entry(j, a), x, basis)
             want = -(N - 1) / 2 * x[j - 1, a - 1]
             assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
 
 def test_coordinate_pairing_matches_closed_form():
     N = 5
-    ctx = full_context(N)
+    basis = so_basis(N)
     x = sample_so(N, 17)
     rng = np.random.default_rng(2)
     for _ in range(8):
         j, a, k, b = (int(v) + 1 for v in rng.integers(0, N, 4))
-        got = gradient_product(Entry(j, a), Entry(k, b), x, ctx)
+        got = gradient_product(Entry(j, a), Entry(k, b), x, basis)
         want = -0.5 * (
             x[j - 1, b - 1] * x[k - 1, a - 1]
             - (j == k) * (a == b)
@@ -71,9 +68,9 @@ def test_coordinate_pairing_matches_closed_form():
 
 def test_batch_residuals_agree_with_operator_calls():
     N = 4
-    ctx = full_context(N)
+    basis = so_basis(N)
     x = sample_so(N, [23])
-    res = coordinate_identity_residuals(x, ctx)
+    res = coordinate_identity_residuals(x, basis)
     assert res["tau_coordinate"][0] <= 1e-12
     assert res["kappa_coordinate"][0] <= 1e-12
 
@@ -81,16 +78,16 @@ def test_batch_residuals_agree_with_operator_calls():
 def test_projector_identities_batch_and_spot():
     for m, n in ((1, 2), (2, 2), (2, 3)):
         N = m + n
-        ctx = full_context(N)
+        basis = so_basis(N)
         x = sample_so(N, m * 10 + n)
-        res = projector_identity_residuals(x[None], m, ctx)
+        res = projector_identity_residuals(x[None], m, basis)
         assert res["tau_projector"][0] <= 1e-11
         assert res["kappa_projector"][0] <= 1e-11
 
         # spot-check one entry through the per-function operators
         S = x[:, :m] @ x[:, :m].T
         node = window_quadratic(1, 2, range(1, m + 1))
-        got = laplacian(node, x, ctx)
+        got = laplacian(node, x, basis)
         want = -N * S[0, 1]
         assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
@@ -98,36 +95,36 @@ def test_projector_identities_batch_and_spot():
 def test_projector_laplacian_includes_diagonal_offset():
     m, n = 2, 2
     N = m + n
-    ctx = full_context(N)
+    basis = so_basis(N)
     x = sample_so(N, 31)
     S = x[:, :m] @ x[:, :m].T
-    got = laplacian(window_quadratic(1, 1, range(1, m + 1)), x, ctx)
+    got = laplacian(window_quadratic(1, 1, range(1, m + 1)), x, basis)
     want = -N * S[0, 0] + m
     assert abs(got - want) <= 1e-10
 
 
 def test_constants_are_annihilated():
-    ctx = full_context(3)
+    basis = so_basis(3)
     x = sample_so(3, 3)
-    assert abs(laplacian(Const(2 + 3j), x, ctx)) <= 1e-14
-    assert abs(gradient_product(Entry(1, 1), Const(5), x, ctx)) <= 1e-14
+    assert abs(laplacian(Const(2 + 3j), x, basis)) <= 1e-14
+    assert abs(gradient_product(Entry(1, 1), Const(5), x, basis)) <= 1e-14
 
 
 def test_laplacian_linearity_and_pairing_bilinearity():
-    ctx = full_context(4)
+    basis = so_basis(4)
     x = sample_so(4, 5)
     f, g = window_quadratic(1, 2, range(1, 3)), window_quadratic(3, 3, range(1, 3))
     af, bg = Product((Const(2 - 1j), f)), Product((Const(0.5j), g))
     combo = Sum((af, bg))
-    lhs = laplacian(combo, x, ctx)
-    rhs = (2 - 1j) * laplacian(f, x, ctx) + 0.5j * laplacian(g, x, ctx)
+    lhs = laplacian(combo, x, basis)
+    rhs = (2 - 1j) * laplacian(f, x, basis) + 0.5j * laplacian(g, x, basis)
     assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
-    s1 = gradient_product(f, g, x, ctx)
-    s2 = gradient_product(g, f, x, ctx)
+    s1 = gradient_product(f, g, x, basis)
+    s2 = gradient_product(g, f, x, basis)
     assert abs(s1 - s2) <= 1e-11 * (1 + abs(s1))
-    lhs = gradient_product(combo, g, x, ctx)
-    rhs = (2 - 1j) * gradient_product(f, g, x, ctx) + 0.5j * gradient_product(g, g, x, ctx)
+    lhs = gradient_product(combo, g, x, basis)
+    rhs = (2 - 1j) * gradient_product(f, g, x, basis) + 0.5j * gradient_product(g, g, x, basis)
     assert abs(lhs - rhs) <= 1e-11 * (1 + abs(lhs))
 
 
@@ -137,17 +134,25 @@ def test_laplacian_linearity_and_pairing_bilinearity():
 def test_k_directions_annihilate_invariant_functions():
     m, n = 2, 3
     x = sample_so(m + n, 7)
-    phi = projector_form(rank_one_from_vector([1, 2, 3, 4], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     for b in k_basis(m, n):
-        assert abs(laplacian_jet(phi, x, (b,), 1).coeffs[-1]) <= 1e-11
+        assert abs(laplacian_jet(phi, x, b[None], 1).coeffs[-1]) <= 1e-11
+
+
+def test_empty_basis_is_refused():
+    x = sample_so(2, 1)
+    with pytest.raises(ValueError, match="nonempty basis"):
+        laplacian(Entry(1, 1), x, k_basis(1, 1))
+    with pytest.raises(ValueError, match="nonempty basis"):
+        coordinate_identity_residuals(x[None], k_basis(1, 1))
 
 
 def test_full_basis_equals_quotient_basis_on_invariant_functions():
     m, n = 2, 2
     x = sample_so(m + n, 8)
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (m, n)))
-    full = laplacian(phi, x, full_context(m + n))
-    quot = laplacian(phi, x, quotient_context(m, n))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), m)
+    full = laplacian(phi, x, so_basis(m + n))
+    quot = laplacian(phi, x, m_basis(m, n))
     assert abs(full - quot) <= 1e-9 * (1 + abs(full))
 
 
@@ -162,7 +167,7 @@ def test_coordinates_are_not_invariant():
 def test_projector_form_is_invariant():
     m, n = 2, 3
     pts = sample_so(m + n, range(70, 73))
-    phi = projector_form(rank_one_from_vector([1, 2, 3, 4], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     records = check_invariance(
         phi, lambda s: sample_block_diagonal((m, n), s), pts, tol=1e-10
     )
@@ -175,9 +180,9 @@ def test_projector_form_is_invariant():
 def test_check_eigenfunction_positive():
     m, n = 2, 3
     N = m + n
-    phi = projector_form(rank_one_from_vector([1, 2, 3, 4], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     pts = sample_so(N, range(80, 85))
-    records = check_eigenfunction(phi, -N, -2, pts, quotient_context(m, n), 1e-8)
+    records = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n), 1e-8)
     assert all(r.passed for r in records)
     assert max(r.residual for r in records) <= 1e-12
 
@@ -199,9 +204,9 @@ def _counting_walks(monkeypatch):
 
 def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
     m, n = 2, 2
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), m)
     pts = sample_so(m + n, range(70, 73))
-    ctx = quotient_context(m, n)
+    basis = m_basis(m, n)
     # wrong eigenvalues give residuals of order one, so agreement with the
     # one-point operators shows each record reads its own point's lane
     for lam, mu in ((-4, -2), (-3, -1)):
@@ -209,10 +214,10 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
         for pt in pts:
             v = complex(evaluate(phi, pt))
             denom = 1.0 + abs(v) + abs(v) ** 2
-            expected.append(abs(laplacian(phi, pt, ctx) - complex(lam) * v) / denom)
-            expected.append(abs(gradient_product(phi, phi, pt, ctx) - complex(mu) * v * v) / denom)
+            expected.append(abs(laplacian(phi, pt, basis) - complex(lam) * v) / denom)
+            expected.append(abs(gradient_product(phi, phi, pt, basis) - complex(mu) * v * v) / denom)
         walks = _counting_walks(monkeypatch)
-        records = check_eigenfunction(phi, lam, mu, pts, ctx, 1e-8)
+        records = check_eigenfunction(phi, lam, mu, pts, basis, 1e-8)
         assert walks == [(1, len(pts))]
         got = [r.residual for r in records]
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
@@ -221,11 +226,11 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
 
 def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     # the honest two-member family of the test below
-    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0]), (1, 3)))
-    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j]), (1, 3)))
+    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
+    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
     pts = sample_so(4, range(80, 83))
     walks = _counting_walks(monkeypatch)
-    records = check_eigenfamily([fu, fv], -4, -2, pts, quotient_context(1, 3), 1e-8)
+    records = check_eigenfamily([fu, fv], -4, -2, pts, m_basis(1, 3), 1e-8)
     assert walks == [(1, len(pts))] * 2
     pairs = [r for r in records if r.check == "kappa_pair_0_1"]
     assert [r.point for r in pairs] == list(range(len(pts)))
@@ -240,7 +245,7 @@ def test_check_eigenfunction_negative_control():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi = projector_form(bad, m=m)
     pts = sample_so(N, range(90, 95))
-    records = check_eigenfunction(phi, -N, -2, pts, quotient_context(m, n), 1e-8)
+    records = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n), 1e-8)
     assert not all(r.passed for r in records)
     kappa_res = [r.residual for r in records if r.check == "kappa_eigen"]
     tau_res = [r.residual for r in records if r.check == "tau_eigen"]
@@ -250,9 +255,9 @@ def test_check_eigenfunction_negative_control():
 
 def test_check_eigenfamily_singleton_matches_eigenfunction():
     m, n = 1, 2
-    phi = projector_form(rank_one_from_vector([1, 2], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(100, 103))
-    fam = check_eigenfamily([phi], -3, -2, pts, quotient_context(m, n), 1e-8)
+    fam = check_eigenfamily([phi], -3, -2, pts, m_basis(m, n), 1e-8)
     assert all(r.passed for r in fam)
 
 
@@ -263,18 +268,18 @@ def test_check_eigenfamily_two_members_single_column():
     N = m + n
     u = np.array([1, 1j, 0, 0])
     v = np.array([0, 0, 1, 1j])
-    fu = projector_form(rank_one_from_isotropic(u, (m, n)))
-    fv = projector_form(rank_one_from_isotropic(v, (m, n)))
+    fu = projector_form(rank_one_from_isotropic(u), m)
+    fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
-    fam = check_eigenfamily([fu, fv], -N, -2, pts, quotient_context(m, n), 1e-8)
+    fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n), 1e-8)
     assert all(r.passed for r in fam), fam
 
 
 def test_check_eigenfamily_with_constant_fails():
     m, n = 1, 2
-    phi = projector_form(rank_one_from_vector([1, 2], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(120, 123))
-    fam = check_eigenfamily([phi, Const(1 + 0j)], -3, -2, pts, quotient_context(m, n), 1e-8)
+    fam = check_eigenfamily([phi, Const(1 + 0j)], -3, -2, pts, m_basis(m, n), 1e-8)
     assert not all(r.passed for r in fam)
     assert any(not r.passed and "tau_eigen" in r.check for r in fam)
 
@@ -284,20 +289,20 @@ def test_check_eigenfamily_with_constant_fails():
 
 def test_product_rule_on_coordinates():
     pts = sample_so(3, range(130, 135))
-    report = check_product_rule(Entry(1, 1), Entry(1, 1), pts, full_context(3), 1e-10)
+    report = check_product_rule(Entry(1, 1), Entry(1, 1), pts, so_basis(3), 1e-10)
     assert report.passed
 
 
 def test_product_rule_with_constant_reduces_to_linearity():
     pts = sample_so(3, range(140, 143))
-    report = check_product_rule(Entry(2, 1), Const(3 - 2j), pts, full_context(3), 1e-12)
+    report = check_product_rule(Entry(2, 1), Const(3 - 2j), pts, so_basis(3), 1e-12)
     assert report.passed
 
 
 def test_product_rule_on_projector_entries():
     pts = sample_so(4, range(150, 170))
     f, g = window_quadratic(1, 1, range(1, 3)), window_quadratic(1, 2, range(1, 3))
-    report = check_product_rule(f, g, pts, full_context(4), 1e-10)
+    report = check_product_rule(f, g, pts, so_basis(4), 1e-10)
     assert report.passed
 
 
@@ -305,31 +310,31 @@ def test_product_rule_on_projector_entries():
 
 
 def test_iterated_laplacian_base_cases():
-    ctx = full_context(3)
+    basis = so_basis(3)
     x = sample_so(3, 160)
     phi = window_quadratic(1, 1, range(1, 2))
-    assert iterated_laplacian(phi, 0, x, ctx) == evaluate(phi, x)
-    one = iterated_laplacian(phi, 1, x, ctx)
-    assert abs(one - laplacian(phi, x, ctx)) <= 1e-13
+    assert iterated_laplacian(phi, 0, x, basis) == evaluate(phi, x)
+    one = iterated_laplacian(phi, 1, x, basis)
+    assert abs(one - laplacian(phi, x, basis)) <= 1e-13
 
 
 def test_iterated_laplacian_depth_cap():
-    ctx = full_context(3)
+    basis = so_basis(3)
     x = sample_so(3, 161)
     with pytest.raises(ValueError):
-        iterated_laplacian(Entry(1, 1), 6, x, ctx)
+        iterated_laplacian(Entry(1, 1), 6, x, basis)
 
 
 def test_second_order_composition_is_biharmonic_but_not_harmonic():
     m, n = 1, 2
     N = m + n
-    phi = projector_form(rank_one_from_vector([1, 2], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2]), m)
     composed = p_harmonic_expr(phi, -N, -2, 2, 1, 0)
-    ctx = quotient_context(m, n)
+    basis = m_basis(m, n)
     hits = 0
     for i in range(5):
         x = sample_so(N, 170 + i)
-        (residual,), (witness,) = p_harmonic_residuals(composed, 2, x[None], ctx)
+        (residual,), (witness,) = p_harmonic_residuals(composed, 2, x[None], basis)
         assert residual <= 1e-7
         if witness > 1e-3:
             hits += 1
@@ -345,71 +350,71 @@ def _nested_jet_iterated_laplacian(f, p, X, basis):
     if p == 0:
         return evaluate(f, X)
     total = 0j
-    for b in basis:
-        value = _nested_jet_iterated_laplacian(f, p - 1, curve_jets(X, b.matrix, order=2), basis)
+    for z in basis:
+        value = _nested_jet_iterated_laplacian(f, p - 1, curve_jets(X, z, order=2), basis)
         if isinstance(value, JetScalar):
             total = total + value.coefficient(2) * 2
     return total
 
 
 def _oracle_cases():
-    """(f, context, point) per case: order-3 compositions, so L and L^2 of f are
+    """(f, basis, point) per case: order-3 compositions, so L and L^2 of f are
     generically nonzero and L^3 f is a true zero."""
     cases = []
     for m, n in ((1, 2), (2, 2)):
         N = m + n
-        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 1, 400)
         f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
-        cases.append(pytest.param(f, quotient_context(m, n), pts[0], id=f"Gr({m},{n})"))
-    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0], (1, 2))))
+        cases.append(pytest.param(f, m_basis(m, n), pts[0], id=f"Gr({m},{n})"))
+    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0]), 1, 2), 1)
     pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
-    cases.append(pytest.param(f, dual_context(1, 2), pts[0], id="dual(1,2)"))
+    cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts[0], id="dual(1,2)"))
     f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
-    cases.append(pytest.param(f, full_context(4), sample_so(4, 420), id="flag(1,1,2)"))
+    cases.append(pytest.param(f, so_basis(4), sample_so(4, 420), id="flag(1,1,2)"))
     return cases
 
 
-@pytest.mark.parametrize("f, ctx, x", _oracle_cases())
-def test_forward_laplacian_matches_nested_jets(f, ctx, x):
+@pytest.mark.parametrize("f, basis, x", _oracle_cases())
+def test_forward_laplacian_matches_nested_jets(f, basis, x):
     tolerances = {1: 1e-12, 2: 1e-9, 3: 1e-9}
     value = complex(evaluate(f, x))
     previous = value
     for p, tol in tolerances.items():
-        got = complex(iterated_laplacian(f, p, x, ctx))
-        want = complex(_nested_jet_iterated_laplacian(f, p, x, ctx.basis))
+        got = complex(iterated_laplacian(f, p, x, basis))
+        want = complex(_nested_jet_iterated_laplacian(f, p, x, basis))
         scale = 1.0 + abs(value) + abs(previous)
         assert abs(got - want) <= tol * scale, (p, got, want)
         previous = want
 
 
 def _stack_cases():
-    """(f, context, stack of three points) per case, as in _oracle_cases."""
+    """(f, basis, stack of three points) per case, as in _oracle_cases."""
     cases = []
     for m, n in ((1, 2), (2, 2)):
         N = m + n
-        phi = projector_form(rank_one_from_vector(np.arange(1.0, N), (m, n)))
+        phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 3, 400)
         f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
-        cases.append(pytest.param(f, quotient_context(m, n), pts, id=f"Gr({m},{n})"))
-    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0], (1, 2))))
+        cases.append(pytest.param(f, m_basis(m, n), pts, id=f"Gr({m},{n})"))
+    phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0]), 1, 2), 1)
     pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 3, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
-    cases.append(pytest.param(f, dual_context(1, 2), pts, id="dual(1,2)"))
+    cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts, id="dual(1,2)"))
     f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
     pts = sample_so(4, range(420, 423))
-    cases.append(pytest.param(f, full_context(4), pts, id="flag(1,1,2)"))
+    cases.append(pytest.param(f, so_basis(4), pts, id="flag(1,1,2)"))
     return cases
 
 
-@pytest.mark.parametrize("f, ctx, points", _stack_cases())
-def test_stacked_walk_equals_one_point_walks(f, ctx, points):
+@pytest.mark.parametrize("f, basis, points", _stack_cases())
+def test_stacked_walk_equals_one_point_walks(f, basis, points):
     for p in (1, 2, 3):
-        stacked = laplacian_jet(f, points, ctx.basis, p).coeffs
-        assert stacked.shape == (len(points), (len(ctx.basis) + 2) ** p)
+        stacked = laplacian_jet(f, points, basis, p).coeffs
+        assert stacked.shape == (len(points), (len(basis) + 2) ** p)
         for lane, pt in enumerate(points):
-            alone = laplacian_jet(f, pt, ctx.basis, p).coeffs
+            alone = laplacian_jet(f, pt, basis, p).coeffs
             scale = 1.0 + np.max(np.abs(alone))
             assert np.max(np.abs(stacked[lane] - alone)) <= 1e-11 * scale, (p, lane)
 
@@ -422,10 +427,10 @@ def test_stacked_walk_names_the_lane_on_the_log_cut():
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
     for p in (1, 2):
         with pytest.raises(BranchCutError) as caught:
-            laplacian_jet(f, stack, full_context(3).basis, p)
+            laplacian_jet(f, stack, so_basis(3), p)
         assert caught.value.lanes == (1,)
     with pytest.raises(BranchCutError) as caught:
-        p_harmonic_residuals(f, 2, stack, full_context(3))
+        p_harmonic_residuals(f, 2, stack, so_basis(3))
     assert caught.value.lanes == (1,)
 
 
@@ -435,10 +440,10 @@ def test_chunked_walk_names_the_lane_by_its_index_in_the_stack(monkeypatch):
     stack = np.stack([x] * 4)
     stack[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, 1.0, 1.0, -1.0])  # x11 < 0 in lane 3 only
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
-    ctx = full_context(3)
+    basis = so_basis(3)
     for per_lane, walk in (
         (9, lambda: ops.values_at(f, stack)),
-        (9 * 5**2, lambda: p_harmonic_residuals(f, 2, stack, ctx)),
+        (9 * 5**2, lambda: p_harmonic_residuals(f, 2, stack, basis)),
     ):
         with pytest.raises(BranchCutError) as whole:
             walk()
@@ -452,18 +457,18 @@ def test_chunked_walk_names_the_lane_by_its_index_in_the_stack(monkeypatch):
 
 
 def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
-    ctx = quotient_context(2, 2)
+    basis = m_basis(2, 2)
     pts, _ = conditioned_sample([phi], lambda s: sample_so(4, s), 3, 500)
     walks = _counting_walks(monkeypatch)
-    residuals, witnesses = p_harmonic_residuals(f, 3, pts, ctx)
+    residuals, witnesses = p_harmonic_residuals(f, 3, pts, basis)
     assert walks == [(3, len(pts))]
     monkeypatch.undo()
     for i, pt in enumerate(pts):
         v = complex(evaluate(f, pt))
-        prev = complex(iterated_laplacian(f, 2, pt, ctx))
-        top = complex(iterated_laplacian(f, 3, pt, ctx))
+        prev = complex(iterated_laplacian(f, 2, pt, basis))
+        top = complex(iterated_laplacian(f, 3, pt, basis))
         assert abs(witnesses[i] - abs(prev) / (1 + abs(v))) <= 1e-12 * witnesses[i]
         assert residuals[i] <= 1e-9 and abs(top) / (1 + abs(v) + abs(prev)) <= 1e-9
 
@@ -477,11 +482,11 @@ def test_one_deep_walk_releases_values_after_their_last_read():
     # the walk peaks at 30.5 MB, and keeping every node's 0.52 MB jet until
     # the walk ends pushed it to 34.2 MB
     f = flag_sum_expr(default_flag_spec((2, 2)), 5)
-    ctx = full_context(4)
+    basis = so_basis(4)
     x = sample_so(4, 7)
     tracemalloc.start()
     try:
-        laplacian_jet(f, x, ctx.basis, 5)
+        laplacian_jet(f, x, basis, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,7 +501,7 @@ def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
     # product held its whole innermost level, two lanes peaked at twice one
     # (223.4 MB against 111.8 MB)
     f = flag_sum_expr(default_flag_spec((1, 1, 2)), 5)
-    basis = full_context(4).basis
+    basis = so_basis(4)
     peaks = []
     for lanes in (1, 2):
         x = sample_so(4, range(7, 7 + lanes))
@@ -526,12 +531,12 @@ def test_walks_up_to_depth_three_take_each_product_in_one_block(monkeypatch):
 
     monkeypatch.setattr(jets, "_block_product", counting_block)
     monkeypatch.setattr(jets, "_product_into", one_block)
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
-    laplacian_jet(p_harmonic_expr(phi, -4, -2, 3, 1, 1), sample_so(4, range(10)), quotient_context(2, 2).basis, 3)
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    laplacian_jet(p_harmonic_expr(phi, -4, -2, 3, 1, 1), sample_so(4, range(10)), m_basis(2, 2), 3)
     assert block_calls
 
 
-def _curve_jet_identity_residuals(X, ctx, m=None):
+def _curve_jet_identity_residuals(X, basis, m=None):
     """The closed-form identity residuals from order-2 jets along each basis
     curve X . exp(eps Z): of the coordinate functions when m is None, else of
     the projector quadratics of the first m columns, built entry by entry
@@ -577,8 +582,8 @@ def _curve_jet_identity_residuals(X, ctx, m=None):
 
     tau = np.zeros((N, N), dtype=complex)
     firsts = []
-    for b in ctx.basis:
-        jets = entry_jets(curve_jets(X, b.matrix, order=2))
+    for z in basis:
+        jets = entry_jets(curve_jets(X, z, order=2))
         tau += 2.0 * plane(jets, 2)
         firsts.append(plane(jets, 1))
     grads = np.stack(firsts)
@@ -594,15 +599,15 @@ def test_identity_residuals_match_curve_jets(scale):
     # checks the planes themselves, not just that both sides are near zero;
     # the residuals of a stack of three points are compared lane by lane
     for N in range(2, 9):
-        ctx = full_context(N, scale=scale)
+        basis = so_basis(N) * scale
         stack = sample_so(N, range(700 + N, 703 + N))
         pairs = [
-            (coordinate_identity_residuals(stack, ctx), [_curve_jet_identity_residuals(x, ctx) for x in stack])
+            (coordinate_identity_residuals(stack, basis), [_curve_jet_identity_residuals(x, basis) for x in stack])
         ]
         pairs += [
             (
-                projector_identity_residuals(stack, m, ctx),
-                [_curve_jet_identity_residuals(x, ctx, m) for x in stack],
+                projector_identity_residuals(stack, m, basis),
+                [_curve_jet_identity_residuals(x, basis, m) for x in stack],
             )
             for m in range(1, N)
         ]
@@ -616,16 +621,16 @@ def test_identity_residuals_match_curve_jets(scale):
 def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
     cases = [(N, None) for N in range(2, 9)] + [(m + n, m) for m, n in ((1, 2), (2, 2), (2, 3), (3, 4))]
     for N, m in cases:
-        ctx = full_context(N)
-        lift = N * N * (len(ctx.basis) + 2)
+        basis = so_basis(N)
+        lift = N * N * (len(basis) + 2)
         for bound in (ops.MAX_LIFT_COMPONENTS, 2 * lift):  # all lanes, then 2 per lift
             monkeypatch.setattr(ops, "MAX_LIFT_COMPONENTS", bound)
             stack = sample_so(N, range(40 * N, 40 * N + 5))
 
             def residuals(x):
                 if m is None:
-                    return coordinate_identity_residuals(x, ctx)
-                return projector_identity_residuals(x, m, ctx)
+                    return coordinate_identity_residuals(x, basis)
+                return projector_identity_residuals(x, m, basis)
 
             stacked = residuals(stack)
             for lane, x in enumerate(stack):
@@ -639,10 +644,10 @@ def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
 
 def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     x = sample_so(4, 5)
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     nodes = [
         phi,
-        projector_form(rank_one_from_vector([1, 2, 3], (2, 2)), columns=(1, 2, 3)),
+        projector_form(rank_one_from_vector([1, 2, 3]), columns=(1, 2, 3)),
         projector_form(default_flag_spec((1, 1, 2)).generators[2], columns=(3, 4)),
         p_harmonic_expr(phi, -4, -2, 3, 1, 1),
         Pow(phi, -0.5),
@@ -652,26 +657,25 @@ def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     stack = sample_so(4, range(5, 9))
     for p in (1, 2, 3):
         for node in nodes:
-            lifted = laplacian_jet(node, x, quotient_context(2, 2).basis, p)
+            lifted = laplacian_jet(node, x, m_basis(2, 2), p)
             assert lifted.constant_value() == evaluate(node, x)
-            stacked = laplacian_jet(node, stack, quotient_context(2, 2).basis, p)
+            stacked = laplacian_jet(node, stack, m_basis(2, 2), p)
             assert np.array_equal(stacked.constant_value(), evaluate(node, stack))
 
 
 def test_forward_laplacian_components_are_the_lifted_fields():
     # component (i, j) of an entry at depth 2 is (x M_i M_j)_rc, M_(D-1) = sum Z^2
-    ctx = full_context(3)
+    basis = so_basis(3)
     x = sample_so(3, 12)
-    zs = [b.matrix for b in ctx.basis]
-    fields = [np.eye(3), *zs, sum(z @ z for z in zs)]
-    lifted = laplacian_jet(Entry(2, 3), x, ctx.basis, 2).coeffs.reshape(5, 5)
+    fields = [np.eye(3), *basis, sum(z @ z for z in basis)]
+    lifted = laplacian_jet(Entry(2, 3), x, basis, 2).coeffs.reshape(5, 5)
     want = np.array([[(x @ a @ b)[1, 2] for b in fields] for a in fields])
     np.testing.assert_allclose(lifted, want, atol=1e-15)
 
 
 def test_jet_laplacian_matches_finite_differences():
     rng = np.random.default_rng(9)
-    ctx = full_context(4)
+    basis = so_basis(4)
     for i in range(3):
         x = sample_so(4, 180 + i)
         nodes = [
@@ -680,8 +684,8 @@ def test_jet_laplacian_matches_finite_differences():
             Sum((Entry(1, 1), Product((Const(2), Entry(4, 4), Entry(1, 4))))),
         ]
         for node in nodes:
-            jet_value = complex(laplacian(node, x, ctx))
-            fd_value = fd_laplacian(node, x, ctx, step=1e-4)
+            jet_value = complex(laplacian(node, x, basis))
+            fd_value = fd_laplacian(node, x, basis, step=1e-4)
             assert abs(jet_value - fd_value) <= 1e-6 * (1 + abs(jet_value))
 
 
@@ -730,7 +734,7 @@ def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
 def test_conditioned_sample_equals_a_point_by_point_loop():
     # Entry(1, 1) is on the log cut at every point with x11 < 0, so fewer than
     # half the first draws qualify and single draws have to follow
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     funcs = [phi, Entry(1, 1)]
     for seed in (300, 301, 302):
         got, draws = conditioned_sample(funcs, lambda s: sample_so(4, s), 12, seed)
@@ -775,7 +779,7 @@ def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
         requested.append(list(seeds))
         return sample_block_diagonal((2, 2), seeds)
 
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (2, 2)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     pts = sample_so(4, range(60, 63))
     check_invariance(phi, sampler, pts, seed=5)
     non_descent_witness(phi, sampler, pts, seed=5)
@@ -790,7 +794,7 @@ def test_conditioned_sample_is_deterministic_and_filters_small_values():
 
     m, n = 2, 2
     N = m + n
-    phi = projector_form(rank_one_from_vector([1, 2, 3], (m, n)))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), m)
     pts1, draws1 = conditioned_sample([phi], lambda s: sample_so(N, s), 8, 300)
     pts2, draws2 = conditioned_sample([phi], lambda s: sample_so(N, s), 8, 300)
     assert draws1 == draws2
@@ -813,8 +817,8 @@ def test_dual_context_eigen_relations():
     N = m + n
     from pharmonic.expressions import dual_matrix
 
-    A = dual_matrix(rank_one_from_vector([1, 2], (m, n)))
-    phi = projector_form(A)
+    A = dual_matrix(rank_one_from_vector([1, 2]), m, n)
+    phi = projector_form(A, m)
     pts = sample_so_mn(m, n, range(200, 205), 0.5)
-    records = check_eigenfunction(phi, N, 2, pts, dual_context(m, n), 1e-8)
+    records = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"), 1e-8)
     assert all(r.passed for r in records), records

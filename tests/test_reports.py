@@ -36,7 +36,7 @@ def test_aggregates():
     assert report.passed
     assert report.max_residuals["alpha"] == 3e-11
     assert report.max_residuals["witness"] == 0.4
-    assert len(report.records_for("alpha")) == 2
+    assert len([c for c in report.checks if c.check == "alpha"]) == 2
 
 
 def test_overall_fails_when_any_record_fails():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pharmonic.expressions import evaluate, p_harmonic_expr, projector_form, rank_one_from_vector
-from pharmonic.group import sample_so
+from pharmonic.group import m_basis, sample_so
 from pharmonic.jets import variable
 from pharmonic import symcalc
-from pharmonic.operators import laplacian, quotient_context
+from pharmonic.operators import laplacian
 from pharmonic.symcalc import (
     EigenParams,
     GaussianRational,
@@ -230,8 +230,8 @@ def test_evaluate_sym_on_jets_matches_composition():
 
 
 def test_expression_tree_bridge_matches_numeric_builder():
-    A = rank_one_from_vector([1, 2, 3], (2, 2))
-    phi = projector_form(A)
+    A = rank_one_from_vector([1, 2, 3])
+    phi = projector_form(A, 2)
     x = sample_so(4, 12)
     params = EigenParams.of(-4, -2)
     for p in (1, 2, 3):
@@ -247,9 +247,9 @@ def test_symbolic_laplacian_matches_jet_operator():
     m, n = 1, 2
     N = m + n
     params = EigenParams.of(-N, -2)
-    A = rank_one_from_vector([1, 2], (m, n))
-    phi = projector_form(A)
-    ctx = quotient_context(m, n)
+    A = rank_one_from_vector([1, 2])
+    phi = projector_form(A, m)
+    basis = m_basis(m, n)
     exprs = [
         SymExpr.term(1, 1, 0),
         SymExpr.term(1, 0, 1),
@@ -261,7 +261,7 @@ def test_symbolic_laplacian_matches_jet_operator():
         x = sample_so(N, 40 + i)
         v = complex(evaluate(phi, x))
         for e in exprs:
-            numeric = complex(laplacian(as_expr_node(e, phi), x, ctx))
+            numeric = complex(laplacian(as_expr_node(e, phi), x, basis))
             symbolic = complex(evaluate_sym(apply_laplacian(e, params), v))
             assert abs(numeric - symbolic) <= 1e-7 * (1 + abs(numeric) + abs(symbolic))
 
