@@ -6,6 +6,8 @@ orders p = 2, 3, 4, the flag partitions (1,1,2) and (2,1,1) with the (2,2)
 Grassmannian control, and the indefinite duals at p = 2 and 4; writes one
 report per run into the output directory and prints a summary table, ending
 with the sum of the per-run times and the elapsed wall time of the sweep.
+As in the CLI, GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold; a
+value that is not a finite number >= 0 is a configuration error (exit 3).
 
 With ``--compare DIR`` each report is also compared with the report of the
 same name in DIR, an earlier sweep: the run reads "same" when its check ids,
@@ -29,13 +31,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from pharmonic.cli import COMMANDS, RunConfig
+from pharmonic.cli import COMMANDS, EXIT_USAGE, RunConfig, UsageError, tol_scale_from_env
 
 
 def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
@@ -101,6 +104,11 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--compare", metavar="DIR", help="compare with the reports in DIR")
     args = parser.parse_args(argv)
+    try:
+        tol_scale = tol_scale_from_env()
+    except UsageError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     sweep_start = time.perf_counter()
     out_dir = Path(args.out_dir)
@@ -115,7 +123,7 @@ def main(argv=None) -> int:
     runs = build_runs(args.samples)
     for name, config in runs:
         start = time.perf_counter()
-        report = COMMANDS[config.command](config)
+        report = COMMANDS[config.command](replace(config, tol_scale=tol_scale))
         report.timing_seconds = time.perf_counter() - start
         run_total += report.timing_seconds
         text = report.to_json() + "\n"

@@ -505,6 +505,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def tol_scale_from_env() -> float:
+    """The threshold scale GH_VERIFY_TOL_SCALE sets, 1.0 when it is unset; a
+    value that is not a finite number >= 0 is a configuration error."""
+    scale_text = os.environ.get("GH_VERIFY_TOL_SCALE", "1.0")
+    try:
+        tol_scale = float(scale_text)
+    except ValueError as exc:
+        raise UsageError(f"bad GH_VERIFY_TOL_SCALE value {scale_text!r}") from exc
+    if not (math.isfinite(tol_scale) and tol_scale >= 0):
+        raise UsageError(f"bad GH_VERIFY_TOL_SCALE value {scale_text!r}: need a finite number >= 0")
+    return tol_scale
+
+
 def _config_from_args(args) -> RunConfig:
     blocks = None
     if args.blocks:
@@ -512,12 +525,7 @@ def _config_from_args(args) -> RunConfig:
             blocks = tuple(int(b) for b in args.blocks.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --blocks value: {exc}") from exc
-    scale_text = os.environ.get("GH_VERIFY_TOL_SCALE", "1.0")
-    try:
-        tol_scale = float(scale_text)
-    except ValueError as exc:
-        raise UsageError(f"bad GH_VERIFY_TOL_SCALE value {scale_text!r}") from exc
-    return RunConfig(**{**vars(args), "blocks": blocks, "tol_scale": tol_scale})
+    return RunConfig(**{**vars(args), "blocks": blocks, "tol_scale": tol_scale_from_env()})
 
 
 def main(argv=None) -> int:

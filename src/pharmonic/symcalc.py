@@ -17,16 +17,26 @@ Everything here runs over Gaussian rationals (exact rational real and
 imaginary parts) with exact rational exponents a and natural exponents b, so
 "the iterate is zero" is a theorem about the expression, not a numerical
 statement.  Eigenvalue pairs whose ratio is irrational or non-real are out
-of scope and rejected.  The rewrite itself is cross-checked against the
-jet-based numerical operators in the test suite.  This module imports no
-other pharmonic module: the exact route shares no code with the numeric
-one, so their agreement is itself a check.
+of scope and rejected.
+
+The rewrite runs in Gaussian integers.  With every exponent written over one
+denominator Q, lam and mu over d and the coefficients over C, each rewrite
+factor times S = Q^2 d is a Gaussian integer, so L^j of an expression is an
+integer image over the one denominator C S^j.  One pass applies the rewrite
+k times and yields every order L^0 .. L^k; the single step, the iterate and
+the p-harmonicity verdict (orders p-1 and p) all read it.
+
+The rewrite is cross-checked against the jet-based numerical operators in
+the test suite.  This module imports no other pharmonic module: the exact
+route shares no code with the numeric one, so their agreement is itself a
+check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 def _frac(value) -> Fraction:
@@ -192,33 +202,77 @@ class EigenParams:
         return params
 
 
+def _laplacian_images(expr: SymExpr, k: int, params: EigenParams) -> list[SymExpr]:
+    """L^j expr for every j = 0..k, from one pass in Gaussian integers.
+
+    With every exponent a = P/Q over one Q, lam and mu over d and S = Q^2 d,
+    S times each rewrite factor of T(P/Q, b) is a Gaussian integer:
+
+        S (a lam + a(a-1) mu)   = P Q d lam + P (P-Q) d mu
+        S b (lam + (2a-1) mu)   = b Q (Q d lam + (2P-Q) d mu)
+        S b(b-1) mu             = b(b-1) Q^2 d mu
+
+    so with the coefficients cleared by C, the lcm of their denominators,
+    L^j expr = image_j / (C S^j) exactly, image_j a map (P, b) -> (re, im)
+    of integer pairs.  Zero pairs are dropped as they arise.
+    """
+    if k < 0:
+        raise ValueError("need k >= 0")
+    lam, mu = params.lam, params.mu
+    parts = (lam.re, lam.im, mu.re, mu.im)
+    d = lcm(*(x.denominator for x in parts))
+    lr, li, mr, mi = (x.numerator * (d // x.denominator) for x in parts)
+    Q = lcm(*(a.denominator for a, _ in expr._terms))
+    C = lcm(*(x.denominator for c in expr._terms.values() for x in (c.re, c.im)))
+    exponent = {}  # P -> a
+    image = {}
+    for (a, b), c in expr._terms.items():
+        P = a.numerator * (Q // a.denominator)
+        exponent[P] = a
+        image[P, b] = (
+            c.re.numerator * (C // c.re.denominator),
+            c.im.numerator * (C // c.im.denominator),
+        )
+    S = Q * Q * d
+    result = [expr]
+    factors = {}  # (P, b) -> the nonzero scaled factors, as (b', re, im)
+    for j in range(1, k + 1):
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (P, b), (re, im) in image.items():
+            row = factors.get((P, b))
+            if row is None:
+                x, y = P * (P - Q), 2 * P - Q
+                row = [
+                    (b, P * Q * lr + x * mr, P * Q * li + x * mi),
+                    (b - 1, b * Q * (Q * lr + y * mr), b * Q * (Q * li + y * mi)),
+                    (b - 2, b * (b - 1) * Q * Q * mr, b * (b - 1) * Q * Q * mi),
+                ]
+                # a term T(a, b) reaches down to T(a, max(b - 2, 0)) only
+                row = factors[P, b] = [f for f in row[: b + 1] if f[1] or f[2]]
+            for b2, fr, fi in row:
+                old = out.get((P, b2), (0, 0))
+                out[P, b2] = (old[0] + re * fr - im * fi, old[1] + re * fi + im * fr)
+        image = {key: pair for key, pair in out.items() if pair[0] or pair[1]}
+        denom = C * S**j
+        result.append(
+            SymExpr(
+                {
+                    (exponent[P], b): GaussianRational(Fraction(re, denom), Fraction(im, denom))
+                    for (P, b), (re, im) in image.items()
+                }
+            )
+        )
+    return result
+
+
 def apply_laplacian(expr: SymExpr, params: EigenParams) -> SymExpr:
     """One exact application of the Laplacian rewrite, extended linearly."""
-    lam, mu = params.lam, params.mu
-    out = SymExpr.zero()
-    for t in expr.terms():
-        a_gr = GaussianRational(t.a)
-        am1 = GaussianRational(t.a - 1)
-        stay = a_gr * lam + a_gr * am1 * mu
-        out = out + SymExpr.term(t.coeff * stay, t.a, t.b)
-        if t.b >= 1:
-            down1 = GaussianRational(Fraction(t.b)) * (
-                lam + GaussianRational(2 * t.a - 1) * mu
-            )
-            out = out + SymExpr.term(t.coeff * down1, t.a, t.b - 1)
-        if t.b >= 2:
-            down2 = GaussianRational(Fraction(t.b * (t.b - 1))) * mu
-            out = out + SymExpr.term(t.coeff * down2, t.a, t.b - 2)
-    return out
+    return _laplacian_images(expr, 1, params)[1]
 
 
 def iterate_laplacian(expr: SymExpr, k: int, params: EigenParams) -> SymExpr:
     """k-fold exact application of the rewrite."""
-    if k < 0:
-        raise ValueError("need k >= 0")
-    for _ in range(k):
-        expr = apply_laplacian(expr, params)
-    return expr
+    return _laplacian_images(expr, k, params)[k]
 
 
 def p_harmonic_combination(params: EigenParams, p: int, c1, c2) -> SymExpr:
@@ -270,8 +324,7 @@ def verify_p_harmonic(params: EigenParams, p: int, c1, c2) -> TheoremVerdict:
     spot checks that the composed function is not identically zero live with
     the samplers, not here.
     """
-    expr = p_harmonic_combination(params, p, c1, c2)
-    previous = iterate_laplacian(expr, p - 1, params)
-    final = apply_laplacian(previous, params)
+    images = _laplacian_images(p_harmonic_combination(params, p, c1, c2), p, params)
+    previous, final = images[p - 1], images[p]
     return TheoremVerdict(final.is_zero(), not previous.is_zero(), previous)
 

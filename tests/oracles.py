@@ -1,5 +1,9 @@
 """Reference constructions for the tests.
 
+The term-by-term Laplacian rewrite over Fraction-valued Gaussian rationals:
+the route pharmonic.symcalc replaced with its one pass in Gaussian integers,
+and the reference that pass is checked against, order by order.
+
 The bridges from the exact symbolic calculus to the numeric side:
 pharmonic.symcalc imports no other pharmonic module, and these helpers
 join its combinations to jet arithmetic and expression trees on the test
@@ -15,9 +19,30 @@ for bit, and the P |W| pairwise products it replaced, which it must match
 to roundoff.
 """
 
+from fractions import Fraction
+
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
 from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
-from pharmonic.symcalc import SymExpr
+from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr
+
+
+def apply_laplacian_reference(expr: SymExpr, params: EigenParams) -> SymExpr:
+    """One application of L T(a,b) = (a lam + a(a-1) mu) T(a,b)
+    + b (lam + (2a-1) mu) T(a,b-1) + b(b-1) mu T(a,b-2), term by term."""
+    lam, mu = params.lam, params.mu
+    out = SymExpr.zero()
+    for t in expr.terms():
+        a_gr = GaussianRational(t.a)
+        am1 = GaussianRational(t.a - 1)
+        stay = a_gr * lam + a_gr * am1 * mu
+        out = out + SymExpr.term(t.coeff * stay, t.a, t.b)
+        if t.b >= 1:
+            down1 = GaussianRational(Fraction(t.b)) * (lam + GaussianRational(2 * t.a - 1) * mu)
+            out = out + SymExpr.term(t.coeff * down1, t.a, t.b - 1)
+        if t.b >= 2:
+            down2 = GaussianRational(Fraction(t.b * (t.b - 1))) * mu
+            out = out + SymExpr.term(t.coeff * down2, t.a, t.b - 2)
+    return out
 
 
 def evaluate_sym(expr: SymExpr, value):

@@ -187,3 +187,27 @@ def test_sweep_compare_fails_on_dropped_and_missing_runs(tmp_path, monkeypatch, 
     (base / "calibrate_N2.json").rename(base / "calibrate_N3.json")
     code, lines = compare()
     assert code == 2 and "missing" in lines["calibrate_N2"]
+
+
+def test_sweep_honours_the_tolerance_scale(tmp_path, monkeypatch, capsys):
+    # the same scale as the CLI: a tight one fails the runs, a bad one is a
+    # configuration error reported in one line
+    sweep = _sweep_script()
+    runs = [
+        ("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2)),
+        ("grassmann_1_2", RunConfig("grassmann", m=1, n=2, samples=2)),
+    ]
+    monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
+    out_dir = ["--out-dir", str(tmp_path)]
+    monkeypatch.delenv("GH_VERIFY_TOL_SCALE", raising=False)
+    assert sweep.main(out_dir) == 0
+    monkeypatch.setenv("GH_VERIFY_TOL_SCALE", "1e-30")
+    assert sweep.main(out_dir) == 2
+    assert "SOME RUNS FAILED" in capsys.readouterr().out
+    for bad in ("not-a-number", "-1"):
+        monkeypatch.setenv("GH_VERIFY_TOL_SCALE", bad)
+        assert sweep.main(out_dir) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"configuration error: bad GH_VERIFY_TOL_SCALE value {bad!r}")

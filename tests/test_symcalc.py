@@ -11,7 +11,7 @@ from pharmonic.expressions import evaluate, p_harmonic_expr, projector_form, ran
 from pharmonic.group import m_basis, sample_so
 from pharmonic.jets import variable
 from pharmonic import symcalc
-from pharmonic.operators import laplacian
+from pharmonic.operators import DEPTH_CAP, laplacian
 from pharmonic.symcalc import (
     EigenParams,
     GaussianRational,
@@ -21,7 +21,7 @@ from pharmonic.symcalc import (
     p_harmonic_combination,
     verify_p_harmonic,
 )
-from oracles import as_expr_node, evaluate_sym
+from oracles import apply_laplacian_reference, as_expr_node, evaluate_sym
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -100,6 +100,26 @@ def test_rewrite_matches_explicit_formula():
     assert out.coefficient(a, b).to_complex() == (2 * lam + 2 * 1 * mu)
     assert out.coefficient(a, b - 1).to_complex() == 3 * (lam + 3 * mu)
     assert out.coefficient(a, b - 2).to_complex() == 6 * mu
+
+
+exponents = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+sym_exprs = st.lists(
+    st.builds(SymExpr.term, gaussians, exponents, st.integers(0, 6)), min_size=1, max_size=3
+).map(lambda terms: sum(terms, SymExpr.zero()))
+eigen_params = st.tuples(gaussians, gaussians).filter(
+    lambda lam_mu: not (lam_mu[0].is_zero() and lam_mu[1].is_zero())
+)
+
+
+@given(sym_exprs, eigen_params, st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_iterate_equals_term_by_term_reference(expr, lam_mu, k):
+    # the one integer pass against k Fraction-valued term-by-term steps
+    params = EigenParams(*lam_mu)
+    expected = expr
+    for _ in range(k):
+        expected = apply_laplacian_reference(expected, params)
+    assert iterate_laplacian(expr, k, params) == expected
 
 
 # -- the three-case combination -------------------------------------------------------
@@ -206,6 +226,23 @@ def test_duality_involution_and_verdict():
     v = verify_p_harmonic(params, 3, 1, 1)
     vd = verify_p_harmonic(dual, 3, 1, 1)
     assert (v.p_harmonic, v.proper) == (vd.p_harmonic, vd.proper)
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["pharmonic", "dual"])
+@pytest.mark.parametrize("N", range(2, 9))
+def test_verdict_equals_reference_for_every_cli_parameter_set(N, sign):
+    # pharmonic builds (-N, -2), dual (N, 2); each at every p the CLI accepts
+    params = EigenParams.of(sign * N, sign * 2)
+    for p in range(1, DEPTH_CAP + 1):
+        for c1, c2 in ((1, 0), (0, 1), (1, 1)):
+            previous = p_harmonic_combination(params, p, c1, c2)
+            for _ in range(p - 1):
+                previous = apply_laplacian_reference(previous, params)
+            final = apply_laplacian_reference(previous, params)
+            verdict = verify_p_harmonic(params, p, c1, c2)
+            assert verdict.p_harmonic == final.is_zero()
+            assert verdict.proper == (not previous.is_zero())
+            assert verdict.final == previous
 
 
 # -- evaluation bridges ------------------------------------------------------------------
