@@ -4,16 +4,15 @@ quotients, with exact symbolic and jet-based numerical verification."""
 from .expressions import (
     Const,
     Entry,
-    FlagSpec,
     Log,
     Pow,
     Product,
     ProjectorForm,
     Sum,
     block_columns,
-    default_flag_spec,
     dual_matrix,
     evaluate,
+    flag_forms,
     flag_sum_expr,
     p_harmonic_expr,
     projector_form,

@@ -211,13 +211,8 @@ def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
 def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
     """The four coefficient-matrix structure records."""
     tol = _threshold(config, DEFAULT_TOLS["matrix"])
-    validation = ex.validate_eigen_matrix(A, form=form)
-    return [
-        upper_check("matrix_symmetry", label, validation.symmetry, tol),
-        upper_check("matrix_trace", label, validation.trace, tol),
-        upper_check("matrix_square", label, validation.square, tol),
-        upper_check("matrix_rank", label, validation.rank_ratio, tol),
-    ]
+    residuals = ex.validate_eigen_matrix(A, form=form)
+    return [upper_check(f"matrix_{key}", label, value, tol) for key, value in residuals.items()]
 
 
 def _identity_records(residuals: dict, tol: float) -> list:
@@ -372,7 +367,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     if len(blocks) < 2:
         raise UsageError("need at least two blocks")
     n = sum(blocks)
-    spec = ex.default_flag_spec(blocks)
+    block_forms = ex.flag_forms(blocks)
     notes = []
     records = []
 
@@ -380,16 +375,12 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     basis = so_basis(n)
     points = sample_so(n, _seeds(config))
-    block_forms = [
-        ex.projector_form(spec.generators[k], columns=ex.block_columns(blocks, k))
-        for k in range(len(blocks))
-    ]
 
     for k, phi_k in enumerate(block_forms):
         fam = ops.check_eigenfamily([phi_k], -n, -2, points, basis, eigen_tol)
         records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam]
 
-    total = ex.flag_sum_expr(spec, config.p)
+    total = ex.flag_sum_expr(block_forms, config.p)
     sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
     records += _p_harmonic_records(total, sampled, basis, config, notes)
 
@@ -520,7 +511,7 @@ def tol_scale_from_env() -> float:
 
 def _config_from_args(args) -> RunConfig:
     blocks = None
-    if args.blocks:
+    if args.blocks is not None:
         try:
             blocks = tuple(int(b) for b in args.blocks.split(","))
         except ValueError as exc:

@@ -329,22 +329,14 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
 # -- coefficient matrices ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixValidation:
-    """Scale-normalized residuals of the four structure conditions; each is
-    zero for an exact eigenfunction-inducing matrix."""
-
-    symmetry: float
-    trace: float
-    square: float
-    rank_ratio: float
-
-
-def validate_eigen_matrix(A, form=None) -> MatrixValidation:
+def validate_eigen_matrix(A, form=None) -> dict[str, float]:
     """Residuals of symmetry, zero trace, square zero, and rank one.
 
-    Residuals are normalized by the matrix scale so they are invariant under
-    rescaling; rank uses the ratio of the two largest singular values.
+    Returns the dict ``{"symmetry", "trace", "square", "rank"}`` in that
+    order; each value is zero for an exact eigenfunction-inducing matrix,
+    and the zero matrix reads 0, 0, 0 and 1.0.  Residuals are normalized by
+    the matrix scale so they are invariant under rescaling; rank uses the
+    ratio of the two largest singular values.
 
     ``form`` generalizes the conditions to an indefinite signature: with a
     diagonal form matrix eta the trace condition becomes tr(A eta) = 0 and
@@ -357,13 +349,13 @@ def validate_eigen_matrix(A, form=None) -> MatrixValidation:
     eta = np.eye(A.shape[0]) if form is None else np.asarray(form)
     scale = float(np.max(np.abs(A)))
     if scale == 0.0:
-        return MatrixValidation(0.0, 0.0, 0.0, 1.0)
+        return {"symmetry": 0.0, "trace": 0.0, "square": 0.0, "rank": 1.0}
     sym = float(np.max(np.abs(A - A.T))) / scale
     tr = abs(complex(np.trace(A @ eta))) / scale
     sq = float(np.max(np.abs(A @ eta @ A))) / scale**2
     s = np.linalg.svd(A, compute_uv=False)
     rank_ratio = float(s[1] / s[0]) if len(s) > 1 else 0.0
-    return MatrixValidation(sym, tr, sq, rank_ratio)
+    return {"symmetry": sym, "trace": tr, "square": sq, "rank": rank_ratio}
 
 
 def rank_one_from_isotropic(u) -> np.ndarray:
@@ -473,73 +465,51 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
 # -- flag sums -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class FlagSpec:
-    """Column-window partition with per-block coefficients and generators.
-
-    ``block_sizes`` partitions the n columns into t >= 2 windows; block k
-    owns one n x n coefficient matrix and one (c1, c2) coefficient pair.
-    The generators are arrays, so specs compare by identity.
-    """
-
-    block_sizes: tuple[int, ...]
-    coefficients: tuple[tuple[complex, complex], ...]
-    generators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        t = len(self.block_sizes)
-        if t < 2:
-            raise ValueError("need at least two blocks")
-        if any(b < 1 for b in self.block_sizes):
-            raise ValueError("block sizes must be positive")
-        if len(self.coefficients) != t or len(self.generators) != t:
-            raise ValueError("need one coefficient pair and one generator per block")
-        n = sum(self.block_sizes)
-        for g in self.generators:
-            if g.shape != (n, n):
-                raise ValueError("generators must be n x n for n = sum of blocks")
-
-    @property
-    def total(self) -> int:
-        return sum(self.block_sizes)
-
-
 def block_columns(block_sizes: Sequence[int], k: int) -> tuple[int, ...]:
     """1-based column window of block k (0-based k)."""
     start = sum(block_sizes[:k])
     return tuple(range(start + 1, start + block_sizes[k] + 1))
 
 
-def default_flag_spec(block_sizes: Sequence[int]) -> FlagSpec:
-    """Deterministic generators and generic coefficients for a block partition."""
+def flag_forms(block_sizes: Sequence[int]) -> list:
+    """One deterministic block eigenfunction per column block.
+
+    ``block_sizes`` partitions the n columns into t >= 2 windows; block k
+    gets the :class:`ProjectorForm` of ``rank_one_from_vector(w)``, with
+    w = (1 + k, ..., n - 1 + k), over its window.
+    """
     block_sizes = tuple(int(b) for b in block_sizes)
+    if len(block_sizes) < 2:
+        raise ValueError("need at least two blocks")
+    if any(b < 1 for b in block_sizes):
+        raise ValueError("block sizes must be positive")
     n = sum(block_sizes)
-    if n < 2:
-        raise ValueError("total size must be >= 2")
-    gens = []
-    coeffs = []
-    for k in range(len(block_sizes)):
-        w = np.arange(1, n, dtype=float) + k
-        gens.append(rank_one_from_vector(w))
-        coeffs.append((1.0 + 0j, complex((k + 1) / 2.0)))
-    return FlagSpec(block_sizes, tuple(coeffs), tuple(gens))
+    return [
+        projector_form(
+            rank_one_from_vector(np.arange(1, n, dtype=float) + k),
+            columns=block_columns(block_sizes, k),
+        )
+        for k in range(len(block_sizes))
+    ]
 
 
-def flag_sum_expr(spec: FlagSpec, p: int):
+def flag_sum_expr(forms: Sequence, p: int):
     """Sum over blocks of the p-harmonic composition of each block form.
 
-    Every block eigenfunction has Laplacian eigenvalue -n and conformality
-    eigenvalue -2, n the total column count, so the summands share one
-    eigenvalue pair and the sum stays p-harmonic.
+    ``forms`` holds one eigenfunction per block, as :func:`flag_forms`
+    builds them; block k is composed with coefficients (1, (k + 1) / 2), and
+    each term reads ``forms[k]`` itself.  The windows partition the columns,
+    so n is the sum of the window sizes.  Every block eigenfunction has
+    Laplacian eigenvalue -n and conformality eigenvalue -2, so the summands
+    share one eigenvalue pair and the sum stays p-harmonic.
     """
-    n = spec.total
-    parts = []
-    for k in range(len(spec.block_sizes)):
-        cols = block_columns(spec.block_sizes, k)
-        phi_k = projector_form(spec.generators[k], columns=cols)
-        c1, c2 = spec.coefficients[k]
-        parts.append(p_harmonic_expr(phi_k, -n, -2, p, c1, c2))
-    return Sum(tuple(parts))
+    n = sum(len(phi.columns) for phi in forms)
+    return Sum(
+        tuple(
+            p_harmonic_expr(phi, -n, -2, p, 1.0, (k + 1) / 2.0)
+            for k, phi in enumerate(forms)
+        )
+    )
 
 
 # -- file ingestion -------------------------------------------------------------

@@ -44,9 +44,9 @@ def minkowski_form(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(n)]))
 
 
-def validate_group_point(x: np.ndarray, signature: tuple, tol: float = POINT_TOL) -> None:
+def validate_group_point(x: np.ndarray, signature: tuple) -> None:
     """Raise ValueError if the matrix x fails the defining relations of the
-    group named by signature to tolerance; for a (K, N, N) stack, all K are
+    group named by signature to POINT_TOL; for a (K, N, N) stack, all K are
     checked at once and the message names the first failing lane."""
     stack = x.reshape(-1, *x.shape[-2:])
     kind = signature[0]
@@ -61,12 +61,12 @@ def validate_group_point(x: np.ndarray, signature: tuple, tol: float = POINT_TOL
         raise ValueError(f"unknown signature {signature!r}")
     defect = np.max(np.abs(gram @ stack - form), axis=(-2, -1))
     det = np.linalg.det(stack)
-    bad = np.flatnonzero(~(defect <= tol) | ~(np.abs(det - 1.0) <= max(tol, 1e-9)))
+    bad = np.flatnonzero(~(defect <= POINT_TOL) | ~(np.abs(det - 1.0) <= max(POINT_TOL, 1e-9)))
     if not bad.size:
         return
     k = bad[0]
     where = f"lane {k}: " if x.ndim == 3 else ""
-    if not defect[k] <= tol:
+    if not defect[k] <= POINT_TOL:
         raise ValueError(f"{where}matrix violates {kind} relation by {defect[k]:.3e}")
     raise ValueError(f"{where}determinant {det[k]!r} is not 1")
 

@@ -6,7 +6,6 @@ report their measured values.
 """
 
 import time
-from dataclasses import astuple
 
 import numpy as np
 
@@ -17,8 +16,7 @@ from pharmonic.expressions import (
     Entry,
     Product,
     Sum,
-    block_columns,
-    default_flag_spec,
+    flag_forms,
     flag_sum_expr,
     p_harmonic_expr,
     projector_form,
@@ -113,13 +111,13 @@ def test_criterion_04_matrix_validators():
         size = int(rng.integers(3, 8))
         w = rng.uniform(-2, 2, size) + 1j * rng.uniform(-2, 2, size)
         A = rank_one_from_vector(w)
-        residual = max(astuple(validate_eigen_matrix(A)))
+        residual = max(validate_eigen_matrix(A).values())
         assert residual <= 1e-10, residual
         worst = max(worst, residual)
 
         perturbed = A.copy()
         perturbed[0, 1] += 1e-3
-        assert max(astuple(validate_eigen_matrix(perturbed))) > 1e-10
+        assert max(validate_eigen_matrix(perturbed).values()) > 1e-10
     verdict(4, "matrix validators", worst <= 1e-10,
             f"max structural residual {worst:.2e} <= 1e-10, 1e-3 perturbations rejected")
 
@@ -205,21 +203,16 @@ def test_criterion_07_flag_construction():
     least_witness = float("inf")
     for blocks in ((1, 1, 2), (2, 1, 1)):
         n = sum(blocks)
-        spec = default_flag_spec(blocks)
+        block_forms = flag_forms(blocks)
         basis = so_basis(n)
         points = sample_so(n, range(7000, 7010))
 
-        for k in range(len(blocks)):
-            phi_k = projector_form(spec.generators[k], columns=block_columns(blocks, k))
+        for phi_k in block_forms:
             fam = check_eigenfamily([phi_k], -n, -2, points, basis, 1e-8)
             assert all(r.passed for r in fam)
             worst_family = max(worst_family, max(r.residual for r in fam))
 
-        total = flag_sum_expr(spec, 2)
-        block_forms = [
-            projector_form(spec.generators[k], columns=block_columns(blocks, k))
-            for k in range(len(blocks))
-        ]
+        total = flag_sum_expr(block_forms, 2)
         candidates, _ = conditioned_sample(block_forms, lambda s: sample_so(n, s), 15, 7100)
         accepted = []
         for x in candidates:

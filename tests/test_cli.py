@@ -31,7 +31,7 @@ from pharmonic.cli import (
     _validate_common,
     main,
 )
-from pharmonic.expressions import Entry, Log, Product
+from pharmonic.expressions import Entry, Log, Product, _readers
 from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
@@ -240,6 +240,8 @@ def test_main_exit_code_on_bad_config(capsys):
     code, _ = run_cli(capsys, "grassmann", "--w", "1,2", "--m", "2", "--n", "2")
     assert code == EXIT_USAGE
     code, _ = run_cli(capsys, "pharmonic", "--p", "9")
+    assert code == EXIT_USAGE
+    code, _ = run_cli(capsys, "flag", "--blocks", "", "--samples", "3")
     assert code == EXIT_USAGE
 
 
@@ -663,6 +665,31 @@ def test_pipeline_walks_each_chunk_once_per_depth(monkeypatch, capsys, argv, fun
     assert code == EXIT_PASS
     # eigen checks: one depth-1 walk per function; p-harmonic: one depth-3 walk
     assert sorted(walks) == [(1, 3)] * functions + [(3, 3)]
+
+
+def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
+    """The functions the flag run conditions its points on are the very
+    phi nodes of the sum whose p-harmonicity it checks."""
+    sampled, summed = [], []
+    sample, residuals = ops.conditioned_sample, ops.p_harmonic_residuals
+
+    def recording_sample(funcs, *args):
+        sampled.extend(funcs)
+        return sample(funcs, *args)
+
+    def recording_residuals(f, *args):
+        summed.append(f)
+        return residuals(f, *args)
+
+    monkeypatch.setattr(ops, "conditioned_sample", recording_sample)
+    monkeypatch.setattr(ops, "p_harmonic_residuals", recording_residuals)
+    code, _ = run_cli(capsys, "flag", "--blocks", "1,1,2", "--p", "2", "--samples", "2")
+    assert code == EXIT_PASS
+    assert len(sampled) == 3 and summed
+    for total in summed:
+        assert len(total.terms) == len(sampled)
+        for term, phi in zip(total.terms, sampled):
+            assert id(phi) in _readers(term)
 
 
 def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):

@@ -1,5 +1,4 @@
 import cmath
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,16 +6,16 @@ import pytest
 from pharmonic.expressions import (
     Const,
     Entry,
-    FlagSpec,
     Log,
     Pow,
     Product,
     ProjectorForm,
     Sum,
+    _readers,
     block_columns,
-    default_flag_spec,
     dual_matrix,
     evaluate,
+    flag_forms,
     flag_sum_expr,
     load_matrix,
     p_harmonic_expr,
@@ -99,7 +98,7 @@ def test_rank_one_random_vectors_satisfy_structure():
     for _ in range(10):
         w = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
         val = validate_eigen_matrix(rank_one_from_vector(w))
-        assert max(astuple(val)) <= 1e-10, val
+        assert max(val.values()) <= 1e-10, val
 
 
 def test_isotropic_scaling_squares_the_matrix():
@@ -120,18 +119,18 @@ def test_isotropic_rejections():
 
 def test_validator_negative_controls():
     zero = validate_eigen_matrix(np.zeros((4, 4)))
-    assert zero.rank_ratio == 1.0
+    assert list(zero.items()) == [("symmetry", 0.0), ("trace", 0.0), ("square", 0.0), ("rank", 1.0)]
 
     diag = validate_eigen_matrix(np.diag([1.0, -1.0, 0.0, 0.0]))
-    assert diag.square > 1e-2 and diag.rank_ratio > 1e-2
-    assert diag.symmetry <= 1e-14 and diag.trace <= 1e-14
+    assert diag["square"] > 1e-2 and diag["rank"] > 1e-2
+    assert diag["symmetry"] <= 1e-14 and diag["trace"] <= 1e-14
 
 
 def test_validator_perturbation_sensitivity():
     A = rank_one_from_vector([1, 2, 3]).copy()
     A[0, 1] += 1e-3
     val = validate_eigen_matrix(A)
-    assert max(astuple(val)) > 1e-5
+    assert max(val.values()) > 1e-5
 
 
 def test_dual_matrix_satisfies_indefinite_conditions():
@@ -139,9 +138,9 @@ def test_dual_matrix_satisfies_indefinite_conditions():
     A = rank_one_from_vector(np.arange(1.0, 5.0))
     Ad = dual_matrix(A, m, n)
     val = validate_eigen_matrix(Ad, form=minkowski_form(m, n))
-    assert max(astuple(val)) <= 1e-10, val
+    assert max(val.values()) <= 1e-10, val
     # the twist breaks the plain square-zero condition in general
-    assert max(astuple(validate_eigen_matrix(Ad))) > 1e-10
+    assert max(validate_eigen_matrix(Ad).values()) > 1e-10
 
 
 # -- quadratic forms ------------------------------------------------------------------
@@ -221,9 +220,7 @@ def _form_cases():
         ("dual(1,2)", dual, m_basis(1, 2, "indefinite"), sample_so_mn(1, 2, range(36, 39), 0.5)),
     ]
     for blocks in ((1, 1, 2), (2, 2)):
-        spec = default_flag_spec(blocks)
-        for k in range(len(blocks)):
-            form = projector_form(spec.generators[k], columns=block_columns(blocks, k))
+        for k, form in enumerate(flag_forms(blocks)):
             cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(39, 42))))
     return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
 
@@ -396,14 +393,11 @@ def test_p_harmonic_rejections():
 # -- flags ---------------------------------------------------------------------------
 
 
-def test_flag_spec_validation():
+def test_flag_forms_validation():
     with pytest.raises(ValueError):
-        default_flag_spec((4,))
+        flag_forms((4,))
     with pytest.raises(ValueError):
-        default_flag_spec((2, 0))
-    gens = (rank_one_from_vector([1, 2, 3]),)
-    with pytest.raises(ValueError):
-        FlagSpec((2, 2), ((1, 0),), gens)
+        flag_forms((2, 0))
 
 
 def test_block_columns():
@@ -412,9 +406,44 @@ def test_block_columns():
     assert block_columns((1, 1, 2), 2) == (3, 4)
 
 
+FLAG_PARTITIONS = [(1, 1, 2), (2, 1, 1), (2, 2), (1, 1, 1, 1), (1, 2, 2), (1, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_flag_sum_of_flag_forms_equals_the_sum_built_per_block(blocks, p):
+    """The sum composed from flag_forms equals, bit for bit, the sum built
+    block by block from each generator and its column window."""
+    n = sum(blocks)
+    by_block = Sum(
+        tuple(
+            p_harmonic_expr(
+                projector_form(
+                    rank_one_from_vector(np.arange(1, n, dtype=float) + k),
+                    columns=block_columns(blocks, k),
+                ),
+                -n, -2, p, 1, (k + 1) / 2,
+            )
+            for k in range(len(blocks))
+        )
+    )
+    X = sample_so(n, range(50, 53))
+    expected = evaluate(by_block, X)
+    assert np.array_equal(evaluate(flag_sum_expr(flag_forms(blocks), p), X), expected)
+
+
+@pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
+def test_flag_sum_terms_read_the_given_forms(blocks):
+    forms = flag_forms(blocks)
+    node = flag_sum_expr(forms, 2)
+    assert all(isinstance(phi, ProjectorForm) for phi in forms)
+    assert len(node.terms) == len(forms)
+    for term, phi in zip(node.terms, forms):
+        assert id(phi) in _readers(term)
+
+
 def test_flag_sum_builds_three_terms():
-    spec = default_flag_spec((1, 1, 2))
-    node = flag_sum_expr(spec, 2)
+    node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     assert isinstance(node, Sum) and len(node.terms) == 3
     x = sample_so(4, 7)
     value = evaluate(node, x)
@@ -424,8 +453,7 @@ def test_flag_sum_builds_three_terms():
 def test_flag_sum_invariant_under_block_rotations():
     from pharmonic.group import sample_block_diagonal
 
-    spec = default_flag_spec((1, 1, 2))
-    node = flag_sum_expr(spec, 2)
+    node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     x = sample_so(4, 8)
     v = evaluate(node, x)
     for seed in range(5):
@@ -436,8 +464,7 @@ def test_flag_sum_invariant_under_block_rotations():
 def test_flag_sum_changes_under_merged_rotation():
     from pharmonic.group import sample_block_diagonal
 
-    spec = default_flag_spec((1, 1, 2))
-    node = flag_sum_expr(spec, 2)
+    node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     x = sample_so(4, 9)
     v = evaluate(node, x)
     changes = [

@@ -14,7 +14,7 @@ from pharmonic.expressions import (
     rank_one_from_isotropic,
     rank_one_from_vector,
 )
-from pharmonic.expressions import default_flag_spec, dual_matrix, flag_sum_expr
+from pharmonic.expressions import dual_matrix, flag_forms, flag_sum_expr
 from pharmonic import jets
 from pharmonic import operators as ops
 from pharmonic.group import curve_jets, k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
@@ -371,7 +371,7 @@ def _oracle_cases():
     pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
     cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts[0], id="dual(1,2)"))
-    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
+    f = flag_sum_expr(flag_forms((1, 1, 2)), 3)
     cases.append(pytest.param(f, so_basis(4), sample_so(4, 420), id="flag(1,1,2)"))
     return cases
 
@@ -402,7 +402,7 @@ def _stack_cases():
     pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 3, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
     cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts, id="dual(1,2)"))
-    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 3)
+    f = flag_sum_expr(flag_forms((1, 1, 2)), 3)
     pts = sample_so(4, range(420, 423))
     cases.append(pytest.param(f, so_basis(4), pts, id="flag(1,1,2)"))
     return cases
@@ -481,7 +481,7 @@ def test_one_deep_walk_releases_values_after_their_last_read():
     # and product blocks of at most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB);
     # the walk peaks at 30.5 MB, and keeping every node's 0.52 MB jet until
     # the walk ends pushed it to 34.2 MB
-    f = flag_sum_expr(default_flag_spec((2, 2)), 5)
+    f = flag_sum_expr(flag_forms((2, 2)), 5)
     basis = so_basis(4)
     x = sample_so(4, 7)
     tracemalloc.start()
@@ -500,7 +500,7 @@ def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
     # but its products share the bounded blocks of the first; when each
     # product held its whole innermost level, two lanes peaked at twice one
     # (223.4 MB against 111.8 MB)
-    f = flag_sum_expr(default_flag_spec((1, 1, 2)), 5)
+    f = flag_sum_expr(flag_forms((1, 1, 2)), 5)
     basis = so_basis(4)
     peaks = []
     for lanes in (1, 2):
@@ -648,7 +648,7 @@ def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     nodes = [
         phi,
         projector_form(rank_one_from_vector([1, 2, 3]), columns=(1, 2, 3)),
-        projector_form(default_flag_spec((1, 1, 2)).generators[2], columns=(3, 4)),
+        flag_forms((1, 1, 2))[2],
         p_harmonic_expr(phi, -4, -2, 3, 1, 1),
         Pow(phi, -0.5),
         Pow(phi, -2),
@@ -693,10 +693,7 @@ def test_jet_laplacian_matches_finite_differences():
 
 
 def test_non_descent_witness_found_for_three_blocks():
-    from pharmonic.expressions import default_flag_spec, flag_sum_expr
-
-    spec = default_flag_spec((1, 1, 2))
-    node = flag_sum_expr(spec, 2)
+    node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     pts = sample_so(4, [190])
     records = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts)
     assert all(r.passed for r in records)
