@@ -118,8 +118,9 @@ def _validate_common(config: RunConfig) -> None:
     for name, value in (("tol", config.tol), ("tolerance scale", config.tol_scale)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise UsageError(f"need a finite {name} >= 0")
-    # a single point's lift must fit one walk (ops.MAX_LIFT_COMPONENTS);
-    # anything larger is refused before any basis or sample exists
+    # a single point's lift or generator tensor must fit one walk
+    # (ops.MAX_LIFT_COMPONENTS); anything larger is refused before any basis
+    # or sample exists
     lift = _lift_components(config)
     if lift > ops.MAX_LIFT_COMPONENTS:
         raise UsageError(
@@ -129,8 +130,10 @@ def _validate_common(config: RunConfig) -> None:
 
 
 def _lift_components(config: RunConfig) -> int:
-    """N^2 (|basis| + 2)^d: the size of the largest forward-Laplacian lift the
-    run builds, for its N x N matrices, its widest basis and its depth d."""
+    """N^2 (|basis| + 2)^d: the size of the largest forward-Laplacian array
+    the run builds for one point (an entry lift at depth 1, a projector
+    form's generator tensor at depth p), for its N x N matrices, its widest
+    basis and its depth d."""
     if config.command == "flag":
         N = sum(config.blocks or DEFAULT_BLOCKS)
     else:

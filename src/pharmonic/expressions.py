@@ -24,10 +24,11 @@ Such a contraction is one :class:`ProjectorForm` node, holding a coefficient
 per unordered pair (j, a) and the column window, not a tree of P |C| entry
 products.  It is evaluated by its linear rewrite sum_{j, t} x_jt y_jt with
 y = S X_C, S the symmetric coefficient matrix: N |C| entry products for N
-touched rows.  On forward-Laplacian entries y is one linear map of the
-lifted entries and the products are one tensor-product call, followed by one
-ordered sum; the node's value equals its rewrite as a tree bit for bit, and
-its value channel equals plain evaluation exactly.
+touched rows; the node's value equals its rewrite as a tree bit for bit.
+The forward-Laplacian walk (:func:`pharmonic.operators.laplacian_jet`) does
+not evaluate the node on lifted entries: it hands :func:`evaluate` the
+node's jet, computed from the Gram matrix X^T S X and a generator tensor of
+the basis and window, whose value channel is plain evaluation of the node.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import LaplacianJet, _tensor_product, ipow, jlog, jpow
+from .jets import ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 
@@ -128,10 +129,15 @@ def _is_int(e: complex) -> bool:
     return abs(e.imag) < 1e-12 and abs(e.real - round(e.real)) < 1e-12
 
 
-def evaluate(node, matrix):
+def evaluate(node, matrix, known: dict | None = None):
     """Evaluate a tree on a matrix of scalars (numpy or nested sequences), or
     on a numeric stack of K matrices, shape (K, N, N), in one walk: then every
     node holds a contiguous array of K lane values, and so does the result.
+    ``known`` maps the id of a node to its value, which the walk takes as
+    given (the forward-Laplacian walk hands it each projector form's jet
+    this way); the walk uses that dict as its memo, so it drops each of
+    those values after its last reader too.  A tree whose Entry leaves are
+    all below such nodes may be walked with no matrix (None).
 
     Evaluating on plain complex entries agrees exactly, coefficient 0 by
     coefficient 0, with evaluating on jet-lifted entries: both paths run the
@@ -141,12 +147,13 @@ def evaluate(node, matrix):
     call: results are memoised by node identity, and each is dropped after
     its last reader has read it, so a walk holds only the values still due.
     """
+    memo = {} if known is None else known
     if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
         # entry (r, c) of every matrix as one contiguous lane array
         lanes = np.ascontiguousarray(np.moveaxis(matrix, 0, -1), dtype=complex)
-        value = _eval(node, lanes, {}, _readers(node))
+        value = _eval(node, lanes, memo, _readers(node))
         return value if isinstance(value, np.ndarray) else np.full(len(matrix), complex(value))
-    return _eval(node, matrix, {}, _readers(node))
+    return _eval(node, matrix, memo, _readers(node))
 
 
 def _children(node) -> tuple:
@@ -159,6 +166,21 @@ def _children(node) -> tuple:
     if isinstance(node, Log):
         return (node.child,)
     return ()
+
+
+def tree_leaves(root) -> list:
+    """The distinct leaf nodes of a tree, by identity, each once."""
+    seen, leaves, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        children = _children(node)
+        stack.extend(children)
+        if not children:
+            leaves.append(node)
+    return leaves
 
 
 def _readers(root) -> Counter:
@@ -224,9 +246,10 @@ def _projector_value(node: ProjectorForm, m):
     the window columns t, row-major, with y_jt = sum_a S_ja x_at.
 
     On a numeric stack (m[r, c] the lane array of entry (r, c)) y is one
-    linear map of the window's lanes; on Laplacian jets see _projector_jets;
-    on any other scalar (one plain point, nested jets) every term is a ring
-    operation on the entries, in the same order.
+    linear map of the window's lanes; on any other scalar (one plain point,
+    nested jets) every term is a ring operation on the entries, in the same
+    order.  The forward-Laplacian walk does not come here: it takes the
+    form's jet from the generator tensor in pharmonic.operators.
     """
     rows, weights = node.window_weights
     cols = [c - 1 for c in node.columns]
@@ -234,10 +257,11 @@ def _projector_value(node: ProjectorForm, m):
         x = m[np.ix_(rows, cols)]
         return _ordered_sum((x * _window_map(weights, x)).reshape(-1, m.shape[-1]))
     x = [[_entry(m, r + 1, c + 1) for c in cols] for r in rows]
-    if isinstance(x[0][0], LaplacianJet):
-        return _projector_jets(weights, x)
-    _, terms = _ring_terms(weights, x)
-    return _ordered_sum([v for row in terms for v in row])
+    y = [
+        [_ordered_sum([w * x[a][t] for a, w in enumerate(row)]) for t in range(len(cols))]
+        for row in weights.tolist()
+    ]
+    return _ordered_sum([a * b for xs, ys in zip(x, y) for a, b in zip(xs, ys)])
 
 
 def _window_map(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -251,50 +275,12 @@ def _window_map(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _ring_terms(weights: np.ndarray, x: list):
-    """y, as _window_map gives it, and the products x_jt y_jt, for nested
-    lists of entry values, by ring operations."""
-    y = [
-        [_ordered_sum([w * x[a][t] for a, w in enumerate(row)]) for t in range(len(x[0]))]
-        for row in weights.tolist()
-    ]
-    return y, [[a * b for a, b in zip(xs, ys)] for xs, ys in zip(x, y)]
-
-
 def _ordered_sum(terms):
     """terms[0] + terms[1] + ..., left to right."""
     total = terms[0]
     for term in terms[1:]:
         total = total + term
     return total
-
-
-def _projector_jets(weights: np.ndarray, x: list) -> LaplacianJet:
-    """The form on Laplacian-jet entries x[j][t]: y by one linear map of the
-    lifted window, the N |W| products x_jt y_jt by one tensor-product call,
-    and one ordered sum.
-
-    Component 0 of y, of each product and of the sum is recomputed as plain
-    evaluation computes it: from contiguous lane arrays for a stack, from
-    Python complex values for one point.  So the value channel equals plain
-    evaluation exactly, and every other component equals that of the same
-    operations taken one jet at a time.
-    """
-    first = x[0][0]
-    lifted = np.stack([[e.coeffs for e in row] for row in x])
-    y = _window_map(weights, lifted)
-    if lifted.ndim == 3:
-        y0, terms0 = _ring_terms(weights, [[e.constant_value() for e in row] for row in x])
-    else:
-        x0 = np.ascontiguousarray(lifted[..., 0])
-        y0 = _window_map(weights, x0)
-        terms0 = x0 * y0
-    y[..., 0] = y0
-    products = _tensor_product(lifted, y, first.basis_size, first.depth)
-    products[..., 0] = terms0
-    total = _ordered_sum(products.reshape((-1,) + first.coeffs.shape))
-    total[..., 0] = _ordered_sum([v for row in terms0 for v in row])
-    return first._like(total)
 
 
 def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None):

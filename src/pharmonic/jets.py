@@ -243,10 +243,14 @@ class LaplacianJet:
     ``order`` = 2p is the order of its Taylor expansions.  Analytic
     functions are not expanded that way but level by level (see the
     analytic functions below).  Instances are immutable: operations return
-    new arrays.
+    new arrays.  The one thing a jet keeps after it is built is the chain of
+    its reciprocals at depths 0..k (``_reciprocals``, read-only arrays),
+    stored by the first analytic function that needs it and extended by a
+    later one that needs more depth, so log, reciprocal and powers of one
+    jet build that chain once between them.
     """
 
-    __slots__ = ("basis_size", "depth", "order", "coeffs")
+    __slots__ = ("basis_size", "depth", "order", "coeffs", "_reciprocals")
     __array_ufunc__ = None  # numpy scalars and lane arrays defer to the reflected operators
 
     def __init__(self, basis_size: int, depth: int, coeffs):
@@ -260,6 +264,7 @@ class LaplacianJet:
         self.depth = depth
         self.order = 2 * depth
         self.coeffs = coeffs
+        self._reciprocals = None
 
     def constant_value(self):
         """The point value, or for a stack a contiguous array of one per lane:
@@ -331,8 +336,9 @@ def _per_lane(c):
 # product at p = 5 takes about 100 MB) is split into the 3B + 3 depth-(p-1)
 # products of its outer level, which are blocked in turn.  A block holds 97
 # elements of a B = 4 product at p = 3 and 37 of a B = 6 one, so no product
-# of the benchmark's runs or of the sweep's at p <= 3 is split (the widest,
-# phi on ten Gr(2,2) points, has 80).
+# of depth 3 or less in the benchmark's runs or the sweep's is split (the
+# widest, the 2B + 1 = 9 level-rule products per point of a log or 1/phi at
+# depth 4 on ten Gr(2,2) points, has 90).
 PRODUCT_WORKSPACE_BYTES = 2**23
 
 
@@ -541,28 +547,41 @@ def _level(u: np.ndarray, g, d1, d2, B: int, k: int) -> np.ndarray:
     return out.reshape(u.shape)
 
 
-def _levels(value: "LaplacianJet", base, derivatives, depth: int) -> list:
-    """g(u) for the leading slices of u = value at depths 0..depth, as
-    component arrays: base is g at the point value, and derivatives(g, k)
-    gives g' and g'' at depth k from g there."""
+def _extend(value: "LaplacianJet", chain: list, derivatives, depth: int) -> list:
+    """Extend chain, g(u) for the leading slices of u = value at depths
+    0..len(chain) - 1 as component arrays, to depths 0..depth:
+    derivatives(g, k) gives g' and g'' at depth k from g there.  Level k
+    reads only chain[k - 1] and u's leading (B + 2)**k components, so an
+    extended chain equals one built to that depth at once, bit for bit."""
     B, coeffs = value.basis_size, value.coeffs
-    g = np.asarray(base, dtype=complex).reshape(coeffs.shape[:-1] + (1,))
-    chain = [g]
-    for k in range(1, depth + 1):
-        g = _level(coeffs[..., : (B + 2) ** k], g, *derivatives(g, k - 1), B, k)
-        chain.append(g)
+    for k in range(len(chain), depth + 1):
+        g = chain[-1]
+        chain.append(_level(coeffs[..., : (B + 2) ** k], g, *derivatives(g, k - 1), B, k))
     return chain
 
 
+def _levels(value: "LaplacianJet", base, derivatives, depth: int) -> list:
+    """g(u) for u = value at depths 0..depth, base being g at the point value."""
+    g = np.asarray(base, dtype=complex).reshape(value.coeffs.shape[:-1] + (1,))
+    return _extend(value, [g], derivatives, depth)
+
+
 def _reciprocal_levels(value: "LaplacianJet", depth: int) -> list:
-    """1/u at depths 0..depth: g' = -r^2 and g'' = 2 r^3."""
+    """1/u at depths 0..depth: g' = -r^2 and g'' = 2 r^3.  Built once per
+    jet: the chain is stored on value, a deeper call extends it and a
+    shallower one reads its prefix."""
     B = value.basis_size
 
     def derivatives(r, k):
         square = _times(r, r, B, k)
         return -square, 2 * _times(square, r, B, k)
 
-    return _levels(value, reciprocal(value.constant_value()), derivatives, depth)
+    chain = value._reciprocals
+    if chain is None:
+        chain = value._reciprocals = _levels(value, reciprocal(value.constant_value()), derivatives, 0)
+    for g in _extend(value, chain, derivatives, depth):
+        g.flags.writeable = False  # shared by every later reader of the chain
+    return chain[: depth + 1]
 
 
 def reciprocal(value: Scalar) -> Scalar:

@@ -16,25 +16,34 @@ Laplacian): each node carries its value, its B = |basis| directional
 derivatives and its Laplacian, D = B + 2 components, combined by the product rule
 L(fg) = f Lg + g Lf + 2 sum_b Z_b f Z_b g.  For the p-fold Laplacian the
 walk runs over the p-fold tensor power of that algebra, D**p components
-(:class:`pharmonic.jets.LaplacianJet`).  A matrix entry is lifted with the
-component at multi-index (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc,
-with M_0 = I, M_b = Z_b and M_(D-1) = sum_b Z_b^2: left-invariant fields
-act on entries by right multiplication, outermost level on the left, so
-their non-commutativity is exact.  L^p f is the (D-1, ..., D-1) component
-and the gradient pairing sum_b Z_b f Z_b g is read from the depth-1
-direction components.  Each product in the walk costs
-O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over nested jets of
-3**p coefficients that literal recursion needs, in blocks whose workspace
-is bounded by jets.PRODUCT_WORKSPACE_BYTES.  A projector form takes its
-N |window| entry products (N touched rows) as one tensor-product call.  Log,
+(:class:`pharmonic.jets.LaplacianJet`), whose component at multi-index
+(i_1, ..., i_p) is M_i1 ... M_ip f, with M_0 = 1, M_b = Z_b and
+M_(D-1) = sum_b Z_b^2: left-invariant fields act on a point by right
+multiplication, outermost level on the left, so their non-commutativity
+is exact.  L^p f is the (D-1, ..., D-1) component and the gradient pairing
+sum_b Z_b f Z_b g is read from the depth-1 direction components.
+
+A projector form is tr(P G), P its window projector and G = X^T S X its
+Gram matrix, and x -> x g moves G to g^T G g; so M_i f_Q = f_(rho(M_i) Q)
+for f_Q = tr(Q G), with rho(Z) Q = Z Q + Q Z^T and
+rho(M_(D-1)) = sum_b rho(Z_b)^2.  A form's jet is therefore G paired with
+the generator tensor T_(i1...ip) = rho(M_i1) ... rho(M_ip) P, which
+depends only on the basis, the window and p: one T per window per walk,
+one contraction of N^2 D**p terms per point, and no lift of the point.
+Only a tree with Entry leaves lifts its matrix entries, each with the
+component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
+the walk costs O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over
+nested jets of 3**p coefficients that literal recursion needs, in blocks
+whose workspace is bounded by jets.PRODUCT_WORKSPACE_BYTES.  Log,
 reciprocal and non-integer powers apply the one-level rule once per depth,
-from the point value up, and raise :class:`pharmonic.jets.BranchCutError`,
+from the point value up, sharing one chain of reciprocals per jet, and
+raise :class:`pharmonic.jets.BranchCutError`,
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
 
 Every checker and residual function takes its points as one (K, N, N)
-stack and walks the tree once per chunk of lanes, the lift of a chunk
-holding at most MAX_LIFT_COMPONENTS components; plain evaluations
+stack and walks the tree once per chunk of lanes, a chunk holding at most
+MAX_LIFT_COMPONENTS components of N^2 D**p per lane; plain evaluations
 (invariance, the non-descent witness, conditioned sampling) run on stacks
 the same way.  Their samplers take a sequence of seeds and return the
 points as one (K, N, N) array, so every batch of subgroup actions or
@@ -65,21 +74,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import evaluate
+from .expressions import Entry, ProjectorForm, evaluate, tree_leaves
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
 from .reports import CheckRecord, lower_check, upper_check
 
 DEPTH_CAP = 5
 
-# Largest forward-Laplacian lift, N^2 (|basis| + 2)^p components, one walk
-# may build: the CLI refuses a run whose single-point lift exceeds it, and
+# Largest forward-Laplacian array, N^2 (|basis| + 2)^p components, one walk
+# may build per point (an entry lift, or a projector form's generator
+# tensor): the CLI refuses a run whose single-point array exceeds it, and
 # the checkers walk as many points at once as fit under it.  Measured one
-# sample per run on a 2-core x86-64 VM (peak resident set): flag --blocks
-# 1,1,2 --p 5 (524,288 components) takes 2.1 s and 70 MB; pharmonic --m 2
-# --n 3 --p 5 (819,200) 1.2 s and 76 MB; grassmann --m 19 --n 19 (1,018,020)
-# 1.3 s and 133 MB.  Unbounded, calibrate --m 1 --n 199 would first build
-# about 6.4 GB of so(200) basis.
+# sample per run, median of three fresh processes, on a 2-core x86-64 VM
+# (peak resident set): flag --blocks 1,1,2 --p 5 (524,288 components) takes
+# 1.2 s and 61 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 0.6 s and 58 MB;
+# grassmann --m 19 --n 19 (1,018,020) 1.1 s and 132 MB.  Unbounded,
+# calibrate --m 1 --n 199 would first build about 6.4 GB of so(200) basis.
 MAX_LIFT_COMPONENTS = 2**20
 
 # Subgroup elements per invariance check; merged-subgroup elements per point,
@@ -146,24 +156,84 @@ def _lift(X: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     return lifted
 
 
+def _generator_tensor(basis: np.ndarray, columns: Sequence[int], N: int, p: int) -> np.ndarray:
+    """The D**p matrices T_(i1...ip) = rho(M_i1) ... rho(M_ip) P in
+    multi-index order, shape (D**p, N, N), for P the projector onto the
+    1-based window columns, rho(Z) Q = Z Q + Q Z^T, rho(M_0) the identity,
+    rho(M_b) = rho(Z_b) and rho(M_(D-1)) = sum_b rho(Z_b)^2.
+
+    Each level prepends one index.  T is symmetric, so with A = F T for the
+    stacked fields F = (Z_1, ..., Z_B, sum_b Z_b Z_b), one batched product,
+    rho(Z_b) T = A_b + A_b^T, and sum_b rho(Z_b)^2 T = A_L + A_L^T + E + E^T
+    for E = sum_b Z_b T Z_b^T = sum_b A_b Z_b^T, added into A_L first.
+    """
+    if not len(basis):
+        raise ValueError("need a nonempty basis")
+    P = np.zeros((N, N))
+    window = [c - 1 for c in columns]
+    P[window, window] = 1.0
+    fields = np.concatenate([basis, (basis @ basis).sum(axis=0, keepdims=True)])
+    T = P[None]
+    for _ in range(p):
+        A = fields[:, None] @ T
+        A[-1] += np.tensordot(A[:-1], basis, axes=([0, 3], [0, 2]))
+        T = np.concatenate([T[None], A + np.swapaxes(A, -1, -2)]).reshape(-1, N, N)
+    return T
+
+
+def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The depth-p components of form at the point X, or at each point of a
+    stack: the form is tr(P G) for the Gram matrix G = X_R^T S X_R (R the
+    rows its pairs touch), linear in G, so component i is the pairing of G
+    with T_i.  T is real (the bases are), so G's real and imaginary parts
+    are paired with it apart, and T is never copied to complex.  Component
+    0 is plain evaluation of the form."""
+    rows, weights = form.window_weights
+    XR = X[..., rows, :]
+    G = np.swapaxes(XR, -1, -2) @ (weights @ XR)
+    N = X.shape[-1]
+    g, flat = G.reshape(X.shape[:-2] + (N * N,)), T.reshape(len(T), N * N).T
+    coeffs = np.empty(g.shape[:-1] + (len(T),), dtype=complex)
+    coeffs.real, coeffs.imag = g.real @ flat, g.imag @ flat
+    coeffs[..., 0] = evaluate(form, X)
+    return coeffs
+
+
+def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int) -> dict:
+    """The depth-p LaplacianJet of each ProjectorForm, keyed by node
+    identity, from one generator tensor per distinct window."""
+    tensors, jets = {}, {}
+    for form in forms:
+        if form.columns not in tensors:
+            tensors[form.columns] = _generator_tensor(basis, form.columns, X.shape[-1], p)
+        jets[id(form)] = LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns]))
+    return jets
+
+
 def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
     """f evaluated once on the depth-p forward-Laplacian lift of the point x,
     or of every matrix of a stack x of shape (K, N, N) at once (K lanes).
 
     Component (i_1, ..., i_p) of the result, in each lane, is M_i1 ... M_ip f
     at the point, for the operators M_0 = 1, M_b = Z_b and
-    M_(D-1) = sum_b Z_b Z_b over the basis.
+    M_(D-1) = sum_b Z_b Z_b over the basis.  Each ProjectorForm of the tree
+    enters the walk as its jet from the generator tensor; matrix entries
+    are lifted only for a tree with Entry leaves.
     """
     X = np.asarray(x)
     N = X.shape[-1]
     lanes = X.shape[:-2]
-    # entries[r * N + c] holds the lifted (r, c) entry, lanes first
-    entries = np.ascontiguousarray(
-        np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
-    )
     B = len(basis)
-    rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
-    value = evaluate(f, rows)
+    leaves = tree_leaves(f)
+    known = _form_jets([n for n in leaves if isinstance(n, ProjectorForm)], X, basis, p)
+    rows = None
+    if any(isinstance(n, Entry) for n in leaves):
+        # entries[r * N + c] holds the lifted (r, c) entry, lanes first
+        entries = np.ascontiguousarray(
+            np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
+        )
+        rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
+    value = evaluate(f, rows, known)
     if isinstance(value, LaplacianJet):
         return value
     coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)

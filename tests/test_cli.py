@@ -472,17 +472,48 @@ def test_lift_bound_is_checked_before_anything_is_built(config, allowed):
 )
 def test_lift_bound_formula_matches_the_walks_that_run(monkeypatch, config):
     # _lift_components sizes a run's largest lift from its config alone; the
-    # bases the command really walks must give the same N^2 (|basis| + 2)^p
+    # entry lifts and the projector forms' generator tensors the command
+    # really builds, each N^2 (|basis| + 2)^p components, must reach it
     sizes = []
-    lift = ops._lift
+    lift, tensor = ops._lift, ops._generator_tensor
 
-    def recording(X, basis, p):
+    def recording_lift(X, basis, p):
         sizes.append(X.shape[-1] ** 2 * (len(basis) + 2) ** p)
         return lift(X, basis, p)
 
-    monkeypatch.setattr(ops, "_lift", recording)
+    def recording_tensor(basis, columns, N, p):
+        T = tensor(basis, columns, N, p)
+        sizes.append(T.size)
+        return T
+
+    monkeypatch.setattr(ops, "_lift", recording_lift)
+    monkeypatch.setattr(ops, "_generator_tensor", recording_tensor)
     COMMANDS[config.command](config)
     assert max(sizes) == _lift_components(config)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pharmonic", "--m", "2", "--n", "2"),
+        ("dual", "--m", "1", "--n", "2"),
+        ("flag", "--blocks", "1,1,2"),
+    ],
+)
+def test_deep_walks_lift_no_entries_above_depth_one(monkeypatch, capsys, argv):
+    # the p-harmonic walks take phi's jet from the generator tensor; only the
+    # depth-1 identity residuals lift matrix entries
+    depths = []
+    lift = ops._lift
+
+    def recording(X, basis, p):
+        depths.append(p)
+        return lift(X, basis, p)
+
+    monkeypatch.setattr(ops, "_lift", recording)
+    code, _ = run_cli(capsys, *argv, "--p", "3", "--samples", "2")
+    assert code == EXIT_PASS
+    assert set(depths) <= {1}
 
 
 def test_jet_error_during_a_run_exits_with_domain_code(monkeypatch, capsys):

@@ -228,7 +228,7 @@ def _form_cases():
 def _form_checks(form, basis, points):
     """Every value the form and its expanded tree are compared on: a plain
     stack, each plain point, Laplacian-jet stacks and single-point jets at
-    p = 1..3 in every component, and nested order-2 jets along two basis curves."""
+    p = 1..3, and nested order-2 jets along two basis curves."""
     yield "stack", lambda f: evaluate(f, points)
     yield "each point", lambda f: [evaluate(f, x) for x in points]
     for p in (1, 2, 3):
@@ -238,11 +238,19 @@ def _form_checks(form, basis, points):
     yield "nested jets", lambda f: evaluate(f, nested)
 
 
+def _value_bits(value) -> bytes:
+    """_bits of a value, of a Laplacian jet only its value channel: the
+    form's jet comes from the generator tensor, the tree's from the lifted
+    entries, and only component 0 is the same operations on both routes
+    (tests/test_operators.py checks the others to roundoff)."""
+    return _bits(value.coeffs[..., 0] if isinstance(value, LaplacianJet) else value)
+
+
 @pytest.mark.parametrize("form, basis, points", _form_cases())
 def test_projector_form_equals_its_expanded_tree_bit_for_bit(form, basis, points):
     tree = expanded_projector_form(form)
     for name, value in _form_checks(form, basis, points):
-        assert _bits(value(form)) == _bits(value(tree)), name
+        assert _value_bits(value(form)) == _value_bits(value(tree)), name
 
 
 def test_expanded_tree_comparison_sees_a_permuted_sum_order():
@@ -255,7 +263,7 @@ def test_expanded_tree_comparison_sees_a_permuted_sum_order():
     reversed_rows = Sum(tuple(Product((x, Sum(y.terms[::-1]))) for x, y in (t.factors for t in tree.terms)))
     for permuted in (reversed_products, reversed_rows):
         for name, value in _form_checks(form, basis, points):
-            assert _bits(value(form)) != _bits(value(permuted)), name
+            assert _value_bits(value(form)) != _value_bits(value(permuted)), name
 
 
 def _roundoff_cases():

@@ -364,6 +364,34 @@ def test_level_rule_matches_the_order_2p_series(B, p, lanes):
         assert got[..., 0].tobytes() == plain.tobytes(), name
 
 
+CHAIN_READERS = [
+    ("log", jlog),
+    ("pow 0.5", lambda v: jpow(v, 0.5)),
+    ("reciprocal", reciprocal),
+    ("ipow -2", lambda v: ipow(v, -2)),
+]
+
+
+@pytest.mark.parametrize("lanes", [(), (3,)])
+@pytest.mark.parametrize("B, p", [(2, 1), (4, 2), (2, 3)])
+def test_a_stored_reciprocal_chain_gives_a_fresh_jets_results_bit_for_bit(B, p, lanes):
+    # the first call stores the chain (log and powers to depth p - 1,
+    # reciprocal to depth p); the second reads or extends it and must equal
+    # the same call on a fresh copy of the jet
+    rng = np.random.default_rng(10 * B + p)
+    shape = lanes + ((B + 2) ** p,)
+    coeffs = 0.3 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    values = np.array([1.3 - 0.4j, 0.6 + 0.9j, -0.8 + 0.5j])
+    coeffs[..., 0] = values if lanes else values[0]
+    for first_name, first in CHAIN_READERS:
+        for name, call in CHAIN_READERS:
+            stored = LaplacianJet(B, p, coeffs.copy())
+            first(stored)
+            assert stored._reciprocals is not None
+            fresh = LaplacianJet(B, p, coeffs.copy())
+            assert call(stored).coeffs.tobytes() == call(fresh).coeffs.tobytes(), (first_name, name)
+
+
 @pytest.mark.parametrize("p", [1, 3])
 def test_level_rule_rejects_from_the_point_value(p):
     rng = np.random.default_rng(p)

@@ -34,7 +34,7 @@ from pharmonic.operators import (
     p_harmonic_residuals,
     projector_identity_residuals,
 )
-from oracles import window_quadratic
+from oracles import expanded_projector_form, window_quadratic
 from product_rule import check_product_rule
 
 
@@ -476,30 +476,31 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
 def test_one_deep_walk_releases_values_after_their_last_read():
     import tracemalloc
 
-    # flag --blocks 2,2 --p 5 at one point: a lift of 8.4 MB, the 8 stacked
-    # entry jets of a phi with their linear map and products, 4.2 MB each,
-    # and product blocks of at most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB);
-    # the walk peaks at 30.5 MB, and keeping every node's 0.52 MB jet until
-    # the walk ends pushed it to 34.2 MB
-    f = flag_sum_expr(flag_forms((2, 2)), 5)
+    # flag --blocks 1,1,2 --p 4 on four points: three phi jets and the
+    # values of their compositions, 0.26 MB each, and product blocks of at
+    # most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB); the walk peaks at 11.2 MB,
+    # and keeping every node's jet until the walk ends pushes it to 15.2 MB.
+    # (At p = 5 on one point the product blocks alone set the peak, which
+    # keeping the values does not move.)
+    f = flag_sum_expr(flag_forms((1, 1, 2)), 4)
     basis = so_basis(4)
-    x = sample_so(4, 7)
+    x = sample_so(4, range(7, 11))
     tracemalloc.start()
     try:
-        laplacian_jet(f, x, basis, 5)
+        laplacian_jet(f, x, basis, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 33e6, peak
+    assert peak < 13.5e6, peak
 
 
 def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
     import tracemalloc
 
-    # flag --blocks 1,1,2 --p 5: a second lane adds its own lift and values,
-    # but its products share the bounded blocks of the first; when each
-    # product held its whole innermost level, two lanes peaked at twice one
-    # (223.4 MB against 111.8 MB)
+    # flag --blocks 1,1,2 --p 5: a second lane adds its own values, but its
+    # products share the bounded blocks of the first (22.0 MB for one lane,
+    # 23.1 MB for two); when each product held its whole innermost level,
+    # two lanes peaked at twice one (223.4 MB against 111.8 MB)
     f = flag_sum_expr(flag_forms((1, 1, 2)), 5)
     basis = so_basis(4)
     peaks = []
@@ -514,26 +515,45 @@ def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
     assert peaks[1] < 1.85 * peaks[0], peaks
 
 
-def test_walks_up_to_depth_three_take_each_product_in_one_block(monkeypatch):
-    # the sweep's widest walk at p <= 3: Gr(2,2) at p = 3 on ten points
-    # (phi's products are 80 batch elements of a B = 4 product)
-    block_calls = []
+def _recorded_products(monkeypatch) -> list:
+    """Wrap jets' blocked products; the list returned gets, per product
+    call, its batch elements, its depth and the blocks of that depth it took
+    (0 for an element split into the products of its outer level)."""
+    products, block_calls = [], []
     product_into, block_product = jets._product_into, jets._block_product
 
     def counting_block(*args):
         block_calls.append(args[-1])
         block_product(*args)
 
-    def one_block(a, b, out, B, p):
+    def recording(a, b, out, B, p):
         before = len(block_calls)
         product_into(a, b, out, B, p)
-        assert block_calls[before:] == [p], (len(a), B, p)
+        products.append((len(a), p, block_calls[before:].count(p)))
 
     monkeypatch.setattr(jets, "_block_product", counting_block)
-    monkeypatch.setattr(jets, "_product_into", one_block)
+    monkeypatch.setattr(jets, "_product_into", recording)
+    return products
+
+
+def test_walks_up_to_depth_three_take_each_product_in_one_block(monkeypatch):
+    # the sweep's widest walk at p <= 3: Gr(2,2) at p = 3 on ten points
+    products = _recorded_products(monkeypatch)
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     laplacian_jet(p_harmonic_expr(phi, -4, -2, 3, 1, 1), sample_so(4, range(10)), m_basis(2, 2), 3)
-    assert block_calls
+    assert products and all(blocks == 1 for _, _, blocks in products), products
+
+
+def test_depth_three_products_of_a_fourth_order_walk_take_one_block(monkeypatch):
+    # the sweep's widest products of depth 3: Gr(2,2) at p = 4 on ten points,
+    # where the level rule of log(phi) and 1/phi takes 2B + 1 = 9 products
+    # per point one depth down, 90 batch elements against 97 per block
+    products = _recorded_products(monkeypatch)
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    laplacian_jet(p_harmonic_expr(phi, -4, -2, 4, 1, 1), sample_so(4, range(10)), m_basis(2, 2), 4)
+    shallow = [(n, blocks) for n, p, blocks in products if p <= 3]
+    assert all(blocks == 1 for _, blocks in shallow), shallow
+    assert max(n for n, p, _ in products if p == 3) == 90
 
 
 def _curve_jet_identity_residuals(X, basis, m=None):
@@ -671,6 +691,59 @@ def test_forward_laplacian_components_are_the_lifted_fields():
     lifted = laplacian_jet(Entry(2, 3), x, basis, 2).coeffs.reshape(5, 5)
     want = np.array([[(x @ a @ b)[1, 2] for b in fields] for a in fields])
     np.testing.assert_allclose(lifted, want, atol=1e-15)
+
+
+def _generator_cases():
+    """(form, basis, stack of two points) for every command's basis and
+    window, the points scaled by 1 + 0.5j."""
+    cases = [
+        (f"Gr({m},{n})", projector_form(rank_one_from_vector(np.arange(1.0, m + n)), m), m_basis(m, n),
+         sample_so(m + n, range(70 + 2 * n, 72 + 2 * n)))
+        for m, n in ((1, 2), (2, 2), (2, 3))
+    ]
+    for m, n in ((1, 2), (2, 2)):
+        A = dual_matrix(rank_one_from_vector(np.arange(1.0, m + n)), m, n)
+        points = sample_so_mn(m, n, range(80 + 2 * m, 82 + 2 * m), 0.5)
+        cases.append((f"dual({m},{n})", projector_form(A, m), m_basis(m, n, "indefinite"), points))
+    for blocks in ((1, 1, 2), (2, 2)):
+        for k, form in enumerate(flag_forms(blocks)):
+            cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(90, 92))))
+    return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
+
+
+@pytest.mark.parametrize("p", range(1, ops.DEPTH_CAP + 1))
+@pytest.mark.parametrize("form, basis, points", _generator_cases())
+def test_generator_tensor_jets_match_the_entry_lift(form, basis, points, p):
+    # a form's jet from its generator tensor against the entry-lift walk of
+    # its expanded tree, on a stack and on one point (one point only at the
+    # depth cap): component 0 bit-equal, every other component within 1e-14
+    # of the largest component of the check
+    tree = expanded_projector_form(form)
+    for x in ([points] if p < ops.DEPTH_CAP else []) + [points[0]]:
+        got, want = (laplacian_jet(f, x, basis, p).coeffs for f in (form, tree))
+        assert got[..., 0].tobytes() == want[..., 0].tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), x.shape
+
+
+def test_one_composition_walk_builds_phis_reciprocal_chain_once(monkeypatch):
+    # phi^(-1) log(phi)^2 + log(phi)^2 on Gr(2,2): the power and the log
+    # both need 1/phi, and they share one chain, so 1/phi at the point
+    # values (the chain's base) is taken once
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
+    bases = []
+    reciprocal = jets.reciprocal
+
+    def counting(value):
+        if not isinstance(value, jets.LaplacianJet):
+            bases.append(value)
+        return reciprocal(value)
+
+    monkeypatch.setattr(jets, "reciprocal", counting)
+    for x in (sample_so(4, range(3)), sample_so(4, 3)):
+        bases.clear()
+        laplacian_jet(f, x, m_basis(2, 2), 3)
+        assert len(bases) == 1
 
 
 def test_jet_laplacian_matches_finite_differences():
