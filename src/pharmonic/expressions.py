@@ -395,15 +395,14 @@ def dual_matrix(A, m: int, n: int) -> np.ndarray:
 # -- p-harmonic compositions ---------------------------------------------------
 
 
-def _power_log_term(c: complex, phi, log_phi, a: complex, b: int):
-    """c * phi^a * log(phi)^b with build-time trivial factors dropped; every
-    term of one composition shares the node log_phi, so a walk evaluates the
-    logarithm once."""
+def _power_log_term(c: complex, phi, a: complex, log_power):
+    """c * phi^a * log_power with build-time trivial factors dropped, where
+    log_power is the composition's shared node log(phi)^b, or None for b = 0."""
     factors = [Const(complex(c))]
     if a != 0:
         factors.append(phi if a == 1 else Pow(phi, complex(a)))
-    if b > 0:
-        factors.append(log_phi if b == 1 else Pow(log_phi, b))
+    if log_power is not None:
+        factors.append(log_power)
     if len(factors) == 1:
         return factors[0]
     return Product(tuple(factors))
@@ -439,8 +438,11 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
         raise ValueError("eigenvalue pattern (lam = 0, mu != 0) is not supported")
     else:
         terms = [(c1, 1 - lam / mu, p - 1), (c2, 0j, p - 1)]
+    # one Log(phi) and one node per power of it, shared by every term, so a
+    # walk evaluates the logarithm and each of its powers once
     log_phi = Log(phi)
-    built = [_power_log_term(c, phi, log_phi, a, b) for c, a, b in terms if c != 0j]
+    log_powers = {b: log_phi if b == 1 else Pow(log_phi, b) for _, _, b in terms if b > 0}
+    built = [_power_log_term(c, phi, a, log_powers.get(b)) for c, a, b in terms if c != 0j]
     if not built:
         return Const(0j)
     if len(built) == 1:

@@ -19,10 +19,16 @@ coefficients may carry a leading lane axis, one lane per sample point, so
 one pass over an expression serves a whole stack of points; a 1-D array
 holding one value per lane is then the matching plain scalar.
 Its products walk their batch axis (lanes, and any stacked operands) in
-blocks under ``PRODUCT_WORKSPACE_BYTES``, each element computed by the same
-operations whatever its block; its log, reciprocal, exp and powers apply the
-one-level rule g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the
-point value up.
+blocks under ``PRODUCT_WORKSPACE_BYTES`` that share one workspace, each
+element computed by the same operations whatever its block or stack.  The
+innermost levels of a product are one term map cached per basis size and
+depth, (3B + 3)**q terms at most ``MAP_TERMS``: a gather of both operands'
+components, one multiply, the weights of the (b, b) pairs and one segmented
+sum, in about five numpy calls for the whole depth; levels above the map
+gather and fold one level at a time, and bases of eight or more directions
+keep the fused one-level rule under them.  Its log, reciprocal, exp and powers
+apply the one-level rule g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth,
+from the point value up.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
@@ -244,13 +250,13 @@ class LaplacianJet:
     functions are not expanded that way but level by level (see the
     analytic functions below).  Instances are immutable: operations return
     new arrays.  The one thing a jet keeps after it is built is the chain of
-    its reciprocals at depths 0..k (``_reciprocals``, read-only arrays),
-    stored by the first analytic function that needs it and extended by a
-    later one that needs more depth, so log, reciprocal and powers of one
-    jet build that chain once between them.
+    its reciprocals r at depths 0..k (``_reciprocals``) and their squares
+    (``_squares``), read-only arrays stored by the first analytic function
+    that needs them and extended by a later one that needs more depth, so
+    log, reciprocal and powers of one jet build them once between them.
     """
 
-    __slots__ = ("basis_size", "depth", "order", "coeffs", "_reciprocals")
+    __slots__ = ("basis_size", "depth", "order", "coeffs", "_reciprocals", "_squares")
     __array_ufunc__ = None  # numpy scalars and lane arrays defer to the reflected operators
 
     def __init__(self, basis_size: int, depth: int, coeffs):
@@ -265,6 +271,7 @@ class LaplacianJet:
         self.order = 2 * depth
         self.coeffs = coeffs
         self._reciprocals = None
+        self._squares = []
 
     def constant_value(self):
         """The point value, or for a stack a contiguous array of one per lane:
@@ -329,17 +336,25 @@ def _per_lane(c):
     return c[:, None] if isinstance(c, np.ndarray) else c
 
 
-# Bytes of complex workspace one block of _tensor_product may hold at its
-# innermost level: both gathered operands, the products and one temporary,
-# 64 (3B + 3)**(p - 1) (B + 2) bytes per batch element.  A block is as many
-# batch elements as fit.  An element larger than the budget (one B = 6
-# product at p = 5 takes about 100 MB) is split into the 3B + 3 depth-(p-1)
-# products of its outer level, which are blocked in turn.  A block holds 97
-# elements of a B = 4 product at p = 3 and 37 of a B = 6 one, so no product
-# of depth 3 or less in the benchmark's runs or the sweep's is split (the
-# widest, the 2B + 1 = 9 level-rule products per point of a log or 1/phi at
-# depth 4 on ten Gr(2,2) points, has 90).
+# Bytes of complex workspace one block of _tensor_product may hold.  A block
+# is as many batch elements as fit, at _workspace_bytes(B, p) each (24
+# (3B + 3)**p for a product its term map covers whole); an element larger
+# than the budget (one B = 6 product at p = 5 takes 113 MB) is split into the
+# 3B + 3 depth-(p-1) products of its outer level, which are blocked in turn.
+# A block holds 103 elements of a B = 4 product at p = 3 and 37 of a B = 6
+# one, so no product of depth 3 or less in the benchmark's runs or the
+# sweep's is split (the widest, the 2B + 1 = 9 level-rule products per point
+# of a log or 1/phi at depth 4 on ten Gr(2,2) points, has 90).
 PRODUCT_WORKSPACE_BYTES = 2**23
+
+# Most terms one term map may hold.  A map covers the innermost q levels of
+# a product in (3B + 3)**q terms, q the deepest depth within this bound:
+# 5 levels for B = 1, 4 for B = 2 and 3 for B = 3..7.  Bases whose map would
+# reach fewer than three levels (B >= 8: Gr(2,4), so(5), so(7)) keep the
+# fused one-level rule under nested levels, since a two-level map under a
+# nested level ran 1.3-2x slower than that rule at B = 10 and 21 (timings
+# in CHANGES.md).
+MAP_TERMS = 2**14
 
 
 @lru_cache(maxsize=None)
@@ -353,10 +368,66 @@ def _pair_indices(B: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
+@lru_cache(maxsize=None)
+def _map_depth(B: int) -> int:
+    """Innermost levels a term map covers for basis size B: the deepest q
+    with (3B + 3)**q <= MAP_TERMS, or 0 (no map: the fused one-level rule
+    under nested levels) when that is fewer than three."""
+    q = 0
+    while (3 * B + 3) ** (q + 1) <= MAP_TERMS:
+        q += 1
+    return q if q >= 3 else 0
+
+
+@lru_cache(maxsize=None)
+def _term_map(B: int, q: int) -> tuple[np.ndarray, ...]:
+    """The (3B + 3)**q terms of a depth-q product, one pair per level, in
+    row-major order of the output component each adds to: their left and
+    right component indices, their weights 2**e for a term with e (b, b)
+    pairs, and where each output component's run of terms starts.
+
+    A level's output k takes a run of 1 (k = 0), 2 (directions) or B + 2
+    (the Laplacian) of its pairs, so a term's place is the start of its
+    output's run plus its rank within it, mixed-radix in those run lengths.
+    """
+    D = B + 2
+    pick_left, pick_right = _pair_indices(B)
+    target = np.array(list(range(D)) + list(range(1, D)) + [D - 1] * B)
+    rank_in_run = np.array([0] * D + [1] * (D - 1) + list(range(2, B + 2)))
+    doubled = np.array([0] * (2 * D - 1) + [1] * B)
+    run = np.array([1] + [2] * B + [B + 2])
+    run_start = np.array([0] + list(range(1, 2 * B, 2)) + [2 * B + 1])
+    pair_run = run[target]
+    left = right = output = rank = exponent = starts = np.zeros(1, dtype=np.intp)
+    runs = np.ones(1, dtype=np.intp)
+    for _ in range(q):
+        left = (left[:, None] * D + pick_left).ravel()
+        right = (right[:, None] * D + pick_right).ravel()
+        output = (output[:, None] * D + target).ravel()
+        rank = (rank[:, None] * pair_run + rank_in_run).ravel()
+        exponent = (exponent[:, None] + doubled).ravel()
+        starts = (starts[:, None] * len(target) + runs[:, None] * run_start).ravel()
+        runs = (runs[:, None] * run).ravel()
+    place = starts[output] + rank
+    arrays = [np.empty_like(left), np.empty_like(right), np.empty(len(left), dtype=complex)]
+    for array, values in zip(arrays, (left, right, 2.0**exponent)):
+        array[place] = values
+    for array in arrays + [starts]:
+        array.flags.writeable = False  # shared by every caller
+    return (*arrays, starts)
+
+
+@lru_cache(maxsize=None)
 def _workspace_bytes(B: int, p: int) -> int:
-    """Innermost workspace of one depth-p batch element: four arrays of
-    (3B + 3)**(p - 1) (B + 2) complex components."""
-    return 64 * (3 * B + 3) ** (p - 1) * (B + 2)
+    """Workspace of one depth-p batch element in a block: per nested level
+    l = 1..p - max(q, 1) its two gathered operands and its folded products,
+    48 (3B + 3)**l (B + 2)**(p - l) bytes, and then the innermost levels:
+    24 (3B + 3)**p for a term map (its terms and half of the right operand's)
+    or 16 (3B + 3)**(p - 1) (B + 2) for the fused rule's one temporary."""
+    G, D = 3 * B + 3, B + 2
+    q = min(p, _map_depth(B))
+    nested = sum(48 * G**level * D ** (p - level) for level in range(1, p - max(q, 1) + 1))
+    return nested + (24 * G**p if q else 16 * G ** (p - 1) * D)
 
 
 def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
@@ -376,53 +447,125 @@ def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
 
 
 def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int):
-    """out[i] = a[i] b[i] for (n, D**p) arrays, in blocks under the budget."""
+    """out[i] = a[i] b[i] for (n, D**p) arrays, in blocks under the budget;
+    the blocks of a product that takes more than one share one workspace."""
+    if len(a) * _workspace_bytes(B, p) <= PRODUCT_WORKSPACE_BYTES:
+        _block_product(a, b, out, None, B, p)
+    else:
+        _blocks_into(a, b, out, B, p, {})
+
+
+def _blocks_into(a, b, out, B: int, p: int, work: dict):
+    """_product_into over blocks that reuse the arrays kept in work; an
+    element over the budget is split into its outer level's products, but
+    only above the levels the term map or the fused rule takes."""
     D = B + 2
-    if p > 1 and _workspace_bytes(B, p) > PRODUCT_WORKSPACE_BYTES:
+    if p > max(_map_depth(B), 1) and _workspace_bytes(B, p) > PRODUCT_WORKSPACE_BYTES:
         pick_left, pick_right = _pair_indices(B)
         rest = D ** (p - 1)
+        shape = (len(pick_left), rest)
+        xs, ys, pairs = (_scratch(work, ("split", p, name), shape) for name in "xyp")
         for x, y, target in zip(a, b, out):
-            pairs = np.empty((len(pick_left), rest), dtype=complex)
-            _product_into(x.reshape(D, rest)[pick_left], y.reshape(D, rest)[pick_right], pairs, B, p - 1)
+            x.reshape(D, rest).take(pick_left, axis=0, out=xs, mode="wrap")
+            y.reshape(D, rest).take(pick_right, axis=0, out=ys, mode="wrap")
+            _blocks_into(xs, ys, pairs, B, p - 1, work)
             _fold_level(pairs[None], target.reshape(1, D, rest))
         return
     step = max(1, PRODUCT_WORKSPACE_BYTES // _workspace_bytes(B, p))
     for start in range(0, len(a), step):
         block = slice(start, start + step)
-        _block_product(a[block], b[block], out[block], B, p)
+        _block_product(a[block], b[block], out[block], work, B, p)
 
 
-def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int):
+def _scratch(work: dict | None, key, shape) -> np.ndarray | None:
+    """An uninitialised complex array of the given shape, kept in work under
+    key, so the later blocks of a product reuse what its first allocated;
+    None without a workspace (a numpy call given out=None allocates)."""
+    if work is None:
+        return None
+    size = math.prod(shape)
+    buffer = work.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = work[key] = np.empty(size, dtype=complex)
+    return buffer[:size].reshape(shape)
+
+
+def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: dict | None, B: int, p: int):
     """out = a b for (n, D**p) arrays in one pass.
 
-    Each of the outer p - 1 levels gathers its 3B + 3 component pairs, (0, k),
-    (k, 0) and (b, b), into one batch for the level below; the innermost
-    level multiplies the whole batch by the one-level rule, and the outer
-    levels fold their pairs back on the way up, the outermost into out.
-    Work is O((3B + 3)**(p - 1) (B + 2)) per element.
+    The innermost q = min(p, _map_depth(B)) levels are one term map
+    (_mapped_product), or with q = 0 the innermost level is the fused
+    one-level rule (_fused_product).  Each level above them gathers its 3B + 3
+    component pairs, (0, k), (k, 0) and (b, b), into one batch for the level
+    below, and folds their products back on the way up, the outermost into
+    out.
     """
     D = B + 2
+    q = min(p, _map_depth(B))
+    inner_depth = max(q, 1)
     pick_left, pick_right = _pair_indices(B)
     G = len(pick_left)
     left, right, batch = a, b, len(a)
-    for level in range(p - 1):
+    for level in range(p - inner_depth):
         rest = D ** (p - level - 1)
-        left = left.reshape(batch, D, rest).take(pick_left, axis=1)
-        right = right.reshape(batch, D, rest).take(pick_right, axis=1)
+        shape = (batch, G, rest)
+        left_out, right_out = _scratch(work, ("left", level), shape), _scratch(work, ("right", level), shape)
+        left = left.reshape(batch, D, rest).take(pick_left, axis=1, out=left_out, mode="wrap")
+        right = right.reshape(batch, D, rest).take(pick_right, axis=1, out=right_out, mode="wrap")
         batch *= G
-    left, right = left.reshape(batch, D), right.reshape(batch, D)
-    inner = out if p == 1 else np.empty((batch, D), dtype=complex)
-    np.multiply(left[:, :1], right, out=inner)
-    inner += right[:, :1] * left
-    inner[:, 0] = left[:, 0] * right[:, 0]
-    inner[:, -1] += 2 * np.einsum("ij,ij->i", left[:, 1:-1], right[:, 1:-1])
-    del left, right
-    for level in reversed(range(p - 1)):
+    shape = (batch, D**inner_depth)
+    inner = out if p == inner_depth else _target(work, "inner", shape)
+    operands = left.reshape(shape), right.reshape(shape), inner.reshape(shape), work
+    if q:
+        _mapped_product(*operands, B, q)
+    else:
+        _fused_product(*operands)
+    for level in reversed(range(p - inner_depth)):
         rest = D ** (p - level - 1)
         batch //= G
         pairs = inner.reshape(batch, G, rest)
-        inner = out.reshape(batch, D, rest) if level == 0 else np.empty((batch, D, rest), dtype=complex)
+        inner = out.reshape(batch, D, rest) if level == 0 else _target(work, ("fold", level), (batch, D, rest))
         _fold_level(pairs, inner)
+
+
+def _target(work: dict | None, key, shape) -> np.ndarray:
+    """_scratch, or a new array without a workspace."""
+    array = _scratch(work, key, shape)
+    return np.empty(shape, dtype=complex) if array is None else array
+
+
+def _mapped_product(left, right, out, work: dict | None, B: int, q: int):
+    """out = left right for (n, D**q) arrays by the term map of depth q:
+    gather each operand's component of every term, multiply, weight, and
+    sum each output component's run of terms.
+
+    Gathers of 64 KiB or more share one buffer: two equal arrays freed
+    together let glibc trim the heap, so every later product faulted their
+    pages in again.  The right operand's gather is taken in two halves when
+    a whole one would pass the budget."""
+    pick_left, pick_right, weights, starts = _term_map(B, q)
+    n, T = len(left), len(pick_left)
+    if work is None and 16 * n * T < 2**16:
+        terms = left.take(pick_left, axis=1)
+        terms *= right.take(pick_right, axis=1)
+    else:
+        step = T if 32 * n * T <= PRODUCT_WORKSPACE_BYTES else (T + 1) // 2
+        buffer = _target(work, "terms", (n * (T + step),))
+        terms = left.take(pick_left, axis=1, out=buffer[: n * T].reshape(n, T), mode="wrap")
+        for start in range(0, T, step):
+            picks = pick_right[start : start + step]
+            gathered = buffer[n * T : n * (T + len(picks))].reshape(n, len(picks))
+            terms[:, start : start + step] *= right.take(picks, axis=1, out=gathered, mode="wrap")
+    terms *= weights
+    np.add.reduceat(terms, starts, axis=1, out=out)
+
+
+def _fused_product(left, right, out, work: dict | None):
+    """out = left right for (n, D) arrays by the one-level rule."""
+    np.multiply(left[:, :1], right, out=out)
+    out += np.multiply(right[:, :1], left, out=_scratch(work, "fused", left.shape))
+    out[:, 0] = left[:, 0] * right[:, 0]
+    out[:, -1] += 2 * np.einsum("ij,ij->i", left[:, 1:-1], right[:, 1:-1])
 
 
 def _fold_level(pairs: np.ndarray, target: np.ndarray):
@@ -570,11 +713,10 @@ def _reciprocal_levels(value: "LaplacianJet", depth: int) -> list:
     """1/u at depths 0..depth: g' = -r^2 and g'' = 2 r^3.  Built once per
     jet: the chain is stored on value, a deeper call extends it and a
     shallower one reads its prefix."""
-    B = value.basis_size
 
     def derivatives(r, k):
-        square = _times(r, r, B, k)
-        return -square, 2 * _times(square, r, B, k)
+        square = _reciprocal_square(value, k)
+        return -square, 2 * _times(square, r, value.basis_size, k)
 
     chain = value._reciprocals
     if chain is None:
@@ -582,6 +724,19 @@ def _reciprocal_levels(value: "LaplacianJet", depth: int) -> list:
     for g in _extend(value, chain, derivatives, depth):
         g.flags.writeable = False  # shared by every later reader of the chain
     return chain[: depth + 1]
+
+
+def _reciprocal_square(value: "LaplacianJet", k: int) -> np.ndarray:
+    """r^2 for r the depth-k link of value's stored reciprocal chain, which
+    must reach depth k: taken once and stored beside the chain, where both
+    the chain's next level and the log's g'' = -r^2 read it."""
+    squares = value._squares
+    for j in range(len(squares), k + 1):
+        r = value._reciprocals[j]
+        square = _times(r, r, value.basis_size, j)
+        square.flags.writeable = False
+        squares.append(square)
+    return squares[k]
 
 
 def reciprocal(value: Scalar) -> Scalar:
@@ -662,9 +817,8 @@ def jlog(value: Scalar) -> Scalar:
         # g' = r and g'' = -r^2, r the reciprocal one depth down
         base = jlog(value.constant_value())
         r = _reciprocal_levels(value, value.depth - 1)
-        B = value.basis_size
         return value._like(
-            _levels(value, base, lambda g, k: (r[k], -_times(r[k], r[k], B, k)), value.depth)[-1]
+            _levels(value, base, lambda g, k: (r[k], -_reciprocal_square(value, k)), value.depth)[-1]
         )
     z = value.coeffs[0]
     base = jlog(z)

@@ -32,9 +32,10 @@ depends only on the basis, the window and p: one T per window per walk,
 one contraction of N^2 D**p terms per point, and no lift of the point.
 Only a tree with Entry leaves lifts its matrix entries, each with the
 component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
-the walk costs O((3B + 3)**(p - 1) D) instead of the |basis|**p walks over
-nested jets of 3**p coefficients that literal recursion needs, in blocks
-whose workspace is bounded by jets.PRODUCT_WORKSPACE_BYTES.  Log,
+the walk costs O((3B + 3)**p) instead of the |basis|**p walks over nested
+jets of 3**p coefficients that literal recursion needs, in blocks whose
+workspace, 24 (3B + 3)**p bytes per element where one term map covers the
+product, is bounded by jets.PRODUCT_WORKSPACE_BYTES.  Log,
 reciprocal and non-integer powers apply the one-level rule once per depth,
 from the point value up, sharing one chain of reciprocals per jet, and
 raise :class:`pharmonic.jets.BranchCutError`,

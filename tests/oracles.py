@@ -17,9 +17,15 @@ The projector quadratics as trees of Entry products: the expanded linear
 rewrite of a ProjectorForm node, whose value the node must reproduce bit
 for bit, and the P |W| pairwise products it replaced, which it must match
 to roundoff.
+
+The level-by-level product of two LaplacianJet component arrays: the kernel
+the package's term maps replaced, and the reference they are checked
+against.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
 from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
@@ -167,3 +173,76 @@ def expanded_projector_form(form: ProjectorForm) -> Sum:
         return Sum(tuple(Product((Const(S.get((j, a), 0j)), Entry(a, t))) for a in rows))
 
     return Sum(tuple(Product((Entry(j, t), y(j, t))) for j in rows for t in form.columns))
+
+
+# Bytes of workspace one block of level_product may hold; an element over it
+# is split into the products of its outer level.
+LEVEL_PRODUCT_BYTES = 2**23
+
+
+def level_product(a, b, B: int, p: int):
+    """a b for two (n, D**p) component arrays, level by level: each of the
+    outer p - 1 levels gathers its 3B + 3 component pairs, (0, k), (k, 0) and
+    (b, b), into one batch for the level below; the innermost level
+    multiplies the whole batch by the one-level rule, and the outer levels
+    fold their pairs back on the way up.  The batch is taken in blocks of
+    64 (3B + 3)**(p - 1) (B + 2) bytes per element."""
+    out = np.empty(a.shape, dtype=complex)
+    _level_product_into(a, b, out, B, p)
+    return out
+
+
+def _level_product_into(a, b, out, B: int, p: int):
+    D, G = B + 2, 3 * B + 3
+    per_element = 64 * G ** (p - 1) * D
+    if p > 1 and per_element > LEVEL_PRODUCT_BYTES:
+        pick_left, pick_right = _pair_indices(B)
+        rest = D ** (p - 1)
+        for x, y, target in zip(a, b, out):
+            pairs = np.empty((G, rest), dtype=complex)
+            _level_product_into(x.reshape(D, rest)[pick_left], y.reshape(D, rest)[pick_right], pairs, B, p - 1)
+            _fold_level(pairs[None], target.reshape(1, D, rest))
+        return
+    step = max(1, LEVEL_PRODUCT_BYTES // per_element)
+    for start in range(0, len(a), step):
+        block = slice(start, start + step)
+        _level_block(a[block], b[block], out[block], B, p)
+
+
+def _pair_indices(B: int):
+    D = B + 2
+    left = np.array([0] * D + list(range(1, D)) + list(range(1, B + 1)))
+    right = np.array(list(range(D)) + [0] * (D - 1) + list(range(1, B + 1)))
+    return left, right
+
+
+def _level_block(a, b, out, B: int, p: int):
+    D = B + 2
+    pick_left, pick_right = _pair_indices(B)
+    G = len(pick_left)
+    left, right, batch = a, b, len(a)
+    for level in range(p - 1):
+        rest = D ** (p - level - 1)
+        left = left.reshape(batch, D, rest).take(pick_left, axis=1)
+        right = right.reshape(batch, D, rest).take(pick_right, axis=1)
+        batch *= G
+    left, right = left.reshape(batch, D), right.reshape(batch, D)
+    inner = out if p == 1 else np.empty((batch, D), dtype=complex)
+    np.multiply(left[:, :1], right, out=inner)
+    inner += right[:, :1] * left
+    inner[:, 0] = left[:, 0] * right[:, 0]
+    inner[:, -1] += 2 * np.einsum("ij,ij->i", left[:, 1:-1], right[:, 1:-1])
+    del left, right
+    for level in reversed(range(p - 1)):
+        rest = D ** (p - level - 1)
+        batch //= G
+        pairs = inner.reshape(batch, G, rest)
+        inner = out.reshape(batch, D, rest) if level == 0 else np.empty((batch, D, rest), dtype=complex)
+        _fold_level(pairs, inner)
+
+
+def _fold_level(pairs, target):
+    D = target.shape[1]
+    target[:] = pairs[:, :D]
+    target[:, 1:] += pairs[:, D : 2 * D - 1]
+    target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)

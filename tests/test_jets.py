@@ -26,7 +26,8 @@ from pharmonic.jets import (
     variable,
     zero,
 )
-from oracles import series_exp, series_log, series_pow, series_reciprocal
+from pharmonic.operators import DEPTH_CAP, MAX_LIFT_COMPONENTS
+from oracles import level_product, series_exp, series_log, series_pow, series_reciprocal
 
 
 def jet2(c0, c1, c2):
@@ -333,6 +334,63 @@ def test_blocked_products_equal_unblocked_products_bit_for_bit(monkeypatch, B, p
     # blocks of two elements, one element split into its outer-level pairs,
     # and every level split down to single pairs
     for budget in (2 * per_element, per_element - 1, 1):
+        monkeypatch.setattr(jets, "PRODUCT_WORKSPACE_BYTES", budget)
+        assert jets._tensor_product(a, b, B, p).tobytes() == want.tobytes(), budget
+
+
+# Basis sizes with the N x N group each comes from (Gr(1,1), Gr(1,2),
+# Gr(2,2), so(4), so(5), so(7)), and every depth whose N^2 (B + 2)**p
+# components MAX_LIFT_COMPONENTS admits: the term map covers products of
+# depth 1..5, 1..4 and 1..3 whole for B = 1, 2 and 4..6 and sits under nested
+# levels above that; B = 10 and 21 keep the fused one-level rule.
+KERNEL_CASES = [
+    (B, p)
+    for B, N in ((1, 2), (2, 3), (4, 4), (6, 4), (10, 5), (21, 7))
+    for p in range(1, DEPTH_CAP + 1)
+    if N * N * (B + 2) ** p <= MAX_LIFT_COMPONENTS
+]
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("B, p", KERNEL_CASES)
+def test_products_match_the_level_by_level_kernel(B, p, lanes):
+    # every component within 1e-14 of the same component of |a| |b|, the
+    # sum of the magnitudes of its terms, which bounds the rounding error of
+    # either summation order; the fused rule's bases bit for bit
+    rng = np.random.default_rng(10 * B + p)
+    shape = (lanes, (B + 2) ** p)
+    a, b = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+    got, want = jets._tensor_product(a, b, B, p), level_product(a, b, B, p)
+    magnitude = level_product(np.abs(a) + 0j, np.abs(b) + 0j, B, p)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(magnitude)), np.max(np.abs(got - want) / np.abs(magnitude))
+    if jets._map_depth(B) == 0:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("B, p", [(1, 2), (2, 3), (4, 3), (6, 2), (4, 4), (10, 2), (21, 1)])
+def test_a_lanes_product_is_the_same_at_every_stack_size_and_offset(B, p):
+    rng = np.random.default_rng(B + p)
+    shape = (17, (B + 2) ** p)
+    a, b = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+    want = jets._tensor_product(a[:1], b[:1], B, p)[0].tobytes()
+    for K in range(1, 18):
+        for offset in range(K):
+            order = np.roll(np.arange(K), offset)  # lane 0 at row offset
+            got = jets._tensor_product(a[order], b[order], B, p)[offset]
+            assert got.tobytes() == want, (K, offset)
+
+
+@pytest.mark.parametrize("B, p", [(2, 5), (4, 4), (10, 3)])
+def test_split_products_equal_unsplit_products_bit_for_bit(monkeypatch, B, p):
+    # products deeper than their term map (B = 2 at p = 5, B = 4 at p = 4)
+    # or under the fused rule (B = 10): an element split into its outer
+    # level's products, and every nested level split, take the operations
+    # of the unsplit product
+    rng = np.random.default_rng(B * 10 + p)
+    shape = (2, (B + 2) ** p)
+    a, b = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+    want = jets._tensor_product(a, b, B, p)
+    for budget in (jets._workspace_bytes(B, p) - 1, 1):
         monkeypatch.setattr(jets, "PRODUCT_WORKSPACE_BYTES", budget)
         assert jets._tensor_product(a, b, B, p).tobytes() == want.tobytes(), budget
 

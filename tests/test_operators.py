@@ -15,7 +15,7 @@ from pharmonic.expressions import (
     rank_one_from_vector,
 )
 from pharmonic.expressions import dual_matrix, flag_forms, flag_sum_expr
-from pharmonic import jets
+from pharmonic import expressions, jets
 from pharmonic import operators as ops
 from pharmonic.group import curve_jets, k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import BranchCutError, JetScalar
@@ -728,22 +728,49 @@ def test_generator_tensor_jets_match_the_entry_lift(form, basis, points, p):
 def test_one_composition_walk_builds_phis_reciprocal_chain_once(monkeypatch):
     # phi^(-1) log(phi)^2 + log(phi)^2 on Gr(2,2): the power and the log
     # both need 1/phi, and they share one chain, so 1/phi at the point
-    # values (the chain's base) is taken once
+    # values (the chain's base) is taken once; the squares r^2 of the
+    # chain's links at depths 0..p-1, which the chain's next level and the
+    # log's g'' both read, are taken once each as well
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
-    bases = []
-    reciprocal = jets.reciprocal
+    bases, squares = [], []
+    reciprocal, times = jets.reciprocal, jets._times
 
     def counting(value):
         if not isinstance(value, jets.LaplacianJet):
             bases.append(value)
         return reciprocal(value)
 
+    def counting_times(a, b, B, depth):
+        if a is b:
+            squares.append(depth)
+        return times(a, b, B, depth)
+
     monkeypatch.setattr(jets, "reciprocal", counting)
+    monkeypatch.setattr(jets, "_times", counting_times)
     for x in (sample_so(4, range(3)), sample_so(4, 3)):
         bases.clear()
+        squares.clear()
         laplacian_jet(f, x, m_basis(2, 2), 3)
         assert len(bases) == 1
+        assert sorted(squares) == [0, 1, 2], squares
+
+
+def test_one_composition_walk_takes_one_positive_power(monkeypatch):
+    # phi^(-1) log(phi)^2 + log(phi)^2: both terms read one log(phi)^2
+    # node, so the walk's memo raises log(phi) to a positive power once
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
+    exponents = []
+    ipow = expressions.ipow
+
+    def counting(value, exponent):
+        exponents.append(exponent)
+        return ipow(value, exponent)
+
+    monkeypatch.setattr(expressions, "ipow", counting)
+    laplacian_jet(f, sample_so(4, range(3)), m_basis(2, 2), 3)
+    assert sorted(exponents) == [-1, 2], exponents
 
 
 def test_jet_laplacian_matches_finite_differences():
