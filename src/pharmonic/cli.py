@@ -273,7 +273,7 @@ def _p_harmonic_records(
             continue
         residual, witness = walked[i]
         if witness < PROPERNESS_FLOOR:
-            notes.append(f"point {i} resampled: order-(p-1) witness below floor")
+            notes.append(f"point {i} dropped: order-(p-1) witness below floor")
             continue
         records.append(upper_check("tau_p_residual", i, residual, tau_tol))
         records.append(lower_check("properness_witness", i, witness, PROPERNESS_FLOOR))

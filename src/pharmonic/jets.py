@@ -18,17 +18,18 @@ It supports the same ring operations and analytic functions as a jet.  Its
 coefficients may carry a leading lane axis, one lane per sample point, so
 one pass over an expression serves a whole stack of points; a 1-D array
 holding one value per lane is then the matching plain scalar.
-Its products walk their batch axis (lanes, and any stacked operands) in
-blocks under ``PRODUCT_WORKSPACE_BYTES`` that share one workspace, each
-element computed by the same operations whatever its block or stack.  The
-innermost levels of a product are one term map cached per basis size and
-depth, (3B + 3)**q terms at most ``MAP_TERMS``: a gather of both operands'
-components, one multiply, the weights of the (b, b) pairs and one segmented
-sum, in about five numpy calls for the whole depth; levels above the map
-gather and fold one level at a time, and bases of eight or more directions
-keep the fused one-level rule under them.  Its log, reciprocal, exp and powers
-apply the one-level rule g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth,
-from the point value up.
+Its products are one recursion over their batch axis (lanes, and any
+stacked operands), in blocks under ``PRODUCT_WORKSPACE_BYTES`` that share
+one workspace, each element computed by the same operations whatever its
+block or stack.  A block whose depth a term map covers, (3B + 3)**q terms at
+most ``MAP_TERMS`` cached per basis size and depth, is a gather of both
+operands' components, one multiply, the weights of the (b, b) pairs and one
+segmented sum, in about five numpy calls for the whole depth; a deeper block
+gathers its outer level's 3B + 3 component pairs into one batch one depth
+down, taken by the same recursion, and folds their products back.  Bases of
+eight or more directions have no map and end in the fused one-level rule.
+Its log, reciprocal, exp and powers apply the one-level rule
+g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the point value up.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jpow`)
 use principal branches throughout.  They raise :class:`BranchCutError` when
@@ -337,14 +338,14 @@ def _per_lane(c):
 
 
 # Bytes of complex workspace one block of _tensor_product may hold.  A block
-# is as many batch elements as fit, at _workspace_bytes(B, p) each (24
-# (3B + 3)**p for a product its term map covers whole); an element larger
-# than the budget (one B = 6 product at p = 5 takes 113 MB) is split into the
-# 3B + 3 depth-(p-1) products of its outer level, which are blocked in turn.
-# A block holds 103 elements of a B = 4 product at p = 3 and 37 of a B = 6
-# one, so no product of depth 3 or less in the benchmark's runs or the
-# sweep's is split (the widest, the 2B + 1 = 9 level-rule products per point
-# of a log or 1/phi at depth 4 on ten Gr(2,2) points, has 90).
+# is as many batch elements as fit, at _workspace_bytes(B, p) each; an
+# element larger than the budget (one B = 6 product at p = 5 takes 113 MB)
+# is taken alone, its outer level's 3B + 3 depth-(p-1) products blocked in
+# turn.  A block holds 103 elements of a B = 4 product at p = 3 and 37 of a
+# B = 6 one, so every product of depth 3 or less in the benchmark's runs and
+# the sweep's takes one block (the widest, the 2B + 1 = 9 level-rule
+# products per point of a log or 1/phi at depth 4 on ten Gr(2,2) points, has
+# 90 elements).
 PRODUCT_WORKSPACE_BYTES = 2**23
 
 # Most terms one term map may hold.  A map covers the innermost q levels of
@@ -419,148 +420,95 @@ def _term_map(B: int, q: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _workspace_bytes(B: int, p: int) -> int:
-    """Workspace of one depth-p batch element in a block: per nested level
-    l = 1..p - max(q, 1) its two gathered operands and its folded products,
-    48 (3B + 3)**l (B + 2)**(p - l) bytes, and then the innermost levels:
-    24 (3B + 3)**p for a term map (its terms and half of the right operand's)
-    or 16 (3B + 3)**(p - 1) (B + 2) for the fused rule's one temporary."""
+    """Workspace of one depth-p batch element in a block of _product_into:
+    24 (3B + 3)**p bytes for a term map (its terms and half of the right
+    operand's), 16 (B + 2) for the fused rule's one temporary at p = 1, and
+    above them 48 (3B + 3) (B + 2)**(p - 1) for the outer level's two
+    gathered operands and its pair products, plus the workspace of those
+    3B + 3 depth-(p - 1) elements."""
     G, D = 3 * B + 3, B + 2
-    q = min(p, _map_depth(B))
-    nested = sum(48 * G**level * D ** (p - level) for level in range(1, p - max(q, 1) + 1))
-    return nested + (24 * G**p if q else 16 * G ** (p - 1) * D)
+    if p <= _map_depth(B):
+        return 24 * G**p
+    if p == 1:
+        return 16 * D
+    return 48 * G * D ** (p - 1) + G * _workspace_bytes(B, p - 1)
 
 
 def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
     """Product of two depth-p component arrays of one shape, flat or with
-    leading (lane, batch) axes, which are walked as one batch axis.
-
-    The batch is taken in blocks whose workspace fits
-    PRODUCT_WORKSPACE_BYTES, each written into its slice of one output, by
-    the same operations per element whatever its block; an element over
-    the budget is split into the products of its outer level.
-    """
-    D = B + 2
+    leading (lane, batch) axes, which are walked as one batch axis, by
+    _product_into with a workspace of its own."""
     out = np.empty(a.shape, dtype=complex)
-    flat = (-1, D**p)
-    _product_into(a.reshape(flat), b.reshape(flat), out.reshape(flat), B, p)
+    flat = (-1, (B + 2) ** p)
+    _product_into(a.reshape(flat), b.reshape(flat), out.reshape(flat), B, p, {})
     return out
 
 
-def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int):
-    """out[i] = a[i] b[i] for (n, D**p) arrays, in blocks under the budget;
-    the blocks of a product that takes more than one share one workspace."""
-    if len(a) * _workspace_bytes(B, p) <= PRODUCT_WORKSPACE_BYTES:
-        _block_product(a, b, out, None, B, p)
-    else:
-        _blocks_into(a, b, out, B, p, {})
+def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int, work: dict):
+    """out[i] = a[i] b[i] for (n, D**p) arrays, in blocks of as many
+    elements as fit PRODUCT_WORKSPACE_BYTES (at least one), which reuse the
+    arrays kept in work.  Each element takes the same operations whatever
+    its block.
 
-
-def _blocks_into(a, b, out, B: int, p: int, work: dict):
-    """_product_into over blocks that reuse the arrays kept in work; an
-    element over the budget is split into its outer level's products, but
-    only above the levels the term map or the fused rule takes."""
-    D = B + 2
-    if p > max(_map_depth(B), 1) and _workspace_bytes(B, p) > PRODUCT_WORKSPACE_BYTES:
-        pick_left, pick_right = _pair_indices(B)
-        rest = D ** (p - 1)
-        shape = (len(pick_left), rest)
-        xs, ys, pairs = (_scratch(work, ("split", p, name), shape) for name in "xyp")
-        for x, y, target in zip(a, b, out):
-            x.reshape(D, rest).take(pick_left, axis=0, out=xs, mode="wrap")
-            y.reshape(D, rest).take(pick_right, axis=0, out=ys, mode="wrap")
-            _blocks_into(xs, ys, pairs, B, p - 1, work)
-            _fold_level(pairs[None], target.reshape(1, D, rest))
-        return
-    step = max(1, PRODUCT_WORKSPACE_BYTES // _workspace_bytes(B, p))
-    for start in range(0, len(a), step):
-        block = slice(start, start + step)
-        _block_product(a[block], b[block], out[block], work, B, p)
-
-
-def _scratch(work: dict | None, key, shape) -> np.ndarray | None:
-    """An uninitialised complex array of the given shape, kept in work under
-    key, so the later blocks of a product reuse what its first allocated;
-    None without a workspace (a numpy call given out=None allocates)."""
-    if work is None:
-        return None
-    size = math.prod(shape)
-    buffer = work.get(key)
-    if buffer is None or buffer.size < size:
-        buffer = work[key] = np.empty(size, dtype=complex)
-    return buffer[:size].reshape(shape)
-
-
-def _block_product(a: np.ndarray, b: np.ndarray, out: np.ndarray, work: dict | None, B: int, p: int):
-    """out = a b for (n, D**p) arrays in one pass.
-
-    The innermost q = min(p, _map_depth(B)) levels are one term map
-    (_mapped_product), or with q = 0 the innermost level is the fused
-    one-level rule (_fused_product).  Each level above them gathers its 3B + 3
-    component pairs, (0, k), (k, 0) and (b, b), into one batch for the level
-    below, and folds their products back on the way up, the outermost into
-    out.
+    A block is one term map when the map covers all p levels
+    (_mapped_product), the fused one-level rule at p = 1 (_fused_product),
+    or else its outer level's 3B + 3 component pairs, (0, k), (k, 0) and
+    (b, b), gathered into one batch of depth-(p-1) products, taken by this
+    function, and folded back into out.
     """
     D = B + 2
-    q = min(p, _map_depth(B))
-    inner_depth = max(q, 1)
-    pick_left, pick_right = _pair_indices(B)
-    G = len(pick_left)
-    left, right, batch = a, b, len(a)
-    for level in range(p - inner_depth):
-        rest = D ** (p - level - 1)
-        shape = (batch, G, rest)
-        left_out, right_out = _scratch(work, ("left", level), shape), _scratch(work, ("right", level), shape)
-        left = left.reshape(batch, D, rest).take(pick_left, axis=1, out=left_out, mode="wrap")
-        right = right.reshape(batch, D, rest).take(pick_right, axis=1, out=right_out, mode="wrap")
-        batch *= G
-    shape = (batch, D**inner_depth)
-    inner = out if p == inner_depth else _target(work, "inner", shape)
-    operands = left.reshape(shape), right.reshape(shape), inner.reshape(shape), work
-    if q:
-        _mapped_product(*operands, B, q)
-    else:
-        _fused_product(*operands)
-    for level in reversed(range(p - inner_depth)):
-        rest = D ** (p - level - 1)
-        batch //= G
-        pairs = inner.reshape(batch, G, rest)
-        inner = out.reshape(batch, D, rest) if level == 0 else _target(work, ("fold", level), (batch, D, rest))
-        _fold_level(pairs, inner)
+    step = max(1, PRODUCT_WORKSPACE_BYTES // _workspace_bytes(B, p))
+    for start in range(0, len(a), step):
+        x, y, target = a[start : start + step], b[start : start + step], out[start : start + step]
+        if p <= _map_depth(B):
+            _mapped_product(x, y, target, work, B, p)
+        elif p == 1:
+            _fused_product(x, y, target, work)
+        else:
+            pick_left, pick_right = _pair_indices(B)
+            n, G, rest = len(x), len(pick_left), D ** (p - 1)
+            xs, ys, pairs = _scratch(work, p, (3 * n, G, rest)).reshape(3, n, G, rest)
+            x.reshape(n, D, rest).take(pick_left, axis=1, out=xs, mode="wrap")
+            y.reshape(n, D, rest).take(pick_right, axis=1, out=ys, mode="wrap")
+            flat = (n * G, rest)
+            _product_into(xs.reshape(flat), ys.reshape(flat), pairs.reshape(flat), B, p - 1, work)
+            _fold_level(pairs, target.reshape(n, D, rest))
 
 
-def _target(work: dict | None, key, shape) -> np.ndarray:
-    """_scratch, or a new array without a workspace."""
-    array = _scratch(work, key, shape)
-    return np.empty(shape, dtype=complex) if array is None else array
+def _scratch(work: dict, key, shape) -> np.ndarray:
+    """An uninitialised complex array of the given shape, kept in work under
+    key, so the later blocks of a product reuse what its first allocated.
+    A key's arrays differ in their leading length only."""
+    buffer = work.get(key)
+    if buffer is None or len(buffer) < shape[0]:
+        work[key] = buffer = np.empty(shape, dtype=complex)
+        return buffer
+    return buffer[: shape[0]]
 
 
-def _mapped_product(left, right, out, work: dict | None, B: int, q: int):
+def _mapped_product(left, right, out, work: dict, B: int, q: int):
     """out = left right for (n, D**q) arrays by the term map of depth q:
     gather each operand's component of every term, multiply, weight, and
     sum each output component's run of terms.
 
-    Gathers of 64 KiB or more share one buffer: two equal arrays freed
+    Both gathers share one buffer kept in work: two equal arrays freed
     together let glibc trim the heap, so every later product faulted their
     pages in again.  The right operand's gather is taken in two halves when
     a whole one would pass the budget."""
     pick_left, pick_right, weights, starts = _term_map(B, q)
     n, T = len(left), len(pick_left)
-    if work is None and 16 * n * T < 2**16:
-        terms = left.take(pick_left, axis=1)
-        terms *= right.take(pick_right, axis=1)
-    else:
-        step = T if 32 * n * T <= PRODUCT_WORKSPACE_BYTES else (T + 1) // 2
-        buffer = _target(work, "terms", (n * (T + step),))
-        terms = left.take(pick_left, axis=1, out=buffer[: n * T].reshape(n, T), mode="wrap")
-        for start in range(0, T, step):
-            picks = pick_right[start : start + step]
-            gathered = buffer[n * T : n * (T + len(picks))].reshape(n, len(picks))
-            terms[:, start : start + step] *= right.take(picks, axis=1, out=gathered, mode="wrap")
+    step = T if 32 * n * T <= PRODUCT_WORKSPACE_BYTES else (T + 1) // 2
+    buffer = _scratch(work, "terms", (n * (T + step),))
+    terms = left.take(pick_left, axis=1, out=buffer[: n * T].reshape(n, T), mode="wrap")
+    for start in range(0, T, step):
+        picks = pick_right[start : start + step]
+        gathered = buffer[n * T : n * (T + len(picks))].reshape(n, len(picks))
+        terms[:, start : start + step] *= right.take(picks, axis=1, out=gathered, mode="wrap")
     terms *= weights
     np.add.reduceat(terms, starts, axis=1, out=out)
 
 
-def _fused_product(left, right, out, work: dict | None):
+def _fused_product(left, right, out, work: dict):
     """out = left right for (n, D) arrays by the one-level rule."""
     np.multiply(left[:, :1], right, out=out)
     out += np.multiply(right[:, :1], left, out=_scratch(work, "fused", left.shape))

@@ -55,13 +55,13 @@ One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
 stacked walk raises a BranchCutError naming the failing lanes.
 
-The closed-form identity residuals read the same depth-1 lift as plain
-arrays, for a stack of points at once, and build each point's rank-4
-pairing tensor on its own: for the coordinate functions its planes X M_i
-are the value, the gradient and the Laplacian outright, and for the
-projector quadratics S = W W^T (W the window columns of X) one application
-of the product rule gives Z_b S = (X Z_b)_W W^T + W (X Z_b)_W^T and
-L S = (X sum Z^2)_W W^T + W (X sum Z^2)_W^T + 2 sum_b (X Z_b)_W (X Z_b)_W^T.
+The closed-form identity residuals read depth-1 planes as plain arrays,
+for a stack of points at once, and build each point's rank-4 pairing
+tensor on its own: for the coordinate functions the planes X M_i of the
+lift are the value, the gradient and the Laplacian outright, and for the
+projector quadratics S = X P X^T (P the window projector) they are
+M_i S = X T_i X^T, from the depth-1 generator tensor T that every
+projector form's jet is paired with.
 
 For a function invariant under right translation by a subgroup K, every
 K-tangent direction contributes zero, so the full-basis Laplacian agrees
@@ -356,18 +356,11 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
         N = X.shape[-1]
         eye = np.eye(N)
         W = X[..., :m]
-        Wt = np.swapaxes(W, -1, -2)
-        S = W @ Wt
-        # product rule on S = W W^T over the window columns of the lifted planes
-        windows = _lift(X, basis, 1)[..., :m]
-        half = windows @ Wt[:, None]
-        grads = half[:, 1:-1] + np.swapaxes(half[:, 1:-1], -1, -2)
-        tau = (
-            half[:, -1]
-            + np.swapaxes(half[:, -1], -1, -2)
-            + 2.0 * np.einsum("kbjt,kbat->kja", windows[:, 1:-1], windows[:, 1:-1])
-        )
-        return tau, -N * S + m * eye, grads, lambda k: kappa_expected(S[k], eye)
+        S = W @ np.swapaxes(W, -1, -2)
+        # M_i S = X T_i X^T, T the depth-1 generator tensor of the window
+        T = _generator_tensor(basis, range(1, m + 1), N, 1)
+        lifted = X[:, None] @ T @ np.swapaxes(X, -1, -2)[:, None]
+        return lifted[:, -1], -N * S + m * eye, lifted[:, 1:-1], lambda k: kappa_expected(S[k], eye)
 
     return _identity_residuals(points, basis, "projector", planes)
 

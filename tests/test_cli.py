@@ -644,7 +644,7 @@ def test_sub_floor_witness_drops_the_point(monkeypatch, capsys, command):
     _fake_residuals(monkeypatch, [(0.0, PROPERNESS_FLOOR / 2), (0.0, 1.0)])
     code, out = run_cli(capsys, *PIPELINE_RUNS[command])
     doc = json.loads(out)
-    assert "point 0 resampled: order-(p-1) witness below floor" in doc["notes"]
+    assert "point 0 dropped: order-(p-1) witness below floor" in doc["notes"]
     witness_points = [c["point"] for c in doc["checks"] if c["check"] == "properness_witness"]
     assert witness_points == [1]
     assert code == EXIT_PASS

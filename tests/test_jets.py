@@ -367,6 +367,22 @@ def test_products_match_the_level_by_level_kernel(B, p, lanes):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("B, p", KERNEL_CASES)
+def test_workspace_bytes_is_the_closed_form_sum(B, p):
+    # per nested level l = 1..p - max(q, 1) its two gathered operands and
+    # its pair products, 48 G**l D**(p - l) bytes, then the innermost levels:
+    # 24 G**p for a term map of q levels, or 16 G**(p - 1) D for the fused rule
+    G, D = 3 * B + 3, B + 2
+    q = min(p, jets._map_depth(B))
+    nested = sum(48 * G**level * D ** (p - level) for level in range(1, p - max(q, 1) + 1))
+    assert jets._workspace_bytes(B, p) == nested + (24 * G**p if q else 16 * G ** (p - 1) * D)
+
+
+def test_a_block_holds_the_depth_three_elements_the_budget_cites():
+    assert jets.PRODUCT_WORKSPACE_BYTES // jets._workspace_bytes(4, 3) == 103
+    assert jets.PRODUCT_WORKSPACE_BYTES // jets._workspace_bytes(6, 3) == 37
+
+
 @pytest.mark.parametrize("B, p", [(1, 2), (2, 3), (4, 3), (6, 2), (4, 4), (10, 2), (21, 1)])
 def test_a_lanes_product_is_the_same_at_every_stack_size_and_offset(B, p):
     rng = np.random.default_rng(B + p)

@@ -516,23 +516,29 @@ def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
 
 
 def _recorded_products(monkeypatch) -> list:
-    """Wrap jets' blocked products; the list returned gets, per product
-    call, its batch elements, its depth and the blocks of that depth it took
-    (0 for an element split into the products of its outer level)."""
-    products, block_calls = [], []
-    product_into, block_product = jets._product_into, jets._block_product
+    """Wrap jets' products; the list returned gets, per product call, its
+    batch elements, its depth and the innermost kernel calls (term map or
+    fused rule) it took.  A product taken in one block takes one: the
+    nested levels of a block that fits the budget fit it in one block too."""
+    products, kernel_calls = [], []
+    tensor_product = jets._tensor_product
 
-    def counting_block(*args):
-        block_calls.append(args[-1])
-        block_product(*args)
+    def counting(kernel):
+        def counted(*args):
+            kernel_calls.append(kernel.__name__)
+            kernel(*args)
 
-    def recording(a, b, out, B, p):
-        before = len(block_calls)
-        product_into(a, b, out, B, p)
-        products.append((len(a), p, block_calls[before:].count(p)))
+        return counted
 
-    monkeypatch.setattr(jets, "_block_product", counting_block)
-    monkeypatch.setattr(jets, "_product_into", recording)
+    def recording(a, b, B, p):
+        before = len(kernel_calls)
+        out = tensor_product(a, b, B, p)
+        products.append((a.size // (B + 2) ** p, p, len(kernel_calls) - before))
+        return out
+
+    for name in ("_mapped_product", "_fused_product"):
+        monkeypatch.setattr(jets, name, counting(getattr(jets, name)))
+    monkeypatch.setattr(jets, "_tensor_product", recording)
     return products
 
 
@@ -541,18 +547,18 @@ def test_walks_up_to_depth_three_take_each_product_in_one_block(monkeypatch):
     products = _recorded_products(monkeypatch)
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     laplacian_jet(p_harmonic_expr(phi, -4, -2, 3, 1, 1), sample_so(4, range(10)), m_basis(2, 2), 3)
-    assert products and all(blocks == 1 for _, _, blocks in products), products
+    assert products and all(kernels == 1 for _, _, kernels in products), products
 
 
 def test_depth_three_products_of_a_fourth_order_walk_take_one_block(monkeypatch):
     # the sweep's widest products of depth 3: Gr(2,2) at p = 4 on ten points,
     # where the level rule of log(phi) and 1/phi takes 2B + 1 = 9 products
-    # per point one depth down, 90 batch elements against 97 per block
+    # per point one depth down, 90 batch elements against 103 per block
     products = _recorded_products(monkeypatch)
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     laplacian_jet(p_harmonic_expr(phi, -4, -2, 4, 1, 1), sample_so(4, range(10)), m_basis(2, 2), 4)
-    shallow = [(n, blocks) for n, p, blocks in products if p <= 3]
-    assert all(blocks == 1 for _, blocks in shallow), shallow
+    shallow = [(n, kernels) for n, p, kernels in products if p <= 3]
+    assert all(kernels == 1 for _, kernels in shallow), shallow
     assert max(n for n, p, _ in products if p == 3) == 90
 
 
