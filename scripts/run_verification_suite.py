@@ -17,6 +17,12 @@ change of any check residual is printed beside it.  Timing is ignored.  A
 run with no report in DIR reads "missing", and a report in DIR that no run
 of this sweep wrote reads "dropped".  Any difference makes the sweep exit 2.
 
+Each report written must equal ``json.dumps(json.loads(text), indent=2,
+sort_keys=True)`` plus a newline, byte for byte: the report encoder writes
+its check records from a template, and this holds it to json's own output.
+A run whose report does not reads "ENCODING" in place of its verdict, and
+the sweep exits 2.
+
 Usage:
   python scripts/run_verification_suite.py              # full sweep
   python scripts/run_verification_suite.py --samples 5  # fewer samples
@@ -113,7 +119,7 @@ def main(argv=None) -> int:
     sweep_start = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_ok = all_same = True
+    all_ok = all_same = all_canonical = True
     largest_change = run_total = 0.0
     header = f"{'run':<24} {'verdict':<8} {'checks':>7} {'worst residual':>15} {'time':>8}"
     if args.compare:
@@ -127,11 +133,12 @@ def main(argv=None) -> int:
         report.timing_seconds = time.perf_counter() - start
         run_total += report.timing_seconds
         text = report.to_json() + "\n"
+        doc = json.loads(text)
+        canonical = text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        all_canonical &= canonical
         line = ""
         if args.compare:
-            differing, change = compare_reports(
-                json.loads(text), Path(args.compare) / f"{name}.json"
-            )
+            differing, change = compare_reports(doc, Path(args.compare) / f"{name}.json")
             all_same &= not differing
             if not math.isnan(change):
                 largest_change = max(largest_change, change)
@@ -142,8 +149,9 @@ def main(argv=None) -> int:
         worst = max(uppers) if uppers else float("nan")
         ok = report.passed
         all_ok &= ok
+        outcome = "ENCODING" if not canonical else "pass" if ok else "FAIL"
         print(
-            f"{name:<24} {'pass' if ok else 'FAIL':<8} {len(report.checks):>7} "
+            f"{name:<24} {outcome:<8} {len(report.checks):>7} "
             f"{worst:>15.3e} {report.timing_seconds:>7.2f}s" + line
         )
     if args.compare:
@@ -160,7 +168,9 @@ def main(argv=None) -> int:
         print(f"{verdict} {args.compare}/; largest residual change {largest_change:.2e}")
     if not all_ok:
         print("SOME RUNS FAILED")
-    if not (all_ok and all_same):
+    if not all_canonical:
+        print("SOME REPORTS DIFFER FROM json.dumps(..., indent=2, sort_keys=True)")
+    if not (all_ok and all_same and all_canonical):
         return 2
     print("all runs passed")
     return 0

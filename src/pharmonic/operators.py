@@ -291,16 +291,21 @@ def _identity_residuals(points: np.ndarray, basis: np.ndarray, label: str, plane
 
     ``planes(X)`` gives, for a (K, N, N) chunk, the grid's Laplacian planes,
     their expected values, its (K, B, N, N) gradient planes, and a function
-    of k returning point k's expected N^4 pairing tensor; the pairing
-    tensors are built one point at a time, so only one is held at once.
+    of k returning point k's expected N^4 pairing tensor.  Point k's pairing
+    tensor is one GEMM, flat^T flat with flat its gradient planes as a
+    (B, N^2) matrix, and the tensors are built one point at a time, so only
+    one point's tensor, its expectation and their temporaries are held at
+    once.
     """
 
     def residuals(chunk):
         tau, tau_expected, grads, kappa_expected = planes(chunk)
         r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)), axis=(-2, -1))
         r_kappa = np.empty(len(chunk))
+        N = chunk.shape[-1]
         for k, point_grads in enumerate(grads):
-            kappa = np.einsum("zja,zkb->jakb", point_grads, point_grads)
+            flat = point_grads.reshape(len(point_grads), N * N)
+            kappa = (flat.T @ flat).reshape(N, N, N, N)
             expected = kappa_expected(k)
             r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
         return np.stack([r_tau, r_kappa], axis=1)

@@ -7,6 +7,16 @@ so a run can be reproduced from its own output.  Serialization is
 deterministic (sorted keys); the wall-clock field is the only part that
 varies between identical runs.
 
+``VerificationReport.to_json`` equals ``json.dumps(report.as_dict(),
+indent=2, sort_keys=True)`` byte for byte.  "checks" sorts first, so the
+check records are written first, each from one fixed template: its six keys
+in sorted order, strings through json's ``encode_basestring_ascii``, floats
+through ``float.__repr__`` (with json's NaN, Infinity and -Infinity) and
+verdicts as true/false.  The rest of the document goes through ``json.dumps``.
+A report with a record field of any other type (a numpy bool verdict, a
+float subclass) is written by ``json.dumps`` whole, which encodes it or
+raises as it would for ``as_dict()``.
+
 Most checks are upper bounds (residual <= threshold).  Witness-style checks
 (properness floors, non-descent) are lower bounds and carry kind "lower".
 """
@@ -14,7 +24,9 @@ Most checks are upper bounds (residual <= threshold).  Witness-style checks
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 ARTIFACT_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -59,6 +71,13 @@ REPORT_SCHEMA = {
         "version": {"type": "string"},
     },
 }
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
 @dataclass(frozen=True)
@@ -109,11 +128,11 @@ class VerificationReport:
                 out[c.check] = min(out.get(c.check, float("inf")), c.residual)
         return out
 
-    def as_dict(self) -> dict:
+    def _summary(self) -> dict:
+        """Every field of the document but the check records."""
         return {
             "command": self.command,
             "config": self.config,
-            "checks": [c.as_dict() for c in self.checks],
             "max_residuals": self.max_residuals,
             "passed": self.passed,
             "notes": list(self.notes),
@@ -121,8 +140,34 @@ class VerificationReport:
             "version": self.version,
         }
 
+    def as_dict(self) -> dict:
+        return {"checks": [c.as_dict() for c in self.checks], **self._summary()}
+
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        records = []
+        for c in self.checks:
+            point, passed = c.point, c.passed
+            if (
+                type(c.check) is not str
+                or type(c.kind) is not str
+                or type(point) not in (int, str)
+                or type(c.residual) is not float
+                or type(c.threshold) is not float
+                or (passed is not True and passed is not False)
+            ):
+                return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+            residual, threshold = _json_float(c.residual), _json_float(c.threshold)
+            point = _json_string(point) if type(point) is str else int.__repr__(point)
+            # the record as json.dumps(..., indent=2) writes it inside a report
+            records.append(
+                f'{{\n      "check": {_json_string(c.check)},\n      "kind": {_json_string(c.kind)},\n'
+                f'      "passed": {"true" if passed else "false"},\n      "point": {point},\n'
+                f'      "residual": {residual},\n      "threshold": {threshold}\n    }}'
+            )
+        checks = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+        # the summary's keys all sort after "checks": splice the records in first
+        rest = json.dumps(self._summary(), indent=2, sort_keys=True)
+        return '{\n  "checks": ' + checks + ",\n" + rest[2:]
 
     def to_csv(self) -> str:
         """Flat residual dump, one line per check record."""

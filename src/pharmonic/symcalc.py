@@ -291,21 +291,22 @@ def p_harmonic_combination(params: EigenParams, p: int, c1, c2) -> SymExpr:
     c1 = GaussianRational.of(c1)
     c2 = GaussianRational.of(c2)
     lam, mu = params.lam, params.mu
+    zero = Fraction(0)
     if mu.is_zero():
         if lam.is_zero():
             raise ValueError("eigenvalues (0, 0) are not allowed")
-        return SymExpr.term(c1, Fraction(0), p - 1)
+        return SymExpr({(zero, p - 1): c1})
     if lam == mu:
-        return SymExpr.term(c1, Fraction(0), 2 * p - 1) + SymExpr.term(
-            c2, Fraction(0), 2 * p - 2
-        )
+        return SymExpr({(zero, 2 * p - 1): c1, (zero, 2 * p - 2): c2})
     if lam.is_zero():
         raise ValueError("eigenvalue pattern (lam = 0, mu != 0) is not supported")
-    ratio = lam / mu
-    if ratio.im != 0:
+    # lam/mu is real exactly when lam.im mu.re = lam.re mu.im, and then it is
+    # the ratio of whichever parts of mu are nonzero
+    if lam.im * mu.re != lam.re * mu.im:
         raise ValueError("lam/mu must be a real rational for exact exponents")
-    exponent = Fraction(1) - ratio.re
-    return SymExpr.term(c1, exponent, p - 1) + SymExpr.term(c2, Fraction(0), p - 1)
+    ratio = lam.re / mu.re if mu.re else lam.im / mu.im
+    # the exponent 1 - lam/mu is nonzero, as lam != mu: the two keys differ
+    return SymExpr({(1 - ratio, p - 1): c1, (zero, p - 1): c2})
 
 
 @dataclass(frozen=True)

@@ -808,3 +808,25 @@ def test_fifth_order_four_point_walk_within_the_same_budget():
     assert points == {0, 1, 2, 3}
     assert elapsed < 10.0
     assert peak_mb < 300.0
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        pytest.param(("calibrate", "--m", "1", "--n", "37"), "coordinate", id="calibrate-N38"),
+        pytest.param(("grassmann", "--m", "1", "--n", "37"), "projector", id="grassmann-1-37"),
+        pytest.param(("grassmann", "--m", "19", "--n", "19"), "projector", id="grassmann-19-19"),
+    ],
+)
+def test_largest_identity_runs_pass_within_the_fifth_order_budget(argv, label):
+    # N = 38, the widest so(N) basis the lift bound accepts: one point's
+    # 38^4 pairing tensor, under the 10 s / 300 MB budget of a p = 5 run
+    start = time.perf_counter()
+    proc, peak_mb = run_cli_measured(*argv, "--samples", "1")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == EXIT_PASS, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    identities = {c["check"] for c in doc["checks"] if c["point"] == 0}
+    assert {f"tau_{label}", f"kappa_{label}"} <= identities
+    assert elapsed < 10.0
+    assert peak_mb < 300.0

@@ -1,12 +1,16 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from pharmonic.cli import RunConfig
+from pharmonic.cli import COMMANDS, RunConfig, main
 from pharmonic.reports import (
     REPORT_SCHEMA,
     SCHEMA_VERSION,
+    CheckRecord,
     VerificationReport,
     lower_check,
     upper_check,
@@ -66,6 +70,21 @@ def _field_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+def _oracle(report) -> str:
+    """json.dumps of the report's document, built field by field."""
+    doc = {
+        "command": report.command,
+        "config": report.config,
+        "checks": [_field_dict(c) for c in report.checks],
+        "max_residuals": report.max_residuals,
+        "passed": report.passed,
+        "notes": list(report.notes),
+        "timing_seconds": report.timing_seconds,
+        "version": report.version,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def test_report_json_is_the_field_by_field_dump():
     config = RunConfig("flag", blocks=(2, 1, 1), samples=3, out="r.json").as_dict()
     checks = [
@@ -78,17 +97,79 @@ def test_report_json_is_the_field_by_field_dump():
         assert list(c.as_dict().items()) == list(_field_dict(c).items())
     report = VerificationReport("flag", config, checks, notes=["drew 7", "note 2"])
     report.timing_seconds = 0.125
-    want = {
-        "command": report.command,
-        "config": report.config,
-        "checks": [_field_dict(c) for c in checks],
-        "max_residuals": report.max_residuals,
-        "passed": report.passed,
-        "notes": report.notes,
-        "timing_seconds": report.timing_seconds,
-        "version": report.version,
-    }
-    assert report.to_json() == json.dumps(want, indent=2, sort_keys=True)
+    assert report.to_json() == _oracle(report)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RunConfig("calibrate", m=1, n=2, samples=3),
+        RunConfig("grassmann", m=2, n=2, samples=3),
+        RunConfig("pharmonic", m=1, n=2, p=2, samples=3),
+        RunConfig("flag", blocks=(1, 1, 2), p=2, samples=2),
+        RunConfig("dual", m=1, n=2, p=2, radius=0.5, samples=3),
+    ],
+    ids=lambda config: config.command,
+)
+def test_every_command_report_encodes_as_the_json_dumps_oracle(config):
+    report = COMMANDS[config.command](config)
+    report.timing_seconds = 0.1 + 0.2
+    assert report.to_json() == _oracle(report)
+    assert report.to_json() == json.dumps(report.as_dict(), indent=2, sort_keys=True)
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2e-308, 1e16, 0.1]
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    _SPECIAL_FLOATS
+)
+_texts = st.text() | st.sampled_from(['a"b', "back\\slash", "tab\tnul\x00\x1f", "\u00e9\u2211\U0001f600", ""])
+_records = st.builds(
+    CheckRecord,
+    check=_texts,
+    point=st.integers() | st.sampled_from(["all", "A*"]),
+    residual=_floats,
+    threshold=_floats,
+    passed=st.booleans(),
+    kind=st.sampled_from(["upper", "lower"]) | _texts,
+)
+_config_values = st.none() | st.integers() | _floats | _texts | st.tuples(st.integers(), st.none(), _texts)
+_reports = st.builds(
+    VerificationReport,
+    command=_texts,
+    config=st.dictionaries(_texts, _config_values, max_size=4),
+    checks=st.lists(_records, max_size=6),
+    notes=st.lists(_texts, max_size=3),
+    timing_seconds=_floats,
+)
+
+
+@given(_reports)
+@example(VerificationReport("empty", {"blocks": (1, 2), "a_file": None}, []))
+@example(
+    VerificationReport(
+        "special",
+        {},
+        [CheckRecord('q"\\\x07\u00e9', point, x, x, x == x) for x in _SPECIAL_FLOATS for point in (0, "all", "A*")],
+    )
+)
+def test_report_json_is_byte_equal_to_the_json_dumps_oracle(report):
+    assert report.to_json() == _oracle(report)
+
+
+def test_record_fields_of_other_types_encode_as_json_dumps_does(capsys, monkeypatch):
+    # a float subclass encodes as json encodes it; a numpy bool verdict or a
+    # numpy integer point is refused, and the CLI prints nothing
+    subclass = VerificationReport("demo", {}, [CheckRecord("a", 0, np.float64(0.5), 1.0, True)])
+    assert subclass.to_json() == _oracle(subclass)
+    refused = (CheckRecord("a", 0, 0.5, 1.0, np.bool_(True)), CheckRecord("a", np.int64(0), 0.5, 1.0, True))
+    for record in refused:
+        report = VerificationReport("calibrate", {}, [upper_check("b", 0, 0.0, 1.0), record])
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            report.to_json()
+        monkeypatch.setitem(COMMANDS, "calibrate", lambda config, report=report: report)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            main(["calibrate", "--m", "1", "--n", "1", "--samples", "1"])
+        assert capsys.readouterr().out == ""
 
 
 def test_validator_rejects_malformed_documents():
@@ -211,3 +292,28 @@ def test_sweep_honours_the_tolerance_scale(tmp_path, monkeypatch, capsys):
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"configuration error: bad GH_VERIFY_TOL_SCALE value {bad!r}")
+
+
+def test_sweep_marks_a_report_that_is_not_json_dumps_output(tmp_path, monkeypatch, capsys):
+    sweep = _sweep_script()
+    runs = [
+        ("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2)),
+        ("grassmann_1_2", RunConfig("grassmann", m=1, n=2, samples=2)),
+    ]
+    monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
+    out_dir = ["--out-dir", str(tmp_path)]
+    assert sweep.main(out_dir) == 0
+    capsys.readouterr()
+
+    # the grassmann document indented by one space: valid JSON, other bytes
+    to_json = VerificationReport.to_json
+    monkeypatch.setattr(
+        VerificationReport,
+        "to_json",
+        lambda self: to_json(self) if self.command == "calibrate" else json.dumps(self.as_dict(), indent=1),
+    )
+    assert sweep.main(out_dir) == 2
+    out = capsys.readouterr().out
+    outcome = {row[0]: row[1] for row in map(str.split, out.splitlines()) if len(row) > 1}
+    assert outcome["calibrate_N2"] == "pass" and outcome["grassmann_1_2"] == "ENCODING"
+    assert "SOME REPORTS DIFFER" in out
