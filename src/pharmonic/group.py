@@ -129,11 +129,13 @@ def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
 
 
 def _rngs(seed) -> list[np.random.Generator]:
-    """One fresh generator per seed: a single seed, or each of a sequence."""
+    """One fresh generator per seed: a single seed, or each of a sequence.
+    Each is the stream np.random.default_rng(s) gives, built without its
+    argument dispatch."""
     seeds = [seed] if np.ndim(seed) == 0 else list(seed)
     if not seeds:
         raise ValueError("need at least one seed")
-    return [np.random.default_rng(s) for s in seeds]
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
 
 
 def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:

@@ -56,8 +56,10 @@ One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 stacked walk raises a BranchCutError naming the failing lanes.
 
 The closed-form identity residuals read depth-1 planes as plain arrays,
-for a stack of points at once, and build each point's rank-4 pairing
-tensor on its own: for the coordinate functions the planes X M_i of the
+for a stack of points at once, and take the rank-4 pairing tensor and its
+residual in tiles of at most IDENTITY_TILE_BYTES: several whole points per
+tile at small N, one slab of a point's rows at a time when one point's N^4
+tensor does not fit.  For the coordinate functions the planes X M_i of the
 lift are the value, the gradient and the Laplacian outright, and for the
 projector quadratics S = X P X^T (P the window projector) they are
 M_i S = X T_i X^T, from the depth-1 generator tensor T that every
@@ -89,9 +91,22 @@ DEPTH_CAP = 5
 # sample per run, median of three fresh processes, on a 2-core x86-64 VM
 # (peak resident set): flag --blocks 1,1,2 --p 5 (524,288 components) takes
 # 1.2 s and 61 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 0.6 s and 58 MB;
-# grassmann --m 19 --n 19 (1,018,020) 1.1 s and 132 MB.  Unbounded,
+# grassmann --m 19 --n 19 (1,018,020) 0.44 s and 83 MB (median of ten, its
+# pairing tensor taken in tiles).  Unbounded,
 # calibrate --m 1 --n 199 would first build about 6.4 GB of so(200) basis.
 MAX_LIFT_COMPONENTS = 2**20
+
+# Bytes of pairing-tensor entries the identity residuals take in one tile:
+# whole points when one point's N^4 entries fit, else one point's rows for a
+# slab of its leading index, at least one index (N^3 entries).  Measured on a
+# 2-core x86-64 VM at the identities benchmark's 11 shapes, ten points each
+# (best of five runs of 7 x 50 passes): 32 KiB 3.9 ms, 64 KiB 2.8 ms,
+# 128 KiB 2.6 ms and 256 KiB 3.1 ms a pass, against 4.8 ms for one whole
+# tensor per point.  Over 50 passes, 128 KiB raised the peak resident set by
+# 0.2 MB and 256 KiB by 0.7 MB (160 page faults a pass); 32 and 64 KiB did
+# not.  One so(38) point's coordinate residuals take 0.08 s and a 15.5 MiB
+# tracemalloc peak, that of its gradient planes, against 0.16 s and 87.4 MiB.
+IDENTITY_TILE_BYTES = 2**16
 
 # Subgroup elements per invariance check; merged-subgroup elements per point,
 # and the change f must show under one of them, for the non-descent witness.
@@ -150,7 +165,7 @@ def _lift(X: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     if not len(basis):
         raise ValueError("need a nonempty basis")
     N = X.shape[-1]
-    fields = np.concatenate([np.eye(N)[None], basis, sum(z @ z for z in basis)[None]])
+    fields = np.concatenate([np.eye(N)[None], basis, (basis @ basis).sum(axis=0, keepdims=True)])
     lifted = X[..., None, :, :]
     for _ in range(p):
         lifted = (lifted[..., None, :, :] @ fields).reshape(X.shape[:-2] + (-1, N, N))
@@ -291,23 +306,37 @@ def _identity_residuals(points: np.ndarray, basis: np.ndarray, label: str, plane
 
     ``planes(X)`` gives, for a (K, N, N) chunk, the grid's Laplacian planes,
     their expected values, its (K, B, N, N) gradient planes, and a function
-    of k returning point k's expected N^4 pairing tensor.  Point k's pairing
-    tensor is one GEMM, flat^T flat with flat its gradient planes as a
-    (B, N^2) matrix, and the tensors are built one point at a time, so only
-    one point's tensor, its expectation and their temporaries are held at
-    once.
+    of a slice of points and a slice of the leading index j returning the
+    expected pairing tensor there, shape (P, J, N, N, N) in index order
+    (j, a, k, b).  The pairing tensor of a point is flat^T flat, flat its
+    gradient planes as a (B, N^2) matrix, and it is taken in tiles of at most
+    IDENTITY_TILE_BYTES: a run of whole points, one stacked GEMM, when one
+    point's N^4 tensor fits, else one point and a slab of its j, whose rows
+    are flat[:, slab]^T flat.  Each tile's residual is computed in its own
+    buffer, so no N^4 tensor is held.  numpy hands a whole point's A^T A to
+    BLAS syrk and a slab's rows to gemm, which may round differently: slab
+    tiles can move a pairing residual by a unit in its last place.
     """
 
     def residuals(chunk):
         tau, tau_expected, grads, kappa_expected = planes(chunk)
         r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)), axis=(-2, -1))
-        r_kappa = np.empty(len(chunk))
-        N = chunk.shape[-1]
-        for k, point_grads in enumerate(grads):
-            flat = point_grads.reshape(len(point_grads), N * N)
-            kappa = (flat.T @ flat).reshape(N, N, N, N)
-            expected = kappa_expected(k)
-            r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
+        K, N = len(chunk), chunk.shape[-1]
+        flat = grads.reshape(K, -1, N * N)
+        step = max(1, IDENTITY_TILE_BYTES // (8 * N**4))
+        slab = min(N, max(1, IDENTITY_TILE_BYTES // (8 * N**3)))
+        r_kappa = np.full(K, -np.inf)
+        for k in range(0, K, step):
+            lanes = slice(k, k + step)
+            for j in range(0, N, slab):
+                kappa = np.swapaxes(flat[lanes, :, j * N : (j + slab) * N], -1, -2) @ flat[lanes]
+                expected = kappa_expected(lanes, slice(j, j + slab)).reshape(kappa.shape)
+                np.subtract(kappa, expected, out=kappa)
+                np.abs(kappa, out=kappa)
+                np.abs(expected, out=expected)
+                expected += 1.0
+                kappa /= expected
+                np.maximum(r_kappa[lanes], np.max(kappa, axis=(-2, -1)), out=r_kappa[lanes])
         return np.stack([r_tau, r_kappa], axis=1)
 
     r = _by_chunks(residuals, points, points[0].size * (len(basis) + 2))
@@ -326,14 +355,17 @@ def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> dict
     def planes(X):
         N = X.shape[-1]
         eye = np.eye(N)
-        delta = np.einsum("jk,ab->jakb", eye, eye)
+        XT = np.swapaxes(X, -1, -2)
+
+        def kappa_expected(lanes, rows):
+            # axes (point, j, a, k, b); delta_jk delta_ab is the k = j, b = a diagonal
+            expected = X[lanes, rows, None, None, :] * XT[lanes, None, :, :, None]
+            np.einsum("pjaja->pja", expected[:, :, :, rows])[...] -= 1.0
+            expected *= -0.5
+            return expected
+
         lifted = _lift(X, basis, 1)
-        return (
-            lifted[:, -1],
-            -(N - 1) / 2.0 * X,
-            lifted[:, 1:-1],
-            lambda k: -0.5 * (np.einsum("jb,ka->jakb", X[k], X[k]) - delta),
-        )
+        return lifted[:, -1], -(N - 1) / 2.0 * X, lifted[:, 1:-1], kappa_expected
 
     return _identity_residuals(points, basis, "coordinate", planes)
 
@@ -349,23 +381,30 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
           + (d_{jk} S_{ab} + d_{ab} S_{jk} + d_{jb} S_{ka} + d_{ka} S_{jb}) / 2.
     """
 
-    def kappa_expected(S, eye):
-        return -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S)) + 0.5 * (
-            np.einsum("jk,ab->jakb", eye, S)
-            + np.einsum("ab,jk->jakb", eye, S)
-            + np.einsum("jb,ka->jakb", eye, S)
-            + np.einsum("ka,jb->jakb", eye, S)
-        )
-
     def planes(X):
         N = X.shape[-1]
         eye = np.eye(N)
         W = X[..., :m]
         S = W @ np.swapaxes(W, -1, -2)
+        ST = np.swapaxes(S, -1, -2)
+        H = 0.5 * S
+
+        def kappa_expected(lanes, rows):
+            # axes (point, j, a, k, b).  Each delta term lives on one diagonal
+            # view; they are added in the order above, halved, which is exact.
+            expected = S[lanes, rows, None, None, :] * ST[lanes, None, :, :, None]
+            expected += S[lanes, rows, None, :, None] * S[lanes, None, :, None, :]
+            deltas = np.zeros_like(expected)
+            np.einsum("pjajb->pjab", deltas[:, :, :, rows])[...] = H[lanes, None]
+            np.einsum("pjaka->pjak", deltas)[...] += H[lanes, rows, None, :]
+            np.einsum("pjakj->pjak", deltas[..., rows])[...] += np.swapaxes(H[lanes], -1, -2)[:, None]
+            np.einsum("pjaab->pjab", deltas)[...] += H[lanes, rows, None, :]
+            return np.subtract(deltas, expected, out=expected)
+
         # M_i S = X T_i X^T, T the depth-1 generator tensor of the window
         T = _generator_tensor(basis, range(1, m + 1), N, 1)
         lifted = X[:, None] @ T @ np.swapaxes(X, -1, -2)[:, None]
-        return lifted[:, -1], -N * S + m * eye, lifted[:, 1:-1], lambda k: kappa_expected(S[k], eye)
+        return lifted[:, -1], -N * S + m * eye, lifted[:, 1:-1], kappa_expected
 
     return _identity_residuals(points, basis, "projector", planes)
 

@@ -120,12 +120,16 @@ class VerificationReport:
 
     @property
     def max_residuals(self) -> dict[str, float]:
+        """The largest residual of each upper check id and the smallest of
+        each lower one; NaN for an id with any NaN residual, which max and
+        min would drop or keep depending on its position."""
         out: dict[str, float] = {}
         for c in self.checks:
-            if c.kind == "upper":
-                out[c.check] = max(out.get(c.check, 0.0), c.residual)
+            seen = out.get(c.check, 0.0 if c.kind == "upper" else math.inf)
+            if math.isnan(seen) or math.isnan(c.residual):
+                out[c.check] = math.nan
             else:
-                out[c.check] = min(out.get(c.check, float("inf")), c.residual)
+                out[c.check] = (max if c.kind == "upper" else min)(seen, c.residual)
         return out
 
     def _summary(self) -> dict:

@@ -21,6 +21,11 @@ to roundoff.
 The level-by-level product of two LaplacianJet component arrays: the kernel
 the package's term maps replaced, and the reference they are checked
 against.
+
+The closed-form identity residuals with each point's whole N^4 pairing
+tensor built on its own, one GEMM and one einsum expectation per point: the
+loop the package's cache-sized tiles replaced, and the reference they are
+checked against.
 """
 
 from fractions import Fraction
@@ -29,6 +34,7 @@ import numpy as np
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
 from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
+from pharmonic.operators import _generator_tensor, _lift
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr
 
 
@@ -246,3 +252,46 @@ def _fold_level(pairs, target):
     target[:] = pairs[:, :D]
     target[:, 1:] += pairs[:, D : 2 * D - 1]
     target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
+
+
+def identity_residuals_per_point(points, basis, m=None) -> dict:
+    """The identity residuals of operators.coordinate_identity_residuals
+    (m None) or projector_identity_residuals (window of m columns) at each
+    point of the (K, N, N) stack, every point's pairing tensor whole."""
+    N = points.shape[-1]
+    eye = np.eye(N)
+    if m is None:
+        label = "coordinate"
+        lifted = _lift(points, basis, 1)
+        tau_expected = -(N - 1) / 2.0 * points
+        delta = np.einsum("jk,ab->jakb", eye, eye)
+
+        def kappa_expected(x):
+            return -0.5 * (np.einsum("jb,ka->jakb", x, x) - delta)
+
+        grams = points
+    else:
+        label = "projector"
+        W = points[..., :m]
+        grams = W @ np.swapaxes(W, -1, -2)
+        T = _generator_tensor(basis, range(1, m + 1), N, 1)
+        lifted = points[:, None] @ T @ np.swapaxes(points, -1, -2)[:, None]
+        tau_expected = -N * grams + m * eye
+
+        def kappa_expected(S):
+            return -(np.einsum("jb,ka->jakb", S, S) + np.einsum("jk,ab->jakb", S, S)) + 0.5 * (
+                np.einsum("jk,ab->jakb", eye, S)
+                + np.einsum("ab,jk->jakb", eye, S)
+                + np.einsum("jb,ka->jakb", eye, S)
+                + np.einsum("ka,jb->jakb", eye, S)
+            )
+
+    tau = lifted[:, -1]
+    r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)), axis=(-2, -1))
+    r_kappa = np.empty(len(points))
+    for k, point_grads in enumerate(lifted[:, 1:-1]):
+        flat = point_grads.reshape(len(point_grads), N * N)
+        kappa = (flat.T @ flat).reshape(N, N, N, N)
+        expected = kappa_expected(grams[k])
+        r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
+    return {f"tau_{label}": r_tau, f"kappa_{label}": r_kappa}

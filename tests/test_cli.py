@@ -820,7 +820,8 @@ def test_fifth_order_four_point_walk_within_the_same_budget():
 )
 def test_largest_identity_runs_pass_within_the_fifth_order_budget(argv, label):
     # N = 38, the widest so(N) basis the lift bound accepts: one point's
-    # 38^4 pairing tensor, under the 10 s / 300 MB budget of a p = 5 run
+    # 38^4 pairing tensor, taken one slab of rows at a time, under the
+    # 10 s / 300 MB budget of a p = 5 run
     start = time.perf_counter()
     proc, peak_mb = run_cli_measured(*argv, "--samples", "1")
     elapsed = time.perf_counter() - start

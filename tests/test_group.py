@@ -16,6 +16,7 @@ from pharmonic.group import (
     so_basis,
     validate_group_point,
 )
+from pharmonic import group
 from pharmonic.jets import JetScalar, lift, variable
 
 
@@ -221,6 +222,18 @@ def test_stacked_sampling_equals_one_seed_sampling_exactly(sampler, reference):
             assert np.array_equal(stack[lane], alone), (seed, lane)
             # and both equal the point drawn one number at a time
             assert np.array_equal(alone, _reference_point(seed, *reference)), seed
+
+
+@pytest.mark.parametrize("sampler, reference", _SAMPLERS)
+def test_sampler_streams_equal_default_rng_streams_exactly(monkeypatch, sampler, reference):
+    # the samplers build each generator as Generator(PCG64(seed)); the stacks
+    # must be those of default_rng(seed), also for seeds of 2^32 and above
+    seeds = [0, 9, 2**32 - 1, 2**32, 2**32 + 997, 2**63 + 1, 2**64 + 5]
+    built = [sampler(seeds)] + [sampler(s) for s in seeds]
+    monkeypatch.setattr(group, "_rngs", lambda seed: [np.random.default_rng(s) for s in np.atleast_1d(seed).tolist()])
+    expected = [sampler(seeds)] + [sampler(s) for s in seeds]
+    for got, want in zip(built, expected):
+        assert np.array_equal(got, want)
 
 
 def _boost_radii(m, n):

@@ -34,7 +34,7 @@ from pharmonic.operators import (
     p_harmonic_residuals,
     projector_identity_residuals,
 )
-from oracles import expanded_projector_form, window_quadratic
+from oracles import expanded_projector_form, identity_residuals_per_point, window_quadratic
 from product_rule import check_product_rule
 
 
@@ -666,6 +666,83 @@ def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
                     assert value.shape == (1,)
                     assert stacked[key].shape == (5,)
                     assert stacked[key][lane] == value[0], (N, m, lane, key)
+
+
+def _identity_cases(N):
+    """(m, residual function) for the coordinates and every projector window of SO(N)."""
+    basis = so_basis(N)
+    yield None, lambda x: coordinate_identity_residuals(x, basis)
+    for m in range(1, N):
+        yield m, lambda x, m=m: projector_identity_residuals(x, m, basis)
+
+
+@pytest.mark.parametrize("N", range(2, 12))
+def test_tiled_identity_residuals_equal_the_per_point_reference(monkeypatch, N):
+    # Tiles of whole points take each point's pairing tensor by the same
+    # GEMM as the per-point reference (numpy hands A^T A to BLAS syrk), so
+    # they agree bit for bit.  A slab of j takes its rows by a general GEMM,
+    # which OpenBLAS may round differently from syrk: each entry is a sum
+    # of B <= 55 products of entries at most 1, so the two agree within
+    # 1e-14, fixed before the first run.
+    stack = sample_so(N, range(60 * N, 60 * N + 13))
+    budgets = {
+        "default": ops.IDENTITY_TILE_BYTES,
+        "three points": 3 * 8 * N**4,  # 13 points in tiles of 3, 3, 3, 3 and 1
+        "two j": 2 * 8 * N**3,  # slabs of two j, the last of one when N is odd
+        "one j": 1,
+    }
+    for name, budget in budgets.items():
+        monkeypatch.setattr(ops, "IDENTITY_TILE_BYTES", budget)
+        whole_points = 8 * N**4 <= budget
+        for m, residuals in _identity_cases(N):
+            got = residuals(stack)
+            want = identity_residuals_per_point(stack, so_basis(N), m)
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if whole_points or key.startswith("tau"):
+                    assert np.array_equal(got[key], value), (name, m, key)
+                else:
+                    assert np.max(np.abs(got[key] - value)) <= 1e-14, (name, m, key)
+
+
+def test_identity_residuals_at_n_38_hold_no_pairing_tensor(monkeypatch):
+    import tracemalloc
+
+    # One so(38) point: one 38^4 pairing tensor is 15.9 MiB.  A loop holding
+    # each point's whole tensor peaked at 87.4 MiB (coordinates) and
+    # 71.5 MiB (Gr(19,19) projectors); the gradient planes and, for the
+    # projectors, the generator tensor they come from peak below 40 MiB, and
+    # the tiles may add less than 4 MiB on top of the planes they read.  Both
+    # bounds were fixed before the first run.
+    tiled = ops._identity_residuals
+    marks = []
+
+    def measured(points, basis, label, planes):
+        def measured_planes(X):
+            out = planes(X)
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return out
+
+        return tiled(points, basis, label, measured_planes)
+
+    monkeypatch.setattr(ops, "_identity_residuals", measured)
+    x = sample_so(38, [5])
+    basis = so_basis(38)
+    for call in (
+        lambda: coordinate_identity_residuals(x, basis),
+        lambda: projector_identity_residuals(x, 19, basis),
+    ):
+        marks.clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (planes_memory, planes_peak), = marks
+        assert max(planes_peak, peak) < 40 * 2**20, (planes_peak, peak)
+        assert peak - planes_memory < 4 * 2**20, (peak, planes_memory)
 
 
 def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():

@@ -28,6 +28,21 @@ def _sample_report():
     return VerificationReport("demo", {"seed": 7}, checks, notes=["note"])
 
 
+@pytest.mark.parametrize("kind", [upper_check, lower_check])
+@pytest.mark.parametrize(
+    "residuals",
+    [[float("nan")], [float("nan"), 0.5], [0.5, float("nan")], [0.2, float("nan"), 0.5], [float("nan"), float("nan")]],
+    ids=["alone", "first", "last", "between", "twice"],
+)
+def test_a_nan_residual_shows_in_max_residuals(kind, residuals):
+    checks = [kind("x", i, r, 1.0) for i, r in enumerate(residuals)] + [kind("y", 0, 0.25, 1.0)]
+    report = VerificationReport("demo", {}, checks)
+    summary = report.max_residuals
+    assert np.isnan(summary["x"]) and summary["y"] == 0.25
+    assert not report.passed
+    assert '"x": NaN' in report.to_json()
+
+
 def test_record_direction_semantics():
     assert upper_check("a", 0, 1e-10, 1e-9).passed
     assert not upper_check("a", 0, 1e-8, 1e-9).passed
