@@ -22,8 +22,6 @@ from .expressions import (
 )
 from .group import (
     curve_jets,
-    curve_point,
-    k_basis,
     m_basis,
     minkowski_form,
     sample_block_diagonal,
@@ -45,7 +43,6 @@ from .jets import (
     jpow,
     lift,
     reciprocal,
-    scalar_value,
     variable,
 )
 from .operators import (
@@ -54,7 +51,6 @@ from .operators import (
     check_eigenfunction,
     check_invariance,
     conditioned_sample,
-    fd_laplacian,
     gradient_product,
     iterated_laplacian,
     laplacian,

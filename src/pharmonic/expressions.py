@@ -537,9 +537,14 @@ def load_matrix(path) -> np.ndarray:
     path = Path(path)
     if path.suffix.lower() == ".json":
         rows = json.loads(path.read_text())
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("expected a JSON array of row arrays")
     else:
         with path.open(newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ValueError(f"rows of unequal lengths {lengths}")
     data = [[_cell_to_complex(cell) for cell in row] for row in rows]
     mat = np.array(data, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

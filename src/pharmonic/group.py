@@ -23,19 +23,16 @@ case, returned as its one N x N matrix.
 
 The exponential of a boost is read from the SVD of its off-diagonal block
 (the Cartan decomposition of the symmetric pair; Higham, Functions of
-Matrices, 2008), in numpy alone.  scipy's expm is imported only when one of
-the two test oracles runs, curve_point or operators.fd_laplacian; no CLI
-command calls either.
+Matrices, 2008), in numpy alone: no module of the package imports scipy.
 """
 
 from __future__ import annotations
 
-from numbers import Number
 from typing import Sequence
 
 import numpy as np
 
-from .jets import JetScalar, constant, is_zero, scalar_value, zero_like
+from .jets import JetScalar, zero_like
 
 POINT_TOL = 1e-10
 
@@ -94,15 +91,6 @@ def so_basis(N: int) -> np.ndarray:
     if N < 2:
         raise ValueError("need N >= 2")
     return np.array([_skew_unit(N, r, s) for r in range(1, N + 1) for s in range(r + 1, N + 1)])
-
-
-def k_basis(m: int, n: int) -> np.ndarray:
-    """Block-diagonal skew directions tangent to SO(m) x SO(n): those of
-    SO(m), then those of SO(n), each in the order of so_basis."""
-    N = m + n
-    pairs = [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)]
-    pairs += [(r, s) for r in range(m + 1, N + 1) for s in range(r + 1, N + 1)]
-    return np.array([_skew_unit(N, r, s) for r, s in pairs]).reshape(-1, N, N)
 
 
 def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
@@ -244,53 +232,6 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> np.ndarray:
 # -- curves -------------------------------------------------------------------
 
 
-def curve_point(x, Z: np.ndarray, t):
-    """Point x . exp(t Z) along the one-parameter curve in direction Z, an
-    N x N matrix.
-
-    For a plain number t this uses scipy's scaling-and-squaring matrix
-    exponential, imported here, and returns a numpy matrix.  For a jet t the
-    exponential series terminates exactly by nilpotency (after splitting off
-    any constant part of t) and the result is a nested tuple of jet entries.
-    """
-    from scipy.linalg import expm
-
-    if isinstance(t, Number):
-        tc = complex(t)
-        if tc.imag == 0.0:
-            return np.asarray(x) @ expm(tc.real * Z)
-        return np.asarray(x) @ expm(tc * Z.astype(complex))
-    c0 = scalar_value(t)
-    base = np.asarray(x, dtype=float)
-    if c0 != 0j:
-        if abs(c0.imag) > 1e-12:
-            raise ValueError("constant part of the curve parameter must be real")
-        base = base @ expm(c0.real * Z)
-        t = t - c0
-    shape = t.shape
-    bound = sum(shape)
-    mats = [base.astype(complex)]
-    powers = []
-    tp = t
-    i = 1
-    while i <= bound and not is_zero(tp):
-        mats.append(mats[-1] @ Z / i)
-        powers.append(tp)
-        tp = tp * t
-        i += 1
-    N = base.shape[0]
-    rows = []
-    for r in range(N):
-        row = []
-        for c in range(N):
-            acc = constant(mats[0][r, c], shape)
-            for tpow, mat in zip(powers, mats[1:]):
-                acc = acc + tpow * complex(mat[r, c])
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _sparse_columns(Z: np.ndarray) -> dict[int, list[tuple[int, float]]]:
     cols: dict[int, list[tuple[int, float]]] = {}
     for k, c in zip(*np.nonzero(Z)):
@@ -320,6 +261,8 @@ def _sparse_right_mul(X, cols, scale: float):
     return tuple(rows)
 
 
+# Kept for the nested-jet cross-oracle tests and for bench/tracing.py, which
+# wraps operators.curve_jets; no CLI command calls it.
 def curve_jets(entries, Z: np.ndarray, order: int = 2):
     """Jet-valued matrix of x . exp(eps Z) truncated at the given order, for
     an N x N direction matrix Z.

@@ -101,12 +101,14 @@ def _require_finite(z):
     return z
 
 
+# No CLI command builds one: its constructor, +, -x, * and analytic-function
+# branches stay for the nested-jet tests and bench/tracing.py's microbench.
 class JetScalar:
     """Polynomial in one nilpotent variable, truncated at ``order``.
 
     ``coeffs`` has length ``order + 1``; entries are either ``complex`` or
     jets of one common inner shape.  Multiplication is the Cauchy product
-    truncated at ``order``, so ``variable(0, k) ** (k + 1)`` is exactly zero.
+    truncated at ``order``, so ``ipow(variable(0, k), k + 1)`` is exactly zero.
     """
 
     __slots__ = ("order", "coeffs", "shape")
@@ -130,13 +132,6 @@ class JetScalar:
     def coefficient(self, i: int):
         """Coefficient of eps^i (a scalar of the inner shape)."""
         return self.coeffs[i]
-
-    def constant_value(self) -> complex:
-        """The underlying point value: coefficient 0 through every level."""
-        v = self
-        while isinstance(v, JetScalar):
-            v = v.coeffs[0]
-        return complex(v)
 
     # -- ring operations -----------------------------------------------------
 
@@ -165,12 +160,6 @@ class JetScalar:
     def __neg__(self):
         return JetScalar(self.order, tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, JetScalar) else -complex(other))
-
-    def __rsub__(self, other):
-        return (-self) + complex(other)
-
     def __mul__(self, other):
         if isinstance(other, JetScalar):
             if other.shape == self.shape:
@@ -195,36 +184,6 @@ class JetScalar:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, JetScalar):
-            return self * reciprocal(other)
-        if isinstance(other, Number):
-            return self * reciprocal(complex(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return reciprocal(self) * complex(other)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Number):
-            e = complex(exponent)
-            if e.imag == 0.0 and e.real == int(e.real):
-                return ipow(self, int(e.real))
-            return jpow(self, e)
-        return NotImplemented
-
-    # -- comparison / display --------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, JetScalar):
-            return self.shape == other.shape and self.coeffs == other.coeffs
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Jet{self.coeffs!r}"
 
 
 class LaplacianJet:
@@ -554,6 +513,7 @@ def lift(c, order: int) -> JetScalar:
     return JetScalar(order, (_require_finite(c),) + (0j,) * order)
 
 
+# Kept for bench/tracing.py, whose jet microbench starts from it.
 def variable(c, order: int) -> JetScalar:
     """Curve-parameter jet: coefficients (c, 1, 0, ..., 0)."""
     if order < 1:
@@ -576,20 +536,6 @@ def nilpotent_part(a):
         h[..., 0] = 0j
         return a._like(h)
     return JetScalar(a.order, (zero(a.shape[1:]),) + a.coeffs[1:])
-
-
-def is_zero(value) -> bool:
-    """Exact (coefficient-wise) zero test."""
-    if isinstance(value, JetScalar):
-        return all(is_zero(c) for c in value.coeffs)
-    return complex(value) == 0j
-
-
-def scalar_value(value) -> complex:
-    """Point value of a plain number or a jet of any nesting depth."""
-    if isinstance(value, JetScalar):
-        return value.constant_value()
-    return complex(value)
 
 
 # -- division and analytic functions ------------------------------------------

@@ -257,6 +257,8 @@ def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
     return LaplacianJet(B, p, coeffs)
 
 
+# laplacian, gradient_product and iterated_laplacian: no CLI command calls
+# them; the tests do, and bench/tracing.py wraps them by name.
 def laplacian(f, x, basis: np.ndarray) -> complex:
     """Sum over basis directions of the second derivative of f along x.exp(tZ)."""
     return complex(laplacian_jet(f, x, basis, 1).coeffs[-1])
@@ -278,21 +280,6 @@ def iterated_laplacian(f, p: int, x, basis: np.ndarray):
     if p == 0:
         return evaluate(f, x)
     return complex(laplacian_jet(f, x, basis, p).coeffs[-1])
-
-
-def fd_laplacian(f, x, basis: np.ndarray, step: float = 1e-4) -> complex:
-    """Central-difference Laplacian, an oracle independent of jet arithmetic
-    (and of the CLI, so scipy is imported here rather than with the module)."""
-    from scipy.linalg import expm
-
-    X = np.asarray(x, dtype=float)
-    center = 2.0 * complex(evaluate(f, X))
-    total = 0j
-    for z in basis:
-        fwd = complex(evaluate(f, X @ expm(step * z)))
-        bwd = complex(evaluate(f, X @ expm(-step * z)))
-        total += (fwd + bwd - center) / step**2
-    return total
 
 
 # -- batch identity residuals ---------------------------------------------------
@@ -441,25 +428,15 @@ def check_eigenfunction(
 def check_eigenfamily(
     fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray, tol: float
 ) -> list[CheckRecord]:
-    """Eigen relations for each member plus pairing(f_i, f_j) = mu f_i f_j
-    for every unordered pair, read from one depth-1 walk per member per
+    """Eigen relations for each member, as check_eigenfunction records whose
+    ids carry the prefix member{i}_, from one depth-1 walk per member per
     chunk of points."""
     if not fs:
         raise ValueError("need at least one family member")
-    lam, mu = complex(lam), complex(mu)
-    jets = [_jets_at(f, points, basis, 1) for f in fs]
     records: list[CheckRecord] = []
-    for idx, member in enumerate(jets):
-        records += _eigen_records(member, lam, mu, tol, prefix=f"member{idx}_")
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            vi, vj = jets[i][:, 0], jets[j][:, 0]
-            kij = np.einsum("kb,kb->k", jets[i][:, 1:-1], jets[j][:, 1:-1])
-            denom = 1.0 + np.abs(vi) + np.abs(vj) + np.abs(vi * vj)
-            residuals = np.abs(kij - mu * vi * vj) / denom
-            records += [
-                upper_check(f"kappa_pair_{i}_{j}", pidx, r, tol) for pidx, r in enumerate(residuals)
-            ]
+    for idx, f in enumerate(fs):
+        jets = _jets_at(f, points, basis, 1)
+        records += _eigen_records(jets, complex(lam), complex(mu), tol, prefix=f"member{idx}_")
     return records
 
 

@@ -94,15 +94,15 @@ class CheckRecord:
 
 
 def upper_check(check: str, point, residual: float, threshold: float) -> CheckRecord:
-    """Record for a residual that must stay at or below its threshold."""
-    residual = float(residual)
-    return CheckRecord(check, point, residual, float(threshold), residual <= threshold)
+    """Record for a residual that must stay at or below its threshold (as floats)."""
+    residual, threshold = float(residual), float(threshold)
+    return CheckRecord(check, point, residual, threshold, residual <= threshold)
 
 
 def lower_check(check: str, point, value: float, floor: float) -> CheckRecord:
-    """Record for a witness value that must reach at least its floor."""
-    value = float(value)
-    return CheckRecord(check, point, value, float(floor), value >= floor, "lower")
+    """Record for a witness value that must reach at least its floor (as floats)."""
+    value, floor = float(value), float(floor)
+    return CheckRecord(check, point, value, floor, value >= floor, "lower")
 
 
 @dataclass

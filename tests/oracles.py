@@ -26,13 +26,20 @@ The closed-form identity residuals with each point's whole N^4 pairing
 tensor built on its own, one GEMM and one einsum expectation per point: the
 loop the package's cache-sized tiles replaced, and the reference they are
 checked against.
+
+The central-difference Laplacian along scipy's matrix exponential, which
+shares nothing with jet arithmetic, and the skew basis of SO(m) x SO(n),
+from which the tests build directions that invariant functions must not
+see.  scipy is a test dependency only.
 """
 
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
-from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum
+from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate
+from pharmonic.group import _skew_unit
 from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
 from pharmonic.operators import _generator_tensor, _lift
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr
@@ -295,3 +302,25 @@ def identity_residuals_per_point(points, basis, m=None) -> dict:
         expected = kappa_expected(grams[k])
         r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
     return {f"tau_{label}": r_tau, f"kappa_{label}": r_kappa}
+
+
+def fd_laplacian(f, x, basis, step: float = 1e-4) -> complex:
+    """Central-difference Laplacian of f at the point x: the sum over the
+    basis of second differences along x . expm(+-step Z)."""
+    X = np.asarray(x, dtype=float)
+    center = 2.0 * complex(evaluate(f, X))
+    total = 0j
+    for z in basis:
+        fwd = complex(evaluate(f, X @ expm(step * z)))
+        bwd = complex(evaluate(f, X @ expm(-step * z)))
+        total += (fwd + bwd - center) / step**2
+    return total
+
+
+def k_basis(m: int, n: int) -> np.ndarray:
+    """Block-diagonal skew directions tangent to SO(m) x SO(n): those of
+    SO(m), then those of SO(n), each in the order of so_basis."""
+    N = m + n
+    pairs = [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)]
+    pairs += [(r, s) for r in range(m + 1, N + 1) for s in range(r + 1, N + 1)]
+    return np.array([_skew_unit(N, r, s) for r, s in pairs]).reshape(-1, N, N)

@@ -23,7 +23,7 @@ from pharmonic.expressions import (
     rank_one_from_vector,
     validate_eigen_matrix,
 )
-from pharmonic.group import k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
+from pharmonic.group import m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import BranchCutError
 from pharmonic.operators import (
     check_eigenfamily,
@@ -31,7 +31,6 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
-    fd_laplacian,
     laplacian,
     laplacian_jet,
     non_descent_witness,
@@ -45,7 +44,7 @@ from pharmonic.symcalc import (
     p_harmonic_combination,
     verify_p_harmonic,
 )
-from oracles import as_expr_node, evaluate_sym
+from oracles import as_expr_node, evaluate_sym, fd_laplacian, k_basis
 from product_rule import check_product_rule
 
 GRASSMANN_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 4)]

@@ -413,6 +413,26 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("A.json", '{"a": 1}', "expected a JSON array of row arrays"),
+        ("A.json", '"0:0"', "expected a JSON array of row arrays"),
+        ("A.json", "[1, 2, 3, 4]", "expected a JSON array of row arrays"),
+        ("A.json", "[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0]]", "rows of unequal lengths [3, 4]"),
+        ("A.csv", "0,0,0,0\n0,0,0,0\n0,0,0\n0,0,0,0\n", "rows of unequal lengths [3, 4]"),
+    ],
+    ids=["object", "string", "flat", "ragged", "ragged-csv"],
+)
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["grassmann", "--m", "2", "--n", "2", "--A", str(path), "--samples", "1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"bad --A {path}: {message}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["grassmann", "dual"])
 @pytest.mark.parametrize("entry", ["1e308", "1e-170"])
 def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys, command, entry):

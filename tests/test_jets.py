@@ -22,7 +22,6 @@ from pharmonic.jets import (
     lift,
     nilpotent_part,
     reciprocal,
-    scalar_value,
     variable,
     zero,
 )
@@ -105,7 +104,7 @@ def test_mixed_scalar_arithmetic():
     a = jet2(1, 2, 3)
     assert (a + 1).coeffs == (2 + 0j, 2 + 0j, 3 + 0j)
     assert (2 * a).coeffs == (2 + 0j, 4 + 0j, 6 + 0j)
-    assert (a - a).coeffs == (0j, 0j, 0j)
+    assert (a + (-a)).coeffs == (0j, 0j, 0j)
 
 
 def test_shape_mismatch_raises():
@@ -115,7 +114,7 @@ def test_shape_mismatch_raises():
 
 def test_division():
     v = variable(2, 1)
-    assert_jet_close((v * v) / v, v)
+    assert_jet_close((v * v) * reciprocal(v), v)
     with pytest.raises(JetError):
         reciprocal(variable(0, 2))
 
@@ -282,9 +281,10 @@ def test_nonfinite_rejections():
 def test_nilpotent_part_and_scalar_value():
     a = jet2(3, 1, 2)
     assert nilpotent_part(a).coeffs == (0j, 1 + 0j, 2 + 0j)
-    assert scalar_value(a) == 3 + 0j
+    assert (nilpotent_part(a) + 3).coeffs == a.coeffs
     nested = JetScalar(1, (a, zero((2,))))
-    assert scalar_value(nested) == 3 + 0j
+    assert nilpotent_part(nested).coeffs[0].coeffs == (0j, 0j, 0j)
+    assert nested.coefficient(0).coefficient(0) == 3 + 0j
 
 
 # -- forward-Laplacian algebra ------------------------------------------------------

@@ -17,7 +17,7 @@ from pharmonic.expressions import (
 from pharmonic.expressions import dual_matrix, flag_forms, flag_sum_expr
 from pharmonic import expressions, jets
 from pharmonic import operators as ops
-from pharmonic.group import curve_jets, k_basis, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
+from pharmonic.group import curve_jets, m_basis, sample_block_diagonal, sample_so, sample_so_mn, so_basis
 from pharmonic.jets import BranchCutError, JetScalar
 from pharmonic.operators import (
     check_eigenfamily,
@@ -25,7 +25,6 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
-    fd_laplacian,
     gradient_product,
     iterated_laplacian,
     laplacian,
@@ -34,7 +33,7 @@ from pharmonic.operators import (
     p_harmonic_residuals,
     projector_identity_residuals,
 )
-from oracles import expanded_projector_form, identity_residuals_per_point, window_quadratic
+from oracles import expanded_projector_form, fd_laplacian, identity_residuals_per_point, k_basis, window_quadratic
 from product_rule import check_product_rule
 
 
@@ -224,20 +223,6 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
         monkeypatch.undo()
 
 
-def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
-    # the honest two-member family of the test below
-    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
-    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
-    pts = sample_so(4, range(80, 83))
-    walks = _counting_walks(monkeypatch)
-    records = check_eigenfamily([fu, fv], -4, -2, pts, m_basis(1, 3), 1e-8)
-    assert walks == [(1, len(pts))] * 2
-    pairs = [r for r in records if r.check == "kappa_pair_0_1"]
-    assert [r.point for r in pairs] == list(range(len(pts)))
-    assert len(records) == 2 * 2 * len(pts) + len(pts)
-    assert all(r.passed for r in records), records
-
-
 def test_check_eigenfunction_negative_control():
     # traceless symmetric rank-2 matrix: the pairing relation must fail visibly
     m, n = 2, 2
@@ -261,9 +246,9 @@ def test_check_eigenfamily_singleton_matches_eigenfunction():
     assert all(r.passed for r in fam)
 
 
-def test_check_eigenfamily_two_members_single_column():
-    # two orthogonal isotropic generators over a width-one window form an
-    # honest family: all pairing products collapse to mu f g
+def test_check_eigenfamily_two_members_single_column(monkeypatch):
+    # two orthogonal isotropic generators over a width-one window: each is an
+    # eigenfunction, checked from one depth-1 walk of its own
     m, n = 1, 3
     N = m + n
     u = np.array([1, 1j, 0, 0])
@@ -271,7 +256,11 @@ def test_check_eigenfamily_two_members_single_column():
     fu = projector_form(rank_one_from_isotropic(u), m)
     fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
+    walks = _counting_walks(monkeypatch)
     fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n), 1e-8)
+    assert walks == [(1, len(pts))] * 2
+    ids = [f"member{i}_{check}" for i in range(2) for check in ("tau_eigen", "kappa_eigen")]
+    assert sorted(r.check for r in fam) == sorted(ids * len(pts))
     assert all(r.passed for r in fam), fam
 
 

@@ -50,6 +50,20 @@ def test_record_direction_semantics():
     assert not lower_check("w", 0, 1e-5, 1e-3).passed
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_numpy_thresholds_give_python_bool_verdicts(dtype):
+    records = [
+        upper_check("a", 0, 0.5, dtype(1.0)),
+        upper_check("a", 1, 2.0, dtype(1.0)),
+        lower_check("w", 0, 0.5, dtype(1e-3)),
+        lower_check("w", 1, 1e-5, dtype(1e-3)),
+    ]
+    assert [r.passed for r in records] == [True, False, True, False]
+    assert all(type(r.passed) is bool and type(r.threshold) is float for r in records)
+    report = VerificationReport("demo", {}, records)
+    assert report.to_json() == json.dumps(report.as_dict(), indent=2, sort_keys=True)
+
+
 def test_aggregates():
     report = _sample_report()
     assert report.passed

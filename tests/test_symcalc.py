@@ -303,14 +303,32 @@ def test_symbolic_laplacian_matches_jet_operator():
             assert abs(numeric - symbolic) <= 1e-7 * (1 + abs(numeric) + abs(symbolic))
 
 
-def test_symcalc_imports_no_pharmonic_module():
-    # the exact route must share no code with the numeric one it is compared with
-    tree = ast.parse(Path(symcalc.__file__).read_text())
+def _imported_modules(path: Path) -> list[str]:
+    """Every module a source file imports, at any depth (imports inside
+    functions too); a relative import keeps its leading dots."""
     imported = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
+    return imported
+
+
+def test_symcalc_imports_no_pharmonic_module():
+    # the exact route must share no code with the numeric one it is compared with
+    imported = _imported_modules(Path(symcalc.__file__))
     offending = [name for name in imported if name.startswith(".") or name.split(".")[0] == "pharmonic"]
+    assert not offending, offending
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only: the package's own modules never import it
+    modules = sorted(Path(symcalc.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 8, modules
+    offending = {
+        path.name: names
+        for path in modules
+        if (names := [name for name in _imported_modules(path) if name.split(".")[0] == "scipy"])
+    }
     assert not offending, offending
