@@ -27,6 +27,10 @@ tensor built on its own, one GEMM and one einsum expectation per point: the
 loop the package's cache-sized tiles replaced, and the reference they are
 checked against.
 
+The curve x . exp(t Z) for a jet parameter t, summed as the exponential
+series in jet arithmetic: the route curve_jets' coefficient recurrence
+replaced, and the reference it is checked against.
+
 The central-difference Laplacian along scipy's matrix exponential, which
 shares nothing with jet arithmetic, and the skew basis of SO(m) x SO(n),
 from which the tests build directions that invariant functions must not
@@ -40,7 +44,7 @@ from scipy.linalg import expm
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate
 from pharmonic.group import _skew_unit
-from pharmonic.jets import JetScalar, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal
+from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr
 
@@ -315,6 +319,28 @@ def fd_laplacian(f, x, basis, step: float = 1e-4) -> complex:
         bwd = complex(evaluate(f, X @ expm(-step * z)))
         total += (fwd + bwd - center) / step**2
     return total
+
+
+def series_curve_point(x, Z: np.ndarray, t):
+    """x . exp(t Z) for a jet t with zero constant part, as nested tuples of
+    jet entries: the exponential series sum_i (x Z^i / i!) t^i, summed in
+    jet arithmetic, which ends because t^i vanishes past the jet's total
+    order."""
+    shape = shape_of(t)
+    mats = [np.asarray(x, dtype=complex)]
+    for i in range(1, sum(shape) + 1):
+        mats.append(mats[-1] @ Z / i)
+    N = mats[0].shape[0]
+    rows = []
+    for r in range(N):
+        row = []
+        for c in range(N):
+            acc = constant(mats[0][r, c], shape)
+            for i, mat in enumerate(mats[1:], start=1):
+                acc = acc + ipow(t, i) * complex(mat[r, c])
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def k_basis(m: int, n: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from pharmonic.group import (
     validate_group_point,
 )
 from pharmonic import group
-from pharmonic.jets import JetScalar
-from oracles import k_basis
+from pharmonic.jets import JetScalar, variable
+from oracles import k_basis, series_curve_point
 
 
 def gram_matrix(basis, sign=-1):
@@ -311,6 +311,28 @@ def test_sampler_needs_a_seed():
 
 
 # -- curves --------------------------------------------------------------------
+
+
+def test_curve_point_jet_coefficients():
+    # coefficients 1 and 2 of the curve x . exp(eps Z) are x Z and x Z Z / 2
+    x = sample_so(4, 2)
+    Z = so_basis(4)[3]
+    mat = curve_jets(x, Z, order=2)
+    first = np.array([[mat[r][c].coefficient(1) for c in range(4)] for r in range(4)])
+    second = np.array([[mat[r][c].coefficient(2) for c in range(4)] for r in range(4)])
+    np.testing.assert_allclose(first, x @ Z, atol=1e-14)
+    np.testing.assert_allclose(second, x @ Z @ Z / 2, atol=1e-14)
+
+
+def test_curve_jets_matches_curve_point():
+    x = sample_so(3, 5)
+    Z = so_basis(3)[0]
+    fast = curve_jets(x, Z, order=2)
+    via_series = series_curve_point(x, Z, variable(0, 2))
+    for r in range(3):
+        for c in range(3):
+            for i in range(3):
+                assert abs(fast[r][c].coefficient(i) - via_series[r][c].coefficient(i)) <= 1e-14
 
 
 def test_curve_jets_nested_path():

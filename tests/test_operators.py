@@ -223,6 +223,23 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
+    # the honest two-member family of the test below: one depth-1 walk per
+    # member, and the tau and kappa records of each member at every point
+    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
+    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
+    pts = sample_so(4, range(80, 83))
+    walks = _counting_walks(monkeypatch)
+    records = check_eigenfamily([fu, fv], -4, -2, pts, m_basis(1, 3), 1e-8)
+    assert walks == [(1, len(pts))] * 2
+    for i in range(2):
+        for check in ("tau_eigen", "kappa_eigen"):
+            mine = [r for r in records if r.check == f"member{i}_{check}"]
+            assert [r.point for r in mine] == list(range(len(pts)))
+    assert len(records) == 2 * 2 * len(pts)
+    assert all(r.passed for r in records), records
+
+
 def test_check_eigenfunction_negative_control():
     # traceless symmetric rank-2 matrix: the pairing relation must fail visibly
     m, n = 2, 2
@@ -246,9 +263,9 @@ def test_check_eigenfamily_singleton_matches_eigenfunction():
     assert all(r.passed for r in fam)
 
 
-def test_check_eigenfamily_two_members_single_column(monkeypatch):
+def test_check_eigenfamily_two_members_single_column():
     # two orthogonal isotropic generators over a width-one window: each is an
-    # eigenfunction, checked from one depth-1 walk of its own
+    # eigenfunction
     m, n = 1, 3
     N = m + n
     u = np.array([1, 1j, 0, 0])
@@ -256,9 +273,7 @@ def test_check_eigenfamily_two_members_single_column(monkeypatch):
     fu = projector_form(rank_one_from_isotropic(u), m)
     fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
-    walks = _counting_walks(monkeypatch)
     fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n), 1e-8)
-    assert walks == [(1, len(pts))] * 2
     ids = [f"member{i}_{check}" for i in range(2) for check in ("tau_eigen", "kappa_eigen")]
     assert sorted(r.check for r in fam) == sorted(ids * len(pts))
     assert all(r.passed for r in fam), fam
