@@ -6,8 +6,8 @@ orders p = 2, 3, 4, the flag partitions (1,1,2) and (2,1,1) with the (2,2)
 Grassmannian control, and the indefinite duals at p = 2 and 4; writes one
 report per run into the output directory and prints a summary table, ending
 with the sum of the per-run times and the elapsed wall time of the sweep.
-As in the CLI, GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold; a
-value that is not a finite number >= 0 is a configuration error (exit 3).
+As in the CLI, GH_VERIFY_TOL_SCALE multiplies the thresholds of the
+numerical residuals (not the floors or the symbolic verdicts); a value that is not a finite number >= 0 is a configuration error (exit 3).
 
 With ``--compare DIR`` each report is also compared with the report of the
 same name in DIR, an earlier sweep: the run reads "same" when its check ids,

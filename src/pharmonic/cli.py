@@ -1,16 +1,22 @@
 """Command-line verification harness.
 
 Subcommands build the functions under study, run the symbolic and numerical
-checks, and emit one JSON report per run.  Runs are deterministic: the same
-configuration (seed included) reproduces the same report byte for byte,
-apart from the wall-clock field.
+checks, and emit one JSON report per run.  This module alone names the
+check ids, holds the thresholds and floors, and writes the check records:
+the operators it calls return plain residual arrays.  Runs are
+deterministic: the same configuration (seed included) reproduces the same
+report byte for byte, apart from the wall-clock field.
 
 Exit codes: 0 all checks passed, 2 a verification check failed, 3 a usage
 or configuration error, 4 a numerical-domain failure (well-conditioned
 sample points could not be found, or jet arithmetic hit a branch cut or a
-non-finite value during the run).  The environment variable
-GH_VERIFY_TOL_SCALE multiplies every upper-bound threshold, for CI on
-heterogeneous hardware.
+non-finite value during the run).
+
+``--tol`` replaces, and the environment variable GH_VERIFY_TOL_SCALE
+multiplies (for CI on heterogeneous hardware), the thresholds of the
+numerical residuals: the DEFAULT_TOLS checks and tau_p_residual.  Neither
+touches the floors (FUNCTION_SCALE_FLOOR, PROPERNESS_FLOOR, WITNESS_FLOOR)
+or the 0.5 threshold of the symbolic verdicts.
 
 ``main`` may be called any number of times in one process.  It builds its
 argument parser on the first call and reuses it after that.  A shell command
@@ -27,7 +33,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +54,12 @@ EXIT_FAIL = 2
 EXIT_USAGE = 3
 EXIT_DOMAIN = 4
 
+# Floors of the lower-bound checks: the largest |f| over the samples, a
+# kept point's order-(p-1) witness, and the largest change of f under the
+# non-descent witness's merged-subgroup actions.
+FUNCTION_SCALE_FLOOR = 1e-12
 PROPERNESS_FLOOR = 1e-3
+WITNESS_FLOOR = 1e-6
 
 # Largest spectral norm radius * sqrt(m n / 2) of a sampled boost: beyond it
 # roundoff in x = k exp(a), growing like exp(2 |a|), approaches the group
@@ -218,15 +229,14 @@ def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
     return [upper_check(f"matrix_{key}", label, value, tol) for key, value in residuals.items()]
 
 
-def _identity_records(residuals: dict, tol: float) -> list:
-    """Records of stacked identity residuals, each point's checks in turn."""
-    per_point = zip(*residuals.values())
+def _point_records(checks, residuals, tol: float) -> list:
+    """Upper-bound records of per-point residual arrays, one array per check
+    id, each point's checks in turn."""
     return [
         upper_check(check, i, value, tol)
-        for i, values in enumerate(per_point)
-        for check, value in zip(residuals, values)
+        for i, values in enumerate(zip(*residuals))
+        for check, value in zip(checks, values)
     ]
-
 
 def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -> list:
     """Exact p-harmonicity (and properness) verdicts as pass/fail records."""
@@ -295,7 +305,8 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
     tol = _threshold(config, DEFAULT_TOLS["calibrate"])
     basis = so_basis(N) * config.basis_scale
     points = sample_so(N, _seeds(config))
-    records = _identity_records(ops.coordinate_identity_residuals(points, basis), tol)
+    residuals = ops.coordinate_identity_residuals(points, basis)
+    records = _point_records(("tau_coordinate", "kappa_coordinate"), residuals, tol)
     notes = []
     if config.basis_scale != 1.0:
         notes.append(f"basis deliberately rescaled by {config.basis_scale} (test hook)")
@@ -321,20 +332,19 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     points = sample_so(N, _seeds(config))
 
     scale = float(np.max(np.abs(ops.values_at(phi, points))))
-    records.append(lower_check("function_scale", "all", scale, 1e-12))
-    if scale < 1e-12:
+    records.append(lower_check("function_scale", "all", scale, FUNCTION_SCALE_FLOOR))
+    if scale < FUNCTION_SCALE_FLOOR:
         notes.append("function is numerically zero on every sample (degenerate input)")
 
-    records += _identity_records(ops.projector_identity_residuals(points, m, so_basis(N)), proj_tol)
+    residuals = ops.projector_identity_residuals(points, m, so_basis(N))
+    records += _point_records(("tau_projector", "kappa_projector"), residuals, proj_tol)
 
-    records += ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n), eigen_tol)
-    records += ops.check_invariance(
-        phi,
-        lambda s: sample_block_diagonal((m, n), s),
-        points,
-        tol=inv_tol,
-        seed=config.seed,
+    residuals = ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n))
+    records += _point_records(("tau_eigen", "kappa_eigen"), residuals, eigen_tol)
+    worst = ops.check_invariance(
+        phi, lambda s: sample_block_diagonal((m, n), s), points, seed=config.seed
     )
+    records += _point_records(("invariance",), [worst], inv_tol)
     if m == 1:
         notes.append(f"m = 1: eigenvalue -(n+1) = {-(n + 1)} (degree-two harmonics)")
     return VerificationReport("grassmann", config.as_dict(), records, notes)
@@ -379,30 +389,26 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     basis = so_basis(n)
     points = sample_so(n, _seeds(config))
 
-    for k, phi_k in enumerate(block_forms):
-        fam = ops.check_eigenfamily([phi_k], -n, -2, points, basis, eigen_tol)
-        records += [replace(rec, check=f"block{k}_{rec.check}") for rec in fam]
+    # the ids keep their member0 part: check ids are byte-stable report output
+    for k, residuals in enumerate(ops.check_eigenfamily(block_forms, -n, -2, points, basis)):
+        checks = (f"block{k}_member0_tau_eigen", f"block{k}_member0_kappa_eigen")
+        records += _point_records(checks, residuals, eigen_tol)
 
     total = ex.flag_sum_expr(block_forms, config.p)
     sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
     records += _p_harmonic_records(total, sampled, basis, config, notes)
 
-    records += ops.check_invariance(
-        total,
-        lambda s: sample_block_diagonal(blocks, s),
-        sampled,
-        tol=inv_tol,
-        seed=config.seed,
+    worst = ops.check_invariance(
+        total, lambda s: sample_block_diagonal(blocks, s), sampled, seed=config.seed
     )
+    records += _point_records(("invariance",), [worst], inv_tol)
 
     if len(blocks) >= 3:
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
-        records += ops.non_descent_witness(
-            total,
-            lambda s: sample_block_diagonal(merged, s),
-            sampled[:1],
-            seed=config.seed,
+        best = ops.non_descent_witness(
+            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], seed=config.seed
         )
+        records.append(lower_check("non_descent_witness", 0, best, WITNESS_FLOOR))
     else:
         notes.append("two blocks: non-descent check skipped (single-window quotient)")
     return VerificationReport("flag", config.as_dict(), records, notes)
@@ -443,7 +449,8 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
             "(radius too small to leave the compact subgroup)"
         )
 
-    records += ops.check_eigenfunction(phi, N, 2, points, basis, eigen_tol)
+    residuals = ops.check_eigenfunction(phi, N, 2, points, basis)
+    records += _point_records(("tau_eigen", "kappa_eigen"), residuals, eigen_tol)
 
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
     iter_points = _sample_conditioned(
@@ -486,7 +493,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=7)
     common.add_argument("--samples", type=int, default=20)
     common.add_argument("--radius", type=float, default=0.75)
-    common.add_argument("--tol", type=float, default=None, help="override every threshold")
+    common.add_argument(
+        "--tol", type=float, default=None, help="override the residual thresholds (not the floors)"
+    )
     common.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
     common.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
     common.add_argument("--out", type=str, default=None, help="write the JSON report here")

@@ -533,19 +533,31 @@ def load_matrix(path) -> np.ndarray:
     """Row-major complex matrix from a CSV of 're:im' cells or a JSON array.
 
     JSON cells may be 're:im' strings, [re, im] pairs, or plain numbers.
+    Every unreadable file raises ValueError (or OSError), among them JSON
+    nested past the parser's recursion limit, a JSON integer beyond float
+    range and a CSV cell over csv's field size limit.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        rows = json.loads(path.read_text())
+        try:
+            rows = json.loads(path.read_text())
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError("expected a JSON array of row arrays")
     else:
         with path.open(newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            try:
+                rows = [row for row in csv.reader(fh) if row]
+            except csv.Error as exc:
+                raise ValueError(f"unreadable CSV: {exc}") from None
     lengths = sorted({len(row) for row in rows})
     if len(lengths) > 1:
         raise ValueError(f"rows of unequal lengths {lengths}")
-    data = [[_cell_to_complex(cell) for cell in row] for row in rows]
+    try:
+        data = [[_cell_to_complex(cell) for cell in row] for row in rows]
+    except OverflowError as exc:
+        raise ValueError(f"cell out of float range: {exc}") from None
     mat = np.array(data, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")

@@ -346,35 +346,25 @@ def _term_map(B: int, q: int) -> tuple[np.ndarray, ...]:
     right component indices, their weights 2**e for a term with e (b, b)
     pairs, and where each output component's run of terms starts.
 
-    A level's output k takes a run of 1 (k = 0), 2 (directions) or B + 2
-    (the Laplacian) of its pairs, so a term's place is the start of its
-    output's run plus its rank within it, mixed-radix in those run lengths.
+    The terms are generated pair by pair, level by level, and one stable
+    sort by output component gathers each output's run in that order.
     """
     D = B + 2
     pick_left, pick_right = _pair_indices(B)
     target = np.array(list(range(D)) + list(range(1, D)) + [D - 1] * B)
-    rank_in_run = np.array([0] * D + [1] * (D - 1) + list(range(2, B + 2)))
     doubled = np.array([0] * (2 * D - 1) + [1] * B)
-    run = np.array([1] + [2] * B + [B + 2])
-    run_start = np.array([0] + list(range(1, 2 * B, 2)) + [2 * B + 1])
-    pair_run = run[target]
-    left = right = output = rank = exponent = starts = np.zeros(1, dtype=np.intp)
-    runs = np.ones(1, dtype=np.intp)
+    left = right = output = exponent = np.zeros(1, dtype=np.intp)
     for _ in range(q):
         left = (left[:, None] * D + pick_left).ravel()
         right = (right[:, None] * D + pick_right).ravel()
         output = (output[:, None] * D + target).ravel()
-        rank = (rank[:, None] * pair_run + rank_in_run).ravel()
         exponent = (exponent[:, None] + doubled).ravel()
-        starts = (starts[:, None] * len(target) + runs[:, None] * run_start).ravel()
-        runs = (runs[:, None] * run).ravel()
-    place = starts[output] + rank
-    arrays = [np.empty_like(left), np.empty_like(right), np.empty(len(left), dtype=complex)]
-    for array, values in zip(arrays, (left, right, 2.0**exponent)):
-        array[place] = values
-    for array in arrays + [starts]:
+    order = np.argsort(output, kind="stable")
+    starts = np.searchsorted(output[order], np.arange(D**q))
+    arrays = [left[order], right[order], (2.0 ** exponent[order]).astype(complex), starts]
+    for array in arrays:
         array.flags.writeable = False  # shared by every caller
-    return (*arrays, starts)
+    return tuple(arrays)
 
 
 @lru_cache(maxsize=None)

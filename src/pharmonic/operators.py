@@ -48,9 +48,10 @@ MAX_LIFT_COMPONENTS components of N^2 D**p per lane; plain evaluations
 (invariance, the non-descent witness, conditioned sampling) run on stacks
 the same way.  Their samplers take a sequence of seeds and return the
 points as one (K, N, N) array, so every batch of subgroup actions or
-candidate points is drawn in one call.  The checkers return their
-verdicts as lists of CheckRecords, the residual functions as arrays of
-one value per point.
+candidate points is drawn in one call.  Every checker and residual
+function returns plain numbers, arrays of one value per point (the
+non-descent witness one best change), so this module takes no threshold
+and names no check: the CLI judges the numbers and writes the records.
 One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
 stacked walk raises a BranchCutError naming the failing lanes.
@@ -80,7 +81,6 @@ import numpy as np
 from .expressions import Entry, ProjectorForm, evaluate, tree_leaves
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
-from .reports import CheckRecord, lower_check, upper_check
 
 DEPTH_CAP = 5
 
@@ -108,11 +108,10 @@ MAX_LIFT_COMPONENTS = 2**20
 # tracemalloc peak, that of its gradient planes, against 0.16 s and 87.4 MiB.
 IDENTITY_TILE_BYTES = 2**16
 
-# Subgroup elements per invariance check; merged-subgroup elements per point,
-# and the change f must show under one of them, for the non-descent witness.
+# Subgroup elements per invariance check; merged-subgroup elements per point
+# for the non-descent witness.
 INVARIANCE_TRIALS = 5
 WITNESS_TRIALS = 20
-WITNESS_FLOOR = 1e-6
 
 # Conditioned sampling.  Iterated-Laplacian checks amplify roundoff like a
 # power of the derivative-to-value ratio, so the small-magnitude tail is
@@ -285,11 +284,11 @@ def iterated_laplacian(f, p: int, x, basis: np.ndarray):
 # -- batch identity residuals ---------------------------------------------------
 
 
-def _identity_residuals(points: np.ndarray, basis: np.ndarray, label: str, planes) -> dict:
+def _identity_residuals(points: np.ndarray, basis: np.ndarray, planes) -> tuple:
     """Residual maxima, normalised by 1 + |expected|, of the closed forms for
     the Laplacian and the gradient pairing of an N x N grid of functions:
-    one array of values per point of the (K, N, N) stack, lifted in
-    chunks under MAX_LIFT_COMPONENTS.
+    (tau, kappa), two arrays of one value per point of the (K, N, N) stack,
+    lifted in chunks under MAX_LIFT_COMPONENTS.
 
     ``planes(X)`` gives, for a (K, N, N) chunk, the grid's Laplacian planes,
     their expected values, its (K, B, N, N) gradient planes, and a function
@@ -327,10 +326,10 @@ def _identity_residuals(points: np.ndarray, basis: np.ndarray, label: str, plane
         return np.stack([r_tau, r_kappa], axis=1)
 
     r = _by_chunks(residuals, points, points[0].size * (len(basis) + 2))
-    return {f"tau_{label}": r[:, 0], f"kappa_{label}": r[:, 1]}
+    return r[:, 0], r[:, 1]
 
 
-def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> dict:
+def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> tuple:
     """Residual maxima of the closed forms for Laplacian and gradient pairing
     of the matrix-entry coordinates on SO(N), at each point of a stack (see
     _identity_residuals).
@@ -354,10 +353,10 @@ def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> dict
         lifted = _lift(X, basis, 1)
         return lifted[:, -1], -(N - 1) / 2.0 * X, lifted[:, 1:-1], kappa_expected
 
-    return _identity_residuals(points, basis, "coordinate", planes)
+    return _identity_residuals(points, basis, planes)
 
 
-def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) -> dict:
+def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) -> tuple:
     """Residual maxima of the closed forms for the projector quadratics at
     each point of a stack (see _identity_residuals).
 
@@ -393,51 +392,32 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
         lifted = X[:, None] @ T @ np.swapaxes(X, -1, -2)[:, None]
         return lifted[:, -1], -N * S + m * eye, lifted[:, 1:-1], kappa_expected
 
-    return _identity_residuals(points, basis, "projector", planes)
+    return _identity_residuals(points, basis, planes)
 
 
 # -- checkers --------------------------------------------------------------------
 
 
-def _eigen_records(jets, lam: complex, mu: complex, tol: float, prefix: str = "") -> list[CheckRecord]:
-    """tau and kappa records per point from the (K, D) depth-1 components."""
-    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
-    k = np.einsum("kb,kb->k", grads, grads)
-    denom = 1.0 + np.abs(v) + np.abs(v) ** 2
-    tau = np.abs(t - lam * v) / denom
-    kappa = np.abs(k - mu * v * v) / denom
-    records: list[CheckRecord] = []
-    for i in range(len(v)):
-        records.append(upper_check(f"{prefix}tau_eigen", i, tau[i], tol))
-        records.append(upper_check(f"{prefix}kappa_eigen", i, kappa[i], tol))
-    return records
-
-
-def check_eigenfunction(
-    f, lam, mu, points: np.ndarray, basis: np.ndarray, tol: float
-) -> list[CheckRecord]:
-    """Verify laplacian(f) = lam f and pairing(f, f) = mu f^2 at each point
-    of the stack, from one depth-1 walk per chunk of points.
+def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
+    """Residuals of laplacian(f) = lam f and pairing(f, f) = mu f^2 at each
+    point of the stack, (tau, kappa), from one depth-1 walk per chunk of
+    points.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    return _eigen_records(_jets_at(f, points, basis, 1), complex(lam), complex(mu), tol)
+    jets = _jets_at(f, points, basis, 1)
+    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
+    k = np.einsum("kb,kb->k", grads, grads)
+    denom = 1.0 + np.abs(v) + np.abs(v) ** 2
+    return np.abs(t - complex(lam) * v) / denom, np.abs(k - complex(mu) * v * v) / denom
 
 
-def check_eigenfamily(
-    fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray, tol: float
-) -> list[CheckRecord]:
-    """Eigen relations for each member, as check_eigenfunction records whose
-    ids carry the prefix member{i}_, from one depth-1 walk per member per
-    chunk of points."""
+def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
+    """check_eigenfunction's (tau, kappa) for each member, in order."""
     if not fs:
         raise ValueError("need at least one family member")
-    records: list[CheckRecord] = []
-    for idx, f in enumerate(fs):
-        jets = _jets_at(f, points, basis, 1)
-        records += _eigen_records(jets, complex(lam), complex(mu), tol, prefix=f"member{idx}_")
-    return records
+    return [check_eigenfunction(f, lam, mu, points, basis) for f in fs]
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -460,17 +440,13 @@ def check_invariance(
     f,
     subgroup_sampler: Callable[[Sequence[int]], np.ndarray],
     points: np.ndarray,
-    tol: float = 1e-10,
     seed: int = 0,
-) -> list[CheckRecord]:
-    """Verify f(x k) = f(x) for INVARIANCE_TRIALS sampled subgroup elements k,
-    drawn as one stack from seeds seed + 10000, ....
-
-    Records, per point, the worst normalized change over the trials.
-    """
+) -> np.ndarray:
+    """The worst normalized change of f(x k) against f(x) at each point, over
+    INVARIANCE_TRIALS sampled subgroup elements k, drawn as one stack from
+    seeds seed + 10000, ...."""
     ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS))
-    worst = _moved_changes(f, points, np.broadcast_to(ks, (len(points),) + ks.shape)).max(axis=1)
-    return [upper_check("invariance", i, w, tol) for i, w in enumerate(worst)]
+    return _moved_changes(f, points, np.broadcast_to(ks, (len(points),) + ks.shape)).max(axis=1)
 
 
 def non_descent_witness(
@@ -478,20 +454,16 @@ def non_descent_witness(
     merged_sampler: Callable[[Sequence[int]], np.ndarray],
     points: np.ndarray,
     seed: int = 0,
-) -> list[CheckRecord]:
-    """Find a merged-subgroup element whose right action visibly moves f.
-
-    Passing means at least one of WITNESS_TRIALS sampled actions per point
-    changed the value by more than WITNESS_FLOOR (a lower-bound check),
-    witnessing that f does not descend through the merged quotient.  Trial j
-    of point i uses seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn
-    as one stack.
+) -> float:
+    """The largest normalized change of f under WITNESS_TRIALS sampled
+    merged-subgroup actions per point: a visible change witnesses that f
+    does not descend through the merged quotient.  Trial j of point i uses
+    seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn as one stack.
     """
     start = seed + 20_000
     ks = merged_sampler(range(start, start + len(points) * WITNESS_TRIALS))
     ks = ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:])
-    best = float(_moved_changes(f, points, ks).max())
-    return [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
+    return float(_moved_changes(f, points, ks).max())
 
 
 class SamplingExhausted(RuntimeError):

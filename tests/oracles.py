@@ -265,14 +265,14 @@ def _fold_level(pairs, target):
     target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
 
 
-def identity_residuals_per_point(points, basis, m=None) -> dict:
-    """The identity residuals of operators.coordinate_identity_residuals
-    (m None) or projector_identity_residuals (window of m columns) at each
-    point of the (K, N, N) stack, every point's pairing tensor whole."""
+def identity_residuals_per_point(points, basis, m=None) -> tuple:
+    """The identity residuals (tau, kappa) of
+    operators.coordinate_identity_residuals (m None) or
+    projector_identity_residuals (window of m columns) at each point of the
+    (K, N, N) stack, every point's pairing tensor whole."""
     N = points.shape[-1]
     eye = np.eye(N)
     if m is None:
-        label = "coordinate"
         lifted = _lift(points, basis, 1)
         tau_expected = -(N - 1) / 2.0 * points
         delta = np.einsum("jk,ab->jakb", eye, eye)
@@ -282,7 +282,6 @@ def identity_residuals_per_point(points, basis, m=None) -> dict:
 
         grams = points
     else:
-        label = "projector"
         W = points[..., :m]
         grams = W @ np.swapaxes(W, -1, -2)
         T = _generator_tensor(basis, range(1, m + 1), N, 1)
@@ -305,7 +304,7 @@ def identity_residuals_per_point(points, basis, m=None) -> dict:
         kappa = (flat.T @ flat).reshape(N, N, N, N)
         expected = kappa_expected(grams[k])
         r_kappa[k] = np.max(np.abs(kappa - expected) / (1.0 + np.abs(expected)))
-    return {f"tau_{label}": r_tau, f"kappa_{label}": r_kappa}
+    return r_tau, r_kappa
 
 
 def fd_laplacian(f, x, basis, step: float = 1e-4) -> complex:

@@ -31,5 +31,10 @@ def test_tracer_installs_on_every_name_it_wraps(capsys):
     assert {"cli.main", "operators.conditioned_sample", "operators.invariance", "group.sample"} <= names
     assert counts["operators.conditioned_sample.accepted"] == 2
     assert counts["reports.bytes"] > 0
-    # the microbench's jet builder and kernels
-    assert isinstance(jets.jlog(tracing.nested_jet(jets, 0.7 + 0.2j, 2)), jets.JetScalar)
+    # the microbench's jet builder and kernels at every depth it walks:
+    # deeper jets reach JetScalar operators that shallower ones do not
+    for depth in range(1, 5):
+        a = tracing.nested_jet(jets, 0.7 + 0.2j, depth)
+        b = tracing.nested_jet(jets, 1.3 - 0.4j, depth)
+        assert isinstance(a * b, jets.JetScalar), depth
+        assert isinstance(jets.jlog(a), jets.JetScalar), depth

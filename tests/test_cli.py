@@ -268,7 +268,7 @@ def _parser_declared_per_command():
         cp.add_argument("--seed", type=int, default=7)
         cp.add_argument("--samples", type=int, default=20)
         cp.add_argument("--radius", type=float, default=0.75)
-        cp.add_argument("--tol", type=float, default=None, help="override every threshold")
+        cp.add_argument("--tol", type=float, default=None, help="override the residual thresholds (not the floors)")
         cp.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
         cp.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
         cp.add_argument("--out", type=str, default=None, help="write the JSON report here")
@@ -421,8 +421,12 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
         ("A.json", "[1, 2, 3, 4]", "expected a JSON array of row arrays"),
         ("A.json", "[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0]]", "rows of unequal lengths [3, 4]"),
         ("A.csv", "0,0,0,0\n0,0,0,0\n0,0,0\n0,0,0,0\n", "rows of unequal lengths [3, 4]"),
+        # json.loads raises RecursionError, complex() OverflowError, csv.reader a csv.Error
+        ("A.json", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+        ("A.json", "[[1" + "0" * 400 + ", 0], [0, 0]]", "cell out of float range: int too large to convert to float"),
+        ("A.csv", "1" * 140_000 + ",0,0,0\n", "unreadable CSV: field larger than field limit (131072)"),
     ],
-    ids=["object", "string", "flat", "ragged", "ragged-csv"],
+    ids=["object", "string", "flat", "ragged", "ragged-csv", "deep-json", "huge-json-int", "long-csv-cell"],
 )
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, name, text, message):
     path = tmp_path / name

@@ -69,9 +69,9 @@ def test_batch_residuals_agree_with_operator_calls():
     N = 4
     basis = so_basis(N)
     x = sample_so(N, [23])
-    res = coordinate_identity_residuals(x, basis)
-    assert res["tau_coordinate"][0] <= 1e-12
-    assert res["kappa_coordinate"][0] <= 1e-12
+    tau, kappa = coordinate_identity_residuals(x, basis)
+    assert tau[0] <= 1e-12
+    assert kappa[0] <= 1e-12
 
 
 def test_projector_identities_batch_and_spot():
@@ -79,9 +79,9 @@ def test_projector_identities_batch_and_spot():
         N = m + n
         basis = so_basis(N)
         x = sample_so(N, m * 10 + n)
-        res = projector_identity_residuals(x[None], m, basis)
-        assert res["tau_projector"][0] <= 1e-11
-        assert res["kappa_projector"][0] <= 1e-11
+        tau, kappa = projector_identity_residuals(x[None], m, basis)
+        assert tau[0] <= 1e-11
+        assert kappa[0] <= 1e-11
 
         # spot-check one entry through the per-function operators
         S = x[:, :m] @ x[:, :m].T
@@ -157,20 +157,18 @@ def test_full_basis_equals_quotient_basis_on_invariant_functions():
 
 def test_coordinates_are_not_invariant():
     pts = sample_so(4, range(60, 63))
-    records = check_invariance(
-        Entry(1, 1), lambda s: sample_block_diagonal((2, 2), s), pts, tol=1e-10
-    )
-    assert not all(r.passed for r in records)
+    changes = check_invariance(Entry(1, 1), lambda s: sample_block_diagonal((2, 2), s), pts)
+    assert changes.shape == (len(pts),)
+    assert changes.max() > 1e-10
 
 
 def test_projector_form_is_invariant():
     m, n = 2, 3
     pts = sample_so(m + n, range(70, 73))
     phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
-    records = check_invariance(
-        phi, lambda s: sample_block_diagonal((m, n), s), pts, tol=1e-10
-    )
-    assert all(r.passed for r in records)
+    changes = check_invariance(phi, lambda s: sample_block_diagonal((m, n), s), pts)
+    assert changes.shape == (len(pts),)
+    assert changes.max() <= 1e-10
 
 
 # -- eigen checks ------------------------------------------------------------------------
@@ -181,9 +179,9 @@ def test_check_eigenfunction_positive():
     N = m + n
     phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     pts = sample_so(N, range(80, 85))
-    records = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n), 1e-8)
-    assert all(r.passed for r in records)
-    assert max(r.residual for r in records) <= 1e-12
+    tau, kappa = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    assert tau.shape == kappa.shape == (len(pts),)
+    assert max(tau.max(), kappa.max()) <= 1e-12
 
 
 def _counting_walks(monkeypatch):
@@ -207,7 +205,7 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
     pts = sample_so(m + n, range(70, 73))
     basis = m_basis(m, n)
     # wrong eigenvalues give residuals of order one, so agreement with the
-    # one-point operators shows each record reads its own point's lane
+    # one-point operators shows each residual reads its own point's lane
     for lam, mu in ((-4, -2), (-3, -1)):
         expected = []
         for pt in pts:
@@ -216,28 +214,31 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
             expected.append(abs(laplacian(phi, pt, basis) - complex(lam) * v) / denom)
             expected.append(abs(gradient_product(phi, phi, pt, basis) - complex(mu) * v * v) / denom)
         walks = _counting_walks(monkeypatch)
-        records = check_eigenfunction(phi, lam, mu, pts, basis, 1e-8)
+        tau, kappa = check_eigenfunction(phi, lam, mu, pts, basis)
         assert walks == [(1, len(pts))]
-        got = [r.residual for r in records]
+        got = np.stack([tau, kappa], axis=1).ravel()
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
         monkeypatch.undo()
 
 
 def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     # the honest two-member family of the test below: one depth-1 walk per
-    # member, and the tau and kappa records of each member at every point
+    # member, and each member's tau and kappa equal to its own eigen check
     fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
     fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
     pts = sample_so(4, range(80, 83))
+    basis = m_basis(1, 3)
     walks = _counting_walks(monkeypatch)
-    records = check_eigenfamily([fu, fv], -4, -2, pts, m_basis(1, 3), 1e-8)
+    family = check_eigenfamily([fu, fv], -4, -2, pts, basis)
     assert walks == [(1, len(pts))] * 2
-    for i in range(2):
-        for check in ("tau_eigen", "kappa_eigen"):
-            mine = [r for r in records if r.check == f"member{i}_{check}"]
-            assert [r.point for r in mine] == list(range(len(pts)))
-    assert len(records) == 2 * 2 * len(pts)
-    assert all(r.passed for r in records), records
+    monkeypatch.undo()
+    assert len(family) == 2
+    for f, pair in zip((fu, fv), family):
+        alone = check_eigenfunction(f, -4, -2, pts, basis)
+        for got, want in zip(pair, alone):
+            assert got.shape == (len(pts),)
+            assert np.array_equal(got, want)
+            assert got.max() <= 1e-8
 
 
 def test_check_eigenfunction_negative_control():
@@ -247,20 +248,20 @@ def test_check_eigenfunction_negative_control():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi = projector_form(bad, m=m)
     pts = sample_so(N, range(90, 95))
-    records = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n), 1e-8)
-    assert not all(r.passed for r in records)
-    kappa_res = [r.residual for r in records if r.check == "kappa_eigen"]
-    tau_res = [r.residual for r in records if r.check == "tau_eigen"]
-    assert max(kappa_res) >= 1e-2
-    assert max(tau_res) <= 1e-10  # linear relation survives any traceless matrix
+    tau, kappa = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    assert kappa.max() >= 1e-2
+    assert tau.max() <= 1e-10  # linear relation survives any traceless matrix
 
 
 def test_check_eigenfamily_singleton_matches_eigenfunction():
     m, n = 1, 2
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(100, 103))
-    fam = check_eigenfamily([phi], -3, -2, pts, m_basis(m, n), 1e-8)
-    assert all(r.passed for r in fam)
+    fam = check_eigenfamily([phi], -3, -2, pts, m_basis(m, n))
+    single = check_eigenfunction(phi, -3, -2, pts, m_basis(m, n))
+    assert len(fam) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(fam[0], single))
+    assert max(single[0].max(), single[1].max()) <= 1e-8
 
 
 def test_check_eigenfamily_two_members_single_column():
@@ -273,19 +274,21 @@ def test_check_eigenfamily_two_members_single_column():
     fu = projector_form(rank_one_from_isotropic(u), m)
     fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
-    fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n), 1e-8)
-    ids = [f"member{i}_{check}" for i in range(2) for check in ("tau_eigen", "kappa_eigen")]
-    assert sorted(r.check for r in fam) == sorted(ids * len(pts))
-    assert all(r.passed for r in fam), fam
+    fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n))
+    assert len(fam) == 2
+    for tau, kappa in fam:
+        assert tau.shape == kappa.shape == (len(pts),)
+        assert max(tau.max(), kappa.max()) <= 1e-8, fam
 
 
 def test_check_eigenfamily_with_constant_fails():
     m, n = 1, 2
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(120, 123))
-    fam = check_eigenfamily([phi, Const(1 + 0j)], -3, -2, pts, m_basis(m, n), 1e-8)
-    assert not all(r.passed for r in fam)
-    assert any(not r.passed and "tau_eigen" in r.check for r in fam)
+    fam = check_eigenfamily([phi, Const(1 + 0j)], -3, -2, pts, m_basis(m, n))
+    (tau, kappa), (const_tau, _) = fam
+    assert max(tau.max(), kappa.max()) <= 1e-8
+    assert const_tau.min() > 1e-8  # L 1 = 0, not -3
 
 
 # -- product rule -------------------------------------------------------------------------
@@ -574,7 +577,6 @@ def _curve_jet_identity_residuals(X, basis, m=None):
     N = X.shape[0]
     eye = np.eye(N)
     if m is None:
-        label = "coordinate"
 
         def entry_jets(jm):
             return jm
@@ -584,7 +586,6 @@ def _curve_jet_identity_residuals(X, basis, m=None):
             np.einsum("jb,ka->jakb", X, X) - np.einsum("jk,ab->jakb", eye, eye)
         )
     else:
-        label = "projector"
 
         def entry_jets(jm):
             sums = [[None] * N for _ in range(N)]
@@ -620,7 +621,7 @@ def _curve_jet_identity_residuals(X, basis, m=None):
     kappa = np.einsum("zja,zkb->jakb", grads, grads)
     r_tau = np.max(np.abs(tau - tau_expected) / (1.0 + np.abs(tau_expected)))
     r_kappa = np.max(np.abs(kappa - kappa_expected) / (1.0 + np.abs(kappa_expected)))
-    return {f"tau_{label}": float(r_tau), f"kappa_{label}": float(r_kappa)}
+    return float(r_tau), float(r_kappa)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.1])
@@ -643,9 +644,8 @@ def test_identity_residuals_match_curve_jets(scale):
         ]
         for got, wants in pairs:
             for lane, want in enumerate(wants):
-                assert got.keys() == want.keys()
-                for key, value in want.items():
-                    assert abs(got[key][lane] - value) <= 1e-13, (N, lane, key, got[key][lane], value)
+                for key, (array, value) in enumerate(zip(got, want)):
+                    assert abs(array[lane] - value) <= 1e-13, (N, lane, key, array[lane], value)
 
 
 def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
@@ -665,11 +665,11 @@ def test_stacked_identity_residuals_equal_one_point_calls_exactly(monkeypatch):
             stacked = residuals(stack)
             for lane, x in enumerate(stack):
                 alone = residuals(x[None])
-                assert stacked.keys() == alone.keys()
-                for key, value in alone.items():
+                assert len(stacked) == len(alone) == 2
+                for key, (array, value) in enumerate(zip(stacked, alone)):
                     assert value.shape == (1,)
-                    assert stacked[key].shape == (5,)
-                    assert stacked[key][lane] == value[0], (N, m, lane, key)
+                    assert array.shape == (5,)
+                    assert array[lane] == value[0], (N, m, lane, key)
 
 
 def _identity_cases(N):
@@ -699,14 +699,13 @@ def test_tiled_identity_residuals_equal_the_per_point_reference(monkeypatch, N):
         monkeypatch.setattr(ops, "IDENTITY_TILE_BYTES", budget)
         whole_points = 8 * N**4 <= budget
         for m, residuals in _identity_cases(N):
-            got = residuals(stack)
-            want = identity_residuals_per_point(stack, so_basis(N), m)
-            assert got.keys() == want.keys()
-            for key, value in want.items():
-                if whole_points or key.startswith("tau"):
-                    assert np.array_equal(got[key], value), (name, m, key)
-                else:
-                    assert np.max(np.abs(got[key] - value)) <= 1e-14, (name, m, key)
+            tau, kappa = residuals(stack)
+            want_tau, want_kappa = identity_residuals_per_point(stack, so_basis(N), m)
+            assert np.array_equal(tau, want_tau), (name, m)
+            if whole_points:
+                assert np.array_equal(kappa, want_kappa), (name, m)
+            else:
+                assert np.max(np.abs(kappa - want_kappa)) <= 1e-14, (name, m)
 
 
 def test_identity_residuals_at_n_38_hold_no_pairing_tensor(monkeypatch):
@@ -721,14 +720,14 @@ def test_identity_residuals_at_n_38_hold_no_pairing_tensor(monkeypatch):
     tiled = ops._identity_residuals
     marks = []
 
-    def measured(points, basis, label, planes):
+    def measured(points, basis, planes):
         def measured_planes(X):
             out = planes(X)
             marks.append(tracemalloc.get_traced_memory())
             tracemalloc.reset_peak()
             return out
 
-        return tiled(points, basis, label, measured_planes)
+        return tiled(points, basis, measured_planes)
 
     monkeypatch.setattr(ops, "_identity_residuals", measured)
     x = sample_so(38, [5])
@@ -882,8 +881,9 @@ def test_jet_laplacian_matches_finite_differences():
 def test_non_descent_witness_found_for_three_blocks():
     node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     pts = sample_so(4, [190])
-    records = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts)
-    assert all(r.passed for r in records)
+    best = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts)
+    assert isinstance(best, float)
+    assert best > 1e-6
 
 
 def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
@@ -1004,5 +1004,5 @@ def test_dual_context_eigen_relations():
     A = dual_matrix(rank_one_from_vector([1, 2]), m, n)
     phi = projector_form(A, m)
     pts = sample_so_mn(m, n, range(200, 205), 0.5)
-    records = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"), 1e-8)
-    assert all(r.passed for r in records), records
+    tau, kappa = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"))
+    assert max(tau.max(), kappa.max()) <= 1e-8, (tau, kappa)

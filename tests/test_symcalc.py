@@ -1,4 +1,5 @@
 import ast
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -332,3 +333,15 @@ def test_no_package_module_imports_scipy():
         if (names := [name for name in _imported_modules(path) if name.split(".")[0] == "scipy"])
     }
     assert not offending, offending
+
+
+def test_operators_import_nothing_from_reports():
+    # operators returns residual arrays; the CLI alone judges them against
+    # thresholds and writes the check records
+    from pharmonic import operators
+
+    imported = _imported_modules(Path(operators.__file__))
+    assert not [name for name in imported if name.split(".")[-1] == "reports"], imported
+    functions = [f for f in vars(operators).values() if inspect.isfunction(f)]
+    taking_tol = [f.__name__ for f in functions if "tol" in inspect.signature(f).parameters]
+    assert not taking_tol, taking_tol
