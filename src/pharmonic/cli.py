@@ -238,6 +238,7 @@ def _point_records(checks, residuals, tol: float) -> list:
         for check, value in zip(checks, values)
     ]
 
+
 def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -> list:
     """Exact p-harmonicity (and properness) verdicts as pass/fail records."""
     verdict = sym.verify_p_harmonic(params, p, c1, c2)

@@ -538,26 +538,20 @@ def load_matrix(path) -> np.ndarray:
     range and a CSV cell over csv's field size limit.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            rows = json.loads(path.read_text())
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError("expected a JSON array of row arrays")
-    else:
-        with path.open(newline="") as fh:
-            try:
-                rows = [row for row in csv.reader(fh) if row]
-            except csv.Error as exc:
-                raise ValueError(f"unreadable CSV: {exc}") from None
-    lengths = sorted({len(row) for row in rows})
-    if len(lengths) > 1:
-        raise ValueError(f"rows of unequal lengths {lengths}")
     try:
+        if path.suffix.lower() == ".json":
+            rows = json.loads(path.read_text())
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError("expected a JSON array of row arrays")
+        else:
+            with path.open(newline="") as fh:
+                rows = [row for row in csv.reader(fh) if row]
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise ValueError(f"rows of unequal lengths {lengths}")
         data = [[_cell_to_complex(cell) for cell in row] for row in rows]
-    except OverflowError as exc:
-        raise ValueError(f"cell out of float range: {exc}") from None
+    except (RecursionError, csv.Error, OverflowError) as exc:
+        raise ValueError(f"unreadable matrix file: {exc}") from None
     mat = np.array(data, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")

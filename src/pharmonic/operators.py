@@ -398,6 +398,14 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
 # -- checkers --------------------------------------------------------------------
 
 
+def _eigen_residuals(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
+    jets = _jets_at(f, points, basis, 1)
+    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
+    k = np.einsum("kb,kb->k", grads, grads)
+    denom = 1.0 + np.abs(v) + np.abs(v) ** 2
+    return np.abs(t - complex(lam) * v) / denom, np.abs(k - complex(mu) * v * v) / denom
+
+
 def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
     """Residuals of laplacian(f) = lam f and pairing(f, f) = mu f^2 at each
     point of the stack, (tau, kappa), from one depth-1 walk per chunk of
@@ -406,18 +414,15 @@ def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tu
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    jets = _jets_at(f, points, basis, 1)
-    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
-    k = np.einsum("kb,kb->k", grads, grads)
-    denom = 1.0 + np.abs(v) + np.abs(v) ** 2
-    return np.abs(t - complex(lam) * v) / denom, np.abs(k - complex(mu) * v * v) / denom
+    return _eigen_residuals(f, lam, mu, points, basis)
 
 
 def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
-    """check_eigenfunction's (tau, kappa) for each member, in order."""
+    """check_eigenfunction's (tau, kappa) for each member, in order, from one
+    depth-1 walk per member per chunk of points."""
     if not fs:
         raise ValueError("need at least one family member")
-    return [check_eigenfunction(f, lam, mu, points, basis) for f in fs]
+    return [_eigen_residuals(f, lam, mu, points, basis) for f in fs]
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -62,7 +62,8 @@ def test_criterion_01_calibration():
         basis = so_basis(N)
         start = time.perf_counter()
         tau, kappa = coordinate_identity_residuals(sample_so(N, range(1000 * N, 1000 * N + 20)), basis)
-        worst = max(worst, tau.max(), kappa.max())
+        # np.max, not max: a NaN residual must reach the verdict
+        worst = np.max([worst, tau.max(), kappa.max()])
         worst_time = max(worst_time, time.perf_counter() - start)
     ok = worst <= 1e-9 and worst_time < 5.0
     verdict(1, "calibration", ok, f"max residual {worst:.2e} <= 1e-9, worst N {worst_time:.2f}s < 5s")
@@ -73,7 +74,7 @@ def test_criterion_02_projector_identities():
     for m, n in GRASSMANN_SHAPES:
         basis = so_basis(m + n)
         tau, kappa = projector_identity_residuals(sample_so(m + n, range(2000, 2020)), m, basis)
-        worst = max(worst, tau.max(), kappa.max())
+        worst = np.max([worst, tau.max(), kappa.max()])
     verdict(2, "projector identities", worst <= 1e-9, f"max residual {worst:.2e} <= 1e-9")
 
 
@@ -88,7 +89,8 @@ def test_criterion_03_eigenfunction_theorem():
             w = rng.uniform(-2, 2, N - 1) + 1j * rng.uniform(-2, 2, N - 1)
             phi = projector_form(rank_one_from_vector(w), m)
             tau, kappa = check_eigenfunction(phi, -N, -2, points, basis)
-            worst = max(worst, tau.max(), kappa.max())
+            assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
+            worst = np.max([worst, tau.max(), kappa.max()])
 
     # negative control: traceless symmetric rank-2 coefficients break the
     # pairing relation by a visible margin
@@ -159,8 +161,8 @@ def test_criterion_05_p_harmonicity():
                 if witness < 1e-3:
                     continue
                 accepted += 1
-                worst_res = max(worst_res, residual)
-                least_witness = min(least_witness, witness)
+                worst_res = np.max([worst_res, residual])
+                least_witness = np.min([least_witness, witness])
             assert accepted >= 10, f"only {accepted} accepted samples for (m,n,p)=({m},{n},{p})"
     elapsed = time.perf_counter() - start
     ok = worst_res <= 1e-5 and least_witness >= 1e-3 and elapsed < 60.0
@@ -178,13 +180,14 @@ def test_criterion_06_invariance_and_lift():
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         points = sample_so(N, range(6000, 6005))
         changes = check_invariance(phi, lambda s, m=m, n=n: sample_block_diagonal((m, n), s), points)
-        worst_inv = max(worst_inv, changes.max())
+        assert np.all(changes <= 1e-10), changes
+        worst_inv = np.max([worst_inv, changes.max()])
         for x in points:
             full = complex(laplacian(phi, x, so_basis(N)))
             quot = complex(laplacian(phi, x, m_basis(m, n)))
-            worst_rel = max(worst_rel, abs(full - quot) / (1 + abs(full)))
+            worst_rel = np.max([worst_rel, abs(full - quot) / (1 + abs(full))])
             for b in k_basis(m, n):
-                worst_k = max(worst_k, abs(laplacian_jet(phi, x, b[None], 1).coeffs[-1]))
+                worst_k = np.max([worst_k, abs(laplacian_jet(phi, x, b[None], 1).coeffs[-1])])
     ok = worst_inv <= 1e-10 and worst_rel <= 1e-9 and worst_k <= 1e-11
     verdict(6, "invariance and lift", ok,
             f"invariance {worst_inv:.2e} <= 1e-10, basis split {worst_rel:.2e} <= 1e-9, "
@@ -204,7 +207,8 @@ def test_criterion_07_flag_construction():
 
         for phi_k in block_forms:
             ((tau, kappa),) = check_eigenfamily([phi_k], -n, -2, points, basis)
-            worst_family = max(worst_family, tau.max(), kappa.max())
+            assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
+            worst_family = np.max([worst_family, tau.max(), kappa.max()])
 
         total = flag_sum_expr(block_forms, 2)
         candidates, _ = conditioned_sample(block_forms, lambda s: sample_so(n, s), 15, 7100)
@@ -219,16 +223,18 @@ def test_criterion_07_flag_construction():
             if witness < 1e-3:
                 continue
             accepted.append(x)
-            worst_tau = max(worst_tau, residual)
+            worst_tau = np.max([worst_tau, residual])
         assert len(accepted) >= 10
 
         changes = check_invariance(total, lambda s, b=blocks: sample_block_diagonal(b, s), np.stack(accepted))
-        worst_inv = max(worst_inv, changes.max())
+        assert np.all(changes <= 1e-10), changes
+        worst_inv = np.max([worst_inv, changes.max()])
 
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
         witness = non_descent_witness(
             total, lambda s, mb=merged: sample_block_diagonal(mb, s), np.stack(accepted[:1])
         )
+        assert witness >= 1e-6, witness
         least_witness = min(least_witness, witness)
     ok = worst_family <= 1e-8 and worst_tau <= 1e-5 and worst_inv <= 1e-10 and least_witness > 1e-6
     verdict(7, "flag construction", ok,
@@ -246,7 +252,8 @@ def test_criterion_08_duality():
         basis = m_basis(m, n, "indefinite")
         points = sample_so_mn(m, n, range(8000, 8010), radius=0.5)
         tau, kappa = check_eigenfunction(phi, N, 2, points, basis)
-        worst_eigen = max(worst_eigen, tau.max(), kappa.max())
+        assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
+        worst_eigen = np.max([worst_eigen, tau.max(), kappa.max()])
 
         composed = p_harmonic_expr(phi, N, 2, 2, 1, 1)
         iter_points, _ = conditioned_sample(
@@ -261,7 +268,7 @@ def test_criterion_08_duality():
             if witness < 1e-3:
                 continue
             accepted += 1
-            worst_tau = max(worst_tau, residual)
+            worst_tau = np.max([worst_tau, residual])
         assert accepted >= 5
     ok = worst_eigen <= 1e-8 and worst_tau <= 1e-5
     verdict(8, "duality", ok,
@@ -292,7 +299,7 @@ def test_criterion_09_cross_oracles():
         node = _random_polynomial(rng, N)
         jet_value = complex(laplacian(node, x, basis))
         fd_value = fd_laplacian(node, x, basis, step=1e-4)
-        worst_fd = max(worst_fd, abs(jet_value - fd_value) / (1 + abs(jet_value)))
+        worst_fd = np.max([worst_fd, abs(jet_value - fd_value) / (1 + abs(jet_value))])
 
     # exact rewrite against the numerical operator through composed trees
     m, n = 1, 2
@@ -311,7 +318,7 @@ def test_criterion_09_cross_oracles():
         for e in exprs:
             numeric = complex(laplacian(as_expr_node(e, phi), x, quotient))
             symbolic = complex(evaluate_sym(apply_laplacian(e, params), v))
-            worst_sym = max(worst_sym, abs(numeric - symbolic) / (1 + abs(numeric)))
+            worst_sym = np.max([worst_sym, abs(numeric - symbolic) / (1 + abs(numeric))])
     ok = worst_fd <= 1e-6 and worst_sym <= 1e-7
     verdict(9, "cross oracles", ok,
             f"finite differences {worst_fd:.2e} <= 1e-6, exact rewrite {worst_sym:.2e} <= 1e-7")
@@ -328,5 +335,5 @@ def test_criterion_10_product_rule():
         g = _random_polynomial(rng, N)
         report = check_product_rule(f, g, points, basis, 1e-10)
         assert report.passed
-        worst = max(worst, report.max_residuals["product_rule"])
+        worst = np.max([worst, report.max_residuals["product_rule"]])
     verdict(10, "product rule", worst <= 1e-10, f"max residual {worst:.2e} <= 1e-10")

@@ -153,6 +153,35 @@ def test_flag_three_blocks_has_witness():
     assert [c for c in report.checks if c.check == "non_descent_witness"]
 
 
+_IDENTITY_IDS = {"tau_projector", "kappa_projector"}
+_MATRIX_IDS = {"matrix_symmetry", "matrix_trace", "matrix_square", "matrix_rank"}
+
+
+@pytest.mark.parametrize(
+    "config, ids",
+    [
+        (RunConfig("calibrate", m=1, n=2, samples=2), {"tau_coordinate", "kappa_coordinate"}),
+        (
+            RunConfig("grassmann", m=2, n=2, samples=2),
+            _IDENTITY_IDS | _MATRIX_IDS | {"function_scale", "tau_eigen", "kappa_eigen", "invariance"},
+        ),
+        (
+            RunConfig("flag", blocks=(1, 1, 2), p=2, samples=2),
+            {f"block{k}_member0_{check}" for k in range(3) for check in ("tau_eigen", "kappa_eigen")}
+            | {"tau_p_residual", "properness_witness", "invariance", "non_descent_witness"},
+        ),
+    ],
+    ids=["calibrate", "grassmann", "flag"],
+)
+def test_check_ids_are_the_report_contract(config, ids):
+    # check ids are byte-stable report output; the per-point ones name every point
+    report = {"calibrate": cmd_calibrate, "grassmann": cmd_grassmann, "flag": cmd_flag}[config.command](config)
+    assert report.passed
+    assert {r.check for r in report.checks} == ids
+    for check in ids - _MATRIX_IDS - {"function_scale", "non_descent_witness"}:
+        assert sorted(r.point for r in report.checks if r.check == check) == [0, 1], check
+
+
 def test_flag_third_order_two_blocks():
     report = cmd_flag(RunConfig("flag", blocks=(2, 2), p=3, samples=2))
     assert report.passed
@@ -422,9 +451,9 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
         ("A.json", "[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0], [0, 0, 0, 0]]", "rows of unequal lengths [3, 4]"),
         ("A.csv", "0,0,0,0\n0,0,0,0\n0,0,0\n0,0,0,0\n", "rows of unequal lengths [3, 4]"),
         # json.loads raises RecursionError, complex() OverflowError, csv.reader a csv.Error
-        ("A.json", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
-        ("A.json", "[[1" + "0" * 400 + ", 0], [0, 0]]", "cell out of float range: int too large to convert to float"),
-        ("A.csv", "1" * 140_000 + ",0,0,0\n", "unreadable CSV: field larger than field limit (131072)"),
+        ("A.json", "[" * 100_000 + "]" * 100_000, "unreadable matrix file: maximum recursion depth exceeded"),
+        ("A.json", "[[1" + "0" * 400 + ", 0], [0, 0]]", "unreadable matrix file: int too large to convert to float"),
+        ("A.csv", "1" * 140_000 + ",0,0,0\n", "unreadable matrix file: field larger than field limit (131072)"),
     ],
     ids=["object", "string", "flat", "ragged", "ragged-csv", "deep-json", "huge-json-int", "long-csv-cell"],
 )
