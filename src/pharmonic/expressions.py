@@ -29,6 +29,15 @@ The forward-Laplacian walk (:func:`pharmonic.operators.laplacian_jet`) does
 not evaluate the node on lifted entries: it hands :func:`evaluate` the
 node's jet, computed from the Gram matrix X^T S X and a generator tensor of
 the basis and window, whose value channel is plain evaluation of the node.
+
+A flag function, a sum over column blocks of one p-harmonic composition per
+block eigenfunction, is one composition over a lane stack: a
+:class:`Stack` node puts the t block forms' values side by side, so K
+points give t K lanes, a :class:`StackConst` gives each block its own
+coefficient, and the :class:`Unstack` root adds the t blocks of lanes at
+each point.  Every node of the composition then runs once for all blocks,
+lane for lane the operations the per-block sum runs, so on a stack of
+points the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import ipow, jlog, jpow
+from .jets import BranchCutError, LaplacianJet, ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 
@@ -88,6 +97,35 @@ class Log:
 
 
 @dataclass(frozen=True)
+class Stack:
+    """The members' values side by side on the lane axis, member-major: at
+    K points member k holds lanes k K .. (k + 1) K - 1, and at one point
+    lane k.  A constant member takes the lane count of the others."""
+
+    members: tuple
+
+
+@dataclass(frozen=True)
+class StackConst:
+    """values[k] on every lane of member k of ``stack``, which it reads for
+    the lane count."""
+
+    values: tuple
+    stack: Stack
+
+
+@dataclass(frozen=True)
+class Unstack:
+    """At each point, the sum of ``child``'s lane blocks, one per member of
+    ``stack``, left to right: (b_0 + b_1) + b_2 ....  A branch cut on a
+    stacked lane is reported at its point, lane mod K; at one lane per block
+    the sum is a value without lanes, as a tree over one point gives."""
+
+    child: object
+    stack: Stack
+
+
+@dataclass(frozen=True)
 class ProjectorForm:
     """sum over pairs (j, a) of coefficient * sum_{t in columns} x_{jt} x_{at},
     indices 1-based, one coefficient per pair.
@@ -122,7 +160,7 @@ class ProjectorForm:
         return tuple(r - 1 for r in rows), weights
 
 
-ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm)
+ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm, Stack, StackConst, Unstack)
 
 
 def _is_int(e: complex) -> bool:
@@ -146,6 +184,8 @@ def evaluate(node, matrix, known: dict | None = None):
     times (the eigenfunction inside a composition) is evaluated once per
     call: results are memoised by node identity, and each is dropped after
     its last reader has read it, so a walk holds only the values still due.
+    Below a Stack node a value holds one lane per member and point (see
+    Stack); an Unstack node returns to one lane per point.
     """
     memo = {} if known is None else known
     if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
@@ -165,6 +205,12 @@ def _children(node) -> tuple:
         return (node.base,)
     if isinstance(node, Log):
         return (node.child,)
+    if isinstance(node, Stack):
+        return node.members
+    if isinstance(node, StackConst):
+        return (node.stack,)
+    if isinstance(node, Unstack):
+        return (node.stack, node.child)
     return ()
 
 
@@ -235,7 +281,64 @@ def _node_value(node, m, memo: dict, readers: Counter):
         return jlog(_eval(node.child, m, memo, readers))
     if isinstance(node, ProjectorForm):
         return _projector_value(node, m)
+    if isinstance(node, Stack):
+        return _stack_value([_eval(member, m, memo, readers) for member in node.members], m)
+    if isinstance(node, StackConst):
+        lanes = _lane_count(_eval(node.stack, m, memo, readers))
+        return np.repeat(np.array(node.values, dtype=complex), lanes // len(node.values))
+    if isinstance(node, Unstack):
+        blocks = len(node.stack.members)
+        points = _lane_count(_eval(node.stack, m, memo, readers)) // blocks
+        try:
+            value = _eval(node.child, m, memo, readers)
+        except BranchCutError as exc:
+            raise BranchCutError(exc.reason, sorted({lane % points for lane in exc.lanes})) from None
+        return _block_sum(value, blocks, points)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# -- lane stacks -----------------------------------------------------------------
+
+
+def _lane_count(value) -> int:
+    return len(value.coeffs if isinstance(value, LaplacianJet) else value)
+
+
+def _stack_value(values: list, m):
+    """Member values side by side on the lane axis, a constant taking the
+    lane count of the others: of the jets or lane arrays among them, else of
+    the numeric stack m, else one."""
+    jets = [v for v in values if isinstance(v, LaplacianJet)]
+    if jets:
+        like = jets[0]
+        size = like.coeffs.shape[-1]
+        lanes = len(like.coeffs) if like.coeffs.ndim == 2 else 1
+        parts = []
+        for v in values:
+            if isinstance(v, LaplacianJet):
+                parts.append(v.coeffs.reshape(-1, size))
+            else:
+                constant = np.zeros((lanes, size), dtype=complex)
+                constant[:, 0] = v
+                parts.append(constant)
+        return LaplacianJet(like.basis_size, like.depth, np.concatenate(parts))
+    stacked = isinstance(m, np.ndarray) and m.ndim == 3
+    lanes = next((len(v) for v in values if isinstance(v, np.ndarray)), m.shape[-1] if stacked else 1)
+    return np.concatenate([np.broadcast_to(np.asarray(v, dtype=complex), (lanes,)) for v in values])
+
+
+def _block_sum(value, blocks: int, points: int):
+    """The sum of the blocks of points lanes each, left to right; a value
+    without lanes at one point."""
+    if isinstance(value, LaplacianJet):
+        parts = [
+            LaplacianJet(value.basis_size, value.depth, value.coeffs[k * points : (k + 1) * points])
+            for k in range(blocks)
+        ]
+        total = _ordered_sum(parts)
+        return LaplacianJet(total.basis_size, total.depth, total.coeffs[0]) if points == 1 else total
+    total = _ordered_sum([value[k * points : (k + 1) * points] for k in range(blocks)])
+    return total[0] if points == 1 else total
 
 
 # -- projector quadratics ------------------------------------------------------
@@ -395,10 +498,11 @@ def dual_matrix(A, m: int, n: int) -> np.ndarray:
 # -- p-harmonic compositions ---------------------------------------------------
 
 
-def _power_log_term(c: complex, phi, a: complex, log_power):
+def _power_log_term(c, phi, a: complex, log_power):
     """c * phi^a * log_power with build-time trivial factors dropped, where
-    log_power is the composition's shared node log(phi)^b, or None for b = 0."""
-    factors = [Const(complex(c))]
+    c is a number or a node, and log_power is the composition's shared node
+    log(phi)^b, or None for b = 0."""
+    factors = [c if isinstance(c, ExprNode) else Const(c)]
     if a != 0:
         factors.append(phi if a == 1 else Pow(phi, complex(a)))
     if log_power is not None:
@@ -422,14 +526,15 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
                           + c2 * log(phi)^(p-1)
 
     The pattern (lam == 0, mu != 0) is rejected: no composition is defined
-    for it here.
+    for it here.  c1 and c2 are numbers, or nodes (a StackConst gives each
+    block of a lane stack its own).
     """
     lam, mu = complex(lam), complex(mu)
     if p < 1:
         raise ValueError("need p >= 1")
     if lam == 0j and mu == 0j:
         raise ValueError("eigenvalues (0, 0) are not allowed")
-    c1, c2 = complex(c1), complex(c2)
+    c1, c2 = (c if isinstance(c, ExprNode) else complex(c) for c in (c1, c2))
     if mu == 0j:
         terms = [(c1, 0j, p - 1)]
     elif lam == mu:
@@ -482,22 +587,25 @@ def flag_forms(block_sizes: Sequence[int]) -> list:
 
 
 def flag_sum_expr(forms: Sequence, p: int):
-    """Sum over blocks of the p-harmonic composition of each block form.
+    """Sum over blocks of the p-harmonic composition of each block form, as
+    one composition over the lane stack of the forms.
 
     ``forms`` holds one eigenfunction per block, as :func:`flag_forms`
-    builds them; block k is composed with coefficients (1, (k + 1) / 2), and
-    each term reads ``forms[k]`` itself.  The windows partition the columns,
-    so n is the sum of the window sizes.  Every block eigenfunction has
-    Laplacian eigenvalue -n and conformality eigenvalue -2, so the summands
-    share one eigenvalue pair and the sum stays p-harmonic.
+    builds them; block k is composed with coefficients (1, (k + 1) / 2).
+    The tree is Unstack(p_harmonic_expr(Stack(forms), ..., StackConst)):
+    at K points the forms' values fill t K lanes, block k's c2 is a
+    StackConst, and the root adds the t blocks of lanes in block order, so
+    one walk takes a single log, reciprocal chain and product per node for
+    every block, and each form is read once, by the stack.  The windows
+    partition the columns, so n is the sum of the window sizes.  Every block
+    eigenfunction has Laplacian eigenvalue -n and conformality eigenvalue
+    -2, so the summands share one eigenvalue pair and the sum stays
+    p-harmonic.
     """
     n = sum(len(phi.columns) for phi in forms)
-    return Sum(
-        tuple(
-            p_harmonic_expr(phi, -n, -2, p, 1.0, (k + 1) / 2.0)
-            for k, phi in enumerate(forms)
-        )
-    )
+    stack = Stack(tuple(forms))
+    c2 = StackConst(tuple((k + 1) / 2.0 for k in range(len(forms))), stack)
+    return Unstack(p_harmonic_expr(stack, -n, -2, p, 1.0, c2), stack)
 
 
 # -- file ingestion -------------------------------------------------------------

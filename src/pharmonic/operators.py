@@ -28,8 +28,11 @@ Gram matrix, and x -> x g moves G to g^T G g; so M_i f_Q = f_(rho(M_i) Q)
 for f_Q = tr(Q G), with rho(Z) Q = Z Q + Q Z^T and
 rho(M_(D-1)) = sum_b rho(Z_b)^2.  A form's jet is therefore G paired with
 the generator tensor T_(i1...ip) = rho(M_i1) ... rho(M_ip) P, which
-depends only on the basis, the window and p: one T per window per walk,
-one contraction of N^2 D**p terms per point, and no lift of the point.
+depends only on the basis, the window and p: one T for all the tree's
+windows per walk, built level by level in place, one contraction of
+N^2 D**p terms per point, and no lift of the point.  A lane stack of
+forms (the flag function's blocks, an eigenfamily's members) enters the
+walk as one jet of t K lanes.
 Only a tree with Entry leaves lifts its matrix entries, each with the
 component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
 the walk costs O((3B + 3)**p) instead of the |basis|**p walks over nested
@@ -54,7 +57,8 @@ non-descent witness one best change), so this module takes no threshold
 and names no check: the CLI judges the numbers and writes the records.
 One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
-stacked walk raises a BranchCutError naming the failing lanes.
+stacked walk raises a BranchCutError naming the failing lanes, which a lane
+stack's Unstack root names by point.
 
 The closed-form identity residuals read depth-1 planes as plain arrays,
 for a stack of points at once, and take the rank-4 pairing tensor and its
@@ -78,7 +82,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import Entry, ProjectorForm, evaluate, tree_leaves
+from .expressions import Entry, ProjectorForm, Stack, evaluate, tree_leaves
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
 
@@ -171,29 +175,60 @@ def _lift(X: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     return lifted
 
 
-def _generator_tensor(basis: np.ndarray, columns: Sequence[int], N: int, p: int) -> np.ndarray:
+def _generator_tensor(basis: np.ndarray, windows: Sequence[Sequence[int]], N: int, p: int) -> np.ndarray:
     """The D**p matrices T_(i1...ip) = rho(M_i1) ... rho(M_ip) P in
-    multi-index order, shape (D**p, N, N), for P the projector onto the
-    1-based window columns, rho(Z) Q = Z Q + Q Z^T, rho(M_0) the identity,
-    rho(M_b) = rho(Z_b) and rho(M_(D-1)) = sum_b rho(Z_b)^2.
+    multi-index order for each window, shape (len(windows), D**p, N, N), for
+    P the projector onto the window's 1-based columns, rho(Z) Q = Z Q + Q Z^T,
+    rho(M_0) the identity, rho(M_b) = rho(Z_b) and
+    rho(M_(D-1)) = sum_b rho(Z_b)^2.
 
-    Each level prepends one index.  T is symmetric, so with A = F T for the
-    stacked fields F = (Z_1, ..., Z_B, sum_b Z_b Z_b), one batched product,
-    rho(Z_b) T = A_b + A_b^T, and sum_b rho(Z_b)^2 T = A_L + A_L^T + E + E^T
-    for E = sum_b Z_b T Z_b^T = sum_b A_b Z_b^T, added into A_L first.
+    Each level prepends one index, written in place into the next level's
+    array.  T is symmetric, so with A_b = Z_b T, one batched product for
+    every window and direction, rho(Z_b) T = A_b + A_b^T, and
+    sum_b rho(Z_b)^2 T = A_L + A_L^T + E + E^T for A_L = (sum_b Z_b Z_b) T and
+    E = sum_b Z_b T Z_b^T = sum_b A_b Z_b^T, added into A_L first.  E is
+    the one product np.tensordot(A, basis, axes=([0, 3], [0, 2])) takes, on
+    the same operands, so every window's T equals, bit for bit, the one
+    built for that window alone from whole stacks.
     """
     if not len(basis):
         raise ValueError("need a nonempty basis")
-    P = np.zeros((N, N))
-    window = [c - 1 for c in columns]
-    P[window, window] = 1.0
-    fields = np.concatenate([basis, (basis @ basis).sum(axis=0, keepdims=True)])
-    T = P[None]
+    B = len(basis)
+    T = np.zeros((len(windows), 1, N, N))
+    for P, columns in zip(T[:, 0], windows):
+        window = [c - 1 for c in columns]
+        P[window, window] = 1.0
+    laplacian = _square_sum(basis)
+    transposed = np.swapaxes(basis, -1, -2).reshape(B * N, N)  # rows (b, l) of Z_b^T
     for _ in range(p):
-        A = fields[:, None] @ T
-        A[-1] += np.tensordot(A[:-1], basis, axes=([0, 3], [0, 2]))
-        T = np.concatenate([T[None], A + np.swapaxes(A, -1, -2)]).reshape(-1, N, N)
+        W, M = T.shape[:2]
+        level = np.empty((W, B + 2, M, N, N))
+        level[:, 0] = T
+        np.matmul(basis[:, None], T[:, None], out=level[:, 1:-1])
+        np.matmul(laplacian, T, out=level[:, -1])
+        # E: rows (window, m, i) of the A_b side by side against Z_b^T's rows
+        rows = level[:, 1:-1].transpose(0, 2, 3, 1, 4).reshape(W * M * N, B * N)
+        level[:, -1] += np.dot(rows, transposed).reshape(W, M, N, N)
+        del rows  # a copy of every A_b, freed before np.add copies A^T
+        A = level[:, 1:]
+        np.add(A, np.swapaxes(A, -1, -2), out=A)
+        T = level.reshape(W, -1, N, N)
     return T
+
+
+def _square_sum(basis: np.ndarray) -> np.ndarray:
+    """sum_b Z_b Z_b, added in basis order as (basis @ basis).sum(axis=0)
+    adds, from the squares of N directions at a time, each batch summed
+    behind the running total: no (B, N, N) stack of squares is held."""
+    N = basis.shape[-1]
+    total = (basis[:N] @ basis[:N]).sum(axis=0)
+    for start in range(N, len(basis), N):
+        chunk = basis[start : start + N]
+        squares = np.empty((len(chunk) + 1, N, N))
+        squares[0] = total
+        np.matmul(chunk, chunk, out=squares[1:])
+        total = squares.sum(axis=0)
+    return total
 
 
 def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -216,13 +251,12 @@ def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int) -> dict:
     """The depth-p LaplacianJet of each ProjectorForm, keyed by node
-    identity, from one generator tensor per distinct window."""
-    tensors, jets = {}, {}
-    for form in forms:
-        if form.columns not in tensors:
-            tensors[form.columns] = _generator_tensor(basis, form.columns, X.shape[-1], p)
-        jets[id(form)] = LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns]))
-    return jets
+    identity, from one generator tensor for all their distinct windows."""
+    windows = list(dict.fromkeys(form.columns for form in forms))
+    if not windows:
+        return {}
+    tensors = dict(zip(windows, _generator_tensor(basis, windows, X.shape[-1], p)))
+    return {id(form): LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns])) for form in forms}
 
 
 def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
@@ -250,6 +284,9 @@ def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
         rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
     value = evaluate(f, rows, known)
     if isinstance(value, LaplacianJet):
+        if value.coeffs.ndim <= len(lanes):
+            # a stack of one point, which an Unstack root sums without lanes
+            return LaplacianJet(B, p, value.coeffs[None])
         return value
     coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)
     coeffs[..., 0] = value
@@ -388,7 +425,7 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
             return np.subtract(deltas, expected, out=expected)
 
         # M_i S = X T_i X^T, T the depth-1 generator tensor of the window
-        T = _generator_tensor(basis, range(1, m + 1), N, 1)
+        T = _generator_tensor(basis, [range(1, m + 1)], N, 1)[0]
         lifted = X[:, None] @ T @ np.swapaxes(X, -1, -2)[:, None]
         return lifted[:, -1], -N * S + m * eye, lifted[:, 1:-1], kappa_expected
 
@@ -398,8 +435,8 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
 # -- checkers --------------------------------------------------------------------
 
 
-def _eigen_residuals(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
-    jets = _jets_at(f, points, basis, 1)
+def _eigen_residuals(jets: np.ndarray, lam, mu) -> tuple:
+    """(tau, kappa) from the (K, D) depth-1 jets of one function."""
     v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
     k = np.einsum("kb,kb->k", grads, grads)
     denom = 1.0 + np.abs(v) + np.abs(v) ** 2
@@ -414,15 +451,25 @@ def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tu
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    return _eigen_residuals(f, lam, mu, points, basis)
+    return _eigen_residuals(_jets_at(f, points, basis, 1), lam, mu)
 
 
 def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
     """check_eigenfunction's (tau, kappa) for each member, in order, from one
-    depth-1 walk per member per chunk of points."""
+    depth-1 walk of the members' lane stack per chunk of points.  Each
+    member is evaluated on the points' lanes before the stack joins them,
+    so a branch cut names its points by their index."""
     if not fs:
         raise ValueError("need at least one family member")
-    return [_eigen_residuals(f, lam, mu, points, basis) for f in fs]
+    family = Stack(tuple(fs))
+
+    def walk(chunk):
+        jets = laplacian_jet(family, chunk, basis, 1).coeffs
+        return np.swapaxes(jets.reshape(len(fs), len(chunk), -1), 0, 1)
+
+    jets = _by_chunks(walk, points, points[0].size * (len(basis) + 2))
+    members = np.ascontiguousarray(np.swapaxes(jets, 0, 1))
+    return [_eigen_residuals(member, lam, mu) for member in members]
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -22,6 +22,16 @@ The level-by-level product of two LaplacianJet component arrays: the kernel
 the package's term maps replaced, and the reference they are checked
 against.
 
+The flag function as a Sum of one p-harmonic composition per block form:
+the per-block tree that pharmonic.expressions.flag_sum_expr's one
+composition over the forms' lane stack replaced, and the reference it must
+equal bit for bit.
+
+The generator tensor of one window built from whole stacks: the (B, N, N)
+squares of the basis, the fields, A + A^T and each level's concatenation,
+which pharmonic.operators._generator_tensor's in-place levels replaced, and
+the reference it must equal bit for bit.
+
 The closed-form identity residuals with each point's whole N^4 pairing
 tensor built on its own, one GEMM and one einsum expectation per point: the
 loop the package's cache-sized tiles replaced, and the reference they are
@@ -42,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate
+from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
 from pharmonic.group import _skew_unit
 from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift
@@ -192,6 +202,29 @@ def expanded_projector_form(form: ProjectorForm) -> Sum:
     return Sum(tuple(Product((Entry(j, t), y(j, t))) for j in rows for t in form.columns))
 
 
+def generator_tensor_reference(basis, columns, N: int, p: int):
+    """The (D**p, N, N) generator tensor of one window, each level one
+    batched product A = F T of the stacked fields F = (Z_1, ..., Z_B,
+    sum_b Z_b Z_b), A_L += sum_b A_b Z_b^T, and T = (T, A + A^T)."""
+    P = np.zeros((N, N))
+    window = [c - 1 for c in columns]
+    P[window, window] = 1.0
+    fields = np.concatenate([basis, (basis @ basis).sum(axis=0, keepdims=True)])
+    T = P[None]
+    for _ in range(p):
+        A = fields[:, None] @ T
+        A[-1] += np.tensordot(A[:-1], basis, axes=([0, 3], [0, 2]))
+        T = np.concatenate([T[None], A + np.swapaxes(A, -1, -2)]).reshape(-1, N, N)
+    return T
+
+
+def flag_sum_oracle(forms, p: int) -> Sum:
+    """Sum over blocks of the p-harmonic composition of each block form,
+    block k with coefficients (1, (k + 1) / 2), each term reading forms[k]."""
+    n = sum(len(phi.columns) for phi in forms)
+    return Sum(tuple(p_harmonic_expr(phi, -n, -2, p, 1.0, (k + 1) / 2.0) for k, phi in enumerate(forms)))
+
+
 # Bytes of workspace one block of level_product may hold; an element over it
 # is split into the products of its outer level.
 LEVEL_PRODUCT_BYTES = 2**23
@@ -284,7 +317,7 @@ def identity_residuals_per_point(points, basis, m=None) -> tuple:
     else:
         W = points[..., :m]
         grams = W @ np.swapaxes(W, -1, -2)
-        T = _generator_tensor(basis, range(1, m + 1), N, 1)
+        T = _generator_tensor(basis, [range(1, m + 1)], N, 1)[0]
         lifted = points[:, None] @ T @ np.swapaxes(points, -1, -2)[:, None]
         tau_expected = -N * grams + m * eye
 

@@ -31,7 +31,7 @@ from pharmonic.cli import (
     _validate_common,
     main,
 )
-from pharmonic.expressions import Entry, Log, Product, _readers
+from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers
 from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
@@ -526,7 +526,8 @@ def test_lift_bound_is_checked_before_anything_is_built(config, allowed):
 def test_lift_bound_formula_matches_the_walks_that_run(monkeypatch, config):
     # _lift_components sizes a run's largest lift from its config alone; the
     # entry lifts and the projector forms' generator tensors the command
-    # really builds, each N^2 (|basis| + 2)^p components, must reach it
+    # really builds, each N^2 (|basis| + 2)^p components per point or
+    # window, must reach it (one call builds the tensors of all its windows)
     sizes = []
     lift, tensor = ops._lift, ops._generator_tensor
 
@@ -534,9 +535,9 @@ def test_lift_bound_formula_matches_the_walks_that_run(monkeypatch, config):
         sizes.append(X.shape[-1] ** 2 * (len(basis) + 2) ** p)
         return lift(X, basis, p)
 
-    def recording_tensor(basis, columns, N, p):
-        T = tensor(basis, columns, N, p)
-        sizes.append(T.size)
+    def recording_tensor(basis, windows, N, p):
+        T = tensor(basis, windows, N, p)
+        sizes.extend(window.size for window in T)
         return T
 
     monkeypatch.setattr(ops, "_lift", recording_lift)
@@ -735,6 +736,34 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
         assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
 
 
+def test_a_later_stacked_member_on_the_cut_names_its_point():
+    # a tree over a lane stack of two members, x11^2 and x11, on four points
+    # where x11 < 0 at point 1 only: the log reaches the cut on member 1's
+    # lane of point 1, lane K + 1 = 5, and the error names point 1
+    x = sample_so(3, 11)
+    assert abs(x[0, 0]) > 1e-3
+    points = np.stack([x] * 4)
+    points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])
+    stack = Stack((Product((Entry(1, 1), Entry(1, 1))), Entry(1, 1)))
+    f = Unstack(Log(stack), stack)
+    basis = so_basis(3)
+    with pytest.raises(BranchCutError) as caught:
+        ops.p_harmonic_residuals(f, 2, points, basis)
+    assert caught.value.lanes == (1,)
+    assert str(caught.value).startswith("lanes [1] "), str(caught.value)
+    with pytest.raises(BranchCutError) as caught:
+        ops.check_invariance(f, lambda seeds: np.stack([np.eye(3) for _ in seeds]), points)
+    assert caught.value.lanes == (1,)
+    # an eigenfamily's members are walked on the points' lanes, then stacked
+    with pytest.raises(BranchCutError) as caught:
+        ops.check_eigenfamily([stack.members[0], Log(Entry(1, 1))], 1, 1, points, basis)
+    assert caught.value.lanes == (1,)
+    notes = []
+    records = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
+    assert notes == ["point 1 rejected during iteration (branch cut)"]
+    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
+
+
 @pytest.mark.parametrize(
     "argv, functions",
     [
@@ -747,8 +776,9 @@ def test_pipeline_walks_each_chunk_once_per_depth(monkeypatch, capsys, argv, fun
     walks = _counting_walks(monkeypatch)
     code, _ = run_cli(capsys, *argv, "--p", "3")
     assert code == EXIT_PASS
-    # eigen checks: one depth-1 walk per function; p-harmonic: one depth-3 walk
-    assert sorted(walks) == [(1, 3)] * functions + [(3, 3)]
+    # eigen checks: one depth-1 walk for all the run's eigenfunctions (the
+    # flag blocks' as one family); p-harmonic: one depth-3 walk
+    assert sorted(walks) == [(1, 3)] * min(functions, 1) + [(3, 3)]
 
 
 def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
@@ -771,9 +801,10 @@ def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
     assert code == EXIT_PASS
     assert len(sampled) == 3 and summed
     for total in summed:
-        assert len(total.terms) == len(sampled)
-        for term, phi in zip(total.terms, sampled):
-            assert id(phi) in _readers(term)
+        assert len(total.stack.members) == len(sampled)
+        readers = _readers(total)
+        for member, phi in zip(total.stack.members, sampled):
+            assert member is phi and readers[id(phi)] == 1
 
 
 def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):

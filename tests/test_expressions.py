@@ -10,7 +10,10 @@ from pharmonic.expressions import (
     Pow,
     Product,
     ProjectorForm,
+    Stack,
+    StackConst,
     Sum,
+    Unstack,
     _readers,
     block_columns,
     dual_matrix,
@@ -30,7 +33,7 @@ from pharmonic.group import curve_jets, m_basis, minkowski_form, sample_so, samp
 from pharmonic.jets import JetScalar, LaplacianJet, lift
 from pharmonic.operators import laplacian_jet
 
-from oracles import expanded_projector_form, pairwise_projector_form, window_quadratic
+from oracles import expanded_projector_form, flag_sum_oracle, pairwise_projector_form, window_quadratic
 
 
 # -- projector quadratics ---------------------------------------------------------
@@ -441,18 +444,58 @@ def test_flag_sum_of_flag_forms_equals_the_sum_built_per_block(blocks, p):
 
 
 @pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_flag_sum_jets_equal_the_per_block_oracle(blocks, p):
+    """Every component of the lane-stacked tree's jet equals, bit for bit,
+    that of the per-block Sum, on a stack of points; component 0 equals
+    plain evaluation of the stacked tree."""
+    n = sum(blocks)
+    forms = flag_forms(blocks)
+    X = sample_so(n, range(50, 53)) * (1 + 0.5j)
+    basis = so_basis(n)
+    got = laplacian_jet(flag_sum_expr(forms, p), X, basis, p).coeffs
+    want = laplacian_jet(flag_sum_oracle(forms, p), X, basis, p).coeffs
+    assert got.shape == (len(X), (len(basis) + 2) ** p)
+    assert got.tobytes() == want.tobytes()
+    assert got[:, 0].tobytes() == evaluate(flag_sum_expr(forms, p), X).tobytes()
+
+
+def test_fifth_order_flag_jet_equals_the_per_block_oracle():
+    # at the depth cap on (2, 2), one point.  It is walked as a stack of one:
+    # on a stack every tree runs numpy's lane arithmetic, while at a bare
+    # point the per-block tree runs on Python numbers (cmath), whose log and
+    # powers may round differently from numpy's in the last place
+    forms = flag_forms((2, 2))
+    x = sample_so(4, range(60, 61))
+    got = laplacian_jet(flag_sum_expr(forms, 5), x, so_basis(4), 5).coeffs
+    want = laplacian_jet(flag_sum_oracle(forms, 5), x, so_basis(4), 5).coeffs
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
 def test_flag_sum_terms_read_the_given_forms(blocks):
+    # one composition over the lane stack of the forms: the stack holds the
+    # given forms themselves, and the tree reads each of them once, there
     forms = flag_forms(blocks)
     node = flag_sum_expr(forms, 2)
     assert all(isinstance(phi, ProjectorForm) for phi in forms)
-    assert len(node.terms) == len(forms)
-    for term, phi in zip(node.terms, forms):
-        assert id(phi) in _readers(term)
+    assert isinstance(node, Unstack) and isinstance(node.stack, Stack)
+    assert len(node.stack.members) == len(forms)
+    readers = _readers(node)
+    for member, phi in zip(node.stack.members, forms):
+        assert member is phi
+        assert readers[id(phi)] == 1
 
 
 def test_flag_sum_builds_three_terms():
+    # three blocks: three stacked forms under one composition,
+    # phi^(-1) log(phi) + c2 log(phi), whose c2 gives each block its own
     node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
-    assert isinstance(node, Sum) and len(node.terms) == 3
+    assert isinstance(node, Unstack) and len(node.stack.members) == 3
+    assert isinstance(node.child, Sum) and len(node.child.terms) == 2
+    c2 = node.child.terms[1].factors[0]
+    assert isinstance(c2, StackConst) and c2.stack is node.stack
+    assert c2.values == (0.5, 1.0, 1.5)
     x = sample_so(4, 7)
     value = evaluate(node, x)
     assert np.isfinite(value.real) and np.isfinite(value.imag)

@@ -33,7 +33,15 @@ from pharmonic.operators import (
     p_harmonic_residuals,
     projector_identity_residuals,
 )
-from oracles import expanded_projector_form, fd_laplacian, identity_residuals_per_point, k_basis, window_quadratic
+from oracles import (
+    expanded_projector_form,
+    fd_laplacian,
+    flag_sum_oracle,
+    generator_tensor_reference,
+    identity_residuals_per_point,
+    k_basis,
+    window_quadratic,
+)
 from product_rule import check_product_rule
 
 
@@ -222,15 +230,24 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
 
 
 def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
-    # the honest two-member family of the test below: one depth-1 walk per
-    # member, and each member's tau and kappa equal to its own eigen check
+    # the honest two-member family of the test below: one depth-1 walk of
+    # the members' lane stack, 2K lanes, and each member's tau and kappa
+    # equal to its own eigen check
     fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
     fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
     pts = sample_so(4, range(80, 83))
     basis = m_basis(1, 3)
-    walks = _counting_walks(monkeypatch)
+    walks = []
+    walk = ops.laplacian_jet
+
+    def counting_walk(f, x, basis, p):
+        jet = walk(f, x, basis, p)
+        walks.append((p, len(jet.coeffs)))
+        return jet
+
+    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
     family = check_eigenfamily([fu, fv], -4, -2, pts, basis)
-    assert walks == [(1, len(pts))] * 2
+    assert walks == [(1, 2 * len(pts))]
     monkeypatch.undo()
     assert len(family) == 2
     for f, pair in zip((fu, fv), family):
@@ -365,32 +382,35 @@ def _nested_jet_iterated_laplacian(f, p, X, basis):
 
 
 def _oracle_cases():
-    """(f, basis, point) per case: order-3 compositions, so L and L^2 of f are
-    generically nonzero and L^3 f is a true zero."""
+    """(f, the tree the nested jets walk, basis, point) per case: order-3
+    compositions, so L and L^2 of f are generically nonzero and L^3 f is a
+    true zero.  Nested jets have no lanes, so for the flag function they walk
+    its per-block oracle tree."""
     cases = []
     for m, n in ((1, 2), (2, 2)):
         N = m + n
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 1, 400)
         f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
-        cases.append(pytest.param(f, m_basis(m, n), pts[0], id=f"Gr({m},{n})"))
+        cases.append(pytest.param(f, f, m_basis(m, n), pts[0], id=f"Gr({m},{n})"))
     phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0]), 1, 2), 1)
     pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
-    cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts[0], id="dual(1,2)"))
-    f = flag_sum_expr(flag_forms((1, 1, 2)), 3)
-    cases.append(pytest.param(f, so_basis(4), sample_so(4, 420), id="flag(1,1,2)"))
+    cases.append(pytest.param(f, f, m_basis(1, 2, "indefinite"), pts[0], id="dual(1,2)"))
+    forms = flag_forms((1, 1, 2))
+    f = flag_sum_expr(forms, 3)
+    cases.append(pytest.param(f, flag_sum_oracle(forms, 3), so_basis(4), sample_so(4, 420), id="flag(1,1,2)"))
     return cases
 
 
-@pytest.mark.parametrize("f, basis, x", _oracle_cases())
-def test_forward_laplacian_matches_nested_jets(f, basis, x):
+@pytest.mark.parametrize("f, nested, basis, x", _oracle_cases())
+def test_forward_laplacian_matches_nested_jets(f, nested, basis, x):
     tolerances = {1: 1e-12, 2: 1e-9, 3: 1e-9}
     value = complex(evaluate(f, x))
     previous = value
     for p, tol in tolerances.items():
         got = complex(iterated_laplacian(f, p, x, basis))
-        want = complex(_nested_jet_iterated_laplacian(f, p, x, basis))
+        want = complex(_nested_jet_iterated_laplacian(nested, p, x, basis))
         scale = 1.0 + abs(value) + abs(previous)
         assert abs(got - want) <= tol * scale, (p, got, want)
         previous = want
@@ -483,22 +503,26 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
 def test_one_deep_walk_releases_values_after_their_last_read():
     import tracemalloc
 
-    # flag --blocks 1,1,2 --p 4 on four points: three phi jets and the
-    # values of their compositions, 0.26 MB each, and product blocks of at
-    # most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB); the walk peaks at 11.2 MB,
-    # and keeping every node's jet until the walk ends pushes it to 15.2 MB.
-    # (At p = 5 on one point the product blocks alone set the peak, which
-    # keeping the values does not move.)
-    f = flag_sum_expr(flag_forms((1, 1, 2)), 4)
+    # flag --blocks 1,1,2 --p 4 on four points, with product blocks of at
+    # most jets.PRODUCT_WORKSPACE_BYTES (8.4 MB) in either tree.  The
+    # per-block Sum holds three phi jets and the values of their three
+    # compositions, 0.26 MB each: the walk peaks at 11.4 MB, and keeping
+    # every node's jet until the walk ends pushes it to 14.9 MB.  The one
+    # composition over the lane stack holds fewer values of 12 lanes,
+    # 0.79 MB each: 15.3 MB, and 16.1 MB when every jet is kept.  Each bound
+    # lies between its tree's two peaks.  (At p = 5 on one point the product
+    # blocks alone set the peak, which keeping the values does not move.)
+    forms = flag_forms((1, 1, 2))
     basis = so_basis(4)
     x = sample_so(4, range(7, 11))
-    tracemalloc.start()
-    try:
-        laplacian_jet(f, x, basis, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 13.5e6, peak
+    for f, bound in ((flag_sum_oracle(forms, 4), 13.5e6), (flag_sum_expr(forms, 4), 15.7e6)):
+        tracemalloc.start()
+        try:
+            laplacian_jet(f, x, basis, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 def test_second_lane_of_a_deep_walk_adds_no_second_workspace():
@@ -795,6 +819,49 @@ def _generator_cases():
         for k, form in enumerate(flag_forms(blocks)):
             cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(90, 92))))
     return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
+
+
+@pytest.mark.parametrize(
+    "make_basis, windows, p",
+    [
+        pytest.param(lambda: so_basis(4), [(1,), (2,), (3, 4)], 3, id="so(4)-112-p3"),
+        pytest.param(lambda: so_basis(4), [(1, 2), (3, 4)], 5, id="so(4)-22-p5"),
+        pytest.param(lambda: so_basis(5), [(1,), (2,), (3,), (4, 5)], 3, id="so(5)-1112-p3"),
+        pytest.param(lambda: so_basis(7), [(1, 2, 3), (4, 5, 6, 7)], 2, id="so(7)-34-p2"),
+        pytest.param(lambda: so_basis(38), [tuple(range(1, 20))], 1, id="so(38)-19-p1"),
+        pytest.param(lambda: m_basis(2, 3), [(1, 2)], 4, id="Gr(2,3)-p4"),
+        pytest.param(lambda: m_basis(2, 2, "indefinite"), [(1, 2)], 3, id="dual(2,2)-p3"),
+    ],
+)
+def test_generator_tensor_of_every_window_equals_the_stacked_reference(make_basis, windows, p):
+    # one tensor for all the windows, built level by level in place, against
+    # the whole-stack build of each window alone, bit for bit
+    basis = make_basis()
+    N = basis.shape[-1]
+    T = ops._generator_tensor(basis, windows, N, p)
+    assert T.shape == (len(windows), (len(basis) + 2) ** p, N, N)
+    for tensor, columns in zip(T, windows):
+        assert tensor.tobytes() == generator_tensor_reference(basis, columns, N, p).tobytes()
+
+
+def test_gr19_19_projector_planes_hold_no_stack_of_fields():
+    import tracemalloc
+
+    # one Gr(19,19) point: the depth-1 generator tensor T and X T X^T are
+    # 8.1 MB stacks of 705 so(38) matrices each.  Built from whole stacks (the
+    # squares of the basis, the fields, A, A + A^T and their concatenation)
+    # the planes peaked at 31.1 MiB; in place, T, the two copies tensordot
+    # takes and the two stacks of X T X^T bound it below 24 MiB, a bound
+    # fixed before the first run
+    x = sample_so(38, [5])
+    basis = so_basis(38)
+    tracemalloc.start()
+    try:
+        projector_identity_residuals(x, 19, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak
 
 
 @pytest.mark.parametrize("p", range(1, ops.DEPTH_CAP + 1))
