@@ -32,12 +32,12 @@ the basis and window, whose value channel is plain evaluation of the node.
 
 A flag function, a sum over column blocks of one p-harmonic composition per
 block eigenfunction, is one composition over a lane stack: a
-:class:`Stack` node puts the t block forms' values side by side, so K
-points give t K lanes, a :class:`StackConst` gives each block its own
-coefficient, and the :class:`Unstack` root adds the t blocks of lanes at
-each point.  Every node of the composition then runs once for all blocks,
-lane for lane the operations the per-block sum runs, so on a stack of
-points the two agree bit for bit.
+:class:`Stack` node puts the t block forms' values side by side on a last
+block axis, so K points give a (K, t) lane array, a :class:`StackConst`
+gives each block its own coefficient, broadcast along that axis, and the
+:class:`Unstack` root adds the t blocks at each point.  Every node of the
+composition then runs once for all blocks, lane for lane the operations the
+per-block sum runs, so on a stack of points the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import BranchCutError, LaplacianJet, ipow, jlog, jpow
+from .jets import LaplacianJet, ipow, jlog, jpow
 
 ISOTROPY_TOL = 1e-12
 
@@ -98,31 +98,29 @@ class Log:
 
 @dataclass(frozen=True)
 class Stack:
-    """The members' values side by side on the lane axis, member-major: at
-    K points member k holds lanes k K .. (k + 1) K - 1, and at one point
-    lane k.  A constant member takes the lane count of the others."""
+    """The members' values side by side on a new last block axis: a (K, t)
+    lane array at K points, jets of (K, t, D**p) components, and t values
+    at one bare point, where the block axis is the only one.  A constant
+    member takes the shape of the others."""
 
     members: tuple
 
 
 @dataclass(frozen=True)
 class StackConst:
-    """values[k] on every lane of member k of ``stack``, which it reads for
-    the lane count."""
+    """values[k] for block k, one value per member of a Stack, broadcast
+    along the block axis.  Not a Const of an array: a frozen dataclass with
+    an array field has no usable == or hash."""
 
     values: tuple
-    stack: Stack
 
 
 @dataclass(frozen=True)
 class Unstack:
-    """At each point, the sum of ``child``'s lane blocks, one per member of
-    ``stack``, left to right: (b_0 + b_1) + b_2 ....  A branch cut on a
-    stacked lane is reported at its point, lane mod K; at one lane per block
-    the sum is a value without lanes, as a tree over one point gives."""
+    """At each point, the sum of ``child``'s values along the block axis,
+    left to right: (b_0 + b_1) + b_2 ...."""
 
     child: object
-    stack: Stack
 
 
 @dataclass(frozen=True)
@@ -184,8 +182,8 @@ def evaluate(node, matrix, known: dict | None = None):
     times (the eigenfunction inside a composition) is evaluated once per
     call: results are memoised by node identity, and each is dropped after
     its last reader has read it, so a walk holds only the values still due.
-    Below a Stack node a value holds one lane per member and point (see
-    Stack); an Unstack node returns to one lane per point.
+    Below a Stack node a value gains a last block axis, one entry per
+    member (see Stack); an Unstack node sums it away.
     """
     memo = {} if known is None else known
     if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
@@ -207,10 +205,8 @@ def _children(node) -> tuple:
         return (node.child,)
     if isinstance(node, Stack):
         return node.members
-    if isinstance(node, StackConst):
-        return (node.stack,)
     if isinstance(node, Unstack):
-        return (node.stack, node.child)
+        return (node.child,)
     return ()
 
 
@@ -282,63 +278,37 @@ def _node_value(node, m, memo: dict, readers: Counter):
     if isinstance(node, ProjectorForm):
         return _projector_value(node, m)
     if isinstance(node, Stack):
-        return _stack_value([_eval(member, m, memo, readers) for member in node.members], m)
+        return _stack_value([_eval(member, m, memo, readers) for member in node.members])
     if isinstance(node, StackConst):
-        lanes = _lane_count(_eval(node.stack, m, memo, readers))
-        return np.repeat(np.array(node.values, dtype=complex), lanes // len(node.values))
+        return np.array(node.values, dtype=complex)
     if isinstance(node, Unstack):
-        blocks = len(node.stack.members)
-        points = _lane_count(_eval(node.stack, m, memo, readers)) // blocks
-        try:
-            value = _eval(node.child, m, memo, readers)
-        except BranchCutError as exc:
-            raise BranchCutError(exc.reason, sorted({lane % points for lane in exc.lanes})) from None
-        return _block_sum(value, blocks, points)
+        return _block_sum(_eval(node.child, m, memo, readers))
     raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- lane stacks -----------------------------------------------------------------
 
 
-def _lane_count(value) -> int:
-    return len(value.coeffs if isinstance(value, LaplacianJet) else value)
+def _stack_value(values: list):
+    """Member values side by side on a new last block axis, a constant
+    taking the shape of the jets or lane arrays among them.  Constants alone
+    give t values, which broadcast along the block axis as a StackConst's."""
+    like = next((v for v in values if isinstance(v, LaplacianJet)), None)
+    if like is None:
+        shape = next((v.shape for v in values if isinstance(v, np.ndarray)), ())
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in values], axis=-1)
+    parts = [v.coeffs if isinstance(v, LaplacianJet) else np.zeros_like(like.coeffs) for v in values]
+    for part, v in zip(parts, values):
+        if not isinstance(v, LaplacianJet):
+            part[..., 0] = v
+    return like._like(np.stack(parts, axis=-2))
 
 
-def _stack_value(values: list, m):
-    """Member values side by side on the lane axis, a constant taking the
-    lane count of the others: of the jets or lane arrays among them, else of
-    the numeric stack m, else one."""
-    jets = [v for v in values if isinstance(v, LaplacianJet)]
-    if jets:
-        like = jets[0]
-        size = like.coeffs.shape[-1]
-        lanes = len(like.coeffs) if like.coeffs.ndim == 2 else 1
-        parts = []
-        for v in values:
-            if isinstance(v, LaplacianJet):
-                parts.append(v.coeffs.reshape(-1, size))
-            else:
-                constant = np.zeros((lanes, size), dtype=complex)
-                constant[:, 0] = v
-                parts.append(constant)
-        return LaplacianJet(like.basis_size, like.depth, np.concatenate(parts))
-    stacked = isinstance(m, np.ndarray) and m.ndim == 3
-    lanes = next((len(v) for v in values if isinstance(v, np.ndarray)), m.shape[-1] if stacked else 1)
-    return np.concatenate([np.broadcast_to(np.asarray(v, dtype=complex), (lanes,)) for v in values])
-
-
-def _block_sum(value, blocks: int, points: int):
-    """The sum of the blocks of points lanes each, left to right; a value
-    without lanes at one point."""
+def _block_sum(value):
+    """The sum along the block axis, left to right."""
     if isinstance(value, LaplacianJet):
-        parts = [
-            LaplacianJet(value.basis_size, value.depth, value.coeffs[k * points : (k + 1) * points])
-            for k in range(blocks)
-        ]
-        total = _ordered_sum(parts)
-        return LaplacianJet(total.basis_size, total.depth, total.coeffs[0]) if points == 1 else total
-    total = _ordered_sum([value[k * points : (k + 1) * points] for k in range(blocks)])
-    return total[0] if points == 1 else total
+        return value._like(_ordered_sum(np.moveaxis(value.coeffs, -2, 0)))
+    return _ordered_sum(np.moveaxis(value, -1, 0))
 
 
 # -- projector quadratics ------------------------------------------------------
@@ -593,8 +563,8 @@ def flag_sum_expr(forms: Sequence, p: int):
     ``forms`` holds one eigenfunction per block, as :func:`flag_forms`
     builds them; block k is composed with coefficients (1, (k + 1) / 2).
     The tree is Unstack(p_harmonic_expr(Stack(forms), ..., StackConst)):
-    at K points the forms' values fill t K lanes, block k's c2 is a
-    StackConst, and the root adds the t blocks of lanes in block order, so
+    at K points the forms' values fill a (K, t) lane array, block k's c2 is
+    a StackConst, and the root adds the t blocks in block order, so
     one walk takes a single log, reciprocal chain and product per node for
     every block, and each form is read once, by the stack.  The windows
     partition the columns, so n is the sum of the window sizes.  Every block
@@ -603,9 +573,8 @@ def flag_sum_expr(forms: Sequence, p: int):
     p-harmonic.
     """
     n = sum(len(phi.columns) for phi in forms)
-    stack = Stack(tuple(forms))
-    c2 = StackConst(tuple((k + 1) / 2.0 for k in range(len(forms))), stack)
-    return Unstack(p_harmonic_expr(stack, -n, -2, p, 1.0, c2), stack)
+    c2 = StackConst(tuple((k + 1) / 2.0 for k in range(len(forms))))
+    return Unstack(p_harmonic_expr(Stack(tuple(forms)), -n, -2, p, 1.0, c2))
 
 
 # -- file ingestion -------------------------------------------------------------

@@ -15,12 +15,12 @@ A :class:`LaplacianJet` of depth ``p`` carries, in one numpy array, what
 ``p`` nesting levels of (value, directional first derivatives, summed second
 derivative) produce: the forward-Laplacian algebra and its tensor powers.
 It supports the same ring operations and analytic functions as a jet.  Its
-coefficients may carry a leading lane axis, one lane per sample point, so
-one pass over an expression serves a whole stack of points; a 1-D array
-holding one value per lane is then the matching plain scalar.
-Its products are one recursion over their batch axis (lanes, and any
-stacked operands), in blocks under ``PRODUCT_WORKSPACE_BYTES`` that share
-one workspace, each element computed by the same operations whatever its
+coefficients may carry leading batch axes (one lane per sample point, then
+a lane stack's block axis), so one pass over an expression serves a whole
+stack of points; an array of one value per batch element is then the
+matching plain scalar.  Its products are one recursion over their batch
+axes, in blocks under ``PRODUCT_WORKSPACE_BYTES`` that share one
+workspace, each element computed by the same operations whatever its
 block or stack.  A block whose depth a term map covers, (3B + 3)**q terms at
 most ``MAP_TERMS`` cached per basis size and depth, is a gather of both
 operands' components, one multiply, the weights of the (b, b) pairs and one
@@ -70,9 +70,9 @@ class ShapeMismatch(JetError):
 class BranchCutError(JetError):
     """An analytic function was evaluated on or too near its branch cut.
 
-    ``lanes`` holds the indices of the failing lanes when the argument was a
-    lane array, and is empty when it was one number; the message names them
-    before the ``reason``.
+    ``lanes`` holds the indices of the failing lanes, along the leading axis,
+    when the argument was a lane array, and is empty when it was one number;
+    the message names them before the ``reason``.
     """
 
     def __init__(self, reason: str, lanes=()):
@@ -201,9 +201,9 @@ class LaplacianJet:
     D - 1 the Laplacian at each level.  Component (0, ..., 0) is the point
     value and (D-1, ..., D-1) the p-fold Laplacian.
 
-    ``coeffs`` may also be a (K, D**p) stack: K independent lanes, one per
-    sample point, combined lane by lane.  Numbers act on every lane, and a
-    1-D array of K values acts lane by lane.
+    ``coeffs`` may also carry leading batch axes, (K, ..., D**p), combined
+    element by element.  Numbers act on every element, and an array of the
+    batch shape, or one broadcasting to it, element by element.
 
     The nilpotent part h (everything but component 0) has h**(2p+1) = 0:
     ``order`` = 2p is the order of its Taylor expansions.  Analytic
@@ -224,7 +224,7 @@ class LaplacianJet:
         if basis_size < 1 or depth < 1:
             raise JetError(f"need basis size and depth >= 1, got {basis_size}, {depth}")
         size = (basis_size + 2) ** depth
-        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != size:
+        if coeffs.ndim < 1 or coeffs.shape[-1] != size:
             raise JetError(f"expected {size} components per lane, got shape {coeffs.shape}")
         self.basis_size = basis_size
         self.depth = depth
@@ -234,11 +234,11 @@ class LaplacianJet:
         self._squares = []
 
     def constant_value(self):
-        """The point value, or for a stack a contiguous array of one per lane:
-        the operand plain evaluation of the same points holds."""
+        """The point value, or with batch axes a contiguous array of one per
+        batch element: the operand plain evaluation of the same points holds."""
         if self.coeffs.ndim == 1:
             return complex(self.coeffs[0])
-        return np.ascontiguousarray(self.coeffs[:, 0])
+        return np.ascontiguousarray(self.coeffs[..., 0])
 
     def _like(self, coeffs) -> "LaplacianJet":
         return LaplacianJet(self.basis_size, self.depth, coeffs)
@@ -292,8 +292,8 @@ class LaplacianJet:
 
 
 def _per_lane(c):
-    """A number, or lane values as a column against a (K, D**p) stack."""
-    return c[:, None] if isinstance(c, np.ndarray) else c
+    """A number, or batch values with a component axis against (..., D**p)."""
+    return c[..., None] if isinstance(c, np.ndarray) else c
 
 
 # Bytes of complex workspace one block of _tensor_product may hold.  A block
@@ -385,8 +385,8 @@ def _workspace_bytes(B: int, p: int) -> int:
 
 def _tensor_product(a: np.ndarray, b: np.ndarray, B: int, p: int) -> np.ndarray:
     """Product of two depth-p component arrays of one shape, flat or with
-    leading (lane, batch) axes, which are walked as one batch axis, by
-    _product_into with a workspace of its own."""
+    leading batch axes, walked as one, by _product_into with a workspace of
+    its own."""
     out = np.empty(a.shape, dtype=complex)
     flat = (-1, (B + 2) ** p)
     _product_into(a.reshape(flat), b.reshape(flat), out.reshape(flat), B, p, {})
@@ -530,7 +530,7 @@ def nilpotent_part(a):
 
 # -- division and analytic functions ------------------------------------------
 #
-# Each function takes a number, a 1-D array of lane values, or a jet, and
+# Each function takes a number, an array of lane values, or a jet, and
 # evaluates a jet through the same function at its point value (a number or
 # lane array), so its value channel is what plain evaluation computes.
 #
@@ -666,13 +666,15 @@ def ipow(value: Scalar, exponent: int) -> Scalar:
 
 
 def _check_branch(z):
+    """z, clear of the cut; on an array the error names the failing indices
+    of its leading axis, which at one bare point is a lane stack's block axis."""
     z = _require_finite(z)
     if isinstance(z, np.ndarray):
         bad = (np.abs(z) < BRANCH_FLOOR) | (math.pi - np.abs(np.angle(z)) < BRANCH_ANGLE)
         if np.any(bad):
             raise BranchCutError(
                 f"within {BRANCH_FLOOR:.1e} of the origin or {BRANCH_ANGLE:.1e} of the cut",
-                np.flatnonzero(bad),
+                np.flatnonzero(np.any(bad.reshape(len(bad), -1), axis=1)),
             )
         return z
     if abs(z) < BRANCH_FLOOR:

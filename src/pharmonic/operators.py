@@ -32,7 +32,7 @@ depends only on the basis, the window and p: one T for all the tree's
 windows per walk, built level by level in place, one contraction of
 N^2 D**p terms per point, and no lift of the point.  A lane stack of
 forms (the flag function's blocks, an eigenfamily's members) enters the
-walk as one jet of t K lanes.
+walk as one jet of (K, t) lanes, its t members on a last block axis.
 Only a tree with Entry leaves lifts its matrix entries, each with the
 component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
 the walk costs O((3B + 3)**p) instead of the |basis|**p walks over nested
@@ -57,8 +57,8 @@ non-descent witness one best change), so this module takes no threshold
 and names no check: the CLI judges the numbers and writes the records.
 One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
 (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
-stacked walk raises a BranchCutError naming the failing lanes, which a lane
-stack's Unstack root names by point.
+stacked walk raises a BranchCutError naming the failing lanes, by point
+whichever block of a lane stack failed there.
 
 The closed-form identity residuals read depth-1 planes as plain arrays,
 for a stack of points at once, and take the rank-4 pairing tensor and its
@@ -89,15 +89,17 @@ from .jets import BranchCutError, LaplacianJet
 DEPTH_CAP = 5
 
 # Largest forward-Laplacian array, N^2 (|basis| + 2)^p components, one walk
-# may build per point (an entry lift, or a projector form's generator
-# tensor): the CLI refuses a run whose single-point array exceeds it, and
-# the checkers walk as many points at once as fit under it.  Measured one
-# sample per run, median of three fresh processes, on a 2-core x86-64 VM
+# may build per point or window (an entry lift, or a projector form's
+# generator tensor): the CLI refuses a run whose single array exceeds it,
+# the checkers walk as many points at once as fit under it, and the
+# generator tensors are built for as many windows at once.  Measured one
+# sample per run, median of five fresh processes with one BLAS thread on a
+# 2-core x86-64 VM, from before the CLI's import to the end of its run
 # (peak resident set): flag --blocks 1,1,2 --p 5 (524,288 components) takes
-# 1.2 s and 61 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 0.6 s and 58 MB;
-# grassmann --m 19 --n 19 (1,018,020) 0.44 s and 83 MB (median of ten, its
-# pairing tensor taken in tiles).  Unbounded,
-# calibrate --m 1 --n 199 would first build about 6.4 GB of so(200) basis.
+# 0.69 s and 59 MB; pharmonic --m 2 --n 3 --p 5 (819,200) 0.31 s and 53 MB;
+# grassmann --m 19 --n 19 (1,018,020) 0.27 s and 75 MB (its pairing tensor
+# taken in tiles).  Unbounded, calibrate --m 1 --n 199 would first build
+# about 6.4 GB of so(200) basis.
 MAX_LIFT_COMPONENTS = 2**20
 
 # Bytes of pairing-tensor entries the identity residuals take in one tile:
@@ -251,12 +253,20 @@ def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int) -> dict:
     """The depth-p LaplacianJet of each ProjectorForm, keyed by node
-    identity, from one generator tensor for all their distinct windows."""
+    identity, from one generator tensor per group of their distinct
+    windows: as many windows as MAX_LIFT_COMPONENTS holds (at least one),
+    each group's forms paired before the next group is built."""
     windows = list(dict.fromkeys(form.columns for form in forms))
-    if not windows:
-        return {}
-    tensors = dict(zip(windows, _generator_tensor(basis, windows, X.shape[-1], p)))
-    return {id(form): LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns])) for form in forms}
+    N = X.shape[-1]
+    step = max(1, MAX_LIFT_COMPONENTS // (N * N * (len(basis) + 2) ** p))
+    jets = {}
+    for start in range(0, len(windows), step):
+        group = windows[start : start + step]
+        tensors = dict(zip(group, _generator_tensor(basis, group, N, p)))
+        for form in forms:
+            if form.columns in tensors:
+                jets[id(form)] = LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns]))
+    return jets
 
 
 def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
@@ -284,9 +294,6 @@ def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
         rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
     value = evaluate(f, rows, known)
     if isinstance(value, LaplacianJet):
-        if value.coeffs.ndim <= len(lanes):
-            # a stack of one point, which an Unstack root sums without lanes
-            return LaplacianJet(B, p, value.coeffs[None])
         return value
     coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)
     coeffs[..., 0] = value
@@ -462,14 +469,9 @@ def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarr
     if not fs:
         raise ValueError("need at least one family member")
     family = Stack(tuple(fs))
-
-    def walk(chunk):
-        jets = laplacian_jet(family, chunk, basis, 1).coeffs
-        return np.swapaxes(jets.reshape(len(fs), len(chunk), -1), 0, 1)
-
-    jets = _by_chunks(walk, points, points[0].size * (len(basis) + 2))
-    members = np.ascontiguousarray(np.swapaxes(jets, 0, 1))
-    return [_eigen_residuals(member, lam, mu) for member in members]
+    size = points[0].size * (len(basis) + 2)
+    jets = _by_chunks(lambda chunk: laplacian_jet(family, chunk, basis, 1).coeffs, points, size)
+    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(len(fs))]
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:

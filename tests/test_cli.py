@@ -527,7 +527,7 @@ def test_lift_bound_formula_matches_the_walks_that_run(monkeypatch, config):
     # _lift_components sizes a run's largest lift from its config alone; the
     # entry lifts and the projector forms' generator tensors the command
     # really builds, each N^2 (|basis| + 2)^p components per point or
-    # window, must reach it (one call builds the tensors of all its windows)
+    # window, must reach it (one call builds the tensors of a group of windows)
     sizes = []
     lift, tensor = ops._lift, ops._generator_tensor
 
@@ -739,13 +739,14 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
 def test_a_later_stacked_member_on_the_cut_names_its_point():
     # a tree over a lane stack of two members, x11^2 and x11, on four points
     # where x11 < 0 at point 1 only: the log reaches the cut on member 1's
-    # lane of point 1, lane K + 1 = 5, and the error names point 1
+    # lane of point 1, entry (1, 1) of the (4, 2) lanes, and the error
+    # names point 1
     x = sample_so(3, 11)
     assert abs(x[0, 0]) > 1e-3
     points = np.stack([x] * 4)
     points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])
     stack = Stack((Product((Entry(1, 1), Entry(1, 1))), Entry(1, 1)))
-    f = Unstack(Log(stack), stack)
+    f = Unstack(Log(stack))
     basis = so_basis(3)
     with pytest.raises(BranchCutError) as caught:
         ops.p_harmonic_residuals(f, 2, points, basis)
@@ -801,9 +802,11 @@ def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
     assert code == EXIT_PASS
     assert len(sampled) == 3 and summed
     for total in summed:
-        assert len(total.stack.members) == len(sampled)
+        # Unstack(... + c2 log(phi)), phi the Stack of the block forms
+        stack = total.child.terms[-1].factors[-1].child
+        assert isinstance(stack, Stack) and len(stack.members) == len(sampled)
         readers = _readers(total)
-        for member, phi in zip(total.stack.members, sampled):
+        for member, phi in zip(stack.members, sampled):
             assert member is phi and readers[id(phi)] == 1
 
 

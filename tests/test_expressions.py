@@ -469,7 +469,32 @@ def test_fifth_order_flag_jet_equals_the_per_block_oracle():
     x = sample_so(4, range(60, 61))
     got = laplacian_jet(flag_sum_expr(forms, 5), x, so_basis(4), 5).coeffs
     want = laplacian_jet(flag_sum_oracle(forms, 5), x, so_basis(4), 5).coeffs
+    assert got.shape == (1, 8**5)  # a stack of one point keeps its lane axis
     assert got.tobytes() == want.tobytes()
+
+
+def test_flag_sum_at_one_bare_point_has_no_lane_axis():
+    # at a bare point the stack's only axis is its block axis, which the
+    # Unstack root sums away: a scalar value, and a jet of D**p components
+    forms = flag_forms((1, 1, 2))
+    x = sample_so(4, 7)
+    tree = flag_sum_expr(forms, 2)
+    value = evaluate(tree, x)
+    assert np.ndim(value) == 0
+    jet = laplacian_jet(tree, x, so_basis(4), 2).coeffs
+    assert jet.shape == (8**2,)
+    assert jet[0] == value
+    stacked = laplacian_jet(Stack(tuple(forms)), x, so_basis(4), 2).coeffs
+    assert stacked.shape == (3, 8**2)
+
+
+def _flag_stack(node):
+    """The Stack of a p = 2 flag sum, reached through its composition:
+    Unstack(... + c2 log(phi)), phi the stack."""
+    assert isinstance(node, Unstack)
+    log_phi = node.child.terms[-1].factors[-1]
+    assert isinstance(log_phi, Log) and isinstance(log_phi.child, Stack)
+    return log_phi.child
 
 
 @pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
@@ -479,10 +504,10 @@ def test_flag_sum_terms_read_the_given_forms(blocks):
     forms = flag_forms(blocks)
     node = flag_sum_expr(forms, 2)
     assert all(isinstance(phi, ProjectorForm) for phi in forms)
-    assert isinstance(node, Unstack) and isinstance(node.stack, Stack)
-    assert len(node.stack.members) == len(forms)
+    stack = _flag_stack(node)
+    assert len(stack.members) == len(forms)
     readers = _readers(node)
-    for member, phi in zip(node.stack.members, forms):
+    for member, phi in zip(stack.members, forms):
         assert member is phi
         assert readers[id(phi)] == 1
 
@@ -491,11 +516,10 @@ def test_flag_sum_builds_three_terms():
     # three blocks: three stacked forms under one composition,
     # phi^(-1) log(phi) + c2 log(phi), whose c2 gives each block its own
     node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
-    assert isinstance(node, Unstack) and len(node.stack.members) == 3
+    assert len(_flag_stack(node).members) == 3
     assert isinstance(node.child, Sum) and len(node.child.terms) == 2
     c2 = node.child.terms[1].factors[0]
-    assert isinstance(c2, StackConst) and c2.stack is node.stack
-    assert c2.values == (0.5, 1.0, 1.5)
+    assert isinstance(c2, StackConst) and c2.values == (0.5, 1.0, 1.5)
     x = sample_so(4, 7)
     value = evaluate(node, x)
     assert np.isfinite(value.real) and np.isfinite(value.imag)

@@ -466,6 +466,16 @@ def test_a_stored_reciprocal_chain_gives_a_fresh_jets_results_bit_for_bit(B, p, 
             assert call(stored).coeffs.tobytes() == call(fresh).coeffs.tobytes(), (first_name, name)
 
 
+def test_branch_cut_names_the_point_of_a_stacked_lane():
+    # a (3, 2) lane array, points by blocks: a bad entry at (1, 0) names
+    # point 1, whichever block it sits in
+    z = np.ones((3, 2), dtype=complex)
+    z[1, 0] = -1.0
+    with pytest.raises(BranchCutError) as info:
+        jlog(z)
+    assert info.value.lanes == (1,)
+
+
 @pytest.mark.parametrize("p", [1, 3])
 def test_level_rule_rejects_from_the_point_value(p):
     rng = np.random.default_rng(p)

@@ -231,7 +231,7 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
 
 def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     # the honest two-member family of the test below: one depth-1 walk of
-    # the members' lane stack, 2K lanes, and each member's tau and kappa
+    # the members' lane stack, (K, 2) lanes, and each member's tau and kappa
     # equal to its own eigen check
     fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
     fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 1)
@@ -242,12 +242,12 @@ def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
 
     def counting_walk(f, x, basis, p):
         jet = walk(f, x, basis, p)
-        walks.append((p, len(jet.coeffs)))
+        walks.append((p, jet.coeffs.shape[:-1]))
         return jet
 
     monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
     family = check_eigenfamily([fu, fv], -4, -2, pts, basis)
-    assert walks == [(1, 2 * len(pts))]
+    assert walks == [(1, (len(pts), 2))]
     monkeypatch.undo()
     assert len(family) == 2
     for f, pair in zip((fu, fv), family):
@@ -842,6 +842,32 @@ def test_generator_tensor_of_every_window_equals_the_stacked_reference(make_basi
     assert T.shape == (len(windows), (len(basis) + 2) ** p, N, N)
     for tensor, columns in zip(T, windows):
         assert tensor.tobytes() == generator_tensor_reference(basis, columns, N, p).tobytes()
+
+
+@pytest.mark.parametrize("windows_per_group", [1, 2])
+def test_generator_tensors_are_built_in_groups_under_the_lift_bound(monkeypatch, windows_per_group):
+    # flag (1,1,2) at p = 2: three windows of 4^2 * 8^2 components each.
+    # Under a bound of one or two windows the tensors are built a group at
+    # a time, none larger than the bound, and the walk's jet is unchanged
+    tree = flag_sum_expr(flag_forms((1, 1, 2)), 2)
+    points = sample_so(4, range(40, 43))
+    basis = so_basis(4)
+    want = laplacian_jet(tree, points, basis, 2).coeffs
+    window = 4**2 * 8**2
+    bound = windows_per_group * window
+    sizes = []
+    tensor = ops._generator_tensor
+
+    def recording_tensor(basis, windows, N, p):
+        T = tensor(basis, windows, N, p)
+        sizes.append(T.size)
+        return T
+
+    monkeypatch.setattr(ops, "MAX_LIFT_COMPONENTS", bound)
+    monkeypatch.setattr(ops, "_generator_tensor", recording_tensor)
+    got = laplacian_jet(tree, points, basis, 2).coeffs
+    assert got.tobytes() == want.tobytes()
+    assert sizes == [bound] * (3 // windows_per_group) + [window] * (3 % windows_per_group)
 
 
 def test_gr19_19_projector_planes_hold_no_stack_of_fields():
