@@ -3,11 +3,16 @@
 
 Covers the calibration sizes, the Grassmannian shapes, the iterated-Laplacian
 orders p = 2, 3, 4, the flag partitions (1,1,2) and (2,1,1) with the (2,2)
-Grassmannian control, and the indefinite duals at p = 2 and 4; writes one
-report per run into the output directory and prints a summary table, ending
-with the sum of the per-run times and the elapsed wall time of the sweep.
-As in the CLI, GH_VERIFY_TOL_SCALE multiplies the thresholds of the
-numerical residuals (not the floors or the symbolic verdicts); a value that is not a finite number >= 0 is a configuration error (exit 3).
+Grassmannian control, and the indefinite duals at p = 2 and 4.  Each run is
+one ``pharmonic`` command line, run through ``pharmonic.cli.main`` with
+``--out`` naming its report in the output directory; the summary table
+reads that report, and ends with the sum of the reports' ``timing_seconds``
+and the elapsed wall time of the sweep.  A run that exits 3 or 4 writes no
+report: its row reads "EXIT 3" or "EXIT 4", the CLI's one-line message
+goes to stderr, and the sweep goes on and exits 2.  As in the CLI,
+GH_VERIFY_TOL_SCALE multiplies the thresholds of the numerical residuals
+(not the floors or the symbolic verdicts); a value that is not a finite
+number >= 0 is a configuration error (exit 3) before any run starts.
 
 With ``--compare DIR`` each report is also compared with the report of the
 same name in DIR, an earlier sweep: the run reads "same" when its check ids,
@@ -33,51 +38,37 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from pharmonic.cli import COMMANDS, EXIT_USAGE, RunConfig, UsageError, tol_scale_from_env
+from pharmonic import cli
 
 
-def build_runs(samples: int) -> list[tuple[str, RunConfig]]:
-    runs: list[tuple[str, RunConfig]] = []
-    for N in range(2, 9):
-        runs.append(
-            (f"calibrate_N{N}", RunConfig("calibrate", m=1, n=N - 1, samples=samples))
-        )
+def build_runs(samples: int) -> list[tuple[str, str]]:
+    """(report name, pharmonic command line) for every run of the sweep."""
+    runs = [(f"calibrate_N{N}", f"calibrate --m 1 --n {N - 1} --samples {samples}") for N in range(2, 9)]
     for m, n in ((1, 2), (2, 2), (2, 3), (3, 4)):
-        runs.append(
-            (f"grassmann_{m}_{n}", RunConfig("grassmann", m=m, n=n, samples=samples))
-        )
+        runs.append((f"grassmann_{m}_{n}", f"grassmann --m {m} --n {n} --samples {samples}"))
     for m, n in ((1, 2), (2, 2)):
         for p in (2, 3, 4):
-            runs.append(
-                (
-                    f"pharmonic_{m}_{n}_p{p}",
-                    RunConfig("pharmonic", m=m, n=n, p=p, samples=max(10, samples // 2)),
-                )
-            )
-    for blocks in ((1, 1, 2), (2, 1, 1), (2, 2)):
-        tag = "".join(str(b) for b in blocks)
-        runs.append(
-            (f"flag_{tag}", RunConfig("flag", blocks=blocks, p=2, samples=max(5, samples // 4)))
-        )
+            line = f"pharmonic --m {m} --n {n} --p {p} --samples {max(10, samples // 2)}"
+            runs.append((f"pharmonic_{m}_{n}_p{p}", line))
+    for blocks in ("1,1,2", "2,1,1", "2,2"):
+        tag = blocks.replace(",", "")
+        runs.append((f"flag_{tag}", f"flag --blocks {blocks} --p 2 --samples {max(5, samples // 4)}"))
     for m, n in ((1, 2), (2, 2)):
         for p, suffix in ((2, ""), (4, "_p4")):
-            runs.append(
-                (
-                    f"dual_{m}_{n}{suffix}",
-                    RunConfig("dual", m=m, n=n, p=p, radius=0.5, samples=max(10, samples // 2)),
-                )
-            )
+            line = f"dual --m {m} --n {n} --p {p} --radius 0.5 --samples {max(10, samples // 2)}"
+            runs.append((f"dual_{m}_{n}{suffix}", line))
     return runs
 
 
@@ -111,10 +102,10 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", metavar="DIR", help="compare with the reports in DIR")
     args = parser.parse_args(argv)
     try:
-        tol_scale = tol_scale_from_env()
-    except UsageError as exc:
+        cli.tol_scale_from_env()
+    except cli.UsageError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return cli.EXIT_USAGE
 
     sweep_start = time.perf_counter()
     out_dir = Path(args.out_dir)
@@ -127,12 +118,16 @@ def main(argv=None) -> int:
     print(header)
     print("-" * len(header))
     runs = build_runs(args.samples)
-    for name, config in runs:
-        start = time.perf_counter()
-        report = COMMANDS[config.command](replace(config, tol_scale=tol_scale))
-        report.timing_seconds = time.perf_counter() - start
-        run_total += report.timing_seconds
-        text = report.to_json() + "\n"
+    for name, command in runs:
+        path = out_dir / f"{name}.json"
+        path.unlink(missing_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(command.split() + ["--out", str(path)])
+        if code not in (cli.EXIT_PASS, cli.EXIT_FAIL):
+            all_ok = False
+            print(f"{name:<24} EXIT {code}")
+            continue
+        text = path.read_text()
         doc = json.loads(text)
         canonical = text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
         all_canonical &= canonical
@@ -144,15 +139,15 @@ def main(argv=None) -> int:
                 largest_change = max(largest_change, change)
             status = "DIFFERS: " + ",".join(differing) if differing else "same"
             line = f"  {status:<24} {change:>10.2e}"
-        (out_dir / f"{name}.json").write_text(text)
-        uppers = [c.residual for c in report.checks if c.kind == "upper"]
+        uppers = [c["residual"] for c in doc["checks"] if c["kind"] == "upper"]
         worst = max(uppers) if uppers else float("nan")
-        ok = report.passed
+        ok = doc["passed"]
         all_ok &= ok
+        run_total += doc["timing_seconds"]
         outcome = "ENCODING" if not canonical else "pass" if ok else "FAIL"
         print(
-            f"{name:<24} {outcome:<8} {len(report.checks):>7} "
-            f"{worst:>15.3e} {report.timing_seconds:>7.2f}s" + line
+            f"{name:<24} {outcome:<8} {len(doc['checks']):>7} "
+            f"{worst:>15.3e} {doc['timing_seconds']:>7.2f}s" + line
         )
     if args.compare:
         names = {name for name, _ in runs}

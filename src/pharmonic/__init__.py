@@ -62,8 +62,6 @@ from .symcalc import (
     EigenParams,
     GaussianRational,
     SymExpr,
-    apply_laplacian,
-    iterate_laplacian,
     p_harmonic_combination,
     verify_p_harmonic,
 )

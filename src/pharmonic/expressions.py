@@ -20,11 +20,12 @@ and conformality operators; such matrices arise as u u^T for isotropic u.
 A coefficient matrix is a plain N x N complex array; the column window is
 given beside it, as its width m or as the columns themselves.
 
-Such a contraction is one :class:`ProjectorForm` node, holding a coefficient
-per unordered pair (j, a) and the column window, not a tree of P |C| entry
-products.  It is evaluated by its linear rewrite sum_{j, t} x_jt y_jt with
-y = S X_C, S the symmetric coefficient matrix: N |C| entry products for N
-touched rows; the node's value equals its rewrite as a tree bit for bit.
+Such a contraction is one :class:`ProjectorForm` node, tr(P X^T S X) for
+P the projector onto the window: it holds the rows it touches, the
+symmetric coefficient matrix S on them and the column window, not a tree
+of entry products.  It is evaluated by its linear rewrite
+sum_{j, t} x_jt y_jt with y = S X_C: N |C| entry products for N touched
+rows; the node's value equals its rewrite as a tree bit for bit.
 The forward-Laplacian walk (:func:`pharmonic.operators.laplacian_jet`) does
 not evaluate the node on lifted entries: it hands :func:`evaluate` the
 node's jet, computed from the Gram matrix X^T S X and a generator tensor of
@@ -125,37 +126,29 @@ class Unstack:
 
 @dataclass(frozen=True)
 class ProjectorForm:
-    """sum over pairs (j, a) of coefficient * sum_{t in columns} x_{jt} x_{at},
-    indices 1-based, one coefficient per pair.
+    """tr(P X^T S X) = sum_{j, a in rows} S_ja sum_{t in columns} x_jt x_at:
+    ``rows`` are the rows the form touches, 0-based and ascending,
+    ``weights`` the symmetric coefficient matrix S on them, row by row, and
+    ``columns`` the 1-based window that P projects onto.
 
-    It is evaluated by its linear rewrite: with S the symmetric coefficient
-    matrix on the rows the pairs touch (S_jj = c_jj, S_ja = S_aj = c_ja / 2),
-    the value is sum_{j, t} x_jt y_jt, y_jt = sum_a S_ja x_at, so it takes
-    one entry product per row and column instead of one per pair and column.
+    It is evaluated by its linear rewrite sum_{j, t} x_jt y_jt with
+    y_jt = sum_a S_ja x_at, one entry product per row and column.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-    coefficients: tuple[complex, ...]
+    rows: tuple[int, ...]
+    weights: tuple[tuple[complex, ...], ...]
     columns: tuple[int, ...]
 
     def __post_init__(self):
         if not self.columns:
             raise ValueError("empty column window")
-        if len(self.pairs) != len(self.coefficients):
-            raise ValueError("need one coefficient per pair")
 
     @cached_property
-    def window_weights(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """The 0-based rows the pairs touch, ascending, and S on them."""
-        rows = sorted({i for pair in self.pairs for i in pair})
-        index = {r: k for k, r in enumerate(rows)}
-        S = [[0j] * len(rows) for _ in rows]
-        for (j, a), c in zip(self.pairs, self.coefficients):
-            j, a = index[j], index[a]
-            S[j][a] = S[a][j] = c if j == a else c / 2
-        weights = np.array(S, dtype=complex)
+    def weight_array(self) -> np.ndarray:
+        """``weights`` as a read-only complex array."""
+        weights = np.array(self.weights, dtype=complex)
         weights.flags.writeable = False  # shared by every evaluation of the node
-        return tuple(r - 1 for r in rows), weights
+        return weights
 
 
 ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm, Stack, StackConst, Unstack)
@@ -315,8 +308,8 @@ def _block_sum(value):
 
 
 def _projector_value(node: ProjectorForm, m):
-    """The form as sum_{j, t} x_jt y_jt over the rows j the pairs touch and
-    the window columns t, row-major, with y_jt = sum_a S_ja x_at.
+    """The form as sum_{j, t} x_jt y_jt over the rows j it touches and the
+    window columns t, row-major, with y_jt = sum_a S_ja x_at.
 
     On a numeric stack (m[r, c] the lane array of entry (r, c)) y is one
     linear map of the window's lanes; on any other scalar (one plain point,
@@ -324,15 +317,14 @@ def _projector_value(node: ProjectorForm, m):
     order.  The forward-Laplacian walk does not come here: it takes the
     form's jet from the generator tensor in pharmonic.operators.
     """
-    rows, weights = node.window_weights
     cols = [c - 1 for c in node.columns]
     if isinstance(m, np.ndarray) and m.ndim == 3:
-        x = m[np.ix_(rows, cols)]
-        return _ordered_sum((x * _window_map(weights, x)).reshape(-1, m.shape[-1]))
-    x = [[_entry(m, r + 1, c + 1) for c in cols] for r in rows]
+        x = m[np.ix_(node.rows, cols)]
+        return _ordered_sum((x * _window_map(node.weight_array, x)).reshape(-1, m.shape[-1]))
+    x = [[_entry(m, r + 1, c + 1) for c in cols] for r in node.rows]
     y = [
         [_ordered_sum([w * x[a][t] for a, w in enumerate(row)]) for t in range(len(cols))]
-        for row in weights.tolist()
+        for row in node.weights
     ]
     return _ordered_sum([a * b for xs, ys in zip(x, y) for a, b in zip(xs, ys)])
 
@@ -363,26 +355,21 @@ def projector_form(A, m: int | None = None, columns: Sequence[int] | None = None
     ``A`` is an N x N complex matrix, with or without the eigenfunction
     structure (negative controls pass one without).  The window is the first
     ``m`` columns, or the 1-based ``columns`` when given.  Since
-    q_{j,a} = q_{a,j}, the node holds one coefficient per unordered pair
-    j <= a with a nonzero one, A[j,a] + A[a,j] off the diagonal: exact for
-    any A.  A form without such a pair is Const(0).
+    q_{j,a} = q_{a,j}, the form reads only the symmetric part of A: S_jj =
+    A_jj and S_ja = (A_ja + A_aj) / 2, exact for any A.  It touches the
+    rows where S has a nonzero entry; a form that touches none is Const(0).
     """
-    A = np.asarray(A, dtype=complex)
     if columns is None:
         if m is None:
             raise ValueError("need a column window: pass m or columns")
         columns = range(1, m + 1)
-    N = A.shape[0]
-    pairs, coefficients = [], []
-    for j in range(1, N + 1):
-        for a in range(j, N + 1):
-            c = complex(A[j - 1, a - 1] if a == j else A[j - 1, a - 1] + A[a - 1, j - 1])
-            if c != 0j:
-                pairs.append((j, a))
-                coefficients.append(c)
-    if not pairs:
+    A = np.asarray(A, dtype=complex).tolist()
+    S = [[c if j == a else (c + A[a][j]) / 2 for a, c in enumerate(row)] for j, row in enumerate(A)]
+    rows = tuple(j for j, row in enumerate(S) if any(row))
+    if not rows:
         return Const(0j)
-    return ProjectorForm(tuple(pairs), tuple(coefficients), tuple(columns))
+    weights = tuple(tuple(S[j][a] for a in rows) for j in rows)
+    return ProjectorForm(rows, weights, tuple(columns))
 
 
 # -- coefficient matrices ------------------------------------------------------

@@ -236,13 +236,12 @@ def _square_sum(basis: np.ndarray) -> np.ndarray:
 def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """The depth-p components of form at the point X, or at each point of a
     stack: the form is tr(P G) for the Gram matrix G = X_R^T S X_R (R the
-    rows its pairs touch), linear in G, so component i is the pairing of G
+    rows it touches), linear in G, so component i is the pairing of G
     with T_i.  T is real (the bases are), so G's real and imaginary parts
     are paired with it apart, and T is never copied to complex.  Component
     0 is plain evaluation of the form."""
-    rows, weights = form.window_weights
-    XR = X[..., rows, :]
-    G = np.swapaxes(XR, -1, -2) @ (weights @ XR)
+    XR = X[..., form.rows, :]
+    G = np.swapaxes(XR, -1, -2) @ (form.weight_array @ XR)
     N = X.shape[-1]
     g, flat = G.reshape(X.shape[:-2] + (N * N,)), T.reshape(len(T), N * N).T
     coeffs = np.empty(g.shape[:-1] + (len(T),), dtype=complex)
@@ -468,9 +467,7 @@ def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarr
     so a branch cut names its points by their index."""
     if not fs:
         raise ValueError("need at least one family member")
-    family = Stack(tuple(fs))
-    size = points[0].size * (len(basis) + 2)
-    jets = _by_chunks(lambda chunk: laplacian_jet(family, chunk, basis, 1).coeffs, points, size)
+    jets = _jets_at(Stack(tuple(fs)), points, basis, 1)
     return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(len(fs))]
 
 

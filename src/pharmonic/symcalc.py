@@ -265,16 +265,6 @@ def _laplacian_images(expr: SymExpr, k: int, params: EigenParams) -> list[SymExp
     return result
 
 
-def apply_laplacian(expr: SymExpr, params: EigenParams) -> SymExpr:
-    """One exact application of the Laplacian rewrite, extended linearly."""
-    return _laplacian_images(expr, 1, params)[1]
-
-
-def iterate_laplacian(expr: SymExpr, k: int, params: EigenParams) -> SymExpr:
-    """k-fold exact application of the rewrite."""
-    return _laplacian_images(expr, k, params)[k]
-
-
 def p_harmonic_combination(params: EigenParams, p: int, c1, c2) -> SymExpr:
     """The symbolic counterpart of the three-case p-harmonic composition.
 

@@ -2,7 +2,8 @@
 
 The term-by-term Laplacian rewrite over Fraction-valued Gaussian rationals:
 the route pharmonic.symcalc replaced with its one pass in Gaussian integers,
-and the reference that pass is checked against, order by order.
+and the reference that pass is checked against, order by order; and one
+and k applications of that pass, read from its list of images.
 
 The bridges from the exact symbolic calculus to the numeric side:
 pharmonic.symcalc imports no other pharmonic module, and these helpers
@@ -16,7 +17,8 @@ rule replaced, and the reference it is checked against.
 The projector quadratics as trees of Entry products: the expanded linear
 rewrite of a ProjectorForm node, whose value the node must reproduce bit
 for bit, and the P |W| pairwise products it replaced, which it must match
-to roundoff.
+to roundoff, read from the per-pair encoding the node's weights give back
+exactly.
 
 The level-by-level product of two LaplacianJet component arrays: the kernel
 the package's term maps replaced, and the reference they are checked
@@ -56,7 +58,7 @@ from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm
 from pharmonic.group import _skew_unit
 from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift
-from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr
+from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
 
 def apply_laplacian_reference(expr: SymExpr, params: EigenParams) -> SymExpr:
@@ -76,6 +78,16 @@ def apply_laplacian_reference(expr: SymExpr, params: EigenParams) -> SymExpr:
             down2 = GaussianRational(Fraction(t.b * (t.b - 1))) * mu
             out = out + SymExpr.term(t.coeff * down2, t.a, t.b - 2)
     return out
+
+
+def apply_laplacian(expr: SymExpr, params: EigenParams) -> SymExpr:
+    """One exact application of the Laplacian rewrite, extended linearly."""
+    return _laplacian_images(expr, 1, params)[1]
+
+
+def iterate_laplacian(expr: SymExpr, k: int, params: EigenParams) -> SymExpr:
+    """k-fold exact application of the rewrite."""
+    return _laplacian_images(expr, k, params)[k]
 
 
 def evaluate_sym(expr: SymExpr, value):
@@ -174,32 +186,39 @@ def window_quadratic(j: int, alpha: int, columns) -> Sum:
     return Sum(tuple(Product((Entry(j, t), Entry(alpha, t))) for t in columns))
 
 
+def projector_pairs(form: ProjectorForm) -> list:
+    """The form's per-pair encoding, ((j, a), c) for the 1-based pairs
+    j <= a of its touched rows with a nonzero coefficient: c_jj = S_jj and
+    c_ja = 2 S_ja, both exact, so c is A_jj and A_ja + A_aj of the matrix
+    the form was built from."""
+    rows, S = form.rows, form.weights
+    return [
+        ((rows[i] + 1, rows[k] + 1), S[i][k] if i == k else 2 * S[i][k])
+        for i in range(len(rows))
+        for k in range(i, len(rows))
+        if S[i][k]
+    ]
+
+
 def pairwise_projector_form(form: ProjectorForm) -> Sum:
     """The form as P |W| entry products: one Product(Const(c), window
     quadratic) per pair."""
     return Sum(
-        tuple(
-            Product((Const(c), window_quadratic(j, a, form.columns)))
-            for (j, a), c in zip(form.pairs, form.coefficients)
-        )
+        tuple(Product((Const(c), window_quadratic(j, a, form.columns))) for (j, a), c in projector_pairs(form))
     )
 
 
 def expanded_projector_form(form: ProjectorForm) -> Sum:
     """The form's linear rewrite as a tree, whose value the node must
-    reproduce bit for bit: over the rows j the pairs touch and the window
-    columns t, row-major, the Sum of Product(Entry(j, t), y_jt), where y_jt
-    is the Sum over those rows a of Product(Const(S_ja), Entry(a, t)), with
-    S_jj = c_jj and S_ja = S_aj = c_ja / 2."""
-    rows = sorted({i for pair in form.pairs for i in pair})
-    S = {}
-    for (j, a), c in zip(form.pairs, form.coefficients):
-        S[j, a] = S[a, j] = c if j == a else c / 2
+    reproduce bit for bit: over its touched rows j and the window columns t,
+    row-major, the Sum of Product(Entry(j, t), y_jt), where y_jt is the Sum
+    over those rows a of Product(Const(S_ja), Entry(a, t))."""
+    rows = [r + 1 for r in form.rows]
 
-    def y(j, t):
-        return Sum(tuple(Product((Const(S.get((j, a), 0j)), Entry(a, t))) for a in rows))
+    def y(i, t):
+        return Sum(tuple(Product((Const(w), Entry(a, t))) for a, w in zip(rows, form.weights[i])))
 
-    return Sum(tuple(Product((Entry(j, t), y(j, t))) for j in rows for t in form.columns))
+    return Sum(tuple(Product((Entry(j, t), y(i, t))) for i, j in enumerate(rows) for t in form.columns))
 
 
 def generator_tensor_reference(basis, columns, N: int, p: int):

@@ -40,11 +40,10 @@ from pharmonic.operators import (
 from pharmonic.symcalc import (
     EigenParams,
     SymExpr,
-    apply_laplacian,
     p_harmonic_combination,
     verify_p_harmonic,
 )
-from oracles import as_expr_node, evaluate_sym, fd_laplacian, k_basis
+from oracles import apply_laplacian, as_expr_node, evaluate_sym, fd_laplacian, k_basis
 from product_rule import check_product_rule
 
 GRASSMANN_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 4)]

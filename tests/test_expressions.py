@@ -33,7 +33,13 @@ from pharmonic.group import curve_jets, m_basis, minkowski_form, sample_so, samp
 from pharmonic.jets import JetScalar, LaplacianJet, lift
 from pharmonic.operators import laplacian_jet
 
-from oracles import expanded_projector_form, flag_sum_oracle, pairwise_projector_form, window_quadratic
+from oracles import (
+    expanded_projector_form,
+    flag_sum_oracle,
+    pairwise_projector_form,
+    projector_pairs,
+    window_quadratic,
+)
 
 
 # -- projector quadratics ---------------------------------------------------------
@@ -175,12 +181,34 @@ def test_projector_form_linearity():
 
 
 def test_projector_form_has_one_term_per_unordered_pair():
+    # the node stores S = (A + A^T) / 2 with A's diagonal on the rows it
+    # touches, and the oracle's pair list gives back one coefficient per
+    # unordered pair, c_jj = A_jj and c_ja = A_ja + A_aj, exactly
     N = 4
     rng = np.random.default_rng(5)
     B = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     form = projector_form(B + B.T, m=2)
-    assert len(form.pairs) == len(form.coefficients) == N * (N + 1) // 2
-    assert form.pairs == tuple((j, a) for j in range(1, N + 1) for a in range(j, N + 1))
+    assert form.rows == (0, 1, 2, 3) and form.columns == (1, 2)
+    assert form.weights == tuple(tuple(complex(c) for c in row) for row in B + B.T)
+
+    sparse = np.zeros((N, N), dtype=complex)
+    sparse[0, 0], sparse[0, 2], sparse[2, 0] = 1 + 2j, 3, -1
+    sparse[1, 3], sparse[3, 1] = 2 - 1j, -2 + 1j  # skew only: rows 1 and 3 untouched
+    for A, rows in ((B, (0, 1, 2, 3)), (sparse, (0, 2))):
+        form = projector_form(A, m=2)
+        S = (A + A.T) / 2
+        np.fill_diagonal(S, np.diag(A))
+        assert form.rows == rows
+        assert form.weight_array.tobytes() == S[np.ix_(rows, rows)].tobytes()
+        assert not form.weight_array.flags.writeable
+        pairs = [
+            ((j + 1, a + 1), c)
+            for j in range(N)
+            for a in range(j, N)
+            if (c := complex(A[j, a] if j == a else A[j, a] + A[a, j]))
+        ]
+        assert projector_pairs(form) == pairs
+    assert len(projector_pairs(projector_form(B, m=2))) == N * (N + 1) // 2
 
 
 def test_projector_form_equals_unfolded_sum_for_nonsymmetric_coefficients():

@@ -275,7 +275,7 @@ def test_sweep_comparison_names_differing_fields(tmp_path):
 
 def test_sweep_compare_fails_on_dropped_and_missing_runs(tmp_path, monkeypatch, capsys):
     sweep = _sweep_script()
-    runs = [("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2))]
+    runs = [("calibrate_N2", "calibrate --m 1 --n 1 --samples 2")]
     monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
     base = tmp_path / "base"
     assert sweep.main(["--out-dir", str(base)]) == 0
@@ -304,8 +304,8 @@ def test_sweep_honours_the_tolerance_scale(tmp_path, monkeypatch, capsys):
     # configuration error reported in one line
     sweep = _sweep_script()
     runs = [
-        ("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2)),
-        ("grassmann_1_2", RunConfig("grassmann", m=1, n=2, samples=2)),
+        ("calibrate_N2", "calibrate --m 1 --n 1 --samples 2"),
+        ("grassmann_1_2", "grassmann --m 1 --n 2 --samples 2"),
     ]
     monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
     out_dir = ["--out-dir", str(tmp_path)]
@@ -326,8 +326,8 @@ def test_sweep_honours_the_tolerance_scale(tmp_path, monkeypatch, capsys):
 def test_sweep_marks_a_report_that_is_not_json_dumps_output(tmp_path, monkeypatch, capsys):
     sweep = _sweep_script()
     runs = [
-        ("calibrate_N2", RunConfig("calibrate", m=1, n=1, samples=2)),
-        ("grassmann_1_2", RunConfig("grassmann", m=1, n=2, samples=2)),
+        ("calibrate_N2", "calibrate --m 1 --n 1 --samples 2"),
+        ("grassmann_1_2", "grassmann --m 1 --n 2 --samples 2"),
     ]
     monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
     out_dir = ["--out-dir", str(tmp_path)]
@@ -346,3 +346,31 @@ def test_sweep_marks_a_report_that_is_not_json_dumps_output(tmp_path, monkeypatc
     outcome = {row[0]: row[1] for row in map(str.split, out.splitlines()) if len(row) > 1}
     assert outcome["calibrate_N2"] == "pass" and outcome["grassmann_1_2"] == "ENCODING"
     assert "SOME REPORTS DIFFER" in out
+
+
+def test_sweep_lists_a_run_the_cli_refuses_and_goes_on(tmp_path, monkeypatch, capsys):
+    # a run over the lift bound (exit 3) and one whose every candidate point
+    # violates the branch window (exit 4) between two passing runs: each is
+    # one row with its exit code, and the sweep writes the other reports
+    sweep = _sweep_script()
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0,0,0,0\n" * 4)
+    runs = [
+        ("calibrate_N2", "calibrate --m 1 --n 1 --samples 2"),
+        ("flag_11111_p5", "flag --blocks 1,1,1,1,1 --p 5 --samples 2"),
+        ("pharmonic_zero", f"pharmonic --A {zero} --samples 2"),
+        ("grassmann_1_2", "grassmann --m 1 --n 2 --samples 2"),
+    ]
+    monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
+    out_dir = tmp_path / "reports"
+    assert sweep.main(["--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    outcome = {row[0]: row[1:] for row in map(str.split, captured.out.splitlines()) if len(row) > 1}
+    assert outcome["calibrate_N2"][0] == outcome["grassmann_1_2"][0] == "pass"
+    assert outcome["flag_11111_p5"] == ["EXIT", "3"] and outcome["pharmonic_zero"] == ["EXIT", "4"]
+    assert sorted(path.name for path in out_dir.iterdir()) == ["calibrate_N2.json", "grassmann_1_2.json"]
+    assert "SOME RUNS FAILED" in captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 2 and "Traceback" not in captured.err
+    assert err[0].startswith("configuration error: group too large")
+    assert err[1].startswith("numerical domain failure:") and "branch window" in err[1]

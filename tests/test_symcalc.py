@@ -17,12 +17,10 @@ from pharmonic.symcalc import (
     EigenParams,
     GaussianRational,
     SymExpr,
-    apply_laplacian,
-    iterate_laplacian,
     p_harmonic_combination,
     verify_p_harmonic,
 )
-from oracles import apply_laplacian_reference, as_expr_node, evaluate_sym
+from oracles import apply_laplacian, apply_laplacian_reference, as_expr_node, evaluate_sym, iterate_laplacian
 
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
