@@ -41,7 +41,6 @@ from .jets import (
     jexp,
     jlog,
     jpow,
-    lift,
     reciprocal,
     variable,
 )

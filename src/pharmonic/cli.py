@@ -169,9 +169,10 @@ def _tau_p_tol(config: RunConfig) -> float:
 
 
 def _coefficient_matrix(config: RunConfig) -> np.ndarray:
-    """The coefficient matrix from --A, --w or the default vector; unreadable,
-    non-finite or zero input, or a scale outside COEFFICIENT_SCALE_RANGE, is a
-    configuration error."""
+    """The coefficient matrix from --A, --w or the default vector; unreadable
+    or non-finite input, a zero --w, an --A whose symmetric part is zero (A
+    + A^T = 0: its projector form, and the dual's, is the zero function), or
+    a scale outside COEFFICIENT_SCALE_RANGE, is a configuration error."""
     N = config.m + config.n
     source = f"--A {config.a_file}" if config.a_file else f"--w {config.w}"
     try:
@@ -196,9 +197,11 @@ def _coefficient_matrix(config: RunConfig) -> np.ndarray:
             A = ex.rank_one_from_vector(values)
         except ValueError as exc:  # w is zero, or its squares underflow to zero
             raise UsageError(f"bad {source}: {exc}") from exc
+    if np.array_equal(A, -A.T):
+        raise UsageError(f"{source} defines the zero function: its symmetric part A + A^T is zero")
     low, high = COEFFICIENT_SCALE_RANGE
     scale = float(np.max(np.abs(A)))
-    if scale != 0.0 and not low <= scale <= high:
+    if not low <= scale <= high:
         raise UsageError(f"coefficient matrix scale {scale:.3g} outside [{low:g}, {high:g}]")
     return A
 

@@ -34,7 +34,7 @@ the basis and window, whose value channel is plain evaluation of the node.
 A flag function, a sum over column blocks of one p-harmonic composition per
 block eigenfunction, is one composition over a lane stack: a
 :class:`Stack` node puts the t block forms' values side by side on a last
-block axis, so K points give a (K, t) lane array, a :class:`StackConst`
+block axis, so K points give a (K, t) lane array, a Stack of t constants
 gives each block its own coefficient, broadcast along that axis, and the
 :class:`Unstack` root adds the t blocks at each point.  Every node of the
 composition then runs once for all blocks, lane for lane the operations the
@@ -102,18 +102,10 @@ class Stack:
     """The members' values side by side on a new last block axis: a (K, t)
     lane array at K points, jets of (K, t, D**p) components, and t values
     at one bare point, where the block axis is the only one.  A constant
-    member takes the shape of the others."""
+    member takes the shape of the others, and a Stack of constants alone
+    holds t values, which broadcast along the block axis."""
 
     members: tuple
-
-
-@dataclass(frozen=True)
-class StackConst:
-    """values[k] for block k, one value per member of a Stack, broadcast
-    along the block axis.  Not a Const of an array: a frozen dataclass with
-    an array field has no usable == or hash."""
-
-    values: tuple
 
 
 @dataclass(frozen=True)
@@ -151,7 +143,7 @@ class ProjectorForm:
         return weights
 
 
-ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm, Stack, StackConst, Unstack)
+ExprNode = (Entry, Const, Sum, Product, Pow, Log, ProjectorForm, Stack, Unstack)
 
 
 def _is_int(e: complex) -> bool:
@@ -272,8 +264,6 @@ def _node_value(node, m, memo: dict, readers: Counter):
         return _projector_value(node, m)
     if isinstance(node, Stack):
         return _stack_value([_eval(member, m, memo, readers) for member in node.members])
-    if isinstance(node, StackConst):
-        return np.array(node.values, dtype=complex)
     if isinstance(node, Unstack):
         return _block_sum(_eval(node.child, m, memo, readers))
     raise TypeError(f"not an expression node: {node!r}")
@@ -285,10 +275,12 @@ def _node_value(node, m, memo: dict, readers: Counter):
 def _stack_value(values: list):
     """Member values side by side on a new last block axis, a constant
     taking the shape of the jets or lane arrays among them.  Constants alone
-    give t values, which broadcast along the block axis as a StackConst's."""
+    give t values, one array of them."""
     like = next((v for v in values if isinstance(v, LaplacianJet)), None)
     if like is None:
-        shape = next((v.shape for v in values if isinstance(v, np.ndarray)), ())
+        shape = next((v.shape for v in values if isinstance(v, np.ndarray)), None)
+        if shape is None:
+            return np.array(values, dtype=complex)
         return np.stack([np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in values], axis=-1)
     parts = [v.coeffs if isinstance(v, LaplacianJet) else np.zeros_like(like.coeffs) for v in values]
     for part, v in zip(parts, values):
@@ -483,8 +475,8 @@ def p_harmonic_expr(phi, lam, mu, p: int, c1=1.0, c2=0.0):
                           + c2 * log(phi)^(p-1)
 
     The pattern (lam == 0, mu != 0) is rejected: no composition is defined
-    for it here.  c1 and c2 are numbers, or nodes (a StackConst gives each
-    block of a lane stack its own).
+    for it here.  c1 and c2 are numbers, or nodes (a Stack of constants
+    gives each block of a lane stack its own).
     """
     lam, mu = complex(lam), complex(mu)
     if p < 1:
@@ -549,9 +541,9 @@ def flag_sum_expr(forms: Sequence, p: int):
 
     ``forms`` holds one eigenfunction per block, as :func:`flag_forms`
     builds them; block k is composed with coefficients (1, (k + 1) / 2).
-    The tree is Unstack(p_harmonic_expr(Stack(forms), ..., StackConst)):
-    at K points the forms' values fill a (K, t) lane array, block k's c2 is
-    a StackConst, and the root adds the t blocks in block order, so
+    The tree is Unstack(p_harmonic_expr(Stack(forms), ..., Stack(c2s))):
+    at K points the forms' values fill a (K, t) lane array, the c2s are a
+    Stack of t constants, and the root adds the t blocks in block order, so
     one walk takes a single log, reciprocal chain and product per node for
     every block, and each form is read once, by the stack.  The windows
     partition the columns, so n is the sum of the window sizes.  Every block
@@ -560,7 +552,7 @@ def flag_sum_expr(forms: Sequence, p: int):
     p-harmonic.
     """
     n = sum(len(phi.columns) for phi in forms)
-    c2 = StackConst(tuple((k + 1) / 2.0 for k in range(len(forms))))
+    c2 = Stack(tuple(Const(complex((k + 1) / 2)) for k in range(len(forms))))
     return Unstack(p_harmonic_expr(Stack(tuple(forms)), -n, -2, p, 1.0, c2))
 
 

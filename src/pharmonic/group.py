@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import JetScalar, zero_like
+from .jets import JetScalar, shape_of, zero
 
 POINT_TOL = 1e-10
 
@@ -71,17 +71,11 @@ def validate_group_point(x: np.ndarray, signature: tuple) -> None:
 # -- Lie-algebra bases -------------------------------------------------------
 
 
-def _skew_unit(N: int, r: int, s: int) -> np.ndarray:
+def _unit(N: int, r: int, s: int, sign: float) -> np.ndarray:
+    """(E_rs + sign E_sr)/sqrt(2): skew for sign -1, symmetric for +1."""
     mat = np.zeros((N, N))
     mat[r - 1, s - 1] = 1.0 / np.sqrt(2.0)
-    mat[s - 1, r - 1] = -1.0 / np.sqrt(2.0)
-    return mat
-
-
-def _symmetric_unit(N: int, r: int, s: int) -> np.ndarray:
-    mat = np.zeros((N, N))
-    mat[r - 1, s - 1] = 1.0 / np.sqrt(2.0)
-    mat[s - 1, r - 1] = 1.0 / np.sqrt(2.0)
+    mat[s - 1, r - 1] = sign / np.sqrt(2.0)
     return mat
 
 
@@ -90,7 +84,7 @@ def so_basis(N: int) -> np.ndarray:
     row-major order of (r, s)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    return np.array([_skew_unit(N, r, s) for r in range(1, N + 1) for s in range(r + 1, N + 1)])
+    return np.array([_unit(N, r, s, -1.0) for r in range(1, N + 1) for s in range(r + 1, N + 1)])
 
 
 def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
@@ -104,13 +98,10 @@ def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     N = m + n
-    if kind == "compact":
-        make = _skew_unit
-    elif kind == "indefinite":
-        make = _symmetric_unit
-    else:
+    signs = {"compact": -1.0, "indefinite": 1.0}
+    if kind not in signs:
         raise ValueError(f"unknown kind {kind!r}")
-    return np.array([make(N, j, a) for j in range(1, m + 1) for a in range(m + 1, N + 1)])
+    return np.array([_unit(N, j, a, signs[kind]) for j in range(1, m + 1) for a in range(m + 1, N + 1)])
 
 
 # -- sampling -----------------------------------------------------------------
@@ -162,10 +153,7 @@ def _sampled(x: np.ndarray, signature: tuple, seed) -> np.ndarray:
 def sample_so(N: int, seed) -> np.ndarray:
     """Seeded random element of SO(N), one N x N matrix; a sequence of K
     seeds gives a (K, N, N) stack, lane k equal to the point of seed k."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    (x,) = _haar_blocks(_rngs(seed), (N,))
-    return _sampled(x, ("compact", N), seed)
+    return sample_block_diagonal((N,), seed)
 
 
 def sample_block_diagonal(blocks: Sequence[int], seed) -> np.ndarray:
@@ -242,7 +230,7 @@ def _sparse_columns(Z: np.ndarray) -> dict[int, list[tuple[int, float]]]:
 def _sparse_right_mul(X, cols, scale: float):
     """X @ (scale * Z) for a nested-tuple matrix X and sparse Z columns."""
     N = len(X)
-    zero_entry = zero_like(X[0][0])
+    zero_entry = zero(shape_of(X[0][0]))
     rows = []
     for r in range(N):
         Xr = X[r]

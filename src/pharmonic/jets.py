@@ -496,27 +496,12 @@ def constant(c, shape: tuple):
     )
 
 
-def lift(c, order: int) -> JetScalar:
-    """Constant jet: coefficients (c, 0, ..., 0)."""
-    if order < 1:
-        raise JetError(f"jet order must be >= 1, got {order}")
-    return JetScalar(order, (_require_finite(c),) + (0j,) * order)
-
-
 # Kept for bench/tracing.py, whose jet microbench starts from it.
 def variable(c, order: int) -> JetScalar:
     """Curve-parameter jet: coefficients (c, 1, 0, ..., 0)."""
     if order < 1:
         raise JetError(f"jet order must be >= 1, got {order}")
     return JetScalar(order, (_require_finite(c), 1 + 0j) + (0j,) * (order - 1))
-
-
-def zero_like(value):
-    return zero(shape_of(value))
-
-
-def one_like(value):
-    return constant(1.0, shape_of(value))
 
 
 def nilpotent_part(a):
@@ -652,7 +637,7 @@ def ipow(value: Scalar, exponent: int) -> Scalar:
     if exponent < 0:
         return ipow(reciprocal(value), -exponent)
     if exponent == 0:
-        return one_like(value)
+        return constant(1.0, shape_of(value))
     result = None
     base = value
     e = exponent

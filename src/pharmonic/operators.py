@@ -383,7 +383,6 @@ def coordinate_identity_residuals(points: np.ndarray, basis: np.ndarray) -> tupl
 
     def planes(X):
         N = X.shape[-1]
-        eye = np.eye(N)
         XT = np.swapaxes(X, -1, -2)
 
         def kappa_expected(lanes, rows):
@@ -539,25 +538,35 @@ def conditioned_sample(
     if count < 1:
         raise ValueError("need count >= 1")
 
-    def smallest_safe_values(X: np.ndarray) -> np.ndarray:
+    def smallest_safe_values(X: np.ndarray) -> tuple[np.ndarray, list]:
         """Per point, the smallest magnitude over funcs, or nan where a value
-        leaves the window; one stacked evaluation per function."""
+        leaves the window; and per bound (ABS_FLOOR, ABS_CEIL, CUT_ANGLE of
+        the cut) which points have a value past it.  One stacked evaluation
+        per function."""
         worst = np.full(len(X), np.inf)
+        misses = [False, False, False]
         for f in funcs:
             v = values_at(f, X)
             mag = np.abs(v)
-            safe = (ABS_FLOOR <= mag) & (mag <= ABS_CEIL) & (np.pi - np.abs(np.angle(v)) >= CUT_ANGLE)
-            worst = np.where(safe, np.minimum(worst, mag), np.nan)
-        return worst
+            miss = [mag < ABS_FLOOR, mag > ABS_CEIL, np.pi - np.abs(np.angle(v)) < CUT_ANGLE]
+            misses = [a | b for a, b in zip(misses, miss)]
+            # a nan magnitude misses no bound, and np.minimum keeps it nan
+            worst = np.where(miss[0] | miss[1] | miss[2], np.nan, np.minimum(worst, mag))
+        return worst, misses
 
     batch_size = max(2 * count, 20)
     limit = 60 * count + batch_size
     first = sampler(range(seed, seed + batch_size))
     draws = batch_size
-    mags = smallest_safe_values(first)
+    mags, misses = smallest_safe_values(first)
     safe = ~np.isnan(mags)
     if not safe.any():
-        raise SamplingExhausted("every candidate point violated the branch window")
+        below, above, cut = (int(np.sum(miss)) for miss in misses)
+        raise SamplingExhausted(
+            f"every one of {batch_size} candidate points left the window of values: "
+            f"{below} below the magnitude window [{ABS_FLOOR:g}, {ABS_CEIL:g}], {above} above it, "
+            f"{cut} within {CUT_ANGLE:g} rad of the branch cut"
+        )
     floor = FLOOR_RATIO * float(np.median(mags[safe]))
 
     accepted = [first[mags >= floor]]
@@ -568,7 +577,7 @@ def conditioned_sample(
         size = min(count - kept, limit - draws)
         batch = sampler(range(seed + draws, seed + draws + size))
         draws += size
-        accepted.append(batch[smallest_safe_values(batch) >= floor])
+        accepted.append(batch[smallest_safe_values(batch)[0] >= floor])
         kept += len(accepted[-1])
     if kept < count:
         raise SamplingExhausted(

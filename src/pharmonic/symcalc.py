@@ -72,9 +72,6 @@ class GaussianRational:
         other = GaussianRational.of(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __mul__(self, other):
         other = GaussianRational.of(other)
         return GaussianRational(
@@ -169,9 +166,6 @@ class SymExpr:
 
     def __neg__(self) -> "SymExpr":
         return self.scale(GaussianRational(Fraction(-1)))
-
-    def __sub__(self, other: "SymExpr") -> "SymExpr":
-        return self + (-other)
 
     def __eq__(self, other):
         if isinstance(other, SymExpr):

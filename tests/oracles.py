@@ -55,8 +55,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
-from pharmonic.group import _skew_unit
-from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, one_like, reciprocal, shape_of
+from pharmonic.group import _unit
+from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
@@ -99,7 +99,7 @@ def evaluate_sym(expr: SymExpr, value):
     total = None
     log_v = None
     for t in expr.terms():
-        part = t.coeff.to_complex() * one_like(value)
+        part = t.coeff.to_complex() * constant(1.0, shape_of(value))
         if t.a != 0:
             if t.a.denominator == 1:
                 part = part * ipow(value, int(t.a))
@@ -111,7 +111,7 @@ def evaluate_sym(expr: SymExpr, value):
             part = part * ipow(log_v, t.b)
         total = part if total is None else total + part
     if total is None:
-        return 0j if not isinstance(value, JetScalar) else one_like(value) * 0.0
+        return 0j if not isinstance(value, JetScalar) else constant(1.0, shape_of(value)) * 0.0
     return total
 
 
@@ -400,4 +400,4 @@ def k_basis(m: int, n: int) -> np.ndarray:
     N = m + n
     pairs = [(r, s) for r in range(1, m + 1) for s in range(r + 1, m + 1)]
     pairs += [(r, s) for r in range(m + 1, N + 1) for s in range(r + 1, N + 1)]
-    return np.array([_skew_unit(N, r, s) for r, s in pairs]).reshape(-1, N, N)
+    return np.array([_unit(N, r, s, -1.0) for r, s in pairs]).reshape(-1, N, N)

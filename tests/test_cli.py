@@ -475,6 +475,41 @@ def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys,
     assert "coefficient matrix scale" in capsys.readouterr().err
 
 
+# (option, value or --A file text, exit code, part of the message)
+_DEGENERATE_INPUTS = {
+    "zero-w": (("--w", "0,0,0"), EXIT_USAGE, "bad --w 0,0,0: need a nonzero vector"),
+    # the zero matrix, and a skew one, whose symmetric part (the only part a
+    # projector form reads) is zero: both define the zero function
+    "zero-A": (("--A", "0,0,0,0\n" * 4), EXIT_USAGE, "defines the zero function"),
+    "skew-A": (("--A", "0,1,0,0\n-1,0,0,0\n0,0,0,2\n0,0,-2,0\n"), EXIT_USAGE, "defines the zero function"),
+    # every |f| below ABS_FLOOR, or above ABS_CEIL, on all 20 candidates
+    "tiny-w": (("--w", "1e-9,1e-9,1e-9"), EXIT_DOMAIN, "20 below the magnitude window"),
+    "huge-w": (("--w", "1e5,1e5,1e5"), EXIT_DOMAIN, "the magnitude window [1e-06, 1e+06], 20 above it"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command",
+    # grassmann draws no conditioned sample: it has no magnitude window
+    [
+        (case, command)
+        for case, (_, code, _) in _DEGENERATE_INPUTS.items()
+        for command in ("grassmann", "pharmonic", "dual")
+        if command != "grassmann" or code == EXIT_USAGE
+    ],
+)
+def test_degenerate_coefficients_get_the_documented_exit_code(tmp_path, capsys, case, command):
+    (option, value), code, message = _DEGENERATE_INPUTS[case]
+    if option == "--A":
+        path = tmp_path / "A.csv"
+        path.write_text(value)
+        value = str(path)
+    assert main([command, option, value, "--samples", "2"]) == code
+    captured = capsys.readouterr()
+    assert not captured.out and message in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

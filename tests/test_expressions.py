@@ -11,7 +11,6 @@ from pharmonic.expressions import (
     Product,
     ProjectorForm,
     Stack,
-    StackConst,
     Sum,
     Unstack,
     _readers,
@@ -30,7 +29,7 @@ from pharmonic.expressions import (
     validate_eigen_matrix,
 )
 from pharmonic.group import curve_jets, m_basis, minkowski_form, sample_so, sample_so_mn, so_basis
-from pharmonic.jets import JetScalar, LaplacianJet, lift
+from pharmonic.jets import JetScalar, LaplacianJet, constant
 from pharmonic.operators import laplacian_jet
 
 from oracles import (
@@ -329,7 +328,7 @@ def test_projector_form_needs_window():
 
 
 def _lifted(x, order=2):
-    return tuple(tuple(lift(v, order) for v in row) for row in x)
+    return tuple(tuple(constant(v, (order,)) for v in row) for row in x)
 
 
 def test_plain_evaluation_equals_jet_coefficient_zero_exactly():
@@ -547,7 +546,8 @@ def test_flag_sum_builds_three_terms():
     assert len(_flag_stack(node).members) == 3
     assert isinstance(node.child, Sum) and len(node.child.terms) == 2
     c2 = node.child.terms[1].factors[0]
-    assert isinstance(c2, StackConst) and c2.values == (0.5, 1.0, 1.5)
+    assert isinstance(c2, Stack) and all(isinstance(c, Const) for c in c2.members)
+    assert [c.value for c in c2.members] == [0.5, 1.0, 1.5]
     x = sample_so(4, 7)
     value = evaluate(node, x)
     assert np.isfinite(value.real) and np.isfinite(value.imag)

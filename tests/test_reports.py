@@ -350,15 +350,13 @@ def test_sweep_marks_a_report_that_is_not_json_dumps_output(tmp_path, monkeypatc
 
 def test_sweep_lists_a_run_the_cli_refuses_and_goes_on(tmp_path, monkeypatch, capsys):
     # a run over the lift bound (exit 3) and one whose every candidate point
-    # violates the branch window (exit 4) between two passing runs: each is
-    # one row with its exit code, and the sweep writes the other reports
+    # falls below the magnitude window (exit 4) between two passing runs:
+    # each is one row with its exit code, and the sweep writes the other reports
     sweep = _sweep_script()
-    zero = tmp_path / "zero.csv"
-    zero.write_text("0,0,0,0\n" * 4)
     runs = [
         ("calibrate_N2", "calibrate --m 1 --n 1 --samples 2"),
         ("flag_11111_p5", "flag --blocks 1,1,1,1,1 --p 5 --samples 2"),
-        ("pharmonic_zero", f"pharmonic --A {zero} --samples 2"),
+        ("pharmonic_tiny", "pharmonic --w 1e-9,1e-9,1e-9 --samples 2"),
         ("grassmann_1_2", "grassmann --m 1 --n 2 --samples 2"),
     ]
     monkeypatch.setattr(sweep, "build_runs", lambda samples: runs)
@@ -367,10 +365,10 @@ def test_sweep_lists_a_run_the_cli_refuses_and_goes_on(tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     outcome = {row[0]: row[1:] for row in map(str.split, captured.out.splitlines()) if len(row) > 1}
     assert outcome["calibrate_N2"][0] == outcome["grassmann_1_2"][0] == "pass"
-    assert outcome["flag_11111_p5"] == ["EXIT", "3"] and outcome["pharmonic_zero"] == ["EXIT", "4"]
+    assert outcome["flag_11111_p5"] == ["EXIT", "3"] and outcome["pharmonic_tiny"] == ["EXIT", "4"]
     assert sorted(path.name for path in out_dir.iterdir()) == ["calibrate_N2.json", "grassmann_1_2.json"]
     assert "SOME RUNS FAILED" in captured.out
     err = captured.err.splitlines()
     assert len(err) == 2 and "Traceback" not in captured.err
     assert err[0].startswith("configuration error: group too large")
-    assert err[1].startswith("numerical domain failure:") and "branch window" in err[1]
+    assert err[1].startswith("numerical domain failure:") and "20 below the magnitude window" in err[1]
