@@ -129,15 +129,29 @@ def _validate_common(config: RunConfig) -> None:
     for name, value in (("tol", config.tol), ("tolerance scale", config.tol_scale)):
         if value is not None and not (math.isfinite(value) and value >= 0):
             raise UsageError(f"need a finite {name} >= 0")
-    # a single point's lift or generator tensor must fit one walk
-    # (ops.MAX_LIFT_COMPONENTS); anything larger is refused before any basis
-    # or sample exists
+    # a single point's lift or generator tensor, and the stack of the run's
+    # sample points, must fit one walk (ops.MAX_LIFT_COMPONENTS); anything
+    # larger is refused before any basis or sample exists
     lift = _lift_components(config)
     if lift > ops.MAX_LIFT_COMPONENTS:
         raise UsageError(
             f"group too large: its lift N^2 (|basis| + 2)^d holds {lift:,} components, "
             f"more than {ops.MAX_LIFT_COMPONENTS:,}"
         )
+    N = _matrix_size(config)
+    stack = config.samples * N * N
+    if stack > ops.MAX_LIFT_COMPONENTS:
+        raise UsageError(
+            f"too many samples: {config.samples:,} points of {N} x {N} entries hold "
+            f"{stack:,} components, more than {ops.MAX_LIFT_COMPONENTS:,}"
+        )
+
+
+def _matrix_size(config: RunConfig) -> int:
+    """N, the size of the run's N x N matrices."""
+    if config.command == "flag":
+        return sum(config.blocks or DEFAULT_BLOCKS)
+    return config.m + config.n
 
 
 def _lift_components(config: RunConfig) -> int:
@@ -145,10 +159,7 @@ def _lift_components(config: RunConfig) -> int:
     the run builds for one point (an entry lift at depth 1, a projector
     form's generator tensor at depth p), for its N x N matrices, its widest
     basis and its depth d."""
-    if config.command == "flag":
-        N = sum(config.blocks or DEFAULT_BLOCKS)
-    else:
-        N = config.m + config.n
+    N = _matrix_size(config)
     if config.command in ("pharmonic", "dual"):
         directions = config.m * config.n
     else:

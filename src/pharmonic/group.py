@@ -17,9 +17,10 @@ Sampling takes an explicit integer seed and is deterministic, so
 verification runs over disjoint seeds can proceed concurrently without any
 shared state.  A sampler given a sequence of K seeds returns the K points
 as one (K, N, N) stack, each lane drawn from its own seed's generator in
-the one-seed draw order; the QR factorisations, sign fixes, exponentials
-and group-relation checks then run once per stack.  One seed is the K = 1
-case, returned as its one N x N matrix.
+the one-seed draw order, one generator alive at a time; the QR
+factorisations, sign fixes, exponentials and group-relation checks then
+run once per stack.  One seed is the K = 1 case, returned as its one
+N x N matrix.
 
 The exponential of a boost is read from the SVD of its off-diagonal block
 (the Cartan decomposition of the symmetric pair; Higham, Functions of
@@ -107,14 +108,32 @@ def m_basis(m: int, n: int, kind: str = "compact") -> np.ndarray:
 # -- sampling -----------------------------------------------------------------
 
 
-def _rngs(seed) -> list[np.random.Generator]:
-    """One fresh generator per seed: a single seed, or each of a sequence.
-    Each is the stream np.random.default_rng(s) gives, built without its
+def _rng(seed) -> np.random.Generator:
+    """The stream np.random.default_rng(seed) gives, built without its
     argument dispatch."""
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-    if not seeds:
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def _lane_draws(seed, sizes: Sequence[int], coefficients: int = 0, radius: float = 0.0):
+    """Every lane's random numbers, one generator alive at a time.
+
+    For each seed of a single seed or a sequence, that seed's generator
+    draws the Gaussian entries of every block of size b > 1, in block
+    order, in one standard_normal call, then ``coefficients`` uniforms in
+    [-radius, radius].  Returns the (K, sum b^2) normals and the
+    (K, coefficients) uniforms, lane k from seed k.
+    """
+    seeds = [seed] if np.ndim(seed) == 0 else seed
+    if not len(seeds):
         raise ValueError("need at least one seed")
-    return [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+    normals = np.empty((len(seeds), sum(b * b for b in sizes if b > 1)))
+    uniforms = np.empty((len(seeds), coefficients))
+    for lane, s in enumerate(seeds):
+        rng = _rng(s)
+        rng.standard_normal(out=normals[lane])
+        if coefficients:
+            uniforms[lane] = rng.uniform(-radius, radius, size=coefficients)
+    return normals, uniforms
 
 
 def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
@@ -133,14 +152,17 @@ def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _haar_blocks(rngs, sizes: Sequence[int]) -> list[np.ndarray]:
-    """One (K, b, b) stack of SO(b) elements per size b, lane k drawn from
-    rngs[k] in block order; a size-1 block draws nothing (SO(1) = {1})."""
-    normals = [[rng.standard_normal((b, b)) if b > 1 else None for b in sizes] for rng in rngs]
-    return [
-        _haar_orthogonal(np.stack([lane[i] for lane in normals])) if b > 1 else np.ones((len(rngs), 1, 1))
-        for i, b in enumerate(sizes)
-    ]
+def _haar_blocks(normals: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
+    """One (K, b, b) stack of SO(b) elements per size b, from the (K, sum b^2)
+    normals of _lane_draws; a size-1 block draws nothing (SO(1) = {1})."""
+    blocks, start = [], 0
+    for b in sizes:
+        if b == 1:
+            blocks.append(np.ones((len(normals), 1, 1)))
+            continue
+        blocks.append(_haar_orthogonal(normals[:, start : start + b * b].reshape(-1, b, b)))
+        start += b * b
+    return blocks
 
 
 def _sampled(x: np.ndarray, signature: tuple, seed) -> np.ndarray:
@@ -161,11 +183,11 @@ def sample_block_diagonal(blocks: Sequence[int], seed) -> np.ndarray:
     a sequence of seeds gives a stack, as in sample_so."""
     if not blocks or any(b < 1 for b in blocks):
         raise ValueError("block sizes must be positive")
-    rngs = _rngs(seed)
+    normals, _ = _lane_draws(seed, blocks)
     N = sum(blocks)
-    x = np.zeros((len(rngs), N, N))
+    x = np.zeros((len(normals), N, N))
     start = 0
-    for b, q in zip(blocks, _haar_blocks(rngs, blocks)):
+    for b, q in zip(blocks, _haar_blocks(normals, blocks)):
         x[:, start : start + b, start : start + b] = q
         start += b
     return _sampled(x, ("compact", N), seed)
@@ -208,11 +230,10 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> np.ndarray:
         raise ValueError("need m, n >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    rngs = _rngs(seed)
+    normals, coeffs = _lane_draws(seed, (m, n), m * n, radius)
     N = m + n
-    k = np.zeros((len(rngs), N, N))
-    k[:, :m, :m], k[:, m:, m:] = _haar_blocks(rngs, (m, n))
-    coeffs = np.stack([rng.uniform(-radius, radius, size=m * n) for rng in rngs])
+    k = np.zeros((len(normals), N, N))
+    k[:, :m, :m], k[:, m:, m:] = _haar_blocks(normals, (m, n))
     C = coeffs.reshape(-1, m, n) / np.sqrt(2.0)
     return _sampled(k @ _boost_exp(C), ("indefinite", m, n), seed)
 

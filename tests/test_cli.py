@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -380,21 +381,25 @@ SCIPY_FREE_RUNS = [
 
 
 def test_every_command_runs_without_scipy():
-    """scipy serves only the test oracles: with its import blocked, every
-    command still exits 0, and importing the package does not load it."""
+    """scipy serves only the test oracles, and numpy.ma no run: with both
+    imports blocked, every command still exits 0, and importing the package
+    loads neither."""
     blocked = run_python(
         "-c",
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['numpy.ma'] = None\n"
         "from pharmonic import cli\n"
         f"codes = [cli.main(argv) for argv in {SCIPY_FREE_RUNS!r}]\n"
         "print(codes, file=sys.stderr)\n"
     )
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stderr.strip() == str([EXIT_PASS] * len(SCIPY_FREE_RUNS))
-    fresh = run_python("-c", "import sys, pharmonic, pharmonic.cli; print('scipy' in sys.modules)")
+    fresh = run_python(
+        "-c", "import sys, pharmonic, pharmonic.cli; print('scipy' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
     assert fresh.returncode == 0, fresh.stderr
-    assert fresh.stdout.strip() == "False"
+    assert fresh.stdout.strip() == "False False"
 
 
 def test_tol_scale_environment_variable(monkeypatch, capsys):
@@ -548,6 +553,35 @@ def test_lift_bound_is_checked_before_anything_is_built(config, allowed):
 
 
 @pytest.mark.parametrize(
+    "config, N",
+    [
+        pytest.param(RunConfig("calibrate"), 4, id="calibrate-2-2"),
+        pytest.param(RunConfig("flag", blocks=(1, 2)), 3, id="flag-12"),
+        pytest.param(RunConfig("grassmann", m=19, n=19), 38, id="grassmann-19-19"),
+    ],
+)
+def test_sample_count_bound_is_checked_before_anything_is_built(config, N):
+    # the stack of sample points shares the bound of one lift: samples N^2
+    # components at most; _validate_common builds nothing, so neither count
+    # is sampled here
+    largest = ops.MAX_LIFT_COMPONENTS // N**2
+    _validate_common(dataclasses.replace(config, samples=largest))
+    with pytest.raises(UsageError, match="too many samples"):
+        _validate_common(dataclasses.replace(config, samples=largest + 1))
+
+
+def test_over_bound_sample_count_exits_before_sampling(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli, "sample_so", refuse)
+    assert main(["calibrate", "--samples", str(10**12)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert not captured.out and "too many samples" in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "config",
     [
         pytest.param(RunConfig("calibrate", m=1, n=3, samples=2), id="calibrate-1-3"),
@@ -637,7 +671,7 @@ def _argument_vectors(draw):
 
     cells = st.one_of(_CELLS, _BAD_CELLS) if wild else _CELLS
     # --samples is always given: its default of 20 would make a run slow
-    samples = value(st.sampled_from([1, 2]), st.sampled_from([0, -1, "x"]))
+    samples = value(st.sampled_from([1, 2]), st.sampled_from([0, -1, "x", 10**12]))
     argv = [draw(st.sampled_from(sorted(COMMANDS))), "--samples", samples]
     argv += option("--m", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))
     argv += option("--n", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))

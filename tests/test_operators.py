@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pharmonic.expressions import (
     Const,
@@ -1006,6 +1008,14 @@ def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
         if mag is not None and mag >= floor:
             accepted.append(pt)
     return accepted[:count], draws
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300, exclude_min=True), min_size=1, max_size=59))
+@example([0.5])
+@example([0.5, 2.0])
+def test_sorted_median_equals_numpy_median_bit_for_bit(values):
+    values = np.array(values)
+    assert np.float64(ops._median(values)).tobytes() == np.float64(np.median(values)).tobytes()
 
 
 def test_conditioned_sample_equals_a_point_by_point_loop():
