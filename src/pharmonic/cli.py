@@ -222,13 +222,13 @@ def _seeds(config: RunConfig) -> range:
     return range(config.seed, config.seed + config.samples)
 
 
-def _sample_conditioned(funcs, sampler, config: RunConfig, notes: list[str]):
-    """Draw sample points on which the listed functions are trustworthy.
+def _sample_conditioned(f, sampler, config: RunConfig, notes: list[str]):
+    """Draw sample points on which every value of f is trustworthy.
 
     Delegates to the scale-relative conditioning filter; notes record how
     many raw draws the accepted batch cost.
     """
-    points, draws = ops.conditioned_sample(funcs, sampler, config.samples, config.seed)
+    points, draws = ops.conditioned_sample(f, sampler, config.samples, config.seed)
     if draws > config.samples:
         notes.append(
             f"drew {draws} candidate points for {config.samples} conditioned samples"
@@ -315,8 +315,6 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
     """Closed-form coordinate identities on SO(m+n): the normalization gate."""
     _validate_common(config)
     N = config.m + config.n
-    if N < 2:
-        raise UsageError("need m + n >= 2")
     tol = _threshold(config, DEFAULT_TOLS["calibrate"])
     basis = so_basis(N) * config.basis_scale
     points = sample_so(N, _seeds(config))
@@ -382,7 +380,7 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
 
     phi = ex.projector_form(A, m)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
-    points = _sample_conditioned([phi], lambda s: sample_so(N, s), config, notes)
+    points = _sample_conditioned(phi, lambda s: sample_so(N, s), config, notes)
     records += _p_harmonic_records(composed, points, m_basis(m, n), config, notes)
     return VerificationReport("pharmonic", config.as_dict(), records, notes)
 
@@ -395,7 +393,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     if len(blocks) < 2:
         raise UsageError("need at least two blocks")
     n = sum(blocks)
-    block_forms = ex.flag_forms(blocks)
+    family = ex.flag_forms(blocks)
     notes = []
     records = []
 
@@ -405,12 +403,12 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     points = sample_so(n, _seeds(config))
 
     # the ids keep their member0 part: check ids are byte-stable report output
-    for k, residuals in enumerate(ops.check_eigenfamily(block_forms, -n, -2, points, basis)):
+    for k, residuals in enumerate(ops.check_eigenfamily(family, -n, -2, points, basis)):
         checks = (f"block{k}_member0_tau_eigen", f"block{k}_member0_kappa_eigen")
         records += _point_records(checks, residuals, eigen_tol)
 
-    total = ex.flag_sum_expr(block_forms, config.p)
-    sampled = _sample_conditioned(block_forms, lambda s: sample_so(n, s), config, notes)
+    total = ex.flag_sum_expr(family, config.p)
+    sampled = _sample_conditioned(family, lambda s: sample_so(n, s), config, notes)
     records += _p_harmonic_records(total, sampled, basis, config, notes)
 
     worst = ops.check_invariance(
@@ -468,9 +466,7 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     records += _point_records(("tau_eigen", "kappa_eigen"), residuals, eigen_tol)
 
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
-    iter_points = _sample_conditioned(
-        [phi], lambda s: sample_so_mn(m, n, s, config.radius), config, notes
-    )
+    iter_points = _sample_conditioned(phi, lambda s: sample_so_mn(m, n, s, config.radius), config, notes)
     records += _p_harmonic_records(
         composed, iter_points, basis, config, notes, expect_witness=config.radius > 0
     )

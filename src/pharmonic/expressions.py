@@ -32,13 +32,14 @@ node's jet, computed from the Gram matrix X^T S X and a generator tensor of
 the basis and window, whose value channel is plain evaluation of the node.
 
 A flag function, a sum over column blocks of one p-harmonic composition per
-block eigenfunction, is one composition over a lane stack: a
-:class:`Stack` node puts the t block forms' values side by side on a last
-block axis, so K points give a (K, t) lane array, a Stack of t constants
-gives each block its own coefficient, broadcast along that axis, and the
-:class:`Unstack` root adds the t blocks at each point.  Every node of the
-composition then runs once for all blocks, lane for lane the operations the
-per-block sum runs, so on a stack of points the two agree bit for bit.
+block eigenfunction, is one composition over a lane stack: the block family
+is one :class:`Stack` node, which puts the t block forms' values side by
+side on a last block axis, so K points give a (K, t) lane array, a Stack of
+t constants gives each block its own coefficient, broadcast along that axis,
+and the :class:`Unstack` root adds the t blocks at each point.  Every node
+of the composition then runs once for all blocks, lane for lane the
+operations the per-block sum runs, so on a stack of points the two agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -101,11 +102,16 @@ class Log:
 class Stack:
     """The members' values side by side on a new last block axis: a (K, t)
     lane array at K points, jets of (K, t, D**p) components, and t values
-    at one bare point, where the block axis is the only one.  A constant
-    member takes the shape of the others, and a Stack of constants alone
-    holds t values, which broadcast along the block axis."""
+    at one bare point, where the block axis is the only one.  A Stack holds
+    one kind of member, whose values are all jets, all lane arrays or all
+    numbers: a block family of forms, or t constants, whose t values
+    broadcast along the block axis.  A stack that mixes them raises."""
 
     members: tuple
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("a Stack needs at least one member")
 
 
 @dataclass(frozen=True)
@@ -273,20 +279,11 @@ def _node_value(node, m, memo: dict, readers: Counter):
 
 
 def _stack_value(values: list):
-    """Member values side by side on a new last block axis, a constant
-    taking the shape of the jets or lane arrays among them.  Constants alone
-    give t values, one array of them."""
-    like = next((v for v in values if isinstance(v, LaplacianJet)), None)
-    if like is None:
-        shape = next((v.shape for v in values if isinstance(v, np.ndarray)), None)
-        if shape is None:
-            return np.array(values, dtype=complex)
-        return np.stack([np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in values], axis=-1)
-    parts = [v.coeffs if isinstance(v, LaplacianJet) else np.zeros_like(like.coeffs) for v in values]
-    for part, v in zip(parts, values):
-        if not isinstance(v, LaplacianJet):
-            part[..., 0] = v
-    return like._like(np.stack(parts, axis=-2))
+    """Member values of one kind side by side on a new last block axis:
+    Laplacian jets as one jet, lane arrays or numbers as one array."""
+    if isinstance(values[0], LaplacianJet):
+        return values[0]._like(np.stack([v.coeffs for v in values], axis=-2))
+    return np.stack(values, axis=-1, dtype=complex)
 
 
 def _block_sum(value):
@@ -513,12 +510,13 @@ def block_columns(block_sizes: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(range(start + 1, start + block_sizes[k] + 1))
 
 
-def flag_forms(block_sizes: Sequence[int]) -> list:
-    """One deterministic block eigenfunction per column block.
+def flag_forms(block_sizes: Sequence[int]) -> Stack:
+    """The block family: one deterministic block eigenfunction per column
+    block, as one :class:`Stack`.
 
-    ``block_sizes`` partitions the n columns into t >= 2 windows; block k
-    gets the :class:`ProjectorForm` of ``rank_one_from_vector(w)``, with
-    w = (1 + k, ..., n - 1 + k), over its window.
+    ``block_sizes`` partitions the n columns into t >= 2 windows; member k
+    is the :class:`ProjectorForm` of ``rank_one_from_vector(w)``, with
+    w = (1 + k, ..., n - 1 + k), over block k's window.
     """
     block_sizes = tuple(int(b) for b in block_sizes)
     if len(block_sizes) < 2:
@@ -526,34 +524,32 @@ def flag_forms(block_sizes: Sequence[int]) -> list:
     if any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive")
     n = sum(block_sizes)
-    return [
-        projector_form(
-            rank_one_from_vector(np.arange(1, n, dtype=float) + k),
-            columns=block_columns(block_sizes, k),
-        )
+    forms = (
+        projector_form(rank_one_from_vector(np.arange(1, n, dtype=float) + k), columns=block_columns(block_sizes, k))
         for k in range(len(block_sizes))
-    ]
+    )
+    return Stack(tuple(forms))
 
 
-def flag_sum_expr(forms: Sequence, p: int):
+def flag_sum_expr(family: Stack, p: int):
     """Sum over blocks of the p-harmonic composition of each block form, as
-    one composition over the lane stack of the forms.
+    one composition over the block family.
 
-    ``forms`` holds one eigenfunction per block, as :func:`flag_forms`
-    builds them; block k is composed with coefficients (1, (k + 1) / 2).
-    The tree is Unstack(p_harmonic_expr(Stack(forms), ..., Stack(c2s))):
-    at K points the forms' values fill a (K, t) lane array, the c2s are a
-    Stack of t constants, and the root adds the t blocks in block order, so
-    one walk takes a single log, reciprocal chain and product per node for
-    every block, and each form is read once, by the stack.  The windows
-    partition the columns, so n is the sum of the window sizes.  Every block
-    eigenfunction has Laplacian eigenvalue -n and conformality eigenvalue
-    -2, so the summands share one eigenvalue pair and the sum stays
-    p-harmonic.
+    ``family`` is the Stack of block eigenfunctions :func:`flag_forms`
+    builds; block k is composed with coefficients (1, (k + 1) / 2).  The
+    tree is Unstack(p_harmonic_expr(family, ..., Stack(c2s))): at K points
+    the forms' values fill a (K, t) lane array, the c2s are a Stack of t
+    constants, and the root adds the t blocks in block order, so one walk
+    takes a single log, reciprocal chain and product per node for every
+    block, and each form is read once, by the family.  The windows
+    partition the columns, so n is the sum of the members' window sizes.
+    Every block eigenfunction has Laplacian eigenvalue -n and conformality
+    eigenvalue -2, so the summands share one eigenvalue pair and the sum
+    stays p-harmonic.
     """
-    n = sum(len(phi.columns) for phi in forms)
-    c2 = Stack(tuple(Const(complex((k + 1) / 2)) for k in range(len(forms))))
-    return Unstack(p_harmonic_expr(Stack(tuple(forms)), -n, -2, p, 1.0, c2))
+    n = sum(len(phi.columns) for phi in family.members)
+    c2 = Stack(tuple(Const(complex((k + 1) / 2)) for k in range(len(family.members))))
+    return Unstack(p_harmonic_expr(family, -n, -2, p, 1.0, c2))
 
 
 # -- file ingestion -------------------------------------------------------------

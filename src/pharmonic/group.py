@@ -277,21 +277,12 @@ def curve_jets(entries, Z: np.ndarray, order: int = 2):
     an N x N direction matrix Z.
 
     Coefficient i of entry (r, c) is (x Z^i / i!)[r, c].  ``entries`` is a
-    numpy matrix or a nested tuple of scalars of one common shape; jets are
-    stacked with the new curve parameter outermost.
+    nested tuple of scalars of one common shape, or a numpy matrix, whose
+    entries are read as complex numbers; jets are stacked with the new
+    curve parameter outermost.
     """
     if isinstance(entries, np.ndarray):
-        mats = [entries.astype(complex)]
-        for i in range(1, order + 1):
-            mats.append(mats[-1] @ Z / i)
-        N = entries.shape[0]
-        return tuple(
-            tuple(
-                JetScalar(order, tuple(complex(m[r, c]) for m in mats))
-                for c in range(N)
-            )
-            for r in range(N)
-        )
+        entries = entries.astype(complex).tolist()
     cols = _sparse_columns(Z)
     mats = [entries]
     for i in range(1, order + 1):

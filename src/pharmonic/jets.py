@@ -14,11 +14,11 @@ between concurrent workers.
 A :class:`LaplacianJet` of depth ``p`` carries, in one numpy array, what
 ``p`` nesting levels of (value, directional first derivatives, summed second
 derivative) produce: the forward-Laplacian algebra and its tensor powers.
-It supports the same ring operations and analytic functions as a jet.  Its
-coefficients may carry leading batch axes (one lane per sample point, then
-a lane stack's block axis), so one pass over an expression serves a whole
-stack of points; an array of one value per batch element is then the
-matching plain scalar.  Its products are one recursion over their batch
+It supports the same ring operations as a jet, and log, reciprocal and
+powers.  Its coefficients may carry leading batch axes (one lane per sample
+point, then a lane stack's block axis), so one pass over an expression
+serves a whole stack of points; an array of one value per batch element is
+then the matching plain scalar.  Its products are one recursion over their batch
 axes, in blocks under ``PRODUCT_WORKSPACE_BYTES`` that share one
 workspace, each element computed by the same operations whatever its
 block or stack.  A block whose depth a term map covers, (3B + 3)**q terms at
@@ -28,11 +28,12 @@ segmented sum, in about five numpy calls for the whole depth; a deeper block
 gathers its outer level's 3B + 3 component pairs into one batch one depth
 down, taken by the same recursion, and folds their products back.  Bases of
 eight or more directions have no map and end in the fused one-level rule.
-Its log, reciprocal, exp and powers apply the one-level rule
+Its log, reciprocal and powers apply the one-level rule
 g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the point value up.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jpow`)
-use principal branches throughout.  They raise :class:`BranchCutError` when
+use principal branches throughout; :func:`jexp` takes numbers, lane arrays
+and JetScalars, not a LaplacianJet.  They raise :class:`BranchCutError` when
 the base value of the argument is within ``BRANCH_FLOOR`` of the origin or
 within ``BRANCH_ANGLE`` radians of the cut along the negative real axis, so
 callers can reject the sample point and draw another instead of committing
@@ -515,9 +516,10 @@ def nilpotent_part(a):
 
 # -- division and analytic functions ------------------------------------------
 #
-# Each function takes a number, an array of lane values, or a jet, and
-# evaluates a jet through the same function at its point value (a number or
-# lane array), so its value channel is what plain evaluation computes.
+# Each function takes a number, an array of lane values, or a jet (jexp no
+# LaplacianJet), and evaluates a jet through the same function at its point
+# value (a number or lane array), so its value channel is what plain
+# evaluation computes.
 #
 # A JetScalar is expanded as the Taylor series around that value, by Horner.
 # A depth-p LaplacianJet u is read as one level (u0, u_b, u_L) over the
@@ -706,15 +708,13 @@ def jlog(value: Scalar) -> Scalar:
 
 
 def jexp(value: Scalar) -> Scalar:
-    """Exponential of a number, lane array or jet."""
+    """Exponential of a number, lane array or JetScalar (no tree has an exp
+    node, so no walk takes one of a LaplacianJet)."""
     if isinstance(value, (Number, np.ndarray)):
         z = _require_finite(value)
         if np.any(z.real > _EXP_OVERFLOW):
             raise NonFiniteError(f"exp overflow at Re(z) = {np.max(z.real):.3g}")
         return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
-    if isinstance(value, LaplacianJet):
-        # g' = g'' = g
-        return value._like(_levels(value, jexp(value.constant_value()), lambda g, k: (g, g), value.depth)[-1])
     e0 = jexp(value.coeffs[0])
     taylor = [e0]
     fact = 1.0

@@ -122,7 +122,7 @@ WITNESS_TRIALS = 20
 # Conditioned sampling.  Iterated-Laplacian checks amplify roundoff like a
 # power of the derivative-to-value ratio, so the small-magnitude tail is
 # mathematically fine but numerically uninformative: a point is kept only
-# when every function's magnitude reaches FLOOR_RATIO times the median of
+# when every value's magnitude reaches FLOOR_RATIO times the median of
 # the first batch, which keeps cancellation noise well below the thresholds.
 # ABS_FLOOR and ABS_CEIL bound the magnitudes outright, and CUT_ANGLE keeps
 # values that far (in radians) from the branch cut of log and fractional
@@ -459,15 +459,13 @@ def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tu
     return _eigen_residuals(_jets_at(f, points, basis, 1), lam, mu)
 
 
-def check_eigenfamily(fs: Sequence, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
-    """check_eigenfunction's (tau, kappa) for each member, in order, from one
-    depth-1 walk of the members' lane stack per chunk of points.  Each
+def check_eigenfamily(family: Stack, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
+    """check_eigenfunction's (tau, kappa) for each member of the family, in
+    order, from one depth-1 walk of the Stack per chunk of points.  Each
     member is evaluated on the points' lanes before the stack joins them,
     so a branch cut names its points by their index."""
-    if not fs:
-        raise ValueError("need at least one family member")
-    jets = _jets_at(Stack(tuple(fs)), points, basis, 1)
-    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(len(fs))]
+    jets = _jets_at(family, points, basis, 1)
+    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(len(family.members))]
 
 
 def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -533,14 +531,15 @@ def _median(values: np.ndarray) -> float:
 
 
 def conditioned_sample(
-    funcs: Sequence,
+    f,
     sampler: Callable[[Sequence[int]], np.ndarray],
     count: int,
     seed: int,
 ) -> tuple[np.ndarray, int]:
-    """Draw points where every listed function is numerically trustworthy.
+    """Draw points where every value of the tree f is numerically
+    trustworthy: its one value, or each member's of a block family (a Stack).
 
-    A point qualifies when each function value keeps clear of the branch cut
+    A point qualifies when each of its values keeps clear of the branch cut
     (CUT_ANGLE), lies within [ABS_FLOOR, ABS_CEIL], and its magnitude reaches
     FLOOR_RATIO times the median, taken by sorting (_median), of the first
     batch's smallest usable magnitudes, one per point whose values all stay in
@@ -553,20 +552,16 @@ def conditioned_sample(
         raise ValueError("need count >= 1")
 
     def smallest_safe_values(X: np.ndarray) -> tuple[np.ndarray, list]:
-        """Per point, the smallest magnitude over funcs, or nan where a value
-        leaves the window; and per bound (ABS_FLOOR, ABS_CEIL, CUT_ANGLE of
-        the cut) which points have a value past it.  One stacked evaluation
-        per function."""
-        worst = np.full(len(X), np.inf)
-        misses = [False, False, False]
-        for f in funcs:
-            v = values_at(f, X)
-            mag = np.abs(v)
-            miss = [mag < ABS_FLOOR, mag > ABS_CEIL, np.pi - np.abs(np.angle(v)) < CUT_ANGLE]
-            misses = [a | b for a, b in zip(misses, miss)]
-            # a nan magnitude misses no bound, and np.minimum keeps it nan
-            worst = np.where(miss[0] | miss[1] | miss[2], np.nan, np.minimum(worst, mag))
-        return worst, misses
+        """Per point, the smallest magnitude of f's values, or nan where a
+        value leaves the window; and per bound (ABS_FLOOR, ABS_CEIL, CUT_ANGLE
+        of the cut) which points have a value past it.  One stacked
+        evaluation, one column per value."""
+        v = values_at(f, X).reshape(len(X), -1)
+        mag = np.abs(v)
+        bounds = (mag < ABS_FLOOR, mag > ABS_CEIL, np.pi - np.abs(np.angle(v)) < CUT_ANGLE)
+        misses = [miss.any(axis=1) for miss in bounds]
+        # a nan magnitude misses no bound, and the row minimum keeps it nan
+        return np.where(misses[0] | misses[1] | misses[2], np.nan, mag.min(axis=1)), misses
 
     batch_size = max(2 * count, 20)
     limit = 60 * count + batch_size

@@ -10,7 +10,7 @@ pharmonic.symcalc imports no other pharmonic module, and these helpers
 join its combinations to jet arithmetic and expression trees on the test
 side only, so the routes they compare share no code in the package.
 
-The order-2p Taylor series of log, reciprocal, exp and powers of a
+The order-2p Taylor series of log, reciprocal and powers of a
 LaplacianJet, evaluated by Horner: the expansion the package's level-by-level
 rule replaced, and the reference it is checked against.
 
@@ -56,7 +56,7 @@ from scipy.linalg import expm
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
 from pharmonic.group import _unit
-from pharmonic.jets import JetScalar, constant, ipow, jexp, jlog, jpow, nilpotent_part, reciprocal, shape_of
+from pharmonic.jets import JetScalar, constant, ipow, jlog, jpow, nilpotent_part, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
@@ -159,16 +159,6 @@ def series_reciprocal(value):
     return horner(value, taylor)
 
 
-def series_exp(value):
-    e0 = jexp(value.constant_value())
-    taylor = [e0]
-    fact = 1.0
-    for i in range(1, value.order + 1):
-        fact /= i
-        taylor.append(e0 * fact)
-    return horner(value, taylor)
-
-
 def series_pow(value, a):
     """u^a = sum_i binom(a, i) z^(a-i) h^i, z the point value."""
     z = value.constant_value()
@@ -237,9 +227,11 @@ def generator_tensor_reference(basis, columns, N: int, p: int):
     return T
 
 
-def flag_sum_oracle(forms, p: int) -> Sum:
-    """Sum over blocks of the p-harmonic composition of each block form,
-    block k with coefficients (1, (k + 1) / 2), each term reading forms[k]."""
+def flag_sum_oracle(family, p: int) -> Sum:
+    """Sum over blocks of the p-harmonic composition of each member of the
+    block family, block k with coefficients (1, (k + 1) / 2), each term
+    reading member k."""
+    forms = family.members
     n = sum(len(phi.columns) for phi in forms)
     return Sum(tuple(p_harmonic_expr(phi, -n, -2, p, 1.0, (k + 1) / 2.0) for k, phi in enumerate(forms)))
 

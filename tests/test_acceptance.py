@@ -146,7 +146,7 @@ def test_criterion_05_p_harmonicity():
         N = m + n
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         basis = m_basis(m, n)
-        points, _ = conditioned_sample([phi], lambda s: sample_so(N, s), 20, 5000)
+        points, _ = conditioned_sample(phi, lambda s: sample_so(N, s), 20, 5000)
         for p in (2, 3):
             composed = p_harmonic_expr(phi, -N, -2, p, 1, 1)
             accepted = 0
@@ -204,8 +204,7 @@ def test_criterion_07_flag_construction():
         basis = so_basis(n)
         points = sample_so(n, range(7000, 7010))
 
-        for phi_k in block_forms:
-            ((tau, kappa),) = check_eigenfamily([phi_k], -n, -2, points, basis)
+        for tau, kappa in check_eigenfamily(block_forms, -n, -2, points, basis):
             assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
             worst_family = np.max([worst_family, tau.max(), kappa.max()])
 
@@ -256,7 +255,7 @@ def test_criterion_08_duality():
 
         composed = p_harmonic_expr(phi, N, 2, 2, 1, 1)
         iter_points, _ = conditioned_sample(
-            [phi], lambda s: sample_so_mn(m, n, s, 0.5), 10, 8200
+            phi, lambda s: sample_so_mn(m, n, s, 0.5), 10, 8200
         )
         accepted = 0
         for x in iter_points:

@@ -459,8 +459,13 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
         ("A.json", "[" * 100_000 + "]" * 100_000, "unreadable matrix file: maximum recursion depth exceeded"),
         ("A.json", "[[1" + "0" * 400 + ", 0], [0, 0]]", "unreadable matrix file: int too large to convert to float"),
         ("A.csv", "1" * 140_000 + ",0,0,0\n", "unreadable matrix file: field larger than field limit (131072)"),
+        ("A.json", "[[1, 0], [0, 1], [1, 1]]", "expected a square matrix, got shape (3, 2)"),
+        ("A.json", "[[{}, 0], [0, 0]]", "cannot read complex cell {}"),
     ],
-    ids=["object", "string", "flat", "ragged", "ragged-csv", "deep-json", "huge-json-int", "long-csv-cell"],
+    ids=[
+        "object", "string", "flat", "ragged", "ragged-csv", "deep-json", "huge-json-int", "long-csv-cell",
+        "non-square", "object-cell",
+    ],
 )
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, name, text, message):
     path = tmp_path / name
@@ -513,6 +518,21 @@ def test_degenerate_coefficients_get_the_documented_exit_code(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert not captured.out and message in captured.err
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_numerically_zero_function_fails_its_scale_check(tmp_path, capsys):
+    # u u^T for u = 1e-50 (1, i, 0, 0): a valid coefficient matrix of scale
+    # 1e-100, whose form is about 1e-100 at every sample, below
+    # FUNCTION_SCALE_FLOOR, so the run reports a failure (exit 2), with a note
+    path = tmp_path / "A.csv"
+    path.write_text("1e-100,0:1e-100,0,0\n0:1e-100,-1e-100,0,0\n0,0,0,0\n0,0,0,0\n")
+    code, out = run_cli(capsys, "grassmann", "--A", str(path), "--samples", "2")
+    assert code == EXIT_FAIL
+    report = json.loads(out)
+    assert "function is numerically zero on every sample (degenerate input)" in report["notes"]
+    failed = [r for r in report["checks"] if not r["passed"]]
+    assert [(r["check"], r["point"]) for r in failed] == [("function_scale", "all")]
+    assert 0 < failed[0]["residual"] < cli.FUNCTION_SCALE_FLOOR
 
 
 @pytest.mark.parametrize(
@@ -826,7 +846,7 @@ def test_a_later_stacked_member_on_the_cut_names_its_point():
     assert caught.value.lanes == (1,)
     # an eigenfamily's members are walked on the points' lanes, then stacked
     with pytest.raises(BranchCutError) as caught:
-        ops.check_eigenfamily([stack.members[0], Log(Entry(1, 1))], 1, 1, points, basis)
+        ops.check_eigenfamily(Stack((stack.members[0], Log(Entry(1, 1)))), 1, 1, points, basis)
     assert caught.value.lanes == (1,)
     notes = []
     records = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
@@ -852,14 +872,14 @@ def test_pipeline_walks_each_chunk_once_per_depth(monkeypatch, capsys, argv, fun
 
 
 def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
-    """The functions the flag run conditions its points on are the very
-    phi nodes of the sum whose p-harmonicity it checks."""
+    """The tree the flag run conditions its points on is the very block
+    family whose sum's p-harmonicity it checks."""
     sampled, summed = [], []
     sample, residuals = ops.conditioned_sample, ops.p_harmonic_residuals
 
-    def recording_sample(funcs, *args):
-        sampled.extend(funcs)
-        return sample(funcs, *args)
+    def recording_sample(f, *args):
+        sampled.append(f)
+        return sample(f, *args)
 
     def recording_residuals(f, *args):
         summed.append(f)
@@ -869,14 +889,14 @@ def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
     monkeypatch.setattr(ops, "p_harmonic_residuals", recording_residuals)
     code, _ = run_cli(capsys, "flag", "--blocks", "1,1,2", "--p", "2", "--samples", "2")
     assert code == EXIT_PASS
-    assert len(sampled) == 3 and summed
+    (family,) = sampled
+    assert isinstance(family, Stack) and len(family.members) == 3 and summed
     for total in summed:
-        # Unstack(... + c2 log(phi)), phi the Stack of the block forms
-        stack = total.child.terms[-1].factors[-1].child
-        assert isinstance(stack, Stack) and len(stack.members) == len(sampled)
+        # Unstack(... + c2 log(phi)), phi the block family
+        assert total.child.terms[-1].factors[-1].child is family
         readers = _readers(total)
-        for member, phi in zip(stack.members, sampled):
-            assert member is phi and readers[id(phi)] == 1
+        for phi in family.members:
+            assert readers[id(phi)] == 1
 
 
 def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):

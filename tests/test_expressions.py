@@ -250,7 +250,7 @@ def _form_cases():
         ("dual(1,2)", dual, m_basis(1, 2, "indefinite"), sample_so_mn(1, 2, range(36, 39), 0.5)),
     ]
     for blocks in ((1, 1, 2), (2, 2)):
-        for k, form in enumerate(flag_forms(blocks)):
+        for k, form in enumerate(flag_forms(blocks).members):
             cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(39, 42))))
     return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
 
@@ -511,7 +511,7 @@ def test_flag_sum_at_one_bare_point_has_no_lane_axis():
     jet = laplacian_jet(tree, x, so_basis(4), 2).coeffs
     assert jet.shape == (8**2,)
     assert jet[0] == value
-    stacked = laplacian_jet(Stack(tuple(forms)), x, so_basis(4), 2).coeffs
+    stacked = laplacian_jet(forms, x, so_basis(4), 2).coeffs
     assert stacked.shape == (3, 8**2)
 
 
@@ -526,16 +526,15 @@ def _flag_stack(node):
 
 @pytest.mark.parametrize("blocks", FLAG_PARTITIONS, ids=str)
 def test_flag_sum_terms_read_the_given_forms(blocks):
-    # one composition over the lane stack of the forms: the stack holds the
-    # given forms themselves, and the tree reads each of them once, there
-    forms = flag_forms(blocks)
-    node = flag_sum_expr(forms, 2)
-    assert all(isinstance(phi, ProjectorForm) for phi in forms)
-    stack = _flag_stack(node)
-    assert len(stack.members) == len(forms)
+    # one composition over the block family: the tree's stack is the given
+    # family itself, and the tree reads each of its forms once, there
+    family = flag_forms(blocks)
+    node = flag_sum_expr(family, 2)
+    assert len(family.members) == len(blocks)
+    assert all(isinstance(phi, ProjectorForm) for phi in family.members)
+    assert _flag_stack(node) is family
     readers = _readers(node)
-    for member, phi in zip(stack.members, forms):
-        assert member is phi
+    for phi in family.members:
         assert readers[id(phi)] == 1
 
 

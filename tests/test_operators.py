@@ -9,6 +9,7 @@ from pharmonic.expressions import (
     Log,
     Pow,
     Product,
+    Stack,
     Sum,
     evaluate,
     p_harmonic_expr,
@@ -248,7 +249,7 @@ def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
         return jet
 
     monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
-    family = check_eigenfamily([fu, fv], -4, -2, pts, basis)
+    family = check_eigenfamily(Stack((fu, fv)), -4, -2, pts, basis)
     assert walks == [(1, (len(pts), 2))]
     monkeypatch.undo()
     assert len(family) == 2
@@ -276,7 +277,7 @@ def test_check_eigenfamily_singleton_matches_eigenfunction():
     m, n = 1, 2
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(100, 103))
-    fam = check_eigenfamily([phi], -3, -2, pts, m_basis(m, n))
+    fam = check_eigenfamily(Stack((phi,)), -3, -2, pts, m_basis(m, n))
     single = check_eigenfunction(phi, -3, -2, pts, m_basis(m, n))
     assert len(fam) == 1
     assert all(np.array_equal(a, b) for a, b in zip(fam[0], single))
@@ -293,21 +294,42 @@ def test_check_eigenfamily_two_members_single_column():
     fu = projector_form(rank_one_from_isotropic(u), m)
     fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
-    fam = check_eigenfamily([fu, fv], -N, -2, pts, m_basis(m, n))
+    fam = check_eigenfamily(Stack((fu, fv)), -N, -2, pts, m_basis(m, n))
     assert len(fam) == 2
     for tau, kappa in fam:
         assert tau.shape == kappa.shape == (len(pts),)
         assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), fam
 
 
-def test_check_eigenfamily_with_constant_fails():
+def test_check_eigenfamily_with_a_non_eigen_member_fails():
+    # v v^T for v = (1, 0, 0), rank one but not isotropic, so not traceless:
+    # its form x11^2 has L x11^2 = -3 x11^2 + 1, not -3 x11^2
     m, n = 1, 2
     phi = projector_form(rank_one_from_vector([1, 2]), m)
+    bad = projector_form(np.diag([1.0, 0.0, 0.0]), m)
     pts = sample_so(3, range(120, 123))
-    fam = check_eigenfamily([phi, Const(1 + 0j)], -3, -2, pts, m_basis(m, n))
-    (tau, kappa), (const_tau, _) = fam
+    fam = check_eigenfamily(Stack((phi, bad)), -3, -2, pts, m_basis(m, n))
+    (tau, kappa), (bad_tau, _) = fam
     assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
-    assert const_tau.min() > 1e-8  # L 1 = 0, not -3
+    assert bad_tau.min() > 1e-8
+
+
+def test_a_stack_of_mixed_kinds_raises_rather_than_broadcasting():
+    # a Stack holds one kind of member: a constant beside a form, either way
+    # round, is refused on a stack of points and in jet walks of a stack and
+    # of one point (at one bare point plain values are all numbers), and an
+    # empty Stack is refused when it is built
+    phi = projector_form(rank_one_from_vector([1, 2]), 1)
+    pts = sample_so(3, range(120, 123))
+    for members in ((phi, Const(1 + 0j)), (Const(1 + 0j), phi)):
+        with pytest.raises((TypeError, ValueError, AttributeError)):
+            evaluate(Stack(members), pts)
+        with pytest.raises((TypeError, ValueError, AttributeError)):
+            laplacian_jet(Stack(members), pts, m_basis(1, 2), 1)
+        with pytest.raises((TypeError, ValueError, AttributeError)):
+            laplacian_jet(Stack(members), pts[0], m_basis(1, 2), 1)
+    with pytest.raises(ValueError, match="a Stack needs at least one member"):
+        Stack(())
 
 
 # -- product rule -------------------------------------------------------------------------
@@ -392,11 +414,11 @@ def _oracle_cases():
     for m, n in ((1, 2), (2, 2)):
         N = m + n
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
-        pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 1, 400)
+        pts, _ = conditioned_sample(phi, lambda s, N=N: sample_so(N, s), 1, 400)
         f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
         cases.append(pytest.param(f, f, m_basis(m, n), pts[0], id=f"Gr({m},{n})"))
     phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0]), 1, 2), 1)
-    pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
+    pts, _ = conditioned_sample(phi, lambda s: sample_so_mn(1, 2, s, 0.5), 1, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
     cases.append(pytest.param(f, f, m_basis(1, 2, "indefinite"), pts[0], id="dual(1,2)"))
     forms = flag_forms((1, 1, 2))
@@ -424,11 +446,11 @@ def _stack_cases():
     for m, n in ((1, 2), (2, 2)):
         N = m + n
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
-        pts, _ = conditioned_sample([phi], lambda s, N=N: sample_so(N, s), 3, 400)
+        pts, _ = conditioned_sample(phi, lambda s, N=N: sample_so(N, s), 3, 400)
         f = p_harmonic_expr(phi, -N, -2, 3, 1, 1)
         cases.append(pytest.param(f, m_basis(m, n), pts, id=f"Gr({m},{n})"))
     phi = projector_form(dual_matrix(rank_one_from_vector([1.0, 2.0]), 1, 2), 1)
-    pts, _ = conditioned_sample([phi], lambda s: sample_so_mn(1, 2, s, 0.5), 3, 410)
+    pts, _ = conditioned_sample(phi, lambda s: sample_so_mn(1, 2, s, 0.5), 3, 410)
     f = p_harmonic_expr(phi, 3, 2, 3, 1, 1)
     cases.append(pytest.param(f, m_basis(1, 2, "indefinite"), pts, id="dual(1,2)"))
     f = flag_sum_expr(flag_forms((1, 1, 2)), 3)
@@ -489,7 +511,7 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     f = p_harmonic_expr(phi, -4, -2, 3, 1, 1)
     basis = m_basis(2, 2)
-    pts, _ = conditioned_sample([phi], lambda s: sample_so(4, s), 3, 500)
+    pts, _ = conditioned_sample(phi, lambda s: sample_so(4, s), 3, 500)
     walks = _counting_walks(monkeypatch)
     residuals, witnesses = p_harmonic_residuals(f, 3, pts, basis)
     assert walks == [(3, len(pts))]
@@ -780,7 +802,7 @@ def test_forward_laplacian_value_channel_equals_plain_evaluation_exactly():
     nodes = [
         phi,
         projector_form(rank_one_from_vector([1, 2, 3]), columns=(1, 2, 3)),
-        flag_forms((1, 1, 2))[2],
+        flag_forms((1, 1, 2)).members[2],
         p_harmonic_expr(phi, -4, -2, 3, 1, 1),
         Pow(phi, -0.5),
         Pow(phi, -2),
@@ -818,7 +840,7 @@ def _generator_cases():
         points = sample_so_mn(m, n, range(80 + 2 * m, 82 + 2 * m), 0.5)
         cases.append((f"dual({m},{n})", projector_form(A, m), m_basis(m, n, "indefinite"), points))
     for blocks in ((1, 1, 2), (2, 2)):
-        for k, form in enumerate(flag_forms(blocks)):
+        for k, form in enumerate(flag_forms(blocks).members):
             cases.append((f"flag{blocks} block {k}", form, so_basis(4), sample_so(4, range(90, 92))))
     return [pytest.param(form, basis, points * (1 + 0.5j), id=name) for name, form, basis, points in cases]
 
@@ -982,9 +1004,9 @@ def test_non_descent_witness_found_for_three_blocks():
 
 
 def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
-    """conditioned_sample's rule one point at a time: the median scale from
-    the first max(2 count, 20) draws, then single draws until count points
-    are kept or the draw limit is reached."""
+    """conditioned_sample's rule one point at a time and one function at a
+    time: the median scale from the first max(2 count, 20) draws, then
+    single draws until count points are kept or the draw limit is reached."""
 
     def smallest_safe_value(pt):
         worst = np.inf
@@ -1022,10 +1044,10 @@ def test_conditioned_sample_equals_a_point_by_point_loop():
     # Entry(1, 1) is on the log cut at every point with x11 < 0, so fewer than
     # half the first draws qualify and single draws have to follow
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
-    funcs = [phi, Entry(1, 1)]
+    family = Stack((phi, Entry(1, 1)))
     for seed in (300, 301, 302):
-        got, draws = conditioned_sample(funcs, lambda s: sample_so(4, s), 12, seed)
-        want, want_draws = _point_by_point_conditioned_sample(funcs, lambda s: sample_so(4, s), 12, seed)
+        got, draws = conditioned_sample(family, lambda s: sample_so(4, s), 12, seed)
+        want, want_draws = _point_by_point_conditioned_sample(family.members, lambda s: sample_so(4, s), 12, seed)
         assert draws == want_draws and draws > 24, seed
         assert len(got) == len(want) == 12
         for a, b in zip(got, want):
@@ -1082,8 +1104,8 @@ def test_conditioned_sample_is_deterministic_and_filters_small_values():
     m, n = 2, 2
     N = m + n
     phi = projector_form(rank_one_from_vector([1, 2, 3]), m)
-    pts1, draws1 = conditioned_sample([phi], lambda s: sample_so(N, s), 8, 300)
-    pts2, draws2 = conditioned_sample([phi], lambda s: sample_so(N, s), 8, 300)
+    pts1, draws1 = conditioned_sample(phi, lambda s: sample_so(N, s), 8, 300)
+    pts2, draws2 = conditioned_sample(phi, lambda s: sample_so(N, s), 8, 300)
     assert draws1 == draws2
     for a, b in zip(pts1, pts2):
         np.testing.assert_array_equal(a, b)
@@ -1094,9 +1116,17 @@ def test_conditioned_sample_is_deterministic_and_filters_small_values():
 
     with pytest.raises(SamplingExhausted):
         # an empty-window sampler can never qualify
-        conditioned_sample(
-            [Const(0j)], lambda s: sample_so(N, s), 3, 0
-        )
+        conditioned_sample(Const(0j), lambda s: sample_so(N, s), 3, 0)
+
+
+def test_conditioned_sample_that_runs_out_of_draws_says_how_far_it_got():
+    # 1 x 1 points: only seed 0 gives a value inside the window, so the
+    # first batch of 20 keeps one point and every later draw leaves the window
+    def sampler(seeds):
+        return np.array([[[1.0 if s == 0 else 0.0]] for s in seeds])
+
+    with pytest.raises(ops.SamplingExhausted, match=r"^only 1/3 conditioned samples after 200 draws$"):
+        conditioned_sample(Entry(1, 1), sampler, 3, 0)
 
 
 def test_dual_context_eigen_relations():
