@@ -12,16 +12,20 @@ or configuration error, 4 a numerical-domain failure (well-conditioned
 sample points could not be found, or jet arithmetic hit a branch cut or a
 non-finite value during the run).
 
+Each subcommand accepts the options every run reads (``SHARED``) and its
+own (its ``READS`` row); any other option is a usage error, and a RunConfig
+field the command does not read keeps its default.
+
 ``--tol`` replaces, and the environment variable GH_VERIFY_TOL_SCALE
 multiplies (for CI on heterogeneous hardware), the thresholds of the
 numerical residuals: the DEFAULT_TOLS checks and tau_p_residual.  Neither
 touches the floors (FUNCTION_SCALE_FLOOR, PROPERNESS_FLOOR, WITNESS_FLOOR)
 or the 0.5 threshold of the symbolic verdicts.
 
-``main`` may be called any number of times in one process.  It builds its
-argument parser on the first call and reuses it after that.  A shell command
-builds the parser once either way, so only callers that run ``main`` many
-times in one process (the tests, the benchmark) save the set-up.
+``main`` may be called any number of times in one process.  parse_args
+leaves the parser unchanged, so ``main`` builds it on the first call and
+reuses it after that: callers that run ``main`` many times in one process
+(the tests, the benchmark) save the set-up.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def _validate_common(config: RunConfig) -> None:
 
 def _matrix_size(config: RunConfig) -> int:
     """N, the size of the run's N x N matrices."""
-    if config.command == "flag":
+    if "--blocks" in READS[config.command]:
         return sum(config.blocks or DEFAULT_BLOCKS)
     return config.m + config.n
 
@@ -164,7 +168,7 @@ def _lift_components(config: RunConfig) -> int:
         directions = config.m * config.n
     else:
         directions = N * (N - 1) // 2
-    depth = config.p if config.command in ("pharmonic", "flag", "dual") else 1
+    depth = config.p if "--p" in READS[config.command] else 1
     return N * N * (directions + 2) ** depth
 
 
@@ -484,6 +488,32 @@ COMMANDS = {
 
 # -- argument handling -----------------------------------------------------------
 
+# Every option, declared once by its add_argument keywords; the options every
+# command reads; and each command's own, the one statement of who reads what.
+# A command accepts no option it does not read.
+OPTIONS = {
+    "--m": dict(type=int, default=2),
+    "--n": dict(type=int, default=2),
+    "--blocks": dict(type=str, default=None, help="comma-separated block sizes"),
+    "--p": dict(type=int, default=2),
+    "--seed": dict(type=int, default=7),
+    "--samples": dict(type=int, default=20),
+    "--radius": dict(type=float, default=0.75),
+    "--tol": dict(type=float, default=None, help="override the residual thresholds (not the floors)"),
+    "--w": dict(type=str, default=None, help="comma-separated re:im cells"),
+    "--A": dict(dest="a_file", type=str, default=None, help="CSV/JSON matrix file"),
+    "--out": dict(type=str, default=None, help="write the JSON report here"),
+    "--csv": dict(type=str, default=None, help="also dump residuals as CSV"),
+}
+SHARED = ("--seed", "--samples", "--tol", "--out", "--csv")
+READS = {
+    "calibrate": ("--m", "--n"),
+    "grassmann": ("--m", "--n", "--w", "--A"),
+    "pharmonic": ("--m", "--n", "--p", "--w", "--A"),
+    "flag": ("--blocks", "--p"),
+    "dual": ("--m", "--n", "--p", "--radius", "--w", "--A"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -492,29 +522,13 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    # cached: parse_args leaves the parser unchanged, so one parser serves
-    # every main call; the options every command shares are declared once, on
-    # a parent parser the subcommands copy them from (each add_argument builds
-    # a formatter)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=int, default=2)
-    common.add_argument("--n", type=int, default=2)
-    common.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
-    common.add_argument("--p", type=int, default=2)
-    common.add_argument("--seed", type=int, default=7)
-    common.add_argument("--samples", type=int, default=20)
-    common.add_argument("--radius", type=float, default=0.75)
-    common.add_argument(
-        "--tol", type=float, default=None, help="override the residual thresholds (not the floors)"
-    )
-    common.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
-    common.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
-    common.add_argument("--out", type=str, default=None, help="write the JSON report here")
-    common.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
     parser = _Parser(prog="pharmonic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
+        command = sub.add_parser(name)
+        for option, keywords in OPTIONS.items():
+            if option in SHARED or option in READS[name]:
+                command.add_argument(option, **keywords)
     sub.add_parser("report-schema")
     return parser
 
@@ -533,10 +547,10 @@ def tol_scale_from_env() -> float:
 
 
 def _config_from_args(args) -> RunConfig:
-    blocks = None
-    if args.blocks is not None:
+    blocks = getattr(args, "blocks", None)
+    if blocks is not None:
         try:
-            blocks = tuple(int(b) for b in args.blocks.split(","))
+            blocks = tuple(int(b) for b in blocks.split(","))
         except ValueError as exc:
             raise UsageError(f"bad --blocks value: {exc}") from exc
     return RunConfig(**{**vars(args), "blocks": blocks, "tol_scale": tol_scale_from_env()})

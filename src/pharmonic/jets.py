@@ -708,13 +708,14 @@ def jlog(value: Scalar) -> Scalar:
 
 
 def jexp(value: Scalar) -> Scalar:
-    """Exponential of a number, lane array or JetScalar (no tree has an exp
-    node, so no walk takes one of a LaplacianJet)."""
+    """Exponential of a number, lane array or JetScalar; a LaplacianJet is refused."""
     if isinstance(value, (Number, np.ndarray)):
         z = _require_finite(value)
         if np.any(z.real > _EXP_OVERFLOW):
             raise NonFiniteError(f"exp overflow at Re(z) = {np.max(z.real):.3g}")
         return np.exp(z) if isinstance(z, np.ndarray) else cmath.exp(z)
+    if not isinstance(value, JetScalar):
+        raise JetError(f"jexp takes a number, lane array or JetScalar, not a {type(value).__name__}")
     e0 = jexp(value.coeffs[0])
     taylor = [e0]
     fact = 1.0

@@ -200,7 +200,7 @@ def _generator_tensor(basis: np.ndarray, windows: Sequence[Sequence[int]], N: in
     for P, columns in zip(T[:, 0], windows):
         window = [c - 1 for c in columns]
         P[window, window] = 1.0
-    laplacian = _square_sum(basis)
+    laplacian = (basis @ basis).sum(axis=0)
     transposed = np.swapaxes(basis, -1, -2).reshape(B * N, N)  # rows (b, l) of Z_b^T
     for _ in range(p):
         W, M = T.shape[:2]
@@ -216,21 +216,6 @@ def _generator_tensor(basis: np.ndarray, windows: Sequence[Sequence[int]], N: in
         np.add(A, np.swapaxes(A, -1, -2), out=A)
         T = level.reshape(W, -1, N, N)
     return T
-
-
-def _square_sum(basis: np.ndarray) -> np.ndarray:
-    """sum_b Z_b Z_b, added in basis order as (basis @ basis).sum(axis=0)
-    adds, from the squares of N directions at a time, each batch summed
-    behind the running total: no (B, N, N) stack of squares is held."""
-    N = basis.shape[-1]
-    total = (basis[:N] @ basis[:N]).sum(axis=0)
-    for start in range(N, len(basis), N):
-        chunk = basis[start : start + N]
-        squares = np.empty((len(chunk) + 1, N, N))
-        squares[0] = total
-        np.matmul(chunk, chunk, out=squares[1:])
-        total = squares.sum(axis=0)
-    return total
 
 
 def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -284,25 +284,49 @@ def test_main_exit_code_on_domain_failure(capsys):
     assert code == EXIT_DOMAIN
 
 
+# Each command's options in declaration order, written out by hand: the five
+# every command reads and the ones its body reads besides.
+DECLARED = {
+    "calibrate": ["--m", "--n", "--seed", "--samples", "--tol", "--out", "--csv"],
+    "grassmann": ["--m", "--n", "--seed", "--samples", "--tol", "--w", "--A", "--out", "--csv"],
+    "pharmonic": ["--m", "--n", "--p", "--seed", "--samples", "--tol", "--w", "--A", "--out", "--csv"],
+    "flag": ["--blocks", "--p", "--seed", "--samples", "--tol", "--out", "--csv"],
+    "dual": [
+        "--m", "--n", "--p", "--seed", "--samples", "--radius", "--tol", "--w", "--A", "--out", "--csv",
+    ],
+}
+
+# A well-formed value of every option.
+OPTION_VALUES = {
+    "--m": "3", "--n": "1", "--blocks": "1,2", "--p": "4", "--seed": "11", "--samples": "5",
+    "--radius": "0.5", "--tol": "1e-6", "--w": "1,2:1", "--A": "a.csv", "--out": "r.json",
+    "--csv": "r.csv",
+}
+
+
 def _parser_declared_per_command():
-    """The CLI parser with the shared options declared on every subcommand
-    separately: the layout the shared parent parser must reproduce."""
+    """The CLI parser with each subcommand's options declared on it one by
+    one, as DECLARED lists them: the layout the option table must reproduce."""
+    keywords = {
+        "--m": dict(type=int, default=2),
+        "--n": dict(type=int, default=2),
+        "--blocks": dict(type=str, default=None, help="comma-separated block sizes"),
+        "--p": dict(type=int, default=2),
+        "--seed": dict(type=int, default=7),
+        "--samples": dict(type=int, default=20),
+        "--radius": dict(type=float, default=0.75),
+        "--tol": dict(type=float, default=None, help="override the residual thresholds (not the floors)"),
+        "--w": dict(type=str, default=None, help="comma-separated re:im cells"),
+        "--A": dict(dest="a_file", type=str, default=None, help="CSV/JSON matrix file"),
+        "--out": dict(type=str, default=None, help="write the JSON report here"),
+        "--csv": dict(type=str, default=None, help="also dump residuals as CSV"),
+    }
     parser = cli._Parser(prog="pharmonic", description=cli.__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, options in DECLARED.items():
         cp = sub.add_parser(name)
-        cp.add_argument("--m", type=int, default=2)
-        cp.add_argument("--n", type=int, default=2)
-        cp.add_argument("--blocks", type=str, default=None, help="comma-separated block sizes")
-        cp.add_argument("--p", type=int, default=2)
-        cp.add_argument("--seed", type=int, default=7)
-        cp.add_argument("--samples", type=int, default=20)
-        cp.add_argument("--radius", type=float, default=0.75)
-        cp.add_argument("--tol", type=float, default=None, help="override the residual thresholds (not the floors)")
-        cp.add_argument("--w", type=str, default=None, help="comma-separated re:im cells")
-        cp.add_argument("--A", dest="a_file", type=str, default=None, help="CSV/JSON matrix file")
-        cp.add_argument("--out", type=str, default=None, help="write the JSON report here")
-        cp.add_argument("--csv", type=str, default=None, help="also dump residuals as CSV")
+        for option in options:
+            cp.add_argument(option, **keywords[option])
     sub.add_parser("report-schema")
     return parser
 
@@ -319,17 +343,32 @@ def _parsed(parser, argv, capsys):
 
 @pytest.mark.parametrize("command", [*COMMANDS, "report-schema"])
 def test_shared_options_parse_and_print_as_when_declared_per_command(capsys, command):
-    every_option = [
-        "--m", "3", "--n", "1", "--blocks", "1,2", "--p", "4", "--seed", "11",
-        "--samples", "5", "--radius", "0.5", "--tol", "1e-6", "--w", "1,2:1",
-        "--A", "a.csv", "--out", "r.json", "--csv", "r.csv",
-    ]
-    argvs = [[command, "--help"], [command], [command, "--m", "x"], ["--help"]]
+    every_option = [word for option, value in OPTION_VALUES.items() for word in (option, value)]
+    argvs = [[command, "--help"], [command], [command, "--m", "x"], ["--help"], [command, *every_option]]
     if command != "report-schema":
-        argvs += [[command, *every_option], [command, "--seed=9", "--p", "1"]]
+        own = [word for option in DECLARED[command] for word in (option, OPTION_VALUES[option])]
+        argvs += [[command, *own], [command, "--seed=9", "--samples", "1"]]
     for argv in argvs:
         got = _parsed(cli._build_parser(), argv, capsys)
         assert got == _parsed(_parser_declared_per_command(), argv, capsys), argv
+
+
+# (command, option) for each of the 16 options a command does not read
+UNREAD_OPTIONS = [
+    (command, option) for command, options in DECLARED.items() for option in OPTION_VALUES
+    if option not in options
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
+    out_file = tmp_path / "report.json"
+    value = OPTION_VALUES[option]
+    assert main([command, option, value, "--samples", "1", "--out", str(out_file)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert not captured.out and f"unrecognized arguments: {option} {value}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out_file.exists()
 
 
 def test_parser_is_built_once_and_reused_across_main_calls(capsys):
@@ -677,22 +716,27 @@ _BAD_CELLS = st.sampled_from(["nan", "inf", "1j", "x", "", "1:", "1:2:3"])
 
 @st.composite
 def _argument_vectors(draw):
-    """(argv, matrix file) for main; half the draws use only well-formed values.
+    """(argv, matrix file, unread) for main; half the draws use only
+    well-formed values.
 
-    Runs that get past validation keep --samples <= 2 and p <= 3, and the
-    matrix file, when present, is a (suffix, text) pair for the test to write."""
+    Each argv passes only options its command reads, but a wild draw
+    sometimes adds one the command does not read (unread is then True).  Runs
+    that get past validation keep --samples <= 2 and p <= 3, and the matrix
+    file, when present, is a (suffix, text) pair for the test to write."""
     wild = draw(st.booleans())
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    reads = DECLARED[command]
 
     def value(valid, invalid):
         return str(draw(st.one_of(valid, invalid) if wild else valid))
 
     def option(name, valid, invalid):
-        return [name, value(valid, invalid)] if draw(st.booleans()) else []
+        return [name, value(valid, invalid)] if name in reads and draw(st.booleans()) else []
 
     cells = st.one_of(_CELLS, _BAD_CELLS) if wild else _CELLS
     # --samples is always given: its default of 20 would make a run slow
     samples = value(st.sampled_from([1, 2]), st.sampled_from([0, -1, "x", 10**12]))
-    argv = [draw(st.sampled_from(sorted(COMMANDS))), "--samples", samples]
+    argv = [command, "--samples", samples]
     argv += option("--m", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))
     argv += option("--n", st.integers(1, 3), st.one_of(st.integers(-1, 0), _BAD_NUMBERS))
     bad_p = st.sampled_from([-1, 0, ops.DEPTH_CAP + 1])
@@ -711,6 +755,10 @@ def _argument_vectors(draw):
         st.lists(st.integers(1, 2), min_size=1, max_size=3).map(lambda b: ",".join(map(str, b))),
         st.one_of(st.sampled_from(["a", "1,,2", "2;2", ",", "0,1", "-1,2"]), st.text(max_size=6)),
     )
+    unread = wild and draw(st.booleans())
+    if unread:
+        extra = draw(st.sampled_from([name for name in OPTION_VALUES if name not in reads]))
+        argv += [extra, OPTION_VALUES[extra]]
     matrix = st.integers(1, 4).flatmap(
         lambda k: st.lists(st.lists(cells, min_size=k, max_size=k), min_size=k, max_size=k)
     ).map(lambda rows: (".csv", "".join(",".join(row) + "\n" for row in rows)))
@@ -718,8 +766,10 @@ def _argument_vectors(draw):
     garbage = st.tuples(
         st.sampled_from([".csv", ".json"]), st.one_of(garbage_text, st.text(max_size=30))
     )
-    matrix_file = draw(st.one_of(st.none(), st.one_of(matrix, garbage) if wild else matrix))
-    return argv, matrix_file
+    matrix_file = None
+    if "--A" in reads:
+        matrix_file = draw(st.one_of(st.none(), st.one_of(matrix, garbage) if wild else matrix))
+    return argv, matrix_file, unread
 
 
 @given(_argument_vectors())
@@ -728,13 +778,17 @@ def _argument_vectors(draw):
 )
 def test_exit_code_contract_holds_for_generated_argument_vectors(tmp_path, capsys, case):
     # the run is in-process, so an exception escaping main fails the test
-    argv, matrix_file = case
+    argv, matrix_file, unread = case
     if matrix_file is not None:
         suffix, text = matrix_file
         path = tmp_path / f"matrix{suffix}"
         path.write_text(text)
         argv = argv + ["--A", str(path)]
-    assert main(argv) in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_DOMAIN), argv
+    code = main(argv)
+    if unread:
+        assert code == EXIT_USAGE, argv
+    else:
+        assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_DOMAIN), argv
     capsys.readouterr()
 
 

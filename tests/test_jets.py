@@ -528,3 +528,13 @@ def test_laplacian_jet_rejections_match_plain_numbers():
         random_laplacian_jet(rng, 2, 2) * random_laplacian_jet(rng, 2, 1)
     with pytest.raises(JetError):
         LaplacianJet(2, 2, np.zeros(5))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (1, 4)], ids=["flat", "three-lanes", "one-lane"])
+def test_jexp_refuses_a_laplacian_jet(shape):
+    # jexp takes numbers, lane arrays and JetScalars; a LaplacianJet of any
+    # lane shape is refused by name rather than broadcast into a wrong shape
+    coeffs = np.random.default_rng(2).uniform(-1, 1, shape) + 0j
+    with pytest.raises(JetError, match="not a LaplacianJet") as raised:
+        jexp(LaplacianJet(2, 1, coeffs))
+    assert type(raised.value) is JetError
