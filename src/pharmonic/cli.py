@@ -10,7 +10,8 @@ report byte for byte, apart from the wall-clock field.
 Exit codes: 0 all checks passed, 2 a verification check failed, 3 a usage
 or configuration error, 4 a numerical-domain failure (well-conditioned
 sample points could not be found, or jet arithmetic hit a branch cut or a
-non-finite value during the run).
+non-finite value during the run).  A stdout whose reader has gone drops
+the report but not the exit code, and prints no traceback.
 
 Each subcommand accepts the options every run reads (``SHARED``) and its
 own (its ``READS`` row); any other option is a usage error, and a RunConfig
@@ -226,13 +227,14 @@ def _seeds(config: RunConfig) -> range:
     return range(config.seed, config.seed + config.samples)
 
 
-def _sample_conditioned(f, sampler, config: RunConfig, notes: list[str]):
+def _sample_conditioned(f, sampler, config: RunConfig, notes: list[str], first=None):
     """Draw sample points on which every value of f is trustworthy.
 
-    Delegates to the scale-relative conditioning filter; notes record how
-    many raw draws the accepted batch cost.
+    Delegates to the scale-relative conditioning filter, handing it the
+    first batch when the run has drawn it; notes record how many raw draws
+    the accepted batch cost.
     """
-    points, draws = ops.conditioned_sample(f, sampler, config.samples, config.seed)
+    points, draws = ops.conditioned_sample(f, sampler, config.samples, config.seed, first)
     if draws > config.samples:
         notes.append(
             f"drew {draws} candidate points for {config.samples} conditioned samples"
@@ -331,7 +333,10 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
 
 
 def cmd_grassmann(config: RunConfig) -> VerificationReport:
-    """Structure validation, projector identities, eigen relations, invariance."""
+    """Structure validation, projector identities, eigen relations, invariance.
+
+    The function_scale record reads phi's values off the eigen check's
+    depth-1 walk, so phi is walked once on the plain points."""
     _validate_common(config)
     m, n = config.m, config.n
     N = m + n
@@ -347,8 +352,9 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     phi = ex.projector_form(A, m)
     points = sample_so(N, _seeds(config))
+    tau, kappa, values = ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n))
 
-    scale = float(np.max(np.abs(ops.values_at(phi, points))))
+    scale = float(np.max(np.abs(values)))
     records.append(lower_check("function_scale", "all", scale, FUNCTION_SCALE_FLOOR))
     if scale < FUNCTION_SCALE_FLOOR:
         notes.append("function is numerically zero on every sample (degenerate input)")
@@ -356,8 +362,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     residuals = ops.projector_identity_residuals(points, m, so_basis(N))
     records += _point_records(("tau_projector", "kappa_projector"), residuals, proj_tol)
 
-    residuals = ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n))
-    records += _point_records(("tau_eigen", "kappa_eigen"), residuals, eigen_tol)
+    records += _point_records(("tau_eigen", "kappa_eigen"), (tau, kappa), eigen_tol)
     worst = ops.check_invariance(
         phi, lambda s: sample_block_diagonal((m, n), s), points, seed=config.seed
     )
@@ -391,7 +396,11 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
 
 def cmd_flag(config: RunConfig) -> VerificationReport:
     """Per-block eigen relations, p-harmonicity of the block sum, invariance,
-    and (three or more blocks) the non-descent witness."""
+    and (three or more blocks) the non-descent witness.
+
+    The first conditioned batch is drawn once: its first config.samples
+    lanes are the eigen checks' plain points, and the whole batch is handed
+    to the conditioned sampling."""
     _validate_common(config)
     blocks = config.blocks or DEFAULT_BLOCKS
     if len(blocks) < 2:
@@ -404,7 +413,9 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     basis = so_basis(n)
-    points = sample_so(n, _seeds(config))
+    sampler = functools.partial(sample_so, n)
+    batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
+    points = batch[: config.samples]
 
     # the ids keep their member0 part: check ids are byte-stable report output
     for k, residuals in enumerate(ops.check_eigenfamily(family, -n, -2, points, basis)):
@@ -412,7 +423,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
         records += _point_records(checks, residuals, eigen_tol)
 
     total = ex.flag_sum_expr(family, config.p)
-    sampled = _sample_conditioned(family, lambda s: sample_so(n, s), config, notes)
+    sampled = _sample_conditioned(family, sampler, config, notes, batch)
     records += _p_harmonic_records(total, sampled, basis, config, notes)
 
     worst = ops.check_invariance(
@@ -433,7 +444,11 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
 
 def cmd_dual(config: RunConfig) -> VerificationReport:
     """Companion function on the indefinite group: boost-twisted coefficients,
-    sign-flipped eigen relations, and p-harmonicity along boost directions."""
+    sign-flipped eigen relations, and p-harmonicity along boost directions.
+
+    As in cmd_flag, the plain points are the first config.samples lanes of
+    the first conditioned batch, drawn once; the degenerate-samples note
+    reads phi's values off the eigen check's depth-1 walk."""
     _validate_common(config)
     m, n = config.m, config.n
     N = m + n
@@ -456,8 +471,10 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     basis = m_basis(m, n, "indefinite")
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
-    points = sample_so_mn(m, n, _seeds(config), config.radius)
-    values = ops.values_at(phi, points)
+    sampler = functools.partial(sample_so_mn, m, n, radius=config.radius)
+    batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
+    points = batch[: config.samples]
+    tau, kappa, values = ops.check_eigenfunction(phi, N, 2, points, basis)
     spread = float(np.std(np.abs(values)))
     # one value has no spread to judge
     if len(values) >= 2 and spread < 1e-12 * (1.0 + float(np.mean(np.abs(values)))):
@@ -466,11 +483,10 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
             "(radius too small to leave the compact subgroup)"
         )
 
-    residuals = ops.check_eigenfunction(phi, N, 2, points, basis)
-    records += _point_records(("tau_eigen", "kappa_eigen"), residuals, eigen_tol)
+    records += _point_records(("tau_eigen", "kappa_eigen"), (tau, kappa), eigen_tol)
 
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
-    iter_points = _sample_conditioned(phi, lambda s: sample_so_mn(m, n, s, config.radius), config, notes)
+    iter_points = _sample_conditioned(phi, sampler, config, notes, batch)
     records += _p_harmonic_records(
         composed, iter_points, basis, config, notes, expect_witness=config.radius > 0
     )
@@ -556,6 +572,20 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{**vars(args), "blocks": blocks, "tol_scale": tol_scale_from_env()})
 
 
+def _print(text: str) -> None:
+    """Print text and flush it.  If stdout's reader has gone, stdout is
+    pointed at os.devnull, as the Python docs on SIGPIPE advise, so neither
+    this write nor the interpreter's final flush raises: the run's exit code
+    stands, and no traceback is printed."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -564,7 +594,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     if args.command == "report-schema":
-        print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
+        _print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
         return EXIT_PASS
 
     start = time.perf_counter()
@@ -590,7 +620,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"configuration error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    print(text)
+    _print(text)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 

@@ -435,13 +435,15 @@ def _eigen_residuals(jets: np.ndarray, lam, mu) -> tuple:
 
 def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
     """Residuals of laplacian(f) = lam f and pairing(f, f) = mu f^2 at each
-    point of the stack, (tau, kappa), from one depth-1 walk per chunk of
-    points.
+    point of the stack, and f's values there: (tau, kappa, values), from one
+    depth-1 walk per chunk of points.  The values are the walk's component
+    0, bit for bit what values_at gives.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    return _eigen_residuals(_jets_at(f, points, basis, 1), lam, mu)
+    jets = _jets_at(f, points, basis, 1)
+    return (*_eigen_residuals(jets, lam, mu), jets[:, 0].copy())
 
 
 def check_eigenfamily(family: Stack, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
@@ -515,11 +517,18 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[half - 1] + ordered[half]) / 2)
 
 
+def first_batch_seeds(count: int, seed: int) -> range:
+    """The seeds of conditioned_sample's first batch of candidates for
+    `count` points: max(2 count, 20) of them, from `seed` on."""
+    return range(seed, seed + max(2 * count, 20))
+
+
 def conditioned_sample(
     f,
     sampler: Callable[[Sequence[int]], np.ndarray],
     count: int,
     seed: int,
+    first: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Draw points where every value of the tree f is numerically
     trustworthy: its one value, or each member's of a block family (a Stack).
@@ -530,8 +539,10 @@ def conditioned_sample(
     batch's smallest usable magnitudes, one per point whose values all stay in
     the window.  Deterministic for a fixed seed:
     ``sampler`` maps a sequence of seeds to the stack of their points, and
-    candidate i is the point of seed + i.  Returns the accepted points, as
-    one (count, N, N) stack, and the total number of draws.
+    candidate i is the point of seed + i.  The first batch is the stack of
+    first_batch_seeds(count, seed); a caller that has drawn it already
+    passes it as ``first``, and it is not drawn again.  Returns the accepted
+    points, as one (count, N, N) stack, and the total number of draws.
     """
     if count < 1:
         raise ValueError("need count >= 1")
@@ -548,9 +559,13 @@ def conditioned_sample(
         # a nan magnitude misses no bound, and the row minimum keeps it nan
         return np.where(misses[0] | misses[1] | misses[2], np.nan, mag.min(axis=1)), misses
 
-    batch_size = max(2 * count, 20)
+    seeds = first_batch_seeds(count, seed)
+    batch_size = len(seeds)
+    if first is None:
+        first = sampler(seeds)
+    elif len(first) != batch_size:
+        raise ValueError(f"the first batch holds {batch_size} points, got {len(first)}")
     limit = 60 * count + batch_size
-    first = sampler(range(seed, seed + batch_size))
     draws = batch_size
     mags, misses = smallest_safe_values(first)
     safe = ~np.isnan(mags)

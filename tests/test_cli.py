@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pharmonic import cli
+from pharmonic import cli, group
 from pharmonic import operators as ops
 from pharmonic.cli import (
     COMMANDS,
@@ -46,12 +46,18 @@ def run_cli(capsys, *argv):
     return code, out
 
 
-def run_python(*args, cwd=None):
-    """A fresh interpreter that imports pharmonic from this checkout."""
+def _child_env():
+    """The environment of a fresh interpreter that imports pharmonic from
+    this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter that imports pharmonic from this checkout."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=300,
+        [sys.executable, *args], capture_output=True, text=True, env=_child_env(), cwd=cwd, timeout=300,
     )
 
 
@@ -409,6 +415,31 @@ def test_main_report_schema(capsys):
     assert "checks" in schema["properties"]
 
 
+@pytest.mark.parametrize(
+    "argv, tol_scale, code",
+    [
+        (["flag", "--blocks", "1,1,2", "--samples", "2"], "1.0", EXIT_PASS),
+        (["calibrate", "--m", "1", "--n", "2", "--samples", "2"], "1e-30", EXIT_FAIL),
+        (["report-schema"], "1.0", EXIT_PASS),
+    ],
+)
+def test_closed_stdout_keeps_the_verdict_and_prints_no_traceback(argv, tol_scale, code):
+    # the read end of stdout's pipe is closed before the CLI starts, as in
+    # `pharmonic ... | true`, so its first write meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**_child_env(), "GH_VERIFY_TOL_SCALE": tol_scale}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pharmonic.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""
+
+
 SCIPY_FREE_RUNS = [
     ["calibrate", "--m", "1", "--n", "1", "--samples", "2"],
     ["grassmann", "--m", "1", "--n", "2", "--samples", "2"],
@@ -719,10 +750,12 @@ def _argument_vectors(draw):
     """(argv, matrix file, unread) for main; half the draws use only
     well-formed values.
 
-    Each argv passes only options its command reads, but a wild draw
-    sometimes adds one the command does not read (unread is then True).  Runs
-    that get past validation keep --samples <= 2 and p <= 3, and the matrix
-    file, when present, is a (suffix, text) pair for the test to write."""
+    Each argv passes only options its command reads, but half the draws,
+    wild or not, add one the command does not read (unread is then True), so
+    a well-formed argv plus that one option is drawn about a quarter of the
+    time.  Runs that get past validation keep --samples <= 2 and p <= 3, and
+    the matrix file, when present, is a (suffix, text) pair for the test to
+    write."""
     wild = draw(st.booleans())
     command = draw(st.sampled_from(sorted(COMMANDS)))
     reads = DECLARED[command]
@@ -755,7 +788,7 @@ def _argument_vectors(draw):
         st.lists(st.integers(1, 2), min_size=1, max_size=3).map(lambda b: ",".join(map(str, b))),
         st.one_of(st.sampled_from(["a", "1,,2", "2;2", ",", "0,1", "-1,2"]), st.text(max_size=6)),
     )
-    unread = wild and draw(st.booleans())
+    unread = draw(st.booleans())
     if unread:
         extra = draw(st.sampled_from([name for name in OPTION_VALUES if name not in reads]))
         argv += [extra, OPTION_VALUES[extra]]
@@ -951,6 +984,65 @@ def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
         readers = _readers(total)
         for phi in family.members:
             assert readers[id(phi)] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "--m", "1", "--n", "2"),
+        ("grassmann", "--m", "2", "--n", "2"),
+        ("pharmonic", "--m", "1", "--n", "2"),
+        ("flag", "--blocks", "1,1,2"),
+        ("flag", "--blocks", "2,2"),
+        ("dual", "--m", "1", "--n", "2"),
+        ("dual", "--m", "2", "--n", "2"),
+    ],
+    ids=" ".join,
+)
+def test_a_run_draws_each_seed_once(monkeypatch, capsys, argv):
+    # one ledger entry per lane a sampler draws: (block sizes, coefficients,
+    # radius, seed); a repeated entry is a point drawn twice in one run
+    ledger = []
+    lane_draws = group._lane_draws
+
+    def recording(seed, sizes, coefficients=0, radius=0.0):
+        seeds = [seed] if np.ndim(seed) == 0 else seed
+        ledger.extend((tuple(sizes), coefficients, radius, int(s)) for s in seeds)
+        return lane_draws(seed, sizes, coefficients, radius)
+
+    monkeypatch.setattr(group, "_lane_draws", recording)
+    code, _ = run_cli(capsys, *argv, "--samples", "3")
+    assert code == EXIT_PASS
+    repeated = {entry for entry in ledger if ledger.count(entry) > 1}
+    assert ledger and not repeated
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("grassmann", "--m", "2", "--n", "2"), ("dual", "--m", "1", "--n", "2")],
+    ids=" ".join,
+)
+def test_plain_points_are_evaluated_only_by_the_eigen_walk(monkeypatch, capsys, argv):
+    # f's values at the plain points (the function_scale record, the
+    # degenerate-samples note) are the eigen walk's value channel: no plain
+    # evaluation is handed that stack again
+    plain, handed = [], []
+    check, values_at = ops.check_eigenfunction, ops.values_at
+
+    def recording_check(f, lam, mu, points, basis):
+        plain.append(points.copy())
+        return check(f, lam, mu, points, basis)
+
+    def recording_values(f, X):
+        handed.append(X.copy())
+        return values_at(f, X)
+
+    monkeypatch.setattr(ops, "check_eigenfunction", recording_check)
+    monkeypatch.setattr(ops, "values_at", recording_values)
+    code, _ = run_cli(capsys, *argv, "--samples", "3")
+    assert code == EXIT_PASS
+    (points,) = plain
+    assert handed and not any(np.array_equal(X, points) for X in handed)
 
 
 def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):

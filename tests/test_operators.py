@@ -190,9 +190,11 @@ def test_check_eigenfunction_positive():
     N = m + n
     phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     pts = sample_so(N, range(80, 85))
-    tau, kappa = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    tau, kappa, values = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
     assert tau.shape == kappa.shape == (len(pts),)
     assert np.all(tau <= 1e-12) and np.all(kappa <= 1e-12), (tau, kappa)
+    # the value channel of the walk is plain evaluation, bit for bit
+    assert np.array_equal(values, ops.values_at(phi, pts))
 
 
 def _counting_walks(monkeypatch):
@@ -225,7 +227,7 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
             expected.append(abs(laplacian(phi, pt, basis) - complex(lam) * v) / denom)
             expected.append(abs(gradient_product(phi, phi, pt, basis) - complex(mu) * v * v) / denom)
         walks = _counting_walks(monkeypatch)
-        tau, kappa = check_eigenfunction(phi, lam, mu, pts, basis)
+        tau, kappa, _ = check_eigenfunction(phi, lam, mu, pts, basis)
         assert walks == [(1, len(pts))]
         got = np.stack([tau, kappa], axis=1).ravel()
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
@@ -254,7 +256,7 @@ def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     monkeypatch.undo()
     assert len(family) == 2
     for f, pair in zip((fu, fv), family):
-        alone = check_eigenfunction(f, -4, -2, pts, basis)
+        alone = check_eigenfunction(f, -4, -2, pts, basis)[:2]
         for got, want in zip(pair, alone):
             assert got.shape == (len(pts),)
             assert np.array_equal(got, want)
@@ -268,7 +270,7 @@ def test_check_eigenfunction_negative_control():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi = projector_form(bad, m=m)
     pts = sample_so(N, range(90, 95))
-    tau, kappa = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    tau, kappa, _ = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
     assert kappa.max() >= 1e-2
     assert tau.max() <= 1e-10  # linear relation survives any traceless matrix
 
@@ -278,7 +280,7 @@ def test_check_eigenfamily_singleton_matches_eigenfunction():
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(100, 103))
     fam = check_eigenfamily(Stack((phi,)), -3, -2, pts, m_basis(m, n))
-    single = check_eigenfunction(phi, -3, -2, pts, m_basis(m, n))
+    single = check_eigenfunction(phi, -3, -2, pts, m_basis(m, n))[:2]
     assert len(fam) == 1
     assert all(np.array_equal(a, b) for a, b in zip(fam[0], single))
     assert all(np.all(residual <= 1e-8) for residual in single), single
@@ -1054,6 +1056,31 @@ def test_conditioned_sample_equals_a_point_by_point_loop():
             assert np.array_equal(a, b), seed
 
 
+def test_a_handed_in_first_batch_is_not_drawn_again():
+    # the first batch drawn by the caller gives the same points and draw count
+    # as the one conditioned_sample draws itself, and only the later draws'
+    # seeds reach the sampler
+    family = Stack((projector_form(rank_one_from_vector([1, 2, 3]), 2), Entry(1, 1)))
+    requested = []
+
+    def sampler(seeds):
+        requested.append(list(seeds))
+        return sample_so(4, seeds)
+
+    for count, seed in ((12, 300), (3, 7)):
+        seeds = ops.first_batch_seeds(count, seed)
+        assert seeds == range(seed, seed + max(2 * count, 20))
+        want, want_draws = conditioned_sample(family, sampler, count, seed)
+        assert requested[0] == list(seeds)
+        requested.clear()
+        got, draws = conditioned_sample(family, sampler, count, seed, sample_so(4, seeds))
+        assert draws == want_draws and np.array_equal(got, want)
+        assert all(s >= seeds.stop for batch in requested for s in batch)
+        requested.clear()
+    with pytest.raises(ValueError, match="the first batch holds 20 points, got 19"):
+        conditioned_sample(family, sampler, 3, 7, sample_so(4, range(7, 26)))
+
+
 def test_moved_evaluations_name_the_sample_point_on_a_cut():
     # x11 > 0 at every point and x12 > 0 at point 1 only; the quarter turn R
     # in the (1, 2) plane takes x11 to -x12, onto the cut of log x11 at point 1
@@ -1137,5 +1164,5 @@ def test_dual_context_eigen_relations():
     A = dual_matrix(rank_one_from_vector([1, 2]), m, n)
     phi = projector_form(A, m)
     pts = sample_so_mn(m, n, range(200, 205), 0.5)
-    tau, kappa = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"))
+    tau, kappa, _ = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"))
     assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
