@@ -273,30 +273,36 @@ def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -
 
 
 def _p_harmonic_records(
-    expr, points, basis, config: RunConfig, notes: list[str], expect_witness: bool = True
-) -> list:
+    expr, points, basis, config: RunConfig, notes: list[str], expect_witness: bool = True, eigen=None, plain=None
+) -> tuple:
     """Order-p residual and order-(p-1) witness records at each point of the
-    (K, N, N) stack.
+    (K, N, N) stack; and, given an eigen check's points as the stack `plain`
+    and its function `eigen`, eigen's depth-1 jets there (else None).
 
-    All points are walked together.  A point where the iteration hits a
-    branch cut is dropped and the rest are walked again; a point whose
-    witness falls below the properness floor is dropped too, each with a
-    note, in point order.  If every point is dropped and a witness is
-    expected, one failing "all" record stands in.
+    All points are walked together, the plain points riding the walk (see
+    ops.p_harmonic_residuals).  A point where the iteration hits a branch
+    cut is dropped and the rest are walked again; when every point is
+    dropped, the plain points are walked alone.  A point whose witness falls
+    below the properness floor is dropped too, each with a note, in point
+    order.  If every point is dropped and a witness is expected, one
+    failing "all" record stands in.
     """
     tau_tol = _tau_p_tol(config)
     lanes = list(range(len(points)))
     cut: set[int] = set()
     results = ((), ())
+    riders = () if plain is None else (eigen, plain)
     while lanes:
         try:
-            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis)
+            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis, *riders)
             break
         except BranchCutError as exc:
             # no lane named: the failing value is shared by every lane
             cut.update([lanes[j] for j in exc.lanes] or lanes)
             lanes = [i for i in lanes if i not in cut]
-    walked = dict(zip(lanes, zip(*results)))
+    if riders and not lanes:
+        results = ((), (), ops.eigen_jets(eigen, plain, basis))
+    walked = dict(zip(lanes, zip(*results[:2])))
     records = []
     for i in range(len(points)):
         if i in cut:
@@ -311,7 +317,7 @@ def _p_harmonic_records(
     if not records and expect_witness:
         records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
         notes.append("order-(p-1) image vanished on every sample")
-    return records
+    return records, results[2] if riders else None
 
 
 # -- commands --------------------------------------------------------------------
@@ -352,7 +358,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     phi = ex.projector_form(A, m)
     points = sample_so(N, _seeds(config))
-    tau, kappa, values = ops.check_eigenfunction(phi, -N, -2, points, m_basis(m, n))
+    tau, kappa, values = ops.check_eigenfunction(ops.eigen_jets(phi, points, m_basis(m, n)), -N, -2)
 
     scale = float(np.max(np.abs(values)))
     records.append(lower_check("function_scale", "all", scale, FUNCTION_SCALE_FLOOR))
@@ -390,7 +396,7 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
     phi = ex.projector_form(A, m)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
     points = _sample_conditioned(phi, lambda s: sample_so(N, s), config, notes)
-    records += _p_harmonic_records(composed, points, m_basis(m, n), config, notes)
+    records += _p_harmonic_records(composed, points, m_basis(m, n), config, notes)[0]
     return VerificationReport("pharmonic", config.as_dict(), records, notes)
 
 
@@ -400,7 +406,11 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
 
     The first conditioned batch is drawn once: its first config.samples
     lanes are the eigen checks' plain points, and the whole batch is handed
-    to the conditioned sampling."""
+    to the conditioned sampling.  The plain points ride the block sum's
+    depth-p walk, which pairs each block form once for both, and the eigen
+    checks read the family's depth-1 jets off it.  With three or more
+    blocks, the invariance and non-descent actions are evaluated in one
+    call."""
     _validate_common(config)
     blocks = config.blocks or DEFAULT_BLOCKS
     if len(blocks) < 2:
@@ -417,28 +427,27 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
     points = batch[: config.samples]
 
-    # the ids keep their member0 part: check ids are byte-stable report output
-    for k, residuals in enumerate(ops.check_eigenfamily(family, -n, -2, points, basis)):
-        checks = (f"block{k}_member0_tau_eigen", f"block{k}_member0_kappa_eigen")
-        records += _point_records(checks, residuals, eigen_tol)
-
     total = ex.flag_sum_expr(family, config.p)
     sampled = _sample_conditioned(family, sampler, config, notes, batch)
-    records += _p_harmonic_records(total, sampled, basis, config, notes)
+    p_records, jets = _p_harmonic_records(total, sampled, basis, config, notes, eigen=family, plain=points)
 
-    worst = ops.check_invariance(
-        total, lambda s: sample_block_diagonal(blocks, s), sampled, seed=config.seed
-    )
-    records += _point_records(("invariance",), [worst], inv_tol)
+    # the ids keep their member0 part: check ids are byte-stable report output
+    for k, residuals in enumerate(ops.check_eigenfamily(jets, -n, -2)):
+        checks = (f"block{k}_member0_tau_eigen", f"block{k}_member0_kappa_eigen")
+        records += _point_records(checks, residuals, eigen_tol)
+    records += p_records
 
+    invariance = (lambda s: sample_block_diagonal(blocks, s), sampled)
     if len(blocks) >= 3:
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
-        best = ops.non_descent_witness(
-            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], seed=config.seed
+        worst, best = ops.non_descent_witness(
+            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], config.seed, invariance
         )
-        records.append(lower_check("non_descent_witness", 0, best, WITNESS_FLOOR))
+        witness = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
     else:
+        worst, witness = ops.check_invariance(total, *invariance, seed=config.seed), []
         notes.append("two blocks: non-descent check skipped (single-window quotient)")
+    records += _point_records(("invariance",), [worst], inv_tol) + witness
     return VerificationReport("flag", config.as_dict(), records, notes)
 
 
@@ -447,8 +456,10 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     sign-flipped eigen relations, and p-harmonicity along boost directions.
 
     As in cmd_flag, the plain points are the first config.samples lanes of
-    the first conditioned batch, drawn once; the degenerate-samples note
-    reads phi's values off the eigen check's depth-1 walk."""
+    the first conditioned batch, drawn once, and they ride the depth-p walk
+    of the composition; the eigen check and the degenerate-samples note
+    read phi's depth-1 jets off it, and that note keeps its place before
+    the sampling's."""
     _validate_common(config)
     m, n = config.m, config.n
     N = m + n
@@ -474,22 +485,25 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     sampler = functools.partial(sample_so_mn, m, n, radius=config.radius)
     batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
     points = batch[: config.samples]
-    tau, kappa, values = ops.check_eigenfunction(phi, N, 2, points, basis)
+    composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
+    drawn = len(notes)  # where the sampling's note goes
+    iter_points = _sample_conditioned(phi, sampler, config, notes, batch)
+    p_records, jets = _p_harmonic_records(
+        composed, iter_points, basis, config, notes, config.radius > 0, eigen=phi, plain=points
+    )
+
+    tau, kappa, values = ops.check_eigenfunction(jets, N, 2)
     spread = float(np.std(np.abs(values)))
     # one value has no spread to judge
     if len(values) >= 2 and spread < 1e-12 * (1.0 + float(np.mean(np.abs(values)))):
-        notes.append(
+        notes.insert(
+            drawn,
             "degenerate samples: function values constant across points "
-            "(radius too small to leave the compact subgroup)"
+            "(radius too small to leave the compact subgroup)",
         )
 
     records += _point_records(("tau_eigen", "kappa_eigen"), (tau, kappa), eigen_tol)
-
-    composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
-    iter_points = _sample_conditioned(phi, sampler, config, notes, batch)
-    records += _p_harmonic_records(
-        composed, iter_points, basis, config, notes, expect_witness=config.radius > 0
-    )
+    records += p_records
     return VerificationReport("dual", config.as_dict(), records, notes)
 
 

@@ -37,6 +37,18 @@ from .jets import JetScalar, shape_of, zero
 
 POINT_TOL = 1e-10
 
+# Lanes per QR in _haar_orthogonal.  QR, sign fix and det hold about 3.5
+# times the stack they work on, so the stack is taken in slabs of this many
+# lanes; each matrix is factored on its own, so a slab's Q equals, bit for
+# bit, the whole stack's.  Measured with tracemalloc on the (20000, 2, 2)
+# normals of sample_so(2, range(20_000)), numpy 2.4 on a 2-core x86-64 VM:
+# the peak is 2.31 MB for the whole stack at once and 0.94 MB in slabs of
+# 2,048, in about the same time (10.3 against 10.2 ms); 0.79 MB at 1,024 and
+# 0.68 MB at 256 take 11% and 30% longer.  A stack of one slab or less takes
+# the whole-stack path, so the benchmark's stacks (at most 40 lanes) pay
+# nothing for the slabs.
+HAAR_SLAB = 2048
+
 
 def minkowski_form(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(n)]))
@@ -141,8 +153,14 @@ def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
     Haar-distributed up to the det correction.
 
     QR of each Gaussian matrix with the R-diagonal sign fix; a det of -1 is
-    repaired by negating the first column.
+    repaired by negating the first column.  A stack of more than HAAR_SLAB
+    lanes is taken one slab at a time.
     """
+    if len(normals) > HAAR_SLAB:
+        Q = np.empty_like(normals)
+        for start in range(0, len(normals), HAAR_SLAB):
+            Q[start : start + HAAR_SLAB] = _haar_orthogonal(normals[start : start + HAAR_SLAB])
+        return Q
     Q, R = np.linalg.qr(normals)
     d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0

@@ -45,12 +45,13 @@ raise :class:`pharmonic.jets.BranchCutError`,
 :class:`pharmonic.jets.NonFiniteError` or :class:`pharmonic.jets.JetError`
 on the point value exactly as plain evaluation does.
 
-Every checker and residual function takes its points as one (K, N, N)
-stack and walks the tree once per chunk of lanes, a chunk holding at most
-MAX_LIFT_COMPONENTS components of N^2 D**p per lane; plain evaluations
-(invariance, the non-descent witness, conditioned sampling) run on stacks
-the same way.  Their samplers take a sequence of seeds and return the
-points as one (K, N, N) array, so every batch of subgroup actions or
+Every walk takes its points as one (K, N, N) stack and walks the tree once
+per chunk of lanes, a chunk holding at most MAX_LIFT_COMPONENTS components
+of N^2 D**p per lane; plain evaluations (invariance, the non-descent
+witness, conditioned sampling) run on stacks the same way.  The eigen
+checks read depth-1 jets: eigen_jets', or those of the plain points that
+ride a p_harmonic_residuals walk.  The samplers take a sequence of seeds
+and return the points as one (K, N, N) array, so every batch of subgroup actions or
 candidate points is drawn in one call.  Every checker and residual
 function returns plain numbers, arrays of one value per point (the
 non-descent witness one best change), so this module takes no threshold
@@ -153,11 +154,41 @@ def values_at(f, X: np.ndarray) -> np.ndarray:
     return _by_chunks(lambda chunk: evaluate(f, chunk), X, X[0].size)
 
 
-def _jets_at(f, X: np.ndarray, basis, p: int, components=slice(None)) -> np.ndarray:
+def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen=None, plain=None) -> tuple:
     """The chosen components of f's depth-p jet at each point of the stack
-    X, a (K, ...) array, from one laplacian_jet walk per chunk of points."""
-    size = X[0].size * (len(basis) + 2) ** p
-    return _by_chunks(lambda chunk: laplacian_jet(f, chunk, basis, p).coeffs[:, components], X, size)
+    `points`, a (K, ...) array; and, given a stack `plain`, the depth-1 jets
+    of the tree `eigen` at its points, (P, ..., D), else None.
+
+    One walk per chunk of at most MAX_LIFT_COMPONENTS components, N^2 D**p
+    a point and N^2 D a plain point: as many points as fit (at least one),
+    and all the plain points in the first chunk with room for them, else in
+    a depth-1 walk of their own, so each of their pairings has the rows of
+    a walk of them alone (a one-row product takes another BLAS kernel).
+    The forms are paired once over the chunk's [plain; points] lanes.  A
+    BranchCutError names its failing points by their index in `points`.
+    eigen is a form of f or a Stack of them, which meets no branch cut.
+    """
+    N, D = points.shape[-1], len(basis) + 2
+    riders = points[:0] if plain is None else plain
+    forms = [n for n in tree_leaves(f) if isinstance(n, ProjectorForm)]
+    size = N * N * D**p
+    plain_jets = None
+
+    def walk(chunk):
+        nonlocal plain_jets
+        room = MAX_LIFT_COMPONENTS - len(chunk) * size >= len(riders) * N * N * D
+        ride = riders if plain_jets is None and room else riders[:0]
+        X = np.concatenate([ride, chunk]) if len(ride) else chunk
+        plain_known, known = _form_jets(forms, X, basis, p, len(ride))
+        jets = _tree_jet(f, chunk, basis, p, known).coeffs[:, components]
+        if len(ride):
+            plain_jets = _tree_jet(eigen, ride, basis, 1, plain_known).coeffs
+        return jets
+
+    walked = _by_chunks(walk, points, size)
+    if len(riders) and plain_jets is None:
+        plain_jets = eigen_jets(eigen, riders, basis)
+    return walked, plain_jets
 
 
 # -- core operators -------------------------------------------------------------
@@ -218,39 +249,80 @@ def _generator_tensor(basis: np.ndarray, windows: Sequence[Sequence[int]], N: in
     return T
 
 
-def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The depth-p components of form at the point X, or at each point of a
-    stack: the form is tr(P G) for the Gram matrix G = X_R^T S X_R (R the
-    rows it touches), linear in G, so component i is the pairing of G
-    with T_i.  T is real (the bases are), so G's real and imaginary parts
-    are paired with it apart, and T is never copied to complex.  Component
-    0 is plain evaluation of the form."""
+def _paired(g: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The flattened Gram matrices g paired with the columns of flat, a
+    generator tensor's (N^2, D**p) matrix or its leading columns.  T is
+    real (the bases are), so g's real and imaginary parts are paired with it
+    apart, and T is never copied to complex."""
+    coeffs = np.empty(g.shape[:-1] + (flat.shape[1],), dtype=complex)
+    coeffs.real, coeffs.imag = g.real @ flat, g.imag @ flat
+    return coeffs
+
+
+def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray, D: int, plain: int = 0) -> tuple:
+    """The components of form at the point X, or at each lane of a stack:
+    the form is tr(P G) for the Gram matrix G = X_R^T S X_R (R the rows it
+    touches), linear in G, so component i is the pairing of G with T_i.
+    Component 0 is plain evaluation of the form.  The first `plain` lanes
+    are paired with T's D leading matrices only, the depth-1 tensor that
+    each level copies.  Returns (their (plain, D) components or None, the
+    other lanes' D**p)."""
     XR = X[..., form.rows, :]
     G = np.swapaxes(XR, -1, -2) @ (form.weight_array @ XR)
     N = X.shape[-1]
     g, flat = G.reshape(X.shape[:-2] + (N * N,)), T.reshape(len(T), N * N).T
-    coeffs = np.empty(g.shape[:-1] + (len(T),), dtype=complex)
-    coeffs.real, coeffs.imag = g.real @ flat, g.imag @ flat
-    coeffs[..., 0] = evaluate(form, X)
-    return coeffs
+    # not the first D columns of the whole pairing: a wider product may
+    # take another BLAS kernel and round them otherwise
+    head = _paired(g[:plain], flat[:, :D]) if plain else None
+    rest = _paired(g[plain:], flat)
+    values = evaluate(form, X)
+    if plain:
+        head[:, 0], values = values[:plain], values[plain:]
+    rest[..., 0] = values
+    return head, rest
 
 
-def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int) -> dict:
-    """The depth-p LaplacianJet of each ProjectorForm, keyed by node
-    identity, from one generator tensor per group of their distinct
-    windows: as many windows as MAX_LIFT_COMPONENTS holds (at least one),
-    each group's forms paired before the next group is built."""
+def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int, plain: int = 0) -> tuple[dict, dict]:
+    """The LaplacianJet of each ProjectorForm, keyed by node identity, from
+    one generator tensor per group of their distinct windows: as many
+    windows as MAX_LIFT_COMPONENTS holds (at least one), each group's forms
+    paired before the next group is built.  Returns (the depth-1 jets at the
+    first `plain` lanes of the stack X, the depth-p jets at the rest or at
+    the one point X), each form paired once for both."""
     windows = list(dict.fromkeys(form.columns for form in forms))
-    N = X.shape[-1]
-    step = max(1, MAX_LIFT_COMPONENTS // (N * N * (len(basis) + 2) ** p))
-    jets = {}
+    N, B = X.shape[-1], len(basis)
+    step = max(1, MAX_LIFT_COMPONENTS // (N * N * (B + 2) ** p))
+    plain_jets, jets = {}, {}
     for start in range(0, len(windows), step):
         group = windows[start : start + step]
         tensors = dict(zip(group, _generator_tensor(basis, group, N, p)))
         for form in forms:
             if form.columns in tensors:
-                jets[id(form)] = LaplacianJet(len(basis), p, _form_jet(form, X, tensors[form.columns]))
-    return jets
+                head, rest = _form_jet(form, X, tensors[form.columns], B + 2, plain)
+                if plain:
+                    plain_jets[id(form)] = LaplacianJet(B, 1, head)
+                jets[id(form)] = LaplacianJet(B, p, rest)
+    return plain_jets, jets
+
+
+def _tree_jet(f, X: np.ndarray, basis: np.ndarray, p: int, known: dict) -> LaplacianJet:
+    """f's depth-p jet at the point X, or at each lane of a stack, from the
+    jets of its projector forms in `known`, which the walk consumes; matrix
+    entries are lifted only for a tree with Entry leaves."""
+    N, lanes, B = X.shape[-1], X.shape[:-2], len(basis)
+    rows = None
+    if any(isinstance(n, Entry) for n in tree_leaves(f)):
+        # entries[r * N + c] holds the lifted (r, c) entry, lanes first
+        entries = np.ascontiguousarray(
+            np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
+        )
+        rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
+    value = evaluate(f, rows, known)
+    if isinstance(value, LaplacianJet):
+        return value
+    coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)
+    coeffs[..., 0] = value
+    return LaplacianJet(B, p, coeffs)
 
 
 def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
@@ -264,24 +336,8 @@ def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
     are lifted only for a tree with Entry leaves.
     """
     X = np.asarray(x)
-    N = X.shape[-1]
-    lanes = X.shape[:-2]
-    B = len(basis)
-    leaves = tree_leaves(f)
-    known = _form_jets([n for n in leaves if isinstance(n, ProjectorForm)], X, basis, p)
-    rows = None
-    if any(isinstance(n, Entry) for n in leaves):
-        # entries[r * N + c] holds the lifted (r, c) entry, lanes first
-        entries = np.ascontiguousarray(
-            np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
-        )
-        rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
-    value = evaluate(f, rows, known)
-    if isinstance(value, LaplacianJet):
-        return value
-    coeffs = np.zeros(lanes + ((B + 2) ** p,), dtype=complex)
-    coeffs[..., 0] = value
-    return LaplacianJet(B, p, coeffs)
+    known = _form_jets([n for n in tree_leaves(f) if isinstance(n, ProjectorForm)], X, basis, p)[1]
+    return _tree_jet(f, X, basis, p, known)
 
 
 # laplacian, gradient_product and iterated_laplacian: no CLI command calls
@@ -433,42 +489,64 @@ def _eigen_residuals(jets: np.ndarray, lam, mu) -> tuple:
     return np.abs(t - complex(lam) * v) / denom, np.abs(k - complex(mu) * v * v) / denom
 
 
-def check_eigenfunction(f, lam, mu, points: np.ndarray, basis: np.ndarray) -> tuple:
+def eigen_jets(f, points: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """f's depth-1 jets at each point of the stack, a (K, ..., D) array, from
+    one walk per chunk of points: what check_eigenfunction and
+    check_eigenfamily read.  A branch cut raises a BranchCutError naming the
+    failing points by their index."""
+    return _jets_at(f, points, basis, 1)[0]
+
+
+def check_eigenfunction(jets: np.ndarray, lam, mu) -> tuple:
     """Residuals of laplacian(f) = lam f and pairing(f, f) = mu f^2 at each
-    point of the stack, and f's values there: (tau, kappa, values), from one
-    depth-1 walk per chunk of points.  The values are the walk's component
-    0, bit for bit what values_at gives.
+    of K points, and f's values there: (tau, kappa, values), read from f's
+    (K, D) depth-1 jets (eigen_jets', or p_harmonic_residuals' of its plain
+    points).  The values are component 0, bit for bit what values_at gives.
 
     Residuals are normalized by 1 + |f| + |f|^2 to mix absolute and relative
     control across the scales the two identities live on.
     """
-    jets = _jets_at(f, points, basis, 1)
     return (*_eigen_residuals(jets, lam, mu), jets[:, 0].copy())
 
 
-def check_eigenfamily(family: Stack, lam, mu, points: np.ndarray, basis: np.ndarray) -> list[tuple]:
-    """check_eigenfunction's (tau, kappa) for each member of the family, in
-    order, from one depth-1 walk of the Stack per chunk of points.  Each
-    member is evaluated on the points' lanes before the stack joins them,
-    so a branch cut names its points by their index."""
-    jets = _jets_at(family, points, basis, 1)
-    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(len(family.members))]
+def check_eigenfamily(jets: np.ndarray, lam, mu) -> list[tuple]:
+    """check_eigenfunction's (tau, kappa) for each member of a family, in
+    order, read from the family Stack's (K, t, D) depth-1 jets."""
+    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(jets.shape[1])]
 
 
-def _moved_changes(f, X: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|) for the (K, T, N, N) actions
-    ks on the (K, N, N) points X, shape (K, T), from one stacked evaluation
-    of the points and then their moved copies.  A BranchCutError names the
-    points, by their index in X, whose value or moved values hit the cut."""
-    K, T = ks.shape[:2]
-    moved = (X[:, None] @ ks).reshape(K * T, *X.shape[1:])
+def _moved_changes(f, groups) -> list:
+    """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|), shape (K, T), for each
+    (X, ks) of groups, the (K, T, N, N) actions ks on the (K, N, N) points X,
+    from one evaluation of every group's points and then moved copies.  A
+    BranchCutError names the points, by their index in X, of the first group
+    whose points or moved points hit the cut."""
+    stacks, spans, start = [], [], 0
+    for X, ks in groups:
+        K, T = ks.shape[:2]
+        stacks += [X, (X[:, None] @ ks).reshape(K * T, *X.shape[1:])]
+        spans.append((start, K, T))
+        start += K + K * T
     try:
-        values = values_at(f, np.concatenate([X, moved]))
+        values = values_at(f, np.concatenate(stacks))
     except BranchCutError as exc:
-        points = sorted({lane if lane < K else (lane - K) // T for lane in exc.lanes})
-        raise BranchCutError(exc.reason, points) from None
-    v = values[:K, None]
-    return np.abs(values[K:].reshape(K, T) - v) / (1.0 + np.abs(v))
+        for start, K, T in spans:
+            lanes = [lane - start for lane in exc.lanes if start <= lane < start + K + K * T]
+            if lanes:
+                raise BranchCutError(exc.reason, sorted({i if i < K else (i - K) // T for i in lanes})) from None
+        raise
+    changes = []
+    for start, K, T in spans:
+        v = values[start : start + K, None]
+        changes.append(np.abs(values[start + K : start + K + K * T].reshape(K, T) - v) / (1.0 + np.abs(v)))
+    return changes
+
+
+def _invariance_group(subgroup_sampler, points: np.ndarray, seed: int) -> tuple:
+    """(points, INVARIANCE_TRIALS subgroup elements each), the elements drawn
+    as one stack from seeds seed + 10000, ...: the same for every point."""
+    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS))
+    return points, np.broadcast_to(ks, (len(points),) + ks.shape)
 
 
 def check_invariance(
@@ -479,9 +557,9 @@ def check_invariance(
 ) -> np.ndarray:
     """The worst normalized change of f(x k) against f(x) at each point, over
     INVARIANCE_TRIALS sampled subgroup elements k, drawn as one stack from
-    seeds seed + 10000, ...."""
-    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS))
-    return _moved_changes(f, points, np.broadcast_to(ks, (len(points),) + ks.shape)).max(axis=1)
+    seeds seed + 10000, ....  non_descent_witness can take this check into
+    its own evaluation."""
+    return _moved_changes(f, [_invariance_group(subgroup_sampler, points, seed)])[0].max(axis=1)
 
 
 def non_descent_witness(
@@ -489,16 +567,25 @@ def non_descent_witness(
     merged_sampler: Callable[[Sequence[int]], np.ndarray],
     points: np.ndarray,
     seed: int = 0,
-) -> float:
+    invariance: tuple | None = None,
+):
     """The largest normalized change of f under WITNESS_TRIALS sampled
     merged-subgroup actions per point: a visible change witnesses that f
     does not descend through the merged quotient.  Trial j of point i uses
     seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn as one stack.
+
+    Given invariance = (subgroup_sampler, stack), it returns the pair
+    (check_invariance(f, subgroup_sampler, stack, seed), the witness) from
+    one values_at call; a cut is named as check_invariance names it first.
     """
     start = seed + 20_000
     ks = merged_sampler(range(start, start + len(points) * WITNESS_TRIALS))
-    ks = ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:])
-    return float(_moved_changes(f, points, ks).max())
+    groups = [(points, ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:]))]
+    if invariance is not None:
+        groups.insert(0, _invariance_group(*invariance, seed))
+    changes = _moved_changes(f, groups)
+    best = float(changes[-1].max())
+    return best if invariance is None else (changes[0].max(axis=1), best)
 
 
 class SamplingExhausted(RuntimeError):
@@ -595,7 +682,7 @@ def conditioned_sample(
     return np.concatenate(accepted)[:count], draws
 
 
-def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray):
+def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray, eigen=None, plain=None):
     """Normalized order-p residual and order-(p-1) witness.
 
     Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)) as
@@ -603,10 +690,17 @@ def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray):
     together in chunks.  f, L^(p-1) f and L^p f are components (0, ..., 0),
     (D-1, ..., D-1, 0) and (D-1, ..., D-1) of one depth-p jet.  A branch cut
     raises a BranchCutError naming the failing points by their index.
+
+    Given an eigen check's points as the stack `plain` and its function
+    `eigen` (a form or a Stack of forms of f), they ride the same walks
+    (see _jets_at), and eigen's depth-1 jets there come third, bit for bit
+    those eigen_jets gives.
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
     D = len(basis) + 2
     components = [0, D**p - D, D**p - 1]
-    v, prev, top = np.abs(_jets_at(f, points, basis, p, components)).T
-    return top / (1.0 + v + prev), prev / (1.0 + v)
+    jets, plain_jets = _jets_at(f, points, basis, p, components, eigen, plain)
+    v, prev, top = np.abs(jets).T
+    residuals = top / (1.0 + v + prev), prev / (1.0 + v)
+    return residuals if plain is None else (*residuals, plain_jets)

@@ -34,6 +34,11 @@ squares of the basis, the fields, A + A^T and each level's concatenation,
 which pharmonic.operators._generator_tensor's in-place levels replaced, and
 the reference it must equal bit for bit.
 
+The eigen checks' depth-1 jets from a depth-1 walk of the plain points
+alone: the walk that the depth-p walk's pairing of the plain points, against
+the depth-1 rows of its generator tensors, replaced, and the reference
+those jets must equal bit for bit.
+
 The closed-form identity residuals with each point's whole N^4 pairing
 tensor built on its own, one GEMM and one einsum expectation per point: the
 loop the package's cache-sized tiles replaced, and the reference they are
@@ -57,7 +62,7 @@ from scipy.linalg import expm
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
 from pharmonic.group import _unit
 from pharmonic.jets import JetScalar, constant, ipow, jlog, jpow, nilpotent_part, reciprocal, shape_of
-from pharmonic.operators import _generator_tensor, _lift
+from pharmonic.operators import _generator_tensor, _lift, laplacian_jet
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
 
@@ -307,6 +312,12 @@ def _fold_level(pairs, target):
     target[:] = pairs[:, :D]
     target[:, 1:] += pairs[:, D : 2 * D - 1]
     target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
+
+
+def depth_one_jets(f, points, basis) -> np.ndarray:
+    """f's depth-1 jets at each point of the stack from one depth-1 walk of
+    the whole stack, no other points beside them."""
+    return laplacian_jet(f, points, basis, 1).coeffs
 
 
 def identity_residuals_per_point(points, basis, m=None) -> tuple:

@@ -31,6 +31,7 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
+    eigen_jets,
     laplacian,
     laplacian_jet,
     non_descent_witness,
@@ -87,7 +88,7 @@ def test_criterion_03_eigenfunction_theorem():
         for _ in range(5):
             w = rng.uniform(-2, 2, N - 1) + 1j * rng.uniform(-2, 2, N - 1)
             phi = projector_form(rank_one_from_vector(w), m)
-            tau, kappa, _ = check_eigenfunction(phi, -N, -2, points, basis)
+            tau, kappa, _ = check_eigenfunction(eigen_jets(phi, points, basis), -N, -2)
             assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
             worst = np.max([worst, tau.max(), kappa.max()])
 
@@ -96,7 +97,7 @@ def test_criterion_03_eigenfunction_theorem():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi_bad = projector_form(bad, m=2)
     points = sample_so(4, range(3500, 3510))
-    _, kappa, _ = check_eigenfunction(phi_bad, -4, -2, points, m_basis(2, 2))
+    _, kappa, _ = check_eigenfunction(eigen_jets(phi_bad, points, m_basis(2, 2)), -4, -2)
     kappa_worst = kappa.max()
     ok = worst <= 1e-8 and kappa_worst >= 1e-2
     verdict(3, "eigenfunction theorem", ok,
@@ -204,7 +205,7 @@ def test_criterion_07_flag_construction():
         basis = so_basis(n)
         points = sample_so(n, range(7000, 7010))
 
-        for tau, kappa in check_eigenfamily(block_forms, -n, -2, points, basis):
+        for tau, kappa in check_eigenfamily(eigen_jets(block_forms, points, basis), -n, -2):
             assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
             worst_family = np.max([worst_family, tau.max(), kappa.max()])
 
@@ -249,7 +250,7 @@ def test_criterion_08_duality():
         phi = projector_form(A_dual, m)
         basis = m_basis(m, n, "indefinite")
         points = sample_so_mn(m, n, range(8000, 8010), radius=0.5)
-        tau, kappa, _ = check_eigenfunction(phi, N, 2, points, basis)
+        tau, kappa, _ = check_eigenfunction(eigen_jets(phi, points, basis), N, 2)
         assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
         worst_eigen = np.max([worst_eigen, tau.max(), kappa.max()])
 

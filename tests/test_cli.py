@@ -842,7 +842,7 @@ def _fake_residuals(monkeypatch, outcomes):
     calls = []
     order = {}
 
-    def fake(f, p, points, basis):
+    def fake(f, p, points, basis, eigen=None, plain=None):
         calls.extend(points)
         answers = [
             outcomes[min(order.setdefault(pt.tobytes(), len(order)), len(outcomes) - 1)]
@@ -852,7 +852,9 @@ def _fake_residuals(monkeypatch, outcomes):
         if failing:
             raise answers[failing[0]]("forced by the test", failing)
         residuals, witnesses = zip(*answers)
-        return np.array(residuals), np.array(witnesses)
+        if plain is None:
+            return np.array(residuals), np.array(witnesses)
+        return np.array(residuals), np.array(witnesses), ops.eigen_jets(eigen, plain, basis)
 
     monkeypatch.setattr(ops, "p_harmonic_residuals", fake)
     return calls
@@ -896,6 +898,37 @@ def test_every_point_dropped_fails_properness(monkeypatch, capsys, command):
     assert code == EXIT_FAIL
 
 
+@pytest.mark.parametrize("command", ["dual", "flag"])
+def test_a_cut_on_every_conditioned_point_keeps_the_eigen_records(monkeypatch, capsys, command):
+    # the plain points ride the depth-p walk; with every conditioned point
+    # on the cut they are walked alone, and the eigen records are the ones
+    # an uncut run writes
+    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
+    uncut = json.loads(out)
+    assert code == EXIT_PASS
+    _fake_residuals(monkeypatch, [BranchCutError])
+    alone = []
+    eigen_jets = ops.eigen_jets
+
+    def recording_jets(f, points, basis):
+        alone.append(len(points))
+        return eigen_jets(f, points, basis)
+
+    monkeypatch.setattr(ops, "eigen_jets", recording_jets)
+    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
+    doc = json.loads(out)
+    assert code == EXIT_FAIL
+    assert alone == [2]
+    eigen = [c for c in doc["checks"] if c["check"].endswith("_eigen")]
+    assert eigen and eigen == [c for c in uncut["checks"] if c["check"].endswith("_eigen")]
+    assert {"point 0 rejected during iteration (branch cut)", "point 1 rejected during iteration (branch cut)",
+            "order-(p-1) image vanished on every sample"} <= set(doc["notes"])
+    assert [c for c in doc["checks"] if not c["passed"]] == [
+        {"check": "properness_witness", "point": "all", "residual": 0.0,
+         "threshold": PROPERNESS_FLOOR, "passed": False, "kind": "lower"}
+    ]
+
+
 def test_pipeline_drops_only_the_lane_on_the_log_cut():
     x = sample_so(3, 11)
     points = np.stack([x] * 4)
@@ -903,9 +936,9 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
     basis = so_basis(3)
     notes = []
-    records = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
+    records, jets = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
     assert notes == ["point 1 rejected during iteration (branch cut)"]
-    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
+    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3] and jets is None
     for i in (0, 2, 3):
         residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], basis)
         got = {r.check: r.residual for r in records if r.point == i}
@@ -933,10 +966,10 @@ def test_a_later_stacked_member_on_the_cut_names_its_point():
     assert caught.value.lanes == (1,)
     # an eigenfamily's members are walked on the points' lanes, then stacked
     with pytest.raises(BranchCutError) as caught:
-        ops.check_eigenfamily(Stack((stack.members[0], Log(Entry(1, 1)))), 1, 1, points, basis)
+        ops.eigen_jets(Stack((stack.members[0], Log(Entry(1, 1)))), points, basis)
     assert caught.value.lanes == (1,)
     notes = []
-    records = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
+    records, _ = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
     assert notes == ["point 1 rejected during iteration (branch cut)"]
     assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
 
@@ -953,9 +986,68 @@ def test_pipeline_walks_each_chunk_once_per_depth(monkeypatch, capsys, argv, fun
     walks = _counting_walks(monkeypatch)
     code, _ = run_cli(capsys, *argv, "--p", "3")
     assert code == EXIT_PASS
-    # eigen checks: one depth-1 walk for all the run's eigenfunctions (the
-    # flag blocks' as one family); p-harmonic: one depth-3 walk
-    assert sorted(walks) == [(1, 3)] * min(functions, 1) + [(3, 3)]
+    # one depth-3 walk of the three conditioned points; a run with eigen
+    # checks (on one function or one family) has its three plain points ride it
+    plain = 3 if functions else 0
+    assert walks == [(3, 3 + plain, plain)]
+
+
+@pytest.mark.parametrize(
+    "argv, forms",
+    [
+        (("flag", "--blocks", "1,1,2"), 3),
+        (("flag", "--blocks", "2,2"), 2),
+        (("dual", "--m", "1", "--n", "2"), 1),
+    ],
+    ids=["flag-112", "flag-22", "dual-1-2"],
+)
+def test_a_run_pairs_each_form_once(monkeypatch, capsys, argv, forms):
+    # one walk for the eigen checks and the p-harmonic check: one form
+    # pairing pass over the plain and conditioned points, one generator
+    # tensor for the run's windows, and one pairing of each form
+    calls = {name: [] for name in ("_form_jets", "_generator_tensor", "_form_jet")}
+    for name, seen in calls.items():
+
+        def recording(*args, original=getattr(ops, name), seen=seen):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ops, name, recording)
+    code, _ = run_cli(capsys, *argv, "--p", "2", "--samples", "3")
+    assert code == EXIT_PASS
+    (walk,) = calls["_form_jets"]
+    assert len(walk[1]) == 6
+    (tensor,) = calls["_generator_tensor"]
+    assert tensor[3] == 2
+    pairings = [id(args[0]) for args in calls["_form_jet"]]
+    assert len(pairings) == len(set(pairings)) == forms
+
+
+def test_a_three_block_flag_evaluates_its_moved_points_once(monkeypatch, capsys):
+    # the invariance and non-descent actions share one values_at call
+    calls, inside = [], []
+    values_at = ops.values_at
+
+    def recording_values(f, X):
+        calls.append(bool(inside))
+        return values_at(f, X)
+
+    def marking(fn):
+        def marked(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return marked
+
+    monkeypatch.setattr(ops, "values_at", recording_values)
+    for name in ("check_invariance", "non_descent_witness"):
+        monkeypatch.setattr(ops, name, marking(getattr(ops, name)))
+    code, _ = run_cli(capsys, "flag", "--blocks", "1,1,2", "--p", "2", "--samples", "3")
+    assert code == EXIT_PASS
+    assert calls.count(True) == 1
 
 
 def test_flag_samples_and_sums_the_same_block_forms(monkeypatch, capsys):
@@ -1024,20 +1116,27 @@ def test_a_run_draws_each_seed_once(monkeypatch, capsys, argv):
 )
 def test_plain_points_are_evaluated_only_by_the_eigen_walk(monkeypatch, capsys, argv):
     # f's values at the plain points (the function_scale record, the
-    # degenerate-samples note) are the eigen walk's value channel: no plain
+    # degenerate-samples note) are the value channel of the walk the eigen
+    # check reads (grassmann's own, dual's depth-p walk): no plain
     # evaluation is handed that stack again
     plain, handed = [], []
-    check, values_at = ops.check_eigenfunction, ops.values_at
+    jets, residuals, values_at = ops.eigen_jets, ops.p_harmonic_residuals, ops.values_at
 
-    def recording_check(f, lam, mu, points, basis):
+    def recording_jets(f, points, basis):
         plain.append(points.copy())
-        return check(f, lam, mu, points, basis)
+        return jets(f, points, basis)
+
+    def recording_residuals(f, p, points, basis, eigen=None, riders=None):
+        if riders is not None:
+            plain.append(riders.copy())
+        return residuals(f, p, points, basis, eigen, riders)
 
     def recording_values(f, X):
         handed.append(X.copy())
         return values_at(f, X)
 
-    monkeypatch.setattr(ops, "check_eigenfunction", recording_check)
+    monkeypatch.setattr(ops, "eigen_jets", recording_jets)
+    monkeypatch.setattr(ops, "p_harmonic_residuals", recording_residuals)
     monkeypatch.setattr(ops, "values_at", recording_values)
     code, _ = run_cli(capsys, *argv, "--samples", "3")
     assert code == EXIT_PASS
@@ -1047,24 +1146,31 @@ def test_plain_points_are_evaluated_only_by_the_eigen_walk(monkeypatch, capsys, 
 
 def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):
     # flag (1,1,2) at p = 5 lifts 4^2 * 8^5 = 524,288 components per point, so
-    # two points fill MAX_LIFT_COMPONENTS; a cheap tree stands in at depth 5
+    # two points fill MAX_LIFT_COMPONENTS; the three plain points, 4^2 * 8
+    # components each, ride the second chunk; a cheap tree stands in at depth 5
     walks = _counting_walks(monkeypatch, deep=Product((Entry(1, 1), Entry(2, 2))))
     run_cli(capsys, "flag", "--blocks", "1,1,2", "--p", "5", "--samples", "3")
-    assert [w for w in walks if w[0] == 5] == [(5, 2), (5, 1)]
-    assert all(lanes * 16 * 8**p <= ops.MAX_LIFT_COMPONENTS for p, lanes in walks)
+    assert walks == [(5, 2, 0), (5, 4, 3)]
+    for p, lanes, plain in walks:
+        assert (lanes - plain) * 16 * 8**p + plain * 16 * 8 <= ops.MAX_LIFT_COMPONENTS
 
 
 def _counting_walks(monkeypatch, deep=None):
-    """Wrap ops.laplacian_jet, walking `deep` in place of f at depths above 1
-    when given; returns the (depth, lanes) of every walk."""
+    """Wrap ops._form_jets, the form pairing each walk of a chunk starts
+    with, and walk `deep` in place of f at depths above 1 when given;
+    returns the (depth, lanes, plain lanes) of every walk."""
     walks = []
-    walk = ops.laplacian_jet
+    pairing, walk = ops._form_jets, ops._tree_jet
 
-    def counting_walk(f, x, basis, p):
-        walks.append((p, len(x)))
-        return walk(deep if deep is not None and p > 1 else f, x, basis, p)
+    def counting_pairing(forms, X, basis, p, plain=0):
+        walks.append((p, len(X), plain))
+        return pairing(forms, X, basis, p, plain)
 
-    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
+    def substituting_walk(f, X, basis, p, known):
+        return walk(deep if deep is not None and p > 1 else f, X, basis, p, known)
+
+    monkeypatch.setattr(ops, "_form_jets", counting_pairing)
+    monkeypatch.setattr(ops, "_tree_jet", substituting_walk)
     return walks
 
 

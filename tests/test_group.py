@@ -253,6 +253,22 @@ def test_sampling_keeps_one_generator_alive_at_a_time():
         sample_so(2, [])
 
 
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_haar_slabs_equal_the_whole_stack_qr(monkeypatch, N):
+    # 50 lanes in slabs of 7, the last one short, against one QR of the
+    # whole stack: each matrix is factored on its own, bit for bit
+    normals = np.random.default_rng(N).standard_normal((50, N, N))
+    monkeypatch.setattr(group, "HAAR_SLAB", 10**9)
+    whole = group._haar_orthogonal(normals)
+    monkeypatch.setattr(group, "HAAR_SLAB", 7)
+    slabbed = group._haar_orthogonal(normals)
+    assert np.array_equal(slabbed, whole)
+    assert np.all(np.linalg.det(whole) > 0)
+    for got, normal in zip(whole[:3], normals):
+        Q, R = np.linalg.qr(normal)
+        assert np.allclose(np.abs(got), np.abs(Q), atol=1e-14)
+
+
 def _boost_radii(m, n):
     """Radii from 0 up to the largest the CLI accepts for (m, n)."""
     limit = MAX_BOOST_NORM / np.sqrt(m * n / 2)

@@ -28,6 +28,7 @@ from pharmonic.operators import (
     check_invariance,
     conditioned_sample,
     coordinate_identity_residuals,
+    eigen_jets,
     gradient_product,
     iterated_laplacian,
     laplacian,
@@ -37,6 +38,7 @@ from pharmonic.operators import (
     projector_identity_residuals,
 )
 from oracles import (
+    depth_one_jets,
     expanded_projector_form,
     fd_laplacian,
     flag_sum_oracle,
@@ -190,7 +192,7 @@ def test_check_eigenfunction_positive():
     N = m + n
     phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
     pts = sample_so(N, range(80, 85))
-    tau, kappa, values = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    tau, kappa, values = check_eigenfunction(eigen_jets(phi, pts, m_basis(m, n)), -N, -2)
     assert tau.shape == kappa.shape == (len(pts),)
     assert np.all(tau <= 1e-12) and np.all(kappa <= 1e-12), (tau, kappa)
     # the value channel of the walk is plain evaluation, bit for bit
@@ -198,17 +200,16 @@ def test_check_eigenfunction_positive():
 
 
 def _counting_walks(monkeypatch):
-    """Wrap ops.laplacian_jet; returns the (depth, lanes) of every walk."""
-    import pharmonic.operators as ops
-
+    """Wrap ops._form_jets, the form pairing each walk of a chunk starts
+    with; returns the (depth, lanes, plain lanes) of every walk."""
     walks = []
-    walk = ops.laplacian_jet
+    pairing = ops._form_jets
 
-    def counting_walk(f, x, basis, p):
-        walks.append((p, len(x)))
-        return walk(f, x, basis, p)
+    def counting_walk(forms, X, basis, p, plain=0):
+        walks.append((p, len(X), plain))
+        return pairing(forms, X, basis, p, plain)
 
-    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
+    monkeypatch.setattr(ops, "_form_jets", counting_walk)
     return walks
 
 
@@ -227,8 +228,8 @@ def test_check_eigenfunction_walks_each_chunk_once(monkeypatch):
             expected.append(abs(laplacian(phi, pt, basis) - complex(lam) * v) / denom)
             expected.append(abs(gradient_product(phi, phi, pt, basis) - complex(mu) * v * v) / denom)
         walks = _counting_walks(monkeypatch)
-        tau, kappa, _ = check_eigenfunction(phi, lam, mu, pts, basis)
-        assert walks == [(1, len(pts))]
+        tau, kappa, _ = check_eigenfunction(eigen_jets(phi, pts, basis), lam, mu)
+        assert walks == [(1, len(pts), 0)]
         got = np.stack([tau, kappa], axis=1).ravel()
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
         monkeypatch.undo()
@@ -243,20 +244,20 @@ def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     pts = sample_so(4, range(80, 83))
     basis = m_basis(1, 3)
     walks = []
-    walk = ops.laplacian_jet
+    walk = ops._tree_jet
 
-    def counting_walk(f, x, basis, p):
-        jet = walk(f, x, basis, p)
+    def counting_walk(f, X, basis, p, known):
+        jet = walk(f, X, basis, p, known)
         walks.append((p, jet.coeffs.shape[:-1]))
         return jet
 
-    monkeypatch.setattr(ops, "laplacian_jet", counting_walk)
-    family = check_eigenfamily(Stack((fu, fv)), -4, -2, pts, basis)
+    monkeypatch.setattr(ops, "_tree_jet", counting_walk)
+    family = check_eigenfamily(eigen_jets(Stack((fu, fv)), pts, basis), -4, -2)
     assert walks == [(1, (len(pts), 2))]
     monkeypatch.undo()
     assert len(family) == 2
     for f, pair in zip((fu, fv), family):
-        alone = check_eigenfunction(f, -4, -2, pts, basis)[:2]
+        alone = check_eigenfunction(eigen_jets(f, pts, basis), -4, -2)[:2]
         for got, want in zip(pair, alone):
             assert got.shape == (len(pts),)
             assert np.array_equal(got, want)
@@ -270,7 +271,7 @@ def test_check_eigenfunction_negative_control():
     bad = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
     phi = projector_form(bad, m=m)
     pts = sample_so(N, range(90, 95))
-    tau, kappa, _ = check_eigenfunction(phi, -N, -2, pts, m_basis(m, n))
+    tau, kappa, _ = check_eigenfunction(eigen_jets(phi, pts, m_basis(m, n)), -N, -2)
     assert kappa.max() >= 1e-2
     assert tau.max() <= 1e-10  # linear relation survives any traceless matrix
 
@@ -279,8 +280,8 @@ def test_check_eigenfamily_singleton_matches_eigenfunction():
     m, n = 1, 2
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     pts = sample_so(3, range(100, 103))
-    fam = check_eigenfamily(Stack((phi,)), -3, -2, pts, m_basis(m, n))
-    single = check_eigenfunction(phi, -3, -2, pts, m_basis(m, n))[:2]
+    fam = check_eigenfamily(eigen_jets(Stack((phi,)), pts, m_basis(m, n)), -3, -2)
+    single = check_eigenfunction(eigen_jets(phi, pts, m_basis(m, n)), -3, -2)[:2]
     assert len(fam) == 1
     assert all(np.array_equal(a, b) for a, b in zip(fam[0], single))
     assert all(np.all(residual <= 1e-8) for residual in single), single
@@ -296,7 +297,7 @@ def test_check_eigenfamily_two_members_single_column():
     fu = projector_form(rank_one_from_isotropic(u), m)
     fv = projector_form(rank_one_from_isotropic(v), m)
     pts = sample_so(N, range(110, 115))
-    fam = check_eigenfamily(Stack((fu, fv)), -N, -2, pts, m_basis(m, n))
+    fam = check_eigenfamily(eigen_jets(Stack((fu, fv)), pts, m_basis(m, n)), -N, -2)
     assert len(fam) == 2
     for tau, kappa in fam:
         assert tau.shape == kappa.shape == (len(pts),)
@@ -310,7 +311,7 @@ def test_check_eigenfamily_with_a_non_eigen_member_fails():
     phi = projector_form(rank_one_from_vector([1, 2]), m)
     bad = projector_form(np.diag([1.0, 0.0, 0.0]), m)
     pts = sample_so(3, range(120, 123))
-    fam = check_eigenfamily(Stack((phi, bad)), -3, -2, pts, m_basis(m, n))
+    fam = check_eigenfamily(eigen_jets(Stack((phi, bad)), pts, m_basis(m, n)), -3, -2)
     (tau, kappa), (bad_tau, _) = fam
     assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
     assert bad_tau.min() > 1e-8
@@ -516,7 +517,7 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
     pts, _ = conditioned_sample(phi, lambda s: sample_so(4, s), 3, 500)
     walks = _counting_walks(monkeypatch)
     residuals, witnesses = p_harmonic_residuals(f, 3, pts, basis)
-    assert walks == [(3, len(pts))]
+    assert walks == [(3, len(pts), 0)]
     monkeypatch.undo()
     for i, pt in enumerate(pts):
         v = complex(evaluate(f, pt))
@@ -524,6 +525,71 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
         top = complex(iterated_laplacian(f, 3, pt, basis))
         assert abs(witnesses[i] - abs(prev) / (1 + abs(v))) <= 1e-12 * witnesses[i]
         assert residuals[i] <= 1e-9 and abs(top) / (1 + abs(v) + abs(prev)) <= 1e-9
+
+
+def _ride_and_compare(f, eigen, p, sampler, basis, walked_count=3, plain_count=3):
+    """Walk f at p on conditioned points with the first plain_count points of
+    the first batch riding, and check eigen's depth-1 jets there, the eigen
+    residuals and values read off them, and f's residuals against separate
+    walks, bit for bit.  Returns the walks _form_jets made."""
+    batch = sampler(ops.first_batch_seeds(walked_count, 40))
+    plain = batch[:plain_count]
+    walked, _ = conditioned_sample(eigen, sampler, walked_count, 40, batch)
+    residuals, witnesses, jets = p_harmonic_residuals(f, p, walked, basis, eigen, plain)
+    want = depth_one_jets(eigen, plain, basis)
+    assert jets.shape == want.shape
+    assert np.array_equal(jets, want)
+    assert np.array_equal(jets[..., 0], ops.values_at(eigen, plain))
+    if jets.ndim == 3:
+        for got, ref in zip(check_eigenfamily(jets, -1, -2), check_eigenfamily(want, -1, -2)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    else:
+        got, ref = check_eigenfunction(jets, 1, 2), check_eigenfunction(want, 1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+    alone = p_harmonic_residuals(f, p, walked, basis)
+    assert np.array_equal(residuals, alone[0]) and np.array_equal(witnesses, alone[1])
+
+
+@pytest.mark.parametrize("blocks, p", [((3, 4), 2), ((3, 4), 3), ((1, 1, 2), 2), ((2, 2), 4), ((1, 1, 1, 2), 2)])
+def test_plain_points_riding_a_flag_walk_equal_a_separate_depth_one_walk(blocks, p):
+    # so(7) at p = 3 holds one walked point per chunk, the plain points in
+    # the first; pairing the whole tensor and slicing its first D columns
+    # moved the depth-1 components of flag (3,4) by up to 7e-15
+    family = flag_forms(blocks)
+    n = sum(blocks)
+    _ride_and_compare(flag_sum_expr(family, p), family, p, lambda s: sample_so(n, s), so_basis(n))
+
+
+@pytest.mark.parametrize("m, n, p", [(2, 3, 2), (2, 3, 3), (1, 2, 4), (3, 2, 2)])
+def test_plain_points_riding_a_dual_walk_equal_a_separate_depth_one_walk(m, n, p):
+    phi = projector_form(dual_matrix(rank_one_from_vector(np.arange(1.0, m + n)), m, n), m)
+    f = p_harmonic_expr(phi, m + n, 2, p, 1, 1)
+    basis = m_basis(m, n, "indefinite")
+    _ride_and_compare(f, phi, p, lambda s: sample_so_mn(m, n, s, 0.5), basis, walked_count=4, plain_count=2)
+
+
+@pytest.mark.parametrize(
+    "bound, plain, walks",
+    [
+        # the plain points ride the first chunk, two walked points beside them
+        (2 * 1024 + 4 * 128, 4, [(2, 6, 4), (2, 2, 0), (2, 1, 0)]),
+        # room for one plain point beside two walked ones: all four ride the
+        # last chunk, beside its one walked point
+        (2 * 1024 + 128, 4, [(2, 2, 0), (2, 2, 0), (2, 5, 4)]),
+        # one walked point fills a chunk: the plain points are walked alone
+        # at depth 1, eight to a chunk
+        (1024, 10, [(2, 1, 0)] * 5 + [(1, 8, 0), (1, 2, 0)]),
+    ],
+)
+def test_plain_points_riding_chunked_walks_equal_a_separate_depth_one_walk(monkeypatch, bound, plain, walks):
+    # flag (1,1,2) at p = 2: 4^2 8^2 = 1,024 components a walked point and
+    # 4^2 8 = 128 a plain point, five walked points
+    monkeypatch.setattr(ops, "MAX_LIFT_COMPONENTS", bound)
+    family = flag_forms((1, 1, 2))
+    recorded = _counting_walks(monkeypatch)
+    _ride_and_compare(flag_sum_expr(family, 2), family, 2, lambda s: sample_so(4, s), so_basis(4), 5, plain)
+    # the first walks are the riding ones; those of the separate walks follow
+    assert recorded[: len(walks)] == walks
 
 
 def test_one_deep_walk_releases_values_after_their_last_read():
@@ -1164,5 +1230,5 @@ def test_dual_context_eigen_relations():
     A = dual_matrix(rank_one_from_vector([1, 2]), m, n)
     phi = projector_form(A, m)
     pts = sample_so_mn(m, n, range(200, 205), 0.5)
-    tau, kappa, _ = check_eigenfunction(phi, N, 2, pts, m_basis(m, n, "indefinite"))
+    tau, kappa, _ = check_eigenfunction(eigen_jets(phi, pts, m_basis(m, n, "indefinite")), N, 2)
     assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
