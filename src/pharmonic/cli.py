@@ -281,8 +281,8 @@ def _p_harmonic_records(
 
     All points are walked together, the plain points riding the walk (see
     ops.p_harmonic_residuals).  A point where the iteration hits a branch
-    cut is dropped and the rest are walked again; when every point is
-    dropped, the plain points are walked alone.  A point whose witness falls
+    cut is dropped and the rest are walked again, down to none, when only
+    the plain points are walked.  A point whose witness falls
     below the properness floor is dropped too, each with a note, in point
     order.  If every point is dropped and a witness is expected, one
     failing "all" record stands in.
@@ -290,19 +290,19 @@ def _p_harmonic_records(
     tau_tol = _tau_p_tol(config)
     lanes = list(range(len(points)))
     cut: set[int] = set()
-    results = ((), ())
     riders = () if plain is None else (eigen, plain)
-    while lanes:
+    while True:
         try:
             results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis, *riders)
             break
         except BranchCutError as exc:
+            if not lanes:  # the plain points alone meet no cut
+                raise
             # no lane named: the failing value is shared by every lane
             cut.update([lanes[j] for j in exc.lanes] or lanes)
             lanes = [i for i in lanes if i not in cut]
-    if riders and not lanes:
-        results = ((), (), ops.eigen_jets(eigen, plain, basis))
-    walked = dict(zip(lanes, zip(*results[:2])))
+    residuals, witnesses, *jets = results
+    walked = dict(zip(lanes, zip(residuals, witnesses)))
     records = []
     for i in range(len(points)):
         if i in cut:
@@ -317,7 +317,7 @@ def _p_harmonic_records(
     if not records and expect_witness:
         records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
         notes.append("order-(p-1) image vanished on every sample")
-    return records, results[2] if riders else None
+    return records, jets[0] if jets else None
 
 
 # -- commands --------------------------------------------------------------------
@@ -441,7 +441,7 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     if len(blocks) >= 3:
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
         worst, best = ops.non_descent_witness(
-            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], config.seed, invariance
+            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], invariance, config.seed
         )
         witness = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
     else:

@@ -136,8 +136,9 @@ CUT_ANGLE = 1e-2
 
 def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
     """walk over consecutive chunks of the stack X, each of at most
-    MAX_LIFT_COMPONENTS // components lanes (at least one), concatenated.
-    A BranchCutError names its failing lanes, in its message and in .lanes,
+    MAX_LIFT_COMPONENTS // components lanes (at least one), concatenated;
+    an empty stack is not walked and gives an empty array.  A
+    BranchCutError names its failing lanes, in its message and in .lanes,
     by their index in X."""
     step = max(1, MAX_LIFT_COMPONENTS // components)
     parts = []
@@ -146,7 +147,7 @@ def _by_chunks(walk, X: np.ndarray, components: int) -> np.ndarray:
             parts.append(walk(X[start : start + step]))
         except BranchCutError as exc:
             raise BranchCutError(exc.reason, [start + i for i in exc.lanes]) from None
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def values_at(f, X: np.ndarray) -> np.ndarray:
@@ -161,9 +162,10 @@ def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen
 
     One walk per chunk of at most MAX_LIFT_COMPONENTS components, N^2 D**p
     a point and N^2 D a plain point: as many points as fit (at least one),
-    and all the plain points in the first chunk with room for them, else in
-    a depth-1 walk of their own, so each of their pairings has the rows of
-    a walk of them alone (a one-row product takes another BLAS kernel).
+    and all the plain points in the first chunk with room for them, else
+    (and when `points` is empty) in a depth-1 walk of their own, so each of
+    their pairings has the rows of a walk of them alone (a one-row product
+    takes another BLAS kernel).
     The forms are paired once over the chunk's [plain; points] lanes.  A
     BranchCutError names its failing points by their index in `points`.
     eigen is a form of f or a Stack of them, which meets no branch cut.
@@ -518,9 +520,13 @@ def check_eigenfamily(jets: np.ndarray, lam, mu) -> list[tuple]:
 def _moved_changes(f, groups) -> list:
     """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|), shape (K, T), for each
     (X, ks) of groups, the (K, T, N, N) actions ks on the (K, N, N) points X,
-    from one evaluation of every group's points and then moved copies.  A
-    BranchCutError names the points, by their index in X, of the first group
-    whose points or moved points hit the cut."""
+    from one evaluation of every group's points and then moved copies.
+
+    The evaluation stops at the first node where some lane hits the cut,
+    and the BranchCutError names the lanes failing there that belong to the
+    first group with any, as points by their index in that group's X.  A
+    cut no lane is named for (a value shared by every lane) is raised as it
+    came."""
     stacks, spans, start = [], [], 0
     for X, ks in groups:
         K, T = ks.shape[:2]
@@ -557,8 +563,8 @@ def check_invariance(
 ) -> np.ndarray:
     """The worst normalized change of f(x k) against f(x) at each point, over
     INVARIANCE_TRIALS sampled subgroup elements k, drawn as one stack from
-    seeds seed + 10000, ....  non_descent_witness can take this check into
-    its own evaluation."""
+    seeds seed + 10000, ....  non_descent_witness makes this check in its
+    own evaluation."""
     return _moved_changes(f, [_invariance_group(subgroup_sampler, points, seed)])[0].max(axis=1)
 
 
@@ -566,26 +572,26 @@ def non_descent_witness(
     f,
     merged_sampler: Callable[[Sequence[int]], np.ndarray],
     points: np.ndarray,
+    invariance: tuple,
     seed: int = 0,
-    invariance: tuple | None = None,
-):
-    """The largest normalized change of f under WITNESS_TRIALS sampled
-    merged-subgroup actions per point: a visible change witnesses that f
-    does not descend through the merged quotient.  Trial j of point i uses
-    seed seed + 20000 + i WITNESS_TRIALS + j; all are drawn as one stack.
+) -> tuple:
+    """The pair (check_invariance(f, subgroup_sampler, stack, seed), the
+    witness) for invariance = (subgroup_sampler, stack), from one values_at
+    call.  The witness is the largest normalized change of f under
+    WITNESS_TRIALS sampled merged-subgroup actions per point of `points`: a
+    visible change witnesses that f does not descend through the merged
+    quotient.  Trial j of point i uses seed seed + 20000 + i WITNESS_TRIALS
+    + j; all are drawn as one stack.
 
-    Given invariance = (subgroup_sampler, stack), it returns the pair
-    (check_invariance(f, subgroup_sampler, stack, seed), the witness) from
-    one values_at call; a cut is named as check_invariance names it first.
+    A BranchCutError names points of `stack` when any of them fail at the
+    node where the evaluation stopped, else points of `points`, each by
+    their index in its own stack (see _moved_changes).
     """
     start = seed + 20_000
     ks = merged_sampler(range(start, start + len(points) * WITNESS_TRIALS))
-    groups = [(points, ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:]))]
-    if invariance is not None:
-        groups.insert(0, _invariance_group(*invariance, seed))
-    changes = _moved_changes(f, groups)
-    best = float(changes[-1].max())
-    return best if invariance is None else (changes[0].max(axis=1), best)
+    witness = (points, ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:]))
+    worst, changes = _moved_changes(f, [_invariance_group(*invariance, seed), witness])
+    return worst.max(axis=1), float(changes.max())
 
 
 class SamplingExhausted(RuntimeError):
@@ -694,13 +700,14 @@ def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray, eigen
     Given an eigen check's points as the stack `plain` and its function
     `eigen` (a form or a Stack of forms of f), they ride the same walks
     (see _jets_at), and eigen's depth-1 jets there come third, bit for bit
-    those eigen_jets gives.
+    those eigen_jets gives.  An empty stack of points gives empty residual
+    arrays, and the plain points are then walked alone.
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
     D = len(basis) + 2
     components = [0, D**p - D, D**p - 1]
     jets, plain_jets = _jets_at(f, points, basis, p, components, eigen, plain)
-    v, prev, top = np.abs(jets).T
+    v, prev, top = np.abs(jets).reshape(-1, 3).T
     residuals = top / (1.0 + v + prev), prev / (1.0 + v)
     return residuals if plain is None else (*residuals, plain_jets)

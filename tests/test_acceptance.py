@@ -230,9 +230,13 @@ def test_criterion_07_flag_construction():
         worst_inv = np.max([worst_inv, changes.max()])
 
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
-        witness = non_descent_witness(
-            total, lambda s, mb=merged: sample_block_diagonal(mb, s), np.stack(accepted[:1])
+        same_changes, witness = non_descent_witness(
+            total,
+            lambda s, mb=merged: sample_block_diagonal(mb, s),
+            np.stack(accepted[:1]),
+            (lambda s, b=blocks: sample_block_diagonal(b, s), np.stack(accepted)),
         )
+        assert np.array_equal(same_changes, changes)
         assert witness >= 1e-6, witness
         least_witness = min(least_witness, witness)
     ok = worst_family <= 1e-8 and worst_tau <= 1e-5 and worst_inv <= 1e-10 and least_witness > 1e-6

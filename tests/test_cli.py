@@ -32,7 +32,7 @@ from pharmonic.cli import (
     _validate_common,
     main,
 )
-from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers
+from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers, flag_forms
 from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
@@ -851,10 +851,10 @@ def _fake_residuals(monkeypatch, outcomes):
         failing = [lane for lane, answer in enumerate(answers) if isinstance(answer, type)]
         if failing:
             raise answers[failing[0]]("forced by the test", failing)
-        residuals, witnesses = zip(*answers)
+        residuals, witnesses = np.array(answers, dtype=float).reshape(-1, 2).T
         if plain is None:
-            return np.array(residuals), np.array(witnesses)
-        return np.array(residuals), np.array(witnesses), ops.eigen_jets(eigen, plain, basis)
+            return residuals, witnesses
+        return residuals, witnesses, ops.eigen_jets(eigen, plain, basis)
 
     monkeypatch.setattr(ops, "p_harmonic_residuals", fake)
     return calls
@@ -943,6 +943,31 @@ def test_pipeline_drops_only_the_lane_on_the_log_cut():
         residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], basis)
         got = {r.check: r.residual for r in records if r.point == i}
         assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
+
+
+def test_pipeline_with_every_lane_on_the_log_cut_pairs_the_plain_points_alone():
+    # no fake: the last walk has no conditioned points left, and the plain
+    # points' pairing gives the jets a depth-1 walk of them alone gives
+    family = flag_forms((1, 2))
+    x = sample_so(3, 11)
+    points = np.stack([x] * 2)
+    points[:, 0, 0] = -abs(x[0, 0])
+    f = Product((Log(Entry(1, 1)), Unstack(family)))
+    plain = sample_so(3, range(20, 22))
+    basis = so_basis(3)
+    for riders in ({}, {"eigen": family, "plain": plain}):
+        notes = []
+        records, jets = _p_harmonic_records(f, points, basis, RunConfig("flag", p=2), notes, **riders)
+        assert notes == [
+            "point 0 rejected during iteration (branch cut)",
+            "point 1 rejected during iteration (branch cut)",
+            "order-(p-1) image vanished on every sample",
+        ]
+        assert [(r.check, r.point, r.passed) for r in records] == [("properness_witness", "all", False)]
+        if riders:
+            assert np.array_equal(jets, ops.eigen_jets(family, plain, basis))
+        else:
+            assert jets is None
 
 
 def test_a_later_stacked_member_on_the_cut_names_its_point():

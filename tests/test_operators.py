@@ -527,6 +527,18 @@ def test_p_harmonic_residuals_read_one_depth_p_walk(monkeypatch):
         assert residuals[i] <= 1e-9 and abs(top) / (1 + abs(v) + abs(prev)) <= 1e-9
 
 
+def test_p_harmonic_residuals_of_no_points_walk_the_plain_points_alone(monkeypatch):
+    family = flag_forms((1, 1, 2))
+    basis = so_basis(4)
+    plain = sample_so(4, range(70, 73))
+    walks = _counting_walks(monkeypatch)
+    residuals, witnesses, jets = p_harmonic_residuals(flag_sum_expr(family, 2), 2, plain[:0], basis, family, plain)
+    assert walks == [(1, 3, 0)]
+    assert residuals.shape == witnesses.shape == (0,)
+    monkeypatch.undo()
+    assert np.array_equal(jets, depth_one_jets(family, plain, basis))
+
+
 def _ride_and_compare(f, eigen, p, sampler, basis, walked_count=3, plain_count=3):
     """Walk f at p on conditioned points with the first plain_count points of
     the first batch riding, and check eigen's depth-1 jets there, the eigen
@@ -1065,10 +1077,13 @@ def test_jet_laplacian_matches_finite_differences():
 
 def test_non_descent_witness_found_for_three_blocks():
     node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
-    pts = sample_so(4, [190])
-    best = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts)
+    pts = sample_so(4, [190, 191, 192])
+    blocks = lambda s: sample_block_diagonal((1, 1, 2), s)  # noqa: E731
+    worst, best = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts[:1], (blocks, pts), 3)
     assert isinstance(best, float)
     assert best > 1e-6
+    # the invariance half is check_invariance's, bit for bit
+    assert np.array_equal(worst, check_invariance(node, blocks, pts, seed=3))
 
 
 def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
@@ -1167,11 +1182,28 @@ def test_moved_evaluations_name_the_sample_point_on_a_cut():
     def quarter_turns(seeds):
         return np.stack([R for _ in seeds])
 
-    for check, sampler in ((check_invariance, one_quarter_turn), (non_descent_witness, quarter_turns)):
+    def identity(seeds):
+        return np.stack([np.eye(4) for _ in seeds])
+
+    # the invariance and witness actions share one evaluation, each stack's
+    # points named by their index in it: a cut in the witness stack alone
+    # names its point, and a cut in both names the invariance stack's
+    cases = [
+        (lambda: check_invariance(f, one_quarter_turn, pts), (1,)),
+        (lambda: non_descent_witness(f, quarter_turns, pts[[1, 0]], (identity, pts)), (0,)),
+        (lambda: non_descent_witness(f, quarter_turns, pts[[2, 0, 1]], (identity, pts[[0, 2]])), (2,)),
+        (lambda: non_descent_witness(f, quarter_turns, pts[[1, 0]], (one_quarter_turn, pts)), (1,)),
+        (lambda: non_descent_witness(f, identity, pts[[2, 0, 1]], (one_quarter_turn, pts[[1, 2]])), (0,)),
+    ]
+    for check, lanes in cases:
         with pytest.raises(BranchCutError) as caught:
-            check(f, sampler, pts)
-        assert caught.value.lanes == (1,), check.__name__
-        assert str(caught.value).startswith("lanes [1] "), str(caught.value)
+            check()
+        assert caught.value.lanes == lanes
+        assert str(caught.value).startswith(f"lanes {list(lanes)} "), str(caught.value)
+    # a cut no lane is named for, on a value shared by every lane, is raised as it came
+    with pytest.raises(BranchCutError) as caught:
+        non_descent_witness(Sum((f, Log(Const(-1.0)))), identity, pts, (identity, pts))
+    assert caught.value.lanes == ()
 
 
 def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
@@ -1183,12 +1215,13 @@ def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
 
     phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
     pts = sample_so(4, range(60, 63))
+    invariance = [5 + 10_000 + j for j in range(ops.INVARIANCE_TRIALS)]
+    witness = [5 + 20_000 + i * ops.WITNESS_TRIALS + j for i in range(3) for j in range(ops.WITNESS_TRIALS)]
     check_invariance(phi, sampler, pts, seed=5)
-    non_descent_witness(phi, sampler, pts, seed=5)
-    assert requested == [
-        [5 + 10_000 + j for j in range(ops.INVARIANCE_TRIALS)],
-        [5 + 20_000 + i * ops.WITNESS_TRIALS + j for i in range(3) for j in range(ops.WITNESS_TRIALS)],
-    ]
+    assert requested == [invariance]
+    requested.clear()
+    non_descent_witness(phi, sampler, pts, (sampler, pts[:2]), seed=5)
+    assert sorted(requested) == [invariance, witness]
 
 
 def test_conditioned_sample_is_deterministic_and_filters_small_values():
