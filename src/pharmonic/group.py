@@ -20,7 +20,11 @@ as one (K, N, N) stack, each lane drawn from its own seed's generator in
 the one-seed draw order, one generator alive at a time; the QR
 factorisations, sign fixes, exponentials and group-relation checks then
 run once per stack.  One seed is the K = 1 case, returned as its one
-N x N matrix.
+N x N matrix.  Each generator is np.random.default_rng(seed)'s PCG64
+stream, but the SeedSequence hash that seeds it runs once over a slab of
+up to HAAR_SLAB lanes, as uint32 array operations (see _seed_words); a
+slab holding a seed that is not an integer in [0, 2^64) seeds each lane
+through SeedSequence itself.  numpy.random is imported at the first draw.
 
 The exponential of a boost is read from the SVD of its off-diagonal block
 (the Cartan decomposition of the symmetric pair; Higham, Functions of
@@ -29,6 +33,7 @@ Matrices, 2008), in numpy alone: no module of the package imports scipy.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +51,9 @@ POINT_TOL = 1e-10
 # 2,048, in about the same time (10.3 against 10.2 ms); 0.79 MB at 1,024 and
 # 0.68 MB at 256 take 11% and 30% longer.  A stack of one slab or less takes
 # the whole-stack path, so the benchmark's stacks (at most 40 lanes) pay
-# nothing for the slabs.
+# nothing for the slabs.  _lane_draws hashes its seeds in slabs of the same
+# size: seeding one slab of seeds above 2^40 peaks at 0.43 MB (its seeds as
+# Python ints, the hash arrays and the words).
 HAAR_SLAB = 2048
 
 
@@ -69,7 +76,9 @@ def validate_group_point(x: np.ndarray, signature: tuple) -> None:
         gram = gram @ form
     else:
         raise ValueError(f"unknown signature {signature!r}")
-    defect = np.max(np.abs(gram @ stack - form), axis=(-2, -1))
+    defect = gram @ stack
+    defect -= form
+    defect = np.max(np.abs(defect, out=defect), axis=(-2, -1))
     det = np.linalg.det(stack)
     bad = np.flatnonzero(~(defect <= POINT_TOL) | ~(np.abs(det - 1.0) <= max(POINT_TOL, 1e-9)))
     if not bad.size:
@@ -126,6 +135,101 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class _SeedWords:
+    """The seeding words of one seed, handed to PCG64 in place of the
+    SeedSequence that would compute them: PCG64 asks for exactly
+    ``generate_state(4, np.uint64)``, and gets these (4,) uint64 words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+@functools.cache
+def _seed_hash_constants() -> tuple[np.ndarray, ...]:
+    """The constants of SeedSequence's hash calls, as read-only uint32 arrays.
+
+    Each call xors its word with the current constant, steps the constant
+    (times a fixed multiplier, mod 2^32) and multiplies by the new one, so
+    the constants are two fixed chains, a for mix_entropy's 16 calls and b
+    for generate_state's 8.  Returns the (xor, multiply) constants of the
+    entropy calls (4,), of the mixing calls as (4, 4) tables (call 4 + 3 s
+    + i hashes pool word s for its i-th other word d; the diagonal, whose
+    result is discarded, holds another call's) and of generate_state's
+    calls as (2, 4) tables, the pool read twice.
+    """
+
+    def chain(h: int, mult: int, calls: int) -> np.ndarray:
+        out = [h]
+        for _ in range(calls):
+            h = h * mult & 0xFFFFFFFF
+            out.append(h)
+        return np.array(out, np.uint32)
+
+    a = chain(0x43B0D7E5, 0x931E8875, 16)
+    b = chain(0x8B51F9DD, 0x58F38DED, 8)
+    calls = [[3 + 3 * s + d + (d < s) for d in range(4)] for s in range(4)]
+    tables = (a[:4], a[1:5], a[calls], a[1:][calls], b[:8].reshape(2, 4), b[1:].reshape(2, 4))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _seed_words(seeds: Sequence[int]) -> np.ndarray:
+    """The (K, 4) uint64 words ``np.random.SeedSequence(s).generate_state(4,
+    np.uint64)`` gives for each integer 0 <= s < 2^64, all lanes at once.
+
+    This is SeedSequence's hash (O'Neill's seed_seq_fe, as NumPy's NEP 19
+    fixes it) with a pool of four uint32 words, taken in numpy's order on a
+    (K, 4) uint32 array: mix_entropy hashes the seed's 32-bit words, low
+    word first and padded with zeros (a shorter entropy array hashes a 0
+    for each missing word, so every seed below 2^64 reads as two words),
+    into the pool, then mixes each pool word s into every other; the
+    mixing of one s is one array step over the other three words, as they
+    do not depend on each other.  generate_state hashes the pool, read
+    twice, into eight uint32 words, paired little end first into four
+    uint64 words.  uint32 arithmetic wraps mod 2^32 as the C code's does.
+    Each seed is split into its 32-bit words as a Python int, so no seed
+    passes through a fixed-width integer.
+    """
+    entry_xor, entry_mul, mix_xor, mix_mul, state_xor, state_mul = _seed_hash_constants()
+    pool = np.array([(s & 0xFFFFFFFF, s >> 32, 0, 0) for s in seeds], np.uint32)
+    pool ^= entry_xor
+    pool *= entry_mul
+    pool ^= pool >> 16
+    for s in range(4):
+        hashed = pool[:, s, None] ^ mix_xor[s]
+        hashed *= mix_mul[s]
+        hashed ^= hashed >> 16
+        # mix(x, y) = (0xCA01F9DD x - 0x4973F715 y) xor-shifted by 16, on
+        # every word; word s itself is then put back
+        hashed *= np.uint32(0x4973F715)
+        mixed = pool * np.uint32(0xCA01F9DD)
+        mixed -= hashed
+        mixed ^= mixed >> 16
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    state = pool[:, None, :] ^ state_xor
+    state *= state_mul
+    state ^= state >> 16
+    return state.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _generators(seeds: Sequence):
+    """One generator per seed, made as it is needed: default_rng(seed)'s
+    stream, seeded from _seed_words when every seed is an integer in
+    [0, 2^64), else by _rng (SeedSequence itself, and its errors)."""
+    ints = [int(s) for s in seeds if isinstance(s, (int, np.integer))]
+    if len(ints) < len(seeds) or min(ints) < 0 or max(ints) >= 1 << 64:
+        return map(_rng, seeds)
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _seed_words(ints))
+
+
 def _lane_draws(seed, sizes: Sequence[int], coefficients: int = 0, radius: float = 0.0):
     """Every lane's random numbers, one generator alive at a time.
 
@@ -133,18 +237,20 @@ def _lane_draws(seed, sizes: Sequence[int], coefficients: int = 0, radius: float
     draws the Gaussian entries of every block of size b > 1, in block
     order, in one standard_normal call, then ``coefficients`` uniforms in
     [-radius, radius].  Returns the (K, sum b^2) normals and the
-    (K, coefficients) uniforms, lane k from seed k.
+    (K, coefficients) uniforms, lane k from seed k.  The generators are
+    seeded a slab of HAAR_SLAB seeds at a time (_generators), so the
+    seeding words of at most one slab are held at once.
     """
     seeds = [seed] if np.ndim(seed) == 0 else seed
     if not len(seeds):
         raise ValueError("need at least one seed")
     normals = np.empty((len(seeds), sum(b * b for b in sizes if b > 1)))
     uniforms = np.empty((len(seeds), coefficients))
-    for lane, s in enumerate(seeds):
-        rng = _rng(s)
-        rng.standard_normal(out=normals[lane])
-        if coefficients:
-            uniforms[lane] = rng.uniform(-radius, radius, size=coefficients)
+    for start in range(0, len(seeds), HAAR_SLAB):
+        for lane, rng in enumerate(_generators(seeds[start : start + HAAR_SLAB]), start):
+            rng.standard_normal(out=normals[lane])
+            if coefficients:
+                uniforms[lane] = rng.uniform(-radius, radius, size=coefficients)
     return normals, uniforms
 
 

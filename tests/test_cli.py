@@ -472,6 +472,21 @@ def test_every_command_runs_without_scipy():
     assert fresh.stdout.strip() == "False False"
 
 
+def test_numpy_random_is_imported_at_the_first_draw():
+    # importing numpy.random alone raises a process's peak resident set by
+    # about 5 MB, so no import of the package loads it; the first draw does
+    probe = run_python(
+        "-c",
+        "import sys\n"
+        "import pharmonic.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "pharmonic.cli.sample_so(3, range(2))\n"
+        "print('numpy.random' in sys.modules)\n",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == ["False", "True"]
+
+
 def test_tol_scale_environment_variable(monkeypatch, capsys):
     # an absurdly tight global scale forces residuals over threshold
     monkeypatch.setenv("GH_VERIFY_TOL_SCALE", "1e-12")

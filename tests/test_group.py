@@ -226,20 +226,60 @@ def test_stacked_sampling_equals_one_seed_sampling_exactly(sampler, reference):
 
 
 @pytest.mark.parametrize("sampler, reference", _SAMPLERS)
-def test_sampler_streams_equal_default_rng_streams_exactly(monkeypatch, sampler, reference):
-    # the samplers build each generator as Generator(PCG64(seed)); the stacks
-    # must be those of default_rng(seed), also for seeds of 2^32 and above
-    seeds = [0, 9, 2**32 - 1, 2**32, 2**32 + 997, 2**63 + 1, 2**64 + 5]
-    built = [sampler(seeds)] + [sampler(s) for s in seeds]
-    monkeypatch.setattr(group, "_rng", np.random.default_rng)
-    expected = [sampler(seeds)] + [sampler(s) for s in seeds]
-    for got, want in zip(built, expected):
-        assert np.array_equal(got, want)
+def test_sampler_streams_equal_default_rng_streams_exactly(sampler, reference):
+    # every lane is the point of default_rng(seed), drawn one number at a
+    # time, on both sides of 2^32, 2^63 and 2^64: a stack of seeds below 2^64
+    # is seeded by the array hash, a stack holding a seed of 2^64 or more
+    # (the full list, the 12 lanes across 2^64) by SeedSequence itself
+    seeds = [0, 9, 2**32 - 1, 2**32, 2**32 + 997, 2**63, 2**63 + 1, 2**64 - 1, 2**64 + 5]
+    for stack_seeds in (seeds, seeds[:-1], range(2**64 - 6, 2**64 + 6)):
+        stack = sampler(stack_seeds)
+        for lane, seed in enumerate(stack_seeds):
+            assert np.array_equal(stack[lane], _reference_point(seed, *reference)), seed
+    for seed in seeds:
+        assert np.array_equal(sampler(seed), _reference_point(seed, *reference)), seed
+
+
+def test_seed_words_equal_seed_sequence_words():
+    fixed = np.random.default_rng(34).integers(0, 2**64, 1000, dtype=np.uint64)
+    seeds = [
+        *range(4096),
+        *range(2**32 - 3, 2**32 + 4),
+        *range(2**63 - 3, 2**63 + 4),
+        *range(2**64 - 3, 2**64),
+        *map(int, fixed),
+    ]
+    got = group._seed_words(seeds)
+    want = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    assert got.dtype == np.uint64 and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [1, group.HAAR_SLAB - 1, group.HAAR_SLAB + 1])
+def test_seed_slabs_draw_as_one_seed_generators(count):
+    # the stacks start 2^64 - HAAR_SLAB, so the last lane of HAAR_SLAB + 1 is
+    # a slab of its own, seed 2^64, which SeedSequence seeds
+    seeds = range(2**64 - group.HAAR_SLAB, 2**64 - group.HAAR_SLAB + count)
+    normals, uniforms = group._lane_draws(seeds, (2, 3), 4, 0.5)
+    assert normals.shape == (count, 13) and uniforms.shape == (count, 4)
+    for lane, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(normals[lane], rng.standard_normal(13)), seed
+        assert np.array_equal(uniforms[lane], rng.uniform(-0.5, 0.5, size=4)), seed
+
+
+def test_seeds_that_are_not_unsigned_64_bit_integers_fail_as_seed_sequence_does():
+    for bad, error in ((-1, ValueError), (1.5, TypeError)):
+        with pytest.raises(error):
+            np.random.default_rng(bad)
+        with pytest.raises(error):
+            sample_so(3, [0, bad])
+    assert np.array_equal(sample_so(3, [np.uint64(2**64 - 1), True]), sample_so(3, [2**64 - 1, 1]))
 
 
 def test_sampling_keeps_one_generator_alive_at_a_time():
     # the (20000, 2, 2) stack is 0.64 MB; 20,000 live generators alone held
-    # about 18 MB
+    # about 18 MB, and the seeding words are hashed a slab at a time
     sample_so(2, range(3))
     tracemalloc.start()
     try:
