@@ -341,6 +341,7 @@ def cmd_calibrate(config: RunConfig) -> VerificationReport:
 def cmd_grassmann(config: RunConfig) -> VerificationReport:
     """Structure validation, projector identities, eigen relations, invariance.
 
+    One sampler call draws the plain points and the invariance actions.
     The function_scale record reads phi's values off the eigen check's
     depth-1 walk, so phi is walked once on the plain points."""
     _validate_common(config)
@@ -357,7 +358,8 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     phi = ex.projector_form(A, m)
-    points = sample_so(N, _seeds(config))
+    requests = [((N,), _seeds(config)), ((m, n), ops.invariance_seeds(config.seed))]
+    points, actions = sample_block_diagonal(requests)
     tau, kappa, values = ops.check_eigenfunction(ops.eigen_jets(phi, points, m_basis(m, n)), -N, -2)
 
     scale = float(np.max(np.abs(values)))
@@ -369,10 +371,7 @@ def cmd_grassmann(config: RunConfig) -> VerificationReport:
     records += _point_records(("tau_projector", "kappa_projector"), residuals, proj_tol)
 
     records += _point_records(("tau_eigen", "kappa_eigen"), (tau, kappa), eigen_tol)
-    worst = ops.check_invariance(
-        phi, lambda s: sample_block_diagonal((m, n), s), points, seed=config.seed
-    )
-    records += _point_records(("invariance",), [worst], inv_tol)
+    records += _point_records(("invariance",), [ops.check_invariance(phi, actions, points)], inv_tol)
     if m == 1:
         notes.append(f"m = 1: eigenvalue -(n+1) = {-(n + 1)} (degree-two harmonics)")
     return VerificationReport("grassmann", config.as_dict(), records, notes)
@@ -404,13 +403,12 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     """Per-block eigen relations, p-harmonicity of the block sum, invariance,
     and (three or more blocks) the non-descent witness.
 
-    The first conditioned batch is drawn once: its first config.samples
-    lanes are the eigen checks' plain points, and the whole batch is handed
-    to the conditioned sampling.  The plain points ride the block sum's
-    depth-p walk, which pairs each block form once for both, and the eigen
-    checks read the family's depth-1 jets off it.  With three or more
-    blocks, the invariance and non-descent actions are evaluated in one
-    call."""
+    One sampler call draws the first conditioned batch, the invariance
+    actions and, with three or more blocks, the witness actions.  The
+    batch's first config.samples lanes, the eigen checks' plain points,
+    ride the block sum's depth-p walk, which pairs each block form once for
+    both, and the eigen checks read the family's depth-1 jets off it.  The
+    invariance and non-descent actions are evaluated in one call."""
     _validate_common(config)
     blocks = config.blocks or DEFAULT_BLOCKS
     if len(blocks) < 2:
@@ -423,12 +421,17 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
     inv_tol = _threshold(config, DEFAULT_TOLS["invariance"])
     basis = so_basis(n)
-    sampler = functools.partial(sample_so, n)
-    batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
+    requests = [
+        ((n,), ops.first_batch_seeds(config.samples, config.seed)),
+        (blocks, ops.invariance_seeds(config.seed)),
+    ]
+    if len(blocks) >= 3:
+        requests.append(((blocks[0] + blocks[1], *blocks[2:]), ops.witness_seeds(1, config.seed)))
+    batch, actions, *merged_actions = sample_block_diagonal(requests)
     points = batch[: config.samples]
 
     total = ex.flag_sum_expr(family, config.p)
-    sampled = _sample_conditioned(family, sampler, config, notes, batch)
+    sampled = _sample_conditioned(family, functools.partial(sample_so, n), config, notes, batch)
     p_records, jets = _p_harmonic_records(total, sampled, basis, config, notes, eigen=family, plain=points)
 
     # the ids keep their member0 part: check ids are byte-stable report output
@@ -437,15 +440,11 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
         records += _point_records(checks, residuals, eigen_tol)
     records += p_records
 
-    invariance = (lambda s: sample_block_diagonal(blocks, s), sampled)
-    if len(blocks) >= 3:
-        merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
-        worst, best = ops.non_descent_witness(
-            total, lambda s: sample_block_diagonal(merged, s), sampled[:1], invariance, config.seed
-        )
+    if merged_actions:
+        worst, best = ops.non_descent_witness(total, *merged_actions, sampled[:1], (actions, sampled))
         witness = [lower_check("non_descent_witness", 0, best, WITNESS_FLOOR)]
     else:
-        worst, witness = ops.check_invariance(total, *invariance, seed=config.seed), []
+        worst, witness = ops.check_invariance(total, actions, sampled), []
         notes.append("two blocks: non-descent check skipped (single-window quotient)")
     records += _point_records(("invariance",), [worst], inv_tol) + witness
     return VerificationReport("flag", config.as_dict(), records, notes)

@@ -15,16 +15,17 @@ has eigenvalue -(N - 1)/2 on matrix entries; the calibration tests pin it.
 
 Sampling takes an explicit integer seed and is deterministic, so
 verification runs over disjoint seeds can proceed concurrently without any
-shared state.  A sampler given a sequence of K seeds returns the K points
-as one (K, N, N) stack, each lane drawn from its own seed's generator in
-the one-seed draw order, one generator alive at a time; the QR
-factorisations, sign fixes, exponentials and group-relation checks then
-run once per stack.  One seed is the K = 1 case, returned as its one
-N x N matrix.  Each generator is np.random.default_rng(seed)'s PCG64
-stream, but the SeedSequence hash that seeds it runs once over a slab of
-up to HAAR_SLAB lanes, as uint32 array operations (see _seed_words); a
-slab holding a seed that is not an integer in [0, 2^64) seeds each lane
-through SeedSequence itself.  numpy.random is imported at the first draw.
+shared state.  One seed gives one N x N matrix, a sequence of K seeds a
+(K, N, N) stack, and sample_block_diagonal given (blocks, seed) requests on
+one N gives each request's points from one pass, lane k always the point
+of seed k alone.  A pass draws each lane from np.random.default_rng(seed)'s
+PCG64 stream, one generator alive at a time, seeded from words one numpy
+pass of SeedSequence's hash gives a slab of up to HAAR_SLAB lanes
+(_seed_words; a slab holding a seed outside [0, 2^64) goes through
+SeedSequence itself); then it factors the blocks of each size, over all
+lanes and requests, in one QR call and checks all lanes in one call.  QR,
+sign fix and det act matrix by matrix, so no lane depends on the others.
+numpy.random is imported at the first draw.
 
 The exponential of a boost is read from the SVD of its off-diagonal block
 (the Cartan decomposition of the symmetric pair; Higham, Functions of
@@ -34,6 +35,7 @@ Matrices, 2008), in numpy alone: no module of the package imports scipy.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -42,18 +44,15 @@ from .jets import JetScalar, shape_of, zero
 
 POINT_TOL = 1e-10
 
-# Lanes per QR in _haar_orthogonal.  QR, sign fix and det hold about 3.5
-# times the stack they work on, so the stack is taken in slabs of this many
-# lanes; each matrix is factored on its own, so a slab's Q equals, bit for
-# bit, the whole stack's.  Measured with tracemalloc on the (20000, 2, 2)
-# normals of sample_so(2, range(20_000)), numpy 2.4 on a 2-core x86-64 VM:
-# the peak is 2.31 MB for the whole stack at once and 0.94 MB in slabs of
-# 2,048, in about the same time (10.3 against 10.2 ms); 0.79 MB at 1,024 and
-# 0.68 MB at 256 take 11% and 30% longer.  A stack of one slab or less takes
-# the whole-stack path, so the benchmark's stacks (at most 40 lanes) pay
-# nothing for the slabs.  _lane_draws hashes its seeds in slabs of the same
-# size: seeding one slab of seeds above 2^40 peaks at 0.43 MB (its seeds as
-# Python ints, the hash arrays and the words).
+# Lanes per QR call in _haar_orthogonal and per hash pass in _lane_draws.
+# QR, sign fix and det hold about 3.5 times the stack they work on; each
+# matrix is factored on its own, so a slab's Q equals the whole stack's bit
+# for bit.  On the (20000, 2, 2) normals of sample_so(2, range(20_000))
+# (tracemalloc, numpy 2.4, 2-core x86-64 VM) the peak is 2.31 MB at once and
+# 0.94 MB in slabs of 2,048, in about the same time; slabs of 1,024 and 256
+# take 11% and 30% longer.  A draw of one slab or less, as every draw of the
+# benchmark (at most 65 lanes), takes the whole-stack path.  Seeding one
+# slab of seeds above 2^40 peaks at 0.43 MB.
 HAAR_SLAB = 2048
 
 
@@ -61,10 +60,11 @@ def minkowski_form(m: int, n: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(m), -np.ones(n)]))
 
 
-def validate_group_point(x: np.ndarray, signature: tuple) -> None:
+def validate_group_point(x: np.ndarray, signature: tuple, lane_name="lane {}".format) -> None:
     """Raise ValueError if the matrix x fails the defining relations of the
     group named by signature to POINT_TOL; for a (K, N, N) stack, all K are
-    checked at once and the message names the first failing lane."""
+    checked at once and the message names the first failing lane k as
+    lane_name(k)."""
     stack = x.reshape(-1, *x.shape[-2:])
     kind = signature[0]
     gram = np.swapaxes(stack, -1, -2)
@@ -84,7 +84,7 @@ def validate_group_point(x: np.ndarray, signature: tuple) -> None:
     if not bad.size:
         return
     k = bad[0]
-    where = f"lane {k}: " if x.ndim == 3 else ""
+    where = f"{lane_name(k)}: " if x.ndim == 3 else ""
     if not defect[k] <= POINT_TOL:
         raise ValueError(f"{where}matrix violates {kind} relation by {defect[k]:.3e}")
     raise ValueError(f"{where}determinant {det[k]!r} is not 1")
@@ -230,28 +230,37 @@ def _generators(seeds: Sequence):
     return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _seed_words(ints))
 
 
-def _lane_draws(seed, sizes: Sequence[int], coefficients: int = 0, radius: float = 0.0):
-    """Every lane's random numbers, one generator alive at a time.
-
-    For each seed of a single seed or a sequence, that seed's generator
-    draws the Gaussian entries of every block of size b > 1, in block
-    order, in one standard_normal call, then ``coefficients`` uniforms in
-    [-radius, radius].  Returns the (K, sum b^2) normals and the
-    (K, coefficients) uniforms, lane k from seed k.  The generators are
-    seeded a slab of HAAR_SLAB seeds at a time (_generators), so the
-    seeding words of at most one slab are held at once.
-    """
+def _lanes(seed) -> Sequence:
+    """A request's seeds: one seed is a sequence of one."""
     seeds = [seed] if np.ndim(seed) == 0 else seed
     if not len(seeds):
         raise ValueError("need at least one seed")
-    normals = np.empty((len(seeds), sum(b * b for b in sizes if b > 1)))
-    uniforms = np.empty((len(seeds), coefficients))
-    for start in range(0, len(seeds), HAAR_SLAB):
-        for lane, rng in enumerate(_generators(seeds[start : start + HAAR_SLAB]), start):
-            rng.standard_normal(out=normals[lane])
+    return seeds
+
+
+def _lane_draws(requests, coefficients: int = 0, radius: float = 0.0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every lane's random numbers, one generator alive at a time.
+
+    For each seed of each (sizes, seed) request in turn, that seed's
+    generator draws the Gaussian entries of every block of size b > 1, in
+    block order, in one standard_normal call, then ``coefficients`` uniforms
+    in [-radius, radius].  Returns each request's (K, sum b^2) normals and
+    (K, coefficients) uniforms.  The generators are seeded a slab of
+    HAAR_SLAB seeds at a time, across requests (_generators).
+    """
+    lanes = [_lanes(seed) for _, seed in requests]
+    draws = [
+        (np.empty((len(seeds), sum(b * b for b in sizes if b > 1))), np.empty((len(seeds), coefficients)))
+        for (sizes, _), seeds in zip(requests, lanes)
+    ]
+    rows = ((normals[k], uniforms[k]) for normals, uniforms in draws for k in range(len(normals)))
+    seeds = itertools.chain.from_iterable(lanes)
+    while slab := list(itertools.islice(seeds, HAAR_SLAB)):
+        for rng, (normals, uniforms) in zip(_generators(slab), rows):
+            rng.standard_normal(out=normals)
             if coefficients:
-                uniforms[lane] = rng.uniform(-radius, radius, size=coefficients)
-    return normals, uniforms
+                uniforms[:] = rng.uniform(-radius, radius, size=coefficients)
+    return draws
 
 
 def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
@@ -276,24 +285,50 @@ def _haar_orthogonal(normals: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _haar_blocks(normals: np.ndarray, sizes: Sequence[int]) -> list[np.ndarray]:
-    """One (K, b, b) stack of SO(b) elements per size b, from the (K, sum b^2)
-    normals of _lane_draws; a size-1 block draws nothing (SO(1) = {1})."""
-    blocks, start = [], 0
-    for b in sizes:
-        if b == 1:
-            blocks.append(np.ones((len(normals), 1, 1)))
-            continue
-        blocks.append(_haar_orthogonal(normals[:, start : start + b * b].reshape(-1, b, b)))
-        start += b * b
-    return blocks
+def _block_stack(requests, normals: Sequence[np.ndarray]) -> np.ndarray:
+    """The (L, N, N) block-diagonal points of all lanes of the requests, in
+    order, from their normals: one _haar_orthogonal call per block size
+    b > 1; a size-1 block is 1 (SO(1) = {1})."""
+    N = sum(requests[0][0])
+    x = np.zeros((sum(map(len, normals)), N, N))
+    gaussians = {}  # b: (lanes, first row, (K, b, b) normals) per block
+    lane = 0
+    for (blocks, _), draws in zip(requests, normals):
+        lanes, column, row = slice(lane, lane + len(draws)), 0, 0
+        for b in blocks:
+            if b == 1:
+                x[lanes, row, row] = 1.0
+            else:
+                block = draws[:, column : column + b * b].reshape(-1, b, b)
+                gaussians.setdefault(b, []).append((lanes, row, block))
+                column += b * b
+            row += b
+        lane += len(draws)
+    for b, places in gaussians.items():
+        q = _haar_orthogonal(places[0][2] if len(places) == 1 else np.concatenate([g for *_, g in places]))
+        for lanes, row, g in places:
+            x[lanes, row : row + b, row : row + b], q = q[: len(g)], q[len(g) :]
+    return x
 
 
-def _sampled(x: np.ndarray, signature: tuple, seed) -> np.ndarray:
-    """The validated point of one seed, or the stack x of a seed sequence."""
-    point = x if np.ndim(seed) else x[0]
-    validate_group_point(point, signature)
-    return point
+def _sampled(x: np.ndarray, signature: tuple, requests) -> list[np.ndarray]:
+    """Each request's points, split off the (L, N, N) stack x of all their
+    lanes after one validate_group_point call, which names a failing lane
+    by its request, lane and seed."""
+    lanes = [_lanes(seed) for _, seed in requests]
+
+    def lane_name(k: int) -> str:
+        for r, seeds in enumerate(lanes):
+            if k < len(seeds):
+                return f"{f'request {r}, ' if len(lanes) > 1 else ''}lane {k} (seed {seeds[k]})"
+            k -= len(seeds)
+
+    validate_group_point(x, signature, lane_name)
+    points, start = [], 0
+    for (_, seed), seeds in zip(requests, lanes):
+        points.append(x[start : start + len(seeds)] if np.ndim(seed) else x[start])
+        start += len(seeds)
+    return points
 
 
 def sample_so(N: int, seed) -> np.ndarray:
@@ -302,19 +337,22 @@ def sample_so(N: int, seed) -> np.ndarray:
     return sample_block_diagonal((N,), seed)
 
 
-def sample_block_diagonal(blocks: Sequence[int], seed) -> np.ndarray:
+def sample_block_diagonal(blocks, seed=None):
     """Seeded block-diagonal element of SO(n1) x ... x SO(nt) inside SO(N);
-    a sequence of seeds gives a stack, as in sample_so."""
-    if not blocks or any(b < 1 for b in blocks):
+    a sequence of seeds gives a stack, as in sample_so.
+
+    With no seed, blocks is a sequence of (blocks, seed) requests on one N,
+    and the list of their points, each equal to its request's own call, is
+    returned from one pass (see the module docstring).
+    """
+    requests = list(blocks) if seed is None else [(blocks, seed)]
+    if not requests or len({sum(blocks) for blocks, _ in requests}) > 1:
+        raise ValueError("need requests that partition one N")
+    if any(not blocks or min(blocks) < 1 for blocks, _ in requests):
         raise ValueError("block sizes must be positive")
-    normals, _ = _lane_draws(seed, blocks)
-    N = sum(blocks)
-    x = np.zeros((len(normals), N, N))
-    start = 0
-    for b, q in zip(blocks, _haar_blocks(normals, blocks)):
-        x[:, start : start + b, start : start + b] = q
-        start += b
-    return _sampled(x, ("compact", N), seed)
+    x = _block_stack(requests, [normals for normals, _ in _lane_draws(requests)])
+    points = _sampled(x, ("compact", x.shape[-1]), requests)
+    return points if seed is None else points[0]
 
 
 def _boost_exp(C: np.ndarray) -> np.ndarray:
@@ -354,12 +392,10 @@ def sample_so_mn(m: int, n: int, seed, radius: float = 0.75) -> np.ndarray:
         raise ValueError("need m, n >= 1")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    normals, coeffs = _lane_draws(seed, (m, n), m * n, radius)
-    N = m + n
-    k = np.zeros((len(normals), N, N))
-    k[:, :m, :m], k[:, m:, m:] = _haar_blocks(normals, (m, n))
+    requests = [((m, n), seed)]
+    [(normals, coeffs)] = _lane_draws(requests, m * n, radius)
     C = coeffs.reshape(-1, m, n) / np.sqrt(2.0)
-    return _sampled(k @ _boost_exp(C), ("indefinite", m, n), seed)
+    return _sampled(_block_stack(requests, [normals]) @ _boost_exp(C), ("indefinite", m, n), requests)[0]
 
 
 # -- curves -------------------------------------------------------------------

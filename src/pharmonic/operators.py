@@ -50,16 +50,15 @@ per chunk of lanes, a chunk holding at most MAX_LIFT_COMPONENTS components
 of N^2 D**p per lane; plain evaluations (invariance, the non-descent
 witness, conditioned sampling) run on stacks the same way.  The eigen
 checks read depth-1 jets: eigen_jets', or those of the plain points that
-ride a p_harmonic_residuals walk.  The samplers take a sequence of seeds
-and return the points as one (K, N, N) array, so every batch of subgroup actions or
-candidate points is drawn in one call.  Every checker and residual
-function returns plain numbers, arrays of one value per point (the
-non-descent witness one best change), so this module takes no threshold
-and names no check: the CLI judges the numbers and writes the records.
-One depth-p walk gives f, L^(p-1) f and L^p f at once, as components
-(0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).  A branch cut in a
-stacked walk raises a BranchCutError naming the failing lanes, by point
-whichever block of a lane stack failed there.
+ride a p_harmonic_residuals walk.  The invariance checks take drawn
+stacks of subgroup actions, whose seeds invariance_seeds and witness_seeds
+state.  Every checker and residual function returns plain numbers, arrays
+of one value per point (the non-descent witness one best change), so this
+module takes no threshold and names no check: the CLI judges the numbers
+and writes the records.  One depth-p walk gives f, L^(p-1) f and L^p f at
+once, as components (0, ..., 0), (D-1, ..., D-1, 0) and (D-1, ..., D-1).
+A branch cut in a stacked walk raises a BranchCutError naming the failing
+lanes, by point whichever block of a lane stack failed there.
 
 The closed-form identity residuals read depth-1 planes as plain arrays,
 for a stack of points at once, and take the rank-4 pairing tensor and its
@@ -519,8 +518,9 @@ def check_eigenfamily(jets: np.ndarray, lam, mu) -> list[tuple]:
 
 def _moved_changes(f, groups) -> list:
     """|f(x_i k_ij) - f(x_i)| / (1 + |f(x_i)|), shape (K, T), for each
-    (X, ks) of groups, the (K, T, N, N) actions ks on the (K, N, N) points X,
-    from one evaluation of every group's points and then moved copies.
+    (ks, X) of groups, the (K, T, N, N) actions ks, or (T, N, N) ones at
+    every point, on the (K, N, N) points X, from one evaluation of every
+    group's points and then moved copies.
 
     The evaluation stops at the first node where some lane hits the cut,
     and the BranchCutError names the lanes failing there that belong to the
@@ -528,8 +528,8 @@ def _moved_changes(f, groups) -> list:
     cut no lane is named for (a value shared by every lane) is raised as it
     came."""
     stacks, spans, start = [], [], 0
-    for X, ks in groups:
-        K, T = ks.shape[:2]
+    for ks, X in groups:
+        K, T = len(X), ks.shape[-3]
         stacks += [X, (X[:, None] @ ks).reshape(K * T, *X.shape[1:])]
         spans.append((start, K, T))
         start += K + K * T
@@ -548,49 +548,41 @@ def _moved_changes(f, groups) -> list:
     return changes
 
 
-def _invariance_group(subgroup_sampler, points: np.ndarray, seed: int) -> tuple:
-    """(points, INVARIANCE_TRIALS subgroup elements each), the elements drawn
-    as one stack from seeds seed + 10000, ...: the same for every point."""
-    ks = subgroup_sampler(range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS))
-    return points, np.broadcast_to(ks, (len(points),) + ks.shape)
+def invariance_seeds(seed: int) -> range:
+    """The seeds of a run's INVARIANCE_TRIALS subgroup actions, the same at
+    every point: trial j is drawn from seed + 10000 + j."""
+    return range(seed + 10_000, seed + 10_000 + INVARIANCE_TRIALS)
 
 
-def check_invariance(
-    f,
-    subgroup_sampler: Callable[[Sequence[int]], np.ndarray],
-    points: np.ndarray,
-    seed: int = 0,
-) -> np.ndarray:
-    """The worst normalized change of f(x k) against f(x) at each point, over
-    INVARIANCE_TRIALS sampled subgroup elements k, drawn as one stack from
-    seeds seed + 10000, ....  non_descent_witness makes this check in its
-    own evaluation."""
-    return _moved_changes(f, [_invariance_group(subgroup_sampler, points, seed)])[0].max(axis=1)
+def witness_seeds(count: int, seed: int) -> range:
+    """The seeds of a run's merged-subgroup actions at `count` points, point
+    by point: trial j of point i is drawn from seed + 20000 + i
+    WITNESS_TRIALS + j."""
+    return range(seed + 20_000, seed + 20_000 + count * WITNESS_TRIALS)
 
 
-def non_descent_witness(
-    f,
-    merged_sampler: Callable[[Sequence[int]], np.ndarray],
-    points: np.ndarray,
-    invariance: tuple,
-    seed: int = 0,
-) -> tuple:
-    """The pair (check_invariance(f, subgroup_sampler, stack, seed), the
-    witness) for invariance = (subgroup_sampler, stack), from one values_at
-    call.  The witness is the largest normalized change of f under
-    WITNESS_TRIALS sampled merged-subgroup actions per point of `points`: a
-    visible change witnesses that f does not descend through the merged
-    quotient.  Trial j of point i uses seed seed + 20000 + i WITNESS_TRIALS
-    + j; all are drawn as one stack.
+def check_invariance(f, actions: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The worst normalized change of f(x k) against f(x) at each point x of
+    the (K, N, N) stack, over the (T, N, N) stack of subgroup actions k (a
+    run draws them from invariance_seeds).  non_descent_witness makes this
+    check in its own evaluation."""
+    return _moved_changes(f, [(actions, points)])[0].max(axis=1)
+
+
+def non_descent_witness(f, merged_actions: np.ndarray, points: np.ndarray, invariance: tuple) -> tuple:
+    """The pair (check_invariance(f, actions, stack), the witness) for
+    invariance = (actions, stack), from one values_at call.  The witness is
+    the largest normalized change of f under the merged-subgroup actions,
+    WITNESS_TRIALS per point of `points` in turn (a run draws them from
+    witness_seeds): a visible change witnesses that f does not descend
+    through the merged quotient.
 
     A BranchCutError names points of `stack` when any of them fail at the
     node where the evaluation stopped, else points of `points`, each by
     their index in its own stack (see _moved_changes).
     """
-    start = seed + 20_000
-    ks = merged_sampler(range(start, start + len(points) * WITNESS_TRIALS))
-    witness = (points, ks.reshape(len(points), WITNESS_TRIALS, *points.shape[1:]))
-    worst, changes = _moved_changes(f, [_invariance_group(*invariance, seed), witness])
+    witness = (merged_actions.reshape(len(points), WITNESS_TRIALS, *points.shape[1:]), points)
+    worst, changes = _moved_changes(f, [invariance, witness])
     return worst.max(axis=1), float(changes.max())
 
 

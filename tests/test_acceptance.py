@@ -32,11 +32,13 @@ from pharmonic.operators import (
     conditioned_sample,
     coordinate_identity_residuals,
     eigen_jets,
+    invariance_seeds,
     laplacian,
     laplacian_jet,
     non_descent_witness,
     p_harmonic_residuals,
     projector_identity_residuals,
+    witness_seeds,
 )
 from pharmonic.symcalc import (
     EigenParams,
@@ -179,7 +181,7 @@ def test_criterion_06_invariance_and_lift():
         N = m + n
         phi = projector_form(rank_one_from_vector(np.arange(1.0, N)), m)
         points = sample_so(N, range(6000, 6005))
-        changes = check_invariance(phi, lambda s, m=m, n=n: sample_block_diagonal((m, n), s), points)
+        changes = check_invariance(phi, sample_block_diagonal((m, n), invariance_seeds(0)), points)
         assert np.all(changes <= 1e-10), changes
         worst_inv = np.max([worst_inv, changes.max()])
         for x in points:
@@ -225,16 +227,17 @@ def test_criterion_07_flag_construction():
             worst_tau = np.max([worst_tau, residual])
         assert len(accepted) >= 10
 
-        changes = check_invariance(total, lambda s, b=blocks: sample_block_diagonal(b, s), np.stack(accepted))
+        actions = sample_block_diagonal(blocks, invariance_seeds(0))
+        changes = check_invariance(total, actions, np.stack(accepted))
         assert np.all(changes <= 1e-10), changes
         worst_inv = np.max([worst_inv, changes.max()])
 
         merged = (blocks[0] + blocks[1],) + tuple(blocks[2:])
         same_changes, witness = non_descent_witness(
             total,
-            lambda s, mb=merged: sample_block_diagonal(mb, s),
+            sample_block_diagonal(merged, witness_seeds(1, 0)),
             np.stack(accepted[:1]),
-            (lambda s, b=blocks: sample_block_diagonal(b, s), np.stack(accepted)),
+            (actions, np.stack(accepted)),
         )
         assert np.array_equal(same_changes, changes)
         assert witness >= 1e-6, witness

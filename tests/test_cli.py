@@ -1002,7 +1002,7 @@ def test_a_later_stacked_member_on_the_cut_names_its_point():
     assert caught.value.lanes == (1,)
     assert str(caught.value).startswith("lanes [1] "), str(caught.value)
     with pytest.raises(BranchCutError) as caught:
-        ops.check_invariance(f, lambda seeds: np.stack([np.eye(3) for _ in seeds]), points)
+        ops.check_invariance(f, np.stack([np.eye(3) for _ in ops.invariance_seeds(0)]), points)
     assert caught.value.lanes == (1,)
     # an eigenfamily's members are walked on the points' lanes, then stacked
     with pytest.raises(BranchCutError) as caught:
@@ -1137,16 +1137,60 @@ def test_a_run_draws_each_seed_once(monkeypatch, capsys, argv):
     ledger = []
     lane_draws = group._lane_draws
 
-    def recording(seed, sizes, coefficients=0, radius=0.0):
-        seeds = [seed] if np.ndim(seed) == 0 else seed
-        ledger.extend((tuple(sizes), coefficients, radius, int(s)) for s in seeds)
-        return lane_draws(seed, sizes, coefficients, radius)
+    def recording(requests, coefficients=0, radius=0.0):
+        for sizes, seed in requests:
+            seeds = [seed] if np.ndim(seed) == 0 else seed
+            ledger.extend((tuple(sizes), coefficients, radius, int(s)) for s in seeds)
+        return lane_draws(requests, coefficients, radius)
 
     monkeypatch.setattr(group, "_lane_draws", recording)
     code, _ = run_cli(capsys, *argv, "--samples", "3")
     assert code == EXIT_PASS
     repeated = {entry for entry in ledger if ledger.count(entry) > 1}
     assert ledger and not repeated
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grassmann", "--m", "2", "--n", "2"),
+        ("grassmann", "--m", "3", "--n", "4"),
+        ("flag", "--blocks", "2,2"),
+        ("flag", "--blocks", "1,1,2"),
+        ("flag", "--blocks", "2,1,1"),
+    ],
+    ids=" ".join,
+)
+def test_a_run_draws_its_points_and_actions_in_one_sampler_pass(monkeypatch, capsys, argv):
+    # one seeding hash and one group-relation check per run, over the plain
+    # points (flag: the first conditioned batch), the invariance actions and,
+    # with three or more blocks, the merged-subgroup witness actions, drawn
+    # in that order from the seeds the operators' helpers state
+    calls, drawn = [], []
+    for name in ("_seed_words", "validate_group_point"):
+
+        def counting(*args, _fn=getattr(group, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(group, name, counting)
+    lane_draws = group._lane_draws
+
+    def recording(requests, *args):
+        drawn.extend(int(s) for _, seeds in requests for s in seeds)
+        return lane_draws(requests, *args)
+
+    monkeypatch.setattr(group, "_lane_draws", recording)
+    code, _ = run_cli(capsys, *argv, "--samples", "3")
+    assert code == EXIT_PASS
+    assert sorted(calls) == ["_seed_words", "validate_group_point"]
+    if argv[0] == "grassmann":
+        want = [*range(7, 10), *ops.invariance_seeds(7)]
+    else:
+        three = len(argv[2].split(",")) >= 3
+        witness = ops.witness_seeds(1, 7) if three else ()
+        want = [*ops.first_batch_seeds(3, 7), *ops.invariance_seeds(7), *witness]
+    assert drawn == want
 
 
 @pytest.mark.parametrize(

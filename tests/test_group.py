@@ -240,6 +240,64 @@ def test_sampler_streams_equal_default_rng_streams_exactly(sampler, reference):
         assert np.array_equal(sampler(seed), _reference_point(seed, *reference)), seed
 
 
+_MERGED_DRAWS = [
+    [(4,), (1, 1, 2), (2, 1, 1), (2, 2)],
+    [(7,), (3, 4), (1, 2, 4)],
+    *([(m + n,), (m, n)] for m, n in ((1, 2), (2, 2), (2, 3), (3, 4))),
+]
+
+
+@pytest.mark.parametrize("slab", [3, group.HAAR_SLAB])
+@pytest.mark.parametrize("partitions", _MERGED_DRAWS, ids=str)
+def test_a_merged_draw_equals_each_request_drawn_alone(monkeypatch, partitions, slab):
+    # four lanes per request, the requests' seeds straddling 2^32 and 2^64
+    # inside one draw, plus a one-seed request; with slabs of 3, slab edges
+    # fall inside requests and between them, and a slab can mix seeds below
+    # 2^64 (hashed in one pass) with seeds above (seeded by SeedSequence)
+    monkeypatch.setattr(group, "HAAR_SLAB", slab)
+    starts = [2**32 - 2, 2**64 - 7, 5, 2**64 - 2]
+    requests = [(b, range(starts[r % 4] + r, starts[r % 4] + r + 4)) for r, b in enumerate(partitions)]
+    requests.append((partitions[-1], 2**32))
+    drawn = sample_block_diagonal(requests)
+    assert len(drawn) == len(requests)
+    for (blocks, seeds), got in zip(requests, drawn):
+        assert np.array_equal(got, sample_block_diagonal(blocks, seeds)), (blocks, seeds)
+        for lane, seed in enumerate(np.atleast_1d(seeds).tolist()):
+            want = _reference_point(seed, "blocks", blocks)
+            assert np.array_equal(got if np.ndim(seeds) == 0 else got[lane], want), (blocks, seed)
+
+
+def test_a_failed_relation_names_the_lane_and_seed_of_its_request(monkeypatch):
+    haar = group._haar_orthogonal
+
+    def corrupting(normals):  # the third matrix of every 2 x 2 QR call
+        q = haar(normals)
+        if q.shape[-1] == 2:
+            q[2, 0, -1] += 1e-7
+        return q
+
+    monkeypatch.setattr(group, "_haar_orthogonal", corrupting)
+    # the size-2 QR holds the (2, 2) request's first blocks, then its
+    # second: its third matrix is lane 2 of that request, lane 5 of the draw
+    with pytest.raises(ValueError, match=r"^request 1, lane 2 \(seed 202\): matrix violates compact"):
+        sample_block_diagonal([((4,), range(100, 103)), ((2, 2), range(200, 205))])
+    with pytest.raises(ValueError, match=r"^lane 2 \(seed 12\): matrix violates compact"):
+        sample_so(2, range(10, 15))
+    with pytest.raises(ValueError, match=r"^lane 2 \(seed 32\): matrix violates indefinite"):
+        sample_so_mn(2, 2, range(30, 33))
+
+
+def test_requests_partition_one_group():
+    with pytest.raises(ValueError, match="partition one N"):
+        sample_block_diagonal([((4,), 1), ((2, 3), 2)])
+    with pytest.raises(ValueError, match="partition one N"):
+        sample_block_diagonal([])
+    with pytest.raises(ValueError, match="block sizes must be positive"):
+        sample_block_diagonal([((4,), 1), ((0, 4), 2)])
+    with pytest.raises(ValueError, match="need at least one seed"):
+        sample_block_diagonal([((4,), 1), ((2, 2), [])])
+
+
 def test_seed_words_equal_seed_sequence_words():
     fixed = np.random.default_rng(34).integers(0, 2**64, 1000, dtype=np.uint64)
     seeds = [
@@ -260,7 +318,7 @@ def test_seed_slabs_draw_as_one_seed_generators(count):
     # the stacks start 2^64 - HAAR_SLAB, so the last lane of HAAR_SLAB + 1 is
     # a slab of its own, seed 2^64, which SeedSequence seeds
     seeds = range(2**64 - group.HAAR_SLAB, 2**64 - group.HAAR_SLAB + count)
-    normals, uniforms = group._lane_draws(seeds, (2, 3), 4, 0.5)
+    [(normals, uniforms)] = group._lane_draws([((2, 3), seeds)], 4, 0.5)
     assert normals.shape == (count, 13) and uniforms.shape == (count, 4)
     for lane, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)

@@ -170,7 +170,7 @@ def test_full_basis_equals_quotient_basis_on_invariant_functions():
 
 def test_coordinates_are_not_invariant():
     pts = sample_so(4, range(60, 63))
-    changes = check_invariance(Entry(1, 1), lambda s: sample_block_diagonal((2, 2), s), pts)
+    changes = check_invariance(Entry(1, 1), sample_block_diagonal((2, 2), ops.invariance_seeds(0)), pts)
     assert changes.shape == (len(pts),)
     assert changes.max() > 1e-10
 
@@ -179,9 +179,21 @@ def test_projector_form_is_invariant():
     m, n = 2, 3
     pts = sample_so(m + n, range(70, 73))
     phi = projector_form(rank_one_from_vector([1, 2, 3, 4]), m)
-    changes = check_invariance(phi, lambda s: sample_block_diagonal((m, n), s), pts)
+    changes = check_invariance(phi, sample_block_diagonal((m, n), ops.invariance_seeds(0)), pts)
     assert changes.shape == (len(pts),)
     assert changes.max() <= 1e-10
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (2, 3)])
+def test_dual_projector_form_is_invariant_at_dual_points(m, n):
+    # the dual's function lives on SO0(m,n)/SO(m) x SO(n): right translation
+    # by the compact subgroup leaves it unchanged at boost points, while an
+    # entry in the last column, which SO(n) mixes, moves
+    pts = sample_so_mn(m, n, range(80, 85))
+    phi = projector_form(dual_matrix(rank_one_from_vector(np.arange(1.0, m + n)), m, n), m)
+    actions = sample_block_diagonal((m, n), ops.invariance_seeds(80))
+    assert check_invariance(phi, actions, pts).max() <= 1e-10
+    assert check_invariance(Entry(1, m + n), actions, pts).max() > 1e-3
 
 
 # -- eigen checks ------------------------------------------------------------------------
@@ -1078,12 +1090,13 @@ def test_jet_laplacian_matches_finite_differences():
 def test_non_descent_witness_found_for_three_blocks():
     node = flag_sum_expr(flag_forms((1, 1, 2)), 2)
     pts = sample_so(4, [190, 191, 192])
-    blocks = lambda s: sample_block_diagonal((1, 1, 2), s)  # noqa: E731
-    worst, best = non_descent_witness(node, lambda s: sample_block_diagonal((2, 2), s), pts[:1], (blocks, pts), 3)
+    actions = sample_block_diagonal((1, 1, 2), ops.invariance_seeds(3))
+    merged = sample_block_diagonal((2, 2), ops.witness_seeds(1, 3))
+    worst, best = non_descent_witness(node, merged, pts[:1], (actions, pts))
     assert isinstance(best, float)
     assert best > 1e-6
     # the invariance half is check_invariance's, bit for bit
-    assert np.array_equal(worst, check_invariance(node, blocks, pts, seed=3))
+    assert np.array_equal(worst, check_invariance(node, actions, pts))
 
 
 def _point_by_point_conditioned_sample(funcs, sampler, count, seed):
@@ -1176,24 +1189,25 @@ def test_moved_evaluations_name_the_sample_point_on_a_cut():
     f = Log(Entry(1, 1))
     ops.values_at(f, pts)  # would raise if a point itself were on the cut
 
-    def one_quarter_turn(seeds):  # R at the second invariance trial only
-        return np.stack([R if s == 10_001 else np.eye(4) for s in seeds])
+    trials = ops.invariance_seeds(0)
+    one_quarter_turn = np.stack([R if s == trials[1] else np.eye(4) for s in trials])  # the second trial only
+    identity = np.stack([np.eye(4) for _ in trials])
 
-    def quarter_turns(seeds):
-        return np.stack([R for _ in seeds])
+    def quarter_turns(count):  # every merged action at `count` points
+        return np.stack([R for _ in ops.witness_seeds(count, 0)])
 
-    def identity(seeds):
-        return np.stack([np.eye(4) for _ in seeds])
+    def identities(count):
+        return np.stack([np.eye(4) for _ in ops.witness_seeds(count, 0)])
 
     # the invariance and witness actions share one evaluation, each stack's
     # points named by their index in it: a cut in the witness stack alone
     # names its point, and a cut in both names the invariance stack's
     cases = [
         (lambda: check_invariance(f, one_quarter_turn, pts), (1,)),
-        (lambda: non_descent_witness(f, quarter_turns, pts[[1, 0]], (identity, pts)), (0,)),
-        (lambda: non_descent_witness(f, quarter_turns, pts[[2, 0, 1]], (identity, pts[[0, 2]])), (2,)),
-        (lambda: non_descent_witness(f, quarter_turns, pts[[1, 0]], (one_quarter_turn, pts)), (1,)),
-        (lambda: non_descent_witness(f, identity, pts[[2, 0, 1]], (one_quarter_turn, pts[[1, 2]])), (0,)),
+        (lambda: non_descent_witness(f, quarter_turns(2), pts[[1, 0]], (identity, pts)), (0,)),
+        (lambda: non_descent_witness(f, quarter_turns(3), pts[[2, 0, 1]], (identity, pts[[0, 2]])), (2,)),
+        (lambda: non_descent_witness(f, quarter_turns(2), pts[[1, 0]], (one_quarter_turn, pts)), (1,)),
+        (lambda: non_descent_witness(f, identities(3), pts[[2, 0, 1]], (one_quarter_turn, pts[[1, 2]])), (0,)),
     ]
     for check, lanes in cases:
         with pytest.raises(BranchCutError) as caught:
@@ -1202,26 +1216,28 @@ def test_moved_evaluations_name_the_sample_point_on_a_cut():
         assert str(caught.value).startswith(f"lanes {list(lanes)} "), str(caught.value)
     # a cut no lane is named for, on a value shared by every lane, is raised as it came
     with pytest.raises(BranchCutError) as caught:
-        non_descent_witness(Sum((f, Log(Const(-1.0)))), identity, pts, (identity, pts))
+        non_descent_witness(Sum((f, Log(Const(-1.0)))), identities(3), pts, (identity, pts))
     assert caught.value.lanes == ()
 
 
 def test_invariance_and_witness_draw_their_actions_from_the_same_seeds():
-    requested = []
-
-    def sampler(seeds):
-        requested.append(list(seeds))
-        return sample_block_diagonal((2, 2), seeds)
-
-    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
-    pts = sample_so(4, range(60, 63))
     invariance = [5 + 10_000 + j for j in range(ops.INVARIANCE_TRIALS)]
     witness = [5 + 20_000 + i * ops.WITNESS_TRIALS + j for i in range(3) for j in range(ops.WITNESS_TRIALS)]
-    check_invariance(phi, sampler, pts, seed=5)
-    assert requested == [invariance]
-    requested.clear()
-    non_descent_witness(phi, sampler, pts, (sampler, pts[:2]), seed=5)
-    assert sorted(requested) == [invariance, witness]
+    assert list(ops.invariance_seeds(5)) == invariance
+    assert list(ops.witness_seeds(3, 5)) == witness
+    # trial j of point i moves that point by the action of its seed
+    f = Entry(1, 2)
+    pts = sample_so(4, range(60, 63))
+    actions = sample_block_diagonal((2, 2), invariance)
+    worst, best = non_descent_witness(f, sample_block_diagonal((2, 2), witness), pts, (actions, pts[:2]))
+    assert np.array_equal(worst, check_invariance(f, actions, pts[:2]))
+    value = [complex(evaluate(f, x)) for x in pts]
+    moved = [
+        abs(complex(evaluate(f, pts[i] @ sample_block_diagonal((2, 2), s))) - value[i]) / (1 + abs(value[i]))
+        for i in range(3)
+        for s in witness[i * ops.WITNESS_TRIALS : (i + 1) * ops.WITNESS_TRIALS]
+    ]
+    assert best == pytest.approx(max(moved), rel=1e-12)
 
 
 def test_conditioned_sample_is_deterministic_and_filters_small_values():
