@@ -87,7 +87,11 @@ def compare_reports(new: dict, previous: Path) -> tuple[list[str], float]:
     checks with equal ids (nan when the ids differ or the file is missing)."""
     if not previous.is_file():
         return ["missing"], float("nan")
-    old = json.loads(previous.read_text())
+    return report_changes(new, json.loads(previous.read_text()))
+
+
+def report_changes(new: dict, old: dict) -> tuple[list[str], float]:
+    """compare_reports of two report documents."""
     differing = [name for name, get in _COMPARED.items() if get(new) != get(old)]
     if "ids" in differing:
         return differing, float("nan")

@@ -3,9 +3,13 @@
 Subcommands build the functions under study, run the symbolic and numerical
 checks, and emit one JSON report per run.  This module alone names the
 check ids, holds the thresholds and floors, and writes the check records:
-the operators it calls return plain residual arrays.  Runs are
-deterministic: the same configuration (seed included) reproduces the same
-report byte for byte, apart from the wall-clock field.
+the operators it calls return plain residual arrays.  ``pharmonic``,
+``flag`` and ``dual`` make their p-harmonic check through one helper,
+_p_harmonic_records: it draws and conditions the sample points, has the
+eigen checks' plain points ride the depth-p walk, and writes the records.
+Runs are deterministic: the same configuration (seed included) reproduces
+the same report byte for byte on one machine, apart from the wall-clock
+field.
 
 Exit codes: 0 all checks passed, 2 a verification check failed, 3 a usage
 or configuration error, 4 a numerical-domain failure (well-conditioned
@@ -227,21 +231,6 @@ def _seeds(config: RunConfig) -> range:
     return range(config.seed, config.seed + config.samples)
 
 
-def _sample_conditioned(f, sampler, config: RunConfig, notes: list[str], first=None):
-    """Draw sample points on which every value of f is trustworthy.
-
-    Delegates to the scale-relative conditioning filter, handing it the
-    first batch when the run has drawn it; notes record how many raw draws
-    the accepted batch cost.
-    """
-    points, draws = ops.conditioned_sample(f, sampler, config.samples, config.seed, first)
-    if draws > config.samples:
-        notes.append(
-            f"drew {draws} candidate points for {config.samples} conditioned samples"
-        )
-    return points
-
-
 def _matrix_records(A, label: str, config: RunConfig, form=None) -> list:
     """The four coefficient-matrix structure records."""
     tol = _threshold(config, DEFAULT_TOLS["matrix"])
@@ -273,24 +262,33 @@ def _symbolic_records(params, p: int, label: str, c1, c2, proper: bool = True) -
 
 
 def _p_harmonic_records(
-    expr, points, basis, config: RunConfig, notes: list[str], expect_witness: bool = True, eigen=None, plain=None
+    expr, f, sampler, basis, config: RunConfig, notes: list[str], first=None, eigen=False, expect_witness=True
 ) -> tuple:
-    """Order-p residual and order-(p-1) witness records at each point of the
-    (K, N, N) stack; and, given an eigen check's points as the stack `plain`
-    and its function `eigen`, eigen's depth-1 jets there (else None).
+    """The p-harmonic check of the composition expr, as (records, the
+    conditioned points, f's depth-1 jets at the plain points or None).
 
-    All points are walked together, the plain points riding the walk (see
-    ops.p_harmonic_residuals).  A point where the iteration hits a branch
-    cut is dropped and the rest are walked again, down to none, when only
-    the plain points are walked.  A point whose witness falls
-    below the properness floor is dropped too, each with a note, in point
-    order.  If every point is dropped and a witness is expected, one
-    failing "all" record stands in.
+    Draws the first batch with `sampler` (seeds to points) unless the run's
+    sampler pass has drawn it (`first`), conditions config.samples points
+    on f (phi, or a block family) with a note of the draws that cost, and
+    writes order-p residual and order-(p-1) witness records at each.  With
+    `eigen`, the plain points, the batch's first config.samples lanes, ride
+    the walk for f's eigen checks (see ops.p_harmonic_residuals).
+
+    A point where the iteration hits a branch cut is dropped and the rest
+    are walked again, down to none, when only the plain points are walked.
+    A point whose witness falls below the properness floor is dropped too,
+    each with a note, in point order.  If every point is dropped and a
+    witness is expected, one failing "all" record stands in.
     """
+    if first is None:
+        first = sampler(ops.first_batch_seeds(config.samples, config.seed))
+    points, draws = ops.conditioned_sample(f, sampler, config.samples, config.seed, first)
+    if draws > config.samples:
+        notes.append(f"drew {draws} candidate points for {config.samples} conditioned samples")
     tau_tol = _tau_p_tol(config)
     lanes = list(range(len(points)))
     cut: set[int] = set()
-    riders = () if plain is None else (eigen, plain)
+    riders = (f, first[: config.samples]) if eigen else ()
     while True:
         try:
             results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis, *riders)
@@ -317,7 +315,7 @@ def _p_harmonic_records(
     if not records and expect_witness:
         records.append(lower_check("properness_witness", "all", 0.0, PROPERNESS_FLOOR))
         notes.append("order-(p-1) image vanished on every sample")
-    return records, jets[0] if jets else None
+    return records, points, jets[0] if jets else None
 
 
 # -- commands --------------------------------------------------------------------
@@ -394,8 +392,8 @@ def cmd_pharmonic(config: RunConfig) -> VerificationReport:
 
     phi = ex.projector_form(A, m)
     composed = ex.p_harmonic_expr(phi, -N, -2, p, 1, 1)
-    points = _sample_conditioned(phi, lambda s: sample_so(N, s), config, notes)
-    records += _p_harmonic_records(composed, points, m_basis(m, n), config, notes)[0]
+    sampler = functools.partial(sample_so, N)
+    records += _p_harmonic_records(composed, phi, sampler, m_basis(m, n), config, notes)[0]
     return VerificationReport("pharmonic", config.as_dict(), records, notes)
 
 
@@ -404,10 +402,9 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     and (three or more blocks) the non-descent witness.
 
     One sampler call draws the first conditioned batch, the invariance
-    actions and, with three or more blocks, the witness actions.  The
-    batch's first config.samples lanes, the eigen checks' plain points,
-    ride the block sum's depth-p walk, which pairs each block form once for
-    both, and the eigen checks read the family's depth-1 jets off it.  The
+    actions and, with three or more blocks, the witness actions; the batch
+    goes to _p_harmonic_records, whose block-sum walk the eigen checks'
+    plain points ride, pairing each block form once for both.  The
     invariance and non-descent actions are evaluated in one call."""
     _validate_common(config)
     blocks = config.blocks or DEFAULT_BLOCKS
@@ -428,11 +425,10 @@ def cmd_flag(config: RunConfig) -> VerificationReport:
     if len(blocks) >= 3:
         requests.append(((blocks[0] + blocks[1], *blocks[2:]), ops.witness_seeds(1, config.seed)))
     batch, actions, *merged_actions = sample_block_diagonal(requests)
-    points = batch[: config.samples]
 
     total = ex.flag_sum_expr(family, config.p)
-    sampled = _sample_conditioned(family, functools.partial(sample_so, n), config, notes, batch)
-    p_records, jets = _p_harmonic_records(total, sampled, basis, config, notes, eigen=family, plain=points)
+    sampler = functools.partial(sample_so, n)
+    p_records, sampled, jets = _p_harmonic_records(total, family, sampler, basis, config, notes, batch, eigen=True)
 
     # the ids keep their member0 part: check ids are byte-stable report output
     for k, residuals in enumerate(ops.check_eigenfamily(jets, -n, -2)):
@@ -454,11 +450,10 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     """Companion function on the indefinite group: boost-twisted coefficients,
     sign-flipped eigen relations, and p-harmonicity along boost directions.
 
-    As in cmd_flag, the plain points are the first config.samples lanes of
-    the first conditioned batch, drawn once, and they ride the depth-p walk
-    of the composition; the eigen check and the degenerate-samples note
-    read phi's depth-1 jets off it, and that note keeps its place before
-    the sampling's."""
+    As in cmd_flag, the eigen check's plain points ride the composition's
+    walk in _p_harmonic_records; the eigen check and the degenerate-samples
+    note read phi's depth-1 jets off it, and that note keeps its place
+    before the sampling's."""
     _validate_common(config)
     m, n = config.m, config.n
     N = m + n
@@ -481,14 +476,11 @@ def cmd_dual(config: RunConfig) -> VerificationReport:
     basis = m_basis(m, n, "indefinite")
     eigen_tol = _threshold(config, DEFAULT_TOLS["eigen"])
 
-    sampler = functools.partial(sample_so_mn, m, n, radius=config.radius)
-    batch = sampler(ops.first_batch_seeds(config.samples, config.seed))
-    points = batch[: config.samples]
     composed = ex.p_harmonic_expr(phi, N, 2, p, 1, 1)
+    sampler = functools.partial(sample_so_mn, m, n, radius=config.radius)
     drawn = len(notes)  # where the sampling's note goes
-    iter_points = _sample_conditioned(phi, sampler, config, notes, batch)
-    p_records, jets = _p_harmonic_records(
-        composed, iter_points, basis, config, notes, config.radius > 0, eigen=phi, plain=points
+    p_records, _, jets = _p_harmonic_records(
+        composed, phi, sampler, basis, config, notes, eigen=True, expect_witness=config.radius > 0
     )
 
     tau, kappa, values = ops.check_eigenfunction(jets, N, 2)

@@ -410,13 +410,15 @@ def rank_one_from_vector(w) -> np.ndarray:
 
     With s the principal square root of sum(w_i^2), the generating isotropic
     vector is (s, i w_1, ..., i w_{N-1}); the result has first row
-    (sum w^2, i w_1 s, ...) and lower block -w_i w_j.  A w whose products
-    overflow raises ValueError.
+    (sum w^2, i w_1 s, ...) and lower block -w_i w_j.  A w whose squares
+    underflow to zero, or whose products overflow, raises ValueError.
     """
     w = np.asarray(w, dtype=complex).ravel()
     if w.size == 0 or not np.any(w):
         raise ValueError("need a nonzero vector")
     with np.errstate(over="ignore", invalid="ignore"):
+        if np.max(np.abs(w)) ** 2 == 0.0:
+            raise ValueError("w is nonzero, but its squares underflow to zero")
         root = cmath.sqrt(complex(w @ w))
         u = np.concatenate([[root], 1j * w])
         A = rank_one_from_isotropic(u)
@@ -572,11 +574,12 @@ def parse_vector(text: str) -> np.ndarray:
 
 
 def _cell_to_complex(cell) -> complex:
+    # a JSON true or false is a Python bool, which is a Number: refused
     if isinstance(cell, str):
         return parse_complex(cell)
-    if isinstance(cell, (list, tuple)) and len(cell) == 2:
+    if isinstance(cell, (list, tuple)) and len(cell) == 2 and not any(isinstance(c, bool) for c in cell):
         return complex(float(cell[0]), float(cell[1]))
-    if isinstance(cell, Number):
+    if isinstance(cell, Number) and not isinstance(cell, bool):
         return complex(cell)
     raise ValueError(f"cannot read complex cell {cell!r}")
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -546,10 +547,15 @@ def test_bad_input_exits_with_usage_code_and_no_traceback(tmp_path, argv):
         ("A.csv", "1" * 140_000 + ",0,0,0\n", "unreadable matrix file: field larger than field limit (131072)"),
         ("A.json", "[[1, 0], [0, 1], [1, 1]]", "expected a square matrix, got shape (3, 2)"),
         ("A.json", "[[{}, 0], [0, 0]]", "cannot read complex cell {}"),
+        # JSON booleans are not numbers here, alone or in a [re, im] pair
+        ("A.json", "[[true, false, 0, 0], [false, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
+         "cannot read complex cell True"),
+        ("A.json", "[[[true, 1], 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]",
+         "cannot read complex cell [True, 1]"),
     ],
     ids=[
         "object", "string", "flat", "ragged", "ragged-csv", "deep-json", "huge-json-int", "long-csv-cell",
-        "non-square", "object-cell",
+        "non-square", "object-cell", "bool-cell", "bool-pair-member",
     ],
 )
 def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, name, text, message):
@@ -573,6 +579,11 @@ def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys,
 # (option, value or --A file text, exit code, part of the message)
 _DEGENERATE_INPUTS = {
     "zero-w": (("--w", "0,0,0"), EXIT_USAGE, "bad --w 0,0,0: need a nonzero vector"),
+    # a nonzero w whose squares, and so sum w_i^2, underflow to zero
+    "underflow-w": (
+        ("--w", "1e-200,1e-200,1e-200"), EXIT_USAGE,
+        "bad --w 1e-200,1e-200,1e-200: w is nonzero, but its squares underflow to zero",
+    ),
     # the zero matrix, and a skew one, whose symmetric part (the only part a
     # projector form reads) is zero: both define the zero function
     "zero-A": (("--A", "0,0,0,0\n" * 4), EXIT_USAGE, "defines the zero function"),
@@ -944,35 +955,49 @@ def test_a_cut_on_every_conditioned_point_keeps_the_eigen_records(monkeypatch, c
     ]
 
 
-def test_pipeline_drops_only_the_lane_on_the_log_cut():
+def _conditioned_on(monkeypatch, points):
+    """Have ops.conditioned_sample return the hand-made stack `points` as
+    the conditioned sample, one draw per point."""
+    monkeypatch.setattr(ops, "conditioned_sample", lambda f, sampler, count, seed, first: (points, len(points)))
+
+
+def test_pipeline_drops_only_the_lane_on_the_log_cut(monkeypatch):
     x = sample_so(3, 11)
     points = np.stack([x] * 4)
     points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])  # x11 < 0 at point 1 only
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
     basis = so_basis(3)
+    _conditioned_on(monkeypatch, points)
     notes = []
-    records, jets = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
+    sampler = functools.partial(sample_so, 3)
+    records, sampled, jets = _p_harmonic_records(f, f, sampler, basis, RunConfig("pharmonic", p=2), notes)
     assert notes == ["point 1 rejected during iteration (branch cut)"]
     assert [r.point for r in records] == [0, 0, 2, 2, 3, 3] and jets is None
+    assert sampled is points
     for i in (0, 2, 3):
         residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], basis)
         got = {r.check: r.residual for r in records if r.point == i}
         assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
 
 
-def test_pipeline_with_every_lane_on_the_log_cut_pairs_the_plain_points_alone():
-    # no fake: the last walk has no conditioned points left, and the plain
-    # points' pairing gives the jets a depth-1 walk of them alone gives
+def test_pipeline_with_every_lane_on_the_log_cut_pairs_the_plain_points_alone(monkeypatch):
+    # no fake walk: the last walk has no conditioned points left, and the
+    # plain points' pairing gives the jets a depth-1 walk of them alone gives
     family = flag_forms((1, 2))
     x = sample_so(3, 11)
     points = np.stack([x] * 2)
     points[:, 0, 0] = -abs(x[0, 0])
     f = Product((Log(Entry(1, 1)), Unstack(family)))
+    # the plain points are the first batch's first two lanes, seeds 20 and 21
     plain = sample_so(3, range(20, 22))
     basis = so_basis(3)
-    for riders in ({}, {"eigen": family, "plain": plain}):
+    _conditioned_on(monkeypatch, points)
+    config = RunConfig("flag", p=2, seed=20, samples=2)
+    for riders in ({}, {"eigen": True}):
         notes = []
-        records, jets = _p_harmonic_records(f, points, basis, RunConfig("flag", p=2), notes, **riders)
+        records, _, jets = _p_harmonic_records(
+            f, family, functools.partial(sample_so, 3), basis, config, notes, **riders
+        )
         assert notes == [
             "point 0 rejected during iteration (branch cut)",
             "point 1 rejected during iteration (branch cut)",
@@ -985,7 +1010,7 @@ def test_pipeline_with_every_lane_on_the_log_cut_pairs_the_plain_points_alone():
             assert jets is None
 
 
-def test_a_later_stacked_member_on_the_cut_names_its_point():
+def test_a_later_stacked_member_on_the_cut_names_its_point(monkeypatch):
     # a tree over a lane stack of two members, x11^2 and x11, on four points
     # where x11 < 0 at point 1 only: the log reaches the cut on member 1's
     # lane of point 1, entry (1, 1) of the (4, 2) lanes, and the error
@@ -1008,8 +1033,10 @@ def test_a_later_stacked_member_on_the_cut_names_its_point():
     with pytest.raises(BranchCutError) as caught:
         ops.eigen_jets(Stack((stack.members[0], Log(Entry(1, 1)))), points, basis)
     assert caught.value.lanes == (1,)
+    _conditioned_on(monkeypatch, points)
     notes = []
-    records, _ = _p_harmonic_records(f, points, basis, RunConfig("pharmonic", p=2), notes)
+    sampler = functools.partial(sample_so, 3)
+    records, _, _ = _p_harmonic_records(f, f, sampler, basis, RunConfig("pharmonic", p=2), notes)
     assert notes == ["point 1 rejected during iteration (branch cut)"]
     assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
 
