@@ -194,11 +194,11 @@ def _coefficient_matrix(config: RunConfig) -> np.ndarray:
     + A^T = 0: its projector form, and the dual's, is the zero function), or
     a scale outside COEFFICIENT_SCALE_RANGE, is a configuration error."""
     N = config.m + config.n
-    source = f"--A {config.a_file}" if config.a_file else f"--w {config.w}"
+    source = f"--A {config.a_file}" if config.a_file is not None else f"--w {config.w}"
     try:
-        if config.a_file:
+        if config.a_file is not None:
             values = ex.load_matrix(config.a_file)
-        elif config.w:
+        elif config.w is not None:
             values = ex.parse_vector(config.w)
         else:
             values = np.arange(1, N, dtype=float)
@@ -206,7 +206,7 @@ def _coefficient_matrix(config: RunConfig) -> np.ndarray:
         raise UsageError(f"bad {source}: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise UsageError(f"{source} holds non-finite entries")
-    if config.a_file:
+    if config.a_file is not None:
         if values.shape != (N, N):
             raise UsageError(f"matrix file has shape {values.shape}, expected {(N, N)}")
         A = values

@@ -47,7 +47,6 @@ from __future__ import annotations
 import cmath
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Number
@@ -180,6 +179,8 @@ def evaluate(node, matrix, known: dict | None = None):
     if isinstance(matrix, np.ndarray) and matrix.ndim == 3:
         # entry (r, c) of every matrix as one contiguous lane array
         lanes = np.ascontiguousarray(np.moveaxis(matrix, 0, -1), dtype=complex)
+        if known is None and isinstance(node, ProjectorForm):
+            return _projector_value(node, lanes)  # one node: no readers, no memo
         value = _eval(node, lanes, memo, _readers(node))
         return value if isinstance(value, np.ndarray) else np.full(len(matrix), complex(value))
     return _eval(node, matrix, memo, _readers(node))
@@ -216,20 +217,22 @@ def tree_leaves(root) -> list:
     return leaves
 
 
-def _readers(root) -> Counter:
-    """How many times a walk from root reads each node: once per reference
-    from each distinct parent, and once for the root itself."""
-    counts = Counter({id(root): 1})
+def _readers(root) -> dict:
+    """How many times a walk from root reads each node, by identity: once
+    per reference from each distinct parent, and once for the root itself."""
+    counts = {id(root): 1}
     stack = [root]
     while stack:
         for child in _children(stack.pop()):
-            if not counts[id(child)]:
+            key = id(child)
+            seen = counts.get(key, 0)
+            if not seen:
                 stack.append(child)
-            counts[id(child)] += 1
+            counts[key] = seen + 1
     return counts
 
 
-def _eval(node, m, memo: dict, readers: Counter):
+def _eval(node, m, memo: dict, readers: dict):
     key = id(node)
     value = memo.pop(key) if key in memo else _node_value(node, m, memo, readers)
     readers[key] -= 1
@@ -243,7 +246,7 @@ def _entry(m, row: int, col: int):
     return complex(v) if isinstance(v, Number) else v
 
 
-def _node_value(node, m, memo: dict, readers: Counter):
+def _node_value(node, m, memo: dict, readers: dict):
     if isinstance(node, Entry):
         return _entry(m, node.row, node.col)
     if isinstance(node, Const):
@@ -308,7 +311,7 @@ def _projector_value(node: ProjectorForm, m):
     """
     cols = [c - 1 for c in node.columns]
     if isinstance(m, np.ndarray) and m.ndim == 3:
-        x = m[np.ix_(node.rows, cols)]
+        x = m.take(node.rows, axis=0).take(cols, axis=1)
         return _ordered_sum((x * _window_map(node.weight_array, x)).reshape(-1, m.shape[-1]))
     x = [[_entry(m, r + 1, c + 1) for c in cols] for r in node.rows]
     y = [
@@ -322,10 +325,10 @@ def _window_map(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """y for an (R, W, ...) array x of entry values: y[j] is the sum over a
     of weights[j, a] x[a], left to right, each term a number times an array
     as Const * Entry computes it."""
-    column = (len(weights),) + (1,) * (x.ndim - 1)
-    y = weights[:, 0].reshape(column) * x[0]
+    columns = weights.T.reshape(weights.shape + (1,) * (x.ndim - 1))  # columns[a] = weights[:, a]
+    y = columns[0] * x[0]
     for a in range(1, len(weights)):
-        y = y + weights[:, a].reshape(column) * x[a]
+        y = y + columns[a] * x[a]
     return y
 
 
@@ -590,8 +593,11 @@ def load_matrix(path) -> np.ndarray:
     JSON cells may be 're:im' strings, [re, im] pairs, or plain numbers.
     Every unreadable file raises ValueError (or OSError), among them JSON
     nested past the parser's recursion limit, a JSON integer beyond float
-    range and a CSV cell over csv's field size limit.
+    range and a CSV cell over csv's field size limit; so does an empty path,
+    which Path would read as the current directory.
     """
+    if path == "":
+        raise ValueError("empty file name")
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":

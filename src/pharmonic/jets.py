@@ -24,12 +24,17 @@ workspace, each element computed by the same operations whatever its
 block or stack.  A block whose depth a term map covers, (3B + 3)**q terms at
 most ``MAP_TERMS`` cached per basis size and depth, is a gather of both
 operands' components, one multiply, the weights of the (b, b) pairs and one
-segmented sum, in about five numpy calls for the whole depth; a deeper block
+segmented sum, in about five numpy calls for the whole depth; a product the
+map covers whose two gathers fit the budget whole, as every product of
+depth 3 or less in the benchmark's runs does, is that one block, taken with no
+block loop, its two gathers the halves of one buffer.  A deeper block
 gathers its outer level's 3B + 3 component pairs into one batch one depth
 down, taken by the same recursion, and folds their products back.  Bases of
 eight or more directions have no map and end in the fused one-level rule.
 Its log, reciprocal and powers apply the one-level rule
-g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the point value up.
+g(u0) + g'(u0) h + g''(u0) h^2 / 2 once per depth, from the point value up;
+each level's 2B + 1 products are one batch, whose left operand is written
+into one new array and whose right operand is one gather of u's rows.
 
 Analytic functions (:func:`jlog`, :func:`jexp`, :func:`jpow`)
 use principal branches throughout; :func:`jexp` takes numbers, lane arrays
@@ -93,7 +98,7 @@ def shape_of(value) -> tuple:
 
 def _require_finite(z):
     if isinstance(z, np.ndarray):
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NonFiniteError(f"non-finite value in lanes {np.flatnonzero(~np.isfinite(z)).tolist()}")
         return z
     z = complex(z)
@@ -305,7 +310,11 @@ def _per_lane(c):
 # B = 6 one, so every product of depth 3 or less in the benchmark's runs and
 # the sweep's takes one block (the widest, the 2B + 1 = 9 level-rule
 # products per point of a log or 1/phi at depth 4 on ten Gr(2,2) points, has
-# 90 elements).
+# 90 elements).  A term map's block gathers its right operand whole, in one
+# pass beside the left one, when both gathers fit the budget, 32 (3B + 3)**p
+# bytes per element (77 elements of a B = 4 product at p = 3, 28 of a B = 6
+# one); the 90-element block above, and any larger one, takes that gather in
+# two halves of its terms.
 PRODUCT_WORKSPACE_BYTES = 2**23
 
 # Most terms one term map may hold.  A map covers the innermost q levels of
@@ -404,8 +413,13 @@ def _product_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, B: int, p: int,
     (_mapped_product), the fused one-level rule at p = 1 (_fused_product),
     or else its outer level's 3B + 3 component pairs, (0, k), (k, 0) and
     (b, b), gathered into one batch of depth-(p-1) products, taken by this
-    function, and folded back into out.
+    function, and folded back into out.  A product the term map covers
+    whole whose gathers fit the budget unsplit is one block, taken with no
+    block loop.
     """
+    if p <= _map_depth(B) and 32 * len(a) * (3 * B + 3) ** p <= PRODUCT_WORKSPACE_BYTES:
+        _mapped_product(a, b, out, work, B, p)
+        return
     D = B + 2
     step = max(1, PRODUCT_WORKSPACE_BYTES // _workspace_bytes(B, p))
     for start in range(0, len(a), step):
@@ -443,17 +457,24 @@ def _mapped_product(left, right, out, work: dict, B: int, q: int):
 
     Both gathers share one buffer kept in work: two equal arrays freed
     together let glibc trim the heap, so every later product faulted their
-    pages in again.  The right operand's gather is taken in two halves when
-    a whole one would pass the budget."""
+    pages in again (495 minor faults per warm B = 4, p = 3 product of 20
+    lanes, against none).  When both whole gathers fit the budget they are
+    the two halves of that buffer, taken in one pass; else the right
+    operand's gather is taken in two halves of its terms."""
     pick_left, pick_right, weights, starts = _term_map(B, q)
     n, T = len(left), len(pick_left)
-    step = T if 32 * n * T <= PRODUCT_WORKSPACE_BYTES else (T + 1) // 2
-    buffer = _scratch(work, "terms", (n * (T + step),))
-    terms = left.take(pick_left, axis=1, out=buffer[: n * T].reshape(n, T), mode="wrap")
-    for start in range(0, T, step):
-        picks = pick_right[start : start + step]
-        gathered = buffer[n * T : n * (T + len(picks))].reshape(n, len(picks))
-        terms[:, start : start + step] *= right.take(picks, axis=1, out=gathered, mode="wrap")
+    if 32 * n * T <= PRODUCT_WORKSPACE_BYTES:
+        terms, gathered = _scratch(work, "terms", (2 * n * T,)).reshape(2, n, T)
+        left.take(pick_left, axis=1, out=terms, mode="wrap")
+        terms *= right.take(pick_right, axis=1, out=gathered, mode="wrap")
+    else:
+        step = (T + 1) // 2
+        buffer = _scratch(work, "terms", (n * (T + step),))
+        terms = left.take(pick_left, axis=1, out=buffer[: n * T].reshape(n, T), mode="wrap")
+        for start in range(0, T, step):
+            picks = pick_right[start : start + step]
+            gathered = buffer[n * T : n * (T + len(picks))].reshape(n, len(picks))
+            terms[:, start : start + step] *= right.take(picks, axis=1, out=gathered, mode="wrap")
     terms *= weights
     np.add.reduceat(terms, starts, axis=1, out=out)
 
@@ -540,24 +561,34 @@ def _times(a: np.ndarray, b: np.ndarray, B: int, depth: int) -> np.ndarray:
     return a * b if depth == 0 else _tensor_product(a, b, B, depth)
 
 
+@lru_cache(maxsize=None)
+def _level_rows(B: int) -> np.ndarray:
+    """Rows 1..B, 1..B and D - 1 of a level: the right operands, u_b, u_b
+    and u_L, of the level rule's 2B + 1 products."""
+    rows = np.array(list(range(1, B + 1)) * 2 + [B + 1])
+    rows.flags.writeable = False  # shared by every caller
+    return rows
+
+
 def _level(u: np.ndarray, g, d1, d2, B: int, k: int) -> np.ndarray:
     """The components of g(u) for u's components at depth k >= 1, given g,
     g' and g'' at u's leading depth-(k-1) slice; the 2B + 1 products
-    u_b u_b, g' u_b and g' u_L are one batch."""
+    u_b u_b, g' u_b and g' u_L are one batch.  Its left operand is u's B
+    direction rows, then B + 1 copies of g', written into one new array; its
+    right operand is one gather of u's rows (_level_rows).  Both are freed
+    before the output is allocated."""
     D, inner = B + 2, (B + 2) ** (k - 1)
     parts = u.reshape(u.shape[:-1] + (D, inner))
-    directions, laplacian = parts[..., 1:-1, :], parts[..., -1:, :]
-    slope = np.broadcast_to(d1[..., None, :], directions.shape[:-2] + (B + 1, inner))
-    products = _times(
-        np.concatenate([directions, slope], axis=-2),
-        np.concatenate([directions, directions, laplacian], axis=-2),
-        B,
-        k - 1,
-    )
+    left = np.empty(parts.shape[:-2] + (2 * B + 1, inner), dtype=complex)
+    left[..., :B, :] = parts[..., 1:-1, :]
+    left[..., B:, :] = d1[..., None, :]
+    products = _times(left, parts.take(_level_rows(B), axis=-2), B, k - 1)
+    del left
     out = np.empty(parts.shape, dtype=complex)
     out[..., 0, :] = g
     out[..., 1:-1, :] = products[..., B : 2 * B, :]
-    out[..., -1, :] = products[..., -1, :] + _times(d2, products[..., :B, :].sum(axis=-2), B, k - 1)
+    squares = np.add.reduce(products[..., :B, :], axis=-2)
+    np.add(products[..., -1, :], _times(d2, squares, B, k - 1), out=out[..., -1, :])
     return out.reshape(u.shape)
 
 
@@ -618,7 +649,7 @@ def reciprocal(value: Scalar) -> Scalar:
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / z
     if isinstance(value, np.ndarray):
-        if np.any(value == 0):
+        if (value == 0).any():
             raise JetError("division by a scalar with zero constant term")
         return 1.0 / value
     if isinstance(value, LaplacianJet):
@@ -657,8 +688,9 @@ def _check_branch(z):
     of its leading axis, which at one bare point is a lane stack's block axis."""
     z = _require_finite(z)
     if isinstance(z, np.ndarray):
-        bad = (np.abs(z) < BRANCH_FLOOR) | (math.pi - np.abs(np.angle(z)) < BRANCH_ANGLE)
-        if np.any(bad):
+        angle = np.arctan2(z.imag, z.real)  # np.angle's one ufunc, without its wrapper
+        bad = (np.abs(z) < BRANCH_FLOOR) | (math.pi - np.abs(angle) < BRANCH_ANGLE)
+        if bad.any():
             raise BranchCutError(
                 f"within {BRANCH_FLOOR:.1e} of the origin or {BRANCH_ANGLE:.1e} of the cut",
                 np.flatnonzero(np.any(bad.reshape(len(bad), -1), axis=1)),

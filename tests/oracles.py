@@ -24,6 +24,11 @@ The level-by-level product of two LaplacianJet component arrays: the kernel
 the package's term maps replaced, and the reference they are checked
 against.
 
+One step of the level rule with both operands of its 2B + 1 products
+built by np.concatenate, g' broadcast to B + 1 rows: the step that
+pharmonic.jets._level's operands, written into one new array and taken by
+one gather, replaced, and the reference it must equal bit for bit.
+
 The flag function as a Sum of one p-harmonic composition per block form:
 the per-block tree that pharmonic.expressions.flag_sum_expr's one
 composition over the forms' lane stack replaced, and the reference it must
@@ -61,7 +66,7 @@ from scipy.linalg import expm
 
 from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
 from pharmonic.group import _unit
-from pharmonic.jets import JetScalar, constant, ipow, jlog, jpow, nilpotent_part, reciprocal, shape_of
+from pharmonic.jets import JetScalar, _times, constant, ipow, jlog, jpow, nilpotent_part, reciprocal, shape_of
 from pharmonic.operators import _generator_tensor, _lift, laplacian_jet
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
@@ -312,6 +317,27 @@ def _fold_level(pairs, target):
     target[:] = pairs[:, :D]
     target[:, 1:] += pairs[:, D : 2 * D - 1]
     target[:, -1] += 2 * pairs[:, 2 * D - 1 :].sum(axis=1)
+
+
+def concatenated_level(u, g, d1, d2, B: int, k: int):
+    """The components of g(u) at depth k from g, g' and g'' one depth down,
+    the 2B + 1 products u_b u_b, g' u_b and g' u_L taken as one batch whose
+    operands are concatenated from u's rows and g' broadcast."""
+    D, inner = B + 2, (B + 2) ** (k - 1)
+    parts = u.reshape(u.shape[:-1] + (D, inner))
+    directions, laplacian = parts[..., 1:-1, :], parts[..., -1:, :]
+    slope = np.broadcast_to(d1[..., None, :], directions.shape[:-2] + (B + 1, inner))
+    products = _times(
+        np.concatenate([directions, slope], axis=-2),
+        np.concatenate([directions, directions, laplacian], axis=-2),
+        B,
+        k - 1,
+    )
+    out = np.empty(parts.shape, dtype=complex)
+    out[..., 0, :] = g
+    out[..., 1:-1, :] = products[..., B : 2 * B, :]
+    out[..., -1, :] = products[..., -1, :] + _times(d2, products[..., :B, :].sum(axis=-2), B, k - 1)
+    return out.reshape(u.shape)
 
 
 def depth_one_jets(f, points, basis) -> np.ndarray:

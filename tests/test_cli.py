@@ -579,6 +579,8 @@ def test_coefficient_scale_out_of_float_range_is_a_usage_error(tmp_path, capsys,
 # (option, value or --A file text, exit code, part of the message)
 _DEGENERATE_INPUTS = {
     "zero-w": (("--w", "0,0,0"), EXIT_USAGE, "bad --w 0,0,0: need a nonzero vector"),
+    # an empty --w is refused, not read as no --w at all (the default vector)
+    "empty-w": (("--w", ""), EXIT_USAGE, "bad --w : empty complex cell"),
     # a nonzero w whose squares, and so sum w_i^2, underflow to zero
     "underflow-w": (
         ("--w", "1e-200,1e-200,1e-200"), EXIT_USAGE,
@@ -613,6 +615,16 @@ def test_degenerate_coefficients_get_the_documented_exit_code(tmp_path, capsys, 
     assert main([command, option, value, "--samples", "2"]) == code
     captured = capsys.readouterr()
     assert not captured.out and message in captured.err
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["grassmann", "pharmonic", "dual"])
+def test_an_empty_matrix_path_is_a_usage_error(capsys, command):
+    # --A '' names no file: it is refused, not read as no --A at all (the
+    # default vector), nor as the current directory
+    assert main([command, "--A", "", "--samples", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert not captured.out and "bad --A : empty file name" in captured.err
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
 
 

@@ -1,4 +1,5 @@
 import cmath
+import platform
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from pharmonic.jets import (
     zero,
 )
 from pharmonic.operators import DEPTH_CAP, MAX_LIFT_COMPONENTS
-from oracles import level_product, series_log, series_pow, series_reciprocal
+from oracles import concatenated_level, level_product, series_log, series_pow, series_reciprocal
 
 
 def jet2(c0, c1, c2):
@@ -410,6 +411,32 @@ def test_split_products_equal_unsplit_products_bit_for_bit(monkeypatch, B, p):
         assert jets._tensor_product(a, b, B, p).tobytes() == want.tobytes(), budget
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the fault count measures glibc's heap trimming, on Linux",
+)
+def test_a_warm_single_block_product_faults_in_no_fresh_pages():
+    import resource
+
+    # a B = 4, p = 3 product of 20 lanes is one block whose gathers, 20 x
+    # 3375 terms each, are the two halves of one 2.2 MB buffer; with the
+    # gathers in two separate arrays, freed together, glibc trimmed the heap
+    # after each call and the next faulted the pages in again: 495 minor
+    # faults per call.  Warm: the first call's buffer is mapped and unmapped
+    # whole, which raises glibc's mmap threshold, and the second faults it in
+    # on the heap, where it stays.
+    rng = np.random.default_rng(43)
+    shape = (20, 6**3)
+    a, b = (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2))
+    for _ in range(3):
+        jets._tensor_product(a, b, 4, 3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        jets._tensor_product(a, b, 4, 3)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50
+    assert faults < 5, faults
+
+
 LEVEL_FUNCTIONS = [
     ("log", jlog, series_log),
     ("reciprocal", reciprocal, series_reciprocal),
@@ -434,6 +461,26 @@ def test_level_rule_matches_the_order_2p_series(B, p, lanes):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
         plain = np.asarray(level(u.constant_value()), dtype=complex)
         assert got[..., 0].tobytes() == plain.tobytes(), name
+
+
+@pytest.mark.parametrize("lanes", [(), (3,), (2, 3), (0,)], ids=["point", "lanes", "lane-stack", "no-lanes"])
+@pytest.mark.parametrize("B, k", [(B, p) for B, p in KERNEL_CASES if B <= 10])
+def test_level_step_equals_the_concatenated_operands_bit_for_bit(B, k, lanes):
+    # the left operand written into one new array and the right one taken by
+    # one gather hold what np.concatenate built, so the level's 2B + 1
+    # products, and every component of the step, keep their bits; a lane
+    # stack is a flag's (K, t), and no lanes give a (0, D**k) step
+    rng = np.random.default_rng(10 * B + k)
+
+    def draw(size):
+        shape = lanes + (size,)
+        return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+    u = draw((B + 2) ** k)
+    g, d1, d2 = (draw((B + 2) ** (k - 1)) for _ in range(3))
+    got, want = jets._level(u, g, d1, d2, B, k), concatenated_level(u, g, d1, d2, B, k)
+    assert got.shape == want.shape == u.shape
+    assert got.tobytes() == want.tobytes()
 
 
 CHAIN_READERS = [
