@@ -28,6 +28,10 @@ its check records from a template, and this holds it to json's own output.
 A run whose report does not reads "ENCODING" in place of its verdict, and
 the sweep exits 2.
 
+The summary is written line by line through the CLI's printer: if stdout's
+reader goes away (``... | head``), stdout is pointed at os.devnull, the
+sweep runs on, and its exit code stands, with no traceback.
+
 Usage:
   python scripts/run_verification_suite.py              # full sweep
   python scripts/run_verification_suite.py --samples 5  # fewer samples
@@ -119,8 +123,8 @@ def main(argv=None) -> int:
     header = f"{'run':<24} {'verdict':<8} {'checks':>7} {'worst residual':>15} {'time':>8}"
     if args.compare:
         header += f"  {'vs ' + args.compare:<24} {'max |dr|':>10}"
-    print(header)
-    print("-" * len(header))
+    cli._print(header)
+    cli._print("-" * len(header))
     runs = build_runs(args.samples)
     for name, command in runs:
         path = out_dir / f"{name}.json"
@@ -129,7 +133,7 @@ def main(argv=None) -> int:
             code = cli.main(command.split() + ["--out", str(path)])
         if code not in (cli.EXIT_PASS, cli.EXIT_FAIL):
             all_ok = False
-            print(f"{name:<24} EXIT {code}")
+            cli._print(f"{name:<24} EXIT {code}")
             continue
         text = path.read_text()
         doc = json.loads(text)
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
         all_ok &= ok
         run_total += doc["timing_seconds"]
         outcome = "ENCODING" if not canonical else "pass" if ok else "FAIL"
-        print(
+        cli._print(
             f"{name:<24} {outcome:<8} {len(doc['checks']):>7} "
             f"{worst:>15.3e} {doc['timing_seconds']:>7.2f}s" + line
         )
@@ -157,21 +161,21 @@ def main(argv=None) -> int:
         names = {name for name, _ in runs}
         for name in sorted({path.stem for path in Path(args.compare).glob("*.json")} - names):
             all_same = False
-            print(f"{name:<24} {'':<8} {'':>7} {'':>15} {'':>8}  {'dropped':<24} {math.nan:>10.2e}")
-    print("-" * len(header))
+            cli._print(f"{name:<24} {'':<8} {'':>7} {'':>15} {'':>8}  {'dropped':<24} {math.nan:>10.2e}")
+    cli._print("-" * len(header))
     elapsed = time.perf_counter() - sweep_start
-    print(f"total: {run_total:.2f}s in runs, {elapsed:.2f}s elapsed")
-    print(f"reports written to {out_dir}/")
+    cli._print(f"total: {run_total:.2f}s in runs, {elapsed:.2f}s elapsed")
+    cli._print(f"reports written to {out_dir}/")
     if args.compare:
         verdict = "every run the same as" if all_same else "SOME RUNS DIFFER FROM"
-        print(f"{verdict} {args.compare}/; largest residual change {largest_change:.2e}")
+        cli._print(f"{verdict} {args.compare}/; largest residual change {largest_change:.2e}")
     if not all_ok:
-        print("SOME RUNS FAILED")
+        cli._print("SOME RUNS FAILED")
     if not all_canonical:
-        print("SOME REPORTS DIFFER FROM json.dumps(..., indent=2, sort_keys=True)")
+        cli._print("SOME REPORTS DIFFER FROM json.dumps(..., indent=2, sort_keys=True)")
     if not (all_ok and all_same and all_canonical):
         return 2
-    print("all runs passed")
+    cli._print("all runs passed")
     return 0
 
 

@@ -39,7 +39,10 @@ t constants gives each block its own coefficient, broadcast along that axis,
 and the :class:`Unstack` root adds the t blocks at each point.  Every node
 of the composition then runs once for all blocks, lane for lane the
 operations the per-block sum runs, so on a stack of points the two agree
-bit for bit.
+bit for bit.  :func:`tree_forms` scans a tree once for the forward-Laplacian
+walk: a Stack of forms on the same rows that no other node reads is one
+group, whose jet the walk hands :func:`evaluate` whole, and every other
+form a group of one.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from __future__ import annotations
 import cmath
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Number
@@ -202,25 +206,40 @@ def _children(node) -> tuple:
     return ()
 
 
-def tree_leaves(root) -> list:
-    """The distinct leaf nodes of a tree, by identity, each once."""
-    seen, leaves, stack = set(), [], [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        children = _children(node)
-        stack.extend(children)
-        if not children:
-            leaves.append(node)
-    return leaves
+def tree_forms(root) -> tuple[list, bool]:
+    """One scan of a tree: its projector forms in groups, and whether it has
+    Entry leaves.  A group is (node, forms).  A block family, a Stack whose
+    members are all ProjectorForms touching the same rows and read by no
+    other node, is one group keyed by the Stack, its forms in member order;
+    every other form is a group of one, keyed by itself."""
+    counts, nodes = _reference_counts(root)
+    groups, forms, grouped, entries = [], [], set(), False
+    for node in nodes:
+        if isinstance(node, ProjectorForm):
+            forms.append(node)
+        elif isinstance(node, Entry):
+            entries = True
+        elif isinstance(node, Stack) and _is_family(node, counts):
+            groups.append((node, node.members))
+            grouped.update(map(id, node.members))
+    groups += [(form, (form,)) for form in forms if id(form) not in grouped]
+    return groups, entries
 
 
-def _readers(root) -> dict:
+def _is_family(node: Stack, counts: dict) -> bool:
+    """Whether the Stack's members are all ProjectorForms on the same rows,
+    read by no node but this Stack."""
+    members, rows = node.members, getattr(node.members[0], "rows", None)
+    if not all(isinstance(m, ProjectorForm) and m.rows == rows for m in members):
+        return False
+    return all(counts[key] == n for key, n in Counter(map(id, members)).items())
+
+
+def _reference_counts(root) -> tuple[dict, list]:
     """How many times a walk from root reads each node, by identity: once
-    per reference from each distinct parent, and once for the root itself."""
-    counts = {id(root): 1}
+    per reference from each distinct parent, and once for the root itself;
+    and the distinct nodes, each once, root first."""
+    counts, nodes = {id(root): 1}, [root]
     stack = [root]
     while stack:
         for child in _children(stack.pop()):
@@ -228,8 +247,14 @@ def _readers(root) -> dict:
             seen = counts.get(key, 0)
             if not seen:
                 stack.append(child)
+                nodes.append(child)
             counts[key] = seen + 1
-    return counts
+    return counts, nodes
+
+
+def _readers(root) -> dict:
+    """How many times a walk from root reads each node, by identity."""
+    return _reference_counts(root)[0]
 
 
 def _eval(node, m, memo: dict, readers: dict):
@@ -312,7 +337,8 @@ def _projector_value(node: ProjectorForm, m):
     cols = [c - 1 for c in node.columns]
     if isinstance(m, np.ndarray) and m.ndim == 3:
         x = m.take(node.rows, axis=0).take(cols, axis=1)
-        return _ordered_sum((x * _window_map(node.weight_array, x)).reshape(-1, m.shape[-1]))
+        terms = x * _window_map(node.weight_array, x)
+        return _ordered_sum(terms.reshape(len(node.rows) * len(cols), m.shape[-1]))
     x = [[_entry(m, r + 1, c + 1) for c in cols] for r in node.rows]
     y = [
         [_ordered_sum([w * x[a][t] for a, w in enumerate(row)]) for t in range(len(cols))]
@@ -517,11 +543,16 @@ def block_columns(block_sizes: Sequence[int], k: int) -> tuple[int, ...]:
 
 def flag_forms(block_sizes: Sequence[int]) -> Stack:
     """The block family: one deterministic block eigenfunction per column
-    block, as one :class:`Stack`.
+    block, as one :class:`Stack` of :class:`ProjectorForm` members on all n
+    rows.
 
     ``block_sizes`` partitions the n columns into t >= 2 windows; member k
-    is the :class:`ProjectorForm` of ``rank_one_from_vector(w)``, with
-    w = (1 + k, ..., n - 1 + k), over block k's window.
+    has weights u u^T over block k's window, u = (s, i w_1, ..., i w_(n-1))
+    for w = (1 + k, ..., n - 1 + k) and s the principal square root of
+    sum(w_i^2).  Built in Python complex arithmetic, each product exact or
+    rounded once, they equal bit for bit those of
+    ``projector_form(rank_one_from_vector(w))``, whose checks guard input
+    from outside the program; these vectors are the program's own.
     """
     block_sizes = tuple(int(b) for b in block_sizes)
     if len(block_sizes) < 2:
@@ -529,11 +560,13 @@ def flag_forms(block_sizes: Sequence[int]) -> Stack:
     if any(b < 1 for b in block_sizes):
         raise ValueError("block sizes must be positive")
     n = sum(block_sizes)
-    forms = (
-        projector_form(rank_one_from_vector(np.arange(1, n, dtype=float) + k), columns=block_columns(block_sizes, k))
-        for k in range(len(block_sizes))
-    )
-    return Stack(tuple(forms))
+    members = []
+    for k in range(len(block_sizes)):
+        w = [float(j + k) for j in range(1, n)]
+        u = [cmath.sqrt(complex(sum(x * x for x in w)))] + [1j * x for x in w]
+        weights = tuple(tuple(a * b for b in u) for a in u)
+        members.append(ProjectorForm(tuple(range(n)), weights, block_columns(block_sizes, k)))
+    return Stack(tuple(members))
 
 
 def flag_sum_expr(family: Stack, p: int):

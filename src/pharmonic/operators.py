@@ -30,10 +30,15 @@ rho(M_(D-1)) = sum_b rho(Z_b)^2.  A form's jet is therefore G paired with
 the generator tensor T_(i1...ip) = rho(M_i1) ... rho(M_ip) P, which
 depends only on the basis, the window and p: one T for all the tree's
 windows per walk, built level by level in place, one contraction of
-N^2 D**p terms per point, and no lift of the point.  A lane stack of
-forms (the flag function's blocks, an eigenfamily's members) enters the
-walk as one jet of (K, t) lanes, its t members on a last block axis.
-Only a tree with Entry leaves lifts its matrix entries, each with the
+N^2 D**p terms per point, and no lift of the point.  A block family (the
+flag function's blocks, an eigenfamily's members: a Stack of forms on the
+same rows, expressions.tree_forms) takes one pass at every stage: one
+stacked product gives its t Gram matrices, one more pairs each with its
+own window's tensor, writing one (K, t, D**p) jet in place, one evaluate
+of the Stack fills its value channel, and the walk, the eigen riders' walk
+and check_eigenfamily read that jet whole, each member's components equal
+bit for bit to those of the form paired alone.  A lone form is a family of
+one.  Only a tree with Entry leaves lifts its matrix entries, each with the
 component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
 the walk costs O((3B + 3)**p) instead of the |basis|**p walks over nested
 jets of 3**p coefficients that literal recursion needs, in blocks whose
@@ -82,7 +87,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expressions import Entry, ProjectorForm, Stack, evaluate, tree_leaves
+from .expressions import Stack, evaluate, tree_forms
 from .group import curve_jets  # noqa: F401  (bench/tracing.py wraps operators.curve_jets)
 from .jets import BranchCutError, LaplacianJet
 
@@ -165,13 +170,15 @@ def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen
     (and when `points` is empty) in a depth-1 walk of their own, so each of
     their pairings has the rows of a walk of them alone (a one-row product
     takes another BLAS kernel).
-    The forms are paired once over the chunk's [plain; points] lanes.  A
-    BranchCutError names its failing points by their index in `points`.
-    eigen is a form of f or a Stack of them, which meets no branch cut.
+    f is scanned once (expressions.tree_forms), and its form groups are
+    paired once per chunk over the [plain; points] lanes, a block family
+    as one jet that both walks take whole.  A BranchCutError names its
+    failing points by their index in `points`.  eigen is a node of f, a
+    form or a Stack of its forms, which meets no branch cut.
     """
     N, D = points.shape[-1], len(basis) + 2
     riders = points[:0] if plain is None else plain
-    forms = [n for n in tree_leaves(f) if isinstance(n, ProjectorForm)]
+    groups, entries = tree_forms(f)
     size = N * N * D**p
     plain_jets = None
 
@@ -180,10 +187,10 @@ def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen
         room = MAX_LIFT_COMPONENTS - len(chunk) * size >= len(riders) * N * N * D
         ride = riders if plain_jets is None and room else riders[:0]
         X = np.concatenate([ride, chunk]) if len(ride) else chunk
-        plain_known, known = _form_jets(forms, X, basis, p, len(ride))
-        jets = _tree_jet(f, chunk, basis, p, known).coeffs[:, components]
+        plain_known, known = _form_jets(groups, X, basis, p, len(ride))
+        jets = _tree_jet(f, chunk, basis, p, known, entries).coeffs[:, components]
         if len(ride):
-            plain_jets = _tree_jet(eigen, ride, basis, 1, plain_known).coeffs
+            plain_jets = _tree_jet(eigen, ride, basis, 1, plain_known, False).coeffs
         return jets
 
     walked = _by_chunks(walk, points, size)
@@ -250,74 +257,108 @@ def _generator_tensor(basis: np.ndarray, windows: Sequence[Sequence[int]], N: in
     return T
 
 
-def _paired(g: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The flattened Gram matrices g paired with the columns of flat, a
-    generator tensor's (N^2, D**p) matrix or its leading columns.  T is
-    real (the bases are), so g's real and imaginary parts are paired with it
-    apart, and T is never copied to complex."""
-    coeffs = np.empty(g.shape[:-1] + (flat.shape[1],), dtype=complex)
-    coeffs.real, coeffs.imag = g.real @ flat, g.imag @ flat
-    return coeffs
-
-
-def _form_jet(form: ProjectorForm, X: np.ndarray, T: np.ndarray, D: int, plain: int = 0) -> tuple:
-    """The components of form at the point X, or at each lane of a stack:
-    the form is tr(P G) for the Gram matrix G = X_R^T S X_R (R the rows it
-    touches), linear in G, so component i is the pairing of G with T_i.
-    Component 0 is plain evaluation of the form.  The first `plain` lanes
-    are paired with T's D leading matrices only, the depth-1 tensor that
-    each level copies.  Returns (their (plain, D) components or None, the
-    other lanes' D**p)."""
-    XR = X[..., form.rows, :]
-    G = np.swapaxes(XR, -1, -2) @ (form.weight_array @ XR)
+def _form_jet(forms, X: np.ndarray, T: np.ndarray, D: int, head: np.ndarray, rest: np.ndarray) -> None:
+    """Pair a run of forms that touch the same rows R, each with its own
+    window's generator tensor, the run's T (t, D**p, N, N), at each lane of
+    the stack X: a form is tr(P G) for its Gram matrix G = X_R^T S X_R,
+    linear in G, so component i is the pairing of G with T_i.  All the
+    run's Gram matrices are one stacked product, and so are its pairings:
+    the first len(head) lanes with T's D leading matrices only (the depth-1
+    tensor each level copies) into head, (plain, t, D), and the others with
+    all of T into rest, (lanes, t, D**p).  T is real (the bases are), so
+    G's real and imaginary halves are paired with it apart, and T is never
+    copied to complex.  Every member's arrays equal, bit for bit, those of
+    the form paired alone; component 0 is left to the caller."""
+    XR = X[:, forms[0].rows, :]
+    weights = forms[0].weight_array[None]  # a lone form's, not copied
+    if len(forms) > 1:
+        weights = np.stack([form.weight_array for form in forms])
+    G = XR.swapaxes(-1, -2) @ (weights[:, None] @ XR)
     N = X.shape[-1]
-    g, flat = G.reshape(X.shape[:-2] + (N * N,)), T.reshape(len(T), N * N).T
+    g = G.reshape(len(forms), len(X), N * N)
+    flat = T.reshape(T.shape[:2] + (N * N,)).swapaxes(1, 2)
     # not the first D columns of the whole pairing: a wider product may
     # take another BLAS kernel and round them otherwise
-    head = _paired(g[:plain], flat[:, :D]) if plain else None
-    rest = _paired(g[plain:], flat)
-    values = evaluate(form, X)
-    if plain:
-        head[:, 0], values = values[:plain], values[plain:]
-    rest[..., 0] = values
-    return head, rest
+    plain = len(head)
+    for grams, columns, out in ((g[:, :plain], flat[..., :D], head), (g[:, plain:], flat, rest)):
+        if len(out):
+            out = out.swapaxes(0, 1)
+            np.matmul(grams.real, columns, out=out.real)
+            np.matmul(grams.imag, columns, out=out.imag)
 
 
-def _form_jets(forms, X: np.ndarray, basis: np.ndarray, p: int, plain: int = 0) -> tuple[dict, dict]:
-    """The LaplacianJet of each ProjectorForm, keyed by node identity, from
-    one generator tensor per group of their distinct windows: as many
-    windows as MAX_LIFT_COMPONENTS holds (at least one), each group's forms
-    paired before the next group is built.  Returns (the depth-1 jets at the
-    first `plain` lanes of the stack X, the depth-p jets at the rest or at
-    the one point X), each form paired once for both."""
-    windows = list(dict.fromkeys(form.columns for form in forms))
+def _runs(indices: list) -> list:
+    """(k0, k1, i0) for each maximal run of members k0..k1-1 whose indices
+    count up from i0, skipping members whose index is None."""
+    runs = []
+    for k, i in enumerate(indices):
+        if i is None:
+            continue
+        if runs and runs[-1][1] == k and runs[-1][2] + k - runs[-1][0] == i:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k, k + 1, i])
+    return runs
+
+
+def _form_jets(groups, X: np.ndarray, basis: np.ndarray, p: int, plain: int = 0) -> tuple[dict, dict]:
+    """The LaplacianJet of each form group of expressions.tree_forms, keyed
+    by the id of its node: a family Stack's t members as one jet with a
+    block axis, (lanes, t, D**p) at a stack, a lone form's with none.
+
+    One generator tensor per group of the distinct windows, as many windows
+    as MAX_LIFT_COMPONENTS holds (at least one), each group's forms paired
+    (_form_jet, one call per run of members with consecutive windows)
+    before the next group is built.  Component 0 is plain evaluation, one
+    evaluate of each group's node on all the lanes.  Returns (the depth-1
+    jets at the first `plain` lanes of the stack X, the depth-p jets at the
+    rest or at the one point X), each form paired once for both."""
+    windows = list(dict.fromkeys(form.columns for _, forms in groups for form in forms))
     N, B = X.shape[-1], len(basis)
-    step = max(1, MAX_LIFT_COMPONENTS // (N * N * (B + 2) ** p))
-    plain_jets, jets = {}, {}
+    D = B + 2
+    lanes = X if X.ndim == 3 else X[None]
+    step = max(1, MAX_LIFT_COMPONENTS // (N * N * D**p))
+    heads = rests = ()
     for start in range(0, len(windows), step):
-        group = windows[start : start + step]
-        tensors = dict(zip(group, _generator_tensor(basis, group, N, p)))
-        for form in forms:
-            if form.columns in tensors:
-                head, rest = _form_jet(form, X, tensors[form.columns], B + 2, plain)
-                if plain:
-                    plain_jets[id(form)] = LaplacianJet(B, 1, head)
-                jets[id(form)] = LaplacianJet(B, p, rest)
+        T = _generator_tensor(basis, windows[start : start + step], N, p)
+        if not rests:
+            # allocated after the first tensor, as each form's jets were:
+            # allocated before it, they cost a warm flag (2,2) p=5 run
+            # about 2,000 page faults against 60, and holding one tensor
+            # while the next is built cost flag (1,1,2) about 2,500
+            heads = [np.empty((plain, len(forms), D), dtype=complex) for _, forms in groups]
+            rests = [np.empty((len(lanes) - plain, len(forms), D**p), dtype=complex) for _, forms in groups]
+        index = {columns: i for i, columns in enumerate(windows[start : start + step])}
+        for (_, forms), head, rest in zip(groups, heads, rests):
+            for k0, k1, i0 in _runs([index.get(form.columns) for form in forms]):
+                _form_jet(forms[k0:k1], lanes, T[i0 : i0 + k1 - k0], D, head[:, k0:k1], rest[:, k0:k1])
+        del T  # freed before the next group's tensor is built
+    plain_jets, jets = {}, {}
+    rest_lanes = (len(X) - plain,) if X.ndim == 3 else ()
+    for (node, forms), head, rest in zip(groups, heads, rests):
+        values = np.asarray(evaluate(node, X)).reshape(len(lanes), len(forms))
+        rest[..., 0] = values[plain:]
+        block = (len(forms),) if isinstance(node, Stack) else ()
+        if plain:
+            head[..., 0] = values[:plain]
+            plain_jets[id(node)] = LaplacianJet(B, 1, head.reshape((plain,) + block + (D,)))
+        jets[id(node)] = LaplacianJet(B, p, rest.reshape(rest_lanes + block + (D**p,)))
     return plain_jets, jets
 
 
-def _tree_jet(f, X: np.ndarray, basis: np.ndarray, p: int, known: dict) -> LaplacianJet:
+def _tree_jet(f, X: np.ndarray, basis: np.ndarray, p: int, known: dict, entries: bool) -> LaplacianJet:
     """f's depth-p jet at the point X, or at each lane of a stack, from the
-    jets of its projector forms in `known`, which the walk consumes; matrix
-    entries are lifted only for a tree with Entry leaves."""
+    jets of its form groups in `known`, which the walk consumes; matrix
+    entries are lifted only when `entries` says the tree has Entry leaves
+    (expressions.tree_forms)."""
     N, lanes, B = X.shape[-1], X.shape[:-2], len(basis)
     rows = None
-    if any(isinstance(n, Entry) for n in tree_leaves(f)):
+    if entries:
         # entries[r * N + c] holds the lifted (r, c) entry, lanes first
-        entries = np.ascontiguousarray(
+        lifted = np.ascontiguousarray(
             np.moveaxis(_lift(X, basis, p).reshape(lanes + (-1, N * N)), -1, 0), dtype=complex
         )
-        rows = [[LaplacianJet(B, p, entries[r * N + c]) for c in range(N)] for r in range(N)]
+        rows = [[LaplacianJet(B, p, lifted[r * N + c]) for c in range(N)] for r in range(N)]
     value = evaluate(f, rows, known)
     if isinstance(value, LaplacianJet):
         return value
@@ -337,8 +378,8 @@ def laplacian_jet(f, x, basis: np.ndarray, p: int) -> LaplacianJet:
     are lifted only for a tree with Entry leaves.
     """
     X = np.asarray(x)
-    known = _form_jets([n for n in tree_leaves(f) if isinstance(n, ProjectorForm)], X, basis, p)[1]
-    return _tree_jet(f, X, basis, p, known)
+    groups, entries = tree_forms(f)
+    return _tree_jet(f, X, basis, p, _form_jets(groups, X, basis, p)[1], entries)
 
 
 # laplacian, gradient_product and iterated_laplacian: no CLI command calls
@@ -483,9 +524,10 @@ def projector_identity_residuals(points: np.ndarray, m: int, basis: np.ndarray) 
 
 
 def _eigen_residuals(jets: np.ndarray, lam, mu) -> tuple:
-    """(tau, kappa) from the (K, D) depth-1 jets of one function."""
-    v, grads, t = jets[:, 0], jets[:, 1:-1], jets[:, -1]
-    k = np.einsum("kb,kb->k", grads, grads)
+    """(tau, kappa) from the (K, ..., D) depth-1 jets of one function or of
+    a family's members, one value per jet."""
+    v, grads, t = jets[..., 0], jets[..., 1:-1], jets[..., -1]
+    k = np.einsum("...b,...b->...", grads, grads)
     denom = 1.0 + np.abs(v) + np.abs(v) ** 2
     return np.abs(t - complex(lam) * v) / denom, np.abs(k - complex(mu) * v * v) / denom
 
@@ -512,8 +554,11 @@ def check_eigenfunction(jets: np.ndarray, lam, mu) -> tuple:
 
 def check_eigenfamily(jets: np.ndarray, lam, mu) -> list[tuple]:
     """check_eigenfunction's (tau, kappa) for each member of a family, in
-    order, read from the family Stack's (K, t, D) depth-1 jets."""
-    return [_eigen_residuals(np.ascontiguousarray(jets[:, k]), lam, mu) for k in range(jets.shape[1])]
+    order, read from the family Stack's (K, t, D) depth-1 jets in one pass:
+    each member's pair equals, bit for bit, check_eigenfunction's of its
+    own (K, D) jets."""
+    tau, kappa = _eigen_residuals(jets, lam, mu)
+    return [(tau[:, k], kappa[:, k]) for k in range(jets.shape[1])]
 
 
 def _moved_changes(f, groups) -> list:

@@ -44,6 +44,14 @@ alone: the walk that the depth-p walk's pairing of the plain points, against
 the depth-1 rows of its generator tensors, replaced, and the reference
 those jets must equal bit for bit.
 
+A block family taken one member at a time: each form's Gram matrix
+X_R^T S X_R paired alone with its own window's generator tensor, real and
+imaginary halves apart, and its value channel one evaluate of the form, the
+members of a flag family built through rank_one_from_vector and
+projector_form, and each member's eigen residuals read from its own copied
+jets: the passes that the package's one pass per family replaced, and the
+reference its jets, eigen residuals and reports must equal bit for bit.
+
 The closed-form identity residuals with each point's whole N^4 pairing
 tensor built on its own, one GEMM and one einsum expectation per point: the
 loop the package's cache-sized tiles replaced, and the reference they are
@@ -64,10 +72,35 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import expm
 
-from pharmonic.expressions import Const, Entry, Log, Pow, Product, ProjectorForm, Sum, evaluate, p_harmonic_expr
+from pharmonic.expressions import (
+    Const,
+    Entry,
+    Log,
+    Pow,
+    Product,
+    ProjectorForm,
+    Stack,
+    Sum,
+    block_columns,
+    evaluate,
+    p_harmonic_expr,
+    projector_form,
+    rank_one_from_vector,
+)
 from pharmonic.group import _unit
-from pharmonic.jets import JetScalar, _times, constant, ipow, jlog, jpow, nilpotent_part, reciprocal, shape_of
-from pharmonic.operators import _generator_tensor, _lift, laplacian_jet
+from pharmonic.jets import (
+    JetScalar,
+    LaplacianJet,
+    _times,
+    constant,
+    ipow,
+    jlog,
+    jpow,
+    nilpotent_part,
+    reciprocal,
+    shape_of,
+)
+from pharmonic.operators import _generator_tensor, _lift, check_eigenfunction, laplacian_jet
 from pharmonic.symcalc import EigenParams, GaussianRational, SymExpr, _laplacian_images
 
 
@@ -235,6 +268,59 @@ def generator_tensor_reference(basis, columns, N: int, p: int):
         A[-1] += np.tensordot(A[:-1], basis, axes=([0, 3], [0, 2]))
         T = np.concatenate([T[None], A + np.swapaxes(A, -1, -2)]).reshape(-1, N, N)
     return T
+
+
+def paired_form_reference(form: ProjectorForm, X, basis, p: int, plain: int = 0) -> tuple:
+    """The form's depth-1 components at the first `plain` lanes of the
+    (K, N, N) stack X, paired with its window tensor's D leading matrices
+    only, and its depth-p components at the rest, paired alone with the
+    whole tensor; component 0 is one evaluate of the form on X."""
+    N, D = X.shape[-1], len(basis) + 2
+    T = _generator_tensor(basis, [form.columns], N, p)[0]
+    XR = X[..., form.rows, :]
+    G = np.swapaxes(XR, -1, -2) @ (form.weight_array @ XR)
+    g, flat = G.reshape(len(X), N * N), T.reshape(len(T), N * N).T
+
+    def paired(g, flat):
+        coeffs = np.empty((len(g), flat.shape[1]), dtype=complex)
+        coeffs.real, coeffs.imag = g.real @ flat, g.imag @ flat
+        return coeffs
+
+    head, rest = paired(g[:plain], flat[:, :D]), paired(g[plain:], flat)
+    values = evaluate(form, X)
+    head[:, 0], rest[:, 0] = values[:plain], values[plain:]
+    return head, rest
+
+
+def form_jets_reference(groups, X, basis, p: int, plain: int = 0) -> tuple:
+    """operators._form_jets one form at a time (paired_form_reference),
+    each form's jets keyed by its own id, so a walk stacks a family's
+    members' jets as a Stack node stacks any values of its members."""
+    B, plain_jets, jets = len(basis), {}, {}
+    for _, forms in groups:
+        for form in forms:
+            head, rest = paired_form_reference(form, X, basis, p, plain)
+            if plain:
+                plain_jets[id(form)] = LaplacianJet(B, 1, head)
+            jets[id(form)] = LaplacianJet(B, p, rest)
+    return plain_jets, jets
+
+
+def flag_forms_reference(block_sizes) -> Stack:
+    """The flag block family with member k
+    projector_form(rank_one_from_vector(w)) over block k, for
+    w = (1 + k, ..., n - 1 + k)."""
+    n = sum(block_sizes)
+    vectors = (np.arange(1, n, dtype=float) + k for k in range(len(block_sizes)))
+    A = [rank_one_from_vector(w) for w in vectors]
+    return Stack(tuple(projector_form(a, columns=block_columns(block_sizes, k)) for k, a in enumerate(A)))
+
+
+def eigenfamily_reference(jets, lam, mu) -> list:
+    """operators.check_eigenfamily member by member, each from its own
+    copied (K, D) jets through check_eigenfunction."""
+    members = (np.ascontiguousarray(jets[:, k]) for k in range(jets.shape[1]))
+    return [check_eigenfunction(member, lam, mu)[:2] for member in members]
 
 
 def flag_sum_oracle(family, p: int) -> Sum:

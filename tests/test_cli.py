@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pharmonic import cli, group
+from pharmonic import expressions as ex
 from pharmonic import operators as ops
 from pharmonic.cli import (
     COMMANDS,
@@ -37,6 +38,8 @@ from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers,
 from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
+
+from oracles import eigenfamily_reference, flag_forms_reference, form_jets_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -1098,7 +1101,7 @@ def test_a_run_pairs_each_form_once(monkeypatch, capsys, argv, forms):
     assert len(walk[1]) == 6
     (tensor,) = calls["_generator_tensor"]
     assert tensor[3] == 2
-    pairings = [id(args[0]) for args in calls["_form_jet"]]
+    pairings = [id(form) for args in calls["_form_jet"] for form in args[0]]
     assert len(pairings) == len(set(pairings)) == forms
 
 
@@ -1278,6 +1281,28 @@ def test_fifth_order_flag_walks_two_points_at_a_time(monkeypatch, capsys):
         assert (lanes - plain) * 16 * 8**p + plain * 16 * 8 <= ops.MAX_LIFT_COMPONENTS
 
 
+def test_a_two_chunk_flag_run_prints_the_document_of_member_by_member_pairing(monkeypatch, capsys):
+    # flag (1,1,2) at p = 5 walks its three points in chunks of two and one
+    # and pairs its family across two tensor groups, of two windows and of
+    # one.  Built, paired, walked and eigen-checked one member at a time, as
+    # before the family took one pass, the run prints the same document,
+    # residual bits included.
+    argv = ("flag", "--blocks", "1,1,2", "--p", "5", "--samples", "3")
+    walks = _counting_walks(monkeypatch)
+    code, out = run_cli(capsys, *argv)
+    assert walks == [(5, 2, 0), (5, 4, 3)]
+    monkeypatch.undo()
+    monkeypatch.setattr(ex, "flag_forms", flag_forms_reference)
+    monkeypatch.setattr(ops, "_form_jets", form_jets_reference)
+    monkeypatch.setattr(ops, "check_eigenfamily", eigenfamily_reference)
+    alone_code, alone = run_cli(capsys, *argv)
+    docs = [json.loads(text) for text in (out, alone)]
+    for doc in docs:
+        doc.pop("timing_seconds")
+    assert code == alone_code == EXIT_PASS
+    assert docs[0] == docs[1]
+
+
 def _counting_walks(monkeypatch, deep=None):
     """Wrap ops._form_jets, the form pairing each walk of a chunk starts
     with, and walk `deep` in place of f at depths above 1 when given;
@@ -1289,8 +1314,10 @@ def _counting_walks(monkeypatch, deep=None):
         walks.append((p, len(X), plain))
         return pairing(forms, X, basis, p, plain)
 
-    def substituting_walk(f, X, basis, p, known):
-        return walk(deep if deep is not None and p > 1 else f, X, basis, p, known)
+    def substituting_walk(f, X, basis, p, known, entries):
+        if deep is not None and p > 1:
+            f, entries = deep, True
+        return walk(f, X, basis, p, known, entries)
 
     monkeypatch.setattr(ops, "_form_jets", counting_pairing)
     monkeypatch.setattr(ops, "_tree_jet", substituting_walk)

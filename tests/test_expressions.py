@@ -438,6 +438,44 @@ def test_flag_forms_validation():
         flag_forms((2, 0))
 
 
+def _compositions(n: int):
+    """Every composition of n columns into two or more blocks."""
+    for cuts in range(1, 2 ** (n - 1)):
+        sizes, size = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield (*sizes, size)
+
+
+def _form_bits(form: ProjectorForm) -> tuple:
+    hexed = tuple(tuple((w.real.hex(), w.imag.hex()) for w in row) for row in form.weights)
+    return form.rows, form.columns, hexed
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [pytest.param(n, id=f"{n} columns") for n in range(2, 9)]
+    + [pytest.param((1,) * t, id=f"{t} one-column blocks") for t in (10, 12, 38)],
+)
+def test_flag_forms_equal_the_per_block_projector_forms_bit_for_bit(sizes):
+    # member k is projector_form(rank_one_from_vector(w_k)) over block k,
+    # weight by weight down to the sign of zero
+    for blocks in _compositions(sizes) if isinstance(sizes, int) else [sizes]:
+        n = sum(blocks)
+        for k, form in enumerate(flag_forms(blocks).members):
+            A = rank_one_from_vector(np.arange(1, n, dtype=float) + k)
+            alone = projector_form(A, columns=block_columns(blocks, k))
+            assert _form_bits(form) == _form_bits(alone), (blocks, k)
+
+
+def test_compositions_cover_every_partition_order():
+    assert sorted(_compositions(4)) == [(1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3), (2, 1, 1), (2, 2), (3, 1)]
+    assert sum(1 for _ in _compositions(8)) == 2**7 - 1
+
+
 def test_block_columns():
     assert block_columns((1, 1, 2), 0) == (1,)
     assert block_columns((1, 1, 2), 1) == (2,)

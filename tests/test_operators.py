@@ -39,12 +39,14 @@ from pharmonic.operators import (
 )
 from oracles import (
     depth_one_jets,
+    eigenfamily_reference,
     expanded_projector_form,
     fd_laplacian,
     flag_sum_oracle,
     generator_tensor_reference,
     identity_residuals_per_point,
     k_basis,
+    paired_form_reference,
     window_quadratic,
 )
 from product_rule import check_product_rule
@@ -258,8 +260,8 @@ def test_check_eigenfamily_pairs_read_the_members_walks(monkeypatch):
     walks = []
     walk = ops._tree_jet
 
-    def counting_walk(f, X, basis, p, known):
-        jet = walk(f, X, basis, p, known)
+    def counting_walk(f, X, basis, p, known, entries):
+        jet = walk(f, X, basis, p, known, entries)
         walks.append((p, jet.coeffs.shape[:-1]))
         return jet
 
@@ -327,6 +329,72 @@ def test_check_eigenfamily_with_a_non_eigen_member_fails():
     (tau, kappa), (bad_tau, _) = fam
     assert np.all(tau <= 1e-8) and np.all(kappa <= 1e-8), (tau, kappa)
     assert bad_tau.min() > 1e-8
+
+
+def _walked_jets(f, X, basis, p, plain):
+    """f's depth-1 jets at the first `plain` lanes of the stack X (None when
+    there are none) and its depth-p jets at the rest, from one pairing of
+    its form groups and a walk of each part, as p_harmonic_residuals takes
+    them."""
+    groups, entries = expressions.tree_forms(f)
+    plain_known, known = ops._form_jets(groups, X, basis, p, plain)
+    rest = ops._tree_jet(f, X[plain:], basis, p, known, entries).coeffs
+    head = ops._tree_jet(f, X[:plain], basis, 1, plain_known, entries).coeffs if plain else None
+    return head, rest
+
+
+def _pairing_cases():
+    """(basis, family, depth) for families on bases of B = 1, 3, 6, 10 and 21
+    directions, at every depth the lift bound admits; the last family's
+    members touch different rows, so it is no block family and each member
+    is paired alone."""
+    fu = projector_form(rank_one_from_isotropic(np.array([1, 1j, 0, 0])), 1)
+    fv = projector_form(rank_one_from_isotropic(np.array([0, 0, 1, 1j])), 2)
+    families = [(so_basis(n), flag_forms(blocks)) for n, blocks in ((2, (1, 1)), (3, (1, 2)), (4, (1, 1, 2)))]
+    families += [(so_basis(5), flag_forms((1, 1, 1, 2))), (so_basis(7), flag_forms((3, 4)))]
+    families.append((so_basis(4), Stack((fu, fv))))
+    cases = []
+    for basis, family in families:
+        N, D = basis.shape[-1], len(basis) + 2
+        for p in range(1, ops.DEPTH_CAP + 1):
+            if N * N * D**p <= ops.MAX_LIFT_COMPONENTS:
+                name = f"B={len(basis)} t={len(family.members)} p={p}"
+                cases.append(pytest.param(basis, family, p, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("basis, family, p", _pairing_cases())
+def test_a_family_pairs_each_member_as_it_pairs_alone(basis, family, p):
+    # byte for byte, member by member: a family's jets, paired in one pass
+    # and walked, against each form paired alone (paired_form_reference),
+    # at 1, 3 and no walked lanes, with no plain lanes and with two riding
+    N = basis.shape[-1]
+    groups, _ = expressions.tree_forms(family)
+    rows = {form.rows for form in family.members}
+    assert len(groups) == (1 if len(rows) == 1 else len(family.members))
+    points = sample_so(N, range(500, 505)) * (1 + 0.5j)
+    for lanes in (1, 3, 0):
+        for plain in (0, 2):
+            X = points[: plain + lanes]
+            head, rest = _walked_jets(family, X, basis, p, plain)
+            assert rest.shape[:2] == (lanes, len(family.members))
+            for k, form in enumerate(family.members):
+                head_alone, rest_alone = paired_form_reference(form, X, basis, p, plain)
+                assert rest[:, k].tobytes() == rest_alone.tobytes(), (lanes, plain, k)
+                if plain:
+                    assert head[:, k].tobytes() == head_alone.tobytes(), (lanes, k)
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 2), (1, 2, 2), (3, 4), (1,) * 10], ids=str)
+def test_check_eigenfamily_equals_each_members_check_bit_for_bit(blocks):
+    family = flag_forms(blocks)
+    n = sum(blocks)
+    basis = so_basis(n)
+    for count in (1, 3):
+        jets = eigen_jets(family, sample_so(n, range(130, 130 + count)), basis)
+        alone = eigenfamily_reference(jets, -n, -2)
+        for k, (tau, kappa) in enumerate(check_eigenfamily(jets, -n, -2)):
+            assert tau.tobytes() == alone[k][0].tobytes() and kappa.tobytes() == alone[k][1].tobytes(), (count, k)
 
 
 def test_a_stack_of_mixed_kinds_raises_rather_than_broadcasting():

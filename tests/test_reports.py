@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,12 +239,13 @@ def test_validator_rejects_malformed_documents():
             validate_report_dict(malformed)
 
 
+_SWEEP = str(Path(__file__).resolve().parents[1] / "scripts" / "run_verification_suite.py")
+
+
 def _sweep_script():
     import importlib.util
-    from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_suite.py"
-    spec = importlib.util.spec_from_file_location("run_verification_suite", path)
+    spec = importlib.util.spec_from_file_location("run_verification_suite", _SWEEP)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -271,6 +273,27 @@ def test_sweep_comparison_names_differing_fields(tmp_path):
     differing, change = compare_reports(renamed, previous)
     assert differing == ["ids"] and change != change
     assert compare_reports(old, tmp_path / "absent.json")[0] == ["missing"]
+
+
+@pytest.mark.parametrize("tol_scale, code", [("1.0", 0), ("1e-30", 2)])
+def test_sweep_survives_a_closed_stdout(tmp_path, tol_scale, code):
+    # as in `run_verification_suite.py | head -1`: the reader takes the
+    # header line and closes the pipe, so the sweep's next write meets a
+    # broken pipe; it must run on, keep its exit code and print no traceback
+    import os
+    import subprocess
+    import sys
+
+    out_dir = tmp_path / "reports"
+    argv = [sys.executable, _SWEEP, "--samples", "2", "--out-dir", str(out_dir)]
+    env = {**os.environ, "GH_VERIFY_TOL_SCALE": tol_scale}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as proc:
+        assert proc.stdout.readline().startswith("run ")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=300) == code
+    assert stderr == ""
+    assert len(list(out_dir.glob("*.json"))) == len(_sweep_script().build_runs(2))
 
 
 def test_sweep_compare_fails_on_dropped_and_missing_runs(tmp_path, monkeypatch, capsys):
