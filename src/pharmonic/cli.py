@@ -5,17 +5,19 @@ checks, and emit one JSON report per run.  This module alone names the
 check ids, holds the thresholds and floors, and writes the check records:
 the operators it calls return plain residual arrays.  ``pharmonic``,
 ``flag`` and ``dual`` make their p-harmonic check through one helper,
-_p_harmonic_records: it draws and conditions the sample points, has the
-eigen checks' plain points ride the depth-p walk, and writes the records.
+_p_harmonic_records: it draws and conditions the sample points, walks
+them once at depth p with the eigen checks' plain points riding, and
+writes the records.
 Runs are deterministic: the same configuration (seed included) reproduces
 the same report byte for byte on one machine, apart from the wall-clock
 field.
 
 Exit codes: 0 all checks passed, 2 a verification check failed, 3 a usage
 or configuration error, 4 a numerical-domain failure (well-conditioned
-sample points could not be found, or jet arithmetic hit a branch cut or a
-non-finite value during the run).  A stdout whose reader has gone drops
-the report but not the exit code, and prints no traceback.
+sample points could not be found, or jet arithmetic hit a branch cut, a
+conditioned point's too, or a non-finite value during the run).  A stdout
+whose reader has gone drops the report but not the exit code, and prints
+no traceback.
 
 Each subcommand accepts the options every run reads (``SHARED``) and its
 own (its ``READS`` row); any other option is a usage error, and a RunConfig
@@ -42,7 +44,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from . import expressions as ex
 from . import operators as ops
 from . import symcalc as sym
 from .group import m_basis, minkowski_form, sample_block_diagonal, sample_so, sample_so_mn, so_basis
-from .jets import BranchCutError, JetError
+from .jets import JetError
 from .reports import (
     REPORT_SCHEMA,
     VerificationReport,
@@ -269,16 +271,16 @@ def _p_harmonic_records(
 
     Draws the first batch with `sampler` (seeds to points) unless the run's
     sampler pass has drawn it (`first`), conditions config.samples points
-    on f (phi, or a block family) with a note of the draws that cost, and
-    writes order-p residual and order-(p-1) witness records at each.  With
-    `eigen`, the plain points, the batch's first config.samples lanes, ride
-    the walk for f's eigen checks (see ops.p_harmonic_residuals).
+    on f (phi, or a block family: expr's one form group) with a note of the
+    draws that cost, and writes order-p residual and order-(p-1) witness
+    records at each, from one walk.  With `eigen`, the plain points, the
+    batch's first config.samples lanes, ride that walk for f's eigen checks
+    (see ops.p_harmonic_residuals).  A conditioned point meets no branch
+    cut; if the walk meets one there, its BranchCutError ends the run.
 
-    A point where the iteration hits a branch cut is dropped and the rest
-    are walked again, down to none, when only the plain points are walked.
-    A point whose witness falls below the properness floor is dropped too,
-    each with a note, in point order.  If every point is dropped and a
-    witness is expected, one failing "all" record stands in.
+    A point whose witness falls below the properness floor is dropped, with
+    a note, in point order.  If every point is dropped and a witness is
+    expected, one failing "all" record stands in.
     """
     if first is None:
         first = sampler(ops.first_batch_seeds(config.samples, config.seed))
@@ -286,27 +288,10 @@ def _p_harmonic_records(
     if draws > config.samples:
         notes.append(f"drew {draws} candidate points for {config.samples} conditioned samples")
     tau_tol = _tau_p_tol(config)
-    lanes = list(range(len(points)))
-    cut: set[int] = set()
-    riders = (f, first[: config.samples]) if eigen else ()
-    while True:
-        try:
-            results = ops.p_harmonic_residuals(expr, config.p, points[lanes], basis, *riders)
-            break
-        except BranchCutError as exc:
-            if not lanes:  # the plain points alone meet no cut
-                raise
-            # no lane named: the failing value is shared by every lane
-            cut.update([lanes[j] for j in exc.lanes] or lanes)
-            lanes = [i for i in lanes if i not in cut]
-    residuals, witnesses, *jets = results
-    walked = dict(zip(lanes, zip(residuals, witnesses)))
+    riders = (first[: config.samples],) if eigen else ()
+    residuals, witnesses, *jets = ops.p_harmonic_residuals(expr, config.p, points, basis, *riders)
     records = []
-    for i in range(len(points)):
-        if i in cut:
-            notes.append(f"point {i} rejected during iteration (branch cut)")
-            continue
-        residual, witness = walked[i]
+    for i, (residual, witness) in enumerate(zip(residuals, witnesses)):
         if witness < PROPERNESS_FLOOR:
             notes.append(f"point {i} dropped: order-(p-1) witness below floor")
             continue
@@ -509,22 +494,23 @@ COMMANDS = {
 
 # -- argument handling -----------------------------------------------------------
 
-# Every option, declared once by its add_argument keywords; the options every
-# command reads; and each command's own, the one statement of who reads what.
-# A command accepts no option it does not read.
+# Every option, declared once by its add_argument keywords but its default,
+# which is its RunConfig field's; the options every command reads; and each
+# command's own, the one statement of who reads what.  A command accepts no
+# option it does not read.
 OPTIONS = {
-    "--m": dict(type=int, default=2),
-    "--n": dict(type=int, default=2),
-    "--blocks": dict(type=str, default=None, help="comma-separated block sizes"),
-    "--p": dict(type=int, default=2),
-    "--seed": dict(type=int, default=7),
-    "--samples": dict(type=int, default=20),
-    "--radius": dict(type=float, default=0.75),
-    "--tol": dict(type=float, default=None, help="override the residual thresholds (not the floors)"),
-    "--w": dict(type=str, default=None, help="comma-separated re:im cells"),
-    "--A": dict(dest="a_file", type=str, default=None, help="CSV/JSON matrix file"),
-    "--out": dict(type=str, default=None, help="write the JSON report here"),
-    "--csv": dict(type=str, default=None, help="also dump residuals as CSV"),
+    "--m": dict(type=int),
+    "--n": dict(type=int),
+    "--blocks": dict(type=str, help="comma-separated block sizes"),
+    "--p": dict(type=int),
+    "--seed": dict(type=int),
+    "--samples": dict(type=int),
+    "--radius": dict(type=float),
+    "--tol": dict(type=float, help="override the residual thresholds (not the floors)"),
+    "--w": dict(type=str, help="comma-separated re:im cells"),
+    "--A": dict(dest="a_file", type=str, help="CSV/JSON matrix file"),
+    "--out": dict(type=str, help="write the JSON report here"),
+    "--csv": dict(type=str, help="also dump residuals as CSV"),
 }
 SHARED = ("--seed", "--samples", "--tol", "--out", "--csv")
 READS = {
@@ -545,11 +531,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pharmonic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {field.name: field.default for field in fields(RunConfig)}
     for name in COMMANDS:
         command = sub.add_parser(name)
         for option, keywords in OPTIONS.items():
             if option in SHARED or option in READS[name]:
-                command.add_argument(option, **keywords)
+                command.add_argument(option, default=defaults[keywords.get("dest", option[2:])], **keywords)
     sub.add_parser("report-schema")
     return parser
 

@@ -35,13 +35,14 @@ flag function's blocks, an eigenfamily's members: a Stack of forms on the
 same rows, expressions.tree_forms) takes one pass at every stage: one
 stacked product gives its t Gram matrices, one more pairs each with its
 own window's tensor, writing one (K, t, D**p) jet in place, one evaluate
-of the Stack fills its value channel, and the walk, the eigen riders' walk
-and check_eigenfamily read that jet whole, each member's components equal
-bit for bit to those of the form paired alone.  A lone form is a family of
-one.  Only a tree with Entry leaves lifts its matrix entries, each with the
-component (i_1, ..., i_p) equal to (x M_i1 ... M_ip)_rc.  Each product in
-the walk costs O((3B + 3)**p) instead of the |basis|**p walks over nested
-jets of 3**p coefficients that literal recursion needs, in blocks whose
+of the Stack fills its value channel, the walk takes that jet whole, and
+the eigen riders and check_eigenfamily read theirs, (K, t, D), as it is,
+each member's components equal bit for bit to those of the form paired
+alone.  A lone form is a family of one.  Only a tree with Entry leaves
+lifts its matrix entries, each with the component (i_1, ..., i_p) equal
+to (x M_i1 ... M_ip)_rc.  Each product in the walk costs O((3B + 3)**p)
+instead of the |basis|**p walks over nested jets of 3**p coefficients
+that literal recursion needs, in blocks whose
 workspace, 24 (3B + 3)**p bytes per element where one term map covers the
 product, is bounded by jets.PRODUCT_WORKSPACE_BYTES.  Log,
 reciprocal and non-integer powers apply the one-level rule once per depth,
@@ -55,7 +56,8 @@ per chunk of lanes, a chunk holding at most MAX_LIFT_COMPONENTS components
 of N^2 D**p per lane; plain evaluations (invariance, the non-descent
 witness, conditioned sampling) run on stacks the same way.  The eigen
 checks read depth-1 jets: eigen_jets', or those of the plain points that
-ride a p_harmonic_residuals walk.  The invariance checks take drawn
+ride a p_harmonic_residuals walk, read off the pairing of the walked
+tree's one form group.  The invariance checks take drawn
 stacks of subgroup actions, whose seeds invariance_seeds and witness_seeds
 state.  Every checker and residual function returns plain numbers, arrays
 of one value per point (the non-descent witness one best change), so this
@@ -159,10 +161,12 @@ def values_at(f, X: np.ndarray) -> np.ndarray:
     return _by_chunks(lambda chunk: evaluate(f, chunk), X, X[0].size)
 
 
-def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen=None, plain=None) -> tuple:
+def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), plain=None) -> tuple:
     """The chosen components of f's depth-p jet at each point of the stack
     `points`, a (K, ...) array; and, given a stack `plain`, the depth-1 jets
-    of the tree `eigen` at its points, (P, ..., D), else None.
+    of f's one form group (a form, or a block family's Stack) at its points,
+    (P, ..., D), else None.  A plain stack with a tree of any other number
+    of form groups is a ValueError.
 
     One walk per chunk of at most MAX_LIFT_COMPONENTS components, N^2 D**p
     a point and N^2 D a plain point: as many points as fit (at least one),
@@ -172,13 +176,15 @@ def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen
     takes another BLAS kernel).
     f is scanned once (expressions.tree_forms), and its form groups are
     paired once per chunk over the [plain; points] lanes, a block family
-    as one jet that both walks take whole.  A BranchCutError names its
-    failing points by their index in `points`.  eigen is a node of f, a
-    form or a Stack of its forms, which meets no branch cut.
+    as one jet, which the walk takes whole and the plain points read as it
+    is.  A BranchCutError names its failing points by their index in
+    `points`; the form group meets no branch cut.
     """
     N, D = points.shape[-1], len(basis) + 2
     riders = points[:0] if plain is None else plain
     groups, entries = tree_forms(f)
+    if plain is not None and len(groups) != 1:
+        raise ValueError(f"plain points ride a tree of one form group, not {len(groups)}")
     size = N * N * D**p
     plain_jets = None
 
@@ -190,12 +196,12 @@ def _jets_at(f, points: np.ndarray, basis, p: int, components=slice(None), eigen
         plain_known, known = _form_jets(groups, X, basis, p, len(ride))
         jets = _tree_jet(f, chunk, basis, p, known, entries).coeffs[:, components]
         if len(ride):
-            plain_jets = _tree_jet(eigen, ride, basis, 1, plain_known, False).coeffs
+            plain_jets = plain_known[id(groups[0][0])].coeffs
         return jets
 
     walked = _by_chunks(walk, points, size)
     if len(riders) and plain_jets is None:
-        plain_jets = eigen_jets(eigen, riders, basis)
+        plain_jets = eigen_jets(groups[0][0], riders, basis)
     return walked, plain_jets
 
 
@@ -725,7 +731,7 @@ def conditioned_sample(
     return np.concatenate(accepted)[:count], draws
 
 
-def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray, eigen=None, plain=None):
+def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray, plain=None):
     """Normalized order-p residual and order-(p-1) witness.
 
     Returns (|L^p f| / (1 + |f| + |L^(p-1) f|), |L^(p-1) f| / (1 + |f|)) as
@@ -734,17 +740,17 @@ def p_harmonic_residuals(f, p: int, points: np.ndarray, basis: np.ndarray, eigen
     (D-1, ..., D-1, 0) and (D-1, ..., D-1) of one depth-p jet.  A branch cut
     raises a BranchCutError naming the failing points by their index.
 
-    Given an eigen check's points as the stack `plain` and its function
-    `eigen` (a form or a Stack of forms of f), they ride the same walks
-    (see _jets_at), and eigen's depth-1 jets there come third, bit for bit
-    those eigen_jets gives.  An empty stack of points gives empty residual
-    arrays, and the plain points are then walked alone.
+    Given an eigen check's points as the stack `plain`, they ride the same
+    walks (see _jets_at), and the depth-1 jets there of f's one form group
+    (phi, or the block family) come third, read off the group's pairing,
+    bit for bit those eigen_jets gives.  An empty stack of points gives
+    empty residual arrays, and the plain points are then walked alone.
     """
     if not 1 <= p <= DEPTH_CAP:
         raise ValueError(f"need 1 <= p <= {DEPTH_CAP}, got {p}")
     D = len(basis) + 2
     components = [0, D**p - D, D**p - 1]
-    jets, plain_jets = _jets_at(f, points, basis, p, components, eigen, plain)
+    jets, plain_jets = _jets_at(f, points, basis, p, components, plain)
     v, prev, top = np.abs(jets).reshape(-1, 3).T
     residuals = top / (1.0 + v + prev), prev / (1.0 + v)
     return residuals if plain is None else (*residuals, plain_jets)

@@ -293,17 +293,34 @@ def paired_form_reference(form: ProjectorForm, X, basis, p: int, plain: int = 0)
 
 
 def form_jets_reference(groups, X, basis, p: int, plain: int = 0) -> tuple:
-    """operators._form_jets one form at a time (paired_form_reference),
-    each form's jets keyed by its own id, so a walk stacks a family's
-    members' jets as a Stack node stacks any values of its members."""
+    """operators._form_jets one form at a time (paired_form_reference):
+    each form's depth-p jets keyed by its own id, so a walk stacks a
+    family's members' jets as a Stack node stacks any values of its
+    members; the plain lanes' jets keyed by the group's node, as the riders
+    read them, a family's member heads stacked on a block axis."""
     B, plain_jets, jets = len(basis), {}, {}
-    for _, forms in groups:
+    for node, forms in groups:
+        heads = []
         for form in forms:
             head, rest = paired_form_reference(form, X, basis, p, plain)
-            if plain:
-                plain_jets[id(form)] = LaplacianJet(B, 1, head)
+            heads.append(head)
             jets[id(form)] = LaplacianJet(B, p, rest)
+        if plain:
+            plain_jets[id(node)] = LaplacianJet(B, 1, np.stack(heads, axis=1) if isinstance(node, Stack) else head)
     return plain_jets, jets
+
+
+def compositions(n: int):
+    """Every composition of n columns into two or more blocks: every flag
+    partition of so(n), in each order."""
+    for cuts in range(1, 2 ** (n - 1)):
+        sizes, size = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                sizes.append(size)
+                size = 0
+            size += 1
+        yield (*sizes, size)
 
 
 def flag_forms_reference(block_sizes) -> Stack:

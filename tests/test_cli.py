@@ -34,12 +34,12 @@ from pharmonic.cli import (
     _validate_common,
     main,
 )
-from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers, flag_forms
+from pharmonic.expressions import Entry, Log, Product, Stack, Unstack, _readers
 from pharmonic.group import sample_so, so_basis
 from pharmonic.jets import BranchCutError, NonFiniteError
 from pharmonic.reports import validate_report_dict
 
-from oracles import eigenfamily_reference, flag_forms_reference, form_jets_reference
+from oracles import compositions, eigenfamily_reference, flag_forms_reference, form_jets_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -216,7 +216,7 @@ def test_dual_small_radius_passes():
 
 
 def test_usage_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(UsageError, match="^need m >= 1 and n >= 1$"):
         cmd_calibrate(RunConfig("calibrate", m=0, n=2))
 
 
@@ -866,6 +866,47 @@ def test_exit_code_contract_holds_for_generated_argument_vectors(tmp_path, capsy
     capsys.readouterr()
 
 
+# -- the small corner of the accepted domain ---------------------------------------------
+
+
+def _small_domain() -> list:
+    """pharmonic and dual on every (m, n) with m + n <= 5, at every p <= 5
+    the lift bound admits; flag on every composition of 2-5 columns, at
+    p <= 5 for 2-3 columns, p <= 3 for 4 and p <= 2 for 5."""
+    runs = [
+        (command, "--m", str(m), "--n", str(N - m), "--p", str(p))
+        for command in ("pharmonic", "dual")
+        for N in range(2, 6)
+        for m in range(1, N)
+        for p in range(1, 6)
+        if _lift_components(RunConfig(command, m=m, n=N - m, p=p)) <= ops.MAX_LIFT_COMPONENTS
+    ]
+    for n, top in ((2, 5), (3, 5), (4, 3), (5, 2)):
+        for blocks in compositions(n):
+            runs += [("flag", "--blocks", ",".join(map(str, blocks)), "--p", str(p)) for p in range(1, top + 1)]
+    return runs
+
+
+# A finding, pinned as it stands: at seed 7, flag (1,1,1) at p = 5 reads
+# tau_p_residual 2.15e-3 at point 1 against 1e-4, where block 1's |phi|
+# is 0.40; the same point reads 1.3e-9 at p = 3 and 1.2e-6 at p = 4.
+SMALL_DOMAIN_FAILURES = {("flag", "--blocks", "1,1,1", "--p", "5"): [("tau_p_residual", 1)]}
+
+
+def test_the_small_corner_of_the_accepted_domain_passes(capsys):
+    # every run exits 0 with empty stderr but the pinned finding; none
+    # exits 4, so no conditioned point meets a branch cut on the walk
+    runs = _small_domain()
+    assert len(runs) == 171
+    for argv in runs:
+        code = main([*argv, "--samples", "2"])
+        captured = capsys.readouterr()
+        want = SMALL_DOMAIN_FAILURES.get(argv, [])
+        assert (code, captured.err) == (EXIT_FAIL if want else EXIT_PASS, ""), argv
+        failing = [(c["check"], c["point"]) for c in json.loads(captured.out)["checks"] if not c["passed"]]
+        assert failing == want, argv
+
+
 # -- the shared p-harmonic pipeline ------------------------------------------------------
 
 PIPELINE_RUNS = {
@@ -883,7 +924,7 @@ def _fake_residuals(monkeypatch, outcomes):
     calls = []
     order = {}
 
-    def fake(f, p, points, basis, eigen=None, plain=None):
+    def fake(f, p, points, basis, plain=None):
         calls.extend(points)
         answers = [
             outcomes[min(order.setdefault(pt.tobytes(), len(order)), len(outcomes) - 1)]
@@ -895,21 +936,23 @@ def _fake_residuals(monkeypatch, outcomes):
         residuals, witnesses = np.array(answers, dtype=float).reshape(-1, 2).T
         if plain is None:
             return residuals, witnesses
-        return residuals, witnesses, ops.eigen_jets(eigen, plain, basis)
+        ((group, _),), _ = ex.tree_forms(f)  # the riders' one form group
+        return residuals, witnesses, ops.eigen_jets(group, plain, basis)
 
     monkeypatch.setattr(ops, "p_harmonic_residuals", fake)
     return calls
 
 
 @pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
-def test_branch_cut_during_iteration_drops_the_point(monkeypatch, capsys, command):
-    _fake_residuals(monkeypatch, [BranchCutError, (0.0, 1.0)])
-    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
-    doc = json.loads(out)
-    assert "point 0 rejected during iteration (branch cut)" in doc["notes"]
-    residual_points = [c["point"] for c in doc["checks"] if c["check"] == "tau_p_residual"]
-    assert residual_points == [1]
-    assert code == EXIT_PASS
+def test_a_cut_at_a_conditioned_point_exits_4(monkeypatch, capsys, command):
+    # the sampler keeps no point on the cut; a walk that meets one there
+    # anyway ends the run, naming the point, and no walk is made again
+    calls = _fake_residuals(monkeypatch, [BranchCutError, (0.0, 1.0)])
+    code = main(PIPELINE_RUNS[command])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    assert not captured.out and len(calls) == 2
+    assert captured.err == "numerical domain failure: lanes [0] forced by the test\n"
 
 
 @pytest.mark.parametrize("command", sorted(PIPELINE_RUNS))
@@ -939,90 +982,34 @@ def test_every_point_dropped_fails_properness(monkeypatch, capsys, command):
     assert code == EXIT_FAIL
 
 
-@pytest.mark.parametrize("command", ["dual", "flag"])
-def test_a_cut_on_every_conditioned_point_keeps_the_eigen_records(monkeypatch, capsys, command):
-    # the plain points ride the depth-p walk; with every conditioned point
-    # on the cut they are walked alone, and the eigen records are the ones
-    # an uncut run writes
-    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
-    uncut = json.loads(out)
-    assert code == EXIT_PASS
-    _fake_residuals(monkeypatch, [BranchCutError])
-    alone = []
-    eigen_jets = ops.eigen_jets
-
-    def recording_jets(f, points, basis):
-        alone.append(len(points))
-        return eigen_jets(f, points, basis)
-
-    monkeypatch.setattr(ops, "eigen_jets", recording_jets)
-    code, out = run_cli(capsys, *PIPELINE_RUNS[command])
-    doc = json.loads(out)
-    assert code == EXIT_FAIL
-    assert alone == [2]
-    eigen = [c for c in doc["checks"] if c["check"].endswith("_eigen")]
-    assert eigen and eigen == [c for c in uncut["checks"] if c["check"].endswith("_eigen")]
-    assert {"point 0 rejected during iteration (branch cut)", "point 1 rejected during iteration (branch cut)",
-            "order-(p-1) image vanished on every sample"} <= set(doc["notes"])
-    assert [c for c in doc["checks"] if not c["passed"]] == [
-        {"check": "properness_witness", "point": "all", "residual": 0.0,
-         "threshold": PROPERNESS_FLOOR, "passed": False, "kind": "lower"}
-    ]
-
-
 def _conditioned_on(monkeypatch, points):
     """Have ops.conditioned_sample return the hand-made stack `points` as
     the conditioned sample, one draw per point."""
     monkeypatch.setattr(ops, "conditioned_sample", lambda f, sampler, count, seed, first: (points, len(points)))
 
 
-def test_pipeline_drops_only_the_lane_on_the_log_cut(monkeypatch):
+def test_pipeline_names_the_point_on_the_log_cut(monkeypatch):
+    # a hand-made "conditioned" stack with x11 < 0 at point 1 only: the one
+    # walk raises, naming point 1, and nothing is dropped or walked again
     x = sample_so(3, 11)
     points = np.stack([x] * 4)
-    points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])  # x11 < 0 at point 1 only
+    points[:, 0, 0] = abs(x[0, 0]) * np.array([1.0, -1.0, 1.0, 1.0])
     f = Product((Log(Entry(1, 1)), Entry(2, 2)))
-    basis = so_basis(3)
     _conditioned_on(monkeypatch, points)
+    walks = []
+    residuals = ops.p_harmonic_residuals
+
+    def recording_residuals(f, p, points, basis, *plain):
+        walks.append(len(points))
+        return residuals(f, p, points, basis, *plain)
+
+    monkeypatch.setattr(ops, "p_harmonic_residuals", recording_residuals)
     notes = []
     sampler = functools.partial(sample_so, 3)
-    records, sampled, jets = _p_harmonic_records(f, f, sampler, basis, RunConfig("pharmonic", p=2), notes)
-    assert notes == ["point 1 rejected during iteration (branch cut)"]
-    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3] and jets is None
-    assert sampled is points
-    for i in (0, 2, 3):
-        residual, witness = ops.p_harmonic_residuals(f, 2, points[i : i + 1], basis)
-        got = {r.check: r.residual for r in records if r.point == i}
-        assert got == {"tau_p_residual": residual[0], "properness_witness": witness[0]}
-
-
-def test_pipeline_with_every_lane_on_the_log_cut_pairs_the_plain_points_alone(monkeypatch):
-    # no fake walk: the last walk has no conditioned points left, and the
-    # plain points' pairing gives the jets a depth-1 walk of them alone gives
-    family = flag_forms((1, 2))
-    x = sample_so(3, 11)
-    points = np.stack([x] * 2)
-    points[:, 0, 0] = -abs(x[0, 0])
-    f = Product((Log(Entry(1, 1)), Unstack(family)))
-    # the plain points are the first batch's first two lanes, seeds 20 and 21
-    plain = sample_so(3, range(20, 22))
-    basis = so_basis(3)
-    _conditioned_on(monkeypatch, points)
-    config = RunConfig("flag", p=2, seed=20, samples=2)
-    for riders in ({}, {"eigen": True}):
-        notes = []
-        records, _, jets = _p_harmonic_records(
-            f, family, functools.partial(sample_so, 3), basis, config, notes, **riders
-        )
-        assert notes == [
-            "point 0 rejected during iteration (branch cut)",
-            "point 1 rejected during iteration (branch cut)",
-            "order-(p-1) image vanished on every sample",
-        ]
-        assert [(r.check, r.point, r.passed) for r in records] == [("properness_witness", "all", False)]
-        if riders:
-            assert np.array_equal(jets, ops.eigen_jets(family, plain, basis))
-        else:
-            assert jets is None
+    with pytest.raises(BranchCutError) as caught:
+        _p_harmonic_records(f, f, sampler, so_basis(3), RunConfig("pharmonic", p=2), notes)
+    assert caught.value.lanes == (1,)
+    assert walks == [4] and notes == []
 
 
 def test_a_later_stacked_member_on_the_cut_names_its_point(monkeypatch):
@@ -1049,11 +1036,10 @@ def test_a_later_stacked_member_on_the_cut_names_its_point(monkeypatch):
         ops.eigen_jets(Stack((stack.members[0], Log(Entry(1, 1)))), points, basis)
     assert caught.value.lanes == (1,)
     _conditioned_on(monkeypatch, points)
-    notes = []
     sampler = functools.partial(sample_so, 3)
-    records, _, _ = _p_harmonic_records(f, f, sampler, basis, RunConfig("pharmonic", p=2), notes)
-    assert notes == ["point 1 rejected during iteration (branch cut)"]
-    assert [r.point for r in records] == [0, 0, 2, 2, 3, 3]
+    with pytest.raises(BranchCutError) as caught:
+        _p_harmonic_records(f, f, sampler, basis, RunConfig("pharmonic", p=2), [])
+    assert caught.value.lanes == (1,)
 
 
 @pytest.mark.parametrize(
@@ -1252,10 +1238,10 @@ def test_plain_points_are_evaluated_only_by_the_eigen_walk(monkeypatch, capsys, 
         plain.append(points.copy())
         return jets(f, points, basis)
 
-    def recording_residuals(f, p, points, basis, eigen=None, riders=None):
+    def recording_residuals(f, p, points, basis, riders=None):
         if riders is not None:
             plain.append(riders.copy())
-        return residuals(f, p, points, basis, eigen, riders)
+        return residuals(f, p, points, basis, riders)
 
     def recording_values(f, X):
         handed.append(X.copy())

@@ -33,6 +33,7 @@ from pharmonic.jets import JetScalar, LaplacianJet, constant
 from pharmonic.operators import laplacian_jet
 
 from oracles import (
+    compositions,
     expanded_projector_form,
     flag_sum_oracle,
     pairwise_projector_form,
@@ -438,18 +439,6 @@ def test_flag_forms_validation():
         flag_forms((2, 0))
 
 
-def _compositions(n: int):
-    """Every composition of n columns into two or more blocks."""
-    for cuts in range(1, 2 ** (n - 1)):
-        sizes, size = [], 1
-        for i in range(n - 1):
-            if cuts >> i & 1:
-                sizes.append(size)
-                size = 0
-            size += 1
-        yield (*sizes, size)
-
-
 def _form_bits(form: ProjectorForm) -> tuple:
     hexed = tuple(tuple((w.real.hex(), w.imag.hex()) for w in row) for row in form.weights)
     return form.rows, form.columns, hexed
@@ -463,7 +452,7 @@ def _form_bits(form: ProjectorForm) -> tuple:
 def test_flag_forms_equal_the_per_block_projector_forms_bit_for_bit(sizes):
     # member k is projector_form(rank_one_from_vector(w_k)) over block k,
     # weight by weight down to the sign of zero
-    for blocks in _compositions(sizes) if isinstance(sizes, int) else [sizes]:
+    for blocks in compositions(sizes) if isinstance(sizes, int) else [sizes]:
         n = sum(blocks)
         for k, form in enumerate(flag_forms(blocks).members):
             A = rank_one_from_vector(np.arange(1, n, dtype=float) + k)
@@ -472,8 +461,8 @@ def test_flag_forms_equal_the_per_block_projector_forms_bit_for_bit(sizes):
 
 
 def test_compositions_cover_every_partition_order():
-    assert sorted(_compositions(4)) == [(1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3), (2, 1, 1), (2, 2), (3, 1)]
-    assert sum(1 for _ in _compositions(8)) == 2**7 - 1
+    assert sorted(compositions(4)) == [(1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3), (2, 1, 1), (2, 2), (3, 1)]
+    assert sum(1 for _ in compositions(8)) == 2**7 - 1
 
 
 def test_block_columns():

@@ -612,11 +612,25 @@ def test_p_harmonic_residuals_of_no_points_walk_the_plain_points_alone(monkeypat
     basis = so_basis(4)
     plain = sample_so(4, range(70, 73))
     walks = _counting_walks(monkeypatch)
-    residuals, witnesses, jets = p_harmonic_residuals(flag_sum_expr(family, 2), 2, plain[:0], basis, family, plain)
+    residuals, witnesses, jets = p_harmonic_residuals(flag_sum_expr(family, 2), 2, plain[:0], basis, plain)
     assert walks == [(1, 3, 0)]
     assert residuals.shape == witnesses.shape == (0,)
     monkeypatch.undo()
     assert np.array_equal(jets, depth_one_jets(family, plain, basis))
+
+
+def test_plain_points_ride_only_a_tree_of_one_form_group():
+    # the riders' jets are the pairing of the tree's one form group: a tree
+    # of no forms, or of two groups, has no one group to read them from
+    x = sample_so(4, range(80, 82))
+    phi = projector_form(rank_one_from_vector([1, 2, 3]), 2)
+    psi = projector_form(rank_one_from_vector([3, 1, 2]), 1)
+    basis = so_basis(4)
+    for f in (Product((Entry(1, 1), Entry(2, 2))), Sum((phi, psi))):
+        with pytest.raises(ValueError, match="one form group"):
+            p_harmonic_residuals(f, 2, x, basis, x)
+    _, _, jets = p_harmonic_residuals(Product((phi, Entry(1, 1))), 2, x, basis, x)
+    assert np.array_equal(jets, depth_one_jets(phi, x, basis))
 
 
 def _ride_and_compare(f, eigen, p, sampler, basis, walked_count=3, plain_count=3):
@@ -627,7 +641,7 @@ def _ride_and_compare(f, eigen, p, sampler, basis, walked_count=3, plain_count=3
     batch = sampler(ops.first_batch_seeds(walked_count, 40))
     plain = batch[:plain_count]
     walked, _ = conditioned_sample(eigen, sampler, walked_count, 40, batch)
-    residuals, witnesses, jets = p_harmonic_residuals(f, p, walked, basis, eigen, plain)
+    residuals, witnesses, jets = p_harmonic_residuals(f, p, walked, basis, plain)
     want = depth_one_jets(eigen, plain, basis)
     assert jets.shape == want.shape
     assert np.array_equal(jets, want)
